@@ -169,48 +169,70 @@ fn a_generation_gap_in_the_wal_is_a_contiguity_error() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn an_out_of_bounds_shard_position_is_detected_inside_a_valid_envelope() {
-    // Build the snapshot payload by hand: a real dataset, no index, one
-    // shard whose single object position points far past the columns.
-    // The framing (magic, version, CRC) is *valid* — only the content is
-    // poisoned, so nothing but the payload bounds check can catch it.
-    let dir = temp_dir("oob");
+/// Writes a generation-0 snapshot around a hand-built `index` section: a
+/// real dataset, then the index bytes.  The framing (magic, version, CRC)
+/// is *valid* — only the content is poisoned, so nothing but the payload
+/// decoder can catch it.
+fn snapshot_with_index_section(tag: &str, index: &[u8]) -> (PathBuf, PathBuf) {
+    let dir = temp_dir(tag);
     fs::create_dir_all(&dir).unwrap();
     let ds = UniformGenerator::default().generate(50, 23);
-
     let mut payload = Vec::new();
     columnar::put_u64(&mut payload, 0); // generation
     columnar::encode_dataset(&ds, &mut payload);
-    columnar::put_u8(&mut payload, 0); // no top-level index
-    columnar::put_u8(&mut payload, 1); // sharded
-    columnar::put_u64(&mut payload, 1); // one shard
-    for v in [0.0, 0.0, 100.0, 100.0] {
-        columnar::put_f64(&mut payload, v); // shard region
-    }
-    columnar::put_u64(&mut payload, 1); // one object in the shard
-    columnar::put_u64(&mut payload, 999_999); // position out of bounds
-    columnar::put_u8(&mut payload, 0); // no shard index
+    payload.extend_from_slice(index);
 
     let mut bytes = Vec::new();
     bytes.extend_from_slice(b"ASNP");
-    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&2u32.to_le_bytes());
     bytes.extend_from_slice(&payload);
     bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
     let snap = dir.join(format!("snapshot-{:016x}.snap", 0));
     fs::write(&snap, &bytes).unwrap();
+    (dir, snap)
+}
 
-    let check = check_snapshot_file(&snap).unwrap();
+/// An index section: the rectangle, a 1x1 grid with one stats dim, and a
+/// declared base-table length followed by no entries.
+fn index_section(rect: [f64; 4], base_len: u64) -> Vec<u8> {
+    let mut index = Vec::new();
+    columnar::put_u8(&mut index, 1); // index present
+    for v in rect {
+        columnar::put_f64(&mut index, v);
+    }
+    for v in [1, 1, 1, 0] {
+        columnar::put_u64(&mut index, v); // cols, rows, stats dims, objects
+    }
+    columnar::put_u64(&mut index, base_len);
+    index
+}
+
+/// Asserts the snapshot decodes to exactly one `PayloadDecode` error, and
+/// that the binary exits 1 (corruption) instead of crashing.
+fn assert_payload_decode_error(dir: &Path, snap: &Path) {
+    let check = check_snapshot_file(snap).unwrap();
     assert!(!check.loadable());
-    assert_eq!(check.findings.len(), 1);
-    assert_eq!(
-        check.findings[0].category,
-        FsckCategory::ShardPositionOutOfBounds
-    );
+    assert_eq!(check.findings.len(), 1, "{:?}", check.findings);
+    assert_eq!(check.findings[0].category, FsckCategory::PayloadDecode);
 
-    let (code, stdout) = run_fsck(&[&dir]);
+    let (code, stdout) = run_fsck(&[dir]);
     assert_eq!(code, 1, "{stdout}");
-    assert!(stdout.contains("ShardPositionOutOfBounds"), "{stdout}");
+    assert!(stdout.contains("PayloadDecode"), "{stdout}");
+}
+
+#[test]
+fn a_nan_index_rectangle_is_a_payload_decode_error() {
+    let index = index_section([f64::NAN, 0.0, 1.0, 1.0], 4);
+    let (dir, snap) = snapshot_with_index_section("nanrect", &index);
+    assert_payload_decode_error(&dir, &snap);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_oversized_base_table_length_is_a_payload_decode_error() {
+    let index = index_section([0.0, 0.0, 1.0, 1.0], u64::MAX / 4);
+    let (dir, snap) = snapshot_with_index_section("hugelen", &index);
+    assert_payload_decode_error(&dir, &snap);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -366,9 +366,9 @@ fn run_phase(
     if shards > 0 {
         builder = builder.shards(shards);
     }
-    // With a persistence root every phase gets its own subdirectory (the
-    // phases differ in shard count, and a snapshot from one would be
-    // rejected when restored into the other's topology).
+    // With a persistence root every phase gets its own subdirectory, so
+    // each phase starts from the seed rather than from the history an
+    // earlier phase left behind.
     let (engine, persist) = match &args.persist_dir {
         Some(root) => {
             let dir = format!("{root}/phase-s{shards}-a{append_every}-r{rate}");
@@ -702,8 +702,8 @@ fn check_phase(report: &BenchReport) -> bool {
 ///
 /// Recovery fidelity: the booted engine must match the rebuilt engine
 /// **bit for bit** — same generation, identical object vectors, identical
-/// index base tables (the suffix table is a pure function of the base) —
-/// per shard where applicable.  Up to 100k objects the check additionally
+/// index base tables (the suffix table is a pure function of the base).
+/// Up to 100k objects the check additionally
 /// replays the full mixed request pool on both engines and compares the
 /// responses byte-for-byte (`stats_stripped`); past that scale a single
 /// similar-region search runs for minutes on clustered data (the ROADMAP
@@ -738,7 +738,7 @@ enum RecordedMutation {
 }
 
 /// Bit-level equality of two exported engine images: generation, object
-/// vectors, and index base tables (whole-dataset and per shard).
+/// vector, and index base table.
 fn states_identical(a: &asrs_core::EngineState, b: &asrs_core::EngineState) -> bool {
     fn index_eq(x: Option<&asrs_core::GridIndex>, y: Option<&asrs_core::GridIndex>) -> bool {
         match (x, y) {
@@ -756,18 +756,6 @@ fn states_identical(a: &asrs_core::EngineState, b: &asrs_core::EngineState) -> b
     a.generation == b.generation
         && *a.dataset == *b.dataset
         && index_eq(a.index.as_deref(), b.index.as_deref())
-        && match (&a.shards, &b.shards) {
-            (None, None) => true,
-            (Some(x), Some(y)) => {
-                x.len() == y.len()
-                    && x.iter().zip(y).all(|(s, t)| {
-                        s.region == t.region
-                            && *s.dataset == *t.dataset
-                            && index_eq(s.index.as_deref(), t.index.as_deref())
-                    })
-            }
-            _ => false,
-        }
 }
 
 fn run_boot_bench(args: &Args) -> BootBenchReport {

@@ -3,8 +3,8 @@
 //! The engine's correctness rests on structural invariants that normal
 //! operation only exercises indirectly: the grid index's suffix tables
 //! must be the deterministic sweep of its base table, an incrementally
-//! maintained index must be bit-identical to a fresh build, shard
-//! partitions must stay disjoint-and-covering, planner statistics must
+//! maintained index must be bit-identical to a fresh build, shard object
+//! counts must agree with routing, planner statistics must
 //! describe the dataset they were captured from, and every cache key's
 //! generation stamp must refer to a generation that exists.  A violation
 //! of any of these would surface — much later — as a wrong answer or a
@@ -20,19 +20,17 @@
 //! [`EngineHandle::audit`](crate::EngineHandle::audit), and a serving
 //! engine exposes the report as `GET /audit`.
 
-use crate::engine::{EngineCore, EngineShared, IndexUpkeep};
+use crate::engine::{EngineCore, EngineShared};
 use crate::grid_index::GridIndex;
-use crate::planner::{EngineStatistics, IndexStatistics};
 use asrs_data::Dataset;
 use asrs_geo::Rect;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// One violated invariant: which check tripped and what it saw.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AuditFinding {
     /// Stable identifier of the violated check (e.g.
-    /// `"index-suffix-table"`, `"shard-cover"`).
+    /// `"index-suffix-table"`, `"shard-routing"`).
     pub check: &'static str,
     /// Human-readable description of the observed violation.
     pub detail: String,
@@ -84,20 +82,18 @@ impl Auditor {
 ///   objects, bitwise.
 /// * **statistics** — the planner statistics equal a fresh recapture by
 ///   the same code path the builder and the mutation publisher run
-///   (object count, extent, index statistics — virtual for per-shard
-///   upkeep — and shard fan-out).
-/// * **index** (when attached, top-level and per shard) — the statistics
+///   (object count, extent, index statistics — virtual for a sharded
+///   engine that requested an index — and shard fan-out).
+/// * **index** (when attached) — the statistics
 ///   dimensionality matches the aggregator, the object count matches the
 ///   dataset, the suffix table equals the deterministic sweep of the base
 ///   table bitwise, and — while the grid geometry still matches the
 ///   dataset — the whole index equals a fresh
 ///   [`GridIndex::build`] bitwise (the incremental-maintenance
 ///   guarantee).
-/// * **shards** (when sharded) — every dataset object lives in exactly
-///   one shard (cover + disjointness), every shard object lies inside its
-///   shard's region with interior points routed to that same shard (the
-///   cut-line tie rule), no shard holds an object the dataset lacks, and
-///   no shard core's generation exceeds the published generation.
+/// * **shards** (when sharded) — the per-shard object counts sum to the
+///   dataset size, and each count equals the number of objects routing
+///   sends to that shard.
 /// * **cache** (when attached) — every stored key's generation stamp
 ///   refers to this or an earlier generation.  Meaningful when no
 ///   mutation publishes concurrently; the facade methods hold the
@@ -121,7 +117,7 @@ pub(crate) fn audit_core(core: &EngineCore) -> AuditReport {
     audit_dataset(&mut audit, &core.dataset);
     audit_statistics(&mut audit, core);
     if let Some(index) = core.index.as_deref() {
-        audit_index(&mut audit, index, &core.dataset, core, "");
+        audit_index(&mut audit, index, core);
     }
     if let Some(set) = &core.shards {
         audit_shards(&mut audit, core, set);
@@ -214,49 +210,35 @@ fn rect_options_bit_equal(a: Option<&Rect>, b: Option<&Rect>) -> bool {
 /// Recaptures the planner statistics by the same code path the builders
 /// and the mutation publisher run, and compares them with the stored ones.
 fn audit_statistics(audit: &mut Auditor, core: &EngineCore) {
-    let mut expected = EngineStatistics::capture(&core.dataset, core.index.as_deref());
-    if let IndexUpkeep::PerShard { cols, rows } = core.upkeep {
-        expected.index = if core.dataset.is_empty() {
-            None
-        } else {
-            match IndexStatistics::virtual_for(&core.dataset, cols, rows) {
-                Ok(stats) => Some(stats),
-                Err(err) => {
-                    audit.check("statistics-recapture", false, || {
-                        format!("virtual index statistics failed to recompute: {err}")
-                    });
-                    return;
-                }
-            }
-        };
+    match crate::engine::capture_statistics(
+        &core.dataset,
+        core.index.as_deref(),
+        core.upkeep,
+        core.shards.as_ref(),
+    ) {
+        Ok(expected) => {
+            audit.check("statistics-recapture", expected == core.statistics, || {
+                format!(
+                    "stored statistics {:?} != recaptured {:?}",
+                    core.statistics, expected
+                )
+            });
+        }
+        Err(err) => audit.check("statistics-recapture", false, || {
+            format!("statistics failed to recapture: {err}")
+        }),
     }
-    if let Some(set) = &core.shards {
-        expected.shards = Some(set.fan_out());
-    }
-    audit.check("statistics-recapture", expected == core.statistics, || {
-        format!(
-            "stored statistics {:?} != recaptured {:?}",
-            core.statistics, expected
-        )
-    });
 }
 
-/// Audits one grid index against the dataset it summarises.  `scope`
-/// prefixes the detail messages (`""` for the top-level index, a shard
-/// label for per-shard indexes).
-fn audit_index(
-    audit: &mut Auditor,
-    index: &GridIndex,
-    dataset: &Dataset,
-    core: &EngineCore,
-    scope: &str,
-) {
+/// Audits the core's grid index against the dataset it summarises.
+fn audit_index(audit: &mut Auditor, index: &GridIndex, core: &EngineCore) {
+    let dataset = core.dataset.as_ref();
     audit.check(
         "index-stats-dim",
         index.stats_dim() == core.aggregator.stats_dim(),
         || {
             format!(
-                "{scope}index carries {} statistics dims, aggregator needs {}",
+                "index carries {} statistics dims, aggregator needs {}",
                 index.stats_dim(),
                 core.aggregator.stats_dim()
             )
@@ -267,7 +249,7 @@ fn audit_index(
         index.objects_indexed() == dataset.len(),
         || {
             format!(
-                "{scope}index summarises {} objects, dataset holds {}",
+                "index summarises {} objects, dataset holds {}",
                 index.objects_indexed(),
                 dataset.len()
             )
@@ -287,10 +269,10 @@ fn audit_index(
         Ok(swept) => audit.check(
             "index-suffix-table",
             tables_bit_equal(index.suffix_table(), swept.suffix_table()),
-            || format!("{scope}suffix table diverges from the sweep of its base table"),
+            || "suffix table diverges from the sweep of its base table".to_string(),
         ),
         Err(err) => audit.check("index-suffix-table", false, || {
-            format!("{scope}base table failed to reassemble: {err}")
+            format!("base table failed to reassemble: {err}")
         }),
     }
 
@@ -306,11 +288,11 @@ fn audit_index(
                     "index-rebuild-identity",
                     tables_bit_equal(index.base_table(), fresh.base_table())
                         && tables_bit_equal(index.suffix_table(), fresh.suffix_table()),
-                    || format!("{scope}maintained index diverges bitwise from a fresh build"),
+                    || "maintained index diverges bitwise from a fresh build".to_string(),
                 );
             }
             Err(err) => audit.check("index-rebuild-identity", false, || {
-                format!("{scope}fresh index build failed during audit: {err}")
+                format!("fresh index build failed during audit: {err}")
             }),
         }
     }
@@ -320,98 +302,27 @@ fn tables_bit_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Audits the shard table: partition cover/disjointness, region
-/// ownership, generation monotonicity and the per-shard indexes.
+/// Audits the shard table's object counts: they sum to the dataset size,
+/// and each one equals what routing every object afresh gives.
 fn audit_shards(audit: &mut Auditor, core: &EngineCore, set: &crate::shard::ShardSet) {
-    // Generation monotonicity: a shard core is either carried over from an
-    // earlier generation (untouched by the mutations since) or rebuilt at
-    // the current one — never from the future.
-    let ahead: Vec<usize> = set
-        .shards
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.core.generation > core.generation)
-        .map(|(i, _)| i)
-        .collect();
-    audit.check("shard-generations", ahead.is_empty(), || {
+    let total: usize = set.counts().iter().sum();
+    audit.check("shard-count-total", total == core.dataset.len(), || {
         format!(
-            "shard(s) {:?} carry generations past the published {}",
-            ahead, core.generation
+            "shard counts sum to {total}, dataset holds {}",
+            core.dataset.len()
         )
     });
-
-    // Cover + disjointness by object id: every dataset object in exactly
-    // one shard, no shard object missing from the dataset.
-    let mut owner_of: HashMap<u64, usize> = HashMap::new();
-    let mut duplicated = Vec::new();
-    let mut foreign = Vec::new();
-    for (i, shard) in set.shards.iter().enumerate() {
-        for o in shard.core.dataset.objects() {
-            if owner_of.insert(o.id, i).is_some() {
-                duplicated.push(o.id);
-            }
-            if !core.dataset.contains_id(o.id) {
-                foreign.push(o.id);
-            }
-        }
+    let mut routed = vec![0; set.len()];
+    for o in core.dataset.objects() {
+        routed[set.route(&o.location)] += 1;
     }
-    audit.check("shard-disjointness", duplicated.is_empty(), || {
-        format!("object id(s) {duplicated:?} live in more than one shard")
+    audit.check("shard-routing", routed == set.counts(), || {
+        format!(
+            "shard counts {:?} disagree with routing {:?}",
+            set.counts(),
+            routed
+        )
     });
-    audit.check("shard-no-foreign-objects", foreign.is_empty(), || {
-        format!("shard object id(s) {foreign:?} are absent from the dataset")
-    });
-    let missing: Vec<u64> = core
-        .dataset
-        .objects()
-        .filter(|o| !owner_of.contains_key(&o.id))
-        .map(|o| o.id)
-        .collect();
-    audit.check("shard-cover", missing.is_empty(), || {
-        format!("dataset object id(s) {missing:?} belong to no shard")
-    });
-
-    // Region ownership: every shard object lies inside its shard's
-    // region, and an object strictly interior to the region routes back
-    // to that same shard (cut-line points may legitimately be owned by a
-    // neighbour under the at-or-above tie rule, so only interior points
-    // pin the owner uniquely).
-    let mut outside = Vec::new();
-    let mut misrouted = Vec::new();
-    for (i, shard) in set.shards.iter().enumerate() {
-        for o in shard.core.dataset.objects() {
-            let p = &o.location;
-            if !shard.region.contains_point(p) {
-                outside.push(o.id);
-                continue;
-            }
-            let interior = p.x > shard.region.min_x
-                && p.x < shard.region.max_x
-                && p.y > shard.region.min_y
-                && p.y < shard.region.max_y;
-            if interior && crate::mutate::owning_shard_for_point(set, o) != Some(i) {
-                misrouted.push(o.id);
-            }
-        }
-    }
-    audit.check("shard-region-containment", outside.is_empty(), || {
-        format!("object id(s) {outside:?} lie outside their shard's region")
-    });
-    audit.check("shard-routing", misrouted.is_empty(), || {
-        format!("interior object id(s) {misrouted:?} route to a different shard than the one holding them")
-    });
-
-    for (i, shard) in set.shards.iter().enumerate() {
-        if let Some(index) = shard.core.index.as_deref() {
-            audit_index(
-                audit,
-                index,
-                &shard.core.dataset,
-                core,
-                &format!("shard {i}: "),
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -57,8 +57,8 @@
 //!
 //! Batch-level gates: only sharded (canonical-mode) cores carry — the
 //! byte-identity guarantee the predicate leans on is the canonical
-//! executor's; re-partitions and bounding-box movement reject the whole
-//! batch (the search space itself moved).  Top-k responses carry only when
+//! executor's; bounding-box movement rejects the whole batch (the search
+//! space itself moved).  Top-k responses carry only when
 //! the ranking is full (`len == k`), since a short ranking can be extended
 //! by a candidate *worse* than every reported distance.  MaxRS responses
 //! carry through their ASRS reduction (count aggregator, target above the
@@ -135,15 +135,13 @@ const MAX_CACHED_SIZES: usize = 16;
 /// readers never observe a cold window for the pass's duration.
 ///
 /// `touched` holds the location of every object the batch appended or
-/// removed; `repartitioned` reports whether any delta rebuilt the shard
-/// layout; `append_only` is true when every op in the batch (piggybacked
+/// removed; `append_only` is true when every op in the batch (piggybacked
 /// expiries included) was an append — the precondition for updating the
 /// persistent probe contexts in `probes` incrementally.
 pub(crate) fn carry_forward(
     old: &EngineCore,
     next: &EngineCore,
     touched: &[Point],
-    repartitioned: bool,
     append_only: bool,
     probes: &mut CarryProbes,
 ) {
@@ -151,10 +149,10 @@ pub(crate) fn carry_forward(
         return;
     };
     // Canonical sharded cores only: the soundness argument is built on the
-    // scatter executor's decomposition-independence guarantee.  A
-    // re-partition or a moved bounding box changes the search space (and
-    // shard routing) wholesale — reject the entire batch.
-    if next.shards.is_none() || repartitioned || touched.is_empty() {
+    // scatter executor's decomposition-independence guarantee.  A moved
+    // bounding box changes the search space wholesale — reject the entire
+    // batch.
+    if next.shards.is_none() || touched.is_empty() {
         return;
     }
     if !rects_bit_equal(old.dataset.bounding_box(), next.dataset.bounding_box()) {

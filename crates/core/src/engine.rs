@@ -59,10 +59,11 @@ use crate::grid_index::GridIndex;
 use crate::maxrs::{MaxRsResult, MaxRsSearch};
 use crate::mutate::{MutationPolicy, MutationReceipt, MutationState, MutationStats};
 use crate::naive::NaiveSearch;
-use crate::planner::{EngineStatistics, ExecutionPlan, Planner};
+use crate::planner::{EngineStatistics, ExecutionPlan, IndexStatistics, Planner};
 use crate::query::AsrsQuery;
 use crate::request::{Backend, QueryOutcome, QueryRequest, QueryResponse};
 use crate::result::SearchResult;
+use crate::shard::ShardSet;
 use crate::sync::{Mutex, RwLock};
 use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_data::{Dataset, Mutation, MutationLog, SpatialObject};
@@ -272,7 +273,7 @@ enum IndexSpec {
     Attach(GridIndex),
 }
 
-/// How a built engine maintains its indexes under mutation — recorded at
+/// How a built engine maintains its index under mutation — recorded at
 /// build time so every generation knows what to refresh and at which
 /// granularity (see the [`mutate`](crate::mutate) module).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,21 +288,45 @@ pub(crate) enum IndexUpkeep {
         /// Rebuild granularity: rows.
         rows: usize,
     },
-    /// One index per shard (sharded engines that requested an index
-    /// build); the planner reads virtual whole-dataset geometry instead.
-    PerShard {
-        /// Rebuild granularity: columns.
+    /// No index at all: a sharded engine that requested an index build
+    /// plans from the statistics a `cols × rows` whole-dataset index
+    /// *would* have ([`IndexStatistics::virtual_for`]), recaptured per
+    /// generation.  The scatter searches the full instance and never reads
+    /// an index, so building one would change no answer.
+    Virtual {
+        /// Virtual granularity: columns.
         cols: usize,
-        /// Rebuild granularity: rows.
+        /// Virtual granularity: rows.
         rows: usize,
     },
+}
+
+/// The planner statistics of a core over `dataset` — the one capture path
+/// the builders, the mutation publisher and the auditor share, so mutated,
+/// restored and fresh engines plan identically.
+pub(crate) fn capture_statistics(
+    dataset: &Dataset,
+    index: Option<&GridIndex>,
+    upkeep: IndexUpkeep,
+    shards: Option<&ShardSet>,
+) -> Result<EngineStatistics, AsrsError> {
+    let mut statistics = EngineStatistics::capture(dataset, index);
+    if let IndexUpkeep::Virtual { cols, rows } = upkeep {
+        statistics.index = if dataset.is_empty() {
+            None
+        } else {
+            Some(IndexStatistics::virtual_for(dataset, cols, rows)?)
+        };
+    }
+    statistics.shards = shards.map(ShardSet::fan_out);
+    Ok(statistics)
 }
 
 /// Builder for [`AsrsEngine`].  All validation happens in
 /// [`EngineBuilder::build`]; none of the setters can panic.
 #[derive(Debug)]
 pub struct EngineBuilder {
-    dataset: Dataset,
+    dataset: Arc<Dataset>,
     aggregator: CompositeAggregator,
     config: SearchConfig,
     strategy: Strategy,
@@ -315,7 +340,7 @@ pub struct EngineBuilder {
 impl EngineBuilder {
     fn new(dataset: Dataset, aggregator: CompositeAggregator) -> Self {
         Self {
-            dataset,
+            dataset: Arc::new(dataset),
             aggregator,
             config: SearchConfig::default(),
             strategy: Strategy::Auto,
@@ -328,22 +353,27 @@ impl EngineBuilder {
     }
 
     /// Replaces the [`MutationPolicy`] governing incremental index
-    /// maintenance and shard re-partitioning under mutation.
+    /// maintenance under mutation.
     pub fn mutation_policy(mut self, policy: MutationPolicy) -> Self {
         self.mutation_policy = policy;
         self
     }
 
-    /// Shards the engine: the dataset is partitioned spatially into `n`
-    /// disjoint regions (longest-axis recursive splits, see
-    /// [`SpatialPartition`](asrs_data::SpatialPartition)), one core — and,
-    /// with [`EngineBuilder::build_index`], one grid index, built in
-    /// parallel — per region.  Requests are scattered across the shards'
-    /// anchor slabs and gathered with the engine's deterministic
+    /// Shards the engine: the plane around the dataset is partitioned
+    /// into `n` disjoint regions (longest-axis recursive splits at
+    /// object-count medians, outer edges unbounded, see
+    /// [`SpatialPartition`](asrs_data::SpatialPartition)).  A shard is its
+    /// region and the count of objects it owns — there is no per-shard
+    /// dataset or index; with [`EngineBuilder::build_index`] the planner
+    /// reads the statistics a whole-dataset index would have, and no index
+    /// is built.  Requests are scattered across the shards' anchor slabs of
+    /// the full instance and gathered with the engine's deterministic
     /// tie-break; the gathered outcome is byte-identical for every shard
     /// count, statistics excepted (the internal `shard` module documents
     /// the exactness and determinism argument; the comparison form is
     /// [`QueryResponse::stats_stripped`](crate::QueryResponse::stats_stripped)).
+    /// The regions are fixed for the engine's lifetime: every point of the
+    /// plane routes to exactly one of them, so mutations never re-partition.
     ///
     /// `0` (the default) disables sharding entirely — the classic
     /// single-core engine.  Note that `shards(1)` is *not* the same as
@@ -426,13 +456,18 @@ impl EngineBuilder {
     ///   an aggregator with a different statistics layout,
     /// * [`AsrsError::IndexRequired`] when [`Strategy::GiDs`] was selected
     ///   without an index.
-    pub fn build(self) -> Result<AsrsEngine, AsrsError> {
+    pub fn build(mut self) -> Result<AsrsEngine, AsrsError> {
         self.config.validate()?;
-        if self.shards > 0 {
-            return self.build_sharded();
-        }
-        let index = match self.index {
+        let upkeep = self.upkeep();
+        let index = match std::mem::replace(&mut self.index, IndexSpec::None) {
             IndexSpec::None => None,
+            // A sharded engine builds no index (see `IndexUpkeep::Virtual`);
+            // its virtual statistics refuse exactly the inputs a build
+            // would.
+            IndexSpec::Build { cols, rows } if self.shards > 0 => {
+                IndexStatistics::virtual_for(&self.dataset, cols, rows)?;
+                None
+            }
             IndexSpec::Build { cols, rows } => Some(GridIndex::build(
                 &self.dataset,
                 &self.aggregator,
@@ -440,310 +475,149 @@ impl EngineBuilder {
                 rows,
             )?),
             IndexSpec::Attach(index) => {
-                if index.stats_dim() != self.aggregator.stats_dim() {
-                    return Err(AsrsError::IndexMismatch {
-                        index_dims: index.stats_dim(),
-                        aggregator_dims: self.aggregator.stats_dim(),
-                    });
-                }
+                self.check_stats_dim(&index)?;
                 Some(index)
             }
         };
-        if self.strategy == Strategy::GiDs && index.is_none() {
-            return Err(AsrsError::IndexRequired { strategy: "gi-ds" });
-        }
-        let upkeep = match &index {
-            None => IndexUpkeep::None,
-            Some(idx) => {
-                let (cols, rows) = idx.granularity();
+        let dataset = Arc::clone(&self.dataset);
+        self.assemble(0, dataset, index.map(Arc::new), upkeep)
+    }
+
+    /// The index upkeep the builder's settings ask for.
+    fn upkeep(&self) -> IndexUpkeep {
+        match &self.index {
+            IndexSpec::None => IndexUpkeep::None,
+            IndexSpec::Build { cols, rows } if self.shards > 0 => IndexUpkeep::Virtual {
+                cols: *cols,
+                rows: *rows,
+            },
+            IndexSpec::Build { cols, rows } => IndexUpkeep::PerEngine {
+                cols: *cols,
+                rows: *rows,
+            },
+            IndexSpec::Attach(index) => {
+                let (cols, rows) = index.granularity();
                 IndexUpkeep::PerEngine { cols, rows }
             }
-        };
-        let statistics = EngineStatistics::capture(&self.dataset, index.as_ref());
+        }
+    }
+
+    fn check_stats_dim(&self, index: &GridIndex) -> Result<(), AsrsError> {
+        if index.stats_dim() != self.aggregator.stats_dim() {
+            return Err(AsrsError::IndexMismatch {
+                index_dims: index.stats_dim(),
+                aggregator_dims: self.aggregator.stats_dim(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Assembles generation `generation` over `dataset` and its (built,
+    /// attached or restored) `index`: partitions a sharded engine,
+    /// captures the planner statistics and attaches the cache.  Shared by
+    /// [`EngineBuilder::build`] and [`EngineBuilder::build_restored`].
+    fn assemble(
+        self,
+        generation: u64,
+        dataset: Arc<Dataset>,
+        index: Option<Arc<GridIndex>>,
+        upkeep: IndexUpkeep,
+    ) -> Result<AsrsEngine, AsrsError> {
+        if self.strategy == Strategy::GiDs && upkeep == IndexUpkeep::None {
+            return Err(AsrsError::IndexRequired { strategy: "gi-ds" });
+        }
+        let shards = (self.shards > 0).then(|| ShardSet::build(&dataset, self.shards));
+        let statistics = capture_statistics(&dataset, index.as_deref(), upkeep, shards.as_ref())?;
         let cache =
             (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
         Ok(AsrsEngine::from_core(EngineCore {
-            generation: 0,
-            dataset: Arc::new(self.dataset),
+            generation,
+            dataset,
             aggregator: Arc::new(self.aggregator),
             config: self.config,
             strategy: self.strategy,
-            index: index.map(Arc::new),
+            index,
             upkeep,
             planner: self.planner,
             statistics,
             cache,
             policy: self.mutation_policy,
-            shards: None,
-        }))
-    }
-
-    /// The sharded sibling of [`EngineBuilder::build`]: partitions the
-    /// dataset, builds one core (and index) per shard — in parallel when
-    /// cores allow — and captures shard-count-*invariant* planner
-    /// statistics so identical requests plan (and answer) identically for
-    /// every shard count.
-    fn build_sharded(self) -> Result<AsrsEngine, AsrsError> {
-        use crate::planner::IndexStatistics;
-
-        // The full core keeps an attached whole-dataset index (it is
-        // shard-count independent, so it can serve statistics); a
-        // *requested* index build happens per shard instead, with the
-        // planner reading the whole-dataset index geometry virtually.
-        let (index, upkeep, mut statistics) = match self.index {
-            IndexSpec::None => (
-                None,
-                IndexUpkeep::None,
-                EngineStatistics::capture(&self.dataset, None),
-            ),
-            IndexSpec::Build { cols, rows } => {
-                let virtual_index = IndexStatistics::virtual_for(&self.dataset, cols, rows)?;
-                let mut statistics = EngineStatistics::capture(&self.dataset, None);
-                statistics.index = Some(virtual_index);
-                (None, IndexUpkeep::PerShard { cols, rows }, statistics)
-            }
-            IndexSpec::Attach(index) => {
-                if index.stats_dim() != self.aggregator.stats_dim() {
-                    return Err(AsrsError::IndexMismatch {
-                        index_dims: index.stats_dim(),
-                        aggregator_dims: self.aggregator.stats_dim(),
-                    });
-                }
-                let statistics = EngineStatistics::capture(&self.dataset, Some(&index));
-                let (cols, rows) = index.granularity();
-                (
-                    Some(index),
-                    IndexUpkeep::PerEngine { cols, rows },
-                    statistics,
-                )
-            }
-        };
-        if self.strategy == Strategy::GiDs && statistics.index.is_none() {
-            return Err(AsrsError::IndexRequired { strategy: "gi-ds" });
-        }
-
-        let aggregator = Arc::new(self.aggregator);
-        let shard_set = crate::shard::build_shard_set(
-            &self.dataset,
-            &aggregator,
-            &self.config,
-            self.strategy,
-            &self.planner,
-            upkeep,
-            self.shards,
-            0,
-            &self.mutation_policy,
-        )?;
-        statistics.shards = Some(shard_set.fan_out());
-
-        let cache =
-            (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
-        Ok(AsrsEngine::from_core(EngineCore {
-            generation: 0,
-            dataset: Arc::new(self.dataset),
-            aggregator,
-            config: self.config,
-            strategy: self.strategy,
-            index: index.map(Arc::new),
-            upkeep,
-            planner: self.planner,
-            statistics,
-            cache,
-            policy: self.mutation_policy,
-            shards: Some(shard_set),
+            shards,
         }))
     }
 
     /// Reassembles an engine from a persisted [`EngineState`] instead of
-    /// building from the seed dataset — no partitioning, no index builds.
+    /// building from the seed dataset — no index build.
     ///
     /// The builder's *settings* (aggregator, configuration, strategy,
     /// planner, cache capacity, shard count, index granularity, mutation
     /// policy) still apply; its seed dataset is ignored in favour of
     /// `state`.  The restored engine is byte-identical in responses to the
-    /// engine the state was exported from: datasets keep their object
-    /// order, index tables are carried over verbatim, and planner
-    /// statistics are recaptured by the same code paths
-    /// [`EngineBuilder::build`] and the mutation publisher run.
+    /// engine the state was exported from: the dataset keeps its object
+    /// order, the index table is carried over verbatim (or, for an image
+    /// without one, built at the builder's granularity), and planner
+    /// statistics are recaptured by the code path
+    /// [`EngineBuilder::build`] and the mutation publisher run.  A sharded
+    /// builder partitions the restored dataset afresh — shard layout never
+    /// affects answers, so the image may come from any shard count.
     ///
     /// # Errors
     ///
     /// [`AsrsError::Persistence`] when `state` does not fit the builder's
-    /// settings (shard-count or index-granularity mismatch, an index whose
-    /// statistics layout disagrees with the aggregator, an attached-index
-    /// builder), plus the validation errors of [`EngineBuilder::build`].
+    /// settings (an index-granularity mismatch, an index whose statistics
+    /// layout disagrees with the aggregator, an attached-index builder),
+    /// plus the validation errors of [`EngineBuilder::build`].
     pub fn build_restored(self, state: EngineState) -> Result<AsrsEngine, AsrsError> {
-        use crate::planner::IndexStatistics;
-
         self.config.validate()?;
-        if matches!(self.index, IndexSpec::Attach(_)) {
-            return Err(AsrsError::Persistence {
-                message: "cannot restore into a builder with an attached index; \
-                          use build_index(cols, rows) matching the persisted granularity"
-                    .to_string(),
-            });
-        }
-        let restored_shards = state.shards.as_ref().map_or(0, Vec::len);
-        if restored_shards != self.shards {
-            return Err(AsrsError::Persistence {
-                message: format!(
-                    "persisted image has {} shard(s), builder requests {}",
-                    restored_shards, self.shards
-                ),
-            });
-        }
         let build_granularity = match self.index {
+            IndexSpec::None => None,
             IndexSpec::Build { cols, rows } => Some((cols, rows)),
-            _ => None,
-        };
-        let check_index = |index: &GridIndex, what: &str| -> Result<(), AsrsError> {
-            if index.stats_dim() != self.aggregator.stats_dim() {
-                return Err(AsrsError::IndexMismatch {
-                    index_dims: index.stats_dim(),
-                    aggregator_dims: self.aggregator.stats_dim(),
-                });
-            }
-            match build_granularity {
-                Some(granularity) if index.granularity() == granularity => Ok(()),
-                Some((cols, rows)) => Err(AsrsError::Persistence {
-                    message: format!(
-                        "persisted {} index is {}x{}, builder requests {}x{}",
-                        what,
-                        index.granularity().0,
-                        index.granularity().1,
-                        cols,
-                        rows
-                    ),
-                }),
-                None => Err(AsrsError::Persistence {
-                    message: format!(
-                        "persisted image carries a {} index, but the builder requests none",
-                        what
-                    ),
-                }),
-            }
-        };
-        if self.strategy == Strategy::GiDs && build_granularity.is_none() {
-            return Err(AsrsError::IndexRequired { strategy: "gi-ds" });
-        }
-
-        if self.shards == 0 {
-            if let Some(index) = state.index.as_deref() {
-                check_index(index, "whole-dataset")?;
-            } else if build_granularity.is_some() && !state.dataset.is_empty() {
+            IndexSpec::Attach(_) => {
                 return Err(AsrsError::Persistence {
-                    message: "builder requests an index, persisted image has none".to_string(),
-                });
-            }
-            // Upkeep follows the builder's request, exactly as a mutated
-            // engine keeps its granularity even while the index is dropped
-            // on an emptied dataset.
-            let upkeep = match build_granularity {
-                Some((cols, rows)) => IndexUpkeep::PerEngine { cols, rows },
-                None => IndexUpkeep::None,
-            };
-            let statistics = EngineStatistics::capture(&state.dataset, state.index.as_deref());
-            let cache =
-                (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
-            return Ok(AsrsEngine::from_core(EngineCore {
-                generation: state.generation,
-                dataset: state.dataset,
-                aggregator: Arc::new(self.aggregator),
-                config: self.config,
-                strategy: self.strategy,
-                index: state.index,
-                upkeep,
-                planner: self.planner,
-                statistics,
-                cache,
-                policy: self.mutation_policy,
-                shards: None,
-            }));
-        }
-
-        // Sharded restore: rebuild the shard table from the persisted
-        // regions, sub-datasets and per-shard indexes, mirroring
-        // `build_shard_set`'s core assembly (and the mutation publisher's
-        // statistics refresh) exactly.
-        let upkeep = match build_granularity {
-            Some((cols, rows)) => IndexUpkeep::PerShard { cols, rows },
-            None => IndexUpkeep::None,
-        };
-        let mut statistics = EngineStatistics::capture(&state.dataset, None);
-        if let Some((cols, rows)) = build_granularity {
-            statistics.index = if state.dataset.is_empty() {
-                None
-            } else {
-                Some(IndexStatistics::virtual_for(&state.dataset, cols, rows)?)
-            };
-        }
-        let aggregator = Arc::new(self.aggregator);
-        // lint:allow(the enclosing branch runs only when state.shards is Some; checked a few lines above)
-        let shard_states = state.shards.expect("count checked above");
-        let mut shards = Vec::with_capacity(shard_states.len());
-        for shard in shard_states {
-            if let Some(index) = shard.index.as_deref() {
-                if index.stats_dim() != aggregator.stats_dim() {
-                    return Err(AsrsError::IndexMismatch {
-                        index_dims: index.stats_dim(),
-                        aggregator_dims: aggregator.stats_dim(),
-                    });
-                }
-                match build_granularity {
-                    Some(granularity) if index.granularity() == granularity => {}
-                    _ => {
-                        return Err(AsrsError::Persistence {
-                            message: "persisted shard index granularity disagrees with the builder"
-                                .to_string(),
-                        })
-                    }
-                }
-            } else if build_granularity.is_some() && !shard.dataset.is_empty() {
-                return Err(AsrsError::Persistence {
-                    message: "builder requests per-shard indexes, a populated persisted shard \
-                              has none"
+                    message: "cannot restore into a builder with an attached index; \
+                              use build_index(cols, rows) matching the persisted granularity"
                         .to_string(),
-                });
+                })
             }
-            let shard_statistics =
-                EngineStatistics::capture(&shard.dataset, shard.index.as_deref());
-            shards.push(crate::shard::EngineShard {
-                region: shard.region,
-                core: Arc::new(EngineCore {
-                    generation: state.generation,
-                    dataset: shard.dataset,
-                    aggregator: Arc::clone(&aggregator),
-                    config: self.config.clone(),
-                    strategy: self.strategy,
-                    index: shard.index,
-                    upkeep: IndexUpkeep::None,
-                    planner: self.planner.clone(),
-                    statistics: shard_statistics,
-                    cache: None,
-                    policy: self.mutation_policy.clone(),
-                    shards: None,
-                }),
-                requests: std::sync::atomic::AtomicU64::new(0),
-            });
+        };
+        if let Some(index) = state.index.as_deref() {
+            self.check_stats_dim(index)?;
+            let (cols, rows) = index.granularity();
+            match build_granularity {
+                Some(granularity) if granularity == (cols, rows) => {}
+                Some((want_cols, want_rows)) => {
+                    return Err(AsrsError::Persistence {
+                        message: format!(
+                            "persisted index is {cols}x{rows}, builder requests {want_cols}x{want_rows}"
+                        ),
+                    })
+                }
+                None => {
+                    return Err(AsrsError::Persistence {
+                        message: "persisted image carries an index, but the builder requests none"
+                            .to_string(),
+                    })
+                }
+            }
         }
-        let shard_set = crate::shard::ShardSet { shards };
-        statistics.shards = Some(shard_set.fan_out());
-        let cache =
-            (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
-        Ok(AsrsEngine::from_core(EngineCore {
-            generation: state.generation,
-            dataset: state.dataset,
-            aggregator,
-            config: self.config,
-            strategy: self.strategy,
-            index: None,
-            upkeep,
-            planner: self.planner,
-            statistics,
-            cache,
-            policy: self.mutation_policy,
-            shards: Some(shard_set),
-        }))
+        // Upkeep follows the builder's request, exactly as a mutated
+        // engine keeps its granularity even while the index is dropped on
+        // an emptied dataset; a sharded engine keeps no index at all, so
+        // an unsharded builder indexes a sharded engine's image itself.
+        let upkeep = self.upkeep();
+        let index = match (upkeep, state.index) {
+            (IndexUpkeep::Virtual { .. }, _) => None,
+            (IndexUpkeep::PerEngine { cols, rows }, None) if !state.dataset.is_empty() => {
+                Some(Arc::new(GridIndex::build(
+                    &state.dataset,
+                    &self.aggregator,
+                    cols,
+                    rows,
+                )?))
+            }
+            (_, index) => index,
+        };
+        self.assemble(state.generation, state.dataset, index, upkeep)
     }
 }
 
@@ -774,11 +648,11 @@ pub(crate) struct EngineCore {
     pub(crate) planner: Planner,
     pub(crate) statistics: EngineStatistics,
     pub(crate) cache: Option<Arc<QueryCache>>,
-    /// Thresholds governing incremental-vs-rebuild and re-partitioning.
+    /// Thresholds governing incremental index maintenance.
     pub(crate) policy: MutationPolicy,
     /// Shard table of a sharded engine (see [`EngineBuilder::shards`] and
     /// the internal `shard` module); `None` on single engines.
-    pub(crate) shards: Option<crate::shard::ShardSet>,
+    pub(crate) shards: Option<ShardSet>,
 }
 
 /// The shared state behind [`AsrsEngine`] and every
@@ -880,17 +754,6 @@ pub trait DurabilitySink: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// One shard of an exported engine image (see [`EngineState`]).
-#[derive(Debug, Clone)]
-pub struct ShardState {
-    /// The partition region this shard owns.
-    pub region: Rect,
-    /// The shard's sub-dataset (objects in shard order).
-    pub dataset: Arc<Dataset>,
-    /// The shard's grid index, when the engine builds per-shard indexes.
-    pub index: Option<Arc<GridIndex>>,
-}
-
 /// A point-in-time image of one engine generation, sufficient to
 /// reassemble a byte-identical engine without re-indexing.
 ///
@@ -898,10 +761,12 @@ pub struct ShardState {
 /// immutable core — an `Arc` snapshot, so exporting never stalls queries
 /// or mutations — and [`EngineBuilder::build_restored`] turns it back
 /// into an engine.  The round trip preserves response bytes: the dataset
-/// keeps its object order, indexes are carried table-for-table, planner
+/// keeps its object order, the index is carried table-for-table, planner
 /// statistics are recaptured by the exact code path the original build
 /// ran, and the restored engine resumes at [`EngineState::generation`] so
-/// generation-stamped cache keys and WAL records stay aligned.
+/// generation-stamped cache keys and WAL records stay aligned.  The image
+/// holds no shard layout: a sharded engine partitions the dataset again
+/// when it is restored.
 #[derive(Debug, Clone)]
 pub struct EngineState {
     /// Generation the image was captured at.
@@ -910,9 +775,6 @@ pub struct EngineState {
     pub dataset: Arc<Dataset>,
     /// The whole-dataset grid index, if the engine maintains one.
     pub index: Option<Arc<GridIndex>>,
-    /// Per-shard regions, sub-datasets and indexes of a sharded engine
-    /// (`None` on single-core engines), in shard order.
-    pub shards: Option<Vec<ShardState>>,
 }
 
 /// Captures an [`EngineState`] from the current generation (shared by
@@ -924,16 +786,6 @@ pub(crate) fn export_state(shared: &EngineShared) -> EngineState {
         generation: core.generation,
         dataset: Arc::clone(&core.dataset),
         index: core.index.clone(),
-        shards: core.shards.as_ref().map(|set| {
-            set.shards
-                .iter()
-                .map(|shard| ShardState {
-                    region: shard.region,
-                    dataset: Arc::clone(&shard.core.dataset),
-                    index: shard.core.index.clone(),
-                })
-                .collect()
-        }),
     }
 }
 
@@ -1539,16 +1391,10 @@ impl AsrsEngine {
         self.core().shards.as_ref().map(|s| s.request_counts())
     }
 
-    /// Per-shard planner statistics, in shard order (`None` for a single
-    /// engine).
-    pub fn shard_statistics(&self) -> Option<Vec<EngineStatistics>> {
-        self.core().shards.as_ref().map(|s| s.statistics())
-    }
-
     /// The spatial partition regions of a sharded engine, in shard order
     /// (`None` for a single engine).
     pub fn shard_regions(&self) -> Option<Vec<Rect>> {
-        self.core().shards.as_ref().map(|s| s.regions())
+        self.core().shards.as_ref().map(|s| s.regions().to_vec())
     }
 
     /// The name of the backend the engine's strategy resolves to before

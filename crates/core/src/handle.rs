@@ -194,12 +194,6 @@ impl EngineHandle {
         self.core().shards.as_ref().map(|s| s.request_counts())
     }
 
-    /// Per-shard planner statistics, in shard order (`None` for a single
-    /// engine).
-    pub fn shard_statistics(&self) -> Option<Vec<EngineStatistics>> {
-        self.core().shards.as_ref().map(|s| s.statistics())
-    }
-
     /// Captures a point-in-time [`EngineState`](crate::EngineState) of the
     /// current generation (see
     /// [`AsrsEngine::export_state`](crate::AsrsEngine::export_state)) —

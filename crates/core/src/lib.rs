@@ -48,10 +48,11 @@
 //!
 //! # Sharded scatter-gather
 //!
-//! [`EngineBuilder::shards`] partitions the dataset spatially into `n`
-//! disjoint regions (one core and grid index per shard, built in
-//! parallel) and turns execution into a scatter-gather: each shard
-//! answers the candidate anchors its region induces and the per-shard
+//! [`EngineBuilder::shards`] partitions the plane around the dataset into
+//! `n` disjoint regions (fixed for the engine's lifetime; a shard is its
+//! region and an object count) and turns execution into a scatter-gather
+//! over the shared full instance: each shard answers the candidate
+//! anchors its region induces and the per-shard
 //! result sets merge under the deterministic `(distance, anchor.y,
 //! anchor.x)` tie-break.  The gathered outcome is byte-identical for
 //! every shard count — anchors are snapped to canonical arrangement-cell
@@ -75,8 +76,8 @@
 //! suffix-table sweep per mutation, bit-identical to a fresh build — with
 //! a rebuild fallback when the grid geometry moves or the accumulated
 //! delta crosses [`MutationPolicy::index_rebuild_fraction`]; sharded
-//! engines route each mutation to its owning shard and re-partition on
-//! imbalance.  The end-to-end guarantee, enforced by
+//! engines route each mutation to its owning region and move one count.
+//! The end-to-end guarantee, enforced by
 //! `tests/mutation_parity.rs`: after any mutation sequence, responses are
 //! **byte-identical** to those of a fresh engine rebuilt from the
 //! equivalent final dataset, for shard counts {1, 2, 4}, cache enabled.
@@ -169,7 +170,7 @@ pub use cache::{CacheStats, QueryCache};
 pub use config::SearchConfig;
 pub use ds_search::DsSearch;
 pub use engine::{
-    AsrsEngine, DurabilitySink, EngineBuilder, EngineState, SearchAlgorithm, ShardState, Strategy,
+    AsrsEngine, DurabilitySink, EngineBuilder, EngineState, SearchAlgorithm, Strategy,
 };
 pub use error::{AsrsError, ConfigError};
 pub use gi_ds::GiDsSearch;

@@ -56,14 +56,11 @@
 //! counts {1, 2, 4}, cache enabled — batched and sequential application
 //! alike.
 //!
-//! Sharded engines route an append to the shard whose region contains the
-//! object (removals to the shard holding the id) and maintain only that
-//! shard's sub-core — untouched shards are shared with the previous
-//! generation via `Arc`.  A mutation that leaves the partition's extent or
-//! unbalances a shard past [`MutationPolicy::shard_imbalance_factor`]
-//! triggers a full re-partition instead.  Shard layout never affects
-//! answers (the scatter-gather guarantee of PR 4), so routing and
-//! re-partitioning are pure performance decisions.
+//! Sharded engines keep no per-shard state beyond an object count per
+//! region: a mutation routes the object's location to the one region that
+//! owns it (the regions tile the whole plane and never change) and moves
+//! that count.  Shard layout never affects answers — the scatter searches
+//! the full instance — so nothing else needs maintaining.
 //!
 //! # Cache invalidation
 //!
@@ -77,15 +74,13 @@
 use crate::engine::{EngineCore, EngineShared, IndexUpkeep};
 use crate::error::AsrsError;
 use crate::grid_index::GridIndex;
-use crate::planner::{EngineStatistics, IndexStatistics};
-use crate::shard::{build_shard_set, ShardSet};
+use crate::shard::ShardSet;
 use asrs_aggregator::CompositeAggregator;
 use asrs_data::{Dataset, Mutation, MutationLog, SpatialObject};
 use asrs_geo::Point;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -100,10 +95,6 @@ pub struct MutationPolicy {
     /// rebuilds produce bit-identical indexes, so this is purely a
     /// performance knob.  Default 0.25.
     pub index_rebuild_fraction: f64,
-    /// A shard whose object count exceeds this factor times the fair share
-    /// (`n / shards`) after an append triggers a full re-partition.
-    /// Default 4.0.
-    pub shard_imbalance_factor: f64,
     /// How many recent mutations the in-memory log retains.  Default 256.
     pub log_retention: usize,
 }
@@ -112,25 +103,22 @@ impl Default for MutationPolicy {
     fn default() -> Self {
         Self {
             index_rebuild_fraction: 0.25,
-            shard_imbalance_factor: 4.0,
             log_retention: 256,
         }
     }
 }
 
-/// What happened to the engine's index(es) when a mutation was applied.
+/// What happened to the engine's index when a mutation was applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum IndexMaintenance {
-    /// The engine maintains no index (or the mutation touched an unindexed
-    /// shard).
+    /// The engine maintains no index.
     NotIndexed,
     /// The affected index absorbed the delta incrementally: one cell edit
     /// plus a suffix-table sweep, no rescan of the dataset.
     Incremental,
     /// The affected index was rebuilt from scratch — the grid geometry
     /// moved, the accumulated delta crossed the rebuild threshold, or a
-    /// previously empty (hence unindexed) dataset/shard gained its first
-    /// object.
+    /// previously empty (hence unindexed) dataset gained its first object.
     Rebuilt,
     /// The index was dropped because the dataset emptied.
     Dropped,
@@ -151,10 +139,8 @@ pub struct MutationReceipt {
     /// Objects in the dataset after this mutation applied (within a
     /// coalesced batch: after this op's position in serialization order).
     pub object_count: usize,
-    /// How the index(es) were maintained for this op.
+    /// How the index was maintained for this op.
     pub index: IndexMaintenance,
-    /// Whether this op triggered a full shard re-partition.
-    pub repartitioned: bool,
     /// How many mutations were folded into the published generation —
     /// 1 for an uncontended mutation, more when concurrent mutations (or a
     /// bulk `append_batch`) coalesced into one commit.
@@ -181,8 +167,6 @@ pub struct MutationStats {
     /// Full index rebuilds (geometry moves, threshold crossings, first
     /// objects).
     pub index_rebuilds: u64,
-    /// Full shard re-partitions.
-    pub repartitions: u64,
     /// TTL'd objects whose deadline has not passed yet.
     pub pending_ttl: usize,
 }
@@ -219,7 +203,6 @@ pub(crate) struct MutationState {
     objects_at_index_build: usize,
     incremental_updates: u64,
     index_rebuilds: u64,
-    repartitions: u64,
     /// Per-size probe contexts the carry-forward pass reuses across
     /// publishes (see [`carry`](crate::carry)); mutator-guarded like the
     /// rest of this state.
@@ -237,7 +220,6 @@ impl MutationState {
             objects_at_index_build: core.dataset.len(),
             incremental_updates: 0,
             index_rebuilds: 0,
-            repartitions: 0,
             carry_probes: crate::carry::CarryProbes::default(),
         }
     }
@@ -546,7 +528,6 @@ pub(crate) fn stats_snapshot(shared: &EngineShared) -> MutationStats {
         expiries: state.log.expiries,
         incremental_index_updates: state.incremental_updates,
         index_rebuilds: state.index_rebuilds,
-        repartitions: state.repartitions,
         pending_ttl: state.ttl_armed.len(),
     }
 }
@@ -571,20 +552,19 @@ enum TtlEvent {
     Disarm { id: u64 },
 }
 
-/// Working copy of the index/shard maintenance counters a batch evolves
+/// Working copy of the index maintenance counters a batch evolves
 /// while assembling its successor core.  Ops within a batch read the
 /// evolving values (the rebuild-fraction budget is cumulative), but the
 /// durable [`MutationState`] only absorbs the draft at the commit point —
 /// a batch aborted by a WAL veto leaves the published counters (and the
 /// rebuild budget) exactly as they were, so `/metrics` never records
-/// rebuilds or repartitions that no generation shipped.
+/// rebuilds that no generation shipped.
 #[derive(Debug, Clone, Copy)]
 struct CounterDraft {
     mutations_since_index_build: usize,
     objects_at_index_build: usize,
     incremental_updates: u64,
     index_rebuilds: u64,
-    repartitions: u64,
 }
 
 impl CounterDraft {
@@ -594,7 +574,6 @@ impl CounterDraft {
             objects_at_index_build: state.objects_at_index_build,
             incremental_updates: state.incremental_updates,
             index_rebuilds: state.index_rebuilds,
-            repartitions: state.repartitions,
         }
     }
 }
@@ -650,14 +629,18 @@ struct AssembledBatch {
     /// influence-window inputs of the cache carry-forward pass
     /// (see [`carry`](crate::carry)).
     touched: Vec<Point>,
-    /// Whether any delta re-partitioned the shard layout (disqualifies
-    /// the whole batch from carry-forward).
-    repartitioned: bool,
     /// Whether every op in the batch (piggybacked expiries included) was
     /// an append — the precondition for extending the carry pass's probe
     /// contexts incrementally instead of rebuilding them.
     append_only: bool,
 }
+
+/// What a published (or failed) batch hands back: the sweep expiries' own
+/// outcome, plus one `(ticket, outcome)` pair per drained group.
+type BatchOutcome = (
+    Result<Vec<MutationReceipt>, AsrsError>,
+    Vec<(u64, Result<Vec<MutationReceipt>, AsrsError>)>,
+);
 
 /// Applies the sweep's expiries and every drained group to **one**
 /// successor core and publishes it: the group-commit fold.  Called with
@@ -678,10 +661,7 @@ fn publish(
     state: &mut MutationState,
     expiries: Vec<u64>,
     groups: Vec<PendingGroup>,
-) -> (
-    Result<Vec<MutationReceipt>, AsrsError>,
-    Vec<(u64, Result<Vec<MutationReceipt>, AsrsError>)>,
-) {
+) -> BatchOutcome {
     let core = shared.load();
 
     // Validation pass: replay the batch against the current id set so a
@@ -792,7 +772,6 @@ fn publish(
         &core,
         &next,
         &assembled.touched,
-        assembled.repartitioned,
         assembled.append_only,
         &mut state.carry_probes,
     );
@@ -805,13 +784,11 @@ fn publish(
         objects_at_index_build,
         incremental_updates,
         index_rebuilds,
-        repartitions,
     } = assembled.counters;
     state.mutations_since_index_build = mutations_since_index_build;
     state.objects_at_index_build = objects_at_index_build;
     state.incremental_updates = incremental_updates;
     state.index_rebuilds = index_rebuilds;
-    state.repartitions = repartitions;
     // Replay the TTL bookkeeping in serialization order, so whichever of
     // an arm/disarm pair for the same id came later in the batch wins —
     // exactly the armed set sequential solo mutations would leave.
@@ -864,13 +841,7 @@ fn publish(
 
 /// Batch-level failure: every group that passed validation fails with the
 /// batch's error; groups that failed validation keep their own.
-fn fail_batch(
-    verdicts: Vec<(u64, Result<(), AsrsError>)>,
-    error: AsrsError,
-) -> (
-    Result<Vec<MutationReceipt>, AsrsError>,
-    Vec<(u64, Result<Vec<MutationReceipt>, AsrsError>)>,
-) {
+fn fail_batch(verdicts: Vec<(u64, Result<(), AsrsError>)>, error: AsrsError) -> BatchOutcome {
     let outcomes = verdicts
         .into_iter()
         .map(|(t, v)| {
@@ -887,10 +858,10 @@ fn fail_batch(
 }
 
 /// Applies the validated plan to a single successor core: one dataset
-/// clone, per-op index/shard maintenance in serialization order (exactly
-/// what a sequence of solo mutations would run, so batched and sequential
-/// application are bit-identical), then one statistics capture and one
-/// core assembly.
+/// clone, per-op index maintenance and shard counting in serialization
+/// order (exactly what a sequence of solo mutations would run, so batched
+/// and sequential application are bit-identical), then one statistics
+/// capture and one core assembly.
 fn assemble(
     core: &Arc<EngineCore>,
     state: &MutationState,
@@ -900,52 +871,49 @@ fn assemble(
     let batch = plan.len();
     let mut dataset = (*core.dataset).clone();
     let mut index: Option<Arc<GridIndex>> = core.index.clone();
-    let mut shards: Option<ShardSet> = core.shards.as_ref().map(ShardSet::carry_over);
+    let mut shards: Option<ShardSet> = core.shards.clone();
     let mut receipts: Vec<(Option<usize>, MutationReceipt)> = Vec::with_capacity(batch);
     let mut logged: Vec<Mutation> = Vec::with_capacity(batch);
     let mut ttl_events: Vec<TtlEvent> = Vec::new();
     let mut counters = CounterDraft::from_state(state);
     let mut touched: Vec<Point> = Vec::with_capacity(batch);
-    let mut any_repartitioned = false;
     let mut append_only = true;
 
     for (slot, op) in plan {
-        let (kind, id, how, repartitioned) = match op {
+        let (kind, id, how) = match op {
             BatchOp::Append { object, ttl } => {
                 touched.push(object.location);
                 dataset.append(object.clone())?;
-                let (how, repartitioned) = fold_delta(
+                let how = fold_delta(
                     core,
                     &mut counters,
                     &dataset,
                     &mut index,
                     &mut shards,
                     Delta::Append(&object),
-                    generation,
                 )?;
                 if let Some(ttl) = ttl {
                     ttl_events.push(TtlEvent::Arm { id: object.id, ttl });
                 }
                 let id = object.id;
                 logged.push(Mutation::Append { object });
-                ("append", id, how, repartitioned)
+                ("append", id, how)
             }
             BatchOp::Remove { id } => {
                 append_only = false;
                 let removed = take_by_id(&mut dataset, id)?;
                 touched.push(removed.location);
-                let (how, repartitioned) = fold_delta(
+                let how = fold_delta(
                     core,
                     &mut counters,
                     &dataset,
                     &mut index,
                     &mut shards,
                     Delta::Remove(&removed),
-                    generation,
                 )?;
                 ttl_events.push(TtlEvent::Disarm { id });
                 logged.push(Mutation::Remove { id });
-                ("remove", id, how, repartitioned)
+                ("remove", id, how)
             }
             BatchOp::Expire { id } => {
                 // No TTL event: a live sweep already disarmed the id when
@@ -954,20 +922,18 @@ fn assemble(
                 append_only = false;
                 let removed = take_by_id(&mut dataset, id)?;
                 touched.push(removed.location);
-                let (how, repartitioned) = fold_delta(
+                let how = fold_delta(
                     core,
                     &mut counters,
                     &dataset,
                     &mut index,
                     &mut shards,
                     Delta::Remove(&removed),
-                    generation,
                 )?;
                 logged.push(Mutation::Expire { id });
-                ("expire", id, how, repartitioned)
+                ("expire", id, how)
             }
         };
-        any_repartitioned |= repartitioned;
         receipts.push((
             slot,
             MutationReceipt {
@@ -976,25 +942,19 @@ fn assemble(
                 generation,
                 object_count: dataset.len(),
                 index: how,
-                repartitioned,
                 batch,
             },
         ));
     }
 
-    // Statistics are recaptured per generation, mirroring the builder
-    // paths exactly so mutated and rebuilt engines plan identically.
-    let mut statistics = EngineStatistics::capture(&dataset, index.as_deref());
-    if let IndexUpkeep::PerShard { cols, rows } = core.upkeep {
-        statistics.index = if dataset.is_empty() {
-            None
-        } else {
-            Some(IndexStatistics::virtual_for(&dataset, cols, rows)?)
-        };
-    }
-    if let Some(set) = &shards {
-        statistics.shards = Some(set.fan_out());
-    }
+    // Statistics are recaptured per generation by the builders' own
+    // capture path, so mutated and rebuilt engines plan identically.
+    let statistics = crate::engine::capture_statistics(
+        &dataset,
+        index.as_deref(),
+        core.upkeep,
+        shards.as_ref(),
+    )?;
 
     let next = EngineCore {
         generation,
@@ -1030,7 +990,6 @@ fn assemble(
         ttl_events,
         counters,
         touched,
-        repartitioned: any_repartitioned,
         append_only,
     })
 }
@@ -1050,11 +1009,10 @@ enum Delta<'a> {
     Remove(&'a SpatialObject),
 }
 
-/// Folds one delta into the working index and shard table — the per-op
+/// Folds one delta into the working index and shard counts — the per-op
 /// maintenance step of a batch, identical to what one solo mutation used
 /// to run.  `dataset` is the working dataset *after* the delta applied.
-/// Returns what happened to the index(es) and whether the delta
-/// re-partitioned.
+/// Returns what happened to the index.
 fn fold_delta(
     core: &EngineCore,
     counters: &mut CounterDraft,
@@ -1062,85 +1020,34 @@ fn fold_delta(
     index: &mut Option<Arc<GridIndex>>,
     shards: &mut Option<ShardSet>,
     delta: Delta<'_>,
-    generation: u64,
-) -> Result<(IndexMaintenance, bool), AsrsError> {
-    let mut index_maintenance = IndexMaintenance::NotIndexed;
-    let mut repartitioned = false;
-
-    // Top-level index upkeep: unsharded engines, and sharded engines that
-    // serve statistics from an attached whole-dataset index.
-    if let IndexUpkeep::PerEngine { cols, rows } = core.upkeep {
-        let (next, how) = maintain_index(
-            index.as_deref(),
-            dataset,
-            &core.aggregator,
-            cols,
-            rows,
-            delta,
-            counters,
-            Some(&core.policy),
-        )?;
-        index_maintenance = how;
-        *index = next.map(Arc::new);
+) -> Result<IndexMaintenance, AsrsError> {
+    if let Some(set) = shards {
+        match delta {
+            Delta::Append(object) => set.add(&object.location),
+            Delta::Remove(object) => set.remove(&object.location),
+        }
     }
-
-    // Shard upkeep: route the delta to the owning shard, or re-partition
-    // when the layout no longer fits.
-    if let Some(set) = shards.take() {
-        let needs_repartition = match delta {
-            Delta::Append(object) => match owning_shard_for_point(&set, object) {
-                None => true,
-                Some(owner) => {
-                    let new_len = set.shards[owner].core.dataset.len() + 1;
-                    let fair = (dataset.len() as f64 / set.len() as f64).max(1.0);
-                    new_len as f64 > core.policy.shard_imbalance_factor * fair
-                }
-            },
-            Delta::Remove(_) => false,
-        };
-        let next = if needs_repartition {
-            repartitioned = true;
-            counters.repartitions += 1;
-            // A re-partition rebuilds every populated shard's index
-            // from scratch inside `build_shard_set`; the receipt and
-            // the rebuild counter must say so.
-            if matches!(core.upkeep, IndexUpkeep::PerShard { .. }) {
-                index_maintenance = IndexMaintenance::Rebuilt;
-                counters.index_rebuilds += 1;
-            }
-            build_shard_set(
-                dataset,
-                &core.aggregator,
-                &core.config,
-                core.strategy,
-                &core.planner,
-                core.upkeep,
-                set.len(),
-                generation,
-                &core.policy,
-            )?
-        } else {
-            let (next, how) = update_shard_set(core, &set, delta, generation, counters)?;
-            if matches!(core.upkeep, IndexUpkeep::PerShard { .. }) {
-                index_maintenance = how;
-            }
-            next
-        };
-        *shards = Some(next);
-    }
-    Ok((index_maintenance, repartitioned))
+    let IndexUpkeep::PerEngine { cols, rows } = core.upkeep else {
+        return Ok(IndexMaintenance::NotIndexed);
+    };
+    let (next, how) = maintain_index(
+        index.as_deref(),
+        dataset,
+        &core.aggregator,
+        cols,
+        rows,
+        delta,
+        counters,
+        &core.policy,
+    )?;
+    *index = next.map(Arc::new);
+    Ok(how)
 }
 
-/// Maintains one grid index under `delta`: incremental when the grid
-/// geometry still matches (and, with a rebuild budget, while the
-/// accumulated delta stays within it), a full rebuild otherwise.  Both
-/// paths produce bit-identical indexes (see [`GridIndex`]); the choice is
-/// performance.
-///
-/// `policy` is `Some` for the engine's whole-dataset index — the
-/// rebuild-fraction budget and its bookkeeping apply — and `None` for
-/// per-shard indexes, which never affect answers (the scatter searches
-/// the full instance) and only honour the geometry check.
+/// Maintains the engine's grid index under `delta`: incremental while the
+/// grid geometry still matches and the accumulated delta stays within the
+/// rebuild budget, a full rebuild otherwise.  Both paths produce
+/// bit-identical indexes (see [`GridIndex`]); the choice is performance.
 #[allow(clippy::too_many_arguments)]
 fn maintain_index(
     current: Option<&GridIndex>,
@@ -1150,22 +1057,16 @@ fn maintain_index(
     rows: usize,
     delta: Delta<'_>,
     counters: &mut CounterDraft,
-    policy: Option<&MutationPolicy>,
+    policy: &MutationPolicy,
 ) -> Result<(Option<GridIndex>, IndexMaintenance), AsrsError> {
     if dataset.is_empty() {
         // Nothing left to index; a fresh builder over the empty dataset
         // would refuse to build one too.
         return Ok((None, IndexMaintenance::Dropped));
     }
-    let within_budget = match policy {
-        Some(policy) => {
-            let budget = (policy.index_rebuild_fraction
-                * counters.objects_at_index_build.max(1) as f64)
-                .ceil() as usize;
-            counters.mutations_since_index_build < budget.max(1)
-        }
-        None => true,
-    };
+    let budget = (policy.index_rebuild_fraction * counters.objects_at_index_build.max(1) as f64)
+        .ceil() as usize;
+    let within_budget = counters.mutations_since_index_build < budget.max(1);
     if let Some(idx) = current {
         if within_budget && idx.space_matches(dataset) {
             let mut next = idx.clone();
@@ -1173,107 +1074,16 @@ fn maintain_index(
                 Delta::Append(object) => next.update_append(object, aggregator),
                 Delta::Remove(object) => next.update_remove(object, dataset, aggregator),
             }
-            if policy.is_some() {
-                counters.mutations_since_index_build += 1;
-            }
+            counters.mutations_since_index_build += 1;
             counters.incremental_updates += 1;
             return Ok((Some(next), IndexMaintenance::Incremental));
         }
     }
     let next = GridIndex::build(dataset, aggregator, cols, rows)?;
-    if policy.is_some() {
-        counters.mutations_since_index_build = 0;
-        counters.objects_at_index_build = dataset.len();
-    }
+    counters.mutations_since_index_build = 0;
+    counters.objects_at_index_build = dataset.len();
     counters.index_rebuilds += 1;
     Ok((Some(next), IndexMaintenance::Rebuilt))
-}
-
-/// The shard an appended object routes to, honouring the partitioner's
-/// tie rule for cut-line points: `SpatialPartition` assigns an object
-/// sitting exactly on a cut to the *at-or-above* (right/upper) side, so a
-/// containing region whose max edge passes through the point does not own
-/// it — unless no other region does, which only happens on the partition
-/// extent's own max edges (and for the zero-area regions of degenerate
-/// partitions), where any containing region is fine.
-pub(crate) fn owning_shard_for_point(set: &ShardSet, object: &SpatialObject) -> Option<usize> {
-    let p = &object.location;
-    set.shards
-        .iter()
-        .position(|s| s.region.contains_point(p) && p.x < s.region.max_x && p.y < s.region.max_y)
-        .or_else(|| set.shards.iter().position(|s| s.region.contains_point(p)))
-}
-
-/// Applies `delta` to the owning shard's sub-core, sharing every untouched
-/// shard with the previous generation.  Returns the new shard table and
-/// what happened to the owning shard's index.
-fn update_shard_set(
-    core: &EngineCore,
-    set: &ShardSet,
-    delta: Delta<'_>,
-    generation: u64,
-    counters: &mut CounterDraft,
-) -> Result<(ShardSet, IndexMaintenance), AsrsError> {
-    let owner = match delta {
-        Delta::Append(object) => owning_shard_for_point(set, object),
-        Delta::Remove(object) => set
-            .shards
-            .iter()
-            .position(|s| s.core.dataset.contains_id(object.id)),
-    };
-    let mut how = IndexMaintenance::NotIndexed;
-    let mut shards = Vec::with_capacity(set.len());
-    for (i, shard) in set.shards.iter().enumerate() {
-        let new_core = if Some(i) == owner {
-            let mut sub = (*shard.core.dataset).clone();
-            match delta {
-                Delta::Append(object) => sub.append(object.clone())?,
-                Delta::Remove(object) => {
-                    sub.remove_by_id(object.id);
-                }
-            }
-            let index = match core.upkeep {
-                IndexUpkeep::PerShard { cols, rows } => {
-                    let (next, shard_how) = maintain_index(
-                        shard.core.index.as_deref(),
-                        &sub,
-                        &core.aggregator,
-                        cols,
-                        rows,
-                        delta,
-                        counters,
-                        None,
-                    )?;
-                    how = shard_how;
-                    next.map(Arc::new)
-                }
-                _ => None,
-            };
-            let statistics = EngineStatistics::capture(&sub, index.as_deref());
-            Arc::new(EngineCore {
-                generation,
-                dataset: Arc::new(sub),
-                aggregator: Arc::clone(&shard.core.aggregator),
-                config: shard.core.config.clone(),
-                strategy: shard.core.strategy,
-                index,
-                upkeep: shard.core.upkeep,
-                planner: shard.core.planner.clone(),
-                statistics,
-                cache: None,
-                policy: shard.core.policy.clone(),
-                shards: None,
-            })
-        } else {
-            Arc::clone(&shard.core)
-        };
-        shards.push(crate::shard::EngineShard {
-            region: shard.region,
-            core: new_core,
-            requests: AtomicU64::new(shard.requests.load(Ordering::Relaxed)),
-        });
-    }
-    Ok((ShardSet { shards }, how))
 }
 
 #[cfg(test)]
@@ -1283,7 +1093,7 @@ mod tests {
     use crate::AsrsEngine;
     use asrs_aggregator::Selection;
     use asrs_data::gen::UniformGenerator;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn test_engine(n: usize) -> (AsrsEngine, SpatialObject) {
         let ds = UniformGenerator::default().generate(n, 7);
@@ -1422,7 +1232,6 @@ mod tests {
             before.incremental_index_updates
         );
         assert_eq!(after.index_rebuilds, before.index_rebuilds);
-        assert_eq!(after.repartitions, before.repartitions);
         sink.fail.store(false, Ordering::SeqCst);
         engine.append(fresh(&template, 3_001)).unwrap();
         assert!(

@@ -89,9 +89,9 @@ impl IndexStatistics {
     /// The statistics a `cols × rows` [`GridIndex`] over `dataset` *would*
     /// have, computed without building it.
     ///
-    /// Used by the sharded engine builder: a sharded engine builds one
-    /// index per shard rather than a whole-dataset index, but its planner
-    /// must still decide from whole-dataset index geometry so the chosen
+    /// Used by sharded engines: a sharded engine that requested an index
+    /// builds none (the scatter never reads one), but its planner must
+    /// still decide from whole-dataset index geometry so the chosen
     /// backend is identical for every shard count.  The formulas replicate
     /// [`EngineStatistics::capture`] over [`GridIndex::build`]'s grid
     /// specification bit for bit.

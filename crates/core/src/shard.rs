@@ -3,13 +3,21 @@
 //! # Topology
 //!
 //! [`EngineBuilder::shards(n)`](crate::EngineBuilder::shards) partitions
-//! the dataset spatially (longest-axis recursive splits over the extent,
-//! see [`SpatialPartition`](asrs_data::SpatialPartition)) into `n` disjoint
-//! regions and builds one [`EngineCore`] — sub-dataset plus its own
-//! [`GridIndex`](crate::GridIndex) — per region.  A request is *scattered*:
-//! each shard searches the anchor slab induced by its region, and the
-//! per-shard [`BestSet`]s are *gathered* with the engine's deterministic
-//! `(distance, anchor.y, anchor.x)` tie-break.
+//! the plane around the dataset (longest-axis recursive splits at
+//! object-count medians, outer edges unbounded, see
+//! [`SpatialPartition`]) into `n` disjoint regions.  A shard is nothing
+//! more than its region, the number of objects the region owns, and a
+//! serving counter: there is no per-shard dataset or index.  A request is
+//! *scattered*: each shard searches the anchor slab induced by its region
+//! over the shared full instance, and the per-shard [`BestSet`]s are
+//! *gathered* with the engine's deterministic `(distance, anchor.y,
+//! anchor.x)` tie-break.
+//!
+//! The regions never change during an engine's lifetime.  Every point of
+//! the plane routes to exactly one region, so an append anywhere — inside
+//! the seed extent or far outside it — only bumps one count, and
+//! `slab_for` clips each slab to the current search space.  Shard layout
+//! never affects answers, only how the search space is divided.
 //!
 //! # Exactness
 //!
@@ -66,172 +74,91 @@ use crate::result::SearchResult;
 use crate::stats::SearchStats;
 use crate::sync::Mutex;
 use asrs_aggregator::{CompositeAggregator, Selection};
-use asrs_data::Dataset;
-use asrs_geo::{Rect, RegionSize};
+use asrs_data::{Dataset, SpatialPartition};
+use asrs_geo::{Point, Rect, RegionSize};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One shard of a sharded engine: its partition region and the core built
-/// over the objects assigned to it.
-#[derive(Debug)]
-pub(crate) struct EngineShard {
-    /// The partition region (object space) this shard owns.
-    pub(crate) region: Rect,
-    /// The shard's own core: sub-dataset, per-shard grid index, per-shard
-    /// statistics.  Never itself sharded, never caching (the query-result
-    /// cache lives at the top level so its keys stay shard-count
-    /// independent).  Behind an [`Arc`] so a mutation that touches one
-    /// shard shares the untouched siblings with the previous generation
-    /// instead of cloning them.
-    pub(crate) core: Arc<EngineCore>,
-    /// Scattered executions this shard participated in (serving metrics).
-    pub(crate) requests: AtomicU64,
-}
-
-/// The shard table of a sharded [`EngineCore`].
-#[derive(Debug)]
+/// The shard table of a sharded [`EngineCore`]: the partition regions,
+/// the objects each region owns, and per-shard serving counters.
+///
+/// The regions are fixed for the engine's lifetime — their outer edges
+/// are unbounded, so every point of the plane has an owner and no
+/// mutation ever needs a new layout.  A mutation only moves one count.
+#[derive(Debug, Clone)]
 pub(crate) struct ShardSet {
-    pub(crate) shards: Vec<EngineShard>,
+    partition: Arc<SpatialPartition>,
+    /// Objects each region owns, in shard order.
+    counts: Vec<usize>,
+    /// Scattered executions per shard (serving metrics), shared by every
+    /// generation of the engine.
+    requests: Arc<[AtomicU64]>,
 }
 
 impl ShardSet {
-    /// Number of shards.
-    pub(crate) fn len(&self) -> usize {
-        self.shards.len()
+    /// Partitions the plane around `dataset` into `n` regions and counts
+    /// the objects each one owns.
+    pub(crate) fn build(dataset: &Dataset, n: usize) -> Self {
+        let partition = SpatialPartition::build(dataset, n);
+        let mut set = Self {
+            counts: vec![0; partition.shard_count()],
+            requests: (0..partition.shard_count())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            partition: Arc::new(partition),
+        };
+        for o in dataset.objects() {
+            set.add(&o.location);
+        }
+        set
     }
 
-    /// A working copy for a group-commit batch: every shard core is
-    /// `Arc`-shared with `self` (an untouched shard costs one refcount),
-    /// serving counters carried over.  The batch's per-op shard
-    /// maintenance then replaces only the cores its deltas touch.
-    pub(crate) fn carry_over(&self) -> Self {
-        Self {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| EngineShard {
-                    region: s.region,
-                    core: Arc::clone(&s.core),
-                    requests: AtomicU64::new(s.requests.load(Ordering::Relaxed)),
-                })
-                .collect(),
-        }
+    /// Number of shards.
+    pub(crate) fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// The shard owning point `p` (see [`SpatialPartition::route`]).
+    pub(crate) fn route(&self, p: &Point) -> usize {
+        self.partition.route(p)
+    }
+
+    /// Counts an object added at `p` in its owning region.
+    pub(crate) fn add(&mut self, p: &Point) {
+        self.counts[self.partition.route(p)] += 1;
+    }
+
+    /// Counts an object removed from `p` out of its owning region.
+    pub(crate) fn remove(&mut self, p: &Point) {
+        self.counts[self.partition.route(p)] -= 1;
+    }
+
+    /// Objects per shard, in shard order.
+    pub(crate) fn counts(&self) -> &[usize] {
+        &self.counts
     }
 
     /// Per-shard scattered-execution counts, in shard order.
     pub(crate) fn request_counts(&self) -> Vec<u64> {
-        self.shards
+        self.requests
             .iter()
-            .map(|s| s.requests.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Per-shard planner statistics, in shard order.
-    pub(crate) fn statistics(&self) -> Vec<crate::planner::EngineStatistics> {
-        self.shards
-            .iter()
-            .map(|s| s.core.statistics.clone())
+            .map(|r| r.load(Ordering::Relaxed))
             .collect()
     }
 
     /// Per-shard partition regions, in shard order.
-    pub(crate) fn regions(&self) -> Vec<Rect> {
-        self.shards.iter().map(|s| s.region).collect()
+    pub(crate) fn regions(&self) -> &[Rect] {
+        self.partition.regions()
     }
 
     /// The fan-out description surfaced by plans and `/metrics`.
     pub(crate) fn fan_out(&self) -> crate::planner::ShardFanOut {
         crate::planner::ShardFanOut {
             shards: self.len(),
-            populated: self
-                .shards
-                .iter()
-                .filter(|s| !s.core.dataset.is_empty())
-                .count(),
+            populated: self.counts.iter().filter(|&&c| c > 0).count(),
         }
     }
-}
-
-/// Builds the shard table for `dataset`: spatial partition, one sub-core
-/// per region, and — when `upkeep` asks for per-shard indexes — one grid
-/// index per populated shard, built in parallel.  Shared by
-/// [`EngineBuilder::shards`](crate::EngineBuilder::shards) and the
-/// generational mutation path (which re-partitions through this function
-/// whenever a mutation unbalances the layout or leaves the extent).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_shard_set(
-    dataset: &Dataset,
-    aggregator: &Arc<CompositeAggregator>,
-    config: &SearchConfig,
-    strategy: crate::engine::Strategy,
-    planner: &crate::planner::Planner,
-    upkeep: crate::engine::IndexUpkeep,
-    n: usize,
-    generation: u64,
-    policy: &crate::mutate::MutationPolicy,
-) -> Result<ShardSet, AsrsError> {
-    let build_granularity = match upkeep {
-        crate::engine::IndexUpkeep::PerShard { cols, rows } => Some((cols, rows)),
-        _ => None,
-    };
-    let partition = asrs_data::SpatialPartition::build(dataset, n);
-    let subs = partition.sub_datasets(dataset);
-
-    // Per-shard index builds are independent; fan them out (on multi-core
-    // hosts n small builds finish in a fraction of one whole-dataset
-    // build's wall clock).
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let shard_indexes: Vec<Option<crate::grid_index::GridIndex>> = match build_granularity {
-        None => subs.iter().map(|_| None).collect(),
-        Some((cols, rows)) => parallel_map(subs.len(), workers, |i| {
-            if subs[i].is_empty() {
-                Ok(None)
-            } else {
-                crate::grid_index::GridIndex::build(&subs[i], aggregator, cols, rows).map(Some)
-            }
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?,
-    };
-
-    // The per-shard cores carry each shard's sub-dataset, index and
-    // statistics.  Today they power per-shard planner statistics,
-    // `/metrics` fan-out accounting and the fan-out estimate in
-    // `explain()`; the scatter executor itself still searches the shared
-    // full instance (exactness over shard-local indexes needs halo-aware
-    // summary tables — a noted ROADMAP follow-up).
-    let shards: Vec<EngineShard> = subs
-        .into_iter()
-        .zip(shard_indexes)
-        .zip(partition.regions().iter().copied())
-        .map(|((sub, shard_index), region)| {
-            let shard_statistics =
-                crate::planner::EngineStatistics::capture(&sub, shard_index.as_ref());
-            EngineShard {
-                region,
-                core: Arc::new(EngineCore {
-                    generation,
-                    dataset: Arc::new(sub),
-                    aggregator: Arc::clone(aggregator),
-                    config: config.clone(),
-                    strategy,
-                    index: shard_index.map(Arc::new),
-                    upkeep: crate::engine::IndexUpkeep::None,
-                    planner: planner.clone(),
-                    statistics: shard_statistics,
-                    cache: None,
-                    policy: policy.clone(),
-                    shards: None,
-                }),
-                requests: AtomicU64::new(0),
-            }
-        })
-        .collect();
-
-    Ok(ShardSet { shards })
 }
 
 /// The anchor slab shard `region` is responsible for: the region extended
@@ -304,8 +231,8 @@ pub(crate) fn scatter_search(
     // (O(1) via the minimal-representative skip whenever the empty
     // distance cannot improve the gather) instead of silently dropped.
     let mut tasks: Vec<(usize, Rect, Vec<u32>)> = Vec::with_capacity(shard_set.len());
-    for (i, shard) in shard_set.shards.iter().enumerate() {
-        let Some(slab) = slab_for(&shard.region, &asp) else {
+    for (i, region) in shard_set.regions().iter().enumerate() {
+        let Some(slab) = slab_for(region, &asp) else {
             continue;
         };
         let candidates = solver.contributing(&asp, asp.rects_intersecting(&slab));
@@ -320,9 +247,7 @@ pub(crate) fn scatter_search(
     stats.shards_touched = tasks.len() as u64;
     stats.shards_pruned = (shard_set.len() - tasks.len()) as u64;
     for (i, _, _) in &tasks {
-        shard_set.shards[*i]
-            .requests
-            .fetch_add(1, Ordering::Relaxed);
+        shard_set.requests[*i].fetch_add(1, Ordering::Relaxed);
     }
 
     let workers = std::thread::available_parallelism()
@@ -378,9 +303,8 @@ pub(crate) fn scatter_search(
 /// Runs `count` independent tasks on up to `workers` threads
 /// (work-stealing over task indices) and returns their results in task
 /// order.  A panicking task propagates on join, exactly as it would under
-/// the sequential schedule.  Shared by the scatter executor and the
-/// per-shard index builds.
-pub(crate) fn parallel_map<T, F>(count: usize, workers: usize, task: F) -> Vec<T>
+/// the sequential schedule.
+fn parallel_map<T, F>(count: usize, workers: usize, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -8,9 +8,9 @@
 //! under the mutator, the cache's single-flight in-flight-slot handoff,
 //! and the server worker queue — through *every*
 //! interleaving of their lock operations via
-//! [`asrs_core::sync::model::Explorer`].  The declared lock orders here
-//! mirror `crates/interlock/LOCK_ORDER.md`; a protocol change that adds
-//! an edge must update both.
+//! [`asrs_core::sync::model::Explorer`].  The declared lock order is read
+//! from the edge table of `crates/interlock/LOCK_ORDER.md`, the static
+//! pass's committed output, so the two cannot drift apart.
 
 #![cfg(feature = "model")]
 
@@ -82,17 +82,35 @@ impl ProtocolState {
     }
 }
 
+/// The acquisition-order edges of the committed lock-order manifest, as
+/// `(held, then acquired)` pairs.
+fn manifest_edges() -> Vec<(&'static str, &'static str)> {
+    const MANIFEST: &str = include_str!("../../interlock/LOCK_ORDER.md");
+    let table = MANIFEST
+        .split("## Acquisition-order edges")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("LOCK_ORDER.md has an acquisition-order edge table");
+    // Table rows are `| held | then acquired | via |`; the header and the
+    // separator row name no lock (lock names are dotted).
+    table
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.strip_prefix('|')?.split('|').map(str::trim);
+            let (held, then) = (cells.next()?, cells.next()?);
+            (held.contains('.') && then.contains('.')).then_some((held, then))
+        })
+        .collect()
+}
+
 fn protocol_explorer() -> Explorer {
+    let edges = manifest_edges();
+    assert!(
+        edges.contains(&("engine.mutator", "engine.epoch")),
+        "the manifest edge table parsed to {edges:?}"
+    );
     Explorer::new()
-        .declared_order(&[
-            ("engine.mutator", "engine.epoch"),
-            ("engine.mutator", "cache.shard"),
-            ("engine.mutator", "persist.wal"),
-            ("engine.mutator", "engine.commit_queue"),
-            ("cache.inflight", "cache.flight_slot"),
-            ("cache.inflight", "cache.shard"),
-            ("cache.flight_slot", "cache.shard"),
-        ])
+        .declared_order(&edges)
         .allow_blocking("fsync", "persist.wal")
         .allow_blocking("fsync", "engine.mutator")
 }

@@ -19,8 +19,11 @@
 //! The codec performs *no* framing, checksumming or versioning — those
 //! belong to the file formats in `asrs-persist`, which wrap these bytes in
 //! checked sections.  Decoding is bounds-checked and reports
-//! [`ColumnarError`] instead of panicking, but it trusts the content
-//! semantically (callers verify a CRC before decoding).
+//! [`ColumnarError`] instead of panicking: every declared length is
+//! bounded by the bytes that remain before anything is allocated for it.
+//! Beyond that it trusts the content semantically (callers verify a CRC
+//! before decoding): whatever an append accepted must decode again, so
+//! object locations are taken as written, NaN included.
 
 use crate::{AttrValue, Dataset, Mutation, Schema, SpatialObject};
 use asrs_geo::Point;
@@ -34,7 +37,8 @@ pub struct ColumnarError {
 }
 
 impl ColumnarError {
-    fn new(message: impl Into<String>) -> Self {
+    /// A decoding failure described by `message`.
+    pub fn new(message: impl Into<String>) -> Self {
         Self {
             message: message.into(),
         }
@@ -126,6 +130,24 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads a `u64` element count for a sequence whose elements take at
+    /// least `min_bytes_each` bytes, refusing counts the remaining input
+    /// cannot hold — so a corrupt count never reaches an allocation.
+    pub fn len(&mut self, min_bytes_each: usize) -> Result<usize, ColumnarError> {
+        let len = self.u64()?;
+        let fits = usize::try_from(len)
+            .ok()
+            .and_then(|n| n.checked_mul(min_bytes_each))
+            .is_some_and(|bytes| bytes <= self.remaining());
+        if !fits {
+            return Err(ColumnarError::new(format!(
+                "length {len} exceeds the {} remaining bytes",
+                self.remaining()
+            )));
+        }
+        Ok(len as usize)
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, ColumnarError> {
         let len = self.u64()? as usize;
@@ -207,7 +229,8 @@ pub fn decode_dataset(reader: &mut Reader<'_>) -> Result<Dataset, ColumnarError>
     let schema_json = reader.str()?;
     let schema: Schema = serde::json::from_str(&schema_json)
         .map_err(|e| ColumnarError::new(format!("schema JSON invalid: {e}")))?;
-    let n = reader.u64()? as usize;
+    // Every object takes at least 24 bytes: its id, x and y.
+    let n = reader.len(24)?;
     let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
         ids.push(reader.u64()?);
@@ -221,6 +244,12 @@ pub fn decode_dataset(reader: &mut Reader<'_>) -> Result<Dataset, ColumnarError>
         ys.push(reader.f64()?);
     }
     let arity = reader.u32()? as usize;
+    if arity != schema.len() {
+        return Err(ColumnarError::new(format!(
+            "{arity} value columns for a schema of {} attributes",
+            schema.len()
+        )));
+    }
     let mut columns: Vec<Vec<AttrValue>> = Vec::with_capacity(arity);
     for _ in 0..arity {
         let mut column = Vec::with_capacity(n);
@@ -258,6 +287,13 @@ pub fn decode_object(reader: &mut Reader<'_>) -> Result<SpatialObject, ColumnarE
     let x = reader.f64()?;
     let y = reader.f64()?;
     let arity = reader.u32()? as usize;
+    // Every value takes at least 5 bytes: its tag and a u32.
+    if arity.saturating_mul(5) > reader.remaining() {
+        return Err(ColumnarError::new(format!(
+            "{arity} values exceed the {} remaining bytes",
+            reader.remaining()
+        )));
+    }
     let mut values = Vec::with_capacity(arity);
     for _ in 0..arity {
         values.push(read_value(reader)?);

@@ -15,8 +15,9 @@
 //!   mutators (the substrate of the generational engine in `asrs-core`).
 //! * [`Mutation`] / [`MutationLog`] — serializable dataset deltas and the
 //!   bounded log of what a generational engine applied.
-//! * [`SpatialPartition`] — longest-axis recursive spatial partitioning of a
-//!   dataset into `n` shard regions (the data layout of the sharded engine).
+//! * [`SpatialPartition`] — longest-axis recursive spatial partitioning of
+//!   the plane into `n` shard regions around a dataset (the shard layout of
+//!   the sharded engine).
 //! * [`io`] — a small CSV-like text format for saving and loading datasets.
 //! * [`columnar`] — a bit-exact binary column-oriented encoding of datasets
 //!   and mutations (the byte substrate of the `asrs-persist` snapshot and

@@ -1,40 +1,52 @@
 //! Spatial partitioning: longest-axis recursive splits over a dataset's
 //! extent.
 //!
-//! A [`SpatialPartition`] carves the dataset's bounding box into `n`
-//! axis-aligned regions by recursively splitting the longer axis of the
-//! current region at an object-count median, so shards stay balanced on
-//! clustered data.  The regions tile the extent exactly (interiors are
-//! pairwise disjoint, closed regions share only their cut lines) and every
-//! object is *assigned* to exactly one shard by the deterministic rule
-//! "strictly below the cut goes left, at-or-above goes right", so shard
-//! membership is never ambiguous for objects sitting on a cut.
+//! A [`SpatialPartition`] carves the plane into `n` axis-aligned regions
+//! by recursively splitting the longer axis of the dataset's bounding box
+//! at an object-count median, so shards stay balanced on clustered data.
+//! The edges of the bounding box are then pushed out to infinity: the
+//! regions tile the whole plane, not just the seed extent.  Every point
+//! [routes](SpatialPartition::route) to exactly one region by the
+//! deterministic rule "strictly below the cut goes left, at-or-above goes
+//! right", so ownership is never ambiguous for points sitting on a cut,
+//! and a point far outside the seed extent still has an owner.
 //!
-//! The partition is the data layout of the sharded engine in `asrs-core`:
-//! one sub-dataset (and one grid index) per region.
+//! The partition is the shard layout of the sharded engine in
+//! `asrs-core`: each region induces one anchor slab of the scatter, and the
+//! engine counts the objects each region owns.
 
 use crate::Dataset;
-use asrs_geo::Rect;
+use asrs_geo::{Point, Rect};
 
-/// A spatial partition of a dataset into `n` shard regions.
+/// A spatial partition of the plane into `n` shard regions.
 ///
-/// Built by [`SpatialPartition::build`]; the regions tile the dataset
-/// extent and [`SpatialPartition::assignment`] maps every object index to
-/// the single shard that owns it.
+/// Built by [`SpatialPartition::build`]; the regions tile the plane (outer
+/// edges are infinite) and [`SpatialPartition::route`] maps every point to
+/// the single region that owns it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpatialPartition {
     regions: Vec<Rect>,
-    assignment: Vec<usize>,
+}
+
+/// Which edges of a region under construction are cuts (finite) rather
+/// than the bounding box's own edges (pushed out to infinity at the end).
+#[derive(Debug, Clone, Copy)]
+struct Cuts {
+    min_x: bool,
+    min_y: bool,
+    max_x: bool,
+    max_y: bool,
 }
 
 impl SpatialPartition {
-    /// Partitions `dataset` into `shards` regions (at least 1) by
-    /// longest-axis recursive splitting.
+    /// Partitions the plane into `shards` regions (at least 1) by
+    /// longest-axis recursive splitting of `dataset`'s bounding box.
     ///
     /// Degenerate inputs are handled without panicking: duplicate points,
-    /// single-axis (collinear) datasets and `shards > dataset.len()` all
-    /// produce valid partitions — some shards simply come out empty, with
-    /// zero-area regions tiling the cut lines.
+    /// single-axis (collinear) datasets, empty datasets and
+    /// `shards > dataset.len()` all produce valid partitions — some
+    /// regions simply own no object, and cuts stacked on one line give
+    /// regions of zero width that own no point at all.
     pub fn build(dataset: &Dataset, shards: usize) -> Self {
         let shards = shards.max(1);
         let extent = dataset
@@ -42,28 +54,39 @@ impl SpatialPartition {
             .unwrap_or_else(|| Rect::new(0.0, 0.0, 0.0, 0.0));
         let mut partition = SpatialPartition {
             regions: Vec::with_capacity(shards),
-            assignment: vec![usize::MAX; dataset.len()],
+        };
+        let outer = Cuts {
+            min_x: false,
+            min_y: false,
+            max_x: false,
+            max_y: false,
         };
         let indices: Vec<usize> = (0..dataset.len()).collect();
-        partition.split(dataset, indices, extent, shards);
+        partition.split(dataset, indices, extent, outer, shards);
         debug_assert_eq!(partition.regions.len(), shards);
-        debug_assert!(partition
-            .assignment
-            .iter()
-            .all(|&s| s < shards || dataset.is_empty()));
         partition
     }
 
     /// Recursively splits `rect` (holding the objects at `indices`) into
     /// `k` regions, appending them to `self.regions` in deterministic
-    /// left-to-right order and recording the assignment.
-    fn split(&mut self, dataset: &Dataset, mut indices: Vec<usize>, rect: Rect, k: usize) {
+    /// left-to-right order.
+    fn split(
+        &mut self,
+        dataset: &Dataset,
+        mut indices: Vec<usize>,
+        rect: Rect,
+        cuts: Cuts,
+        k: usize,
+    ) {
         if k <= 1 {
-            let shard = self.regions.len();
-            self.regions.push(rect);
-            for idx in indices {
-                self.assignment[idx] = shard;
-            }
+            let open =
+                |is_cut: bool, edge: f64, infinity: f64| if is_cut { edge } else { infinity };
+            self.regions.push(Rect::new(
+                open(cuts.min_x, rect.min_x, f64::NEG_INFINITY),
+                open(cuts.min_y, rect.min_y, f64::NEG_INFINITY),
+                open(cuts.max_x, rect.max_x, f64::INFINITY),
+                open(cuts.max_y, rect.max_y, f64::INFINITY),
+            ));
             return;
         }
         let left_shards = k / 2;
@@ -104,22 +127,38 @@ impl SpatialPartition {
         };
         let boundary = indices.partition_point(|&idx| coord(idx) < cut);
         let right_indices = indices.split_off(boundary);
-        let (left_rect, right_rect) = if split_x {
+        let (left_rect, right_rect, left_cuts, right_cuts) = if split_x {
             (
                 Rect::new(rect.min_x, rect.min_y, cut, rect.max_y),
                 Rect::new(cut, rect.min_y, rect.max_x, rect.max_y),
+                Cuts {
+                    max_x: true,
+                    ..cuts
+                },
+                Cuts {
+                    min_x: true,
+                    ..cuts
+                },
             )
         } else {
             (
                 Rect::new(rect.min_x, rect.min_y, rect.max_x, cut),
                 Rect::new(rect.min_x, cut, rect.max_x, rect.max_y),
+                Cuts {
+                    max_y: true,
+                    ..cuts
+                },
+                Cuts {
+                    min_y: true,
+                    ..cuts
+                },
             )
         };
-        self.split(dataset, indices, left_rect, left_shards);
-        self.split(dataset, right_indices, right_rect, right_shards);
+        self.split(dataset, indices, left_rect, left_cuts, left_shards);
+        self.split(dataset, right_indices, right_rect, right_cuts, right_shards);
     }
 
-    /// The shard regions, tiling the dataset extent.
+    /// The shard regions, tiling the plane.
     pub fn regions(&self) -> &[Rect] {
         &self.regions
     }
@@ -129,30 +168,25 @@ impl SpatialPartition {
         self.regions.len()
     }
 
-    /// The shard owning each object, indexed like the dataset.
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
+    /// The shard owning point `p`.
+    ///
+    /// A region owns the points of its half-open extent
+    /// `[min_x, max_x) × [min_y, max_y)` — the at-or-above cut rule — with
+    /// its infinite outer edges closed, so every finite or infinite point
+    /// has exactly one owner.  A point with a NaN coordinate lies in no
+    /// region; it routes to the last one.
+    pub fn route(&self, p: &Point) -> usize {
+        self.regions
+            .iter()
+            .position(|r| owns(r, p))
+            .unwrap_or(self.regions.len() - 1)
     }
+}
 
-    /// The shard owning object `idx`.
-    pub fn shard_of(&self, idx: usize) -> usize {
-        self.assignment[idx]
-    }
-
-    /// Materialises one sub-dataset per shard, preserving the original
-    /// object order within each shard (which keeps aggregate accumulation
-    /// deterministic).
-    pub fn sub_datasets(&self, dataset: &Dataset) -> Vec<Dataset> {
-        let mut buckets: Vec<Vec<crate::SpatialObject>> =
-            (0..self.shard_count()).map(|_| Vec::new()).collect();
-        for (idx, object) in dataset.iter() {
-            buckets[self.assignment[idx]].push(object.clone());
-        }
-        buckets
-            .into_iter()
-            .map(|objects| Dataset::new_unchecked(dataset.schema().clone(), objects))
-            .collect()
-    }
+/// Whether region `r` owns point `p` (see [`SpatialPartition::route`]).
+fn owns(r: &Rect, p: &Point) -> bool {
+    let below = |v: f64, max: f64| v < max || max == f64::INFINITY;
+    r.min_x <= p.x && r.min_y <= p.y && below(p.x, r.max_x) && below(p.y, r.max_y)
 }
 
 #[cfg(test)]
@@ -161,8 +195,27 @@ mod tests {
     use crate::gen::{TweetGenerator, UniformGenerator};
     use crate::{DatasetBuilder, Schema};
 
+    /// Objects per region, by routing.
+    fn counts(partition: &SpatialPartition, ds: &Dataset) -> Vec<usize> {
+        let mut counts = vec![0; partition.shard_count()];
+        for o in ds.objects() {
+            counts[partition.route(&o.location)] += 1;
+        }
+        counts
+    }
+
+    /// Asserts the routing contract at `p`: exactly one region owns it,
+    /// and `route` names that region.
+    fn assert_one_owner(partition: &SpatialPartition, p: Point, label: &str) {
+        let owners: Vec<usize> = (0..partition.shard_count())
+            .filter(|&i| owns(&partition.regions()[i], &p))
+            .collect();
+        assert_eq!(owners.len(), 1, "{label}: {p} owned by {owners:?}");
+        assert_eq!(partition.route(&p), owners[0], "{label}: {p}");
+    }
+
     /// Seeded sweep standing in for a property test: disjoint interiors,
-    /// exact cover of the extent, and a unique shard per object.
+    /// unbounded outer edges, and a unique owner per object.
     #[test]
     fn partitions_are_disjoint_cover_the_extent_and_assign_uniquely() {
         for seed in 0..5u64 {
@@ -170,50 +223,115 @@ mod tests {
             for shards in [1, 2, 3, 4, 7, 8] {
                 let partition = SpatialPartition::build(&ds, shards);
                 assert_eq!(partition.shard_count(), shards);
-                let extent = ds.bounding_box().unwrap();
-                // Regions stay inside the extent and tile it: areas add up
-                // and interiors are pairwise disjoint.
-                let mut area = 0.0;
-                for r in partition.regions() {
-                    assert!(extent.contains_rect(r), "{r} outside {extent}");
-                    area += r.area();
-                }
-                assert!(
-                    (area - extent.area()).abs() <= 1e-6 * extent.area().max(1.0),
-                    "shards={shards}: areas {area} != extent {}",
-                    extent.area()
-                );
-                for (i, a) in partition.regions().iter().enumerate() {
-                    for b in partition.regions().iter().skip(i + 1) {
+                let regions = partition.regions();
+                for (i, a) in regions.iter().enumerate() {
+                    for b in regions.iter().skip(i + 1) {
                         assert!(!a.interiors_intersect(b), "{a} overlaps {b}");
                     }
                 }
-                // Every object is assigned to exactly one shard and lies in
-                // that shard's (closed) region.
-                for (idx, o) in ds.iter() {
-                    let shard = partition.shard_of(idx);
-                    assert!(shard < shards);
-                    assert!(
-                        partition.regions()[shard].contains_point(&o.location),
-                        "object {idx} at {} not in region {}",
-                        o.location,
-                        partition.regions()[shard]
-                    );
+                // The outer edges are unbounded on every side.
+                for (edge, infinite) in [
+                    (
+                        regions
+                            .iter()
+                            .map(|r| r.min_x)
+                            .fold(f64::INFINITY, f64::min),
+                        f64::NEG_INFINITY,
+                    ),
+                    (
+                        regions
+                            .iter()
+                            .map(|r| r.min_y)
+                            .fold(f64::INFINITY, f64::min),
+                        f64::NEG_INFINITY,
+                    ),
+                    (
+                        regions
+                            .iter()
+                            .map(|r| r.max_x)
+                            .fold(f64::NEG_INFINITY, f64::max),
+                        f64::INFINITY,
+                    ),
+                    (
+                        regions
+                            .iter()
+                            .map(|r| r.max_y)
+                            .fold(f64::NEG_INFINITY, f64::max),
+                        f64::INFINITY,
+                    ),
+                ] {
+                    assert_eq!(edge, infinite, "shards={shards}");
                 }
-                // Sub-datasets recover the whole dataset, in order.
-                let subs = partition.sub_datasets(&ds);
-                let total: usize = subs.iter().map(Dataset::len).sum();
-                assert_eq!(total, ds.len());
-                for (shard, sub) in subs.iter().enumerate() {
-                    let mut expected = ds
-                        .iter()
-                        .filter(|(idx, _)| partition.shard_of(*idx) == shard)
-                        .map(|(_, o)| o.id);
-                    for o in sub.objects() {
-                        assert_eq!(Some(o.id), expected.next(), "order preserved");
+                // Every object has one owner, whose region contains it.
+                for o in ds.objects() {
+                    assert_one_owner(&partition, o.location, "object");
+                    assert!(regions[partition.route(&o.location)].contains_point(&o.location));
+                }
+                assert_eq!(counts(&partition, &ds).iter().sum::<usize>(), ds.len());
+            }
+        }
+    }
+
+    /// The routing contract: every point of the plane — objects, points on
+    /// cut lines and region corners, and points outside the seed extent —
+    /// routes to exactly one region, for empty, collinear and
+    /// duplicate-point seeds as well as ordinary ones.
+    #[test]
+    fn every_point_routes_to_exactly_one_region() {
+        let uniform = UniformGenerator::default().generate(60, 5);
+        let mut b = DatasetBuilder::new(Schema::empty());
+        for i in 0..12 {
+            b.push(i as f64, 5.0, vec![]);
+        }
+        let collinear = b.build().unwrap();
+        let mut b = DatasetBuilder::new(Schema::empty());
+        for _ in 0..10 {
+            b.push(3.0, 4.0, vec![]);
+        }
+        let duplicates = b.build().unwrap();
+        let empty = Dataset::new_unchecked(Schema::empty(), vec![]);
+        for (name, ds) in [
+            ("uniform", &uniform),
+            ("collinear", &collinear),
+            ("duplicates", &duplicates),
+            ("empty", &empty),
+        ] {
+            for k in [1, 2, 4, 7] {
+                let partition = SpatialPartition::build(ds, k);
+                let label = format!("{name}, k={k}");
+                let extent = ds
+                    .bounding_box()
+                    .unwrap_or_else(|| Rect::new(0.0, 0.0, 0.0, 0.0));
+                // Every finite region edge value, plus the extent's edges
+                // and points beyond them, on both axes.
+                let mut xs = vec![
+                    extent.min_x - 50.0,
+                    extent.min_x,
+                    extent.max_x,
+                    extent.max_x + 50.0,
+                ];
+                let mut ys = vec![
+                    extent.min_y - 50.0,
+                    extent.min_y,
+                    extent.max_y,
+                    extent.max_y + 50.0,
+                ];
+                for r in partition.regions() {
+                    xs.extend([r.min_x, r.max_x].into_iter().filter(|v| v.is_finite()));
+                    ys.extend([r.min_y, r.max_y].into_iter().filter(|v| v.is_finite()));
+                }
+                xs.extend([f64::NEG_INFINITY, f64::INFINITY]);
+                ys.extend([f64::NEG_INFINITY, f64::INFINITY]);
+                for &x in &xs {
+                    for &y in &ys {
+                        assert_one_owner(&partition, Point::new(x, y), &label);
                     }
-                    assert!(expected.next().is_none());
                 }
+                for o in ds.objects() {
+                    assert_one_owner(&partition, o.location, &label);
+                }
+                // A NaN coordinate has no owner but still routes.
+                assert_eq!(partition.route(&Point::new(f64::NAN, 0.0)), k - 1);
             }
         }
     }
@@ -222,12 +340,11 @@ mod tests {
     fn clustered_data_stays_balanced() {
         let ds = TweetGenerator::compact(8).generate(400, 11);
         let partition = SpatialPartition::build(&ds, 4);
-        let subs = partition.sub_datasets(&ds);
-        for sub in &subs {
+        for count in counts(&partition, &ds) {
             // Median splits keep every shard within a factor of the ideal
             // quarter even on clustered data.
-            assert!(sub.len() >= 40, "shard holds only {} of 400", sub.len());
-            assert!(sub.len() <= 200);
+            assert!(count >= 40, "shard holds only {count} of 400");
+            assert!(count <= 200);
         }
     }
 
@@ -241,11 +358,8 @@ mod tests {
         let ds = b.build().unwrap();
         let partition = SpatialPartition::build(&ds, 4);
         assert_eq!(partition.shard_count(), 4);
-        let owners: std::collections::HashSet<usize> =
-            partition.assignment().iter().copied().collect();
-        assert_eq!(owners.len(), 1, "duplicates all land in one shard");
-        let subs = partition.sub_datasets(&ds);
-        assert_eq!(subs.iter().map(Dataset::len).sum::<usize>(), 10);
+        let populated = counts(&partition, &ds).iter().filter(|&&c| c > 0).count();
+        assert_eq!(populated, 1, "duplicates all land in one shard");
 
         // Single-axis (collinear) dataset.
         let mut b = DatasetBuilder::new(Schema::empty());
@@ -254,8 +368,8 @@ mod tests {
         }
         let ds = b.build().unwrap();
         let partition = SpatialPartition::build(&ds, 3);
-        for (idx, o) in ds.iter() {
-            assert!(partition.regions()[partition.shard_of(idx)].contains_point(&o.location));
+        for o in ds.objects() {
+            assert!(partition.regions()[partition.route(&o.location)].contains_point(&o.location));
         }
 
         // More shards than objects: the extras are simply empty.
@@ -266,15 +380,13 @@ mod tests {
         let ds = b.build().unwrap();
         let partition = SpatialPartition::build(&ds, 7);
         assert_eq!(partition.shard_count(), 7);
-        let subs = partition.sub_datasets(&ds);
-        assert_eq!(subs.iter().map(Dataset::len).sum::<usize>(), 5);
-        assert!(subs.iter().any(Dataset::is_empty));
+        let counts = counts(&partition, &ds);
+        assert_eq!(counts.iter().sum::<usize>(), 5);
+        assert!(counts.contains(&0));
 
         // Empty dataset.
         let empty = Dataset::new_unchecked(Schema::empty(), vec![]);
-        let partition = SpatialPartition::build(&empty, 3);
-        assert_eq!(partition.shard_count(), 3);
-        assert!(partition.assignment().is_empty());
+        assert_eq!(SpatialPartition::build(&empty, 3).shard_count(), 3);
 
         // Zero shards clamps to one.
         assert_eq!(SpatialPartition::build(&empty, 0).shard_count(), 1);

@@ -1386,8 +1386,8 @@ fn render_manifest(graph: &Graph) -> String {
          `cargo run -p asrs-lint` (and CI) against the scanned sources.  Any diff\n\
          here is a lock-graph change and deserves the same review as an API\n\
          change.  The dynamic half of this contract is enforced by\n\
-         `cargo test -p asrs-core --features model --test model`, whose declared\n\
-         order mirrors the edges below.\n\n",
+         `cargo test -p asrs-core --features model --test model`, which reads its\n\
+         declared order from the edge table below.\n\n",
     );
     out.push_str("## Locks\n\n| lock | kind | sites | files |\n|---|---|---|---|\n");
     for (id, (kind, sites, files)) in &graph.locks {

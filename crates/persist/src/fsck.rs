@@ -12,9 +12,9 @@
 //! 1. **Per-snapshot** ([`check_snapshot_file`]) — fixed framing, magic,
 //!    version, payload CRC-32, then a full payload decode through the same
 //!    [`decode_payload`](crate::snapshot) the boot path uses, which
-//!    enforces column lengths, index base-table shape and shard-position
-//!    bounds.  The generation in the file name must match the one in the
-//!    payload.
+//!    bounds every declared length by the bytes remaining and checks the
+//!    index's rectangle and base-table shape.  The generation in the file
+//!    name must match the one in the payload.
 //! 2. **Per-WAL** ([`check_wal_file`]) — header magic/version, then a
 //!    frame-by-frame walk distinguishing a *torn tail* (an incomplete
 //!    final frame: the expected crash artifact, a warning) from *corrupt
@@ -60,9 +60,6 @@ pub enum FsckCategory {
     BadVersion,
     /// A stored CRC-32 does not match the recomputed one.
     ChecksumMismatch,
-    /// A snapshot shard references an object position outside the main
-    /// dataset's columns.
-    ShardPositionOutOfBounds,
     /// Bytes remain after the payload fully decoded.
     TrailingBytes,
     /// The payload does not decode as its declared version.
@@ -291,13 +288,14 @@ pub fn check_snapshot_file(path: &Path) -> Result<SnapshotCheck, PersistError> {
         return Ok(check);
     }
     let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != snapshot::VERSION {
+    if !(snapshot::OLDEST_VERSION..=snapshot::VERSION).contains(&version) {
         check.findings.push(FsckFinding::new(
             &file,
             FsckCategory::BadVersion,
             Severity::Error,
             format!(
-                "format version {version}; this build reads version {}",
+                "format version {version}; this build reads versions {} to {}",
+                snapshot::OLDEST_VERSION,
                 snapshot::VERSION
             ),
         ));
@@ -324,9 +322,9 @@ pub fn check_snapshot_file(path: &Path) -> Result<SnapshotCheck, PersistError> {
 
     // The checksum verifies, so the payload is what was written; now the
     // content itself must decode.  This is the exact decoder the boot path
-    // runs, so every column-length and shard-position bound it enforces is
-    // enforced here.
-    match snapshot::decode_payload(payload, path) {
+    // runs, so every length bound and shape check it enforces is enforced
+    // here.
+    match snapshot::decode_payload(payload, version, path) {
         Ok(state) => {
             check.payload_generation = Some(state.generation);
             if name_generation != Some(state.generation) {
@@ -342,9 +340,7 @@ pub fn check_snapshot_file(path: &Path) -> Result<SnapshotCheck, PersistError> {
             }
         }
         Err(PersistError::Corrupt { message, .. }) => {
-            let category = if message.contains("out of range") {
-                FsckCategory::ShardPositionOutOfBounds
-            } else if message.contains("trailing payload bytes") {
+            let category = if message.contains("trailing payload bytes") {
                 FsckCategory::TrailingBytes
             } else {
                 FsckCategory::PayloadDecode

@@ -5,8 +5,10 @@
 //!
 //! * **Columnar snapshots** ([`snapshot`]) — a versioned, checksummed file
 //!   capturing one engine generation: the dataset's columns plus the grid
-//!   index base tables, per shard.  Loading one restores the engine
-//!   *without re-indexing*, so boot cost is file-read cost; the restored
+//!   index base table.  Loading one restores the engine *without
+//!   re-indexing* (a sharded engine partitions the restored dataset,
+//!   which costs one sort per split), so boot cost is close to file-read
+//!   cost; the restored
 //!   engine answers every query byte-identically to the one that wrote
 //!   the snapshot.
 //! * **A write-ahead log** ([`wal`]) — length-prefixed, CRC-framed

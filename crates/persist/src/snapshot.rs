@@ -1,29 +1,33 @@
 //! The columnar snapshot format: one versioned, checksummed file per
 //! engine generation, loadable without re-indexing.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! ```text
 //! [4]  magic  b"ASNP"
-//! [4]  format version, little-endian u32 (currently 1)
+//! [4]  format version, little-endian u32 (currently 2)
 //! [..] payload (below)
 //! [4]  CRC-32 of the payload
 //! ```
 //!
 //! The payload is column-oriented throughout (see
 //! [`asrs_data::columnar`]): the generation number, the full dataset
-//! (schema + id/x/y/attribute columns), the optional whole-dataset grid
-//! index, and — for sharded engines — one section per shard.  Two
-//! representation choices keep the file small without costing bit
-//! fidelity:
+//! (schema + id/x/y/attribute columns) and the optional whole-dataset grid
+//! index.  Only the index's per-cell *base* table is stored; the suffix
+//! tables are a deterministic pure function of it and are recomputed on
+//! load ([`asrs_core::GridIndex::from_base_table`]), which halves the index
+//! bytes while staying bit-identical.
 //!
-//! * **Index tables**: only the per-cell *base* table is stored; the
-//!   suffix tables are a deterministic pure function of it and are
-//!   recomputed on load ([`asrs_core::GridIndex::from_base_table`]), which
-//!   halves the index bytes while staying bit-identical.
-//! * **Shard datasets**: each shard stores the *positions* of its objects
-//!   in the main dataset (in shard order), not the objects themselves —
-//!   the objects already travel once in the main columns.
+//! The image carries no shard layout: a sharded engine partitions the
+//! restored dataset at boot, so an image restores into any shard count.
+//! Version 1 is the same payload followed by a shard section (per-shard
+//! regions, object positions and indexes); this build still reads it and
+//! skips that section, which boot recomputes anyway.
+//!
+//! Decoding never trusts the payload: every declared length is bounded by
+//! the bytes that remain, and rectangles must be ordered and NaN-free, so
+//! a damaged file whose checksum happens to verify is reported as corrupt
+//! instead of crashing the reader.
 //!
 //! Snapshot files are named `snapshot-<generation:016x>.snap`, written to
 //! a temporary sibling, fsync'd and renamed into place, then the directory
@@ -33,10 +37,9 @@
 
 use crate::crc::crc32;
 use crate::error::PersistError;
-use asrs_core::{AsrsError, EngineState, GridIndex, ShardState};
-use asrs_data::columnar::{self, Reader};
+use asrs_core::{EngineState, GridIndex};
+use asrs_data::columnar::{self, ColumnarError, Reader};
 use asrs_geo::{GridSpec, Rect};
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -45,7 +48,9 @@ use std::sync::Arc;
 /// File magic of the snapshot format.
 pub(crate) const MAGIC: [u8; 4] = *b"ASNP";
 /// Current format version.
-pub(crate) const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 2;
+/// The oldest format version this build reads.
+pub(crate) const OLDEST_VERSION: u32 = 1;
 
 /// A snapshot file on disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,13 +82,15 @@ fn put_rect(out: &mut Vec<u8>, rect: &Rect) {
     columnar::put_f64(out, rect.max_y);
 }
 
-fn read_rect(reader: &mut Reader<'_>) -> Result<Rect, asrs_data::columnar::ColumnarError> {
-    Ok(Rect::new(
-        reader.f64()?,
-        reader.f64()?,
-        reader.f64()?,
-        reader.f64()?,
-    ))
+fn read_rect(reader: &mut Reader<'_>) -> Result<Rect, ColumnarError> {
+    let [min_x, min_y, max_x, max_y] = [reader.f64()?, reader.f64()?, reader.f64()?, reader.f64()?];
+    // `!(a <= b)` also rejects NaN, which `Rect::new` would panic on.
+    if !(min_x <= max_x && min_y <= max_y) {
+        return Err(ColumnarError::new(format!(
+            "invalid rectangle [{min_x}, {max_x}] x [{min_y}, {max_y}]"
+        )));
+    }
+    Ok(Rect::new(min_x, min_y, max_x, max_y))
 }
 
 fn put_index(out: &mut Vec<u8>, index: Option<&GridIndex>) {
@@ -105,7 +112,7 @@ fn put_index(out: &mut Vec<u8>, index: Option<&GridIndex>) {
 }
 
 fn read_index(reader: &mut Reader<'_>, path: &Path) -> Result<Option<GridIndex>, PersistError> {
-    let decode = |e: asrs_data::columnar::ColumnarError| PersistError::corrupt(path, e.to_string());
+    let decode = |e: ColumnarError| PersistError::corrupt(path, e.to_string());
     if reader.u8().map_err(decode)? == 0 {
         return Ok(None);
     }
@@ -114,7 +121,22 @@ fn read_index(reader: &mut Reader<'_>, path: &Path) -> Result<Option<GridIndex>,
     let rows = reader.u64().map_err(decode)? as usize;
     let stats_dim = reader.u64().map_err(decode)? as usize;
     let objects_indexed = reader.u64().map_err(decode)? as usize;
-    let len = reader.u64().map_err(decode)? as usize;
+    let len = reader.len(8).map_err(decode)?;
+    // `GridSpec::new` panics on an empty grid, and `from_base_table`
+    // multiplies the shape out unchecked.
+    let sized = cols > 0
+        && rows > 0
+        && cols
+            .checked_add(1)
+            .zip(rows.checked_add(1))
+            .and_then(|(c, r)| c.checked_mul(r)?.checked_mul(stats_dim))
+            .is_some();
+    if !sized {
+        return Err(PersistError::corrupt(
+            path,
+            format!("index grid {cols}x{rows} with {stats_dim} stats dims has no valid size"),
+        ));
+    }
     let mut base = Vec::with_capacity(len);
     for _ in 0..len {
         base.push(reader.f64().map_err(decode)?);
@@ -125,89 +147,29 @@ fn read_index(reader: &mut Reader<'_>, path: &Path) -> Result<Option<GridIndex>,
         .map_err(PersistError::Engine)
 }
 
-/// Serializes `state` into the version-1 snapshot payload.
-fn encode_payload(state: &EngineState) -> Result<Vec<u8>, PersistError> {
+/// Serializes `state` into the version-2 snapshot payload.
+fn encode_payload(state: &EngineState) -> Vec<u8> {
     let mut out = Vec::new();
     columnar::put_u64(&mut out, state.generation);
     columnar::encode_dataset(&state.dataset, &mut out);
     put_index(&mut out, state.index.as_deref());
-    match &state.shards {
-        None => columnar::put_u8(&mut out, 0),
-        Some(shards) => {
-            columnar::put_u8(&mut out, 1);
-            columnar::put_u64(&mut out, shards.len() as u64);
-            // Shard objects are stored as positions into the main columns.
-            let by_id: HashMap<u64, usize> = state
-                .dataset
-                .iter()
-                .map(|(i, o)| (o.id, i))
-                .collect();
-            for shard in shards {
-                put_rect(&mut out, &shard.region);
-                columnar::put_u64(&mut out, shard.dataset.len() as u64);
-                for o in shard.dataset.objects() {
-                    let position = match by_id.get(&o.id) {
-                        Some(&i) if *state.dataset.object(i) == *o => i,
-                        // Defensive: an id collision or divergent copy
-                        // would silently snapshot the wrong object.
-                        _ => {
-                            return Err(PersistError::Engine(AsrsError::Persistence {
-                                message: format!(
-                                    "shard object {} has no identical twin in the main dataset",
-                                    o.id
-                                ),
-                            }))
-                        }
-                    };
-                    columnar::put_u64(&mut out, position as u64);
-                }
-                put_index(&mut out, shard.index.as_deref());
-            }
-        }
-    }
-    Ok(out)
+    out
 }
 
-/// Deserializes a version-1 payload back into an [`EngineState`].
-pub(crate) fn decode_payload(payload: &[u8], path: &Path) -> Result<EngineState, PersistError> {
-    let decode = |e: asrs_data::columnar::ColumnarError| PersistError::corrupt(path, e.to_string());
+/// Deserializes a payload of format `version` back into an
+/// [`EngineState`].  A version-1 payload's trailing shard section is
+/// skipped: its checksum already verified, and boot re-partitions.
+pub(crate) fn decode_payload(
+    payload: &[u8],
+    version: u32,
+    path: &Path,
+) -> Result<EngineState, PersistError> {
+    let decode = |e: ColumnarError| PersistError::corrupt(path, e.to_string());
     let mut reader = Reader::new(payload);
     let generation = reader.u64().map_err(decode)?;
     let dataset = Arc::new(columnar::decode_dataset(&mut reader).map_err(decode)?);
     let index = read_index(&mut reader, path)?.map(Arc::new);
-    let shards = if reader.u8().map_err(decode)? == 0 {
-        None
-    } else {
-        let count = reader.u64().map_err(decode)? as usize;
-        let mut shards = Vec::with_capacity(count);
-        for _ in 0..count {
-            let region = read_rect(&mut reader).map_err(decode)?;
-            let len = reader.u64().map_err(decode)? as usize;
-            let mut shard_objects = Vec::with_capacity(len);
-            for _ in 0..len {
-                let position = reader.u64().map_err(decode)? as usize;
-                if position >= dataset.len() {
-                    return Err(PersistError::corrupt(
-                        path,
-                        format!("shard object position {position} out of range"),
-                    ));
-                }
-                shard_objects.push(dataset.object(position).clone());
-            }
-            let shard_dataset = Arc::new(asrs_data::Dataset::new_unchecked(
-                dataset.schema().clone(),
-                shard_objects,
-            ));
-            let shard_index = read_index(&mut reader, path)?.map(Arc::new);
-            shards.push(ShardState {
-                region,
-                dataset: shard_dataset,
-                index: shard_index,
-            });
-        }
-        Some(shards)
-    };
-    if reader.remaining() != 0 {
+    if version == VERSION && reader.remaining() != 0 {
         return Err(PersistError::corrupt(
             path,
             format!("{} trailing payload bytes", reader.remaining()),
@@ -217,14 +179,13 @@ pub(crate) fn decode_payload(payload: &[u8], path: &Path) -> Result<EngineState,
         generation,
         dataset,
         index,
-        shards,
     })
 }
 
 /// Writes a snapshot of `state` into `dir` (atomically: temporary file,
 /// fsync, rename, directory fsync) and returns its description.
 pub fn write_snapshot(dir: &Path, state: &EngineState) -> Result<SnapshotFile, PersistError> {
-    let payload = encode_payload(state)?;
+    let payload = encode_payload(state);
     let mut bytes = Vec::with_capacity(payload.len() + 12);
     bytes.extend_from_slice(&MAGIC);
     bytes.extend_from_slice(&VERSION.to_le_bytes());
@@ -270,7 +231,7 @@ pub fn read_snapshot(path: &Path) -> Result<EngineState, PersistError> {
         return Err(PersistError::corrupt(path, "bad magic"));
     }
     let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != VERSION {
+    if !(OLDEST_VERSION..=VERSION).contains(&version) {
         return Err(PersistError::corrupt(
             path,
             format!("unsupported format version {version}"),
@@ -291,7 +252,7 @@ pub fn read_snapshot(path: &Path) -> Result<EngineState, PersistError> {
             format!("checksum mismatch: stored {stored:08x}, computed {computed:08x}"),
         ));
     }
-    decode_payload(payload, path)
+    decode_payload(payload, version, path)
 }
 
 /// Lists the snapshot files in `dir`, newest generation first.
@@ -394,20 +355,6 @@ mod tests {
                 (Some(a), Some(b)) => assert_eq!(a.base_table(), b.base_table()),
                 (None, None) => {}
                 _ => panic!("index presence must round-trip"),
-            }
-            assert_eq!(
-                loaded.shards.as_ref().map(Vec::len),
-                state.shards.as_ref().map(Vec::len)
-            );
-            if let (Some(a), Some(b)) = (&loaded.shards, &state.shards) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.region, y.region);
-                    assert!(x.dataset.objects().eq(y.dataset.objects()));
-                    assert_eq!(
-                        x.index.as_ref().map(|i| i.base_table().to_vec()),
-                        y.index.as_ref().map(|i| i.base_table().to_vec())
-                    );
-                }
             }
             let _ = fs::remove_dir_all(&dir);
         }

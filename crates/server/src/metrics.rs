@@ -350,7 +350,7 @@ pub struct MetricsSnapshot {
     pub persistence: Option<PersistStats>,
     /// Generational-engine mutation counters: generation number, applied
     /// appends/removals/expiries, incremental index updates vs rebuilds,
-    /// shard re-partitions, pending TTLs.
+    /// pending TTLs.
     pub mutations: MutationStats,
     /// Merged statistics of every successful query; `cache_hits` /
     /// `cache_misses` mirror the cache counters above.

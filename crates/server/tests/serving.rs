@@ -376,3 +376,30 @@ fn audit_endpoint_reports_clean_state_over_the_wire() {
     drop(client);
     server.shutdown();
 }
+
+/// A body nested past the JSON depth limit is a client error, not a stack
+/// overflow: every JSON route answers 400, and the same connection then
+/// serves a valid request.
+#[test]
+fn deeply_nested_bodies_are_rejected_and_the_server_keeps_serving() {
+    let engine = engine(0);
+    let server = start(&engine);
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let deep = "[".repeat(200_000);
+    for (method, path) in [
+        ("POST", "/query"),
+        ("POST", "/append"),
+        ("POST", "/append_batch"),
+    ] {
+        let (status, body) = client.request(method, path, &deep).unwrap();
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains("nesting deeper"), "{path}: {body}");
+    }
+    let request = QueryRequest::similar(sample_query(1));
+    let (status, body) = client
+        .request("POST", "/query", &serde::json::to_string(&request))
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    drop(client);
+    server.shutdown();
+}

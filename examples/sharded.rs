@@ -26,7 +26,7 @@ fn main() {
         .build()
         .expect("baseline builds");
 
-    // 3. The sharded engine: 4 spatial shards, one core + grid index each.
+    // 3. The sharded engine: 4 spatial regions over the same instance.
     let sharded = AsrsEngine::builder(dataset.clone(), aggregator)
         .shards(4)
         .build_index(24, 24)

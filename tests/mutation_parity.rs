@@ -12,9 +12,9 @@
 //! The comparison form is the same one `tests/shard_parity.rs`
 //! established for space: [`QueryResponse::stats_stripped`] serialized to
 //! JSON and compared as raw bytes.  Statistics are exempt (they describe
-//! the execution that ran: a mutated engine's shard layout legitimately
-//! differs from a re-partitioned rebuild's, and shard layout never affects
-//! answers).
+//! the execution that ran: a mutated engine keeps the shard layout of its
+//! seed, which legitimately differs from a rebuild's fresh partition, and
+//! shard layout never affects answers).
 
 use asrs_suite::prelude::*;
 
@@ -137,7 +137,7 @@ fn build_engine(ds: Dataset, agg: CompositeAggregator, shards: usize, cache: usi
 
 /// One mutation drawn from the seeded stream.  Appends stay inside the
 /// original extent most of the time (incremental index maintenance), leave
-/// it occasionally (geometry rebuild / shard re-partition), and sometimes
+/// it occasionally (geometry rebuild), and sometimes
 /// carry a zero TTL followed by a sweep (expiry path).
 fn apply_random_mutation(
     engine: &AsrsEngine,
@@ -174,7 +174,7 @@ fn apply_random_mutation(
             assert_eq!(receipts[0].kind, "expire");
         }
         // Rare exterior append: moves the bounding box, forcing the
-        // geometry-rebuild (and, sharded, the re-partition) path.
+        // geometry-rebuild path.
         3 => {
             let id = *next_id;
             *next_id += 1;
@@ -274,10 +274,11 @@ fn mutated_engines_answer_like_fresh_rebuilds() {
                     assert_eq!(engine.statistics(), rebuilt.statistics(), "{name}");
                 }
             }
-            // The interleaving exercised the incremental path.
+            // The interleaving exercised the incremental path (sharded
+            // engines keep no index to maintain).
             let stats = engine.mutation_stats();
             assert!(
-                stats.incremental_index_updates > 0,
+                shards > 0 || stats.incremental_index_updates > 0,
                 "{name}, shards {shards}: no incremental maintenance ran: {stats:?}"
             );
             assert_eq!(
@@ -289,75 +290,57 @@ fn mutated_engines_answer_like_fresh_rebuilds() {
     }
 }
 
-/// Re-partition triggers: an append outside the partition extent and an
-/// imbalance past the policy factor must both re-partition — and parity
-/// with a rebuild must survive the re-partition.
+/// The partition's outer edges are unbounded, so appends at the extent's
+/// corners, on cut lines and far outside the seed extent all route to an
+/// existing region: the layout never changes, and a 3-shard engine still
+/// answers byte-identically to a rebuild from the final dataset.
 #[test]
-fn repartition_triggers_fire_and_keep_parity() {
+fn exterior_appends_keep_parity_with_fixed_regions() {
     let (ds, agg) = categorical_workload(120, 31);
     let bbox = ds.bounding_box().unwrap();
     let template = ds.object(0).clone();
-
-    // Exterior append re-partitions.
     let engine = build_engine(ds.clone(), agg.clone(), 3, 16);
-    let receipt = engine
-        .append(SpatialObject::new(
-            900_000,
-            Point::new(bbox.max_x + 30.0, bbox.max_y + 30.0),
-            template.values.clone(),
-        ))
-        .unwrap();
-    assert!(
-        receipt.repartitioned,
-        "an append outside the partition extent must re-partition"
-    );
+    let regions = engine.shard_regions().unwrap();
+    let cut = regions
+        .iter()
+        .map(|r| r.max_x)
+        .find(|x| x.is_finite())
+        .expect("a 3-way split has a finite cut");
 
-    // Imbalance re-partitions: a tight factor plus a stream of appends
-    // into one corner.
-    let tight = AsrsEngine::builder(ds.clone(), agg.clone())
-        .build_index(12, 12)
-        .shards(4)
-        .mutation_policy(MutationPolicy {
-            shard_imbalance_factor: 1.2,
-            ..Default::default()
-        })
-        .build()
-        .unwrap();
-    let mut repartitioned = false;
-    for i in 0..40 {
-        let receipt = tight
-            .append(SpatialObject::new(
-                910_000 + i,
-                Point::new(
-                    bbox.min_x + bbox.width() * 0.05,
-                    bbox.min_y + bbox.height() * 0.05,
-                ),
-                template.values.clone(),
-            ))
-            .unwrap();
-        repartitioned |= receipt.repartitioned;
-    }
-    assert!(
-        repartitioned,
-        "40 corner appends at factor 1.2 must unbalance some shard"
-    );
-    assert!(tight.mutation_stats().repartitions >= 1);
-
-    // Parity survives both re-partitions.
-    for (engine, label) in [(&engine, "exterior"), (&tight, "imbalance")] {
-        let rebuilt = build_engine(
-            (*engine.dataset()).clone(),
-            agg.clone(),
-            engine.shard_count(),
-            0,
-        );
+    let corners = [
+        Point::new(bbox.min_x, bbox.min_y),
+        Point::new(bbox.max_x, bbox.max_y),
+        Point::new(bbox.min_x, bbox.max_y),
+        Point::new(bbox.max_x, bbox.min_y),
+        Point::new(cut, bbox.min_y + bbox.height() * 0.5),
+    ];
+    let outside = [
+        Point::new(bbox.max_x + 30.0, bbox.max_y + 30.0),
+        Point::new(bbox.min_x - 25.0, bbox.min_y - 10.0),
+        Point::new(bbox.min_x - 5.0, bbox.max_y + 40.0),
+        Point::new(cut, bbox.min_y - 15.0),
+    ];
+    let mut next_id = 900_000;
+    for (label, points) in [("corner", &corners[..]), ("exterior", &outside[..])] {
+        for &p in points {
+            engine
+                .append(SpatialObject::new(next_id, p, template.values.clone()))
+                .unwrap();
+            next_id += 1;
+        }
+        assert_eq!(engine.shard_regions().unwrap(), regions, "{label}");
+        assert!(engine.audit().is_clean(), "{label}: {:?}", engine.audit());
+        let rebuilt = build_engine((*engine.dataset()).clone(), agg.clone(), 3, 0);
         for request in request_pool(&engine.dataset(), &agg, 5) {
-            assert_eq!(
-                canonical_bytes(&engine.submit(&request).unwrap()),
-                canonical_bytes(&rebuilt.submit(&request).unwrap()),
-                "{label}: {}",
-                request.operation_name()
-            );
+            let expected = canonical_bytes(&rebuilt.submit(&request).unwrap());
+            for pass in ["cold", "warm"] {
+                assert_eq!(
+                    canonical_bytes(&engine.submit(&request).unwrap()),
+                    expected,
+                    "{label}, {pass}: {}",
+                    request.operation_name()
+                );
+            }
         }
     }
 }
@@ -638,7 +621,6 @@ fn concurrent_mutations_coalesce_and_keep_parity() {
             let handle = engine.handle();
             let barrier = std::sync::Arc::clone(&barrier);
             let template = template.clone();
-            let bbox = bbox;
             joins.push(std::thread::spawn(move || {
                 let mut lcg = Lcg::new(9000 + round * 31 + t);
                 let mut mine: Vec<u64> = Vec::new();

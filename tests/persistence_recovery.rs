@@ -607,22 +607,221 @@ fn a_kill_between_batch_fsync_and_publish_replays_the_whole_batch() {
     }
 }
 
-/// Restore refuses a topology change: a snapshot taken at one shard count
-/// must not silently restore into a builder configured for another.
+/// A snapshot carries no shard layout: boot partitions the restored
+/// dataset for whatever shard count the builder asks for, so an image a
+/// 3-shard engine wrote (mutated past its seed) boots into a 2-shard
+/// builder and answers like the 3-shard survivor.  A sharded engine keeps
+/// no index, so the same image booted unsharded builds one and answers
+/// like a fresh unsharded build over the survivor's dataset.
 #[test]
-fn restore_rejects_a_mismatched_shard_count() {
-    let (ds, agg) = workload(100, 53);
-    let dir = temp_dir("mismatch", 2);
-    let persistent = engine_builder(ds.clone(), agg.clone(), 2, 0)
+fn a_three_shard_snapshot_boots_into_a_two_shard_builder() {
+    let (ds, agg) = workload(120, 53);
+    let bbox = ds.bounding_box().unwrap();
+    let template = ds.object(0).clone();
+    let dir = temp_dir("reshard", 3);
+    let survivor = engine_builder(ds.clone(), agg.clone(), 3, 0)
+        .build()
+        .unwrap();
+    let persistent = engine_builder(ds.clone(), agg.clone(), 3, 0)
         .persist_dir(&dir)
         .build()
         .unwrap();
+    let mut lcg = Lcg::new(4321);
+    let mut live_ids = Vec::new();
+    let mut next_id = 6_000_000u64;
+    for _ in 0..8 {
+        apply_mutation_to_both(
+            persistent.engine(),
+            &survivor,
+            &mut lcg,
+            &bbox,
+            &mut live_ids,
+            &mut next_id,
+            &template,
+        );
+    }
+    persistent.snapshot().unwrap();
     drop(persistent);
-    match engine_builder(ds, agg, 4, 0).persist_dir(&dir).build() {
-        Err(PersistError::Engine(AsrsError::Persistence { message })) => {
-            assert!(message.contains("shard"), "{message}");
-        }
-        other => panic!("expected a shard-count rejection, got {other:?}"),
+
+    let reopened = engine_builder(ds.clone(), agg.clone(), 2, 16)
+        .persist_dir(&dir)
+        .build()
+        .unwrap();
+    assert_eq!(reopened.engine().shard_count(), 2);
+    assert_eq!(reopened.boot().replayed_entries, 0);
+    assert_engines_agree(reopened.engine(), &survivor, &agg, 23, "3 -> 2 shards");
+    drop(reopened);
+
+    let unsharded = engine_builder(ds, agg.clone(), 0, 16)
+        .persist_dir(&dir)
+        .build()
+        .unwrap();
+    assert_eq!(unsharded.engine().shard_count(), 0);
+    assert_eq!(unsharded.engine().generation(), survivor.generation());
+    assert!(unsharded
+        .engine()
+        .dataset()
+        .objects()
+        .eq(survivor.dataset().objects()));
+    let fresh = engine_builder((*survivor.dataset()).clone(), agg.clone(), 0, 0)
+        .build()
+        .unwrap();
+    for request in request_pool(&survivor.dataset(), &agg, 23) {
+        assert_eq!(
+            canonical_bytes(&unsharded.engine().submit(&request).unwrap()),
+            canonical_bytes(&fresh.submit(&request).unwrap()),
+            "3 -> 0 shards, {}: diverged from a fresh unsharded build",
+            request.operation_name()
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the `ASNP` v2 snapshot at `path` as a version-1 file: the same
+/// payload followed by a shard section (one shard listing every object
+/// position, no shard index), with the checksum recomputed.
+fn rewrite_as_version_one(path: &std::path::Path) {
+    let bytes = std::fs::read(path).unwrap();
+    assert_eq!(&bytes[4..8], &2u32.to_le_bytes());
+    let mut payload = bytes[8..bytes.len() - 4].to_vec();
+    let objects = payload_object_count(&payload);
+    payload.push(1);
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    for edge in [
+        f64::NEG_INFINITY,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        f64::INFINITY,
+    ] {
+        payload.extend_from_slice(&edge.to_bits().to_le_bytes());
+    }
+    payload.extend_from_slice(&objects.to_le_bytes());
+    for position in 0..objects {
+        payload.extend_from_slice(&position.to_le_bytes());
+    }
+    payload.push(0);
+    let mut v1 = b"ASNP".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&payload);
+    v1.extend_from_slice(&asrs_persist::crc::crc32(&payload).to_le_bytes());
+    std::fs::write(path, v1).unwrap();
+}
+
+/// The object count of a v2 payload: after the generation and the
+/// length-prefixed schema JSON.
+fn payload_object_count(payload: &[u8]) -> u64 {
+    let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    let schema_len = u64_at(8) as usize;
+    u64_at(16 + schema_len)
+}
+
+/// Version 1 of the snapshot format ended in a shard section.  A v1 file
+/// must still boot — its shard section skipped, the layout recomputed —
+/// rather than be passed over as corrupt, which would roll the engine
+/// back to its seed once the WAL had been compacted.
+#[test]
+fn a_version_one_snapshot_still_boots() {
+    let (ds, agg) = workload(120, 59);
+    let bbox = ds.bounding_box().unwrap();
+    let template = ds.object(0).clone();
+    let dir = temp_dir("v1", 3);
+    let survivor = engine_builder(ds.clone(), agg.clone(), 3, 0)
+        .build()
+        .unwrap();
+    let persistent = engine_builder(ds.clone(), agg.clone(), 3, 0)
+        .persist_dir(&dir)
+        .build()
+        .unwrap();
+    let mut lcg = Lcg::new(8765);
+    let mut live_ids = Vec::new();
+    let mut next_id = 7_000_000u64;
+    for _ in 0..8 {
+        apply_mutation_to_both(
+            persistent.engine(),
+            &survivor,
+            &mut lcg,
+            &bbox,
+            &mut live_ids,
+            &mut next_id,
+            &template,
+        );
+    }
+    let report = persistent.snapshot().unwrap();
+    assert_eq!(report.wal_entries, 0, "the snapshot compacts the whole log");
+    drop(persistent);
+
+    let path = dir.join(format!("snapshot-{:016x}.snap", survivor.generation()));
+    rewrite_as_version_one(&path);
+    assert!(asrs_persist::check_snapshot_file(&path)
+        .unwrap()
+        .findings
+        .is_empty());
+
+    let reopened = engine_builder(ds, agg.clone(), 3, 16)
+        .persist_dir(&dir)
+        .build()
+        .unwrap();
+    assert_eq!(
+        reopened.boot().snapshot_generation,
+        Some(survivor.generation())
+    );
+    assert_engines_agree(reopened.engine(), &survivor, &agg, 29, "v1 snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The decoders take an object location as written, so an append the
+/// engine acknowledged at a NaN location cannot make its WAL frame or a
+/// later snapshot unreadable — which would truncate the log from that
+/// frame on, or pass the snapshot over, and lose acknowledged writes.
+#[test]
+fn a_nan_located_append_survives_reboots() {
+    for shards in [0, 2] {
+        let (ds, agg) = workload(80, 61);
+        let template = ds.object(0).clone();
+        let dir = temp_dir("nan", shards);
+        let reboot = || {
+            engine_builder(ds.clone(), agg.clone(), shards, 0)
+                .persist_dir(&dir)
+                .build()
+                .unwrap()
+        };
+        let persistent = reboot();
+        let located =
+            |id: u64, location: Point| SpatialObject::new(id, location, template.values.clone());
+        persistent
+            .engine()
+            .append(located(9_000_000, Point::new(f64::NAN, f64::NAN)))
+            .unwrap();
+        persistent
+            .engine()
+            .append(located(9_000_001, template.location))
+            .unwrap();
+        let generation = persistent.engine().generation();
+        drop(persistent);
+
+        let survived = |engine: &AsrsEngine, context: &str| {
+            assert_eq!(
+                engine.generation(),
+                generation,
+                "shards {shards}, {context}"
+            );
+            let dataset = engine.dataset();
+            let find = |id| dataset.objects().find(|o| o.id == id);
+            let nan = find(9_000_000).expect("the NaN-located object survives");
+            assert!(nan.location.x.is_nan() && nan.location.y.is_nan());
+            assert!(
+                find(9_000_001).is_some(),
+                "shards {shards}, {context}: the append after it survives"
+            );
+        };
+        let replayed = reboot();
+        assert_eq!(replayed.boot().replayed_entries, 2);
+        survived(replayed.engine(), "WAL replay");
+        replayed.snapshot().unwrap();
+        drop(replayed);
+        let restored = reboot();
+        assert_eq!(restored.boot().snapshot_generation, Some(generation));
+        survived(restored.engine(), "snapshot");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
