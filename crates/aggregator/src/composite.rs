@@ -367,8 +367,19 @@ impl CompositeAggregator {
     /// The average of an empty selection is defined as 0 (the paper leaves
     /// this case unspecified; 0 keeps the representation total).
     pub fn stats_to_features(&self, stats: &[f64]) -> FeatureVector {
-        debug_assert_eq!(stats.len(), self.stats_dim);
         let mut features = vec![0.0; self.feature_dim];
+        self.stats_to_features_into(stats, &mut features);
+        FeatureVector::new(features)
+    }
+
+    /// [`CompositeAggregator::stats_to_features`] into a caller-owned
+    /// buffer of length [`CompositeAggregator::feature_dim`]; every slot
+    /// is overwritten.  The search kernel evaluates each grid cell and
+    /// probe point this way and allocates a [`FeatureVector`] only for the
+    /// candidates it keeps.
+    pub fn stats_to_features_into(&self, stats: &[f64], features: &mut [f64]) {
+        debug_assert_eq!(stats.len(), self.stats_dim);
+        debug_assert_eq!(features.len(), self.feature_dim);
         for (spec, layout) in self.specs.iter().zip(&self.layouts) {
             let slot = &stats[layout.stats_offset..layout.stats_offset + layout.stats_len];
             let out = &mut features[layout.feat_offset..layout.feat_offset + layout.feat_len];
@@ -385,7 +396,6 @@ impl CompositeAggregator {
                 AggregatorKind::Count => out[0] = slot[0],
             }
         }
-        FeatureVector::new(features)
     }
 
     /// Computes the aggregate representation of a set of objects
@@ -423,10 +433,26 @@ impl CompositeAggregator {
         lower_stats: &[f64],
         upper_stats: &[f64],
     ) -> (FeatureVector, FeatureVector) {
-        debug_assert_eq!(lower_stats.len(), self.stats_dim);
-        debug_assert_eq!(upper_stats.len(), self.stats_dim);
         let mut lo = vec![0.0; self.feature_dim];
         let mut hi = vec![0.0; self.feature_dim];
+        self.feature_bounds_into(lower_stats, upper_stats, &mut lo, &mut hi);
+        (FeatureVector::new(lo), FeatureVector::new(hi))
+    }
+
+    /// [`CompositeAggregator::feature_bounds`] into caller-owned buffers of
+    /// length [`CompositeAggregator::feature_dim`]; every slot of both is
+    /// overwritten.
+    pub fn feature_bounds_into(
+        &self,
+        lower_stats: &[f64],
+        upper_stats: &[f64],
+        lo: &mut [f64],
+        hi: &mut [f64],
+    ) {
+        debug_assert_eq!(lower_stats.len(), self.stats_dim);
+        debug_assert_eq!(upper_stats.len(), self.stats_dim);
+        debug_assert_eq!(lo.len(), self.feature_dim);
+        debug_assert_eq!(hi.len(), self.feature_dim);
         for (spec, layout) in self.specs.iter().zip(&self.layouts) {
             let l = &lower_stats[layout.stats_offset..layout.stats_offset + layout.stats_len];
             let u = &upper_stats[layout.stats_offset..layout.stats_offset + layout.stats_len];
@@ -487,7 +513,6 @@ impl CompositeAggregator {
                 }
             }
         }
-        (FeatureVector::new(lo), FeatureVector::new(hi))
     }
 
     /// Convenience wrapper: the Equation-1 lower bound on the distance to

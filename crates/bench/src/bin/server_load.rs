@@ -443,7 +443,10 @@ fn run_phase(
         let g = ((client * 29 + seq * 43) % 89) as f64 / 89.0;
         asrs_data::SpatialObject::new(
             id,
-            asrs_geo::Point::new(bbox.min_x + bbox.width() * f, bbox.min_y + bbox.height() * g),
+            asrs_geo::Point::new(
+                bbox.min_x + bbox.width() * f,
+                bbox.min_y + bbox.height() * g,
+            ),
             template.clone(),
         )
     };
@@ -495,7 +498,11 @@ fn run_phase(
                         requests: args.requests_per_client,
                         append_every,
                         append_bodies,
-                        append_path: if batch > 1 { "/append_batch" } else { "/append" },
+                        append_path: if batch > 1 {
+                            "/append_batch"
+                        } else {
+                            "/append"
+                        },
                         append_objects: batch.max(1),
                         schedule: per_client_interval_s.map(|s| (open_loop_start, s)),
                     })
@@ -954,7 +961,13 @@ fn main() {
         // `/append` requests, once with `/append_batch` payloads.
         reports.push(run_phase(&args, args.shards, args.append_every, 1, 0));
         if args.batch > 1 {
-            reports.push(run_phase(&args, args.shards, args.append_every, args.batch, 0));
+            reports.push(run_phase(
+                &args,
+                args.shards,
+                args.append_every,
+                args.batch,
+                0,
+            ));
         }
     }
     // The offered-rate sweep: one open-loop row per requested rate.

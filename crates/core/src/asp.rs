@@ -7,7 +7,8 @@
 //! Theorem 1 then lets us answer the ASRS query by finding the best point in
 //! the reduced instance.
 
-use asrs_data::Dataset;
+use asrs_aggregator::CompositeAggregator;
+use asrs_data::{Dataset, SpatialObject};
 use asrs_geo::{Accuracy, Point, Rect, RegionSize};
 
 /// A rectangle object of the reduced ASP instance: the geometric rectangle
@@ -53,12 +54,42 @@ impl AspInstance {
         accuracy_override: Option<Accuracy>,
         accuracy_floor: f64,
     ) -> Self {
+        Self::build_visiting(dataset, size, accuracy_override, accuracy_floor, |_| {})
+    }
+
+    /// Builds the instance together with the [`Contributions`] of
+    /// `aggregator`, in the same pass over the objects — what every search
+    /// path runs before its kernel.
+    pub(crate) fn with_contributions(
+        dataset: &Dataset,
+        aggregator: &CompositeAggregator,
+        size: RegionSize,
+        accuracy_override: Option<Accuracy>,
+        accuracy_floor: f64,
+    ) -> (Self, Contributions) {
+        let mut table = Contributions::with_capacity(aggregator, dataset.len());
+        let asp = Self::build_visiting(dataset, size, accuracy_override, accuracy_floor, |o| {
+            table.push(aggregator, o)
+        });
+        (asp, table)
+    }
+
+    fn build_visiting(
+        dataset: &Dataset,
+        size: RegionSize,
+        accuracy_override: Option<Accuracy>,
+        accuracy_floor: f64,
+        mut visit: impl FnMut(&SpatialObject),
+    ) -> Self {
         let rects: Vec<RectObject> = dataset
             .objects()
             .enumerate()
-            .map(|(idx, o)| RectObject {
-                rect: Rect::from_top_right(o.location, size),
-                object_idx: idx as u32,
+            .map(|(idx, o)| {
+                visit(o);
+                RectObject {
+                    rect: Rect::from_top_right(o.location, size),
+                    object_idx: idx as u32,
+                }
             })
             .collect();
         let space = Rect::mbr_of(rects.iter().map(|r| r.rect));
@@ -174,6 +205,87 @@ impl AspInstance {
             .filter(|&i| self.rects[i as usize].covers(p))
             .map(|i| self.rects[i as usize].object_idx)
             .collect()
+    }
+}
+
+/// Each rectangle's aggregator contribution, computed once per search.
+///
+/// Row `i` is the statistics vector rectangle `i`'s object adds to any
+/// region containing it ([`CompositeAggregator::accumulate_object`] into
+/// zeros), and the flag says whether any selection accepts the object at
+/// all.  The kernel reads rows instead of re-decoding objects in every
+/// sub-space it discretises — the factorisation FDB applies to joins:
+/// compute each object's contribution once and reuse it.  Rows depend on
+/// the objects and the aggregator, not on the query size.
+#[derive(Debug)]
+pub(crate) struct Contributions {
+    dims: usize,
+    rows: Vec<f64>,
+    contributes: Vec<bool>,
+}
+
+impl Contributions {
+    fn with_capacity(aggregator: &CompositeAggregator, n: usize) -> Self {
+        let dims = aggregator.stats_dim();
+        Self {
+            dims,
+            rows: Vec::with_capacity(n * dims),
+            contributes: Vec::with_capacity(n),
+        }
+    }
+
+    /// The table of every object of `dataset`, in dataset order.
+    pub(crate) fn of(dataset: &Dataset, aggregator: &CompositeAggregator) -> Self {
+        let mut table = Self::with_capacity(aggregator, dataset.len());
+        for o in dataset.objects() {
+            table.push(aggregator, o);
+        }
+        table
+    }
+
+    /// Appends the row of the next rectangle's object.
+    pub(crate) fn push(&mut self, aggregator: &CompositeAggregator, object: &SpatialObject) {
+        let start = self.rows.len();
+        self.rows.resize(start + self.dims, 0.0);
+        aggregator.accumulate_object(object, &mut self.rows[start..]);
+        self.contributes.push(aggregator.contributes(object));
+    }
+
+    /// Bitwise equality of the rows and flags: the debug-build check that
+    /// an incrementally extended table matches a fresh build.
+    #[cfg(debug_assertions)]
+    pub(crate) fn bits_eq(&self, other: &Self) -> bool {
+        self.dims == other.dims
+            && self.contributes == other.contributes
+            && self.rows.len() == other.rows.len()
+            && self
+                .rows
+                .iter()
+                .zip(&other.rows)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// The statistics row of rectangle `rect`.
+    #[inline]
+    pub(crate) fn row(&self, rect: u32) -> &[f64] {
+        let start = rect as usize * self.dims;
+        &self.rows[start..start + self.dims]
+    }
+
+    /// Keeps the candidates whose object some selection accepts: the
+    /// others cannot change any representation, and carrying them through
+    /// the discretize–split recursion makes the class-constrained variants
+    /// quadratically slower.
+    pub(crate) fn contributing(&self, mut candidates: Vec<u32>) -> Vec<u32> {
+        candidates.retain(|&i| self.contributes[i as usize]);
+        candidates
+    }
+
+    /// Whether rectangle `rect`'s object contributes (see
+    /// [`Contributions::contributing`]).
+    #[inline]
+    pub(crate) fn contributes(&self, rect: u32) -> bool {
+        self.contributes[rect as usize]
     }
 }
 

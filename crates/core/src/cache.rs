@@ -240,9 +240,9 @@ impl CacheStats {
 /// readers on different shards never contend; each shard evicts its least
 /// recently used entry when full.  A hit returns the stored response
 /// verbatim, so cached and freshly computed answers are byte-identical on
-/// the wire.  Misses can be coalesced (see
-/// [`QueryCache::compute_coalesced`]) and entries can survive generation
-/// bumps when a publish proves them unchanged (see [`QueryCache::carry`]).
+/// the wire.  Misses can be coalesced (concurrent callers of one key share
+/// a single computation) and entries can survive generation bumps when a
+/// publish proves them unchanged (the engine's carry-forward pass).
 #[derive(Debug)]
 pub struct QueryCache {
     shards: Vec<Mutex<Shard>>,
@@ -305,7 +305,7 @@ impl QueryCache {
     /// Stores a response, evicting the shard's least recently used entry
     /// when the shard is full.  Entries stored this way carry no request
     /// and therefore never qualify for carry-forward; the engine's submit
-    /// path stores through [`QueryCache::compute_coalesced`] instead.
+    /// path stores through its coalesced compute path instead.
     pub fn insert(&self, key: RequestKey, response: QueryResponse) {
         if let Ok(mut shard) = self.shard_of(&key).lock() {
             shard.insert(key, response, None, None, self.per_shard_capacity);

@@ -79,12 +79,13 @@
 //!
 //! # Probe-context reuse
 //!
-//! R3 and R4 need an [`AspInstance`] (and its [`EdgeSnapper`]) per distinct
-//! query size — the expensive part of the pass.  The contexts persist in
-//! the mutator state ([`CarryProbes`]) across publishes: an append-only
-//! batch extends each cached instance *incrementally* (push the new
-//! rectangles, sorted-insert their four edge coordinates, re-derive space,
-//! accuracy and snapper), which is bit-identical to a fresh build because
+//! R3 and R4 need an [`AspInstance`] (with its [`Contributions`] table and
+//! its [`EdgeSnapper`]) per distinct query size — the expensive part of
+//! the pass.  The contexts persist in the mutator state ([`CarryProbes`])
+//! across publishes: an append-only batch extends each cached instance
+//! *incrementally* (push the new rectangles and their contribution rows,
+//! sorted-insert their four edge coordinates, re-derive space, accuracy
+//! and snapper), which is bit-identical to a fresh build because
 //! appends land at the end of dataset iteration order and every derived
 //! field is recomputed with the same fold the builder uses.  Any other
 //! shape — removals, expiries, a stale context — falls back to a fresh
@@ -96,10 +97,11 @@ use std::collections::HashMap;
 use asrs_aggregator::Selection;
 use asrs_geo::{Point, Rect, RegionSize};
 
-use crate::asp::{AspInstance, EdgeSnapper, RectObject};
+use crate::asp::{AspInstance, Contributions, EdgeSnapper, RectObject};
 use crate::best::BestSet;
 use crate::cache::CarryCandidate;
 use crate::config::SearchConfig;
+use crate::discretize::Scratch;
 use crate::ds_search::DsSearch;
 use crate::engine::EngineCore;
 use crate::maxrs::{MaxRsResult, MaxRsSearch};
@@ -162,8 +164,7 @@ pub(crate) fn carry_forward(
     if candidates.is_empty() {
         return;
     }
-    let incremental =
-        append_only && next.dataset.len() == old.dataset.len() + touched.len();
+    let incremental = append_only && next.dataset.len() == old.dataset.len() + touched.len();
     let mut probes = PassProbes {
         cache: probes,
         old_generation: old.generation,
@@ -285,9 +286,10 @@ fn slot_survives(
         ..next.config.clone()
     };
     let solver = DsSearch::with_config(&next.dataset, &next.aggregator, exact);
+    let mut scratch = solver.scratch();
     for p in touched {
         let ctx = probes.context(next, size);
-        match window_min(&solver, &ctx.asp, query, size, *p) {
+        match window_min(&solver, &ctx.asp, &ctx.table, query, *p, &mut scratch) {
             Some(min) if min > cutoff => {}
             // `<= cutoff`, NaN, or an over-budget window: a changed
             // candidate could enter (or tie into) the reported set.
@@ -352,9 +354,11 @@ fn maxrs_survives(
     }
     let cutoff = d_reported + d_reported * CUTOFF_SLACK;
     let solver = DsSearch::with_config(&next.dataset, &aggregator, exact);
+    let mut scratch = solver.scratch();
+    let table = Contributions::of(&next.dataset, &aggregator);
     for p in touched {
         let ctx = probes.context(next, size);
-        match window_min(&solver, &ctx.asp, &query, size, *p) {
+        match window_min(&solver, &ctx.asp, &table, &query, *p, &mut scratch) {
             Some(min) if min > cutoff => {}
             _ => return false,
         }
@@ -365,6 +369,8 @@ fn maxrs_survives(
 /// The minimum distance any candidate anchored in the influence window of
 /// `touched` attains against the successor dataset, or `None` when the
 /// window intersects more than [`PROBE_BUDGET`] candidate rectangles.
+/// `table` holds the statistics rows of `asp` under the solver's
+/// aggregator.
 ///
 /// Mirrors the cold path: exact config (δ forced to zero, like the scatter
 /// executor), the same contributing-rectangle filter, and the
@@ -374,17 +380,19 @@ fn maxrs_survives(
 fn window_min(
     solver: &DsSearch<'_>,
     asp: &AspInstance,
+    table: &Contributions,
     query: &AsrsQuery,
-    size: RegionSize,
     touched: Point,
+    scratch: &mut Scratch,
 ) -> Option<f64> {
+    let size = query.size;
     let window = Rect::new(
         touched.x - size.width,
         touched.y - size.height,
         touched.x,
         touched.y,
     );
-    let candidates = solver.contributing(asp, asp.rects_intersecting(&window));
+    let candidates = table.contributing(asp.rects_intersecting(&window));
     if candidates.len() > PROBE_BUDGET {
         return None;
     }
@@ -401,7 +409,9 @@ fn window_min(
     );
     let mut stats = SearchStats::new();
     solver
-        .search_space(asp, query, window, candidates, &mut best, &mut stats, None)
+        .search_space(
+            asp, table, query, window, candidates, &mut best, &mut stats, scratch, None,
+        )
         .ok()?;
     best.into_entries().first().map(|e| e.distance)
 }
@@ -415,13 +425,15 @@ pub(crate) struct CarryProbes {
     sizes: HashMap<(u64, u64), SizeContext>,
 }
 
-/// One cached probe context: the ASP instance and snapper for a query
-/// size, plus the sorted (by `total_cmp`, duplicates kept) edge-coordinate
-/// arrays the incremental update maintains, tagged with the dataset
-/// generation and length they reflect.
+/// One cached probe context: the ASP instance, its contribution table
+/// under the engine's aggregator, and the snapper for a query size, plus
+/// the sorted (by `total_cmp`, duplicates kept) edge-coordinate arrays the
+/// incremental update maintains, tagged with the dataset generation and
+/// length they reflect.
 #[derive(Debug)]
 struct SizeContext {
     asp: AspInstance,
+    table: Contributions,
     snapper: EdgeSnapper,
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -484,8 +496,9 @@ impl SizeContext {
     /// executor's instance construction exactly (`shard::scatter_search`),
     /// so snapped representatives agree bit-for-bit.
     fn fresh(next: &EngineCore, size: RegionSize) -> Self {
-        let asp = AspInstance::build(
+        let (asp, table) = AspInstance::with_contributions(
             &next.dataset,
+            &next.aggregator,
             size,
             next.config.accuracy,
             next.config.accuracy_floor,
@@ -503,6 +516,7 @@ impl SizeContext {
         ys.sort_by(f64::total_cmp);
         Self {
             asp,
+            table,
             snapper,
             xs,
             ys,
@@ -512,13 +526,16 @@ impl SizeContext {
     }
 
     /// Extends the context over the objects an append-only batch added:
-    /// push their rectangles (appends land at the end of dataset iteration
-    /// order), sorted-insert their edge coordinates, and re-derive space,
-    /// accuracy and snapper with the same folds a fresh build uses —
-    /// bit-identical output for a fraction of the sort cost.
+    /// push their rectangles and contribution rows (appends land at the
+    /// end of dataset iteration order), sorted-insert their edge
+    /// coordinates, and re-derive space, accuracy and snapper with the same
+    /// folds a fresh build uses — bit-identical output for a fraction of
+    /// the sort cost.
     fn extend(&mut self, next: &EngineCore, size: RegionSize) {
         for idx in self.len..next.dataset.len() {
-            let rect = Rect::from_top_right(next.dataset.object(idx).location, size);
+            let object = next.dataset.object(idx);
+            self.table.push(&next.aggregator, object);
+            let rect = Rect::from_top_right(object.location, size);
             sorted_insert(&mut self.xs, rect.min_x);
             sorted_insert(&mut self.xs, rect.max_x);
             sorted_insert(&mut self.ys, rect.min_y);
@@ -547,8 +564,9 @@ impl SizeContext {
     /// field must match a from-scratch build of the successor dataset.
     #[cfg(debug_assertions)]
     fn assert_matches_fresh(&self, next: &EngineCore, size: RegionSize) {
-        let fresh = AspInstance::build(
+        let (fresh, table) = AspInstance::with_contributions(
             &next.dataset,
+            &next.aggregator,
             size,
             next.config.accuracy,
             next.config.accuracy_floor,
@@ -558,6 +576,10 @@ impl SizeContext {
                 && rects_bit_equal(self.asp.space(), fresh.space())
                 && self.asp.accuracy() == fresh.accuracy(),
             "incremental ASP instance diverged from a fresh build"
+        );
+        debug_assert!(
+            self.table.bits_eq(&table),
+            "incremental contribution table diverged from a fresh build"
         );
         debug_assert!(
             self.snapper.bits_eq(&EdgeSnapper::from_asp(&fresh)),

@@ -12,16 +12,28 @@
 //! rectangle adds its additive statistics contribution over the range of
 //! cells it overlaps (upper accumulator) and over the range it fully covers
 //! (lower accumulator) in O(1) array updates; a single prefix-sum pass then
-//! materialises per-cell statistics.  This keeps `Discretize` at
-//! `O(n + n_col · n_row · d)` as required by the paper's complexity analysis
-//! (Lemma 6).
+//! materialises per-cell statistics.
+//!
+//! # Cost per sub-space
+//!
+//! A search computes every rectangle's statistics row once, when it builds
+//! the ASP instance ([`Contributions`]); `Discretize` reads those rows and
+//! never decodes an object.  Cell ranges come from the grid's edge table
+//! ([`GridEdges`]), and cell evaluation writes into the search's
+//! [`Scratch`] buffers, allocating only for the candidates it offers to
+//! the result set.  One invocation over `m` candidate rectangles therefore
+//! costs `O(m · d)` for the difference-array updates, one fused
+//! `O(n_col · n_row · d)` prefix pass and `O(n_col · n_row · d)` for the
+//! cell evaluations — the `O(n + n_col · n_row · d)` of the paper's
+//! Lemma 6, with no per-cell allocation on top.
 
-use crate::asp::AspInstance;
+use crate::asp::{AspInstance, Contributions};
 use crate::best::BestSet;
 use crate::query::AsrsQuery;
-use asrs_aggregator::CompositeAggregator;
-use asrs_data::Dataset;
-use asrs_geo::{GridSpec, Rect};
+use asrs_aggregator::{
+    distance_lower_bound, weighted_distance, CompositeAggregator, FeatureVector, StatsAccumulator,
+};
+use asrs_geo::{GridEdges, GridSpec, Rect};
 
 /// A dirty cell retained for further splitting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +54,8 @@ pub(crate) struct DirtyCell {
 pub(crate) struct DiscretizeOutcome {
     /// The grid that was laid over the space.
     pub grid: GridSpec,
-    /// Dirty cells whose lower bound is below the pruning threshold.
+    /// Dirty cells whose lower bound is below the pruning threshold, in
+    /// row-major order.
     pub retained_dirty: Vec<DirtyCell>,
     /// Number of clean cells.
     pub clean_cells: u64,
@@ -75,6 +88,12 @@ impl DiffArrays {
             upper: vec![0.0; n * dims],
             partial: vec![0.0; n],
         }
+    }
+
+    fn clear(&mut self) {
+        self.lower.fill(0.0);
+        self.upper.fill(0.0);
+        self.partial.fill(0.0);
     }
 
     #[inline]
@@ -118,41 +137,29 @@ impl DiffArrays {
         self.partial[i11] += value;
     }
 
-    /// Turns the difference arrays into per-cell values via 2-D prefix sums.
+    /// Turns the difference arrays into per-cell values via 2-D prefix
+    /// sums, one lattice row at a time: the row's prefix along the columns,
+    /// then the finished row below added in.  Every element sees the same
+    /// operands in the same order as a full column pass followed by a full
+    /// row pass, so the sums are bit-identical to that two-pass form.
     fn materialize(&mut self) {
-        let cols = self.cols;
-        let rows = self.rows;
+        let width = self.cols + 1;
         let dims = self.dims;
-        let width = cols + 1;
-        // Prefix along columns then rows, for the stats arrays.
-        for arr in [&mut self.lower, &mut self.upper] {
-            for row in 0..=rows {
-                for col in 1..=cols {
-                    let cur = (row * width + col) * dims;
-                    let prev = (row * width + col - 1) * dims;
-                    for k in 0..dims {
-                        arr[cur + k] += arr[prev + k];
+        for row in 0..=self.rows {
+            for (arr, stride) in [
+                (&mut self.lower, dims),
+                (&mut self.upper, dims),
+                (&mut self.partial, 1),
+            ] {
+                let line = row * width * stride;
+                for i in line + stride..line + width * stride {
+                    arr[i] += arr[i - stride];
+                }
+                if row > 0 {
+                    for i in line..line + width * stride {
+                        arr[i] += arr[i - width * stride];
                     }
                 }
-            }
-            for row in 1..=rows {
-                for col in 0..=cols {
-                    let cur = (row * width + col) * dims;
-                    let prev = ((row - 1) * width + col) * dims;
-                    for k in 0..dims {
-                        arr[cur + k] += arr[prev + k];
-                    }
-                }
-            }
-        }
-        for row in 0..=rows {
-            for col in 1..=cols {
-                self.partial[row * width + col] += self.partial[row * width + col - 1];
-            }
-        }
-        for row in 1..=rows {
-            for col in 0..=cols {
-                self.partial[row * width + col] += self.partial[(row - 1) * width + col];
             }
         }
     }
@@ -169,13 +176,70 @@ impl DiffArrays {
     }
 }
 
-/// Runs Function `Discretize` over `space`.
+/// The reusable buffers of one search: the difference arrays and edge
+/// table of `Discretize`, the feature buffers of cell evaluation, and the
+/// per-cell candidate lists and accumulators of exact resolution.  One set
+/// serves every sub-space of a search, so the kernel allocates only for
+/// candidates it offers.
+pub(crate) struct Scratch {
+    arrays: DiffArrays,
+    /// The edge table of the most recently discretised grid.
+    pub edges: GridEdges,
+    /// Feature vector of the cell or probe under evaluation.
+    pub features: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// Candidate list of each cell under exact resolution.
+    pub lists: Vec<Vec<u32>>,
+    /// Rectangles crossing the resolved cell.
+    pub partial: Vec<u32>,
+    /// Crossing rectangles covering the current probe column.
+    pub active: Vec<u32>,
+    /// Probe-window cuts of the resolved cell.
+    pub xs: Vec<f64>,
+    /// See [`Scratch::xs`].
+    pub ys: Vec<f64>,
+    /// Contributions shared by every probe of the resolved cell.
+    pub base: StatsAccumulator,
+    /// Contributions of the current probe.
+    pub probe: StatsAccumulator,
+    /// Statistics of the current probe.
+    pub probe_stats: Vec<f64>,
+}
+
+impl Scratch {
+    /// Buffers for `ncols × nrows` grids under `aggregator`.
+    pub(crate) fn new(aggregator: &CompositeAggregator, ncols: usize, nrows: usize) -> Self {
+        let dims = aggregator.stats_dim();
+        let features = aggregator.feature_dim();
+        let unit = Rect::new(0.0, 0.0, 1.0, 1.0);
+        Self {
+            arrays: DiffArrays::new(ncols, nrows, dims),
+            edges: GridEdges::new(GridSpec::new(unit, ncols, nrows)),
+            features: vec![0.0; features],
+            lo: vec![0.0; features],
+            hi: vec![0.0; features],
+            lists: Vec::new(),
+            partial: Vec::new(),
+            active: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
+            base: StatsAccumulator::new(dims),
+            probe: StatsAccumulator::new(dims),
+            probe_stats: vec![0.0; dims],
+        }
+    }
+}
+
+/// Runs Function `Discretize` over `space` with the grid shape `scratch`
+/// was sized for.
 ///
-/// `candidates` are the indices of the ASP rectangles that overlap `space`;
-/// `best` is the caller's intermediate result (its cutoff generalises the
-/// paper's `d_opt` to the k-best setting), and `prune_factor` is `1 + δ`
-/// (1 for the exact algorithm).  Clean cells that improve on the cutoff
-/// are offered to `best` in place.
+/// `candidates` are the indices of the ASP rectangles that overlap `space`,
+/// whose statistics rows `table` holds; `best` is the caller's intermediate
+/// result (its cutoff generalises the paper's `d_opt` to the k-best
+/// setting), and `prune_factor` is `1 + δ` (1 for the exact algorithm).
+/// Clean cells that improve on the cutoff are offered to `best` in place.
+/// On return `scratch.edges` describes the grid laid over `space`.
 ///
 /// With `retain_ties`, dirty cells whose lower bound *equals* the pruning
 /// threshold are retained instead of pruned.  The fast path prunes them
@@ -186,35 +250,41 @@ impl DiffArrays {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn discretize(
     space: &Rect,
-    ncols: usize,
-    nrows: usize,
     asp: &AspInstance,
+    table: &Contributions,
     candidates: &[u32],
-    dataset: &Dataset,
     aggregator: &CompositeAggregator,
     query: &AsrsQuery,
     best: &mut BestSet,
     prune_factor: f64,
     retain_ties: bool,
+    scratch: &mut Scratch,
 ) -> DiscretizeOutcome {
+    let Scratch {
+        arrays,
+        edges,
+        features,
+        lo,
+        hi,
+        ..
+    } = scratch;
+    let (ncols, nrows, dims) = (arrays.cols, arrays.rows, arrays.dims);
     let grid = GridSpec::new(*space, ncols, nrows);
-    let dims = aggregator.stats_dim();
-    let mut arrays = DiffArrays::new(ncols, nrows, dims);
-    let mut contrib = vec![0.0; dims];
+    edges.reset(grid.clone());
+    arrays.clear();
 
     for &idx in candidates {
-        let rect_obj = &asp.rects()[idx as usize];
-        let overlap = grid.cells_overlapping(&rect_obj.rect);
+        let rect = &asp.rects()[idx as usize].rect;
+        let overlap = edges.cells_overlapping(rect);
         if overlap.is_empty() {
             continue;
         }
-        contrib.iter_mut().for_each(|v| *v = 0.0);
-        aggregator.accumulate_object(dataset.object(rect_obj.object_idx as usize), &mut contrib);
+        let contrib = table.row(idx);
         DiffArrays::add_range_stats(
             &mut arrays.upper,
             dims,
             ncols,
-            &contrib,
+            contrib,
             overlap.col_start,
             overlap.col_end,
             overlap.row_start,
@@ -227,13 +297,13 @@ pub(crate) fn discretize(
             overlap.row_start,
             overlap.row_end,
         );
-        let full = grid.cells_contained(&rect_obj.rect);
+        let full = edges.cells_contained(rect);
         if !full.is_empty() {
             DiffArrays::add_range_stats(
                 &mut arrays.lower,
                 dims,
                 ncols,
-                &contrib,
+                contrib,
                 full.col_start,
                 full.col_end,
                 full.row_start,
@@ -263,27 +333,22 @@ pub(crate) fn discretize(
             if partial < 0.5 {
                 clean_cells += 1;
                 let stats = arrays.cell_stats(&arrays.upper, col, row);
-                let representation = aggregator.stats_to_features(stats);
-                let distance = aggregator.distance(
-                    &representation,
-                    &query.target,
-                    &query.weights,
-                    query.metric,
-                );
+                aggregator.stats_to_features_into(stats, features);
+                let distance =
+                    weighted_distance(features, &query.target, &query.weights, query.metric);
                 if distance <= best.cutoff() {
-                    best.offer_region(distance, &grid.cell_rect(col, row), representation);
+                    best.offer_region(
+                        distance,
+                        &edges.cell_rect(col, row),
+                        FeatureVector::new(features.clone()),
+                    );
                 }
             } else {
                 dirty_cells += 1;
                 let lower = arrays.cell_stats(&arrays.lower, col, row);
                 let upper = arrays.cell_stats(&arrays.upper, col, row);
-                let lb = aggregator.lower_bound_distance(
-                    &query.target,
-                    lower,
-                    upper,
-                    &query.weights,
-                    query.metric,
-                );
+                aggregator.feature_bounds_into(lower, upper, lo, hi);
+                let lb = distance_lower_bound(&query.target, lo, hi, &query.weights, query.metric);
                 provisional_dirty.push(DirtyCell {
                     col,
                     row,
@@ -345,7 +410,15 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn setup() -> (Dataset, CompositeAggregator, AsrsQuery, AspInstance) {
+    struct Fixture {
+        ds: Dataset,
+        agg: CompositeAggregator,
+        query: AsrsQuery,
+        asp: AspInstance,
+        table: Contributions,
+    }
+
+    fn setup() -> Fixture {
         let ds = fig2_dataset();
         let agg = CompositeAggregator::builder(ds.schema())
             .distribution("color", Selection::All)
@@ -356,28 +429,45 @@ mod tests {
             FeatureVector::new(vec![1.0, 1.0]),
             Weights::uniform(2),
         );
-        let asp = AspInstance::build(&ds, query.size, None, 1e-12);
-        (ds, agg, query, asp)
+        let (asp, table) = AspInstance::with_contributions(&ds, &agg, query.size, None, 1e-12);
+        Fixture {
+            ds,
+            agg,
+            query,
+            asp,
+            table,
+        }
+    }
+
+    impl Fixture {
+        /// Discretises the whole instance space on an `n × n` grid.
+        fn run(
+            &self,
+            n: usize,
+            candidates: &[u32],
+            best: &mut BestSet,
+            prune_factor: f64,
+        ) -> DiscretizeOutcome {
+            discretize(
+                &self.asp.space().unwrap(),
+                &self.asp,
+                &self.table,
+                candidates,
+                &self.agg,
+                &self.query,
+                best,
+                prune_factor,
+                false,
+                &mut Scratch::new(&self.agg, n, n),
+            )
+        }
     }
 
     #[test]
     fn clean_and_dirty_cells_partition_the_grid() {
-        let (ds, agg, query, asp) = setup();
-        let space = asp.space().unwrap();
+        let f = setup();
         let mut best = BestSet::new(1);
-        let out = discretize(
-            &space,
-            10,
-            10,
-            &asp,
-            &asp.all_rect_indices(),
-            &ds,
-            &agg,
-            &query,
-            &mut best,
-            1.0,
-            false,
-        );
+        let out = f.run(10, &f.asp.all_rect_indices(), &mut best, 1.0);
         assert_eq!(out.clean_cells + out.dirty_cells, 100);
         assert!(out.dirty_cells > 0, "rect edges must cross some cells");
         assert!(out.clean_cells > 0);
@@ -389,22 +479,10 @@ mod tests {
 
     #[test]
     fn clean_cell_distances_match_direct_evaluation() {
-        let (ds, agg, query, asp) = setup();
-        let space = asp.space().unwrap();
+        let f = setup();
+        let Fixture { ds, agg, query, .. } = &f;
         let mut best = BestSet::new(1);
-        discretize(
-            &space,
-            8,
-            8,
-            &asp,
-            &asp.all_rect_indices(),
-            &ds,
-            &agg,
-            &query,
-            &mut best,
-            1.0,
-            false,
-        );
+        f.run(8, &f.asp.all_rect_indices(), &mut best, 1.0);
         // The best candidate's representation must equal the representation
         // computed directly from the objects inside the anchored region.
         assert!(
@@ -413,7 +491,7 @@ mod tests {
         );
         let entry = best.best().clone();
         let region = Rect::from_bottom_left(entry.anchor, query.size);
-        let direct = agg.aggregate_region(&ds, &region);
+        let direct = agg.aggregate_region(ds, &region);
         assert_eq!(entry.representation, direct);
         let d = agg.distance(&direct, &query.target, &query.weights, query.metric);
         assert!((d - entry.distance).abs() < 1e-9);
@@ -423,22 +501,16 @@ mod tests {
     fn dirty_cell_bounds_are_sound() {
         // For every retained dirty cell, the lower bound must not exceed the
         // true distance of any probe point inside the cell.
-        let (ds, agg, query, asp) = setup();
-        let space = asp.space().unwrap();
+        let f = setup();
+        let Fixture {
+            ds,
+            agg,
+            query,
+            asp,
+            ..
+        } = &f;
         let mut best = BestSet::new(1);
-        let out = discretize(
-            &space,
-            10,
-            10,
-            &asp,
-            &asp.all_rect_indices(),
-            &ds,
-            &agg,
-            &query,
-            &mut best,
-            1.0,
-            false,
-        );
+        let out = f.run(10, &f.asp.all_rect_indices(), &mut best, 1.0);
         let candidates = asp.all_rect_indices();
         for cell in &out.retained_dirty {
             let rect = out.grid.cell_rect(cell.col, cell.row);
@@ -464,8 +536,7 @@ mod tests {
 
     #[test]
     fn pruning_respects_current_best() {
-        let (ds, agg, query, asp) = setup();
-        let space = asp.space().unwrap();
+        let f = setup();
         // With an already-perfect best distance of 0, every dirty cell whose
         // lower bound is 0 is retained and everything else pruned.
         let mut best = BestSet::new(1);
@@ -474,19 +545,7 @@ mod tests {
             Point::new(-100.0, -100.0),
             FeatureVector::new(vec![1.0, 1.0]),
         );
-        let out = discretize(
-            &space,
-            10,
-            10,
-            &asp,
-            &asp.all_rect_indices(),
-            &ds,
-            &agg,
-            &query,
-            &mut best,
-            1.0,
-            false,
-        );
+        let out = f.run(10, &f.asp.all_rect_indices(), &mut best, 1.0);
         assert!(out.retained_dirty.is_empty());
         assert_eq!(out.pruned_dirty, out.dirty_cells);
         assert_eq!(
@@ -498,55 +557,17 @@ mod tests {
 
     #[test]
     fn approximation_factor_tightens_retention() {
-        let (ds, agg, query, asp) = setup();
-        let space = asp.space().unwrap();
-        let exact = discretize(
-            &space,
-            10,
-            10,
-            &asp,
-            &asp.all_rect_indices(),
-            &ds,
-            &agg,
-            &query,
-            &mut BestSet::new(1),
-            1.0,
-            false,
-        );
-        let approx = discretize(
-            &space,
-            10,
-            10,
-            &asp,
-            &asp.all_rect_indices(),
-            &ds,
-            &agg,
-            &query,
-            &mut BestSet::new(1),
-            1.4,
-            false,
-        );
+        let f = setup();
+        let exact = f.run(10, &f.asp.all_rect_indices(), &mut BestSet::new(1), 1.0);
+        let approx = f.run(10, &f.asp.all_rect_indices(), &mut BestSet::new(1), 1.4);
         assert!(approx.retained_dirty.len() <= exact.retained_dirty.len());
     }
 
     #[test]
     fn empty_candidate_set_yields_all_clean_cells() {
-        let (ds, agg, query, asp) = setup();
-        let space = asp.space().unwrap();
+        let f = setup();
         let mut best = BestSet::new(1);
-        let out = discretize(
-            &space,
-            5,
-            5,
-            &asp,
-            &[],
-            &ds,
-            &agg,
-            &query,
-            &mut best,
-            1.0,
-            false,
-        );
+        let out = f.run(5, &[], &mut best, 1.0);
         assert_eq!(out.clean_cells, 25);
         assert_eq!(out.dirty_cells, 0);
         // All cells are empty ⇒ representation (0, 0) ⇒ distance 2.

@@ -1,19 +1,19 @@
 //! The DS-Search algorithm (Algorithm 1, Sections 4.2–4.6).
 
-use crate::asp::AspInstance;
+use crate::asp::{AspInstance, Contributions};
 use crate::best::BestSet;
 use crate::budget::Budget;
 use crate::config::SearchConfig;
-use crate::discretize::{discretize, DirtyCell};
+use crate::discretize::{discretize, DirtyCell, Scratch};
 use crate::drop_condition::satisfies_drop_condition;
 use crate::error::AsrsError;
 use crate::query::AsrsQuery;
 use crate::result::SearchResult;
 use crate::split::split;
 use crate::stats::SearchStats;
-use asrs_aggregator::CompositeAggregator;
+use asrs_aggregator::{weighted_distance, CompositeAggregator, FeatureVector};
 use asrs_data::Dataset;
-use asrs_geo::{GridSpec, Point, Rect};
+use asrs_geo::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -215,8 +215,9 @@ impl<'a> DsSearch<'a> {
         }
         let started = Instant::now();
         let mut stats = SearchStats::new();
-        let asp = AspInstance::build(
+        let (asp, table) = AspInstance::with_contributions(
             self.dataset,
+            self.aggregator,
             query.size,
             self.config.accuracy,
             self.config.accuracy_floor,
@@ -232,14 +233,16 @@ impl<'a> DsSearch<'a> {
         };
         self.seed_empty_region(&asp, query, &mut best);
         if let Some(space) = asp.space() {
-            let candidates = self.contributing(&asp, asp.all_rect_indices());
+            let candidates = table.contributing(asp.all_rect_indices());
             self.search_space(
                 &asp,
+                &table,
                 query,
                 space,
                 candidates,
                 &mut best,
                 &mut stats,
+                &mut self.scratch(),
                 budget.as_ref(),
             )?;
         }
@@ -272,34 +275,30 @@ impl<'a> DsSearch<'a> {
         best.offer(distance, anchor, representation);
     }
 
-    /// Drops candidate rectangles whose object no selection of the
-    /// aggregator accepts: they cannot change any representation, and
-    /// carrying them through the discretize–split recursion makes the
-    /// class-constrained variants quadratically slower.
-    pub(crate) fn contributing(&self, asp: &AspInstance, candidates: Vec<u32>) -> Vec<u32> {
-        candidates
-            .into_iter()
-            .filter(|&i| {
-                let object_idx = asp.rects()[i as usize].object_idx as usize;
-                self.aggregator.contributes(self.dataset.object(object_idx))
-            })
-            .collect()
+    /// Fresh kernel buffers for this solver's grid and aggregator; one set
+    /// serves every [`DsSearch::search_space`] call of a search.
+    pub(crate) fn scratch(&self) -> Scratch {
+        Scratch::new(self.aggregator, self.config.ncols, self.config.nrows)
     }
 
     /// Runs the discretize–split loop of Algorithm 1 over `space`, updating
     /// `best` and `stats` in place.  Used directly by [`DsSearch::search`]
-    /// and per index cell by GI-DS.  The optional `budget` is polled at
-    /// every popped sub-space; an expired budget aborts the loop with
+    /// and per index cell by GI-DS.  `table` holds the statistics rows of
+    /// `asp`'s rectangles under this solver's aggregator; `scratch` is the
+    /// search's buffer set.  The optional `budget` is polled at every
+    /// popped sub-space; an expired budget aborts the loop with
     /// [`AsrsError::DeadlineExceeded`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn search_space(
         &self,
         asp: &AspInstance,
+        table: &Contributions,
         query: &AsrsQuery,
         space: Rect,
         candidates: Vec<u32>,
         best: &mut BestSet,
         stats: &mut SearchStats,
+        scratch: &mut Scratch,
         budget: Option<&Budget>,
     ) -> Result<(), AsrsError> {
         let prune_factor = self.config.prune_factor();
@@ -322,16 +321,15 @@ impl<'a> DsSearch<'a> {
             stats.spaces_processed += 1;
             let outcome = discretize(
                 &entry.space,
-                self.config.ncols,
-                self.config.nrows,
                 asp,
+                table,
                 &entry.candidates,
-                self.dataset,
                 self.aggregator,
                 query,
                 best,
                 prune_factor,
                 self.canonical,
+                scratch,
             );
             stats.cells_examined += outcome.clean_cells + outcome.dirty_cells;
             stats.clean_cells += outcome.clean_cells;
@@ -366,12 +364,13 @@ impl<'a> DsSearch<'a> {
             if !to_resolve.is_empty() {
                 self.resolve_cells_exactly(
                     asp,
+                    table,
                     query,
-                    &outcome.grid,
                     &to_resolve,
                     &entry.candidates,
                     best,
                     stats,
+                    scratch,
                     budget,
                 )?;
             }
@@ -405,61 +404,119 @@ impl<'a> DsSearch<'a> {
     /// arrangement piece inside the cell and evaluates it directly.  Used
     /// for dirty cells crossed by few rectangle edges and for every
     /// surviving dirty cell of a dropped or depth-capped space.
+    ///
+    /// `cells` are in row-major order and lie in the grid
+    /// `scratch.edges` describes.  Work is bucketed so that no step scans
+    /// more than it needs:
+    ///
+    /// * each cell gets its own candidate list — the candidates whose
+    ///   interior meets the cell, in candidate order — found from each
+    ///   rectangle's cell range by binary search over the edge table and
+    ///   the sorted cells, instead of testing every candidate against
+    ///   every cell;
+    /// * the rectangles crossing a cell are filtered once per probe column
+    ///   (x-strip), so each probe tests only their y-extent;
+    /// * probes accumulate table rows into reused buffers, and a
+    ///   [`FeatureVector`] is built only for a probe offered to `best`.
+    ///
+    /// Every probe sees the same rectangles in the same order as a full
+    /// scan of `candidates`, so statistics, distances and counters are
+    /// bit-identical to it.
     #[allow(clippy::too_many_arguments)]
     fn resolve_cells_exactly(
         &self,
         asp: &AspInstance,
+        table: &Contributions,
         query: &AsrsQuery,
-        grid: &GridSpec,
         cells: &[DirtyCell],
         candidates: &[u32],
         best: &mut BestSet,
         stats: &mut SearchStats,
+        scratch: &mut Scratch,
         budget: Option<&Budget>,
     ) -> Result<(), AsrsError> {
-        let dims = self.aggregator.stats_dim();
+        debug_assert!(cells
+            .windows(2)
+            .all(|w| (w[0].row, w[0].col) < (w[1].row, w[1].col)));
+        let rects = asp.rects();
+        let Scratch {
+            edges,
+            features,
+            lists,
+            partial,
+            active,
+            xs,
+            ys,
+            base,
+            probe,
+            probe_stats,
+            ..
+        } = scratch;
+        if lists.len() < cells.len() {
+            lists.resize_with(cells.len(), Vec::new);
+        }
+        lists[..cells.len()].iter_mut().for_each(Vec::clear);
+        let cell_key = |c: &DirtyCell| (c.row, c.col);
+        for &idx in candidates {
+            let r = &rects[idx as usize].rect;
+            let (c0, c1) = interior_span(edges.xs(), r.min_x, r.max_x);
+            let (r0, r1) = interior_span(edges.ys(), r.min_y, r.max_y);
+            if c0 >= c1 || r0 >= r1 {
+                continue;
+            }
+            // Walk the resolved cells inside the range, jumping over the
+            // columns outside it row by row.
+            let mut at = cells.partition_point(|c| cell_key(c) < (r0, c0));
+            while let Some(cell) = cells.get(at) {
+                if cell.row >= r1 {
+                    break;
+                }
+                if cell.col < c0 {
+                    at += cells[at..].partition_point(|c| cell_key(c) < (cell.row, c0));
+                } else if cell.col >= c1 {
+                    at += cells[at..].partition_point(|c| cell_key(c) < (cell.row + 1, c0));
+                } else {
+                    lists[at].push(idx);
+                    at += 1;
+                }
+            }
+        }
+
         // Compensated (Kahan–Neumaier) accumulators: probe statistics sum
         // float attribute values, and the compensation keeps each slot at
         // the correctly rounded total, so the reported representation of a
         // candidate does not depend on the order the covering rectangles
         // happened to be accumulated in (which varies with the search-space
         // decomposition).
-        let mut base_acc = asrs_aggregator::StatsAccumulator::new(dims);
-        let mut probe_acc = asrs_aggregator::StatsAccumulator::new(dims);
-        let mut probe_stats = vec![0.0; dims];
-        for cell in cells {
+        for (cell, list) in cells.iter().zip(lists.iter()) {
             if let Some(b) = budget {
                 b.check()?;
             }
             if self.prunes(cell.lb, best.cutoff() / self.config.prune_factor()) {
                 continue;
             }
-            let rect = grid.cell_rect(cell.col, cell.row);
-            // Partition the candidates into rectangles fully covering the
-            // cell (their contribution is shared by every probe) and
-            // rectangles merely crossing it (checked per probe).
-            base_acc.reset();
-            let mut partial: Vec<u32> = Vec::new();
-            let mut xs = vec![rect.min_x, rect.max_x];
-            let mut ys = vec![rect.min_y, rect.max_y];
-            for &idx in candidates {
-                let r = &asp.rects()[idx as usize];
-                if !r.rect.interiors_intersect(&rect) {
-                    continue;
-                }
-                if r.rect.contains_rect(&rect) {
-                    self.aggregator.accumulate_object_into(
-                        self.dataset.object(r.object_idx as usize),
-                        &mut base_acc,
-                    );
+            let rect = edges.cell_rect(cell.col, cell.row);
+            // Split the cell's candidates into rectangles fully covering it
+            // (their contribution is shared by every probe) and rectangles
+            // merely crossing it (checked per probe).
+            base.reset();
+            partial.clear();
+            xs.clear();
+            xs.extend([rect.min_x, rect.max_x]);
+            ys.clear();
+            ys.extend([rect.min_y, rect.max_y]);
+            for &idx in list {
+                let r = &rects[idx as usize].rect;
+                if r.contains_rect(&rect) {
+                    base.add_slice(table.row(idx));
                 } else {
                     partial.push(idx);
-                    for x in [r.rect.min_x, r.rect.max_x] {
+                    for x in [r.min_x, r.max_x] {
                         if x > rect.min_x && x < rect.max_x {
                             xs.push(x);
                         }
                     }
-                    for y in [r.rect.min_y, r.rect.max_y] {
+                    for y in [r.min_y, r.max_y] {
                         if y > rect.min_y && y < rect.max_y {
                             ys.push(y);
                         }
@@ -471,27 +528,27 @@ impl<'a> DsSearch<'a> {
             ys.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
             ys.dedup();
             for wx in xs.windows(2) {
+                let px = (wx[0] + wx[1]) / 2.0;
+                active.clear();
+                active.extend(partial.iter().copied().filter(|&idx| {
+                    let r = &rects[idx as usize].rect;
+                    px > r.min_x && px < r.max_x
+                }));
                 for wy in ys.windows(2) {
-                    let probe = Point::new((wx[0] + wx[1]) / 2.0, (wy[0] + wy[1]) / 2.0);
+                    let py = (wy[0] + wy[1]) / 2.0;
                     stats.fallback_points += 1;
-                    probe_acc.clone_from_accumulator(&base_acc);
-                    for &idx in &partial {
-                        let r = &asp.rects()[idx as usize];
-                        if r.covers(&probe) {
-                            self.aggregator.accumulate_object_into(
-                                self.dataset.object(r.object_idx as usize),
-                                &mut probe_acc,
-                            );
+                    probe.clone_from_accumulator(base);
+                    for &idx in active.iter() {
+                        let r = &rects[idx as usize].rect;
+                        if py > r.min_y && py < r.max_y {
+                            probe.add_slice(table.row(idx));
                         }
                     }
-                    probe_acc.finish_into(&mut probe_stats);
-                    let representation = self.aggregator.stats_to_features(&probe_stats);
-                    let distance = self.aggregator.distance(
-                        &representation,
-                        &query.target,
-                        &query.weights,
-                        query.metric,
-                    );
+                    probe.finish_into(probe_stats);
+                    self.aggregator
+                        .stats_to_features_into(probe_stats, features);
+                    let distance =
+                        weighted_distance(features, &query.target, &query.weights, query.metric);
                     // `<=` rather than `<`: equal-distance candidates still
                     // reach the set so its anchor tie-breaking stays
                     // discovery-order independent.  The window's covering
@@ -501,7 +558,7 @@ impl<'a> DsSearch<'a> {
                         best.offer_region(
                             distance,
                             &Rect::new(wx[0], wy[0], wx[1], wy[1]),
-                            representation,
+                            FeatureVector::new(features.clone()),
                         );
                     }
                 }
@@ -509,6 +566,17 @@ impl<'a> DsSearch<'a> {
         }
         Ok(())
     }
+}
+
+/// The half-open range of grid cells along one axis whose open interval
+/// `(edges[i], edges[i + 1])` meets the open interval `(lo, hi)` — the
+/// per-axis half of [`Rect::interiors_intersect`] against a cell, by
+/// binary search over the ascending edge table.
+fn interior_span(edges: &[f64], lo: f64, hi: f64) -> (usize, usize) {
+    let n = edges.len() - 1;
+    let start = edges[1..].partition_point(|e| *e <= lo);
+    let end = edges[..n].partition_point(|e| *e < hi);
+    (start, end)
 }
 
 #[cfg(test)]

@@ -455,9 +455,14 @@ impl EngineBuilder {
     /// * [`AsrsError::IndexMismatch`] when an attached index was built for
     ///   an aggregator with a different statistics layout,
     /// * [`AsrsError::IndexRequired`] when [`Strategy::GiDs`] was selected
-    ///   without an index.
+    ///   without an index,
+    /// * [`AsrsError::NonFiniteLocation`] when a seed object's location is
+    ///   NaN or infinite.
     pub fn build(mut self) -> Result<AsrsEngine, AsrsError> {
         self.config.validate()?;
+        for object in self.dataset.objects() {
+            crate::mutate::check_location(object)?;
+        }
         let upkeep = self.upkeep();
         let index = match std::mem::replace(&mut self.index, IndexSpec::None) {
             IndexSpec::None => None,
@@ -1279,6 +1284,8 @@ impl AsrsEngine {
     /// # Errors
     ///
     /// * [`AsrsError::Schema`] when the object violates the schema,
+    /// * [`AsrsError::NonFiniteLocation`] when its location is NaN or
+    ///   infinite,
     /// * [`AsrsError::DuplicateObjectId`] when the id is already taken.
     pub fn append(&self, object: SpatialObject) -> Result<MutationReceipt, AsrsError> {
         crate::mutate::append(&self.shared, object, None)
@@ -1312,9 +1319,9 @@ impl AsrsEngine {
     ///
     /// Validation is all-or-nothing: a duplicate id
     /// ([`AsrsError::DuplicateObjectId`], duplicates *within* the payload
-    /// included) or schema violation ([`AsrsError::Schema`]) anywhere in
-    /// the payload rejects the entire payload without touching the
-    /// dataset.
+    /// included), schema violation ([`AsrsError::Schema`]) or non-finite
+    /// location ([`AsrsError::NonFiniteLocation`]) anywhere in the payload
+    /// rejects the entire payload without touching the dataset.
     pub fn append_batch(
         &self,
         items: Vec<(SpatialObject, Option<Duration>)>,
@@ -2218,6 +2225,41 @@ mod tests {
         let stats = engine.mutation_stats();
         assert_eq!(stats.incremental_index_updates, 4);
         assert_eq!(stats.index_rebuilds, 1);
+    }
+
+    #[test]
+    fn non_finite_locations_are_refused_at_every_entry_point() {
+        let (ds, agg) = setup(60, 2);
+        let values = ds.object(0).values.clone();
+        let at = |id, x, y| SpatialObject::new(id, asrs_geo::Point::new(x, y), values.clone());
+        let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+            .build()
+            .unwrap();
+        let refused = |r: Result<_, AsrsError>| {
+            matches!(r, Err(AsrsError::NonFiniteLocation { id: 900, .. }))
+        };
+        assert!(refused(engine.append(at(900, f64::NAN, 1.0)).map(|_| ())));
+        assert!(refused(
+            engine
+                .append_with_ttl(at(900, 1.0, f64::INFINITY), Duration::from_secs(60))
+                .map(|_| ())
+        ));
+        assert!(refused(
+            engine
+                .append_batch(vec![
+                    (at(899, 1.0, 1.0), None),
+                    (at(900, f64::NEG_INFINITY, 1.0), None)
+                ])
+                .map(|_| ())
+        ));
+        assert_eq!(engine.generation(), 0);
+        assert_eq!(engine.dataset().len(), 60);
+        let mut objects: Vec<SpatialObject> = ds.objects().cloned().collect();
+        objects.push(at(900, 1e300 * 1e10, 0.0));
+        let seeded = Dataset::new_unchecked(ds.schema().clone(), objects);
+        assert!(refused(
+            AsrsEngine::builder(seeded, agg).build().map(|_| ())
+        ));
     }
 
     #[test]

@@ -148,6 +148,18 @@ pub enum AsrsError {
     },
     /// An appended object does not conform to the dataset schema.
     Schema(SchemaError),
+    /// An object's location is not finite (NaN or ±∞).  Its ASP rectangle
+    /// would be invalid and every later search would fail on it, so
+    /// appends and the builder's seed dataset refuse it before anything
+    /// reaches the write-ahead log.
+    NonFiniteLocation {
+        /// Id of the offending object.
+        id: u64,
+        /// Its x coordinate.
+        x: f64,
+        /// Its y coordinate.
+        y: f64,
+    },
     /// An appended object carries an id that already exists in the dataset.
     /// Mutable engines enforce id uniqueness so removal-by-id stays
     /// unambiguous.
@@ -218,6 +230,9 @@ impl fmt::Display for AsrsError {
                 write!(f, "backend {backend} cannot execute {operation} requests")
             }
             AsrsError::Schema(e) => write!(f, "object violates the dataset schema: {e}"),
+            AsrsError::NonFiniteLocation { id, x, y } => {
+                write!(f, "object {id} has a non-finite location ({x}, {y})")
+            }
             AsrsError::DuplicateObjectId { id } => {
                 write!(f, "an object with id {id} already exists in the dataset")
             }

@@ -8,7 +8,7 @@
 //! searched best-first with DS-Search until the remaining cells cannot beat
 //! the best distance found so far.
 
-use crate::asp::AspInstance;
+use crate::asp::{AspInstance, Contributions};
 use crate::best::BestSet;
 use crate::budget::Budget;
 use crate::config::SearchConfig;
@@ -20,7 +20,7 @@ use crate::result::SearchResult;
 use crate::stats::SearchStats;
 use asrs_aggregator::CompositeAggregator;
 use asrs_data::Dataset;
-use asrs_geo::Rect;
+use asrs_geo::{CellRange, GridEdges, GridSpec, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -173,14 +173,16 @@ impl<'a> GiDsSearch<'a> {
         }
         let started = Instant::now();
         let mut stats = SearchStats::new();
-        let asp = AspInstance::build(
+        let (asp, table) = AspInstance::with_contributions(
             self.dataset,
+            self.aggregator,
             query.size,
             config.accuracy,
             config.accuracy_floor,
         );
         stats.rectangles = asp.rects().len() as u64;
         let inner = DsSearch::with_config(self.dataset, self.aggregator, config.clone());
+        let mut scratch = inner.scratch();
         let mut best = BestSet::new(k);
         inner.seed_empty_region(&asp, query, &mut best);
         let spec = self.index.spec();
@@ -193,14 +195,16 @@ impl<'a> GiDsSearch<'a> {
             //    unconditionally; the margin is at most one query width tall
             //    or wide, so this is cheap.
             for margin in margin_spaces(&space, spec.space()) {
-                let candidates = inner.contributing(&asp, asp.rects_intersecting(&margin));
+                let candidates = table.contributing(asp.rects_intersecting(&margin));
                 inner.search_space(
                     &asp,
+                    &table,
                     query,
                     margin,
                     candidates,
                     &mut best,
                     &mut stats,
+                    &mut scratch,
                     budget.as_ref(),
                 )?;
             }
@@ -249,7 +253,10 @@ impl<'a> GiDsSearch<'a> {
             }
 
             // 3. Search cells best-first until no cell can improve the
-            //    result (or improve it by more than the (1+δ) factor).
+            //    result (or improve it by more than the (1+δ) factor).  The
+            //    candidates of every index cell are bucketed in one pass
+            //    when the first cell opens.
+            let mut buckets: Option<Vec<Vec<u32>>> = None;
             while let Some(entry) = heap.pop() {
                 if let Some(b) = budget {
                     b.check()?;
@@ -259,14 +266,18 @@ impl<'a> GiDsSearch<'a> {
                 }
                 stats.index_cells_searched += 1;
                 let cell_space = spec.cell_rect(entry.col, entry.row);
-                let candidates = inner.contributing(&asp, asp.rects_intersecting(&cell_space));
+                let bucketed =
+                    buckets.get_or_insert_with(|| bucket_by_index_cell(&asp, &table, spec));
+                let candidates = bucketed[spec.linear_index(entry.col, entry.row)].clone();
                 inner.search_space(
                     &asp,
+                    &table,
                     query,
                     cell_space,
                     candidates,
                     &mut best,
                     &mut stats,
+                    &mut scratch,
                     budget.as_ref(),
                 )?;
             }
@@ -275,6 +286,40 @@ impl<'a> GiDsSearch<'a> {
         stats.elapsed = started.elapsed();
         Ok(crate::best::best_to_results(best, query.size, stats))
     }
+}
+
+/// The contributing rectangles of each index cell (row-major): those whose
+/// closed extent meets the cell's closed extent, in ascending rectangle
+/// order — exactly the candidates a scan of every rectangle against the
+/// cell would keep, bucketed once per query instead of once per opened
+/// cell.
+fn bucket_by_index_cell(
+    asp: &AspInstance,
+    table: &Contributions,
+    spec: &GridSpec,
+) -> Vec<Vec<u32>> {
+    let edges = GridEdges::new(spec.clone());
+    // Cells whose closed interval [edges[i], edges[i + 1]] meets the closed
+    // interval [lo, hi], by binary search over the ascending edges.
+    let span = |edges: &[f64], lo: f64, hi: f64| {
+        let n = edges.len() - 1;
+        (
+            edges[1..].partition_point(|e| *e < lo),
+            edges[..n].partition_point(|e| *e <= hi),
+        )
+    };
+    let mut buckets = vec![Vec::new(); spec.num_cells()];
+    for (i, r) in asp.rects().iter().enumerate() {
+        if !table.contributes(i as u32) {
+            continue;
+        }
+        let (c0, c1) = span(edges.xs(), r.rect.min_x, r.rect.max_x);
+        let (r0, r1) = span(edges.ys(), r.rect.min_y, r.rect.max_y);
+        for cell in CellRange::new(c0, c1, r0, r1).iter() {
+            buckets[spec.linear_index(cell.col, cell.row)].push(i as u32);
+        }
+    }
+    buckets
 }
 
 /// The parts of the ASP search space not covered by the index grid: an

@@ -285,7 +285,25 @@ pub(crate) fn append(
     object: SpatialObject,
     ttl: Option<Duration>,
 ) -> Result<MutationReceipt, AsrsError> {
+    check_location(&object)?;
     sole(commit(shared, vec![BatchOp::Append { object, ttl }])?)
+}
+
+/// Refuses an object whose location is not finite (see
+/// [`AsrsError::NonFiniteLocation`]).  Checked where appends enter the
+/// engine, before the commit queue and the WAL; replayed WAL batches are
+/// applied as written.
+pub(crate) fn check_location(object: &SpatialObject) -> Result<(), AsrsError> {
+    let p = object.location;
+    if p.x.is_finite() && p.y.is_finite() {
+        Ok(())
+    } else {
+        Err(AsrsError::NonFiniteLocation {
+            id: object.id,
+            x: p.x,
+            y: p.y,
+        })
+    }
 }
 
 /// Applies a removal through the group commit and returns its receipt.
@@ -298,12 +316,15 @@ pub(crate) fn remove(shared: &EngineShared, id: u64) -> Result<MutationReceipt, 
 /// Applies a whole payload of appends as **one atomic commit group**: one
 /// published generation, one WAL fsync, all-or-nothing validation (a
 /// duplicate or schema-violating object fails the entire payload without
-/// touching the dataset).  Returns one receipt per object, all sharing the
-/// batch's generation.
+/// touching the dataset; so does a non-finite location).  Returns one
+/// receipt per object, all sharing the batch's generation.
 pub(crate) fn append_batch(
     shared: &EngineShared,
     items: Vec<(SpatialObject, Option<Duration>)>,
 ) -> Result<Vec<MutationReceipt>, AsrsError> {
+    for (object, _) in &items {
+        check_location(object)?;
+    }
     commit(
         shared,
         items

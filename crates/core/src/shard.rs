@@ -210,7 +210,13 @@ pub(crate) fn scatter_search(
         ..config.clone()
     };
     let solver = DsSearch::with_config(dataset, aggregator, exact.clone()).canonical_ties();
-    let asp = AspInstance::build(dataset, query.size, exact.accuracy, exact.accuracy_floor);
+    let (asp, table) = AspInstance::with_contributions(
+        dataset,
+        aggregator,
+        query.size,
+        exact.accuracy,
+        exact.accuracy_floor,
+    );
     let snapper = Arc::new(EdgeSnapper::from_asp(&asp));
     let mut stats = SearchStats::new();
     stats.rectangles = asp.rects().len() as u64;
@@ -235,7 +241,7 @@ pub(crate) fn scatter_search(
         let Some(slab) = slab_for(region, &asp) else {
             continue;
         };
-        let candidates = solver.contributing(&asp, asp.rects_intersecting(&slab));
+        let candidates = table.contributing(asp.rects_intersecting(&slab));
         if candidates.is_empty() {
             if empty_distance <= merged.cutoff() {
                 merged.offer_region(empty_distance, &slab, empty_rep.clone());
@@ -255,14 +261,17 @@ pub(crate) fn scatter_search(
         .unwrap_or(1)
         .min(tasks.len());
     if workers <= 1 {
+        let mut scratch = solver.scratch();
         for (_, slab, candidates) in tasks {
             solver.search_space(
                 &asp,
+                &table,
                 query,
                 slab,
                 candidates,
                 &mut merged,
                 &mut stats,
+                &mut scratch,
                 budget.as_ref(),
             )?;
         }
@@ -278,11 +287,13 @@ pub(crate) fn scatter_search(
             solver
                 .search_space(
                     &asp,
+                    &table,
                     query,
                     *slab,
                     candidates.clone(),
                     &mut local,
                     &mut local_stats,
+                    &mut solver.scratch(),
                     budget.as_ref(),
                 )
                 .map(|()| (local, local_stats))

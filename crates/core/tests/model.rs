@@ -202,7 +202,10 @@ fn group_commit_deposit_protocol_is_schedule_clean() {
             {
                 let mut gen = self.epoch.write().expect("epoch");
                 model::check(*gen <= *applied, || {
-                    format!("generation {} ran ahead of applied count {}", *gen, *applied)
+                    format!(
+                        "generation {} ran ahead of applied count {}",
+                        *gen, *applied
+                    )
                 });
                 *gen += 1;
             }
@@ -352,11 +355,9 @@ fn single_flight_slot_protocol_is_schedule_clean() {
                 let s = Arc::clone(&state);
                 run.thread(name, move || s.submit());
             }
-            run.finally(move || {
-                match *state.shard.lock().expect("shard") {
-                    Some(42) => Ok(()),
-                    other => Err(format!("final cache entry {other:?}, expected Some(42)")),
-                }
+            run.finally(move || match *state.shard.lock().expect("shard") {
+                Some(42) => Ok(()),
+                other => Err(format!("final cache entry {other:?}, expected Some(42)")),
             });
         })
         .unwrap_or_else(|violation| panic!("{violation}"));

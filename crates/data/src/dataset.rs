@@ -182,9 +182,11 @@ impl Dataset {
     /// object is copied; the bounding box is recomputed only when the
     /// removed location sat on the old boundary.
     pub fn remove_by_id(&mut self, id: u64) -> Option<SpatialObject> {
-        let (chunk_idx, inner_idx) = self.chunks.iter().enumerate().find_map(|(ci, chunk)| {
-            chunk.iter().position(|o| o.id == id).map(|oi| (ci, oi))
-        })?;
+        let (chunk_idx, inner_idx) = self
+            .chunks
+            .iter()
+            .enumerate()
+            .find_map(|(ci, chunk)| chunk.iter().position(|o| o.id == id).map(|oi| (ci, oi)))?;
         let removed = if self.chunks[chunk_idx].len() == 1 {
             let chunk = self.chunks.remove(chunk_idx);
             chunk.first().cloned()?
@@ -223,10 +225,7 @@ impl Dataset {
     /// The smallest id strictly greater than every id in the dataset
     /// (`0` when empty) — a convenient id source for appended objects.
     pub fn next_id(&self) -> u64 {
-        self.objects()
-            .map(|o| o.id)
-            .max()
-            .map_or(0, |max| max + 1)
+        self.objects().map(|o| o.id).max().map_or(0, |max| max + 1)
     }
 
     fn compute_bbox(&self) -> Option<Rect> {
@@ -659,7 +658,13 @@ mod tests {
         assert_eq!(grown, flat);
         assert!(grown.chunks.len() > 1, "growth must have chunked");
         assert_eq!(flat.chunks.len(), 1);
-        for idx in [0, 1, super::CHUNK_CAP - 1, super::CHUNK_CAP, grown.len() - 1] {
+        for idx in [
+            0,
+            1,
+            super::CHUNK_CAP - 1,
+            super::CHUNK_CAP,
+            grown.len() - 1,
+        ] {
             assert_eq!(grown.object(idx).id, flat.object(idx).id);
         }
         assert_eq!(grown.bounding_box(), flat.bounding_box());
@@ -668,7 +673,10 @@ mod tests {
         let mut pruned = grown.clone();
         pruned.remove_by_id(3).unwrap();
         assert_eq!(pruned.object(3).id, 4);
-        assert_eq!(pruned.object(super::CHUNK_CAP).id, (super::CHUNK_CAP + 1) as u64);
+        assert_eq!(
+            pruned.object(super::CHUNK_CAP).id,
+            (super::CHUNK_CAP + 1) as u64
+        );
     }
 
     #[test]

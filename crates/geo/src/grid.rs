@@ -248,6 +248,24 @@ impl GridSpec {
     /// paper's strict-containment semantics such a rectangle covers no point
     /// of the cell.
     pub fn cells_overlapping(&self, r: &Rect) -> CellRange {
+        self.overlap_with(r, |i| self.col_x(i), |i| self.row_y(i))
+    }
+
+    /// Cells that lie entirely inside `r` (closed containment), i.e. cells
+    /// that `r` *fully covers*: every interior point of such a cell is
+    /// strictly covered by `r`.
+    pub fn cells_contained(&self, r: &Rect) -> CellRange {
+        self.contained_with(r, |i| self.col_x(i), |i| self.row_y(i))
+    }
+
+    /// [`GridSpec::cells_overlapping`] over an edge accessor (`col_x` /
+    /// `row_y` or a precomputed [`GridEdges`] table).
+    fn overlap_with(
+        &self,
+        r: &Rect,
+        x_edge: impl Fn(usize) -> f64,
+        y_edge: impl Fn(usize) -> f64,
+    ) -> CellRange {
         let Some(clip) = self.space.intersection(r) else {
             return CellRange::empty();
         };
@@ -257,109 +275,212 @@ impl GridSpec {
         if clip.height() <= 0.0 && self.space.height() > 0.0 {
             return CellRange::empty();
         }
-        let (col_start, col_end) = self.axis_overlap(clip.min_x, clip.max_x, true);
-        let (row_start, row_end) = self.axis_overlap(clip.min_y, clip.max_y, false);
+        let (col_start, col_end) = axis_overlap(
+            self.cols,
+            self.cell_w,
+            self.space.min_x,
+            clip.min_x,
+            clip.max_x,
+            x_edge,
+        );
+        let (row_start, row_end) = axis_overlap(
+            self.rows,
+            self.cell_h,
+            self.space.min_y,
+            clip.min_y,
+            clip.max_y,
+            y_edge,
+        );
         CellRange::new(col_start, col_end, row_start, row_end)
     }
 
-    /// Cells that lie entirely inside `r` (closed containment), i.e. cells
-    /// that `r` *fully covers*: every interior point of such a cell is
-    /// strictly covered by `r`.
-    pub fn cells_contained(&self, r: &Rect) -> CellRange {
+    /// [`GridSpec::cells_contained`] over an edge accessor.
+    fn contained_with(
+        &self,
+        r: &Rect,
+        x_edge: impl Fn(usize) -> f64,
+        y_edge: impl Fn(usize) -> f64,
+    ) -> CellRange {
         let Some(clip) = self.space.intersection(r) else {
             return CellRange::empty();
         };
-        let (col_start, col_end) = self.axis_contained(clip.min_x, clip.max_x, true);
-        let (row_start, row_end) = self.axis_contained(clip.min_y, clip.max_y, false);
+        let (col_start, col_end) = axis_contained(
+            self.cols,
+            self.cell_w,
+            self.space.min_x,
+            clip.min_x,
+            clip.max_x,
+            x_edge,
+        );
+        let (row_start, row_end) = axis_contained(
+            self.rows,
+            self.cell_h,
+            self.space.min_y,
+            clip.min_y,
+            clip.max_y,
+            y_edge,
+        );
         if col_start >= col_end || row_start >= row_end {
             CellRange::empty()
         } else {
             CellRange::new(col_start, col_end, row_start, row_end)
         }
     }
+}
 
-    /// Computes the half-open index range of cells whose interior overlaps
-    /// `[lo, hi]` along one axis.
-    fn axis_overlap(&self, lo: f64, hi: f64, x_axis: bool) -> (usize, usize) {
-        let (n, cell, origin) = if x_axis {
-            (self.cols, self.cell_w, self.space.min_x)
-        } else {
-            (self.rows, self.cell_h, self.space.min_y)
+/// The half-open index range of the `n` cells (width `cell`, first edge
+/// at `origin`) whose interior overlaps `[lo, hi]` along one axis: an
+/// estimate from the cell width, adjusted against the exact edges.
+fn axis_overlap(
+    n: usize,
+    cell: f64,
+    origin: f64,
+    lo: f64,
+    hi: f64,
+    edge: impl Fn(usize) -> f64,
+) -> (usize, usize) {
+    if cell <= 0.0 {
+        // Degenerate axis: the single layer of cells overlaps everything
+        // that reached this point (the clip already succeeded).
+        return (0, n);
+    }
+    // First cell i such that edge(i + 1) > lo.
+    let mut start = (((lo - origin) / cell).floor().max(0.0)) as usize;
+    start = start.min(n);
+    while start < n && edge(start + 1) <= lo {
+        start += 1;
+    }
+    while start > 0 && edge(start) > lo {
+        start -= 1;
+    }
+    if start < n && edge(start + 1) <= lo {
+        start += 1;
+    }
+    // One past the last cell i such that edge(i) < hi.
+    let mut end = (((hi - origin) / cell).ceil().max(0.0)) as usize;
+    end = end.min(n);
+    while end > 0 && edge(end - 1) >= hi {
+        end -= 1;
+    }
+    while end < n && edge(end) < hi {
+        end += 1;
+    }
+    (start.min(end), end)
+}
+
+/// The half-open index range of the cells entirely contained in
+/// `[lo, hi]` along one axis (see [`axis_overlap`] for the parameters).
+fn axis_contained(
+    n: usize,
+    cell: f64,
+    origin: f64,
+    lo: f64,
+    hi: f64,
+    edge: impl Fn(usize) -> f64,
+) -> (usize, usize) {
+    if cell <= 0.0 {
+        // Degenerate cells are contained in any interval that clips.
+        return (0, n);
+    }
+    // First cell i with edge(i) >= lo.
+    let mut start = (((lo - origin) / cell).ceil().max(0.0)) as usize;
+    start = start.min(n);
+    while start > 0 && edge(start - 1) >= lo {
+        start -= 1;
+    }
+    while start < n && edge(start) < lo {
+        start += 1;
+    }
+    // One past the last cell i with edge(i + 1) <= hi.
+    let mut end = (((hi - origin) / cell).floor().max(0.0)) as usize;
+    end = end.min(n);
+    while end < n && edge(end + 1) <= hi {
+        end += 1;
+    }
+    while end > 0 && edge(end) > hi {
+        end -= 1;
+    }
+    (start.min(end), end)
+}
+
+/// A [`GridSpec`] with its cut coordinates computed once: `xs()[i]` is
+/// [`GridSpec::col_x`]`(i)` for `i ∈ 0..=cols`, `ys()[j]` is
+/// [`GridSpec::row_y`]`(j)`.
+///
+/// A search evaluates the cell ranges of every candidate rectangle against
+/// the same grid; reading the edges from a table instead of recomputing
+/// them makes that several times cheaper, with bit-identical ranges.
+/// [`GridEdges::reset`] reuses the buffers for the next grid.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridEdges {
+    grid: GridSpec,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+}
+
+impl GridEdges {
+    /// Computes the edge table of `grid`.
+    pub fn new(grid: GridSpec) -> Self {
+        let mut edges = Self {
+            grid,
+            xs: Vec::new(),
+            ys: Vec::new(),
         };
-        if cell <= 0.0 {
-            // Degenerate axis: the single layer of cells overlaps everything
-            // that reached this point (the clip already succeeded).
-            return (0, n);
-        }
-        let edge = |i: usize| -> f64 {
-            if x_axis {
-                self.col_x(i)
-            } else {
-                self.row_y(i)
-            }
-        };
-        // First cell i such that edge(i + 1) > lo.
-        let mut start = (((lo - origin) / cell).floor().max(0.0)) as usize;
-        start = start.min(n);
-        while start < n && edge(start + 1) <= lo {
-            start += 1;
-        }
-        while start > 0 && edge(start) > lo {
-            start -= 1;
-        }
-        if start < n && edge(start + 1) <= lo {
-            start += 1;
-        }
-        // One past the last cell i such that edge(i) < hi.
-        let mut end = (((hi - origin) / cell).ceil().max(0.0)) as usize;
-        end = end.min(n);
-        while end > 0 && edge(end - 1) >= hi {
-            end -= 1;
-        }
-        while end < n && edge(end) < hi {
-            end += 1;
-        }
-        (start.min(end), end)
+        edges.fill();
+        edges
     }
 
-    /// Computes the half-open index range of cells entirely contained in
-    /// `[lo, hi]` along one axis.
-    fn axis_contained(&self, lo: f64, hi: f64, x_axis: bool) -> (usize, usize) {
-        let (n, cell, origin) = if x_axis {
-            (self.cols, self.cell_w, self.space.min_x)
-        } else {
-            (self.rows, self.cell_h, self.space.min_y)
-        };
-        if cell <= 0.0 {
-            // Degenerate cells are contained in any interval that clips.
-            return (0, n);
-        }
-        let edge = |i: usize| -> f64 {
-            if x_axis {
-                self.col_x(i)
-            } else {
-                self.row_y(i)
-            }
-        };
-        // First cell i with edge(i) >= lo.
-        let mut start = (((lo - origin) / cell).ceil().max(0.0)) as usize;
-        start = start.min(n);
-        while start > 0 && edge(start - 1) >= lo {
-            start -= 1;
-        }
-        while start < n && edge(start) < lo {
-            start += 1;
-        }
-        // One past the last cell i with edge(i + 1) <= hi.
-        let mut end = (((hi - origin) / cell).floor().max(0.0)) as usize;
-        end = end.min(n);
-        while end < n && edge(end + 1) <= hi {
-            end += 1;
-        }
-        while end > 0 && edge(end) > hi {
-            end -= 1;
-        }
-        (start.min(end), end)
+    /// Replaces the grid, reusing the table's buffers.
+    pub fn reset(&mut self, grid: GridSpec) {
+        self.grid = grid;
+        self.fill();
+    }
+
+    fn fill(&mut self) {
+        let grid = &self.grid;
+        self.xs.clear();
+        self.xs.extend((0..=grid.cols).map(|i| grid.col_x(i)));
+        self.ys.clear();
+        self.ys.extend((0..=grid.rows).map(|j| grid.row_y(j)));
+    }
+
+    /// Column edges, `cols + 1` ascending values.
+    #[inline]
+    pub fn xs(&self) -> &[f64] {
+        &self.xs
+    }
+
+    /// Row edges, `rows + 1` ascending values.
+    #[inline]
+    pub fn ys(&self) -> &[f64] {
+        &self.ys
+    }
+
+    /// [`GridSpec::cell_rect`] from the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the cell is out of range.
+    #[inline]
+    pub fn cell_rect(&self, col: usize, row: usize) -> Rect {
+        Rect::new(
+            self.xs[col],
+            self.ys[row],
+            self.xs[col + 1],
+            self.ys[row + 1],
+        )
+    }
+
+    /// [`GridSpec::cells_overlapping`] from the table (identical ranges).
+    #[inline]
+    pub fn cells_overlapping(&self, r: &Rect) -> CellRange {
+        self.grid.overlap_with(r, |i| self.xs[i], |j| self.ys[j])
+    }
+
+    /// [`GridSpec::cells_contained`] from the table (identical ranges).
+    #[inline]
+    pub fn cells_contained(&self, r: &Rect) -> CellRange {
+        self.grid.contained_with(r, |i| self.xs[i], |j| self.ys[j])
     }
 }
 
@@ -491,6 +612,84 @@ mod tests {
         let g = grid10();
         assert_eq!(g.linear_index(0, 0), 0);
         assert_eq!(g.linear_index(3, 2), 23);
+    }
+
+    /// The edge-table ranges equal the direct ones for random rectangles,
+    /// rectangles on cut lines and corners, rectangles outside the space,
+    /// and zero-width spaces.  Small enough for Miri.
+    #[test]
+    fn edge_table_ranges_equal_direct_ranges() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let spaces = [
+            (Rect::new(0.0, 0.0, 10.0, 10.0), 10, 10),
+            (Rect::new(-3.7, 1.1, 12.9, 4.3), 7, 9),
+            (Rect::new(0.1, 0.2, 0.7, 0.9), 30, 30),
+            (Rect::new(5.0, -2.0, 5.0, 8.0), 4, 5),
+            (Rect::new(-1.0, 3.0, 6.0, 3.0), 6, 3),
+            (Rect::new(2.0, 2.0, 2.0, 2.0), 3, 3),
+        ];
+        for (space, cols, rows) in spaces {
+            let grid = GridSpec::new(space, cols, rows);
+            let edges = GridEdges::new(grid.clone());
+            let (w, h) = (space.width().max(1.0), space.height().max(1.0));
+            let mut rects = Vec::new();
+            for _ in 0..24 {
+                let x = space.min_x - w * 0.3 + unit() * w * 1.6;
+                let y = space.min_y - h * 0.3 + unit() * h * 1.6;
+                rects.push(Rect::new(x, y, x + unit() * w * 0.7, y + unit() * h * 0.7));
+            }
+            // Cut lines and corners: every edge pair of a few cells, plus
+            // slivers and points on them.
+            for (c, r) in [(0, 0), (1, 1), (cols - 1, rows - 1), (cols / 2, rows / 2)] {
+                let (x0, x1) = (grid.col_x(c), grid.col_x(c + 1));
+                let (y0, y1) = (grid.row_y(r), grid.row_y(r + 1));
+                rects.push(Rect::new(x0, y0, x1, y1));
+                rects.push(Rect::new(x0, y0, x0, y0));
+                rects.push(Rect::new(x0, y0, grid.col_x(cols), y1));
+                rects.push(Rect::new(x1, y1, x1 + w, y1 + h));
+                rects.push(Rect::new(x0 - w, y0 - h, x0, y0));
+            }
+            // Outside the space, touching it, and covering it.
+            rects.push(Rect::new(
+                space.max_x + 1.0,
+                space.min_y,
+                space.max_x + 2.0,
+                space.max_y,
+            ));
+            rects.push(Rect::new(
+                space.min_x - 2.0,
+                space.min_y - 2.0,
+                space.min_x,
+                space.min_y,
+            ));
+            rects.push(space.expanded(1.0, 1.0));
+            rects.push(space);
+            for r in &rects {
+                assert_eq!(edges.cells_overlapping(r), grid.cells_overlapping(r), "{r}");
+                assert_eq!(edges.cells_contained(r), grid.cells_contained(r), "{r}");
+            }
+            for c in 0..cols {
+                for r in 0..rows {
+                    assert_eq!(edges.cell_rect(c, r), grid.cell_rect(c, r));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edge_table_reset_reuses_buffers_for_a_new_grid() {
+        let mut edges = GridEdges::new(grid10());
+        let other = GridSpec::new(Rect::new(-1.0, -1.0, 2.0, 5.0), 3, 6);
+        edges.reset(other.clone());
+        assert_eq!(edges.xs(), &[-1.0, 0.0, 1.0, 2.0]);
+        assert_eq!(edges.ys().len(), 7);
+        assert_eq!(edges, GridEdges::new(other));
     }
 
     #[test]

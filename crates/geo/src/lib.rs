@@ -30,7 +30,7 @@ mod rect;
 mod size;
 
 pub use accuracy::{min_positive_gap, Accuracy};
-pub use grid::{CellIdx, CellRange, GridSpec};
+pub use grid::{CellIdx, CellRange, GridEdges, GridSpec};
 pub use point::Point;
 pub use rect::Rect;
 pub use size::RegionSize;

@@ -1097,11 +1097,7 @@ fn collect_guards(analysis: &Analysis<'_>, file_idx: usize) -> Vec<Guard> {
                 match &binding {
                     Some(name)
                         if find_word(&logical.text, "match").is_some()
-                            && match_yields_guard(
-                                &file.logicals,
-                                idx,
-                                logical.depth_before,
-                            ) =>
+                            && match_yields_guard(&file.logicals, idx, logical.depth_before) =>
                     {
                         GuardShape::Named { name: name.clone() }
                     }
@@ -1484,4 +1480,3 @@ mod tests {
         assert_eq!(extract_allow(" plain comment"), None);
     }
 }
-

@@ -353,7 +353,9 @@ impl PersistentBuilder {
                 .iter()
                 .map(|e| e.mutation.clone())
                 .collect();
-            let receipts = engine.apply_mutations(&batch).map_err(PersistError::Engine)?;
+            let receipts = engine
+                .apply_mutations(&batch)
+                .map_err(PersistError::Engine)?;
             debug_assert!(receipts.iter().all(|r| r.generation == generation));
             replayed += (end - i) as u64;
             i = end;

@@ -73,8 +73,9 @@ struct WalInner {
 /// Upper bounds (microseconds, inclusive) of the fsync-latency histogram
 /// buckets; one implicit overflow bucket follows the last bound.  Shared
 /// by [`Wal::fsync_latency`] and the server's `/metrics` rendering.
-pub const FSYNC_BUCKET_BOUNDS_US: [u64; 10] =
-    [50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000];
+pub const FSYNC_BUCKET_BOUNDS_US: [u64; 10] = [
+    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
+];
 
 /// Lock-free fsync-latency counters: one bucket per
 /// [`FSYNC_BUCKET_BOUNDS_US`] bound plus an overflow bucket, with total
@@ -278,7 +279,11 @@ impl Wal {
     /// generation), so logs written by this method read back with the same
     /// scanner; only the durability cost is amortised.  Returns only once
     /// every frame is durable.
-    pub fn append_batch(&self, generation: u64, mutations: &[Mutation]) -> Result<(), PersistError> {
+    pub fn append_batch(
+        &self,
+        generation: u64,
+        mutations: &[Mutation],
+    ) -> Result<(), PersistError> {
         if mutations.is_empty() {
             return Ok(());
         }

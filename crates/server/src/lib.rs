@@ -69,5 +69,7 @@ mod metrics;
 mod server;
 
 pub use http::HttpClient;
-pub use metrics::{CacheSnapshot, HistogramSnapshot, MetricsSnapshot, ShardsSnapshot, SweeperSnapshot};
+pub use metrics::{
+    CacheSnapshot, HistogramSnapshot, MetricsSnapshot, ShardsSnapshot, SweeperSnapshot,
+};
 pub use server::{status_for, AsrsServer, ServerConfig, ServerHandle};

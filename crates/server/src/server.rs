@@ -599,7 +599,10 @@ fn handle_append_batch(shared: &Shared, body: &[u8]) -> (u16, String) {
             shared.metrics.record_mutation_ok();
             shared.metrics.record_batch_ingest(receipts.len() as u64);
             shared.metrics.record_commit(&receipts);
-            (200, serde::json::to_string(&AppendBatchReceipts { receipts }))
+            (
+                200,
+                serde::json::to_string(&AppendBatchReceipts { receipts }),
+            )
         }
         Err(error) => {
             let (status, kind) = status_for(&error);
@@ -723,6 +726,7 @@ pub fn status_for(error: &AsrsError) -> (u16, &'static str) {
         AsrsError::UnknownObjectId { .. } => (404, "unknown-object-id"),
         AsrsError::DuplicateObjectId { .. } => (409, "duplicate-object-id"),
         AsrsError::Schema(_) => (400, "schema-violation"),
+        AsrsError::NonFiniteLocation { .. } => (400, "non-finite-location"),
         AsrsError::Persistence { .. } => (500, "persistence"),
         AsrsError::Internal { .. } => (500, "internal"),
         AsrsError::Query(_) => (400, "invalid-query"),

@@ -91,6 +91,45 @@ fn smoke_boot_round_trip_clean_shutdown() {
     assert!(late.is_err(), "server must not answer after shutdown");
 }
 
+/// The JSON parser reads `1e999` as +∞.  Such an append is refused with
+/// a 400 before it reaches the dataset (single and batched), and queries
+/// keep answering — an accepted +∞ location used to make every later
+/// search panic on its invalid ASP rectangle.
+#[test]
+fn a_non_finite_append_is_refused_and_the_server_keeps_serving() {
+    let engine = engine(64);
+    let server = start(&engine);
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let template = engine.dataset().object(0).clone();
+    let object = asrs_data::SpatialObject::new(
+        100_000,
+        asrs_geo::Point::new(50.0, 50.0),
+        template.values.clone(),
+    );
+    let json = serde::json::to_string(&object);
+    assert!(json.contains("\"x\":50.0"), "{json}");
+    let infinite = json.replace("\"x\":50.0", "\"x\":1e999");
+    for (path, body) in [
+        ("/append", format!("{{\"object\":{infinite}}}")),
+        (
+            "/append_batch",
+            format!("{{\"items\":[{{\"object\":{json}}},{{\"object\":{infinite}}}]}}"),
+        ),
+    ] {
+        let (status, reply) = client.request("POST", path, &body).unwrap();
+        assert_eq!(status, 400, "{path}: {reply}");
+        assert!(reply.contains("non-finite-location"), "{path}: {reply}");
+    }
+    assert_eq!(engine.generation(), 0, "nothing was committed");
+    assert_eq!(engine.dataset().len(), 400);
+
+    let request = serde::json::to_string(&QueryRequest::similar(sample_query(3)));
+    let (status, reply) = client.request("POST", "/query", &request).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn mutation_endpoints_append_remove_sweep_and_report_generations() {
     let engine = engine(64);

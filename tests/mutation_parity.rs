@@ -1008,7 +1008,11 @@ fn an_append_inside_the_maxrs_region_rejects_the_carry() {
     let misses_before = stats.misses;
     let warm = engine.submit(&request).unwrap();
     let stats = engine.cache_stats().unwrap();
-    assert_eq!(stats.misses, misses_before + 1, "must recompute cold: {stats:?}");
+    assert_eq!(
+        stats.misses,
+        misses_before + 1,
+        "must recompute cold: {stats:?}"
+    );
     assert!(
         warm.max_rs().unwrap().count >= result.count,
         "the interior append cannot lower the densest count"

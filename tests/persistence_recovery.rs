@@ -187,7 +187,10 @@ fn assert_engines_agree(
         "{context}: the reopened engine must resume at the survivor's generation"
     );
     assert!(
-        reopened.dataset().objects().eq(survivor.dataset().objects()),
+        reopened
+            .dataset()
+            .objects()
+            .eq(survivor.dataset().objects()),
         "{context}: datasets diverged"
     );
     for request in request_pool(&reopened.dataset(), agg, seed) {
@@ -769,12 +772,12 @@ fn a_version_one_snapshot_still_boots() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The decoders take an object location as written, so an append the
-/// engine acknowledged at a NaN location cannot make its WAL frame or a
-/// later snapshot unreadable — which would truncate the log from that
-/// frame on, or pass the snapshot over, and lose acknowledged writes.
+/// An append at a non-finite location is refused before it reaches the
+/// WAL (an accepted one made every later search panic on its invalid ASP
+/// rectangle, in this process and after every reboot), and the normal
+/// append after it survives WAL replay and snapshot restore.
 #[test]
-fn a_nan_located_append_survives_reboots() {
+fn a_non_finite_append_is_refused_and_the_next_append_survives_reboots() {
     for shards in [0, 2] {
         let (ds, agg) = workload(80, 61);
         let template = ds.object(0).clone();
@@ -788,15 +791,32 @@ fn a_nan_located_append_survives_reboots() {
         let persistent = reboot();
         let located =
             |id: u64, location: Point| SpatialObject::new(id, location, template.values.clone());
-        persistent
-            .engine()
-            .append(located(9_000_000, Point::new(f64::NAN, f64::NAN)))
-            .unwrap();
+        for location in [
+            Point::new(f64::NAN, f64::NAN),
+            Point::new(f64::INFINITY, template.location.y),
+            Point::new(template.location.x, f64::NEG_INFINITY),
+        ] {
+            let refused = persistent.engine().append(located(9_000_000, location));
+            assert!(
+                matches!(
+                    refused,
+                    Err(AsrsError::NonFiniteLocation { id: 9_000_000, .. })
+                ),
+                "shards {shards}: {refused:?}"
+            );
+        }
+        assert_eq!(persistent.engine().generation(), 0, "shards {shards}");
         persistent
             .engine()
             .append(located(9_000_001, template.location))
             .unwrap();
         let generation = persistent.engine().generation();
+        let query = QueryRequest::similar(AsrsQuery::new(
+            RegionSize::new(10.0, 10.0),
+            FeatureVector::new(vec![1.0, 1.0, 1.0, 1.0]),
+            Weights::uniform(4),
+        ));
+        let answer = persistent.engine().submit(&query).unwrap().stats_stripped();
         drop(persistent);
 
         let survived = |engine: &AsrsEngine, context: &str| {
@@ -807,15 +827,19 @@ fn a_nan_located_append_survives_reboots() {
             );
             let dataset = engine.dataset();
             let find = |id| dataset.objects().find(|o| o.id == id);
-            let nan = find(9_000_000).expect("the NaN-located object survives");
-            assert!(nan.location.x.is_nan() && nan.location.y.is_nan());
+            assert!(find(9_000_000).is_none(), "shards {shards}, {context}");
             assert!(
                 find(9_000_001).is_some(),
-                "shards {shards}, {context}: the append after it survives"
+                "shards {shards}, {context}: the append after the refusal survives"
+            );
+            assert_eq!(
+                engine.submit(&query).unwrap().stats_stripped(),
+                answer,
+                "shards {shards}, {context}"
             );
         };
         let replayed = reboot();
-        assert_eq!(replayed.boot().replayed_entries, 2);
+        assert_eq!(replayed.boot().replayed_entries, 1);
         survived(replayed.engine(), "WAL replay");
         replayed.snapshot().unwrap();
         drop(replayed);
