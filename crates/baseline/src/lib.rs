@@ -16,10 +16,10 @@
 //! point per cell of the full rectangle arrangement, which is exact but
 //! cubic in the number of objects.
 //!
-//! [`SweepBase`] implements the engine's
-//! [`SearchAlgorithm`](asrs_core::SearchAlgorithm) trait, so it plugs into
-//! [`AsrsEngine::search_with`](asrs_core::AsrsEngine::search_with) as an
-//! interchangeable backend next to DS-Search, GI-DS and the naive oracle.
+//! The baselines are standalone solvers, not engine backends: call
+//! [`SweepBase::search`] (which validates the query itself) and compare
+//! its answer with what [`AsrsEngine::submit`](asrs_core::AsrsEngine::submit)
+//! returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

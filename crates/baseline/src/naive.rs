@@ -2,7 +2,7 @@
 //!
 //! The actual enumeration lives in `asrs-core` as
 //! [`asrs_core::NaiveSearch`] (the engine's
-//! [`Strategy::Naive`](asrs_core::Strategy) backend); this module keeps
+//! [`Backend::Naive`](asrs_core::Backend) backend); this module keeps
 //! the historical free-function entry points the test-suite uses, as thin
 //! wrappers over it.
 //!

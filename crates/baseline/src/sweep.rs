@@ -11,7 +11,7 @@
 
 use asrs_aggregator::{CompositeAggregator, FeatureVector};
 use asrs_core::asp::AspInstance;
-use asrs_core::{AsrsError, AsrsQuery, SearchAlgorithm, SearchResult, SearchStats};
+use asrs_core::{AsrsError, AsrsQuery};
 use asrs_data::Dataset;
 use asrs_geo::{Point, Rect};
 use std::time::{Duration, Instant};
@@ -178,29 +178,6 @@ impl<'a> SweepBase<'a> {
             candidates_evaluated,
             elapsed: started.elapsed(),
         })
-    }
-}
-
-impl SearchAlgorithm for SweepBase<'_> {
-    fn name(&self) -> &str {
-        "sweep-base"
-    }
-
-    fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
-        let answer = SweepBase::search(self, query)?;
-        let stats = SearchStats {
-            rectangles: self.dataset.len() as u64,
-            fallback_points: answer.candidates_evaluated,
-            elapsed: answer.elapsed,
-            ..SearchStats::default()
-        };
-        Ok(SearchResult::new(
-            answer.anchor,
-            answer.region,
-            answer.distance,
-            answer.representation,
-            stats,
-        ))
     }
 }
 

@@ -15,8 +15,8 @@
 //! Every measured search goes through `AsrsEngine::submit`; where a figure
 //! compares specific backends, the request pins one with
 //! `QueryRequest::with_backend` — the API's escape hatch from the cost
-//! model.  The sweep-line baseline plugs in as an external backend via
-//! `search_with`.
+//! model.  The sweep-line baseline is timed by calling
+//! `SweepBase::search` directly.
 
 use asrs_baseline::{OptimalEnclosure, SweepBase};
 use asrs_bench::{format_duration, unit_query_size, Table, Workload};
@@ -68,11 +68,7 @@ fn fig8(scale: f64) {
         let engine = AsrsEngine::builder(dataset.clone(), aggregator)
             .build()
             .expect("valid configuration");
-        let base_engine = AsrsEngine::builder(base_dataset.clone(), base_aggregator)
-            .build()
-            .expect("valid configuration");
-        let (base_ds, base_agg) = (base_engine.dataset(), base_engine.aggregator());
-        let sweep = SweepBase::new(&base_ds, &base_agg);
+        let sweep = SweepBase::new(&base_dataset, &base_aggregator);
         let mut table = Table::new(
             &format!(
                 "Figure 8 ({}): runtime vs query rectangle size (DS-Search at n={n}, Base at n={base_n})",
@@ -88,7 +84,7 @@ fn fig8(scale: f64) {
             let ds_time = started.elapsed();
             let base_query = workload.query(&base_dataset, k);
             let started = Instant::now();
-            base_engine.search_with(&sweep, &base_query).unwrap();
+            sweep.search(&base_query).unwrap();
             let base_time = started.elapsed();
             table.row(vec![
                 format!("{}q", k as u64),
@@ -160,7 +156,7 @@ fn fig10(scale: f64) {
             let (sweep_ds, sweep_agg) = (engine.dataset(), engine.aggregator());
             let sweep = SweepBase::new(&sweep_ds, &sweep_agg);
             let started = Instant::now();
-            engine.search_with(&sweep, &query).unwrap();
+            sweep.search(&query).unwrap();
             let base_time = started.elapsed();
             table.row(vec![
                 n.to_string(),

@@ -205,7 +205,10 @@ pub(crate) struct CarryCandidate {
 pub struct CacheStats {
     /// Requests answered from the cache.
     pub hits: u64,
-    /// Requests that had to be computed.
+    /// Lookups that found no entry.  This counts every caller that then
+    /// computed the answer *and* every caller that waited on another
+    /// caller's in-flight computation instead, so the requests actually
+    /// computed are `misses - coalesced_waits`.
     pub misses: u64,
     /// Entries currently cached.
     pub entries: usize,

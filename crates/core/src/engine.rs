@@ -1,29 +1,24 @@
-//! The [`AsrsEngine`] facade: one entry point over every search backend.
+//! The [`AsrsEngine`]: one entry point, [`AsrsEngine::submit`], over every
+//! search backend.
 //!
 //! The per-algorithm solvers ([`DsSearch`], [`GiDsSearch`],
-//! [`NaiveSearch`]) remain available for low-level use, but the engine is
-//! the intended public surface:
+//! [`NaiveSearch`], [`MaxRsSearch`]) remain available for low-level use,
+//! but the engine is the intended public surface:
 //!
 //! * an [`EngineBuilder`] owns the dataset and aggregator, optionally
 //!   builds or attaches a [`GridIndex`], and validates everything once,
 //! * requests are declarative [`QueryRequest`] values; the engine's
 //!   [`Planner`] picks the backend per request from dataset/index
-//!   statistics (an explicit [`Strategy`] or a request-level
-//!   [`QueryRequest::with_backend`] override pins it), and
-//!   [`AsrsEngine::submit`] executes the plan into a [`QueryResponse`],
+//!   statistics (a request-level [`QueryRequest::with_backend`] override
+//!   pins it), and [`AsrsEngine::submit`] executes the plan into a
+//!   [`QueryResponse`],
 //! * [`AsrsEngine::handle`] hands out cheap `Clone + Send + Sync`
 //!   [`EngineHandle`](crate::EngineHandle)s over the engine's `Arc`-shared
 //!   immutable core for concurrent submission, and every request can carry
 //!   a wall-clock budget enforced down the discretize–split recursion,
-//! * the backends are interchangeable behind the object-safe
-//!   [`SearchAlgorithm`] trait, so external crates (e.g. the sweep-line
-//!   baseline in `asrs-baseline`) plug in via [`AsrsEngine::search_with`],
 //! * every query is validated once at the engine boundary and every
 //!   fallible method returns `Result<_, AsrsError>` — nothing panics on
-//!   bad input,
-//! * the legacy per-operation methods ([`AsrsEngine::search`],
-//!   [`AsrsEngine::search_top_k`], [`AsrsEngine::search_batch`],
-//!   [`AsrsEngine::max_rs`]) are kept as thin shims over `submit`.
+//!   bad input.
 //!
 //! ```
 //! use asrs_core::{AsrsEngine, QueryRequest};
@@ -70,200 +65,6 @@ use asrs_data::{Dataset, Mutation, MutationLog, SpatialObject};
 use asrs_geo::{Rect, RegionSize};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// An interchangeable ASRS search backend.
-///
-/// The trait is object-safe: the engine dispatches through
-/// `Box<dyn SearchAlgorithm>` and accepts external implementations via
-/// [`AsrsEngine::search_with`].  Implementors may assume the query has
-/// been validated against the aggregator they were built with (the engine
-/// guarantees it); implementations provided by this workspace re-validate
-/// defensively, so direct use is safe too.
-pub trait SearchAlgorithm {
-    /// A short human-readable backend name (for logs and errors).
-    fn name(&self) -> &str;
-
-    /// Solves the ASRS problem for `query`.
-    fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError>;
-
-    /// Returns up to `k` best candidate regions with pairwise distinct
-    /// anchors, best first.
-    ///
-    /// The default implementation runs [`SearchAlgorithm::search`] and
-    /// returns a single result; backends with native top-k support
-    /// override it.
-    fn search_top_k(&self, query: &AsrsQuery, k: usize) -> Result<Vec<SearchResult>, AsrsError> {
-        if k == 0 {
-            return Err(AsrsError::InvalidTopK);
-        }
-        Ok(vec![self.search(query)?])
-    }
-
-    /// [`SearchAlgorithm::search`] under an optional wall-clock budget.
-    ///
-    /// The default implementation ignores the budget (external backends
-    /// keep compiling unchanged); the built-in backends override it to
-    /// abort with [`AsrsError::DeadlineExceeded`] once the budget is
-    /// spent.
-    fn search_within(
-        &self,
-        query: &AsrsQuery,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        let _ = budget;
-        self.search(query)
-    }
-
-    /// [`SearchAlgorithm::search_top_k`] under an optional wall-clock
-    /// budget (see [`SearchAlgorithm::search_within`]).
-    fn search_top_k_within(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        let _ = budget;
-        self.search_top_k(query, k)
-    }
-}
-
-impl SearchAlgorithm for DsSearch<'_> {
-    fn name(&self) -> &str {
-        "ds-search"
-    }
-
-    fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
-        DsSearch::search(self, query)
-    }
-
-    fn search_top_k(&self, query: &AsrsQuery, k: usize) -> Result<Vec<SearchResult>, AsrsError> {
-        DsSearch::search_top_k(self, query, k)
-    }
-
-    fn search_within(
-        &self,
-        query: &AsrsQuery,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        DsSearch::search_within(self, query, budget)
-    }
-
-    fn search_top_k_within(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        DsSearch::search_top_k_within(self, query, k, budget)
-    }
-}
-
-impl SearchAlgorithm for GiDsSearch<'_> {
-    fn name(&self) -> &str {
-        "gi-ds"
-    }
-
-    fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
-        GiDsSearch::search(self, query)
-    }
-
-    fn search_top_k(&self, query: &AsrsQuery, k: usize) -> Result<Vec<SearchResult>, AsrsError> {
-        GiDsSearch::search_top_k(self, query, k)
-    }
-
-    fn search_within(
-        &self,
-        query: &AsrsQuery,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        GiDsSearch::search_within(self, query, budget)
-    }
-
-    fn search_top_k_within(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        GiDsSearch::search_top_k_within(self, query, k, budget)
-    }
-}
-
-impl SearchAlgorithm for NaiveSearch<'_> {
-    fn name(&self) -> &str {
-        "naive"
-    }
-
-    fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
-        NaiveSearch::search(self, query)
-    }
-
-    fn search_top_k(&self, query: &AsrsQuery, k: usize) -> Result<Vec<SearchResult>, AsrsError> {
-        NaiveSearch::search_top_k(self, query, k)
-    }
-
-    fn search_within(
-        &self,
-        query: &AsrsQuery,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        NaiveSearch::search_within(self, query, budget)
-    }
-
-    fn search_top_k_within(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        NaiveSearch::search_top_k_within(self, query, k, budget)
-    }
-}
-
-/// Backend selection policy of an [`AsrsEngine`].
-///
-/// `Auto` defers the choice to the engine's cost-based
-/// [`Planner`], which decides per request; the explicit variants pin one
-/// backend for every request the engine executes (a per-request
-/// [`QueryRequest::with_backend`] override still wins).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Let the planner decide per request (GI-DS for small queries on an
-    /// indexed engine, DS-Search otherwise — see [`Planner`]).
-    #[default]
-    Auto,
-    /// The exact discretize–split algorithm (no index needed).
-    DsSearch,
-    /// The grid-index-accelerated algorithm; requires an index.
-    GiDs,
-    /// The exhaustive arrangement oracle — exact but `O(n²)` probes, for
-    /// validation and small instances.
-    Naive,
-}
-
-impl Strategy {
-    /// Resolves [`Strategy::Auto`] to the concrete backend it dispatches
-    /// to; explicit strategies resolve to themselves.  This is the single
-    /// decision point shared by dispatch and reporting.
-    fn resolve(self, has_index: bool) -> Strategy {
-        match self {
-            Strategy::Auto if has_index => Strategy::GiDs,
-            Strategy::Auto => Strategy::DsSearch,
-            explicit => explicit,
-        }
-    }
-
-    /// The name of the backend this strategy resolves to.
-    fn resolved_name(self, has_index: bool) -> &'static str {
-        match self.resolve(has_index) {
-            Strategy::DsSearch => "ds-search",
-            Strategy::GiDs => "gi-ds",
-            Strategy::Naive => "naive",
-            // lint:allow(resolve() maps Auto to a concrete strategy in every arm; this is statically dead)
-            Strategy::Auto => unreachable!("resolve() never returns Auto"),
-        }
-    }
-}
 
 /// How the builder should obtain a grid index.
 #[derive(Debug)]
@@ -329,7 +130,6 @@ pub struct EngineBuilder {
     dataset: Arc<Dataset>,
     aggregator: CompositeAggregator,
     config: SearchConfig,
-    strategy: Strategy,
     index: IndexSpec,
     planner: Planner,
     cache_capacity: usize,
@@ -343,7 +143,6 @@ impl EngineBuilder {
             dataset: Arc::new(dataset),
             aggregator,
             config: SearchConfig::default(),
-            strategy: Strategy::Auto,
             index: IndexSpec::None,
             planner: Planner::default(),
             cache_capacity: 0,
@@ -423,12 +222,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the backend strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Builds a `cols × rows` grid index over the dataset during
     /// [`EngineBuilder::build`].
     pub fn build_index(mut self, cols: usize, rows: usize) -> Self {
@@ -454,8 +247,6 @@ impl EngineBuilder {
     ///   empty dataset,
     /// * [`AsrsError::IndexMismatch`] when an attached index was built for
     ///   an aggregator with a different statistics layout,
-    /// * [`AsrsError::IndexRequired`] when [`Strategy::GiDs`] was selected
-    ///   without an index,
     /// * [`AsrsError::NonFiniteLocation`] when a seed object's location is
     ///   NaN or infinite.
     pub fn build(mut self) -> Result<AsrsEngine, AsrsError> {
@@ -528,9 +319,6 @@ impl EngineBuilder {
         index: Option<Arc<GridIndex>>,
         upkeep: IndexUpkeep,
     ) -> Result<AsrsEngine, AsrsError> {
-        if self.strategy == Strategy::GiDs && upkeep == IndexUpkeep::None {
-            return Err(AsrsError::IndexRequired { strategy: "gi-ds" });
-        }
         let shards = (self.shards > 0).then(|| ShardSet::build(&dataset, self.shards));
         let statistics = capture_statistics(&dataset, index.as_deref(), upkeep, shards.as_ref())?;
         let cache =
@@ -540,7 +328,6 @@ impl EngineBuilder {
             dataset,
             aggregator: Arc::new(self.aggregator),
             config: self.config,
-            strategy: self.strategy,
             index,
             upkeep,
             planner: self.planner,
@@ -554,8 +341,8 @@ impl EngineBuilder {
     /// Reassembles an engine from a persisted [`EngineState`] instead of
     /// building from the seed dataset — no index build.
     ///
-    /// The builder's *settings* (aggregator, configuration, strategy,
-    /// planner, cache capacity, shard count, index granularity, mutation
+    /// The builder's *settings* (aggregator, configuration, planner,
+    /// cache capacity, shard count, index granularity, mutation
     /// policy) still apply; its seed dataset is ignored in favour of
     /// `state`.  The restored engine is byte-identical in responses to the
     /// engine the state was exported from: the dataset keeps its object
@@ -646,7 +433,6 @@ pub(crate) struct EngineCore {
     pub(crate) dataset: Arc<Dataset>,
     pub(crate) aggregator: Arc<CompositeAggregator>,
     pub(crate) config: SearchConfig,
-    pub(crate) strategy: Strategy,
     pub(crate) index: Option<Arc<GridIndex>>,
     /// What index maintenance this engine owes under mutation.
     pub(crate) upkeep: IndexUpkeep,
@@ -794,15 +580,46 @@ pub(crate) fn export_state(shared: &EngineShared) -> EngineState {
     }
 }
 
+/// A constructed backend.  The engine dispatches on [`Backend`] through
+/// this private `match`; there is no pluggable backend surface.
+enum Solver<'a> {
+    DsSearch(DsSearch<'a>),
+    GiDs(GiDsSearch<'a>),
+    Naive(NaiveSearch<'a>),
+}
+
+impl Solver<'_> {
+    fn search_within(
+        &self,
+        query: &AsrsQuery,
+        budget: Option<Budget>,
+    ) -> Result<SearchResult, AsrsError> {
+        match self {
+            Solver::DsSearch(s) => s.search_within(query, budget),
+            Solver::GiDs(s) => s.search_within(query, budget),
+            Solver::Naive(s) => s.search_within(query, budget),
+        }
+    }
+
+    fn search_top_k_within(
+        &self,
+        query: &AsrsQuery,
+        k: usize,
+        budget: Option<Budget>,
+    ) -> Result<Vec<SearchResult>, AsrsError> {
+        match self {
+            Solver::DsSearch(s) => s.search_top_k_within(query, k, budget),
+            Solver::GiDs(s) => s.search_top_k_within(query, k, budget),
+            Solver::Naive(s) => s.search_top_k_within(query, k, budget),
+        }
+    }
+}
+
 impl EngineCore {
     /// Instantiates a concrete backend with an explicit configuration.
-    fn backend_for(
-        &self,
-        backend: Backend,
-        config: SearchConfig,
-    ) -> Result<Box<dyn SearchAlgorithm + '_>, AsrsError> {
+    fn backend_for(&self, backend: Backend, config: SearchConfig) -> Result<Solver<'_>, AsrsError> {
         Ok(match backend {
-            Backend::DsSearch => Box::new(DsSearch::with_config(
+            Backend::DsSearch => Solver::DsSearch(DsSearch::with_config(
                 &self.dataset,
                 &self.aggregator,
                 config,
@@ -811,15 +628,15 @@ impl EngineCore {
                 let index = self
                     .index
                     .as_deref()
-                    .ok_or(AsrsError::IndexRequired { strategy: "gi-ds" })?;
-                Box::new(GiDsSearch::with_config(
+                    .ok_or(AsrsError::IndexRequired { backend: "gi-ds" })?;
+                Solver::GiDs(GiDsSearch::with_config(
                     &self.dataset,
                     &self.aggregator,
                     index,
                     config,
                 ))
             }
-            Backend::Naive => Box::new(NaiveSearch::with_config(
+            Backend::Naive => Solver::Naive(NaiveSearch::with_config(
                 &self.dataset,
                 &self.aggregator,
                 config,
@@ -828,7 +645,7 @@ impl EngineCore {
     }
 
     pub(crate) fn plan(&self, request: &QueryRequest) -> Result<ExecutionPlan, AsrsError> {
-        self.planner.plan(&self.statistics, self.strategy, request)
+        self.planner.plan(&self.statistics, request)
     }
 
     /// Plans and executes `request`, consulting the query-result cache
@@ -858,12 +675,12 @@ impl EngineCore {
         self.cache.as_deref().map(QueryCache::stats)
     }
 
+    /// Plans, admits and executes `request` — the one operation dispatch.
+    /// Each `run_*` helper chooses between the shard scatter and the
+    /// planned backend.
     pub(crate) fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, AsrsError> {
         let plan = self.plan(request)?;
         plan.admit()?;
-        if self.shards.is_some() {
-            return self.execute_sharded(request, &plan);
-        }
         let budget = plan
             .budget_ms
             .map(|ms| Budget::new(Duration::from_millis(ms)));
@@ -878,9 +695,11 @@ impl EngineCore {
             QueryRequest::TopK { query, k } => {
                 QueryOutcome::Ranked(self.run_top_k(backend, query, *k, budget)?)
             }
-            QueryRequest::Batch { queries } => QueryOutcome::Batch(all_or_first_error(
-                self.run_batch(backend, queries, budget)?,
-            )?),
+            QueryRequest::Batch { queries } => QueryOutcome::Batch(
+                self.run_batch(backend, queries, budget)?
+                    .into_iter()
+                    .collect::<Result<_, _>>()?,
+            ),
             QueryRequest::MaxRs { size } => {
                 QueryOutcome::MaxRs(self.run_max_rs(*size, Selection::All, budget)?)
             }
@@ -893,25 +712,6 @@ impl EngineCore {
             }
         };
         Ok(QueryResponse::from_outcome(backend, outcome))
-    }
-
-    /// Plans a legacy per-operation call without constructing an owned
-    /// [`QueryRequest`], so the shims can borrow their queries.
-    fn plan_legacy(
-        &self,
-        operation: &'static str,
-        size: Option<RegionSize>,
-    ) -> Result<ExecutionPlan, AsrsError> {
-        let is_max_rs = operation == "max-rs" || operation == "max-rs-selective";
-        self.planner.plan_parts(
-            &self.statistics,
-            self.strategy,
-            operation,
-            size,
-            is_max_rs,
-            None,
-            None,
-        )
     }
 
     /// Validates and runs a single similar-region search, optionally with
@@ -930,7 +730,6 @@ impl EngineCore {
             if let Some(delta) = delta {
                 self.config.clone().with_delta(delta)?;
             }
-            let _ = backend;
             return self.sharded_similar(query, budget);
         }
         query.validate(&self.aggregator)?;
@@ -951,7 +750,6 @@ impl EngineCore {
         budget: Option<Budget>,
     ) -> Result<Vec<SearchResult>, AsrsError> {
         if self.shards.is_some() {
-            let _ = backend;
             return self.sharded_top_k(query, k, budget);
         }
         query.validate(&self.aggregator)?;
@@ -959,25 +757,11 @@ impl EngineCore {
             .search_top_k_within(query, k, budget)
     }
 
-    /// Plans and answers a batch with per-query results (the fallible
-    /// sibling of `run_batch` used by
-    /// [`AsrsEngine::search_batch_results`]).
-    pub(crate) fn batch_results(
-        &self,
-        queries: &[AsrsQuery],
-    ) -> Result<Vec<Result<SearchResult, AsrsError>>, AsrsError> {
-        let size = crate::request::batch_planning_size(queries);
-        let plan = self.plan_legacy("batch", size)?;
-        plan.admit()?;
-        if self.shards.is_some() {
-            return self.sharded_batch_results(queries, None);
-        }
-        self.run_batch(plan.backend, queries, None)
-    }
-
-    /// Answers every query of a batch on the planned backend, fanning out
-    /// over `std::thread` workers (one per available core, at most one per
-    /// query), and returns one `Result` per query in input order.
+    /// Answers every query of a batch and returns one `Result` per query
+    /// in input order.  A sharded engine answers them one after another
+    /// (each scatter already fans out across the shard slabs); an
+    /// unsharded one runs the planned backend on `std::thread` workers
+    /// (one per available core, at most one per query).
     ///
     /// Results come back in input order with deterministic tie-breaking
     /// regardless of thread scheduling: each query owns a fixed result
@@ -999,6 +783,9 @@ impl EngineCore {
         queries: &[AsrsQuery],
         budget: Option<Budget>,
     ) -> Result<Vec<Result<SearchResult, AsrsError>>, AsrsError> {
+        if self.shards.is_some() {
+            return self.sharded_batch_results(queries, budget);
+        }
         for query in queries {
             query.validate(&self.aggregator)?;
         }
@@ -1009,21 +796,18 @@ impl EngineCore {
             .map(|n| n.get())
             .unwrap_or(1)
             .min(queries.len());
+        // A construction failure is a whole-batch error (the outer
+        // `Result`), whatever the core count.
+        let solver = &self.backend_for(backend, self.config.clone())?;
         if workers <= 1 {
-            let solver = self.backend_for(backend, self.config.clone())?;
             return Ok(queries
                 .iter()
-                .map(|q| solve_slot(&*solver, q, budget))
+                .map(|q| solve_slot(solver, q, budget))
                 .collect());
         }
-        // Backend construction is deterministic, so validate it once up
-        // front: a construction failure is a whole-batch error (the outer
-        // `Result`) on every path, not an outer error on one core count
-        // and per-slot errors on another.
-        drop(self.backend_for(backend, self.config.clone())?);
-        // Workers steal query indices from a shared counter; each worker
-        // builds its own backend (they are cheap: borrows plus a config
-        // clone) and writes results into its query's slot, keeping order.
+        // Workers share the one backend (plain borrowed data), steal query
+        // indices from a shared counter and write results into their
+        // query's slot, keeping order.
         let next = std::sync::atomic::AtomicUsize::new(0);
         let slots: Vec<std::sync::Mutex<Option<Result<SearchResult, AsrsError>>>> = (0..queries
             .len())
@@ -1035,41 +819,30 @@ impl EngineCore {
             for _ in 0..workers {
                 let next = &next;
                 let slots = &slots;
-                handles.push(scope.spawn(move || -> Result<(), AsrsError> {
-                    let solver = self.backend_for(backend, self.config.clone())?;
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= queries.len() {
-                            return Ok(());
-                        }
-                        let result = solve_slot(&*solver, &queries[i], budget);
-                        // A slot holds one Option; overwriting it is safe
-                        // even if a sibling worker poisoned the mutex.
-                        *slots[i]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
+                handles.push(scope.spawn(move || loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= queries.len() {
+                        return;
                     }
+                    let result = solve_slot(solver, &queries[i], budget);
+                    // A slot holds one Option; overwriting it is safe even
+                    // if a sibling worker poisoned the mutex.
+                    *slots[i]
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
                 }));
             }
             for handle in handles {
-                match handle.join() {
-                    Ok(Ok(())) => {}
-                    // Backend construction failed; every worker fails the
-                    // same way, so remember the first error.
-                    Ok(Err(e)) => {
-                        worker_failure.get_or_insert(e);
-                    }
-                    // A panic escaped the per-slot catch (defensive: the
-                    // worker loop itself does not panic).  Do not abort the
-                    // process; unfilled slots are reported below.
-                    Err(payload) => {
-                        worker_failure.get_or_insert(AsrsError::Internal {
-                            message: format!(
-                                "batch worker died outside a query slot: {}",
-                                panic_message(payload.as_ref())
-                            ),
-                        });
-                    }
+                // A panic escaped the per-slot catch (defensive: the worker
+                // loop itself does not panic).  Do not abort the process;
+                // unfilled slots are reported below.
+                if let Err(payload) = handle.join() {
+                    worker_failure.get_or_insert(AsrsError::Internal {
+                        message: format!(
+                            "batch worker died outside a query slot: {}",
+                            panic_message(payload.as_ref())
+                        ),
+                    });
                 }
             }
         });
@@ -1114,7 +887,7 @@ impl EngineCore {
 /// [`AsrsError::Internal`] so neither the process nor the sibling slots
 /// die with the query that triggered it.
 fn solve_slot(
-    solver: &dyn SearchAlgorithm,
+    solver: &Solver<'_>,
     query: &AsrsQuery,
     budget: Option<Budget>,
 ) -> Result<SearchResult, AsrsError> {
@@ -1142,16 +915,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     } else {
         "non-string panic payload"
     }
-}
-
-/// Collapses per-query results into the all-success vector the
-/// [`QueryOutcome::Batch`] shape carries, propagating the first error
-/// otherwise (callers who need the completed siblings use
-/// [`AsrsEngine::search_batch_results`]).
-fn all_or_first_error(
-    results: Vec<Result<SearchResult, AsrsError>>,
-) -> Result<Vec<SearchResult>, AsrsError> {
-    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1265,11 +1028,6 @@ impl AsrsEngine {
     /// The search configuration.
     pub fn config(&self) -> SearchConfig {
         self.core().config.clone()
-    }
-
-    /// The backend selection policy.
-    pub fn strategy(&self) -> Strategy {
-        self.core().strategy
     }
 
     /// The current generation's dataset/index statistics (refreshed on
@@ -1404,16 +1162,6 @@ impl AsrsEngine {
         self.core().shards.as_ref().map(|s| s.regions().to_vec())
     }
 
-    /// The name of the backend the engine's strategy resolves to before
-    /// per-request planning: the explicit strategy when one was set,
-    /// otherwise GI-DS with an index attached and DS-Search without.
-    /// Individual requests may still plan differently — see
-    /// [`AsrsEngine::plan`].
-    pub fn backend_name(&self) -> &'static str {
-        let core = self.core();
-        core.strategy.resolved_name(core.index.is_some())
-    }
-
     /// Builds a query-by-example from a real region of the engine's
     /// dataset (see [`AsrsQuery::from_example_region`]).
     pub fn query_from_example(&self, example: &Rect) -> Result<AsrsQuery, AsrsError> {
@@ -1437,7 +1185,7 @@ impl AsrsEngine {
     }
 
     /// Plans and executes a declarative [`QueryRequest`] — the engine's
-    /// primary entry point.  The response bundles the results, the backend
+    /// one query entry point.  The response bundles the results, the backend
     /// the planner chose and the merged [`SearchStats`](crate::SearchStats).
     ///
     /// The request runs against the generation current at submission; a
@@ -1450,118 +1198,10 @@ impl AsrsEngine {
     /// * [`AsrsError::DeadlineExceeded`] when the request's budget ran out,
     /// * [`AsrsError::CostCeilingExceeded`] when the engine enforces an
     ///   admission ceiling the estimate breaches,
-    /// * the operation-specific errors of the legacy methods
-    ///   ([`AsrsError::InvalidTopK`], [`AsrsError::InvalidRegionSize`], …).
+    /// * the operation-specific errors ([`AsrsError::InvalidTopK`],
+    ///   [`AsrsError::InvalidRegionSize`], …).
     pub fn submit(&self, request: &QueryRequest) -> Result<QueryResponse, AsrsError> {
         self.core().submit(request)
-    }
-
-    /// Solves the ASRS problem with the engine's strategy.
-    ///
-    /// Equivalent to [`AsrsEngine::submit`] with [`QueryRequest::Similar`]
-    /// (same planning and execution pipeline); prefer `submit`, which also
-    /// reports the chosen backend and statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::Query`] for a malformed or mismatching query.
-    pub fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
-        let core = self.core();
-        let plan = core.plan_legacy("similar", Some(query.size))?;
-        plan.admit()?;
-        core.run_similar(plan.backend, query, None, None)
-    }
-
-    /// Solves the ASRS problem with an explicit, possibly external,
-    /// backend.  The engine still validates the query at its boundary.
-    /// This path bypasses the planner by design.
-    pub fn search_with(
-        &self,
-        backend: &dyn SearchAlgorithm,
-        query: &AsrsQuery,
-    ) -> Result<SearchResult, AsrsError> {
-        query.validate(&self.core().aggregator)?;
-        backend.search(query)
-    }
-
-    /// Returns up to `k` best candidate regions with pairwise distinct
-    /// anchors, best first; distances are non-decreasing in rank.
-    ///
-    /// Equivalent to [`AsrsEngine::submit`] with [`QueryRequest::TopK`]
-    /// (same planning and execution pipeline); prefer `submit`.
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::InvalidTopK`] when `k` is zero.
-    pub fn search_top_k(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        let core = self.core();
-        let plan = core.plan_legacy("top-k", Some(query.size))?;
-        plan.admit()?;
-        core.run_top_k(plan.backend, query, k, None)
-    }
-
-    /// Answers every query in parallel; results are returned in query
-    /// order (see `EngineCore::run_batch` for the determinism guarantees).
-    /// Fails with the first per-query error when any query fails; use
-    /// [`AsrsEngine::search_batch_results`] to keep the completed siblings.
-    ///
-    /// Equivalent to [`AsrsEngine::submit`] with [`QueryRequest::Batch`]
-    /// (same planning and execution pipeline); prefer `submit`, which
-    /// additionally reports the merged statistics of the whole batch.
-    pub fn search_batch(&self, queries: &[AsrsQuery]) -> Result<Vec<SearchResult>, AsrsError> {
-        all_or_first_error(self.core().batch_results(queries)?)
-    }
-
-    /// Answers every query in parallel, returning one `Result` per query
-    /// in input order, so one failing (or even panicking) query cannot
-    /// discard its siblings' answers — the per-query contract a server
-    /// batch endpoint needs.
-    ///
-    /// The outer `Result` covers whole-batch failures: planning errors and
-    /// an invalid query anywhere in the batch (validation is all-or-nothing
-    /// and runs before any search).  A panic inside one query's search is
-    /// converted to [`AsrsError::Internal`] in that query's slot.
-    pub fn search_batch_results(
-        &self,
-        queries: &[AsrsQuery],
-    ) -> Result<Vec<Result<SearchResult, AsrsError>>, AsrsError> {
-        self.core().batch_results(queries)
-    }
-
-    /// Solves the MaxRS problem (the `a × b` region enclosing the maximum
-    /// number of objects, Section 7.5) through the facade, using the
-    /// engine's configuration.
-    ///
-    /// Equivalent to [`AsrsEngine::submit`] with [`QueryRequest::MaxRs`];
-    /// prefer `submit`.
-    pub fn max_rs(&self, size: RegionSize) -> Result<MaxRsResult, AsrsError> {
-        self.max_rs_selective(size, Selection::All)
-    }
-
-    /// The class-constrained MaxRS variant: counts only objects accepted
-    /// by `selection`.
-    ///
-    /// MaxRS promises the true maximum, so the engine's approximation
-    /// parameter δ is ignored here (the search always runs exact); every
-    /// other configuration knob is inherited.
-    ///
-    /// Equivalent to [`AsrsEngine::submit`] with
-    /// [`QueryRequest::MaxRsSelective`]; prefer `submit`.
-    pub fn max_rs_selective(
-        &self,
-        size: RegionSize,
-        selection: Selection,
-    ) -> Result<MaxRsResult, AsrsError> {
-        let core = self.core();
-        // The legacy shim enforces the same admission ceiling the submit
-        // path does — an extent-spanning MaxRS must not dodge the gate by
-        // arriving through the old method name.
-        core.plan_legacy("max-rs", Some(size))?.admit()?;
-        core.run_max_rs(size, selection, None)
     }
 }
 
@@ -1590,36 +1230,61 @@ mod tests {
         )
     }
 
+    /// The best region for `query`, through `submit`.
+    fn similar(engine: &AsrsEngine, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
+        let response = engine.submit(&QueryRequest::similar(query.clone()))?;
+        Ok(response
+            .best()
+            .cloned()
+            .expect("a similar request answers one region"))
+    }
+
+    /// The per-query answers of a batch, through `submit`.
+    fn batch(engine: &AsrsEngine, queries: &[AsrsQuery]) -> Result<Vec<SearchResult>, AsrsError> {
+        let response = engine.submit(&QueryRequest::batch(queries.to_vec()))?;
+        Ok(response.results().to_vec())
+    }
+
+    /// The MaxRS answer for `request`, through `submit`.
+    fn max_rs(engine: &AsrsEngine, request: QueryRequest) -> Result<MaxRsResult, AsrsError> {
+        let response = engine.submit(&request)?;
+        Ok(response
+            .max_rs()
+            .cloned()
+            .expect("a MaxRS request answers a MaxRS result"))
+    }
+
     #[test]
     fn auto_strategy_prefers_the_index() {
         let (ds, agg) = setup(200, 5);
         let plain = AsrsEngine::builder(ds.clone(), agg.clone())
             .build()
             .unwrap();
-        assert_eq!(plain.backend_name(), "ds-search");
         assert!(plain.index().is_none());
 
         let indexed = AsrsEngine::builder(ds, agg)
             .build_index(16, 16)
             .build()
             .unwrap();
-        assert_eq!(indexed.backend_name(), "gi-ds");
         assert!(indexed.index().is_some());
 
-        let q = query();
-        let a = plain.search(&q).unwrap();
-        let b = indexed.search(&q).unwrap();
-        assert!((a.distance - b.distance).abs() < 1e-9);
+        let request = QueryRequest::similar(query());
+        let a = plain.submit(&request).unwrap();
+        let b = indexed.submit(&request).unwrap();
+        assert_eq!(a.backend, Backend::DsSearch);
+        assert_eq!(b.backend, Backend::GiDs);
+        assert!((a.best().unwrap().distance - b.best().unwrap().distance).abs() < 1e-9);
     }
 
     #[test]
-    fn gi_ds_without_index_fails_at_build_time() {
+    fn forced_gi_ds_without_an_index_is_refused() {
         let (ds, agg) = setup(50, 1);
-        let err = AsrsEngine::builder(ds, agg)
-            .strategy(Strategy::GiDs)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, AsrsError::IndexRequired { strategy: "gi-ds" });
+        let engine = AsrsEngine::builder(ds, agg).build().unwrap();
+        let request = QueryRequest::similar(query()).with_backend(Backend::GiDs);
+        assert_eq!(
+            engine.submit(&request).unwrap_err(),
+            AsrsError::IndexRequired { backend: "gi-ds" }
+        );
     }
 
     #[test]
@@ -1686,7 +1351,7 @@ mod tests {
             Weights::uniform(1),
         );
         assert!(matches!(
-            engine.search(&bad_dim),
+            similar(&engine, &bad_dim),
             Err(AsrsError::Query(QueryError::TargetDimensionMismatch { .. }))
         ));
         let bad_size = AsrsQuery::new(
@@ -1695,11 +1360,11 @@ mod tests {
             Weights::uniform(4),
         );
         assert!(matches!(
-            engine.search(&bad_size),
+            similar(&engine, &bad_size),
             Err(AsrsError::Query(QueryError::InvalidSize { .. }))
         ));
         // Batch validation is all-or-nothing.
-        assert!(engine.search_batch(&[query(), bad_dim]).is_err());
+        assert!(batch(&engine, &[query(), bad_dim]).is_err());
     }
 
     #[test]
@@ -1718,34 +1383,39 @@ mod tests {
                 )
             })
             .collect();
-        let batch = engine.search_batch(&queries).unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (q, r) in queries.iter().zip(&batch) {
-            let single = engine.search(q).unwrap();
+        let answers = batch(&engine, &queries).unwrap();
+        assert_eq!(answers.len(), queries.len());
+        for (q, r) in queries.iter().zip(&answers) {
+            let single = similar(&engine, q).unwrap();
             assert!(
                 (single.distance - r.distance).abs() < 1e-9,
                 "batch result must match sequential result"
             );
         }
-        assert!(engine.search_batch(&[]).unwrap().is_empty());
+        assert!(batch(&engine, &[]).unwrap().is_empty());
     }
 
     #[test]
     fn max_rs_routes_through_the_facade() {
         let (ds, agg) = setup(150, 7);
         let engine = AsrsEngine::builder(ds, agg).build().unwrap();
-        let result = engine.max_rs(RegionSize::new(20.0, 20.0)).unwrap();
+        let result = max_rs(&engine, QueryRequest::max_rs(RegionSize::new(20.0, 20.0))).unwrap();
         assert!(result.count >= 1);
         assert_eq!(
             engine.dataset().count_strictly_in(&result.region),
             result.count
         );
-        let constrained = engine
-            .max_rs_selective(RegionSize::new(20.0, 20.0), Selection::cat_equals(0, 0))
-            .unwrap();
+        let constrained = max_rs(
+            &engine,
+            QueryRequest::max_rs_selective(
+                RegionSize::new(20.0, 20.0),
+                Selection::cat_equals(0, 0),
+            ),
+        )
+        .unwrap();
         assert!(constrained.count <= result.count);
         assert!(matches!(
-            engine.max_rs(RegionSize::new(0.0, 1.0)),
+            max_rs(&engine, QueryRequest::max_rs(RegionSize::new(0.0, 1.0))),
             Err(AsrsError::InvalidRegionSize { .. })
         ));
     }
@@ -1761,25 +1431,12 @@ mod tests {
             .build()
             .unwrap();
         let size = RegionSize::new(20.0, 20.0);
-        let exact = exact_engine.max_rs(size).unwrap();
-        let under_delta = approx_engine.max_rs(size).unwrap();
+        let exact = max_rs(&exact_engine, QueryRequest::max_rs(size)).unwrap();
+        let under_delta = max_rs(&approx_engine, QueryRequest::max_rs(size)).unwrap();
         assert_eq!(
             exact.count, under_delta.count,
             "MaxRS must ignore the engine's delta and return the true maximum"
         );
-    }
-
-    #[test]
-    fn external_backends_plug_in_through_search_with() {
-        let (ds, agg) = setup(60, 13);
-        let engine = AsrsEngine::builder(ds, agg).build().unwrap();
-        let (ds, agg) = (engine.dataset(), engine.aggregator());
-        let naive = NaiveSearch::new(&ds, &agg);
-        let q = query();
-        let via_trait = engine.search_with(&naive, &q).unwrap();
-        let direct = engine.search(&q).unwrap();
-        assert!((via_trait.distance - direct.distance).abs() < 1e-9);
-        assert_eq!(SearchAlgorithm::name(&naive), "naive");
     }
 
     #[test]
@@ -1837,19 +1494,19 @@ mod tests {
                 )
             })
             .collect();
-        let reference = engine.search_batch(&queries).unwrap();
+        let reference = batch(&engine, &queries).unwrap();
         assert_eq!(reference.len(), queries.len());
         for (q, r) in queries.iter().zip(&reference) {
             assert!(
                 (r.region.width() - q.size.width).abs() < 1e-12,
                 "result slot must answer the query at the same index"
             );
-            let single = engine.search(q).unwrap();
+            let single = similar(&engine, q).unwrap();
             assert_eq!(single.anchor, r.anchor);
             assert_eq!(single.distance, r.distance);
         }
         for run in 0..5 {
-            let again = engine.search_batch(&queries).unwrap();
+            let again = batch(&engine, &queries).unwrap();
             for (a, b) in reference.iter().zip(&again) {
                 assert_eq!(a.anchor, b.anchor, "run {run}: anchors must be identical");
                 assert_eq!(a.distance, b.distance, "run {run}");
@@ -1879,7 +1536,12 @@ mod tests {
             .collect();
         queries[2].size = RegionSize::new(test_hooks::PANIC_INJECTION_WIDTH, 6.0);
 
-        let results = engine.search_batch_results(&queries).unwrap();
+        // The per-slot contract of the batch executor behind `submit`.
+        let plan = engine.plan(&QueryRequest::batch(queries.clone())).unwrap();
+        let results = engine
+            .core()
+            .run_batch(plan.backend, &queries, None)
+            .unwrap();
         assert_eq!(results.len(), queries.len());
         for (i, result) in results.iter().enumerate() {
             if i == 2 {
@@ -1889,16 +1551,12 @@ mod tests {
                 );
             } else {
                 let ok = result.as_ref().expect("healthy sibling slots survive");
-                let single = engine.search(&queries[i]).unwrap();
+                let single = similar(&engine, &queries[i]).unwrap();
                 assert_eq!(ok.anchor, single.anchor);
                 assert_eq!(ok.distance, single.distance);
             }
         }
-        // The strict APIs surface the error as a value, never as a crash.
-        assert!(matches!(
-            engine.search_batch(&queries),
-            Err(AsrsError::Internal { .. })
-        ));
+        // `submit` surfaces the error as a value, never as a crash.
         assert!(matches!(
             engine.submit(&QueryRequest::batch(queries)),
             Err(AsrsError::Internal { .. })
@@ -2149,24 +1807,27 @@ mod tests {
     }
 
     #[test]
-    fn legacy_max_rs_honours_the_cost_ceiling() {
-        // Regression test: the legacy max_rs/max_rs_selective shims used
-        // to bypass the admission gate that submit/search/top-k enforce.
+    fn the_cost_ceiling_gates_max_rs_and_similar_requests() {
+        // Regression test: the admission gate must hold for every
+        // operation, MaxRS variants included.
         let (ds, agg) = setup(200, 53);
         let engine = AsrsEngine::builder(ds, agg)
             .cost_ceiling(1.0)
             .build()
             .unwrap();
         assert!(matches!(
-            engine.max_rs(RegionSize::new(10.0, 10.0)),
+            engine.submit(&QueryRequest::max_rs(RegionSize::new(10.0, 10.0))),
             Err(AsrsError::CostCeilingExceeded { .. })
         ));
         assert!(matches!(
-            engine.max_rs_selective(RegionSize::new(10.0, 10.0), Selection::cat_equals(0, 1)),
+            engine.submit(&QueryRequest::max_rs_selective(
+                RegionSize::new(10.0, 10.0),
+                Selection::cat_equals(0, 1)
+            )),
             Err(AsrsError::CostCeilingExceeded { .. })
         ));
         assert!(matches!(
-            engine.search(&query()),
+            engine.submit(&QueryRequest::similar(query())),
             Err(AsrsError::CostCeilingExceeded { .. })
         ));
     }
@@ -2280,7 +1941,7 @@ mod tests {
             .unwrap();
         let singles: u64 = queries
             .iter()
-            .map(|q| engine.search(q).unwrap().stats.spaces_processed)
+            .map(|q| similar(&engine, q).unwrap().stats.spaces_processed)
             .sum();
         assert_eq!(response.stats.spaces_processed, singles);
         assert!(matches!(response.outcome, QueryOutcome::Batch(ref r) if r.len() == 3));

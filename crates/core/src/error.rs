@@ -109,11 +109,11 @@ pub enum AsrsError {
     /// The operation needs at least one object, but the dataset is empty
     /// (e.g. building a grid index).
     EmptyDataset,
-    /// A strategy that requires a grid index was selected, but the engine
+    /// A backend that requires a grid index was requested, but the engine
     /// has none attached.
     IndexRequired {
-        /// Name of the strategy that needed the index.
-        strategy: &'static str,
+        /// Name of the backend that needed the index.
+        backend: &'static str,
     },
     /// An attached grid index was built for a different aggregator: its
     /// statistics vectors have the wrong dimensionality.
@@ -209,8 +209,8 @@ impl fmt::Display for AsrsError {
             AsrsError::Query(e) => write!(f, "invalid query: {e}"),
             AsrsError::Config(e) => write!(f, "invalid configuration: {e}"),
             AsrsError::EmptyDataset => write!(f, "operation requires a non-empty dataset"),
-            AsrsError::IndexRequired { strategy } => {
-                write!(f, "strategy {strategy} requires a grid index, but none is attached")
+            AsrsError::IndexRequired { backend } => {
+                write!(f, "backend {backend} requires a grid index, but none is attached")
             }
             AsrsError::IndexMismatch {
                 index_dims,

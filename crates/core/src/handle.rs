@@ -7,7 +7,6 @@ use crate::mutate::{MutationReceipt, MutationStats};
 use crate::planner::{EngineStatistics, ExecutionPlan};
 use crate::query::AsrsQuery;
 use crate::request::{QueryRequest, QueryResponse};
-use crate::result::SearchResult;
 use asrs_aggregator::CompositeAggregator;
 use asrs_data::{Dataset, MutationLog, SpatialObject};
 use asrs_geo::Rect;
@@ -88,15 +87,6 @@ impl EngineHandle {
     /// [`AsrsEngine::plan`](crate::AsrsEngine::plan)).
     pub fn plan(&self, request: &QueryRequest) -> Result<ExecutionPlan, AsrsError> {
         self.core().plan(request)
-    }
-
-    /// Answers a batch with one `Result` per query (see
-    /// [`AsrsEngine::search_batch_results`](crate::AsrsEngine::search_batch_results)).
-    pub fn search_batch_results(
-        &self,
-        queries: &[AsrsQuery],
-    ) -> Result<Vec<Result<SearchResult, AsrsError>>, AsrsError> {
-        self.core().batch_results(queries)
     }
 
     /// The current generation number (see

@@ -85,13 +85,12 @@
 //! # The engine facade
 //!
 //! [`AsrsEngine`] owns the dataset and aggregator, optionally builds a
-//! [`GridIndex`], validates every query once at its boundary, and keeps
-//! the legacy per-operation methods ([`AsrsEngine::search`],
-//! [`AsrsEngine::search_top_k`], [`AsrsEngine::search_batch`],
-//! [`AsrsEngine::max_rs`], …) as thin shims over `submit`.  All backends
-//! implement the object-safe [`SearchAlgorithm`] trait and return
-//! identical optimal distances; every fallible path reports [`AsrsError`]
-//! — no public builder or search panics on bad input.
+//! [`GridIndex`], validates every query once at its boundary, and runs
+//! every operation — similar, approximate, top-k, batch and MaxRS — through
+//! one entry point, [`AsrsEngine::submit`].  The backends it dispatches to
+//! ([`DsSearch`], [`GiDsSearch`], [`NaiveSearch`]) return identical optimal
+//! distances; every fallible path reports [`AsrsError`] — no public
+//! builder or search panics on bad input.
 //!
 //! # Quick example
 //!
@@ -169,9 +168,7 @@ pub use budget::Budget;
 pub use cache::{CacheStats, QueryCache};
 pub use config::SearchConfig;
 pub use ds_search::DsSearch;
-pub use engine::{
-    AsrsEngine, DurabilitySink, EngineBuilder, EngineState, SearchAlgorithm, Strategy,
-};
+pub use engine::{AsrsEngine, DurabilitySink, EngineBuilder, EngineState};
 pub use error::{AsrsError, ConfigError};
 pub use gi_ds::GiDsSearch;
 pub use grid_index::GridIndex;

@@ -982,7 +982,6 @@ fn assemble(
         dataset: Arc::new(dataset),
         aggregator: Arc::clone(&core.aggregator),
         config: core.config.clone(),
-        strategy: core.strategy,
         index,
         upkeep: core.upkeep,
         planner: core.planner.clone(),

@@ -10,7 +10,7 @@
 //! The cost is `O(n²)` probe points, each evaluated in `O(n)` — far too
 //! slow for production queries, but an unimpeachable ground truth for the
 //! engine's faster backends, which is why the engine exposes it as
-//! [`Strategy::Naive`](crate::Strategy).
+//! [`Backend::Naive`](crate::Backend).
 
 use crate::asp::AspInstance;
 use crate::best::BestSet;

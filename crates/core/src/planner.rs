@@ -3,7 +3,6 @@
 //! The cost model's inputs and assumptions are documented on [`Planner`],
 //! the module's public face.
 
-use crate::engine::Strategy;
 use crate::error::AsrsError;
 use crate::grid_index::GridIndex;
 use crate::request::{Backend, QueryRequest};
@@ -125,9 +124,6 @@ pub enum PlanReason {
     /// The request forced the backend via
     /// [`QueryRequest::with_backend`].
     ForcedByRequest,
-    /// The engine was built with an explicit (non-`Auto`)
-    /// [`Strategy`].
-    ForcedByStrategy,
     /// MaxRS always executes the DS-Search adaptation.
     MaxRsAdaptation,
     /// The dataset is small enough that the exhaustive oracle is cheapest.
@@ -146,7 +142,6 @@ impl fmt::Display for PlanReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let text = match self {
             PlanReason::ForcedByRequest => "backend forced by the request",
-            PlanReason::ForcedByStrategy => "backend fixed by the engine's explicit strategy",
             PlanReason::MaxRsAdaptation => "MaxRS always runs on the DS-Search adaptation",
             PlanReason::TinyDataset => "dataset is tiny; the exhaustive oracle is cheapest",
             PlanReason::NoIndex => "no grid index attached; DS-Search is the only pruning backend",
@@ -309,8 +304,8 @@ impl ExecutionPlan {
 /// The decision is deliberately rule-based — thresholds, not a simulated
 /// execution:
 ///
-/// 1. a forced backend (request override, or an explicit engine
-///    [`Strategy`]) always wins;
+/// 1. a backend forced by the request
+///    ([`QueryRequest::with_backend`]) always wins;
 /// 2. MaxRS variants always run the DS-Search adaptation (it is the only
 ///    MaxRS implementation);
 /// 3. datasets with at most [`Planner::naive_max_objects`] objects run the
@@ -334,8 +329,8 @@ impl ExecutionPlan {
 /// defaults follow the paper's workloads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Planner {
-    /// Datasets with at most this many objects run the naive oracle under
-    /// `Auto` planning.  Default 16: the oracle evaluates `(n+1)²` probes,
+    /// Datasets with at most this many objects run the naive oracle unless
+    /// the request forces a backend.  Default 16: the oracle evaluates `(n+1)²` probes,
     /// which at 16 objects is cheaper than one 30 × 30 discretisation.
     pub naive_max_objects: usize,
     /// A query whose cell-expanded span covers at least this fraction of
@@ -364,8 +359,8 @@ impl Default for Planner {
 }
 
 impl Planner {
-    /// Plans `request` against `stats`, honouring the engine's default
-    /// `strategy` and any per-request override.
+    /// Plans `request` against `stats`, honouring a backend the request
+    /// forces.
     ///
     /// # Errors
     ///
@@ -376,57 +371,20 @@ impl Planner {
     pub fn plan(
         &self,
         stats: &EngineStatistics,
-        strategy: Strategy,
         request: &QueryRequest,
     ) -> Result<ExecutionPlan, AsrsError> {
+        let operation = request.operation_name();
         let is_max_rs = matches!(
             request.operation(),
             QueryRequest::MaxRs { .. } | QueryRequest::MaxRsSelective { .. }
         );
-        self.plan_parts(
-            stats,
-            strategy,
-            request.operation_name(),
-            request.planning_size(),
-            is_max_rs,
-            request.forced_backend(),
-            request.budget_ms(),
-        )
-    }
-
-    /// The parts-level planning entry point: what [`Planner::plan`]
-    /// extracts from a request, as plain values.  The engine's legacy
-    /// shims use it to plan borrowed queries without constructing an
-    /// owned [`QueryRequest`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn plan_parts(
-        &self,
-        stats: &EngineStatistics,
-        strategy: Strategy,
-        operation: &'static str,
-        size: Option<RegionSize>,
-        is_max_rs: bool,
-        request_backend: Option<Backend>,
-        budget_ms: Option<u64>,
-    ) -> Result<ExecutionPlan, AsrsError> {
-        let span_ratio = self.span_ratio(stats, size);
+        let span_ratio = self.span_ratio(stats, request.planning_size());
         let estimates = self.estimate(stats, span_ratio);
-
-        let forced = request_backend.map(|b| (b, PlanReason::ForcedByRequest));
-        let forced = forced.or(match strategy {
-            Strategy::Auto => None,
-            Strategy::DsSearch => Some((Backend::DsSearch, PlanReason::ForcedByStrategy)),
-            Strategy::GiDs => Some((Backend::GiDs, PlanReason::ForcedByStrategy)),
-            Strategy::Naive => Some((Backend::Naive, PlanReason::ForcedByStrategy)),
-        });
-
+        let forced = request.forced_backend();
         let (backend, reason) = if is_max_rs {
             // MaxRS has exactly one implementation; a request forcing a
             // non-DS backend is a contradiction rather than a preference.
-            // An engine-level GiDs/Naive strategy, however, routes MaxRS to
-            // the adaptation, matching the legacy `max_rs` methods which
-            // ignored the strategy entirely.
-            match request_backend {
+            match forced {
                 Some(Backend::DsSearch) | None => (Backend::DsSearch, PlanReason::MaxRsAdaptation),
                 Some(other) => {
                     return Err(AsrsError::BackendUnsupported {
@@ -435,11 +393,11 @@ impl Planner {
                     })
                 }
             }
-        } else if let Some((backend, why)) = forced {
+        } else if let Some(backend) = forced {
             if backend == Backend::GiDs && stats.index.is_none() {
-                return Err(AsrsError::IndexRequired { strategy: "gi-ds" });
+                return Err(AsrsError::IndexRequired { backend: "gi-ds" });
             }
-            (backend, why)
+            (backend, PlanReason::ForcedByRequest)
         } else if stats.object_count <= self.naive_max_objects {
             (Backend::Naive, PlanReason::TinyDataset)
         } else if stats.index.is_none() {
@@ -464,7 +422,7 @@ impl Planner {
             operation,
             estimates,
             span_ratio,
-            budget_ms,
+            budget_ms: request.budget_ms(),
             fan_out: stats.shards,
             chosen_cost,
             cost_ceiling: self.cost_ceiling,
@@ -543,11 +501,7 @@ mod tests {
     #[test]
     fn tiny_query_on_an_indexed_engine_picks_gi_ds() {
         let plan = Planner::default()
-            .plan(
-                &stats(500, true),
-                Strategy::Auto,
-                &similar(RegionSize::new(4.0, 4.0)),
-            )
+            .plan(&stats(500, true), &similar(RegionSize::new(4.0, 4.0)))
             .unwrap();
         assert_eq!(plan.backend, Backend::GiDs);
         assert_eq!(plan.reason, PlanReason::IndexPrunes);
@@ -557,11 +511,7 @@ mod tests {
     #[test]
     fn extent_spanning_query_picks_ds_search() {
         let plan = Planner::default()
-            .plan(
-                &stats(500, true),
-                Strategy::Auto,
-                &similar(RegionSize::new(70.0, 70.0)),
-            )
+            .plan(&stats(500, true), &similar(RegionSize::new(70.0, 70.0)))
             .unwrap();
         assert_eq!(plan.backend, Backend::DsSearch);
         assert_eq!(plan.reason, PlanReason::QuerySpansExtent);
@@ -570,11 +520,7 @@ mod tests {
     #[test]
     fn index_less_engine_falls_back_to_ds_search() {
         let plan = Planner::default()
-            .plan(
-                &stats(500, false),
-                Strategy::Auto,
-                &similar(RegionSize::new(4.0, 4.0)),
-            )
+            .plan(&stats(500, false), &similar(RegionSize::new(4.0, 4.0)))
             .unwrap();
         assert_eq!(plan.backend, Backend::DsSearch);
         assert_eq!(plan.reason, PlanReason::NoIndex);
@@ -585,11 +531,7 @@ mod tests {
     #[test]
     fn tiny_datasets_run_the_oracle() {
         let plan = Planner::default()
-            .plan(
-                &stats(10, true),
-                Strategy::Auto,
-                &similar(RegionSize::new(4.0, 4.0)),
-            )
+            .plan(&stats(10, true), &similar(RegionSize::new(4.0, 4.0)))
             .unwrap();
         assert_eq!(plan.backend, Backend::Naive);
         assert_eq!(plan.reason, PlanReason::TinyDataset);
@@ -598,24 +540,9 @@ mod tests {
     #[test]
     fn request_override_beats_everything() {
         let req = similar(RegionSize::new(4.0, 4.0)).with_backend(Backend::Naive);
-        let plan = Planner::default()
-            .plan(&stats(500, true), Strategy::DsSearch, &req)
-            .unwrap();
+        let plan = Planner::default().plan(&stats(500, true), &req).unwrap();
         assert_eq!(plan.backend, Backend::Naive);
         assert_eq!(plan.reason, PlanReason::ForcedByRequest);
-    }
-
-    #[test]
-    fn explicit_strategy_beats_the_cost_model() {
-        let plan = Planner::default()
-            .plan(
-                &stats(500, true),
-                Strategy::DsSearch,
-                &similar(RegionSize::new(4.0, 4.0)),
-            )
-            .unwrap();
-        assert_eq!(plan.backend, Backend::DsSearch);
-        assert_eq!(plan.reason, PlanReason::ForcedByStrategy);
     }
 
     #[test]
@@ -623,34 +550,25 @@ mod tests {
         let req = similar(RegionSize::new(4.0, 4.0)).with_backend(Backend::GiDs);
         assert_eq!(
             Planner::default()
-                .plan(&stats(500, false), Strategy::Auto, &req)
+                .plan(&stats(500, false), &req)
                 .unwrap_err(),
-            AsrsError::IndexRequired { strategy: "gi-ds" }
+            AsrsError::IndexRequired { backend: "gi-ds" }
         );
     }
 
     #[test]
     fn max_rs_always_plans_the_adaptation() {
         let req = QueryRequest::max_rs(RegionSize::new(5.0, 5.0));
-        let plan = Planner::default()
-            .plan(&stats(500, true), Strategy::Auto, &req)
-            .unwrap();
+        let plan = Planner::default().plan(&stats(500, true), &req).unwrap();
         assert_eq!(plan.backend, Backend::DsSearch);
         assert_eq!(plan.reason, PlanReason::MaxRsAdaptation);
 
-        // Even under an explicit GiDs engine strategy (legacy `max_rs`
-        // ignored the strategy, so the planner must too)...
-        let plan = Planner::default()
-            .plan(&stats(500, true), Strategy::GiDs, &req)
-            .unwrap();
-        assert_eq!(plan.backend, Backend::DsSearch);
-
-        // ...but a *request-level* force of an incompatible backend is a
+        // A request-level force of an incompatible backend is a
         // contradiction.
         let forced = req.with_backend(Backend::GiDs);
         assert_eq!(
             Planner::default()
-                .plan(&stats(500, true), Strategy::Auto, &forced)
+                .plan(&stats(500, true), &forced)
                 .unwrap_err(),
             AsrsError::BackendUnsupported {
                 backend: "gi-ds",
@@ -666,11 +584,7 @@ mod tests {
             ..Planner::default()
         };
         let plan = planner
-            .plan(
-                &stats(500, true),
-                Strategy::Auto,
-                &similar(RegionSize::new(4.0, 4.0)),
-            )
+            .plan(&stats(500, true), &similar(RegionSize::new(4.0, 4.0)))
             .unwrap();
         // Planning itself succeeds (so /explain can justify the verdict)…
         assert!(plan.chosen_cost > 1.0);
@@ -688,22 +602,14 @@ mod tests {
             ..Planner::default()
         };
         let plan = generous
-            .plan(
-                &stats(500, true),
-                Strategy::Auto,
-                &similar(RegionSize::new(4.0, 4.0)),
-            )
+            .plan(&stats(500, true), &similar(RegionSize::new(4.0, 4.0)))
             .unwrap();
         assert!(plan.admit().is_ok());
         assert!(plan.explain().contains("admitted"), "{}", plan.explain());
 
         // No ceiling: everything admits, explain stays quiet about it.
         let plan = Planner::default()
-            .plan(
-                &stats(500, true),
-                Strategy::Auto,
-                &similar(RegionSize::new(4.0, 4.0)),
-            )
+            .plan(&stats(500, true), &similar(RegionSize::new(4.0, 4.0)))
             .unwrap();
         assert!(plan.admit().is_ok());
         assert!(!plan.explain().contains("admission"));
@@ -712,9 +618,7 @@ mod tests {
     #[test]
     fn explain_names_backend_and_budget() {
         let req = similar(RegionSize::new(4.0, 4.0)).with_budget_ms(120);
-        let plan = Planner::default()
-            .plan(&stats(500, true), Strategy::Auto, &req)
-            .unwrap();
+        let plan = Planner::default().plan(&stats(500, true), &req).unwrap();
         let text = plan.explain();
         assert!(text.contains("backend=gi-ds"), "{text}");
         assert!(text.contains("120 ms"), "{text}");

@@ -22,10 +22,9 @@ use std::hash::{Hash, Hasher};
 
 /// A concrete search backend a plan can dispatch to.
 ///
-/// Unlike [`Strategy`](crate::Strategy) — the engine-level *policy* which
-/// includes the `Auto` deferral — a `Backend` is always a concrete
-/// algorithm; it is what a finished [`ExecutionPlan`](crate::ExecutionPlan)
-/// names and what a request can force via [`QueryRequest::with_backend`].
+/// It is what a finished [`ExecutionPlan`](crate::ExecutionPlan) names and
+/// what a request can force via [`QueryRequest::with_backend`]; without a
+/// force, the [`Planner`](crate::Planner) chooses one per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Backend {
     /// The exact discretize–split algorithm (no index needed).
@@ -266,7 +265,10 @@ impl QueryRequest {
             QueryRequest::Similar { query }
             | QueryRequest::TopK { query, .. }
             | QueryRequest::Approximate { query, .. } => Some(query.size),
-            QueryRequest::Batch { queries } => batch_planning_size(queries),
+            QueryRequest::Batch { queries } => queries
+                .iter()
+                .map(|q| q.size)
+                .max_by(|a, b| a.area().total_cmp(&b.area())),
             QueryRequest::MaxRs { size } | QueryRequest::MaxRsSelective { size, .. } => Some(*size),
             // lint:allow(operation() strips every Configured envelope before this match; the arm is statically dead)
             QueryRequest::Configured { .. } => unreachable!("operation() peels envelopes"),
@@ -390,16 +392,6 @@ impl Hash for QueryRequest {
     }
 }
 
-/// The representative size the planner uses for a batch: its largest (most
-/// index-hostile) query by area.  Shared by [`QueryRequest::planning_size`]
-/// and the legacy `search_batch` shim so the two plan identically.
-pub(crate) fn batch_planning_size(queries: &[AsrsQuery]) -> Option<RegionSize> {
-    queries
-        .iter()
-        .map(|q| q.size)
-        .max_by(|a, b| a.area().total_cmp(&b.area()))
-}
-
 /// The results of one executed operation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QueryOutcome {
@@ -417,8 +409,7 @@ pub enum QueryOutcome {
 }
 
 /// The engine's answer to a [`QueryRequest`]: the results, the backend the
-/// planner chose, and the merged search statistics — which the legacy
-/// per-operation methods used to compute and drop.
+/// planner chose, and the merged search statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryResponse {
     /// The backend that executed the request.

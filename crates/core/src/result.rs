@@ -24,8 +24,8 @@ pub struct SearchResult {
 
 impl SearchResult {
     /// Creates a result.  Used by the built-in search algorithms and by
-    /// external [`SearchAlgorithm`](crate::SearchAlgorithm) backends that
-    /// adapt their native answer types to the engine's result shape.
+    /// the baselines that adapt their native answer types to the engine's
+    /// result shape.
     pub fn new(
         anchor: Point,
         region: Rect,

@@ -69,7 +69,6 @@ use crate::engine::EngineCore;
 use crate::error::AsrsError;
 use crate::maxrs::{MaxRsResult, MaxRsSearch};
 use crate::query::AsrsQuery;
-use crate::request::{QueryOutcome, QueryRequest, QueryResponse};
 use crate::result::SearchResult;
 use crate::stats::SearchStats;
 use crate::sync::Mutex;
@@ -361,51 +360,6 @@ where
 }
 
 impl EngineCore {
-    /// Executes `request` on the shard set (callers guarantee
-    /// `self.shards` is `Some`); the sharded counterpart of
-    /// `EngineCore::execute`.
-    pub(crate) fn execute_sharded(
-        &self,
-        request: &QueryRequest,
-        plan: &crate::planner::ExecutionPlan,
-    ) -> Result<QueryResponse, AsrsError> {
-        let budget = plan
-            .budget_ms
-            .map(|ms| Budget::new(std::time::Duration::from_millis(ms)));
-        let outcome = match request.operation() {
-            QueryRequest::Similar { query } => {
-                QueryOutcome::Best(self.sharded_similar(query, budget)?)
-            }
-            // Approximate requests run exact (module docs), but the
-            // request surface must validate its δ exactly as the
-            // unsharded engine does — acceptance of a malformed request
-            // must not depend on the shard configuration.
-            QueryRequest::Approximate { query, delta } => {
-                self.config.clone().with_delta(*delta)?;
-                QueryOutcome::Best(self.sharded_similar(query, budget)?)
-            }
-            QueryRequest::TopK { query, k } => {
-                QueryOutcome::Ranked(self.sharded_top_k(query, *k, budget)?)
-            }
-            QueryRequest::Batch { queries } => QueryOutcome::Batch(
-                self.sharded_batch_results(queries, budget)?
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            QueryRequest::MaxRs { size } => {
-                QueryOutcome::MaxRs(self.sharded_max_rs(*size, Selection::All, budget)?)
-            }
-            QueryRequest::MaxRsSelective { size, selection } => {
-                QueryOutcome::MaxRs(self.sharded_max_rs(*size, selection.clone(), budget)?)
-            }
-            QueryRequest::Configured { .. } => {
-                // lint:allow(operation() strips every Configured envelope before dispatch; this arm is statically dead)
-                unreachable!("operation() peels Configured envelopes")
-            }
-        };
-        Ok(QueryResponse::from_outcome(plan.backend, outcome))
-    }
-
     fn shard_set(&self) -> &ShardSet {
         self.shards
             .as_ref()

@@ -797,7 +797,7 @@ mod tests {
         assert_eq!(status_for(&AsrsError::InvalidTopK).0, 400);
         assert_eq!(status_for(&AsrsError::EmptyDataset).0, 400);
         assert_eq!(
-            status_for(&AsrsError::IndexRequired { strategy: "gi-ds" }).0,
+            status_for(&AsrsError::IndexRequired { backend: "gi-ds" }).0,
             400
         );
     }

@@ -21,8 +21,8 @@ pub mod prelude {
         DsSearch, EngineBuilder, EngineHandle, EngineStatistics, ExecutionPlan, GiDsSearch,
         GridIndex, IndexMaintenance, IndexStatistics, MaxRsResult, MaxRsSearch, MutationPolicy,
         MutationReceipt, MutationStats, NaiveSearch, PlanReason, Planner, QueryCache, QueryError,
-        QueryOutcome, QueryRequest, QueryResponse, RequestKey, SearchAlgorithm, SearchConfig,
-        SearchResult, SearchStats, ShardFanOut, Strategy,
+        QueryOutcome, QueryRequest, QueryResponse, RequestKey, SearchConfig, SearchResult,
+        SearchStats, ShardFanOut,
     };
     pub use asrs_data::gen::{
         CityGenerator, CityMap, ClusteredGenerator, District, PoiSynGenerator, TweetGenerator,

@@ -108,11 +108,11 @@ fn main() {
         println!("  {label:<22} {value:8.2}");
     }
 
-    // Compare against the sweep-line baseline, plugged in as an external
-    // backend (external backends bypass the planner by design).
+    // Compare against the sweep-line baseline, a standalone solver over
+    // the same dataset and aggregator.
     let (base_ds, base_agg) = (engine.dataset(), engine.aggregator());
     let baseline = SweepBase::new(&base_ds, &base_agg);
-    let base_result = engine.search_with(&baseline, &query).unwrap();
+    let base_result = baseline.search(&query).unwrap();
     println!(
         "\nsweep-line baseline distance: {:.3} (DS-Search took {:?})",
         base_result.distance, response.stats.elapsed

@@ -1,6 +1,6 @@
-//! The `AsrsEngine` facade: backend parity across strategies, top-k
-//! ranking, thread-parallel batching, MaxRS routing and boundary
-//! validation.
+//! The `AsrsEngine` entry point: backend parity across per-request
+//! backend overrides, top-k ranking, thread-parallel batching, MaxRS
+//! routing and boundary validation — all through `submit`.
 
 use asrs_suite::prelude::*;
 
@@ -32,12 +32,27 @@ fn workload(n: usize, seed: u64) -> (Dataset, CompositeAggregator, Vec<AsrsQuery
     (ds, agg, queries)
 }
 
-fn engine_with(strategy: Strategy, ds: &Dataset, agg: &CompositeAggregator) -> AsrsEngine {
-    let mut builder = AsrsEngine::builder(ds.clone(), agg.clone()).strategy(strategy);
-    if matches!(strategy, Strategy::GiDs) {
-        builder = builder.build_index(24, 24);
-    }
-    builder.build().unwrap()
+/// One indexed engine serves every backend: DS-Search and the naive
+/// oracle ignore the index, GI-DS needs it.
+fn indexed_engine(ds: &Dataset, agg: &CompositeAggregator) -> AsrsEngine {
+    AsrsEngine::builder(ds.clone(), agg.clone())
+        .build_index(24, 24)
+        .build()
+        .unwrap()
+}
+
+/// Submits `request` with `backend` forced and checks the response names
+/// it.
+fn forced(engine: &AsrsEngine, request: QueryRequest, backend: Backend) -> QueryResponse {
+    let response = engine.submit(&request.with_backend(backend)).unwrap();
+    assert_eq!(response.backend, backend, "the forced backend must run");
+    response
+}
+
+fn best(response: &QueryResponse) -> &SearchResult {
+    response
+        .best()
+        .expect("a similar request answers one region")
 }
 
 #[test]
@@ -45,18 +60,17 @@ fn every_strategy_returns_the_same_optimal_distance() {
     // The naive oracle is O(n²) probes, so keep the shared workload small;
     // it is still large enough that DS-Search prunes and splits.
     let (ds, agg, queries) = workload(90, 41);
-    let engines: Vec<(Strategy, AsrsEngine)> =
-        [Strategy::DsSearch, Strategy::GiDs, Strategy::Naive]
-            .into_iter()
-            .map(|s| (s, engine_with(s, &ds, &agg)))
-            .collect();
+    let engine = indexed_engine(&ds, &agg);
     for (qi, query) in queries.iter().enumerate() {
-        let reference = engines[0].1.search(query).unwrap();
-        for (strategy, engine) in &engines {
-            let result = engine.search(query).unwrap();
+        let request = QueryRequest::similar(query.clone());
+        let reference = forced(&engine, request.clone(), Backend::DsSearch);
+        let reference = best(&reference);
+        for backend in [Backend::DsSearch, Backend::GiDs, Backend::Naive] {
+            let response = forced(&engine, request.clone(), backend);
+            let result = best(&response);
             assert!(
                 (result.distance - reference.distance).abs() < 1e-9,
-                "query {qi}: {strategy:?} found {} but DS-Search found {}",
+                "query {qi}: {backend:?} found {} but DS-Search found {}",
                 result.distance,
                 reference.distance
             );
@@ -78,30 +92,39 @@ fn auto_strategy_matches_the_explicit_backends() {
         .build_index(32, 32)
         .build()
         .unwrap();
-    assert_eq!(auto_plain.backend_name(), "ds-search");
-    assert_eq!(auto_indexed.backend_name(), "gi-ds");
     for query in &queries {
-        let a = auto_plain.search(query).unwrap();
-        let b = auto_indexed.search(query).unwrap();
-        assert!((a.distance - b.distance).abs() < 1e-9);
+        let request = QueryRequest::similar(query.clone());
+        let a = auto_plain.submit(&request).unwrap();
+        let b = auto_indexed.submit(&request).unwrap();
+        assert_eq!(a.backend, Backend::DsSearch, "no index: DS-Search");
+        assert!((best(&a).distance - best(&b).distance).abs() < 1e-9);
+        // The planner's choice answers exactly like the same backend
+        // forced by the request.
+        let explicit = forced(&auto_indexed, request, b.backend);
+        assert_eq!(explicit.stats_stripped(), b.stats_stripped());
     }
+    // A small query on the indexed engine plans GI-DS.
+    let small = QueryRequest::similar(queries[2].clone());
+    assert_eq!(auto_indexed.plan(&small).unwrap().backend, Backend::GiDs);
 }
 
 #[test]
 fn top_k_distances_are_monotone_in_k() {
     let (ds, agg, queries) = workload(300, 23);
-    for strategy in [Strategy::DsSearch, Strategy::GiDs] {
-        let engine = engine_with(strategy, &ds, &agg);
+    let engine = indexed_engine(&ds, &agg);
+    for backend in [Backend::DsSearch, Backend::GiDs] {
         let query = &queries[0];
         let mut previous: Vec<SearchResult> = Vec::new();
         for k in 1..=6 {
-            let top = engine.search_top_k(query, k).unwrap();
+            let top = forced(&engine, QueryRequest::top_k(query.clone(), k), backend)
+                .results()
+                .to_vec();
             assert!(!top.is_empty() && top.len() <= k);
             // Distances non-decreasing within one answer...
             for pair in top.windows(2) {
                 assert!(
                     pair[0].distance <= pair[1].distance + 1e-12,
-                    "{strategy:?}: top-k must be sorted"
+                    "{backend:?}: top-k must be sorted"
                 );
                 assert_ne!(pair[0].anchor, pair[1].anchor, "anchors must be distinct");
             }
@@ -110,7 +133,7 @@ fn top_k_distances_are_monotone_in_k() {
             for (p, t) in previous.iter().zip(&top) {
                 assert!(
                     (p.distance - t.distance).abs() < 1e-9,
-                    "{strategy:?}: rank distances must not change when k grows"
+                    "{backend:?}: rank distances must not change when k grows"
                 );
             }
             previous = top;
@@ -123,11 +146,12 @@ fn top_k_agrees_with_the_naive_oracle_on_distances() {
     // On a small instance the k best distances of DS-Search must match the
     // exhaustive enumeration's k best (anchors may differ inside ties).
     let (ds, agg, queries) = workload(60, 29);
-    let ds_engine = engine_with(Strategy::DsSearch, &ds, &agg);
-    let naive_engine = engine_with(Strategy::Naive, &ds, &agg);
+    let engine = indexed_engine(&ds, &agg);
     for query in &queries {
-        let a = ds_engine.search_top_k(query, 4).unwrap();
-        let b = naive_engine.search_top_k(query, 4).unwrap();
+        let request = QueryRequest::top_k(query.clone(), 4);
+        let a = forced(&engine, request.clone(), Backend::DsSearch);
+        let b = forced(&engine, request, Backend::Naive);
+        let (a, b) = (a.results(), b.results());
         assert_eq!(a.len(), b.len());
         assert!(
             (a[0].distance - b[0].distance).abs() < 1e-9,
@@ -153,10 +177,15 @@ fn search_batch_is_order_preserving_and_parallel_safe() {
         .build_index(32, 32)
         .build()
         .unwrap();
-    let batch = engine.search_batch(&queries).unwrap();
-    assert_eq!(batch.len(), queries.len());
-    for (query, result) in queries.iter().zip(&batch) {
-        let sequential = engine.search(query).unwrap();
+    let batch = engine
+        .submit(&QueryRequest::batch(queries.clone()))
+        .unwrap();
+    assert_eq!(batch.results().len(), queries.len());
+    for (query, result) in queries.iter().zip(batch.results()) {
+        let sequential = engine
+            .submit(&QueryRequest::similar(query.clone()))
+            .unwrap();
+        let sequential = best(&sequential);
         assert!(
             (sequential.distance - result.distance).abs() < 1e-9,
             "batch answers must match sequential answers in query order"
@@ -170,17 +199,19 @@ fn sweep_baseline_plugs_in_as_an_external_backend() {
     let engine = AsrsEngine::builder(ds.clone(), agg.clone())
         .build()
         .unwrap();
-    let (sweep_ds, sweep_agg) = (engine.dataset(), engine.aggregator());
-    let sweep = SweepBase::new(&sweep_ds, &sweep_agg);
+    // The sweep-line baseline is a standalone solver over the same
+    // dataset and aggregator; it must find the engine's optimum.
+    let sweep = SweepBase::new(&ds, &agg);
     for query in &queries {
-        let via_engine = engine.search_with(&sweep, query).unwrap();
-        let direct = engine.search(query).unwrap();
+        let baseline = sweep.search(query).unwrap();
+        let response = engine
+            .submit(&QueryRequest::similar(query.clone()))
+            .unwrap();
         assert!(
-            (via_engine.distance - direct.distance).abs() < 1e-9,
+            (baseline.distance - best(&response).distance).abs() < 1e-9,
             "sweep-base backend must agree with DS-Search"
         );
     }
-    assert_eq!(SearchAlgorithm::name(&sweep), "sweep-base");
 }
 
 #[test]
@@ -188,7 +219,8 @@ fn maxrs_through_the_facade_matches_the_oe_baseline() {
     let (ds, agg, _) = workload(400, 43);
     let engine = AsrsEngine::builder(ds.clone(), agg).build().unwrap();
     let size = RegionSize::new(90.0, 90.0);
-    let facade = engine.max_rs(size).unwrap();
+    let response = engine.submit(&QueryRequest::max_rs(size)).unwrap();
+    let facade = response.max_rs().unwrap();
     let oe = OptimalEnclosure::new(&ds, size).search().unwrap();
     assert_eq!(facade.count, oe.count);
     assert_eq!(ds.count_strictly_in(&facade.region), facade.count);
@@ -210,15 +242,14 @@ fn engine_boundary_rejects_malformed_queries_and_configs() {
         Err(AsrsError::Config(ConfigError::GridTooCoarse { .. }))
     ));
 
-    // GI-DS without an index surfaces at build time.
-    assert!(matches!(
-        AsrsEngine::builder(ds.clone(), agg.clone())
-            .strategy(Strategy::GiDs)
-            .build(),
-        Err(AsrsError::IndexRequired { .. })
-    ));
-
     let engine = AsrsEngine::builder(ds, agg).build().unwrap();
+    let submit = |request: QueryRequest| engine.submit(&request);
+
+    // GI-DS forced without an index surfaces at submission.
+    assert!(matches!(
+        submit(QueryRequest::similar(queries[0].clone()).with_backend(Backend::GiDs)),
+        Err(AsrsError::IndexRequired { backend: "gi-ds" })
+    ));
 
     // Dimension mismatch.
     let bad_dim = AsrsQuery::new(
@@ -227,7 +258,7 @@ fn engine_boundary_rejects_malformed_queries_and_configs() {
         Weights::uniform(1),
     );
     assert!(matches!(
-        engine.search(&bad_dim),
+        submit(QueryRequest::similar(bad_dim.clone())),
         Err(AsrsError::Query(QueryError::TargetDimensionMismatch { .. }))
     ));
 
@@ -238,7 +269,7 @@ fn engine_boundary_rejects_malformed_queries_and_configs() {
         Weights::uniform(7),
     );
     assert!(matches!(
-        engine.search(&bad_size),
+        submit(QueryRequest::similar(bad_size)),
         Err(AsrsError::Query(QueryError::InvalidSize { .. }))
     ));
 
@@ -250,14 +281,14 @@ fn engine_boundary_rejects_malformed_queries_and_configs() {
         Weights(vec![-1.0; 7]),
     );
     assert!(matches!(
-        engine.search(&bad_weights),
+        submit(QueryRequest::similar(bad_weights)),
         Err(AsrsError::Query(QueryError::InvalidWeights))
     ));
 
     // k = 0 and a bad query inside a batch.
     assert!(matches!(
-        engine.search_top_k(&queries[0], 0),
+        submit(QueryRequest::top_k(queries[0].clone(), 0)),
         Err(AsrsError::InvalidTopK)
     ));
-    assert!(engine.search_batch(&[queries[0].clone(), bad_dim]).is_err());
+    assert!(submit(QueryRequest::batch(vec![queries[0].clone(), bad_dim])).is_err());
 }

@@ -1,5 +1,4 @@
-//! The unified request/plan/execute API: parity between `submit` and the
-//! legacy per-operation methods, planner decisions, JSON round-trips of
+//! The request/plan/execute API: planner decisions, JSON round-trips of
 //! requests and responses, deadlines, and concurrent `EngineHandle` use.
 
 use asrs_suite::prelude::*;
@@ -20,70 +19,6 @@ fn sample_query(i: u32) -> AsrsQuery {
         FeatureVector::new(vec![i as f64, 2.0, 1.0, 0.0]),
         Weights::uniform(4),
     )
-}
-
-/// The acceptance-criterion parity test: for every operation, `submit`
-/// returns byte-identical best regions and distances to the corresponding
-/// legacy method (wall-clock stats aside, which differ run to run).
-#[test]
-fn submit_is_byte_identical_to_every_legacy_method() {
-    let (ds, agg) = workload(350, 61);
-    for indexed in [false, true] {
-        let mut builder = AsrsEngine::builder(ds.clone(), agg.clone());
-        if indexed {
-            builder = builder.build_index(20, 20);
-        }
-        let engine = builder.build().unwrap();
-        let q = sample_query(3);
-
-        // similar ↔ search
-        let legacy = engine.search(&q).unwrap();
-        let via = engine.submit(&QueryRequest::similar(q.clone())).unwrap();
-        let best = via.best().unwrap();
-        assert_eq!(best.region, legacy.region, "indexed={indexed}");
-        assert_eq!(best.anchor, legacy.anchor);
-        assert_eq!(best.distance, legacy.distance);
-        assert_eq!(best.representation, legacy.representation);
-
-        // top-k ↔ search_top_k
-        let legacy = engine.search_top_k(&q, 4).unwrap();
-        let via = engine.submit(&QueryRequest::top_k(q.clone(), 4)).unwrap();
-        assert_eq!(via.results().len(), legacy.len());
-        for (a, b) in via.results().iter().zip(&legacy) {
-            assert_eq!(a.region, b.region);
-            assert_eq!(a.distance, b.distance);
-        }
-
-        // batch ↔ search_batch
-        let queries: Vec<AsrsQuery> = (1..=5).map(sample_query).collect();
-        let legacy = engine.search_batch(&queries).unwrap();
-        let via = engine
-            .submit(&QueryRequest::batch(queries.clone()))
-            .unwrap();
-        assert_eq!(via.results().len(), legacy.len());
-        for (a, b) in via.results().iter().zip(&legacy) {
-            assert_eq!(a.region, b.region);
-            assert_eq!(a.distance, b.distance);
-            assert_eq!(a.representation, b.representation);
-        }
-
-        // max-rs / selective max-rs ↔ max_rs / max_rs_selective
-        let size = RegionSize::new(15.0, 15.0);
-        let legacy = engine.max_rs(size).unwrap();
-        let via = engine.submit(&QueryRequest::max_rs(size)).unwrap();
-        let got = via.max_rs().unwrap();
-        assert_eq!(got.region, legacy.region);
-        assert_eq!(got.count, legacy.count);
-
-        let selection = Selection::cat_equals(0, 1);
-        let legacy = engine.max_rs_selective(size, selection.clone()).unwrap();
-        let via = engine
-            .submit(&QueryRequest::max_rs_selective(size, selection))
-            .unwrap();
-        let got = via.max_rs().unwrap();
-        assert_eq!(got.region, legacy.region);
-        assert_eq!(got.count, legacy.count);
-    }
 }
 
 /// The approximate variant honours the (1+δ) guarantee through `submit`
@@ -301,7 +236,13 @@ fn concurrent_handles_agree_with_sequential_submission() {
         .build()
         .unwrap();
     let queries: Vec<AsrsQuery> = (1..=8).map(sample_query).collect();
-    let sequential: Vec<SearchResult> = queries.iter().map(|q| engine.search(q).unwrap()).collect();
+    let sequential: Vec<SearchResult> = queries
+        .iter()
+        .map(|q| {
+            let response = engine.submit(&QueryRequest::similar(q.clone())).unwrap();
+            response.results()[0].clone()
+        })
+        .collect();
 
     let handle = engine.handle();
     drop(engine); // handles keep the shared core alive on their own

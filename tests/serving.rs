@@ -69,9 +69,10 @@ fn http_and_handle_surfaces_answer_identically() {
     server.shutdown();
 }
 
-/// The per-query batch contract: `search_batch_results` returns one
-/// `Result` per query, in input order, agreeing with the strict batch API
-/// and with sequential searches — on the engine and on cloned handles.
+/// The batch contract of `submit`: one result per query, in input order,
+/// each equal to the query submitted alone — on the engine and on a
+/// cloned handle from another thread — and a batch holding an invalid
+/// query fails as a whole.
 #[test]
 fn batch_results_expose_per_query_outcomes() {
     let (ds, agg) = workload(300, 11);
@@ -80,27 +81,30 @@ fn batch_results_expose_per_query_outcomes() {
         .build()
         .unwrap();
     let queries: Vec<AsrsQuery> = (1..=6).map(sample_query).collect();
+    let request = QueryRequest::batch(queries.clone());
 
-    let per_query = engine.search_batch_results(&queries).unwrap();
-    let strict = engine.search_batch(&queries).unwrap();
-    assert_eq!(per_query.len(), queries.len());
-    for ((result, strict), query) in per_query.iter().zip(&strict).zip(&queries) {
-        let result = result.as_ref().expect("all queries are valid");
-        assert_eq!(result.anchor, strict.anchor);
-        assert_eq!(result.distance, strict.distance);
-        let single = engine.search(query).unwrap();
+    let batch = engine.submit(&request).unwrap();
+    assert!(matches!(batch.outcome, QueryOutcome::Batch(_)));
+    assert_eq!(batch.results().len(), queries.len());
+    for (result, query) in batch.results().iter().zip(&queries) {
+        assert!(
+            (result.region.width() - query.size.width).abs() < 1e-12,
+            "result slot must answer the query at the same index"
+        );
+        let single = engine
+            .submit(&QueryRequest::similar(query.clone()))
+            .unwrap();
+        let single = single.best().unwrap();
         assert_eq!(result.anchor, single.anchor);
         assert_eq!(result.distance, single.distance);
     }
 
-    // Same contract through a handle, from another thread.
+    // Same answer through a handle, from another thread.
     let handle = engine.handle();
-    let from_thread = std::thread::spawn(move || handle.search_batch_results(&queries).unwrap())
+    let from_thread = std::thread::spawn(move || handle.submit(&request).unwrap())
         .join()
         .unwrap();
-    for (a, b) in from_thread.iter().zip(&per_query) {
-        assert_eq!(a.as_ref().unwrap().distance, b.as_ref().unwrap().distance);
-    }
+    assert_eq!(from_thread.stats_stripped(), batch.stats_stripped());
 
     // A batch containing an invalid query still fails as a whole, before
     // any search runs (validation is all-or-nothing).
@@ -109,9 +113,10 @@ fn batch_results_expose_per_query_outcomes() {
         FeatureVector::new(vec![1.0, 1.0, 1.0, 1.0]),
         Weights::uniform(4),
     );
-    assert!(engine
-        .search_batch_results(&[sample_query(1), bad])
-        .is_err());
+    assert!(matches!(
+        engine.submit(&QueryRequest::batch(vec![sample_query(1), bad])),
+        Err(AsrsError::Query(_))
+    ));
 }
 
 /// Hammer a *sharded* engine handle from eight threads with a mixed

@@ -381,6 +381,9 @@ fn rect_free_slabs_still_offer_their_empty_covering_candidates() {
 
 /// Error surfaces stay consistent across shard counts: invalid requests and
 /// spent budgets fail with the same error variants the baseline reports.
+/// Shard count 0 (the unsharded engine) is one more input: the one
+/// operation dispatch answers malformed requests identically with and
+/// without the scatter.
 #[test]
 fn error_behaviour_is_shard_count_invariant() {
     let (ds, agg) = uniform_workload(120, 9);
@@ -399,7 +402,21 @@ fn error_behaviour_is_shard_count_invariant() {
         FeatureVector::new(vec![1.2, 0.4, 2.3, 0.9]),
         Weights::uniform(4),
     );
-    for k in [1, 2, 4, 7] {
+    for k in [0, 1, 2, 4, 7] {
+        // A forced GI-DS needs an index, sharded or not.
+        let index_less = sharded_engine(&ds, &agg, k, false);
+        assert_eq!(
+            index_less
+                .submit(&QueryRequest::similar(good.clone()).with_backend(Backend::GiDs))
+                .unwrap_err(),
+            AsrsError::IndexRequired { backend: "gi-ds" },
+            "shards {k}"
+        );
+        assert!(matches!(
+            index_less.submit(&QueryRequest::top_k(good.clone(), 0)),
+            Err(AsrsError::InvalidTopK)
+        ));
+
         let engine = sharded_engine(&ds, &agg, k, true);
         assert!(matches!(
             engine.submit(&QueryRequest::similar(bad.clone())),
@@ -434,14 +451,15 @@ fn error_behaviour_is_shard_count_invariant() {
         ));
         // Forcing GI-DS works on indexed sharded engines (the planner
         // reads whole-dataset index geometry), and the plan's explain
-        // names the scatter fan-out.
+        // names the scatter fan-out exactly when there is one.
         let plan = engine
             .plan(&QueryRequest::similar(good.clone()).with_backend(Backend::GiDs))
             .unwrap();
         assert_eq!(plan.backend, Backend::GiDs);
-        assert!(
+        assert_eq!(
             plan.explain().contains("fan-out"),
-            "explain must name the fan-out: {}",
+            k > 0,
+            "explain must name the fan-out of a sharded engine only: {}",
             plan.explain()
         );
         assert!(engine
