@@ -8,7 +8,7 @@
 
 use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_audit::{check_dir, check_snapshot_file, FsckCategory, Severity};
-use asrs_core::AsrsEngine;
+use asrs_core::{AsrsEngine, EngineBuilder};
 use asrs_data::columnar;
 use asrs_data::gen::UniformGenerator;
 use asrs_data::{AttrValue, SpatialObject};
@@ -18,6 +18,7 @@ use asrs_persist::PersistExt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Barrier;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asrs-fsck-fixture-{tag}-{}", std::process::id()));
@@ -33,20 +34,25 @@ fn object(id: u64) -> SpatialObject {
     )
 }
 
-/// Builds a healthy persistence directory: a snapshotted engine plus a
-/// few WAL frames, the way the recovery suite leaves them.
-fn healthy_dir(tag: &str, shards: usize, mutations: u64) -> PathBuf {
-    let dir = temp_dir(tag);
+fn engine_builder(shards: usize) -> EngineBuilder {
     let ds = UniformGenerator::default().generate(160, 11);
     let agg = CompositeAggregator::builder(ds.schema())
         .distribution("category", Selection::All)
         .build()
         .unwrap();
-    let mut builder = AsrsEngine::builder(ds, agg).build_index(8, 8);
+    let builder = AsrsEngine::builder(ds, agg).build_index(8, 8);
     if shards > 0 {
-        builder = builder.shards(shards);
+        builder.shards(shards)
+    } else {
+        builder
     }
-    let p = builder.persist_dir(&dir).build().unwrap();
+}
+
+/// Builds a healthy persistence directory: a snapshotted engine plus a
+/// few WAL frames, the way the recovery suite leaves them.
+fn healthy_dir(tag: &str, shards: usize, mutations: u64) -> PathBuf {
+    let dir = temp_dir(tag);
+    let p = engine_builder(shards).persist_dir(&dir).build().unwrap();
     for id in 0..mutations {
         p.engine().append(object(2000 + id)).unwrap();
     }
@@ -86,6 +92,71 @@ fn healthy_directories_exit_zero_with_a_clean_json_report() {
     assert!(stdout.contains("\"warnings\":0"), "{stdout}");
     let _ = fs::remove_dir_all(&unsharded);
     let _ = fs::remove_dir_all(&sharded);
+}
+
+/// Directories written under concurrent load pass the real binary: writer
+/// threads drive cloned engine handles with solo appends, batches and
+/// removals (group commits), while a checkpointer snapshots whenever the
+/// small compaction threshold says one is due, as the server's maintenance
+/// thread does.  It skips the last round, so that round's frames stay in
+/// the log.
+#[test]
+fn directories_written_under_concurrent_load_pass_fsck() {
+    const WRITERS: u64 = 3;
+    const ROUNDS: u64 = 4;
+    let dirs: Vec<PathBuf> = [0usize, 2]
+        .into_iter()
+        .map(|shards| {
+            let dir = temp_dir(&format!("load{shards}"));
+            let p = engine_builder(shards)
+                .persist_dir(&dir)
+                .compaction_threshold(4)
+                .build()
+                .unwrap();
+            let round = Barrier::new(WRITERS as usize + 1);
+            std::thread::scope(|scope| {
+                for writer in 0..WRITERS {
+                    let handle = p.handle();
+                    let round = &round;
+                    scope.spawn(move || {
+                        for r in 0..ROUNDS {
+                            round.wait();
+                            let id = 10_000 + writer * 1_000 + r * 10;
+                            handle.append(object(id)).unwrap();
+                            let batch = (id + 1..id + 4).map(|i| (object(i), None)).collect();
+                            handle.append_batch(batch).unwrap();
+                            handle.remove(id + 2).unwrap();
+                        }
+                    });
+                }
+                for r in 0..ROUNDS {
+                    round.wait();
+                    // Each finished round logged 15 frames, past the threshold.
+                    if r + 1 < ROUNDS && p.persist().snapshot_due() {
+                        p.snapshot().unwrap();
+                    }
+                }
+            });
+
+            let report = check_dir(&dir).unwrap();
+            assert!(!report.snapshots.is_empty(), "shards {shards}: no snapshot");
+            let frames = report.wal.as_ref().map_or(0, |w| w.frames);
+            assert!(frames > 0, "shards {shards}: the log tail is empty");
+            assert!(report.final_generation > 0);
+            assert_eq!(report.final_generation, p.engine().generation());
+            dir
+        })
+        .collect();
+
+    let paths: Vec<&Path> = dirs.iter().map(PathBuf::as_path).collect();
+    let (code, stdout) = run_fsck(&paths);
+    assert_eq!(
+        code, 0,
+        "directories written under load must pass: {stdout}"
+    );
+    for dir in &dirs {
+        let _ = fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

@@ -10,7 +10,8 @@
 //!
 //! With no flags, every experiment runs at its default (laptop-friendly)
 //! cardinality.  `--scale` multiplies every cardinality, so the sweeps can
-//! be pushed towards the paper's sizes on bigger machines.
+//! be pushed towards the paper's sizes on bigger machines.  Any other
+//! argument prints the valid experiment names and exits with status 2.
 //!
 //! Every measured search goes through `AsrsEngine::submit`; where a figure
 //! compares specific backends, the request pins one with
@@ -28,24 +29,35 @@ struct Options {
     run: Vec<String>,
 }
 
-fn parse_args() -> Options {
+/// Every name `--<name>` may select; `all` selects them all.
+const EXPERIMENTS: [&str; 9] = [
+    "all", "fig8", "fig9", "fig10", "fig11", "table1", "fig12", "table2", "fig13",
+];
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut scale = 1.0;
     let mut run = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
                 scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--scale needs a numeric argument");
+                    .ok_or("--scale needs a numeric argument")?;
             }
-            "--all" => run.push("all".to_string()),
-            flag if flag.starts_with("--") => run.push(flag.trim_start_matches("--").to_string()),
-            other => panic!("unknown argument: {other}"),
+            other => match other.strip_prefix("--") {
+                Some(name) if EXPERIMENTS.contains(&name) => run.push(name.to_string()),
+                _ => {
+                    return Err(format!(
+                        "unknown argument: {other} (experiments: --{})",
+                        EXPERIMENTS.join(", --")
+                    ))
+                }
+            },
         }
     }
-    Options { scale, run }
+    Ok(Options { scale, run })
 }
 
 fn enabled(opts: &Options, name: &str) -> bool {
@@ -384,7 +396,13 @@ fn fig13(scale: f64) {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(message) => {
+            eprintln!("experiments: {message}");
+            std::process::exit(2);
+        }
+    };
     println!(
         "# ASRS experiment runner (scale factor {:.2})\n",
         opts.scale
@@ -408,4 +426,37 @@ fn main() {
         fig13(opts.scale);
     }
     println!("done.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn known_experiments_and_scale_are_accepted() {
+        let opts = parse("--fig8 --table2 --all --scale 0.01").unwrap();
+        assert_eq!(opts.run, ["fig8", "table2", "all"]);
+        assert_eq!(opts.scale, 0.01);
+        assert!(parse("").unwrap().run.is_empty());
+    }
+
+    #[test]
+    fn unknown_experiments_are_rejected_with_the_valid_list() {
+        for line in [
+            "--fig14",
+            "--fig08",
+            "--fig8 --figure9",
+            "fig8",
+            "--scale x",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} must be rejected");
+        }
+        let message = parse("--fig14").err().unwrap();
+        assert!(message.contains("--fig14"), "{message}");
+        assert!(message.contains("--fig13"), "{message}");
+    }
 }

@@ -1,12 +1,12 @@
 //! Benchmark harness reproducing the evaluation of the ASRS paper
 //! (Section 7): workload builders for the Tweet / POISyn analogues, the
 //! paper's composite aggregators F1 and F2, query constructions, and
-//! plain-text reporting helpers used by the `experiments` binary and the
-//! Criterion benches (one bench per figure, see `benches/`).
+//! plain-text reporting helpers used by the `experiments` and
+//! `casestudy` binaries.
 //!
 //! The harness runs the same parameter sweeps as the paper at
-//! laptop-friendly cardinalities; `EXPERIMENTS.md` documents the mapping
-//! and records measured results next to the paper's.
+//! laptop-friendly cardinalities; `--scale` on `experiments` pushes them
+//! towards the paper's sizes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,8 +9,9 @@
 //!
 //! * **Normal builds** (`model` feature off): the types below *are*
 //!   `std::sync::Mutex` / `std::sync::RwLock` — plain `pub use`
-//!   re-exports, zero code, zero cost.  `BENCH_server.json` is the
-//!   regression gate that this stays true.
+//!   re-exports, zero code, zero cost.  The `cfg(feature = "model")`
+//!   gates guarantee it; the `layerbench` `hot_read` workload measures
+//!   the release hit path that would show a shim left in.
 //! * **Model builds** (`--features model`): the same names resolve to
 //!   API-compatible wrappers in the `model` submodule (compiled only
 //!   with the feature) that route every acquire and

@@ -657,9 +657,6 @@ struct SweepBody {
     expired: Vec<asrs_core::MutationReceipt>,
 }
 
-/// `POST /snapshot`: persist the engine's current generation immediately
-/// (the background thread otherwise snapshots only when the WAL outgrows
-/// its threshold).  409 when the server runs without persistence.
 /// `GET /audit`: run the deep invariant audit over the current generation.
 /// 200 with the report when every check passes; 500 with the same report
 /// when any invariant is violated, so probes and dashboards can alert on
@@ -670,6 +667,9 @@ fn handle_audit(shared: &Shared) -> (u16, String) {
     (status, serde::json::to_string(&report))
 }
 
+/// `POST /snapshot`: persist the engine's current generation immediately
+/// (the background thread otherwise snapshots only when the WAL outgrows
+/// its threshold).  409 when the server runs without persistence.
 fn handle_snapshot(shared: &Shared) -> (u16, String) {
     let Some(persist) = shared.persist.as_ref() else {
         return (

@@ -6,12 +6,13 @@
 //! misses.
 
 use asrs_aggregator::{CompositeAggregator, FeatureVector, Selection, Weights};
-use asrs_core::{AsrsEngine, AsrsQuery, QueryRequest, QueryResponse};
+use asrs_core::{AsrsEngine, AsrsQuery, EngineBuilder, QueryRequest, QueryResponse};
 use asrs_data::gen::UniformGenerator;
 use asrs_geo::RegionSize;
+use asrs_persist::{PersistExt, SnapshotReport};
 use asrs_server::{AsrsServer, HttpClient, ServerConfig, ServerHandle};
 
-fn engine(cache_capacity: usize) -> AsrsEngine {
+fn builder(cache_capacity: usize) -> EngineBuilder {
     let ds = UniformGenerator::default().generate(400, 77);
     let agg = CompositeAggregator::builder(ds.schema())
         .distribution("category", Selection::All)
@@ -20,8 +21,10 @@ fn engine(cache_capacity: usize) -> AsrsEngine {
     AsrsEngine::builder(ds, agg)
         .build_index(20, 20)
         .cache_capacity(cache_capacity)
-        .build()
-        .unwrap()
+}
+
+fn engine(cache_capacity: usize) -> AsrsEngine {
+    builder(cache_capacity).build().unwrap()
 }
 
 fn sample_query(i: u32) -> AsrsQuery {
@@ -392,6 +395,67 @@ fn uncached_responses_agree_modulo_wall_clock() {
         assert_eq!(a.distance, b.distance);
         assert_eq!(a.representation, b.representation);
     }
+    drop(client);
+    server.shutdown();
+}
+
+/// With a persistence handle attached, `POST /snapshot` checkpoints the
+/// current generation and compacts the write-ahead log, and `/metrics`
+/// carries the persistence counters.
+#[test]
+fn snapshot_endpoint_checkpoints_through_the_persistence_handle() {
+    let dir = std::env::temp_dir().join(format!("asrs-serving-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let persistent = builder(64).persist_dir(&dir).build().unwrap();
+    let server = AsrsServer::bind(persistent.handle(), "127.0.0.1:0", ServerConfig::default())
+        .unwrap()
+        .with_persistence(persistent.persist().clone())
+        .start()
+        .unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+
+    // One durable append leaves one frame for the checkpoint to fold in.
+    let object = asrs_data::SpatialObject::new(
+        100_000,
+        asrs_geo::Point::new(50.0, 50.0),
+        persistent.engine().dataset().object(0).values.clone(),
+    );
+    let append = format!("{{\"object\":{}}}", serde::json::to_string(&object));
+    let (status, body) = client.request("POST", "/append", &append).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(persistent.persist().stats().wal_entries, 1);
+
+    let (status, body) = client.request("POST", "/snapshot", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let report: SnapshotReport = serde::json::from_str(&body).unwrap();
+    assert_eq!(report.generation, 1, "{body}");
+    assert_eq!(report.wal_entries, 0, "the checkpoint compacts the log");
+
+    let (status, metrics) = client.request("GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200);
+    assert!(metrics.contains("\"persistence\":{"), "{metrics}");
+    assert!(metrics.contains("\"snapshot_generation\":1"), "{metrics}");
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Without a persistence handle `POST /snapshot` is a 409 naming the
+/// missing configuration, and the server keeps answering queries.
+#[test]
+fn snapshot_without_persistence_is_409_and_the_server_keeps_serving() {
+    let engine = engine(0);
+    let server = start(&engine);
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let (status, body) = client.request("POST", "/snapshot", "").unwrap();
+    assert_eq!(status, 409, "{body}");
+    assert!(body.contains("persistence-not-configured"), "{body}");
+
+    let request = QueryRequest::similar(sample_query(1));
+    let (status, body) = client
+        .request("POST", "/query", &serde::json::to_string(&request))
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
     drop(client);
     server.shutdown();
 }

@@ -409,6 +409,19 @@ fn snapshot_round_trip_restores_without_replay() {
             reopened.boot().snapshot_generation,
             Some(survivor.generation())
         );
+        // The restored index is the survivor's incrementally maintained
+        // one, bit for bit, not merely an index that answers alike.
+        let bits = |state: asrs_core::EngineState| {
+            state.index.map(|index| {
+                let table: Vec<u64> = index.base_table().iter().map(|v| v.to_bits()).collect();
+                (index.granularity(), index.objects_indexed(), table)
+            })
+        };
+        assert_eq!(
+            bits(reopened.engine().export_state()),
+            bits(survivor.export_state()),
+            "shards {shards}: the restored index differs from the survivor's"
+        );
         assert_engines_agree(
             reopened.engine(),
             &survivor,
