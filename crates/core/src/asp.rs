@@ -130,9 +130,31 @@ impl AspInstance {
         self.rects.push(rect);
     }
 
+    /// Drops the rectangles at `removed` (ascending positions) without
+    /// refreshing the derived fields, and renumbers the survivors' object
+    /// indices to their new positions — what [`AspInstance::build`] would
+    /// number them in a dataset the objects were removed from, since
+    /// removal preserves dataset order.
+    pub(crate) fn remove_rects(&mut self, removed: &[usize]) {
+        let Some(&first) = removed.first() else {
+            return;
+        };
+        let mut gone = removed.iter().copied().peekable();
+        let mut at = 0;
+        self.rects.retain(|_| {
+            let keep = gone.next_if_eq(&at).is_none();
+            at += 1;
+            keep
+        });
+        for (idx, r) in self.rects.iter_mut().enumerate().skip(first) {
+            r.object_idx = idx as u32;
+        }
+    }
+
     /// Recomputes the space and accuracy after [`AspInstance::push_rect`]
-    /// calls, mirroring [`AspInstance::build`] fold-for-fold: the same MBR
-    /// iteration order and the same floor clamping.  `xs`/`ys` must hold
+    /// and [`AspInstance::remove_rects`] calls, mirroring
+    /// [`AspInstance::build`] fold-for-fold: the same MBR iteration order
+    /// and the same floor clamping.  `xs`/`ys` must hold
     /// the edge coordinates of every rectangle (duplicates included; order
     /// is irrelevant — the estimator sorts internally).
     pub(crate) fn refresh(
@@ -251,9 +273,31 @@ impl Contributions {
         self.contributes.push(aggregator.contributes(object));
     }
 
-    /// Bitwise equality of the rows and flags: the debug-build check that
-    /// an incrementally extended table matches a fresh build.
-    #[cfg(debug_assertions)]
+    /// Drops the rows at `removed` (ascending positions), keeping the rest
+    /// in order: the table of the dataset those objects left.
+    pub(crate) fn remove_rows(&mut self, removed: &[usize]) {
+        let Some(&first) = removed.first() else {
+            return;
+        };
+        let dims = self.dims;
+        let mut gone = removed.iter().copied().peekable();
+        let mut kept = first;
+        for row in first..self.contributes.len() {
+            if gone.next_if_eq(&row).is_some() {
+                continue;
+            }
+            self.rows
+                .copy_within(row * dims..(row + 1) * dims, kept * dims);
+            self.contributes[kept] = self.contributes[row];
+            kept += 1;
+        }
+        self.rows.truncate(kept * dims);
+        self.contributes.truncate(kept);
+    }
+
+    /// Bitwise equality of the rows and flags: the check that an
+    /// incrementally maintained table matches a fresh build.
+    #[cfg(any(debug_assertions, test))]
     pub(crate) fn bits_eq(&self, other: &Self) -> bool {
         self.dims == other.dims
             && self.contributes == other.contributes
@@ -344,9 +388,9 @@ impl EdgeSnapper {
         Self { xs, ys }
     }
 
-    /// Bitwise equality of the edge arrays: the debug-build check that an
+    /// Bitwise equality of the edge arrays: the check that an
     /// incrementally maintained snapper matches a fresh build.
-    #[cfg(debug_assertions)]
+    #[cfg(any(debug_assertions, test))]
     pub(crate) fn bits_eq(&self, other: &Self) -> bool {
         let eq = |a: &[f64], b: &[f64]| {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())

@@ -650,10 +650,6 @@ struct AssembledBatch {
     /// influence-window inputs of the cache carry-forward pass
     /// (see [`carry`](crate::carry)).
     touched: Vec<Point>,
-    /// Whether every op in the batch (piggybacked expiries included) was
-    /// an append — the precondition for extending the carry pass's probe
-    /// contexts incrementally instead of rebuilding them.
-    append_only: bool,
 }
 
 /// What a published (or failed) batch hands back: the sweep expiries' own
@@ -789,13 +785,7 @@ fn publish(
     // moved; that is an ordinary cold miss, never a stale hit.  The
     // mutation mutex is held throughout, so two publishes cannot re-stamp
     // one generation's entries concurrently.
-    crate::carry::carry_forward(
-        &core,
-        &next,
-        &assembled.touched,
-        assembled.append_only,
-        &mut state.carry_probes,
-    );
+    crate::carry::carry_forward(&core, &next, &assembled.touched, &mut state.carry_probes);
     shared.swap(Arc::clone(&next));
     for logged in assembled.logged {
         state.log.record(generation, logged);
@@ -898,7 +888,6 @@ fn assemble(
     let mut ttl_events: Vec<TtlEvent> = Vec::new();
     let mut counters = CounterDraft::from_state(state);
     let mut touched: Vec<Point> = Vec::with_capacity(batch);
-    let mut append_only = true;
 
     for (slot, op) in plan {
         let (kind, id, how) = match op {
@@ -921,7 +910,6 @@ fn assemble(
                 ("append", id, how)
             }
             BatchOp::Remove { id } => {
-                append_only = false;
                 let removed = take_by_id(&mut dataset, id)?;
                 touched.push(removed.location);
                 let how = fold_delta(
@@ -940,7 +928,6 @@ fn assemble(
                 // No TTL event: a live sweep already disarmed the id when
                 // it popped the deadline, and replayed expiries (WAL
                 // recovery) have no armed state to touch.
-                append_only = false;
                 let removed = take_by_id(&mut dataset, id)?;
                 touched.push(removed.location);
                 let how = fold_delta(
@@ -1010,7 +997,6 @@ fn assemble(
         ttl_events,
         counters,
         touched,
-        append_only,
     })
 }
 

@@ -1024,3 +1024,119 @@ fn an_append_inside_the_maxrs_region_rejects_the_carry() {
         "post-append recomputation diverged from a fresh rebuild"
     );
 }
+
+/// An approximate request on the shared seed of the approximate-carry
+/// tests: a 12% window with a dense target, δ = 0.25.
+fn approximate_request(bbox: Rect, dim: usize) -> QueryRequest {
+    QueryRequest::approximate(
+        AsrsQuery::new(
+            RegionSize::new(bbox.width() * 0.12, bbox.height() * 0.12),
+            FeatureVector::new(vec![4.0; dim]),
+            Weights::uniform(dim),
+        ),
+        0.25,
+    )
+}
+
+/// The approximate arm of the carry predicate: a sharded engine answers
+/// an approximate request with the exact scatter, so its cached entry
+/// carries across a distant interior append exactly like a similar-region
+/// entry, and the carried hit serves bytes identical to a cold rebuild's
+/// answer.
+#[test]
+fn an_approximate_entry_carries_across_a_distant_append() {
+    for shards in [1, 2, 4] {
+        let (ds, agg) = categorical_workload(500, 91);
+        let bbox = ds.bounding_box().unwrap();
+        let template = ds.objects().next().unwrap().clone();
+        let engine = build_engine(ds, agg.clone(), shards, 16);
+        let request = approximate_request(bbox, agg.feature_dim());
+        let region = engine.submit(&request).unwrap().best().unwrap().region;
+        let p = Point::new(
+            bbox.min_x + bbox.width() * 0.02,
+            bbox.min_y + bbox.height() * 0.02,
+        );
+        assert!(
+            !region.contains_point(&p),
+            "seed placed the best region at the corner; re-seed the test"
+        );
+        engine
+            .append(SpatialObject::new(9_999_996, p, template.values.clone()))
+            .unwrap();
+        assert_eq!(engine.dataset().bounding_box(), Some(bbox));
+        let stats = engine.cache_stats().unwrap();
+        assert_eq!(
+            stats.carried_forward, 1,
+            "{shards} shards: the distant append must carry the approximate entry: {stats:?}"
+        );
+        let hits_before = stats.hits;
+        let warm = engine.submit(&request).unwrap();
+        let stats = engine.cache_stats().unwrap();
+        assert_eq!(
+            stats.hits,
+            hits_before + 1,
+            "{shards} shards: the carried entry must serve a hit: {stats:?}"
+        );
+        let rebuilt = build_engine((*engine.dataset()).clone(), agg, shards, 0);
+        assert_eq!(
+            canonical_bytes(&warm),
+            canonical_bytes(&rebuilt.submit(&request).unwrap()),
+            "{shards} shards: carried approximate hit diverged from a cold rebuild"
+        );
+    }
+}
+
+/// The approximate arm's negative space: an append inside the reported
+/// region rejects the carry on every shard count, and an unsharded
+/// engine, whose backends prune against the (1+δ) band, never carries an
+/// approximate entry at all.
+#[test]
+fn approximate_entries_reject_interior_appends_and_never_carry_unsharded() {
+    for shards in [0, 1, 2, 4] {
+        let (ds, agg) = categorical_workload(500, 91);
+        let bbox = ds.bounding_box().unwrap();
+        let template = ds.objects().next().unwrap().clone();
+        let engine = build_engine(ds, agg.clone(), shards, 16);
+        let request = approximate_request(bbox, agg.feature_dim());
+        let region = engine.submit(&request).unwrap().best().unwrap().region;
+        let inside = Point::new(
+            (region.min_x + region.max_x) / 2.0,
+            (region.min_y + region.max_y) / 2.0,
+        );
+        let distant = Point::new(
+            bbox.min_x + bbox.width() * 0.02,
+            bbox.min_y + bbox.height() * 0.02,
+        );
+        assert!(
+            region.strictly_contains_point(&inside) && bbox.strictly_contains_point(&inside),
+            "seed produced a region center outside the extent; re-seed the test"
+        );
+        // Unsharded: even the distant append, which carries on every
+        // sharded engine, must not carry.  Sharded: the interior one must
+        // not.
+        let p = if shards == 0 { distant } else { inside };
+        engine
+            .append(SpatialObject::new(9_999_995, p, template.values.clone()))
+            .unwrap();
+        assert_eq!(engine.dataset().bounding_box(), Some(bbox));
+        let stats = engine.cache_stats().unwrap();
+        assert_eq!(
+            stats.carried_forward, 0,
+            "{shards} shards: the approximate entry was carried: {stats:?}"
+        );
+        let misses_before = stats.misses;
+        let warm = engine.submit(&request).unwrap();
+        let stats = engine.cache_stats().unwrap();
+        assert_eq!(
+            stats.misses,
+            misses_before + 1,
+            "{shards} shards: must recompute cold: {stats:?}"
+        );
+        let rebuilt = build_engine((*engine.dataset()).clone(), agg, shards, 0);
+        assert_eq!(
+            canonical_bytes(&warm),
+            canonical_bytes(&rebuilt.submit(&request).unwrap()),
+            "{shards} shards: recomputation diverged from a fresh rebuild"
+        );
+    }
+}
