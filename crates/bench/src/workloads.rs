@@ -127,7 +127,7 @@ pub fn f2_query(size: RegionSize, expected_in_region: f64) -> AsrsQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asrs_core::DsSearch;
+    use asrs_core::{AsrsEngine, Backend, QueryRequest};
 
     #[test]
     fn unit_size_is_a_thousandth_of_the_extent() {
@@ -145,8 +145,10 @@ mod tests {
             let query = workload.query(&ds, 10.0);
             assert!(query.validate(&agg).is_ok(), "{}", workload.name());
             // The query must be solvable end to end.
-            let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
-            assert!(result.distance.is_finite());
+            let engine = AsrsEngine::builder(ds, agg).build().unwrap();
+            let request = QueryRequest::similar(query).with_backend(Backend::DsSearch);
+            let response = engine.submit(&request).unwrap();
+            assert!(response.best().unwrap().distance.is_finite());
         }
     }
 

@@ -344,7 +344,7 @@ impl Contributions {
 /// instance report different — equally optimal — anchors for the same cell.
 /// Snapping every offered anchor to the *global* edge-interval midpoint
 /// makes the reported anchor a function of the arrangement cell alone,
-/// which is what lets the sharded scatter-gather executor promise
+/// which is what lets the shard scatter promise
 /// byte-identical answers regardless of the shard count.
 ///
 /// The representatives match the exhaustive oracle's probe grid: interior

@@ -58,7 +58,7 @@ pub(crate) struct BestSet {
     /// representative of its arrangement cell first (see [`EdgeSnapper`]),
     /// so the retained anchors — and the tie-break among them — no longer
     /// depend on which decomposition of the space produced the probes.
-    /// This is the determinism contract of the sharded executor.
+    /// This is the determinism contract of the shard scatter.
     snapper: Option<Arc<EdgeSnapper>>,
 }
 
@@ -91,6 +91,16 @@ impl BestSet {
         let mut set = Self::new(capacity);
         set.snapper = Some(snapper);
         set
+    }
+
+    /// An empty set with this set's capacity and snapper.
+    pub fn emptied(&self) -> Self {
+        Self {
+            capacity: self.capacity,
+            entries: Vec::with_capacity(self.capacity),
+            non_finite_rejected: 0,
+            snapper: self.snapper.clone(),
+        }
     }
 
     /// Number of candidates rejected for a non-finite distance.
@@ -145,7 +155,7 @@ impl BestSet {
     /// region is represented by its centre probe, exactly as before.  With
     /// a snapper every arrangement cell inside the region is offered, so
     /// the retained candidates do not depend on how the space was carved
-    /// into windows — the decomposition-independence the sharded executor
+    /// into windows — the decomposition-independence the shard scatter
     /// relies on.  A full set skips the enumeration when even the region's
     /// minimal representative (all share `distance`; the order is
     /// `(distance, y, x)`) cannot improve it.

@@ -58,8 +58,8 @@
 //! it unless the reported anchor's own interval split — which R4 rejects.
 //!
 //! Batch-level gates: only sharded (canonical-mode) cores carry — the
-//! byte-identity guarantee the predicate leans on is the canonical
-//! executor's; bounding-box movement rejects the whole batch (the search
+//! byte-identity guarantee the predicate leans on is the shard
+//! scatter's; bounding-box movement rejects the whole batch (the search
 //! space itself moved).  Top-k responses carry only when
 //! the ranking is full (`len == k`), since a short ranking can be extended
 //! by a candidate *worse* than every reported distance.  MaxRS responses
@@ -115,7 +115,7 @@ use crate::config::SearchConfig;
 use crate::discretize::Scratch;
 use crate::ds_search::DsSearch;
 use crate::engine::EngineCore;
-use crate::maxrs::{MaxRsResult, MaxRsSearch};
+use crate::maxrs::MaxRsResult;
 use crate::query::AsrsQuery;
 use crate::request::{QueryOutcome, QueryRequest};
 use crate::result::SearchResult;
@@ -160,7 +160,7 @@ pub(crate) fn carry_forward(
         return;
     };
     // Canonical sharded cores only: the soundness argument is built on the
-    // scatter executor's decomposition-independence guarantee.  A moved
+    // shard scatter's decomposition-independence guarantee.  A moved
     // bounding box changes the search space wholesale — reject the entire
     // batch.
     if next.shards.is_none() || touched.is_empty() {
@@ -295,20 +295,12 @@ fn slot_survives(
         delta: 0.0,
         ..next.config.clone()
     };
-    let solver = DsSearch::with_config(&next.dataset, &next.aggregator, exact);
-    let mut scratch = solver.scratch();
     let ctx = probes.context(next, size);
-    !touched.iter().any(|p| {
-        window_reaches(
-            &solver,
-            &ctx.asp,
-            &ctx.table,
-            query,
-            *p,
-            cutoff,
-            &mut scratch,
-        )
-    })
+    let solver = DsSearch::new(&next.aggregator, &exact, &ctx.asp, &ctx.table, query, None);
+    let mut scratch = solver.scratch();
+    !touched
+        .iter()
+        .any(|p| window_reaches(&solver, *p, cutoff, &mut scratch))
 }
 
 /// R2 + R3 + R4 for a MaxRS answer, through the MaxRS → ASRS reduction
@@ -343,18 +335,14 @@ fn maxrs_survives(
             return false;
         }
     }
-    // R3 via the same reduction the sharded executor runs
-    // (`EngineCore::sharded_max_rs`): exact config, count aggregator over
-    // the request's selection, target above the successor cardinality.
+    // R3 via the same reduction the executor runs (`maxrs::reduction`):
+    // exact config, count aggregator over the request's selection, target
+    // above the successor cardinality.
     let exact = SearchConfig {
         delta: 0.0,
         ..next.config.clone()
     };
-    let Ok((aggregator, query)) = MaxRsSearch::new(&next.dataset, size)
-        .with_selection(selection.clone())
-        .with_config(exact.clone())
-        .reduction()
-    else {
+    let Ok((aggregator, query)) = crate::maxrs::reduction(&next.dataset, size, selection) else {
         return false;
     };
     let d_reported = (next.dataset.len() as f64 + 1.0) - result.count as f64;
@@ -365,54 +353,49 @@ fn maxrs_survives(
         return false;
     }
     let cutoff = d_reported + d_reported * CUTOFF_SLACK;
-    let solver = DsSearch::with_config(&next.dataset, &aggregator, exact);
-    let mut scratch = solver.scratch();
     let (ctx, table) = probes.count_context(next, size, selection, &aggregator);
+    let solver = DsSearch::new(&aggregator, &exact, &ctx.asp, table, &query, None);
+    let mut scratch = solver.scratch();
     !touched
         .iter()
-        .any(|p| window_reaches(&solver, &ctx.asp, table, &query, *p, cutoff, &mut scratch))
+        .any(|p| window_reaches(&solver, *p, cutoff, &mut scratch))
 }
 
 /// Whether some candidate anchored in the influence window of `touched`
-/// attains a distance at or below `cutoff` against the successor dataset.
-/// A window intersecting more than [`PROBE_BUDGET`] candidate rectangles
-/// counts as reaching it.  `table` holds the statistics rows of `asp`
-/// under the solver's aggregator.
+/// attains a distance at or below `cutoff` against the successor dataset,
+/// decided by `solver`, the kernel bound to the successor's probe context
+/// for the query.  A window intersecting more than [`PROBE_BUDGET`]
+/// candidate rectangles counts as reaching it.
 ///
-/// Mirrors the cold path: exact config (δ forced to zero, like the scatter
-/// executor) and the same contributing-rectangle filter.  Window cells no
-/// rectangle reaches are real candidates too (a removal can strip a
-/// window down to empty covering), so the empty-covering distance is
-/// tested first and answers without a search when it reaches the cutoff.
-/// Otherwise the search starts from a seed at the next float above the
-/// cutoff: the non-canonical pruning (`lb >= cutoff`) then discards every
-/// sub-space whose bound exceeds the cutoff, and any candidate at or
-/// below it displaces the seed.
+/// Mirrors the cold path: exact config (δ forced to zero, like the scatter)
+/// and the same contributing-rectangle filter.  Window cells no rectangle
+/// reaches are real candidates too (a removal can strip a window down to
+/// empty covering), so the empty-covering distance is tested first and
+/// answers without a search when it reaches the cutoff.  Otherwise the
+/// search starts from a seed at the next float above the cutoff: the
+/// non-canonical pruning (`lb >= cutoff`) then discards every sub-space
+/// whose bound exceeds the cutoff, and any candidate at or below it
+/// displaces the seed.
 fn window_reaches(
     solver: &DsSearch<'_>,
-    asp: &AspInstance,
-    table: &Contributions,
-    query: &AsrsQuery,
     touched: Point,
     cutoff: f64,
     scratch: &mut Scratch,
 ) -> bool {
-    let aggregator = solver.aggregator();
-    let zero_stats = vec![0.0; aggregator.stats_dim()];
-    let empty_rep = aggregator.stats_to_features(&zero_stats);
-    let empty_distance =
-        aggregator.distance(&empty_rep, &query.target, &query.weights, query.metric);
+    let (empty_rep, empty_distance) = solver.empty_candidate();
     if empty_distance <= cutoff {
         return true;
     }
-    let size = query.size;
+    let size = solver.query.size;
     let window = Rect::new(
         touched.x - size.width,
         touched.y - size.height,
         touched.x,
         touched.y,
     );
-    let candidates = table.contributing(asp.rects_intersecting(&window));
+    let candidates = solver
+        .table
+        .contributing(solver.asp.rects_intersecting(&window));
     if candidates.len() > PROBE_BUDGET {
         return true;
     }
@@ -423,9 +406,7 @@ fn window_reaches(
         empty_rep,
     );
     let mut stats = SearchStats::new();
-    let searched = solver.search_space(
-        asp, table, query, window, candidates, &mut best, &mut stats, scratch, None,
-    );
+    let searched = solver.search_space(window, candidates, &mut best, &mut stats, scratch);
     searched.is_err()
         || best
             .into_entries()
@@ -591,9 +572,11 @@ impl<'a> PassProbes<'a> {
 }
 
 impl SizeContext {
-    /// Builds the context from scratch, mirroring the canonical scatter
-    /// executor's instance construction exactly (`shard::scatter_search`),
-    /// so snapped representatives agree bit-for-bit.
+    /// Builds the context from scratch, mirroring the executor's instance
+    /// construction for a shard scatter exactly (`Executor::run`), so
+    /// snapped representatives agree bit-for-bit.  The edge arrays are
+    /// sorted once and feed the snapper too: its edges are bit-identical
+    /// to [`EdgeSnapper::from_asp`]'s.
     fn fresh(next: &EngineCore, size: RegionSize) -> Self {
         let (asp, table) = AspInstance::with_contributions(
             &next.dataset,
@@ -602,7 +585,6 @@ impl SizeContext {
             next.config.accuracy,
             next.config.accuracy_floor,
         );
-        let snapper = EdgeSnapper::from_asp(&asp);
         let mut xs = Vec::with_capacity(asp.rects().len() * 2);
         let mut ys = Vec::with_capacity(asp.rects().len() * 2);
         for r in asp.rects() {
@@ -613,6 +595,7 @@ impl SizeContext {
         }
         xs.sort_by(f64::total_cmp);
         ys.sort_by(f64::total_cmp);
+        let snapper = EdgeSnapper::from_sorted_edges(&xs, &ys);
         Self {
             asp,
             table,
@@ -681,7 +664,8 @@ impl SizeContext {
 
     /// The first field in which this context differs from a from-scratch
     /// build of `next`, compared bit for bit, or `None` when it matches;
-    /// the release-mode unit tests check it like the debug assertion.
+    /// the snapper is compared with the executor's own construction.  The
+    /// release-mode unit tests check it like the debug assertion.
     #[cfg(any(debug_assertions, test))]
     fn diverges_from_fresh(&self, next: &EngineCore, size: RegionSize) -> Option<&'static str> {
         let fresh = Self::fresh(next, size);
@@ -698,7 +682,7 @@ impl SizeContext {
             Some("contribution table")
         } else if !bits(&self.xs, &fresh.xs) || !bits(&self.ys, &fresh.ys) {
             Some("edge arrays")
-        } else if !self.snapper.bits_eq(&fresh.snapper) {
+        } else if !self.snapper.bits_eq(&EdgeSnapper::from_asp(&fresh.asp)) {
             Some("snapper")
         } else if self.len != fresh.len {
             Some("length")
@@ -938,36 +922,26 @@ mod tests {
 
     /// The exact windowMin the threshold test replaces: the empty-covering
     /// distance against an unseeded branch-and-bound over the window.
-    fn window_min(
-        solver: &DsSearch<'_>,
-        asp: &AspInstance,
-        table: &Contributions,
-        query: &AsrsQuery,
-        touched: Point,
-    ) -> f64 {
-        let agg = solver.aggregator();
-        let empty = agg.stats_to_features(&vec![0.0; agg.stats_dim()]);
-        let empty_distance = agg.distance(&empty, &query.target, &query.weights, query.metric);
-        let size = query.size;
+    fn window_min(solver: &DsSearch<'_>, touched: Point) -> f64 {
+        let (_, empty_distance) = solver.empty_candidate();
+        let size = solver.query.size;
         let window = Rect::new(
             touched.x - size.width,
             touched.y - size.height,
             touched.x,
             touched.y,
         );
-        let candidates = table.contributing(asp.rects_intersecting(&window));
+        let candidates = solver
+            .table
+            .contributing(solver.asp.rects_intersecting(&window));
         let mut best = BestSet::new(1);
         solver
             .search_space(
-                asp,
-                table,
-                query,
                 window,
                 candidates,
                 &mut best,
                 &mut SearchStats::new(),
                 &mut solver.scratch(),
-                None,
             )
             .unwrap();
         best.into_entries()
@@ -989,27 +963,23 @@ mod tests {
             None,
             core.config.accuracy_floor,
         );
-        let solver = DsSearch::with_config(&core.dataset, &core.aggregator, core.config.clone());
-        let mut scratch = solver.scratch();
         // A dense target no window reaches easily, and the all-zero target
         // the empty covering matches exactly.
         let targets = [vec![3.0; dim], vec![0.0; dim]];
         let (mut searched, mut shortcut) = (0, 0);
         for target in targets {
             let query = AsrsQuery::new(size, FeatureVector::new(target), Weights::uniform(dim));
-            let empty = solver.aggregator().stats_to_features(&vec![0.0; dim]);
-            let empty_distance =
-                solver
-                    .aggregator()
-                    .distance(&empty, &query.target, &query.weights, query.metric);
+            let solver = DsSearch::new(&core.aggregator, &core.config, &asp, &table, &query, None);
+            let mut scratch = solver.scratch();
+            let (_, empty_distance) = solver.empty_candidate();
             for i in 0..40 {
                 let touched = Point::new(
                     bbox.min_x + bbox.width() * ((i * 7 % 40) as f64 + 0.5) / 40.0,
                     bbox.min_y + bbox.height() * ((i * 13 % 40) as f64 + 0.5) / 40.0,
                 );
-                let min = window_min(&solver, &asp, &table, &query, touched);
+                let min = window_min(&solver, touched);
                 let reaches = |cutoff: f64, scratch: &mut Scratch| {
-                    window_reaches(&solver, &asp, &table, &query, touched, cutoff, scratch)
+                    window_reaches(&solver, touched, cutoff, scratch)
                 };
                 assert!(!reaches(min.next_down(), &mut scratch), "below {min}");
                 assert!(reaches(min, &mut scratch), "at {min}");

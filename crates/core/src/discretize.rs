@@ -245,7 +245,7 @@ impl Scratch {
 /// threshold are retained instead of pruned.  The fast path prunes them
 /// (they cannot improve the best distance), but which equally-optimal
 /// candidates then get discovered depends on the decomposition trajectory;
-/// the sharded executor needs every tied candidate probed so its anchor
+/// the shard scatter needs every tied candidate probed so its anchor
 /// tie-break is shard-count-independent.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn discretize(

@@ -8,17 +8,15 @@ use crate::discretize::{discretize, DirtyCell, Scratch};
 use crate::drop_condition::satisfies_drop_condition;
 use crate::error::AsrsError;
 use crate::query::AsrsQuery;
-use crate::result::SearchResult;
 use crate::split::split;
 use crate::stats::SearchStats;
 use asrs_aggregator::{weighted_distance, CompositeAggregator, FeatureVector};
-use asrs_data::Dataset;
 use asrs_geo::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
-/// The exact DS-Search solver for the ASRS problem.
+/// The DS-Search kernel for the ASRS problem, bound to one query over one
+/// ASP instance.
 ///
 /// DS-Search reduces ASRS to ASP (one rectangle per object, Section 4.1) and
 /// then repeatedly *discretizes* the space into clean and dirty cells and
@@ -41,22 +39,29 @@ use std::time::Instant;
 /// * The heap is also cut off at `d_opt / (1 + δ)`, which specialises to
 ///   the paper's `d_opt` cutoff for the exact setting `δ = 0`.
 ///
-/// Prefer driving searches through [`AsrsEngine`](crate::AsrsEngine); the
-/// solver remains public as the engine's DS-Search backend and for direct
-/// low-level use.
-pub struct DsSearch<'a> {
-    dataset: &'a Dataset,
-    aggregator: &'a CompositeAggregator,
-    config: SearchConfig,
+/// The kernel searches whatever sub-space it is handed
+/// ([`DsSearch::search_space`]).  The engine's executor decides which
+/// sub-spaces those are: the whole ASP space (Algorithm 1), the index
+/// cells best-first (GI-DS, Algorithm 2) or the shards' anchor slabs; the
+/// carry-forward pass hands it influence windows.
+pub(crate) struct DsSearch<'a> {
+    pub(crate) aggregator: &'a CompositeAggregator,
+    pub(crate) config: &'a SearchConfig,
+    pub(crate) asp: &'a AspInstance,
+    /// The statistics rows of `asp`'s rectangles under `aggregator`.
+    pub(crate) table: &'a Contributions,
+    pub(crate) query: &'a AsrsQuery,
+    /// Polled at every popped sub-space and resolved cell.
+    pub(crate) budget: Option<&'a Budget>,
     /// Canonical-tie mode: pruning comparisons become strict (`>` instead
-    /// of `>=`), so every candidate tied with the final cutoff is probed,
-    /// and anchors are snapped to arrangement-cell representatives (see
-    /// [`EdgeSnapper`](crate::asp::EdgeSnapper)).  Together these make the
-    /// reported answer a pure function of the instance — independent of how
-    /// the search space was decomposed — which is the invariant the sharded
-    /// scatter-gather executor builds on.  Slower than the default mode
-    /// (equal-bound cells are resolved instead of pruned), so the
-    /// single-engine fast paths leave it off.
+    /// of `>=`), so every candidate tied with the final cutoff is probed.
+    /// With anchors snapped to arrangement-cell representatives (a
+    /// [`BestSet`] with an [`EdgeSnapper`](crate::asp::EdgeSnapper)) the
+    /// reported answer becomes a pure function of the instance —
+    /// independent of how the search space was decomposed — which is the
+    /// invariant the shard scatter builds on.  Slower than the default mode
+    /// (equal-bound cells are resolved instead of pruned), so unsharded
+    /// engines leave it off.
     canonical: bool,
 }
 
@@ -90,30 +95,31 @@ impl Ord for HeapEntry {
 }
 
 impl<'a> DsSearch<'a> {
-    /// Creates a solver with the default configuration (30 × 30 grid,
-    /// exact search).
-    pub fn new(dataset: &'a Dataset, aggregator: &'a CompositeAggregator) -> Self {
-        Self::with_config(dataset, aggregator, SearchConfig::default())
-    }
-
-    /// Creates a solver with an explicit configuration.
-    pub fn with_config(
-        dataset: &'a Dataset,
+    /// Binds the kernel to `query` over `asp`, whose rectangles'
+    /// statistics rows under `aggregator` are `table`.
+    pub(crate) fn new(
         aggregator: &'a CompositeAggregator,
-        config: SearchConfig,
+        config: &'a SearchConfig,
+        asp: &'a AspInstance,
+        table: &'a Contributions,
+        query: &'a AsrsQuery,
+        budget: Option<&'a Budget>,
     ) -> Self {
         Self {
-            dataset,
             aggregator,
             config,
+            asp,
+            table,
+            query,
+            budget,
             canonical: false,
         }
     }
 
     /// Enables canonical-tie mode (see the `canonical` field): strict
-    /// pruning plus arrangement-snapped anchors, making the answer
-    /// independent of the space decomposition at the cost of resolving
-    /// equal-bound cells the fast path would prune.
+    /// pruning, making the answer independent of the space decomposition
+    /// at the cost of resolving equal-bound cells the fast path would
+    /// prune.
     pub(crate) fn canonical_ties(mut self) -> Self {
         self.canonical = true;
         self
@@ -131,176 +137,51 @@ impl<'a> DsSearch<'a> {
         }
     }
 
-    /// The dataset being searched.
-    pub fn dataset(&self) -> &Dataset {
-        self.dataset
-    }
-
-    /// The composite aggregator.
-    pub fn aggregator(&self) -> &CompositeAggregator {
-        self.aggregator
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SearchConfig {
-        &self.config
-    }
-
-    /// Solves the ASRS problem for `query`.
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::Query`] when the query does not match the aggregator
-    /// (see [`AsrsQuery::validate`]); [`AsrsError::Config`] when the
-    /// configuration is invalid.
-    pub fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
-        self.search_within(query, None)
-    }
-
-    /// Like [`DsSearch::search`], with an optional wall-clock budget: the
-    /// discretize–split recursion polls the budget at every sub-space it
-    /// processes and aborts with [`AsrsError::DeadlineExceeded`] once the
-    /// budget is spent.
-    pub fn search_within(
-        &self,
-        query: &AsrsQuery,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        self.run(query, 1, budget)?
-            .into_iter()
-            .next()
-            .ok_or_else(crate::best::no_finite_candidate)
-    }
-
-    /// Returns the `k` best candidate regions with pairwise distinct
-    /// anchors, best first.  Fewer than `k` results are returned when the
-    /// instance has fewer distinct candidates.
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::InvalidTopK`] when `k` is zero, plus the same errors as
-    /// [`DsSearch::search`].
-    pub fn search_top_k(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        self.search_top_k_within(query, k, None)
-    }
-
-    /// Like [`DsSearch::search_top_k`], with an optional wall-clock budget
-    /// (see [`DsSearch::search_within`]).
-    pub fn search_top_k_within(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        if k == 0 {
-            return Err(AsrsError::InvalidTopK);
-        }
-        self.run(query, k, budget)
-    }
-
-    fn run(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        query.validate(self.aggregator)?;
-        self.config.validate()?;
-        if let Some(b) = budget {
-            b.check()?;
-        }
-        let started = Instant::now();
-        let mut stats = SearchStats::new();
-        let (asp, table) = AspInstance::with_contributions(
-            self.dataset,
-            self.aggregator,
-            query.size,
-            self.config.accuracy,
-            self.config.accuracy_floor,
-        );
-        stats.rectangles = asp.rects().len() as u64;
-        let mut best = if self.canonical {
-            BestSet::with_snapper(
-                k,
-                std::sync::Arc::new(crate::asp::EdgeSnapper::from_asp(&asp)),
-            )
-        } else {
-            BestSet::new(k)
-        };
-        self.seed_empty_region(&asp, query, &mut best);
-        if let Some(space) = asp.space() {
-            let candidates = table.contributing(asp.all_rect_indices());
-            self.search_space(
-                &asp,
-                &table,
-                query,
-                space,
-                candidates,
-                &mut best,
-                &mut stats,
-                &mut self.scratch(),
-                budget.as_ref(),
-            )?;
-        }
-        stats.elapsed = started.elapsed();
-        Ok(crate::best::best_to_results(best, query.size, stats))
+    /// The representation and distance of a candidate covering nothing —
+    /// what every point outside all rectangles evaluates to.
+    pub(crate) fn empty_candidate(&self) -> (FeatureVector, f64) {
+        let zero_stats = vec![0.0; self.aggregator.stats_dim()];
+        let representation = self.aggregator.stats_to_features(&zero_stats);
+        let query = self.query;
+        let distance =
+            self.aggregator
+                .distance(&representation, &query.target, &query.weights, query.metric);
+        (representation, distance)
     }
 
     /// Offers the candidate corresponding to an empty region placed outside
     /// every rectangle.  It initialises the intermediate result so that the
     /// search is correct even when the most similar region contains no
     /// object at all (e.g. a query representation of all zeros).
-    pub(crate) fn seed_empty_region(
-        &self,
-        asp: &AspInstance,
-        query: &AsrsQuery,
-        best: &mut BestSet,
-    ) {
-        let anchor = match asp.space() {
-            Some(space) => Point::new(
-                space.max_x + query.size.width,
-                space.max_y + query.size.height,
-            ),
+    pub(crate) fn seed_empty_region(&self, best: &mut BestSet) {
+        let size = self.query.size;
+        let anchor = match self.asp.space() {
+            Some(space) => Point::new(space.max_x + size.width, space.max_y + size.height),
             None => Point::origin(),
         };
-        let zero_stats = vec![0.0; self.aggregator.stats_dim()];
-        let representation = self.aggregator.stats_to_features(&zero_stats);
-        let distance =
-            self.aggregator
-                .distance(&representation, &query.target, &query.weights, query.metric);
+        let (representation, distance) = self.empty_candidate();
         best.offer(distance, anchor, representation);
     }
 
     /// Fresh kernel buffers for this solver's grid and aggregator; one set
-    /// serves every [`DsSearch::search_space`] call of a search.
+    /// serves every [`DsSearch::search_space`] call on one thread.
     pub(crate) fn scratch(&self) -> Scratch {
         Scratch::new(self.aggregator, self.config.ncols, self.config.nrows)
     }
 
-    /// Runs the discretize–split loop of Algorithm 1 over `space`, updating
-    /// `best` and `stats` in place.  Used directly by [`DsSearch::search`]
-    /// and per index cell by GI-DS.  `table` holds the statistics rows of
-    /// `asp`'s rectangles under this solver's aggregator; `scratch` is the
-    /// search's buffer set.  The optional `budget` is polled at every
-    /// popped sub-space; an expired budget aborts the loop with
-    /// [`AsrsError::DeadlineExceeded`].
-    #[allow(clippy::too_many_arguments)]
+    /// Runs the discretize–split loop of Algorithm 1 over `space`, whose
+    /// contributing rectangles are `candidates`, updating `best` and
+    /// `stats` in place; `scratch` is the calling thread's buffer set.  An
+    /// expired budget aborts the loop with [`AsrsError::DeadlineExceeded`].
     pub(crate) fn search_space(
         &self,
-        asp: &AspInstance,
-        table: &Contributions,
-        query: &AsrsQuery,
         space: Rect,
         candidates: Vec<u32>,
         best: &mut BestSet,
         stats: &mut SearchStats,
         scratch: &mut Scratch,
-        budget: Option<&Budget>,
     ) -> Result<(), AsrsError> {
+        let asp = self.asp;
         let prune_factor = self.config.prune_factor();
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         heap.push(HeapEntry {
@@ -312,7 +193,7 @@ impl<'a> DsSearch<'a> {
         stats.heap_pushes += 1;
 
         while let Some(entry) = heap.pop() {
-            if let Some(b) = budget {
+            if let Some(b) = self.budget {
                 b.check()?;
             }
             if self.prunes(entry.lb, best.cutoff() / prune_factor) {
@@ -322,10 +203,10 @@ impl<'a> DsSearch<'a> {
             let outcome = discretize(
                 &entry.space,
                 asp,
-                table,
+                self.table,
                 &entry.candidates,
                 self.aggregator,
-                query,
+                self.query,
                 best,
                 prune_factor,
                 self.canonical,
@@ -362,17 +243,7 @@ impl<'a> DsSearch<'a> {
                 }
             }
             if !to_resolve.is_empty() {
-                self.resolve_cells_exactly(
-                    asp,
-                    table,
-                    query,
-                    &to_resolve,
-                    &entry.candidates,
-                    best,
-                    stats,
-                    scratch,
-                    budget,
-                )?;
+                self.resolve_cells_exactly(&to_resolve, &entry.candidates, best, stats, scratch)?;
             }
             if to_split.is_empty() {
                 continue;
@@ -422,23 +293,19 @@ impl<'a> DsSearch<'a> {
     /// Every probe sees the same rectangles in the same order as a full
     /// scan of `candidates`, so statistics, distances and counters are
     /// bit-identical to it.
-    #[allow(clippy::too_many_arguments)]
     fn resolve_cells_exactly(
         &self,
-        asp: &AspInstance,
-        table: &Contributions,
-        query: &AsrsQuery,
         cells: &[DirtyCell],
         candidates: &[u32],
         best: &mut BestSet,
         stats: &mut SearchStats,
         scratch: &mut Scratch,
-        budget: Option<&Budget>,
     ) -> Result<(), AsrsError> {
         debug_assert!(cells
             .windows(2)
             .all(|w| (w[0].row, w[0].col) < (w[1].row, w[1].col)));
-        let rects = asp.rects();
+        let (table, query) = (self.table, self.query);
+        let rects = self.asp.rects();
         let Scratch {
             edges,
             features,
@@ -489,7 +356,7 @@ impl<'a> DsSearch<'a> {
         // happened to be accumulated in (which varies with the search-space
         // decomposition).
         for (cell, list) in cells.iter().zip(lists.iter()) {
-            if let Some(b) = budget {
+            if let Some(b) = self.budget {
                 b.check()?;
             }
             if self.prunes(cell.lb, best.cutoff() / self.config.prune_factor()) {
@@ -582,10 +449,34 @@ fn interior_span(edges: &[f64], lo: f64, hi: f64) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{Executor, Slabs};
+    use crate::result::SearchResult;
     use asrs_aggregator::{CompositeAggregator, FeatureVector, Selection, Weights};
     use asrs_data::gen::UniformGenerator;
-    use asrs_data::{AttrValue, AttributeDef, AttributeKind, DatasetBuilder, Schema};
+    use asrs_data::{AttrValue, AttributeDef, AttributeKind, Dataset, DatasetBuilder, Schema};
     use asrs_geo::RegionSize;
+
+    /// The `k` best regions by DS-Search over the whole space, as the
+    /// engine runs a pinned `Backend::DsSearch`.
+    fn search_top_k(
+        ds: &Dataset,
+        agg: &CompositeAggregator,
+        config: SearchConfig,
+        query: &AsrsQuery,
+        k: usize,
+    ) -> Result<Vec<SearchResult>, AsrsError> {
+        Executor::new(ds, agg, config, Slabs::Whole).run(query, k, None)
+    }
+
+    /// The best region by DS-Search over the whole space.
+    fn search(
+        ds: &Dataset,
+        agg: &CompositeAggregator,
+        config: SearchConfig,
+        query: &AsrsQuery,
+    ) -> Result<SearchResult, AsrsError> {
+        Executor::new(ds, agg, config, Slabs::Whole).best(query, None)
+    }
 
     fn fig2_dataset() -> Dataset {
         let schema = Schema::new(vec![AttributeDef::new(
@@ -616,7 +507,7 @@ mod tests {
             FeatureVector::new(vec![1.0, 1.0]),
             Weights::uniform(2),
         );
-        let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let result = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
         assert!(result.distance.abs() < 1e-9, "distance {}", result.distance);
         assert_eq!(result.representation.as_slice(), &[1.0, 1.0]);
         // The returned region really contains one red and one blue object.
@@ -637,7 +528,7 @@ mod tests {
             FeatureVector::new(vec![0.0, 0.0]),
             Weights::uniform(2),
         );
-        let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let result = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
         assert_eq!(result.distance, 0.0);
         assert_eq!(
             agg.aggregate_region(&ds, &result.region).as_slice(),
@@ -657,7 +548,7 @@ mod tests {
             FeatureVector::new(vec![3.0]),
             Weights::uniform(1),
         );
-        let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let result = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
         assert_eq!(result.distance, 3.0);
         assert_eq!(result.stats.rectangles, 0);
     }
@@ -671,7 +562,7 @@ mod tests {
             .unwrap();
         let example = Rect::new(20.0, 30.0, 35.0, 45.0);
         let query = AsrsQuery::from_example_region(&ds, &agg, &example).unwrap();
-        let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let result = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
         let rep = agg.aggregate_region(&ds, &result.region);
         let d = agg.distance(&rep, &query.target, &query.weights, query.metric);
         assert!(
@@ -697,15 +588,25 @@ mod tests {
             FeatureVector::new(vec![3.0, 1.0, 0.0, 2.0]),
             Weights::uniform(4),
         );
-        let coarse = DsSearch::with_config(&ds, &agg, SearchConfig::new().with_grid(5, 5).unwrap())
-            .search(&query)
+        let coarse = search(
+            &ds,
+            &agg,
+            SearchConfig::new().with_grid(5, 5).unwrap(),
+            &query,
+        )
+        .unwrap()
+        .distance;
+        let default = search(&ds, &agg, SearchConfig::default(), &query)
             .unwrap()
             .distance;
-        let default = DsSearch::new(&ds, &agg).search(&query).unwrap().distance;
-        let fine = DsSearch::with_config(&ds, &agg, SearchConfig::new().with_grid(45, 45).unwrap())
-            .search(&query)
-            .unwrap()
-            .distance;
+        let fine = search(
+            &ds,
+            &agg,
+            SearchConfig::new().with_grid(45, 45).unwrap(),
+            &query,
+        )
+        .unwrap()
+        .distance;
         assert!((coarse - default).abs() < 1e-9);
         assert!((fine - default).abs() < 1e-9);
     }
@@ -722,12 +623,15 @@ mod tests {
             FeatureVector::new(vec![5.0, 5.0, 5.0, 5.0]),
             Weights::uniform(4),
         );
-        let exact = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let exact = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
         for delta in [0.1, 0.3, 0.5] {
-            let approx =
-                DsSearch::with_config(&ds, &agg, SearchConfig::new().with_delta(delta).unwrap())
-                    .search(&query)
-                    .unwrap();
+            let approx = search(
+                &ds,
+                &agg,
+                SearchConfig::new().with_delta(delta).unwrap(),
+                &query,
+            )
+            .unwrap();
             assert!(
                 approx.distance <= (1.0 + delta) * exact.distance + 1e-9,
                 "delta={delta}: {} > (1+δ)·{}",
@@ -750,7 +654,7 @@ mod tests {
             FeatureVector::new(vec![1.0]),
             Weights::uniform(1),
         );
-        let err = DsSearch::new(&ds, &agg).search(&query).unwrap_err();
+        let err = search(&ds, &agg, SearchConfig::default(), &query).unwrap_err();
         assert!(matches!(
             err,
             AsrsError::Query(crate::QueryError::TargetDimensionMismatch {
@@ -776,9 +680,7 @@ mod tests {
             ncols: 0,
             ..SearchConfig::default()
         };
-        let err = DsSearch::with_config(&ds, &agg, config)
-            .search(&query)
-            .unwrap_err();
+        let err = search(&ds, &agg, config, &query).unwrap_err();
         assert!(matches!(err, AsrsError::Config(_)));
     }
 
@@ -794,15 +696,14 @@ mod tests {
             FeatureVector::new(vec![2.0, 2.0, 2.0, 2.0]),
             Weights::uniform(4),
         );
-        let solver = DsSearch::new(&ds, &agg);
-        let top = solver.search_top_k(&query, 5).unwrap();
+        let top = search_top_k(&ds, &agg, SearchConfig::default(), &query, 5).unwrap();
         assert!(!top.is_empty() && top.len() <= 5);
         for pair in top.windows(2) {
             assert!(pair[0].distance <= pair[1].distance + 1e-12);
             assert_ne!(pair[0].anchor, pair[1].anchor);
         }
         // The top-1 equals the plain search optimum.
-        let single = solver.search(&query).unwrap();
+        let single = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
         assert!((top[0].distance - single.distance).abs() < 1e-9);
         // Every reported entry is internally consistent.
         for r in &top {
@@ -811,7 +712,7 @@ mod tests {
             assert!((d - r.distance).abs() < 1e-9);
         }
         assert!(matches!(
-            solver.search_top_k(&query, 0),
+            search_top_k(&ds, &agg, SearchConfig::default(), &query, 0),
             Err(AsrsError::InvalidTopK)
         ));
     }
@@ -828,7 +729,7 @@ mod tests {
             FeatureVector::new(vec![2.0, 2.0, 2.0, 2.0]),
             Weights::uniform(4),
         );
-        let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let result = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
         let s = &result.stats;
         assert_eq!(s.rectangles, 150);
         assert!(s.spaces_processed >= 1);

@@ -1,9 +1,9 @@
 //! The [`AsrsEngine`]: one entry point, [`AsrsEngine::submit`], over every
 //! search backend.
 //!
-//! The per-algorithm solvers ([`DsSearch`], [`GiDsSearch`],
-//! [`NaiveSearch`], [`MaxRsSearch`]) remain available for low-level use,
-//! but the engine is the intended public surface:
+//! The engine is the public search surface
+//! ([`NaiveSearch`](crate::NaiveSearch) stays public as the reference
+//! oracle):
 //!
 //! * an [`EngineBuilder`] owns the dataset and aggregator, optionally
 //!   builds or attaches a [`GridIndex`], and validates everything once,
@@ -47,22 +47,18 @@
 use crate::budget::Budget;
 use crate::cache::{CacheStats, QueryCache};
 use crate::config::SearchConfig;
-use crate::ds_search::DsSearch;
 use crate::error::AsrsError;
-use crate::gi_ds::GiDsSearch;
+use crate::executor::{Executor, Slabs};
 use crate::grid_index::GridIndex;
-use crate::maxrs::{MaxRsResult, MaxRsSearch};
 use crate::mutate::{MutationPolicy, MutationReceipt, MutationState, MutationStats};
-use crate::naive::NaiveSearch;
 use crate::planner::{EngineStatistics, ExecutionPlan, IndexStatistics, Planner};
 use crate::query::AsrsQuery;
 use crate::request::{Backend, QueryOutcome, QueryRequest, QueryResponse};
-use crate::result::SearchResult;
 use crate::shard::ShardSet;
 use crate::sync::{Mutex, RwLock};
 use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_data::{Dataset, Mutation, MutationLog, SpatialObject};
-use asrs_geo::{Rect, RegionSize};
+use asrs_geo::Rect;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -176,7 +172,7 @@ impl EngineBuilder {
     ///
     /// `0` (the default) disables sharding entirely — the classic
     /// single-core engine.  Note that `shards(1)` is *not* the same as
-    /// `0`: it runs the scatter-gather executor with a single shard, which
+    /// `0`: it runs the shard scatter with a single shard, which
     /// is the parity baseline the sharded counts are byte-compared
     /// against.
     pub fn shards(mut self, n: usize) -> Self {
@@ -358,9 +354,14 @@ impl EngineBuilder {
     /// [`AsrsError::Persistence`] when `state` does not fit the builder's
     /// settings (an index-granularity mismatch, an index whose statistics
     /// layout disagrees with the aggregator, an attached-index builder),
-    /// plus the validation errors of [`EngineBuilder::build`].
+    /// plus the validation errors of [`EngineBuilder::build`] —
+    /// [`AsrsError::NonFiniteLocation`] included, for an image written
+    /// before appends refused such locations.
     pub fn build_restored(self, state: EngineState) -> Result<AsrsEngine, AsrsError> {
         self.config.validate()?;
+        for object in state.dataset.objects() {
+            crate::mutate::check_location(object)?;
+        }
         let build_granularity = match self.index {
             IndexSpec::None => None,
             IndexSpec::Build { cols, rows } => Some((cols, rows)),
@@ -580,70 +581,7 @@ pub(crate) fn export_state(shared: &EngineShared) -> EngineState {
     }
 }
 
-/// A constructed backend.  The engine dispatches on [`Backend`] through
-/// this private `match`; there is no pluggable backend surface.
-enum Solver<'a> {
-    DsSearch(DsSearch<'a>),
-    GiDs(GiDsSearch<'a>),
-    Naive(NaiveSearch<'a>),
-}
-
-impl Solver<'_> {
-    fn search_within(
-        &self,
-        query: &AsrsQuery,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        match self {
-            Solver::DsSearch(s) => s.search_within(query, budget),
-            Solver::GiDs(s) => s.search_within(query, budget),
-            Solver::Naive(s) => s.search_within(query, budget),
-        }
-    }
-
-    fn search_top_k_within(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        match self {
-            Solver::DsSearch(s) => s.search_top_k_within(query, k, budget),
-            Solver::GiDs(s) => s.search_top_k_within(query, k, budget),
-            Solver::Naive(s) => s.search_top_k_within(query, k, budget),
-        }
-    }
-}
-
 impl EngineCore {
-    /// Instantiates a concrete backend with an explicit configuration.
-    fn backend_for(&self, backend: Backend, config: SearchConfig) -> Result<Solver<'_>, AsrsError> {
-        Ok(match backend {
-            Backend::DsSearch => Solver::DsSearch(DsSearch::with_config(
-                &self.dataset,
-                &self.aggregator,
-                config,
-            )),
-            Backend::GiDs => {
-                let index = self
-                    .index
-                    .as_deref()
-                    .ok_or(AsrsError::IndexRequired { backend: "gi-ds" })?;
-                Solver::GiDs(GiDsSearch::with_config(
-                    &self.dataset,
-                    &self.aggregator,
-                    index,
-                    config,
-                ))
-            }
-            Backend::Naive => Solver::Naive(NaiveSearch::with_config(
-                &self.dataset,
-                &self.aggregator,
-                config,
-            )),
-        })
-    }
-
     pub(crate) fn plan(&self, request: &QueryRequest) -> Result<ExecutionPlan, AsrsError> {
         self.planner.plan(&self.statistics, request)
     }
@@ -676,8 +614,8 @@ impl EngineCore {
     }
 
     /// Plans, admits and executes `request` — the one operation dispatch.
-    /// Each `run_*` helper chooses between the shard scatter and the
-    /// planned backend.
+    /// Every operation runs through one [`Executor`] over the slabs
+    /// [`EngineCore::executor`] picks.
     pub(crate) fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, AsrsError> {
         let plan = self.plan(request)?;
         plan.admit()?;
@@ -687,25 +625,28 @@ impl EngineCore {
         let backend = plan.backend;
         let outcome = match request.operation() {
             QueryRequest::Similar { query } => {
-                QueryOutcome::Best(self.run_similar(backend, query, None, budget)?)
+                QueryOutcome::Best(self.executor(backend, None)?.best(query, budget)?)
             }
             QueryRequest::Approximate { query, delta } => {
-                QueryOutcome::Best(self.run_similar(backend, query, Some(*delta), budget)?)
+                QueryOutcome::Best(self.executor(backend, Some(*delta))?.best(query, budget)?)
             }
             QueryRequest::TopK { query, k } => {
-                QueryOutcome::Ranked(self.run_top_k(backend, query, *k, budget)?)
+                QueryOutcome::Ranked(self.executor(backend, None)?.run(query, *k, budget)?)
             }
             QueryRequest::Batch { queries } => QueryOutcome::Batch(
-                self.run_batch(backend, queries, budget)?
+                self.executor(backend, None)?
+                    .batch(queries, budget)?
                     .into_iter()
                     .collect::<Result<_, _>>()?,
             ),
-            QueryRequest::MaxRs { size } => {
-                QueryOutcome::MaxRs(self.run_max_rs(*size, Selection::All, budget)?)
-            }
-            QueryRequest::MaxRsSelective { size, selection } => {
-                QueryOutcome::MaxRs(self.run_max_rs(*size, selection.clone(), budget)?)
-            }
+            QueryRequest::MaxRs { size } => QueryOutcome::MaxRs(
+                self.executor(backend, None)?
+                    .max_rs(*size, &Selection::All, budget)?,
+            ),
+            QueryRequest::MaxRsSelective { size, selection } => QueryOutcome::MaxRs(
+                self.executor(backend, None)?
+                    .max_rs(*size, selection, budget)?,
+            ),
             QueryRequest::Configured { .. } => {
                 // lint:allow(operation() strips every Configured envelope before dispatch; this arm is statically dead)
                 unreachable!("operation() peels Configured envelopes")
@@ -714,224 +655,31 @@ impl EngineCore {
         Ok(QueryResponse::from_outcome(backend, outcome))
     }
 
-    /// Validates and runs a single similar-region search, optionally with
-    /// an approximation override (`delta`).
-    fn run_similar(
-        &self,
-        backend: Backend,
-        query: &AsrsQuery,
-        delta: Option<f64>,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        if self.shards.is_some() {
-            // The scatter executor answers exactly (δ included in that
-            // guarantee) whatever backend the plan reports; δ is still
-            // validated so malformed requests fail like anywhere else.
-            if let Some(delta) = delta {
-                self.config.clone().with_delta(delta)?;
-            }
-            return self.sharded_similar(query, budget);
-        }
-        query.validate(&self.aggregator)?;
+    /// The executor for `backend` under the engine's configuration, with
+    /// the approximation parameter overridden by `delta` (validated here).
+    /// A sharded core scatters over its anchor slabs whatever backend the
+    /// plan reports, and answers exactly (δ included in that guarantee).
+    fn executor(&self, backend: Backend, delta: Option<f64>) -> Result<Executor<'_>, AsrsError> {
         let config = match delta {
             Some(delta) => self.config.clone().with_delta(delta)?,
             None => self.config.clone(),
         };
-        self.backend_for(backend, config)?
-            .search_within(query, budget)
-    }
-
-    /// Validates and runs a single top-k search.
-    fn run_top_k(
-        &self,
-        backend: Backend,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        if self.shards.is_some() {
-            return self.sharded_top_k(query, k, budget);
-        }
-        query.validate(&self.aggregator)?;
-        self.backend_for(backend, self.config.clone())?
-            .search_top_k_within(query, k, budget)
-    }
-
-    /// Answers every query of a batch and returns one `Result` per query
-    /// in input order.  A sharded engine answers them one after another
-    /// (each scatter already fans out across the shard slabs); an
-    /// unsharded one runs the planned backend on `std::thread` workers
-    /// (one per available core, at most one per query).
-    ///
-    /// Results come back in input order with deterministic tie-breaking
-    /// regardless of thread scheduling: each query owns a fixed result
-    /// slot, workers steal query *indices* (never reorder slots), and each
-    /// query is solved by exactly one worker running the deterministic
-    /// sequential search (equal-distance ties inside a search are broken
-    /// by anchor, see `BestSet`).  All queries are validated up front, so
-    /// a malformed query fails the batch (the outer `Result`) before any
-    /// search runs.
-    ///
-    /// A panic inside a search is caught at the slot boundary and recorded
-    /// as [`AsrsError::Internal`] for that query only — a serving engine
-    /// must outlive a single pathological query, so worker panics must
-    /// never abort the process or poison sibling slots (they used to do
-    /// both via `handle.join().expect(..)`).
-    fn run_batch(
-        &self,
-        backend: Backend,
-        queries: &[AsrsQuery],
-        budget: Option<Budget>,
-    ) -> Result<Vec<Result<SearchResult, AsrsError>>, AsrsError> {
-        if self.shards.is_some() {
-            return self.sharded_batch_results(queries, budget);
-        }
-        for query in queries {
-            query.validate(&self.aggregator)?;
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(queries.len());
-        // A construction failure is a whole-batch error (the outer
-        // `Result`), whatever the core count.
-        let solver = &self.backend_for(backend, self.config.clone())?;
-        if workers <= 1 {
-            return Ok(queries
-                .iter()
-                .map(|q| solve_slot(solver, q, budget))
-                .collect());
-        }
-        // Workers share the one backend (plain borrowed data), steal query
-        // indices from a shared counter and write results into their
-        // query's slot, keeping order.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<Result<SearchResult, AsrsError>>>> = (0..queries
-            .len())
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        let mut worker_failure: Option<AsrsError> = None;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let next = &next;
-                let slots = &slots;
-                handles.push(scope.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= queries.len() {
-                        return;
-                    }
-                    let result = solve_slot(solver, &queries[i], budget);
-                    // A slot holds one Option; overwriting it is safe even
-                    // if a sibling worker poisoned the mutex.
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-                }));
-            }
-            for handle in handles {
-                // A panic escaped the per-slot catch (defensive: the worker
-                // loop itself does not panic).  Do not abort the process;
-                // unfilled slots are reported below.
-                if let Err(payload) = handle.join() {
-                    worker_failure.get_or_insert(AsrsError::Internal {
-                        message: format!(
-                            "batch worker died outside a query slot: {}",
-                            panic_message(payload.as_ref())
-                        ),
-                    });
-                }
-            }
-        });
-        Ok(slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .unwrap_or_else(|| {
-                        Err(worker_failure.clone().unwrap_or(AsrsError::Internal {
-                            message: "batch worker exited before filling its slot".to_string(),
-                        }))
-                    })
-            })
-            .collect())
-    }
-
-    /// Executes a MaxRS request.  MaxRS promises the true maximum, so the
-    /// engine's approximation parameter δ is ignored (the search always
-    /// runs exact); every other configuration knob is inherited.
-    fn run_max_rs(
-        &self,
-        size: RegionSize,
-        selection: Selection,
-        budget: Option<Budget>,
-    ) -> Result<MaxRsResult, AsrsError> {
-        if self.shards.is_some() {
-            return self.sharded_max_rs(size, selection, budget);
-        }
-        let config = SearchConfig {
-            delta: 0.0,
-            ..self.config.clone()
-        };
-        MaxRsSearch::new(&self.dataset, size)
-            .with_selection(selection)
-            .with_config(config)
-            .search_within(budget)
-    }
-}
-
-/// Solves one batch slot, converting a panic into a per-slot
-/// [`AsrsError::Internal`] so neither the process nor the sibling slots
-/// die with the query that triggered it.
-fn solve_slot(
-    solver: &Solver<'_>,
-    query: &AsrsQuery,
-    budget: Option<Budget>,
-) -> Result<SearchResult, AsrsError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        #[cfg(test)]
-        test_hooks::maybe_panic(query);
-        solver.search_within(query, budget)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(AsrsError::Internal {
-            message: format!(
-                "search worker panicked: {}",
-                panic_message(payload.as_ref())
+        let slabs = match (&self.shards, backend) {
+            (Some(shards), _) => Slabs::Shards(shards),
+            (None, Backend::DsSearch) => Slabs::Whole,
+            (None, Backend::GiDs) => Slabs::IndexCells(
+                self.index
+                    .as_deref()
+                    .ok_or(AsrsError::IndexRequired { backend: "gi-ds" })?,
             ),
-        })
-    })
-}
-
-/// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.as_str()
-    } else {
-        "non-string panic payload"
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod test_hooks {
-    //! Deterministic failure injection for the batch-panic regression
-    //! tests: no global state, so parallel tests cannot interfere.
-
-    use crate::query::AsrsQuery;
-
-    /// Sentinel width that makes a batch slot panic.  Avogadro's number —
-    /// a value no legitimate test query uses.
-    pub(crate) const PANIC_INJECTION_WIDTH: f64 = 6.022_140_76e23;
-
-    pub(crate) fn maybe_panic(query: &AsrsQuery) {
-        if query.size.width == PANIC_INJECTION_WIDTH {
-            panic!("injected batch panic (test hook)");
-        }
+            (None, Backend::Naive) => Slabs::Arrangement,
+        };
+        Ok(Executor::new(
+            &self.dataset,
+            &self.aggregator,
+            config,
+            slabs,
+        ))
     }
 }
 
@@ -1096,7 +844,8 @@ impl AsrsEngine {
     ///
     /// Same as [`AsrsEngine::append_batch`] /
     /// [`AsrsEngine::remove`]: the whole batch is rejected when any record
-    /// fails validation.
+    /// fails validation, a non-finite location
+    /// ([`AsrsError::NonFiniteLocation`]) included.
     pub fn apply_mutations(
         &self,
         mutations: &[Mutation],
@@ -1209,9 +958,13 @@ impl AsrsEngine {
 mod tests {
     use super::*;
     use crate::error::ConfigError;
+    use crate::executor::test_hooks;
+    use crate::maxrs::MaxRsResult;
     use crate::query::QueryError;
+    use crate::result::SearchResult;
     use asrs_aggregator::{FeatureVector, Weights};
     use asrs_data::gen::UniformGenerator;
+    use asrs_geo::RegionSize;
 
     fn setup(n: usize, seed: u64) -> (Dataset, CompositeAggregator) {
         let ds = UniformGenerator::default().generate(n, seed);
@@ -1519,12 +1272,10 @@ mod tests {
     fn a_panicking_batch_slot_reports_internal_instead_of_aborting() {
         // Regression test: a worker panic used to propagate through
         // `handle.join().expect(..)` and abort the whole process, and one
-        // failing query used to discard every sibling result.
+        // failing query used to discard every sibling result.  The contract
+        // holds on every engine: the planner's GI-DS on an unsharded one,
+        // the shard scatter on a sharded one.
         let (ds, agg) = setup(200, 5);
-        let engine = AsrsEngine::builder(ds, agg)
-            .build_index(16, 16)
-            .build()
-            .unwrap();
         let mut queries: Vec<AsrsQuery> = (1..=4)
             .map(|i| {
                 AsrsQuery::new(
@@ -1536,31 +1287,40 @@ mod tests {
             .collect();
         queries[2].size = RegionSize::new(test_hooks::PANIC_INJECTION_WIDTH, 6.0);
 
-        // The per-slot contract of the batch executor behind `submit`.
-        let plan = engine.plan(&QueryRequest::batch(queries.clone())).unwrap();
-        let results = engine
-            .core()
-            .run_batch(plan.backend, &queries, None)
-            .unwrap();
-        assert_eq!(results.len(), queries.len());
-        for (i, result) in results.iter().enumerate() {
-            if i == 2 {
-                assert!(
-                    matches!(result, Err(AsrsError::Internal { .. })),
-                    "slot {i}: {result:?}"
-                );
-            } else {
-                let ok = result.as_ref().expect("healthy sibling slots survive");
-                let single = similar(&engine, &queries[i]).unwrap();
-                assert_eq!(ok.anchor, single.anchor);
-                assert_eq!(ok.distance, single.distance);
+        for shards in [0, 2] {
+            let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+                .build_index(16, 16)
+                .shards(shards)
+                .build()
+                .unwrap();
+            // The per-slot contract of the batch executor behind `submit`.
+            let plan = engine.plan(&QueryRequest::batch(queries.clone())).unwrap();
+            let results = engine
+                .core()
+                .executor(plan.backend, None)
+                .unwrap()
+                .batch(&queries, None)
+                .unwrap();
+            assert_eq!(results.len(), queries.len());
+            for (i, result) in results.iter().enumerate() {
+                if i == 2 {
+                    assert!(
+                        matches!(result, Err(AsrsError::Internal { .. })),
+                        "shards {shards}, slot {i}: {result:?}"
+                    );
+                } else {
+                    let ok = result.as_ref().expect("healthy sibling slots survive");
+                    let single = similar(&engine, &queries[i]).unwrap();
+                    assert_eq!(ok.anchor, single.anchor, "shards {shards}, slot {i}");
+                    assert_eq!(ok.distance, single.distance, "shards {shards}, slot {i}");
+                }
             }
+            // `submit` surfaces the error as a value, never as a crash.
+            assert!(matches!(
+                engine.submit(&QueryRequest::batch(queries.clone())),
+                Err(AsrsError::Internal { .. })
+            ));
         }
-        // `submit` surfaces the error as a value, never as a crash.
-        assert!(matches!(
-            engine.submit(&QueryRequest::batch(queries)),
-            Err(AsrsError::Internal { .. })
-        ));
     }
 
     #[test]

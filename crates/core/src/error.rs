@@ -151,7 +151,8 @@ pub enum AsrsError {
     /// An object's location is not finite (NaN or ±∞).  Its ASP rectangle
     /// would be invalid and every later search would fail on it, so
     /// appends and the builder's seed dataset refuse it before anything
-    /// reaches the write-ahead log.
+    /// reaches the write-ahead log, and boot refuses a persisted snapshot
+    /// or WAL record holding one.
     NonFiniteLocation {
         /// Id of the offending object.
         id: u64,

@@ -6,32 +6,19 @@
 //! cell, a lower bound on the distance of all candidate regions whose
 //! bottom-left corner lies in the cell (Section 5.3).  Index cells are then
 //! searched best-first with DS-Search until the remaining cells cannot beat
-//! the best distance found so far.
+//! the best distance found so far — the
+//! [`Slabs::IndexCells`](crate::executor::Slabs) plan of the engine's
+//! executor.
 
 use crate::asp::{AspInstance, Contributions};
 use crate::best::BestSet;
-use crate::budget::Budget;
-use crate::config::SearchConfig;
 use crate::ds_search::DsSearch;
 use crate::error::AsrsError;
 use crate::grid_index::GridIndex;
-use crate::query::AsrsQuery;
-use crate::result::SearchResult;
 use crate::stats::SearchStats;
-use asrs_aggregator::CompositeAggregator;
-use asrs_data::Dataset;
 use asrs_geo::{CellRange, GridEdges, GridSpec, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
-
-/// The grid-index-accelerated DS-Search solver.
-pub struct GiDsSearch<'a> {
-    dataset: &'a Dataset,
-    aggregator: &'a CompositeAggregator,
-    index: &'a GridIndex,
-    config: SearchConfig,
-}
 
 struct CellEntry {
     lb: f64,
@@ -59,233 +46,97 @@ impl Ord for CellEntry {
     }
 }
 
-impl<'a> GiDsSearch<'a> {
-    /// Creates a solver using a pre-built grid index.
-    pub fn new(
-        dataset: &'a Dataset,
-        aggregator: &'a CompositeAggregator,
-        index: &'a GridIndex,
-    ) -> Self {
-        Self::with_config(dataset, aggregator, index, SearchConfig::default())
+/// Runs `solver` over the index's slabs into `best`: the margins outside
+/// the index grid unconditionally, then the index cells best-first by
+/// their lower bound until no cell can improve the result (or improve it
+/// by more than the (1+δ) factor).  The budget is polled at every opened
+/// index cell as well as inside the kernel.
+pub(crate) fn search_index_cells(
+    solver: &DsSearch<'_>,
+    index: &GridIndex,
+    best: &mut BestSet,
+    stats: &mut SearchStats,
+) -> Result<(), AsrsError> {
+    let (asp, table, query, aggregator) =
+        (solver.asp, solver.table, solver.query, solver.aggregator);
+    let spec = index.spec();
+    stats.index_cells_total = spec.num_cells() as u64;
+    let Some(space) = asp.space() else {
+        return Ok(());
+    };
+    let mut scratch = solver.scratch();
+
+    // 1. Candidate regions whose bottom-left corner lies outside the
+    //    indexed area (the margin left of / below the dataset's bounding
+    //    box introduced by the ASP reduction) are searched
+    //    unconditionally; the margin is at most one query width tall or
+    //    wide, so this is cheap.
+    for margin in margin_spaces(&space, spec.space()) {
+        let candidates = table.contributing(asp.rects_intersecting(&margin));
+        solver.search_space(margin, candidates, best, stats, &mut scratch)?;
     }
 
-    /// Creates a solver with an explicit configuration.
-    pub fn with_config(
-        dataset: &'a Dataset,
-        aggregator: &'a CompositeAggregator,
-        index: &'a GridIndex,
-        config: SearchConfig,
-    ) -> Self {
-        Self {
-            dataset,
-            aggregator,
-            index,
-            config,
+    // 2. Rank index cells by their lower bound.
+    let mut heap: BinaryHeap<CellEntry> = BinaryHeap::new();
+    let eps_x = 1e-9 * (spec.cell_width() + query.size.width);
+    let eps_y = 1e-9 * (spec.cell_height() + query.size.height);
+    for row in 0..spec.rows() {
+        for col in 0..spec.cols() {
+            let cell = spec.cell_rect(col, row);
+            if !cell.intersects(&space) {
+                continue;
+            }
+            // Bounded region: covered by every candidate region anchored
+            // in the cell; bounding region: covers every such candidate
+            // (Definition 9).  Shrink / expand by a hair so boundary
+            // objects never flip the wrong way.
+            let bounded = Rect::new(
+                cell.max_x + eps_x,
+                cell.max_y + eps_y,
+                (cell.min_x + query.size.width - eps_x).max(cell.max_x + eps_x),
+                (cell.min_y + query.size.height - eps_y).max(cell.max_y + eps_y),
+            );
+            let bounding = Rect::new(
+                cell.min_x - eps_x,
+                cell.min_y - eps_y,
+                cell.max_x + query.size.width + eps_x,
+                cell.max_y + query.size.height + eps_y,
+            );
+            let lower = if bounded.width() > 2.0 * eps_x && bounded.height() > 2.0 * eps_y {
+                index.stats_of_cells_contained(&bounded)
+            } else {
+                vec![0.0; aggregator.stats_dim()]
+            };
+            let upper = index.stats_of_cells_overlapping(&bounding);
+            let lb = aggregator.lower_bound_distance(
+                &query.target,
+                &lower,
+                &upper,
+                &query.weights,
+                query.metric,
+            );
+            heap.push(CellEntry { lb, col, row });
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SearchConfig {
-        &self.config
-    }
-
-    /// Solves the ASRS problem exactly (or with the δ configured in
-    /// [`SearchConfig::delta`]).
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::Query`] when the query does not match the aggregator;
-    /// [`AsrsError::Config`] when the configuration is invalid.
-    pub fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
-        self.search_within(query, None)
-    }
-
-    /// Like [`GiDsSearch::search`], with an optional wall-clock budget:
-    /// the budget is polled at every opened index cell and every sub-space
-    /// of the inner DS-Search, and the search aborts with
-    /// [`AsrsError::DeadlineExceeded`] once spent.
-    pub fn search_within(
-        &self,
-        query: &AsrsQuery,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        self.run(query, self.config.clone(), 1, budget)?
-            .into_iter()
-            .next()
-            .ok_or_else(crate::best::no_finite_candidate)
-    }
-
-    /// Solves the (1+δ)-approximate ASRS problem (Section 6): the returned
-    /// region's distance is at most `(1 + delta)` times the optimum.
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::Config`] when `delta` is negative or not finite, plus
-    /// the same errors as [`GiDsSearch::search`].
-    pub fn search_approx(&self, query: &AsrsQuery, delta: f64) -> Result<SearchResult, AsrsError> {
-        let config = self.config.clone().with_delta(delta)?;
-        self.run(query, config, 1, None)?
-            .into_iter()
-            .next()
-            .ok_or_else(crate::best::no_finite_candidate)
-    }
-
-    /// Returns the `k` best candidate regions with pairwise distinct
-    /// anchors, best first (see [`DsSearch::search_top_k`]).
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::InvalidTopK`] when `k` is zero, plus the same errors as
-    /// [`GiDsSearch::search`].
-    pub fn search_top_k(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        self.search_top_k_within(query, k, None)
-    }
-
-    /// Like [`GiDsSearch::search_top_k`], with an optional wall-clock
-    /// budget (see [`GiDsSearch::search_within`]).
-    pub fn search_top_k_within(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        if k == 0 {
-            return Err(AsrsError::InvalidTopK);
-        }
-        self.run(query, self.config.clone(), k, budget)
-    }
-
-    fn run(
-        &self,
-        query: &AsrsQuery,
-        config: SearchConfig,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        query.validate(self.aggregator)?;
-        config.validate()?;
-        if let Some(b) = budget {
+    // 3. Search cells best-first until no cell can improve the result.
+    //    The candidates of every index cell are bucketed in one pass when
+    //    the first cell opens.
+    let mut buckets: Option<Vec<Vec<u32>>> = None;
+    while let Some(entry) = heap.pop() {
+        if let Some(b) = solver.budget {
             b.check()?;
         }
-        let started = Instant::now();
-        let mut stats = SearchStats::new();
-        let (asp, table) = AspInstance::with_contributions(
-            self.dataset,
-            self.aggregator,
-            query.size,
-            config.accuracy,
-            config.accuracy_floor,
-        );
-        stats.rectangles = asp.rects().len() as u64;
-        let inner = DsSearch::with_config(self.dataset, self.aggregator, config.clone());
-        let mut scratch = inner.scratch();
-        let mut best = BestSet::new(k);
-        inner.seed_empty_region(&asp, query, &mut best);
-        let spec = self.index.spec();
-        stats.index_cells_total = spec.num_cells() as u64;
-
-        if let Some(space) = asp.space() {
-            // 1. Candidate regions whose bottom-left corner lies outside the
-            //    indexed area (the margin left of / below the dataset's
-            //    bounding box introduced by the ASP reduction) are searched
-            //    unconditionally; the margin is at most one query width tall
-            //    or wide, so this is cheap.
-            for margin in margin_spaces(&space, spec.space()) {
-                let candidates = table.contributing(asp.rects_intersecting(&margin));
-                inner.search_space(
-                    &asp,
-                    &table,
-                    query,
-                    margin,
-                    candidates,
-                    &mut best,
-                    &mut stats,
-                    &mut scratch,
-                    budget.as_ref(),
-                )?;
-            }
-
-            // 2. Rank index cells by their lower bound.
-            let mut heap: BinaryHeap<CellEntry> = BinaryHeap::new();
-            let eps_x = 1e-9 * (spec.cell_width() + query.size.width);
-            let eps_y = 1e-9 * (spec.cell_height() + query.size.height);
-            for row in 0..spec.rows() {
-                for col in 0..spec.cols() {
-                    let cell = spec.cell_rect(col, row);
-                    if !cell.intersects(&space) {
-                        continue;
-                    }
-                    // Bounded region: covered by every candidate region
-                    // anchored in the cell; bounding region: covers every
-                    // such candidate (Definition 9).  Shrink / expand by a
-                    // hair so boundary objects never flip the wrong way.
-                    let bounded = Rect::new(
-                        cell.max_x + eps_x,
-                        cell.max_y + eps_y,
-                        (cell.min_x + query.size.width - eps_x).max(cell.max_x + eps_x),
-                        (cell.min_y + query.size.height - eps_y).max(cell.max_y + eps_y),
-                    );
-                    let bounding = Rect::new(
-                        cell.min_x - eps_x,
-                        cell.min_y - eps_y,
-                        cell.max_x + query.size.width + eps_x,
-                        cell.max_y + query.size.height + eps_y,
-                    );
-                    let lower = if bounded.width() > 2.0 * eps_x && bounded.height() > 2.0 * eps_y {
-                        self.index.stats_of_cells_contained(&bounded)
-                    } else {
-                        vec![0.0; self.aggregator.stats_dim()]
-                    };
-                    let upper = self.index.stats_of_cells_overlapping(&bounding);
-                    let lb = self.aggregator.lower_bound_distance(
-                        &query.target,
-                        &lower,
-                        &upper,
-                        &query.weights,
-                        query.metric,
-                    );
-                    heap.push(CellEntry { lb, col, row });
-                }
-            }
-
-            // 3. Search cells best-first until no cell can improve the
-            //    result (or improve it by more than the (1+δ) factor).  The
-            //    candidates of every index cell are bucketed in one pass
-            //    when the first cell opens.
-            let mut buckets: Option<Vec<Vec<u32>>> = None;
-            while let Some(entry) = heap.pop() {
-                if let Some(b) = budget {
-                    b.check()?;
-                }
-                if entry.lb >= best.cutoff() / config.prune_factor() {
-                    break;
-                }
-                stats.index_cells_searched += 1;
-                let cell_space = spec.cell_rect(entry.col, entry.row);
-                let bucketed =
-                    buckets.get_or_insert_with(|| bucket_by_index_cell(&asp, &table, spec));
-                let candidates = bucketed[spec.linear_index(entry.col, entry.row)].clone();
-                inner.search_space(
-                    &asp,
-                    &table,
-                    query,
-                    cell_space,
-                    candidates,
-                    &mut best,
-                    &mut stats,
-                    &mut scratch,
-                    budget.as_ref(),
-                )?;
-            }
+        if entry.lb >= best.cutoff() / solver.config.prune_factor() {
+            break;
         }
-
-        stats.elapsed = started.elapsed();
-        Ok(crate::best::best_to_results(best, query.size, stats))
+        stats.index_cells_searched += 1;
+        let cell_space = spec.cell_rect(entry.col, entry.row);
+        let bucketed = buckets.get_or_insert_with(|| bucket_by_index_cell(asp, table, spec));
+        let candidates = bucketed[spec.linear_index(entry.col, entry.row)].clone();
+        solver.search_space(cell_space, candidates, best, stats, &mut scratch)?;
     }
+    Ok(())
 }
 
 /// The contributing rectangles of each index cell (row-major): those whose
@@ -349,9 +200,25 @@ fn margin_spaces(asp_space: &Rect, index_space: &Rect) -> Vec<Rect> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asrs_aggregator::{FeatureVector, Selection, Weights};
+    use crate::config::SearchConfig;
+    use crate::executor::{Executor, Slabs};
+    use crate::query::AsrsQuery;
+    use crate::result::SearchResult;
+    use asrs_aggregator::{CompositeAggregator, FeatureVector, Selection, Weights};
     use asrs_data::gen::{TweetGenerator, UniformGenerator};
+    use asrs_data::Dataset;
     use asrs_geo::RegionSize;
+
+    /// The best region over `slabs`, as the engine runs a pinned backend.
+    fn search(
+        ds: &Dataset,
+        agg: &CompositeAggregator,
+        config: SearchConfig,
+        slabs: Slabs<'_>,
+        query: &AsrsQuery,
+    ) -> Result<SearchResult, AsrsError> {
+        Executor::new(ds, agg, config, slabs).best(query, None)
+    }
 
     #[test]
     fn margin_spaces_cover_the_reduction_offset() {
@@ -383,8 +250,15 @@ mod tests {
             FeatureVector::new(vec![4.0, 2.0, 1.0, 3.0]),
             Weights::uniform(4),
         );
-        let plain = DsSearch::new(&ds, &agg).search(&query).unwrap();
-        let indexed = GiDsSearch::new(&ds, &agg, &index).search(&query).unwrap();
+        let plain = search(&ds, &agg, SearchConfig::default(), Slabs::Whole, &query).unwrap();
+        let indexed = search(
+            &ds,
+            &agg,
+            SearchConfig::default(),
+            Slabs::IndexCells(&index),
+            &query,
+        )
+        .unwrap();
         assert!(
             (plain.distance - indexed.distance).abs() < 1e-9,
             "DS {} vs GI-DS {}",
@@ -407,7 +281,14 @@ mod tests {
             FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, 40.0, 40.0]),
             Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]),
         );
-        let result = GiDsSearch::new(&ds, &agg, &index).search(&query).unwrap();
+        let result = search(
+            &ds,
+            &agg,
+            SearchConfig::default(),
+            Slabs::IndexCells(&index),
+            &query,
+        )
+        .unwrap();
         let ratio = result.stats.index_search_ratio().unwrap();
         assert!(
             ratio < 0.6,
@@ -430,10 +311,11 @@ mod tests {
             FeatureVector::new(vec![6.0, 6.0, 6.0, 6.0]),
             Weights::uniform(4),
         );
-        let solver = GiDsSearch::new(&ds, &agg, &index);
-        let exact = solver.search(&query).unwrap();
+        let slabs = Slabs::IndexCells(&index);
+        let exact = search(&ds, &agg, SearchConfig::default(), slabs, &query).unwrap();
         for delta in [0.1, 0.2, 0.4] {
-            let approx = solver.search_approx(&query, delta).unwrap();
+            let config = SearchConfig::default().with_delta(delta).unwrap();
+            let approx = search(&ds, &agg, config, slabs, &query).unwrap();
             assert!(
                 approx.distance <= (1.0 + delta) * exact.distance + 1e-9,
                 "δ={delta}: {} vs optimal {}",
@@ -457,7 +339,14 @@ mod tests {
         let index = GridIndex::build(&ds, &agg, 16, 16).unwrap();
         let example = Rect::new(5.0, 60.0, 30.0, 80.0);
         let query = AsrsQuery::from_example_region(&ds, &agg, &example).unwrap();
-        let result = GiDsSearch::new(&ds, &agg, &index).search(&query).unwrap();
+        let result = search(
+            &ds,
+            &agg,
+            SearchConfig::default(),
+            Slabs::IndexCells(&index),
+            &query,
+        )
+        .unwrap();
         let rep = agg.aggregate_region(&ds, &result.region);
         let d = agg.distance(&rep, &query.target, &query.weights, query.metric);
         assert!((d - result.distance).abs() < 1e-9);

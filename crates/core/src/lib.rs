@@ -16,16 +16,22 @@
 //!    corner sits on the object; finding the point covered by the most
 //!    query-like multiset of rectangles is equivalent to finding the best
 //!    region (Section 4.1, Theorem 1).
-//! 2. [`DsSearch`] solves ASP by repeatedly *discretizing* the space into a
+//! 2. DS-Search solves ASP by repeatedly *discretizing* the space into a
 //!    grid of clean/dirty cells and *splitting* the sub-space spanned by the
 //!    surviving dirty cells, pruning with the Equation-1 lower bound and
 //!    stopping on the GPS-accuracy drop condition (Sections 4.2–4.6).
-//! 3. [`GridIndex`] + [`GiDsSearch`] add the query-independent grid index
-//!    with attribute summary tables of Section 5, searching only the index
-//!    cells whose lower bound can still beat the best known distance.
+//! 3. [`GridIndex`] adds the query-independent grid index with attribute
+//!    summary tables of Section 5: GI-DS searches only the index cells
+//!    whose lower bound can still beat the best known distance.
 //! 4. The same machinery answers the (1+δ)-approximate problem (Section 6)
-//!    via [`SearchConfig::delta`] / [`GiDsSearch::search_approx`].
-//! 5. [`MaxRsSearch`] adapts DS-Search to the MaxRS problem (Section 7.5).
+//!    via [`SearchConfig::delta`] / [`QueryRequest::approximate`].
+//! 5. MaxRS ([`QueryRequest::max_rs`]) is answered by DS-Search through
+//!    its count reduction (Section 7.5).
+//!
+//! DS-Search and GI-DS are one discretize–split kernel run over different
+//! sub-spaces — the whole space, or the index cells best-first — and the
+//! shard scatter below is a third such set, its anchor slabs.  One
+//! executor runs that kernel for every request.
 //!
 //! # The request → plan → execute pipeline
 //!
@@ -87,10 +93,10 @@
 //! [`AsrsEngine`] owns the dataset and aggregator, optionally builds a
 //! [`GridIndex`], validates every query once at its boundary, and runs
 //! every operation — similar, approximate, top-k, batch and MaxRS — through
-//! one entry point, [`AsrsEngine::submit`].  The backends it dispatches to
-//! ([`DsSearch`], [`GiDsSearch`], [`NaiveSearch`]) return identical optimal
-//! distances; every fallible path reports [`AsrsError`] — no public
-//! builder or search panics on bad input.
+//! one entry point, [`AsrsEngine::submit`].  Its backends ([`Backend`]:
+//! DS-Search, GI-DS and the [`NaiveSearch`] oracle) return identical
+//! optimal distances; every fallible path reports [`AsrsError`] — no
+//! public builder or search panics on bad input.
 //!
 //! # Quick example
 //!
@@ -148,6 +154,7 @@ mod drop_condition;
 mod ds_search;
 mod engine;
 mod error;
+mod executor;
 mod gi_ds;
 mod grid_index;
 mod handle;
@@ -167,13 +174,11 @@ pub use audit::{AuditFinding, AuditReport};
 pub use budget::Budget;
 pub use cache::{CacheStats, QueryCache};
 pub use config::SearchConfig;
-pub use ds_search::DsSearch;
 pub use engine::{AsrsEngine, DurabilitySink, EngineBuilder, EngineState};
 pub use error::{AsrsError, ConfigError};
-pub use gi_ds::GiDsSearch;
 pub use grid_index::GridIndex;
 pub use handle::EngineHandle;
-pub use maxrs::{MaxRsResult, MaxRsSearch};
+pub use maxrs::MaxRsResult;
 pub use mutate::{IndexMaintenance, MutationPolicy, MutationReceipt, MutationStats};
 pub use naive::NaiveSearch;
 pub use planner::{

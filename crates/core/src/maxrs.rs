@@ -9,10 +9,9 @@
 //! largest count upper bound first — exactly the adaptation described in
 //! the paper.
 
-use crate::config::SearchConfig;
-use crate::ds_search::DsSearch;
 use crate::error::AsrsError;
 use crate::query::AsrsQuery;
+use crate::result::SearchResult;
 use crate::stats::SearchStats;
 use asrs_aggregator::{
     AggregatorKind, AggregatorSpec, CompositeAggregator, FeatureVector, Selection, Weights,
@@ -34,115 +33,76 @@ pub struct MaxRsResult {
     pub stats: SearchStats,
 }
 
-/// DS-Search adapted to the MaxRS problem.
-pub struct MaxRsSearch<'a> {
-    dataset: &'a Dataset,
+/// The MaxRS → ASRS reduction: a count aggregator over the objects
+/// satisfying `selection` (the class-constrained MaxRS variant of Mostafiz
+/// et al. discussed in the related work) plus a target strictly above the
+/// attainable maximum, which turns minimisation of `|count − target|` into
+/// maximisation of the count.  The engine's executor answers the reduced
+/// query like any other, and the carry-forward pass probes the same one.
+///
+/// # Errors
+///
+/// [`AsrsError::InvalidRegionSize`] when the region size is non-positive
+/// or non-finite.
+pub(crate) fn reduction(
+    dataset: &Dataset,
     size: RegionSize,
-    selection: Selection,
-    config: SearchConfig,
+    selection: &Selection,
+) -> Result<(CompositeAggregator, AsrsQuery), AsrsError> {
+    let (w, h) = (size.width, size.height);
+    if !(w.is_finite() && w > 0.0 && h.is_finite() && h > 0.0) {
+        return Err(AsrsError::InvalidRegionSize {
+            width: w,
+            height: h,
+        });
+    }
+    let aggregator = CompositeAggregator::new(
+        dataset.schema(),
+        vec![AggregatorSpec {
+            kind: AggregatorKind::Count,
+            selection: selection.clone(),
+        }],
+    )
+    // lint:allow(CompositeAggregator::new only rejects selections referencing unknown attributes; Count with the dataset's own schema cannot fail)
+    .expect("a count aggregator is valid for every schema");
+    let target = dataset.len() as f64 + 1.0;
+    let query = AsrsQuery::new(size, FeatureVector::new(vec![target]), Weights::uniform(1));
+    Ok((aggregator, query))
 }
 
-impl<'a> MaxRsSearch<'a> {
-    /// Creates a MaxRS solver for regions of the given size.
-    pub fn new(dataset: &'a Dataset, size: RegionSize) -> Self {
-        Self {
-            dataset,
-            size,
-            selection: Selection::All,
-            config: SearchConfig::default(),
-        }
-    }
-
-    /// Restricts the count to objects satisfying `selection` (the
-    /// class-constrained MaxRS variant of Mostafiz et al. discussed in the
-    /// related work).
-    pub fn with_selection(mut self, selection: Selection) -> Self {
-        self.selection = selection;
-        self
-    }
-
-    /// Overrides the search configuration.
-    pub fn with_config(mut self, config: SearchConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Runs the search.
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::InvalidRegionSize`] when the region size is
-    /// non-positive or non-finite; [`AsrsError::Config`] when the
-    /// configuration is invalid.
-    pub fn search(&self) -> Result<MaxRsResult, AsrsError> {
-        self.search_within(None)
-    }
-
-    /// Like [`MaxRsSearch::search`], with an optional wall-clock budget
-    /// (see [`DsSearch::search_within`]).
-    pub fn search_within(
-        &self,
-        budget: Option<crate::budget::Budget>,
-    ) -> Result<MaxRsResult, AsrsError> {
-        let (aggregator, query) = self.reduction()?;
-        let result = DsSearch::with_config(self.dataset, &aggregator, self.config.clone())
-            .search_within(&query, budget)?;
-        Ok(Self::result_from_search(result))
-    }
-
-    /// The MaxRS → ASRS reduction: a count aggregator over the selection
-    /// plus a target strictly above the attainable maximum, which turns
-    /// minimisation of `|count − target|` into maximisation of the count.
-    /// Shared by the sequential search above and the sharded scatter
-    /// executor (which runs the same reduction per shard).
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::InvalidRegionSize`] when the region size is
-    /// non-positive or non-finite.
-    pub(crate) fn reduction(&self) -> Result<(CompositeAggregator, AsrsQuery), AsrsError> {
-        let (w, h) = (self.size.width, self.size.height);
-        if !(w.is_finite() && w > 0.0 && h.is_finite() && h > 0.0) {
-            return Err(AsrsError::InvalidRegionSize {
-                width: w,
-                height: h,
-            });
-        }
-        let aggregator = CompositeAggregator::new(
-            self.dataset.schema(),
-            vec![AggregatorSpec {
-                kind: AggregatorKind::Count,
-                selection: self.selection.clone(),
-            }],
-        )
-        // lint:allow(CompositeAggregator::new only rejects selections referencing unknown attributes; Count with the dataset's own schema cannot fail)
-        .expect("a count aggregator is valid for every schema");
-        let target = self.dataset.len() as f64 + 1.0;
-        let query = AsrsQuery::new(
-            self.size,
-            FeatureVector::new(vec![target]),
-            Weights::uniform(1),
-        );
-        Ok((aggregator, query))
-    }
-
-    /// Converts the reduced problem's answer back into a [`MaxRsResult`].
-    pub(crate) fn result_from_search(result: crate::result::SearchResult) -> MaxRsResult {
-        let count = result.representation[0].round() as usize;
-        MaxRsResult {
-            region: result.region,
-            anchor: result.anchor,
-            count,
-            stats: result.stats,
-        }
+/// Converts the reduced problem's answer back into a [`MaxRsResult`].
+pub(crate) fn result_from_search(result: SearchResult) -> MaxRsResult {
+    let count = result.representation[0].round() as usize;
+    MaxRsResult {
+        region: result.region,
+        anchor: result.anchor,
+        count,
+        stats: result.stats,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SearchConfig;
+    use crate::executor::{Executor, Slabs};
     use asrs_data::gen::UniformGenerator;
     use asrs_data::{AttrValue, DatasetBuilder, Schema};
+
+    /// The MaxRS answer over the whole space, as an unsharded engine runs
+    /// it.
+    fn max_rs(
+        ds: &Dataset,
+        size: RegionSize,
+        selection: Selection,
+    ) -> Result<MaxRsResult, AsrsError> {
+        let count = CompositeAggregator::builder(ds.schema())
+            .count(Selection::All)
+            .build()
+            .unwrap();
+        Executor::new(ds, &count, SearchConfig::default(), Slabs::Whole)
+            .max_rs(size, &selection, None)
+    }
 
     #[test]
     fn finds_the_densest_cluster() {
@@ -162,9 +122,7 @@ mod tests {
             b.push(x, y, vec![]);
         }
         let ds = b.build().unwrap();
-        let result = MaxRsSearch::new(&ds, RegionSize::new(2.0, 2.0))
-            .search()
-            .unwrap();
+        let result = max_rs(&ds, RegionSize::new(2.0, 2.0), Selection::All).unwrap();
         assert_eq!(result.count, 5);
         assert_eq!(ds.count_strictly_in(&result.region), 5);
     }
@@ -172,9 +130,7 @@ mod tests {
     #[test]
     fn count_matches_region_recount_on_random_data() {
         let ds = UniformGenerator::default().generate(500, 99);
-        let result = MaxRsSearch::new(&ds, RegionSize::new(15.0, 12.0))
-            .search()
-            .unwrap();
+        let result = max_rs(&ds, RegionSize::new(15.0, 12.0), Selection::All).unwrap();
         assert_eq!(ds.count_strictly_in(&result.region), result.count);
         assert!(result.count >= 1);
         assert_eq!(result.region.bottom_left(), result.anchor);
@@ -183,13 +139,13 @@ mod tests {
     #[test]
     fn selection_restricts_the_counted_objects() {
         let ds = UniformGenerator::default().generate(400, 5);
-        let all = MaxRsSearch::new(&ds, RegionSize::new(20.0, 20.0))
-            .search()
-            .unwrap();
-        let only_cat0 = MaxRsSearch::new(&ds, RegionSize::new(20.0, 20.0))
-            .with_selection(Selection::cat_equals(0, 0))
-            .search()
-            .unwrap();
+        let all = max_rs(&ds, RegionSize::new(20.0, 20.0), Selection::All).unwrap();
+        let only_cat0 = max_rs(
+            &ds,
+            RegionSize::new(20.0, 20.0),
+            Selection::cat_equals(0, 0),
+        )
+        .unwrap();
         assert!(only_cat0.count <= all.count);
         // The reported count only considers category-0 objects.
         let recount = ds
@@ -203,9 +159,7 @@ mod tests {
     #[test]
     fn empty_dataset_returns_zero() {
         let ds = Dataset::new_unchecked(Schema::empty(), vec![]);
-        let result = MaxRsSearch::new(&ds, RegionSize::new(1.0, 1.0))
-            .search()
-            .unwrap();
+        let result = max_rs(&ds, RegionSize::new(1.0, 1.0), Selection::All).unwrap();
         assert_eq!(result.count, 0);
     }
 
@@ -213,11 +167,11 @@ mod tests {
     fn degenerate_size_is_an_error() {
         let ds = UniformGenerator::default().generate(10, 1);
         assert!(matches!(
-            MaxRsSearch::new(&ds, RegionSize::new(0.0, 2.0)).search(),
+            max_rs(&ds, RegionSize::new(0.0, 2.0), Selection::All),
             Err(AsrsError::InvalidRegionSize { .. })
         ));
         assert!(matches!(
-            MaxRsSearch::new(&ds, RegionSize::new(2.0, f64::NAN)).search(),
+            max_rs(&ds, RegionSize::new(2.0, f64::NAN), Selection::All),
             Err(AsrsError::InvalidRegionSize { .. })
         ));
     }
@@ -227,9 +181,7 @@ mod tests {
         let mut b = DatasetBuilder::new(Schema::new(vec![]));
         b.push(5.0, 5.0, Vec::<AttrValue>::new());
         let ds = b.build().unwrap();
-        let result = MaxRsSearch::new(&ds, RegionSize::new(2.0, 2.0))
-            .search()
-            .unwrap();
+        let result = max_rs(&ds, RegionSize::new(2.0, 2.0), Selection::All).unwrap();
         assert_eq!(result.count, 1);
         assert!(result.region.strictly_contains_point(&Point::new(5.0, 5.0)));
     }

@@ -290,9 +290,9 @@ pub(crate) fn append(
 }
 
 /// Refuses an object whose location is not finite (see
-/// [`AsrsError::NonFiniteLocation`]).  Checked where appends enter the
-/// engine, before the commit queue and the WAL; replayed WAL batches are
-/// applied as written.
+/// [`AsrsError::NonFiniteLocation`]).  Checked wherever objects enter an
+/// engine: appends before the commit queue and the WAL, the seed dataset
+/// at build, and a persisted image and its replayed WAL batches at boot.
 pub(crate) fn check_location(object: &SpatialObject) -> Result<(), AsrsError> {
     let p = object.location;
     if p.x.is_finite() && p.y.is_finite() {
@@ -343,6 +343,11 @@ pub(crate) fn apply_batch(
     shared: &EngineShared,
     mutations: &[Mutation],
 ) -> Result<Vec<MutationReceipt>, AsrsError> {
+    for mutation in mutations {
+        if let Mutation::Append { object } = mutation {
+            check_location(object)?;
+        }
+    }
     commit(
         shared,
         mutations

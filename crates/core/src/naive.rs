@@ -188,7 +188,7 @@ impl<'a> NaiveSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ds_search::DsSearch;
+    use crate::executor::{Executor, Slabs};
     use asrs_aggregator::{FeatureVector, Selection, Weights};
     use asrs_data::gen::UniformGenerator;
     use asrs_geo::RegionSize;
@@ -207,7 +207,9 @@ mod tests {
                 Weights::uniform(4),
             );
             let naive = NaiveSearch::new(&ds, &agg).search(&query).unwrap();
-            let ds_result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+            let ds_result = Executor::new(&ds, &agg, SearchConfig::default(), Slabs::Whole)
+                .best(&query, None)
+                .unwrap();
             assert!(
                 (naive.distance - ds_result.distance).abs() < 1e-9,
                 "seed {seed}: naive {} vs DS {}",

@@ -1,4 +1,5 @@
-//! The sharded scatter-gather executor.
+//! Shards and their scatter: the [`Slabs::Shards`](crate::executor::Slabs)
+//! plan of the engine's executor.
 //!
 //! # Topology
 //!
@@ -9,8 +10,8 @@
 //! more than its region, the number of objects the region owns, and a
 //! serving counter: there is no per-shard dataset or index.  A request is
 //! *scattered*: each shard searches the anchor slab induced by its region
-//! over the shared full instance, and the per-shard [`BestSet`]s are
-//! *gathered* with the engine's deterministic `(distance, anchor.y,
+//! over the shared full instance, and the slab answers are *gathered* in
+//! one [`BestSet`] with the engine's deterministic `(distance, anchor.y,
 //! anchor.x)` tie-break.
 //!
 //! The regions never change during an engine's lifetime.  Every point of
@@ -24,7 +25,7 @@
 //! The ASRS problem does not decompose by objects alone: a candidate
 //! region that straddles a shard boundary draws objects from several
 //! shards, so searching each sub-dataset independently would under-count
-//! it.  The executor therefore scatters over *anchor slabs* instead: shard
+//! it.  The scatter therefore runs over *anchor slabs* instead: shard
 //! `i` is responsible for every candidate anchor inside its region
 //! extended one query size down and left (exactly the ASP rectangles'
 //! footprint), and each slab search runs over the **full** instance's
@@ -38,11 +39,12 @@
 //! Two decompositions of the same search space probe equally-optimal
 //! candidates at different points, so a naïve scatter would return
 //! different — equally correct — anchors for different shard counts.  The
-//! executor closes that hole with the canonical mode of [`DsSearch`]:
+//! scatter closes that hole with the canonical mode of [`DsSearch`]:
 //!
 //! * every offered anchor is snapped to the canonical representative of
-//!   its arrangement cell ([`EdgeSnapper`]), making candidate identity a
-//!   property of the instance rather than of the decomposition, and
+//!   its arrangement cell ([`EdgeSnapper`](crate::asp::EdgeSnapper)),
+//!   making candidate identity a property of the instance rather than of
+//!   the decomposition, and
 //! * pruning keeps candidates *tied* with the best distance alive, so
 //!   every decomposition discovers the complete set of optimal candidates
 //!   and the `(distance, y, x)` tie-break picks the same winner.
@@ -55,31 +57,23 @@
 //! summing floating-point attribute values are equal up to summation
 //! order.
 //!
-//! Approximate requests are answered *exactly* by the sharded executor (δ
-//! only relaxes pruning, and relaxed pruning is trajectory-dependent);
+//! Approximate requests are answered *exactly* by the scatter (δ only
+//! relaxes pruning, and relaxed pruning is trajectory-dependent);
 //! exact answers trivially satisfy the (1+δ) guarantee and stay
 //! shard-count-invariant.
 
-use crate::asp::{AspInstance, EdgeSnapper};
+use crate::asp::AspInstance;
 use crate::best::BestSet;
-use crate::budget::Budget;
-use crate::config::SearchConfig;
 use crate::ds_search::DsSearch;
-use crate::engine::EngineCore;
 use crate::error::AsrsError;
-use crate::maxrs::{MaxRsResult, MaxRsSearch};
-use crate::query::AsrsQuery;
-use crate::result::SearchResult;
 use crate::stats::SearchStats;
 use crate::sync::Mutex;
-use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_data::{Dataset, SpatialPartition};
-use asrs_geo::{Point, Rect, RegionSize};
+use asrs_geo::{Point, Rect};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// The shard table of a sharded [`EngineCore`]: the partition regions,
+/// The shard table of a sharded engine: the partition regions,
 /// the objects each region owns, and per-shard serving counters.
 ///
 /// The regions are fixed for the engine's lifetime — their outer edges
@@ -178,55 +172,26 @@ fn slab_for(region: &Rect, asp: &AspInstance) -> Option<Rect> {
     slab.intersection(&space)
 }
 
-/// Scatters one search over the shard slabs and gathers the `k` best
-/// candidates (see the module documentation for the guarantees).
+/// Scatters one search over the anchor slabs of `shards` and gathers the
+/// answers into `best` (see the module documentation for the guarantees).
+/// `solver` runs in canonical-tie mode, `best` snaps its anchors and holds
+/// the empty-region seed.
 ///
 /// Runs shard tasks on up to `available_parallelism` threads; with a
-/// single worker the tasks share one [`BestSet`] so the cutoff found in an
-/// early slab prunes the later ones.  Both schedules produce identical
-/// results: strict tie-retaining pruning never discards a candidate tied
-/// with the final cutoff, whatever the cutoff trajectory.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_search(
-    dataset: &Dataset,
-    aggregator: &CompositeAggregator,
-    config: &SearchConfig,
-    shard_set: &ShardSet,
-    query: &AsrsQuery,
-    k: usize,
-    budget: Option<Budget>,
-) -> Result<Vec<SearchResult>, AsrsError> {
-    query.validate(aggregator)?;
-    config.validate()?;
-    if let Some(b) = budget {
-        b.check()?;
-    }
-    let started = Instant::now();
-    // δ is forced to zero: the sharded executor always answers exactly so
-    // its results cannot depend on pruning trajectories (module docs).
-    let exact = SearchConfig {
-        delta: 0.0,
-        ..config.clone()
-    };
-    let solver = DsSearch::with_config(dataset, aggregator, exact.clone()).canonical_ties();
-    let (asp, table) = AspInstance::with_contributions(
-        dataset,
-        aggregator,
-        query.size,
-        exact.accuracy,
-        exact.accuracy_floor,
-    );
-    let snapper = Arc::new(EdgeSnapper::from_asp(&asp));
-    let mut stats = SearchStats::new();
-    stats.rectangles = asp.rects().len() as u64;
-    let mut merged = BestSet::with_snapper(k, Arc::clone(&snapper));
-    solver.seed_empty_region(&asp, query, &mut merged);
+/// single worker the tasks share `best`, so the cutoff found in an early
+/// slab prunes the later ones.  Both schedules produce identical results:
+/// strict tie-retaining pruning never discards a candidate tied with the
+/// final cutoff, whatever the cutoff trajectory.
+pub(crate) fn scatter(
+    solver: &DsSearch<'_>,
+    shards: &ShardSet,
+    best: &mut BestSet,
+    stats: &mut SearchStats,
+) -> Result<(), AsrsError> {
+    let (asp, table) = (solver.asp, solver.table);
     // The representation and distance of a candidate covering nothing —
     // what every point of a rectangle-free slab evaluates to.
-    let zero_stats = vec![0.0; aggregator.stats_dim()];
-    let empty_rep = aggregator.stats_to_features(&zero_stats);
-    let empty_distance =
-        aggregator.distance(&empty_rep, &query.target, &query.weights, query.metric);
+    let (empty_rep, empty_distance) = solver.empty_candidate();
 
     // Route: a shard *executes* only when at least one contributing
     // rectangle reaches its anchor slab.  A slab no rectangle reaches is
@@ -235,24 +200,24 @@ pub(crate) fn scatter_search(
     // hold the tie-break winner, so the slab is offered as one region
     // (O(1) via the minimal-representative skip whenever the empty
     // distance cannot improve the gather) instead of silently dropped.
-    let mut tasks: Vec<(usize, Rect, Vec<u32>)> = Vec::with_capacity(shard_set.len());
-    for (i, region) in shard_set.regions().iter().enumerate() {
-        let Some(slab) = slab_for(region, &asp) else {
+    let mut tasks: Vec<(usize, Rect, Vec<u32>)> = Vec::with_capacity(shards.len());
+    for (i, region) in shards.regions().iter().enumerate() {
+        let Some(slab) = slab_for(region, asp) else {
             continue;
         };
         let candidates = table.contributing(asp.rects_intersecting(&slab));
         if candidates.is_empty() {
-            if empty_distance <= merged.cutoff() {
-                merged.offer_region(empty_distance, &slab, empty_rep.clone());
+            if empty_distance <= best.cutoff() {
+                best.offer_region(empty_distance, &slab, empty_rep.clone());
             }
             continue;
         }
         tasks.push((i, slab, candidates));
     }
     stats.shards_touched = tasks.len() as u64;
-    stats.shards_pruned = (shard_set.len() - tasks.len()) as u64;
+    stats.shards_pruned = (shards.len() - tasks.len()) as u64;
     for (i, _, _) in &tasks {
-        shard_set.requests[*i].fetch_add(1, Ordering::Relaxed);
+        shards.requests[*i].fetch_add(1, Ordering::Relaxed);
     }
 
     let workers = std::thread::available_parallelism()
@@ -262,59 +227,43 @@ pub(crate) fn scatter_search(
     if workers <= 1 {
         let mut scratch = solver.scratch();
         for (_, slab, candidates) in tasks {
-            solver.search_space(
-                &asp,
-                &table,
-                query,
-                slab,
-                candidates,
-                &mut merged,
-                &mut stats,
-                &mut scratch,
-                budget.as_ref(),
-            )?;
+            solver.search_space(slab, candidates, best, stats, &mut scratch)?;
         }
-    } else {
-        // Work-stealing over shard tasks with per-task result sets, merged
-        // in task order afterwards (the gather's total order makes the
-        // merge order immaterial; task order keeps error reporting
-        // deterministic).
-        let outcomes = parallel_map(tasks.len(), workers, |t| {
-            let (_, slab, candidates) = &tasks[t];
-            let mut local = BestSet::with_snapper(k, Arc::clone(&snapper));
-            let mut local_stats = SearchStats::new();
-            solver
-                .search_space(
-                    &asp,
-                    &table,
-                    query,
-                    *slab,
-                    candidates.clone(),
-                    &mut local,
-                    &mut local_stats,
-                    &mut solver.scratch(),
-                    budget.as_ref(),
-                )
-                .map(|()| (local, local_stats))
-        });
-        for outcome in outcomes {
-            let (local, local_stats) = outcome?;
-            stats.merge(&local_stats);
-            for entry in local.into_entries() {
-                merged.offer(entry.distance, entry.anchor, entry.representation);
-            }
+        return Ok(());
+    }
+    // Work-stealing over shard tasks with per-task result sets, merged in
+    // task order afterwards (the gather's total order makes the merge order
+    // immaterial; task order keeps error reporting deterministic).
+    let empty = best.emptied();
+    let outcomes = parallel_map(tasks.len(), workers, |t| {
+        let (_, slab, candidates) = &tasks[t];
+        let mut local = empty.clone();
+        let mut local_stats = SearchStats::new();
+        solver
+            .search_space(
+                *slab,
+                candidates.clone(),
+                &mut local,
+                &mut local_stats,
+                &mut solver.scratch(),
+            )
+            .map(|()| (local, local_stats))
+    });
+    for outcome in outcomes {
+        let (local, local_stats) = outcome?;
+        stats.merge(&local_stats);
+        for entry in local.into_entries() {
+            best.offer(entry.distance, entry.anchor, entry.representation);
         }
     }
-
-    stats.elapsed = started.elapsed();
-    Ok(crate::best::best_to_results(merged, query.size, stats))
+    Ok(())
 }
 
 /// Runs `count` independent tasks on up to `workers` threads
 /// (work-stealing over task indices) and returns their results in task
 /// order.  A panicking task propagates on join, exactly as it would under
 /// the sequential schedule.
-fn parallel_map<T, F>(count: usize, workers: usize, task: F) -> Vec<T>
+pub(crate) fn parallel_map<T, F>(count: usize, workers: usize, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -357,108 +306,4 @@ where
                 .expect("every stolen task fills its slot")
         })
         .collect()
-}
-
-impl EngineCore {
-    fn shard_set(&self) -> &ShardSet {
-        self.shards
-            .as_ref()
-            // lint:allow(every caller dispatches here only after checking core.shards is Some; a miss is a routing bug worth a loud stop)
-            .expect("sharded execution requires a shard set")
-    }
-
-    /// Scattered single-region search.
-    pub(crate) fn sharded_similar(
-        &self,
-        query: &AsrsQuery,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        self.sharded_top_k(query, 1, budget)?
-            .into_iter()
-            .next()
-            .ok_or_else(crate::best::no_finite_candidate)
-    }
-
-    /// Scattered top-k search.
-    pub(crate) fn sharded_top_k(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        if k == 0 {
-            return Err(AsrsError::InvalidTopK);
-        }
-        scatter_search(
-            &self.dataset,
-            &self.aggregator,
-            &self.config,
-            self.shard_set(),
-            query,
-            k,
-            budget,
-        )
-    }
-
-    /// Scattered batch: queries are answered one after another (each
-    /// scatter already fans out across the shard slabs), with the same
-    /// per-slot contract as the unsharded batch executor — validation is
-    /// all-or-nothing up front, and a panic inside one query's search
-    /// costs that slot an [`AsrsError::Internal`], never the process.
-    pub(crate) fn sharded_batch_results(
-        &self,
-        queries: &[AsrsQuery],
-        budget: Option<Budget>,
-    ) -> Result<Vec<Result<SearchResult, AsrsError>>, AsrsError> {
-        for query in queries {
-            query.validate(&self.aggregator)?;
-        }
-        Ok(queries
-            .iter()
-            .map(|query| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.sharded_similar(query, budget)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(AsrsError::Internal {
-                        message: format!(
-                            "sharded search worker panicked: {}",
-                            crate::engine::panic_message(payload.as_ref())
-                        ),
-                    })
-                })
-            })
-            .collect())
-    }
-
-    /// Scattered MaxRS: the same count reduction as the sequential
-    /// adaptation, executed per shard slab and gathered.
-    pub(crate) fn sharded_max_rs(
-        &self,
-        size: RegionSize,
-        selection: Selection,
-        budget: Option<Budget>,
-    ) -> Result<MaxRsResult, AsrsError> {
-        let config = SearchConfig {
-            delta: 0.0,
-            ..self.config.clone()
-        };
-        let search = MaxRsSearch::new(&self.dataset, size)
-            .with_selection(selection)
-            .with_config(config.clone());
-        let (aggregator, query) = search.reduction()?;
-        let result = scatter_search(
-            &self.dataset,
-            &aggregator,
-            &config,
-            self.shard_set(),
-            &query,
-            1,
-            budget,
-        )?
-        .into_iter()
-        .next()
-        .ok_or_else(crate::best::no_finite_candidate)?;
-        Ok(MaxRsSearch::result_from_search(result))
-    }
 }

@@ -3,7 +3,7 @@
 //!
 //! Every lock in the engine's concurrency protocol — the epoch-swap
 //! [`RwLock`] in the engine's shared state, the serialized mutator
-//! [`Mutex`], the sharded query-cache locks, the batch/scatter result
+//! [`Mutex`], the sharded query-cache locks, the executor's result
 //! slots — is constructed through this module instead of naming
 //! `std::sync` directly.  The payoff:
 //!

@@ -64,7 +64,6 @@ pub const LOCK_ALIASES: &[(&str, &str, &str)] = &[
     ("core/src/mutate.rs", "mutator", "engine.mutator"),
     ("core/src/mutate.rs", "commit_queue", "engine.commit_queue"),
     ("core/src/audit.rs", "mutator", "engine.mutator"),
-    ("core/src/engine.rs", "slots", "engine.batch_slot"),
     ("core/src/cache.rs", "shard_of", "cache.shard"),
     ("core/src/cache.rs", "s", "cache.shard"),
     ("core/src/cache.rs", "shard", "cache.shard"),

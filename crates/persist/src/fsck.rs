@@ -14,12 +14,14 @@
 //!    [`decode_payload`](crate::snapshot) the boot path uses, which
 //!    bounds every declared length by the bytes remaining and checks the
 //!    index's rectangle and base-table shape.  The generation in the file
-//!    name must match the one in the payload.
+//!    name must match the one in the payload, and every object's location
+//!    must be finite (the engine refuses the state otherwise).
 //! 2. **Per-WAL** ([`check_wal_file`]) — header magic/version, then a
 //!    frame-by-frame walk distinguishing a *torn tail* (an incomplete
 //!    final frame: the expected crash artifact, a warning) from *corrupt
 //!    frames* (checksum or decode failure in the middle of the log: real
-//!    damage, an error), plus in-log generation contiguity.
+//!    damage, an error), plus in-log generation contiguity and finite
+//!    append locations.
 //! 3. **Cross-file** ([`check_dir`]) — the directory as a whole: simulate
 //!    the boot plan (newest loadable snapshot, replayable WAL suffix) and
 //!    flag a WAL that disagrees with snapshot history, exactly as
@@ -31,6 +33,7 @@
 use crate::crc::crc32;
 use crate::error::PersistError;
 use crate::{snapshot, wal};
+use asrs_data::{Mutation, SpatialObject};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::fs;
@@ -70,6 +73,10 @@ pub enum FsckCategory {
     /// A snapshot's file name claims a different generation than its
     /// payload.
     GenerationMismatch,
+    /// A snapshot object or a WAL append holds a NaN or infinite location,
+    /// which boot refuses.  Only files written before appends refused
+    /// such locations can hold one.
+    NonFiniteLocation,
     /// An incomplete final WAL frame — the expected crash artifact.
     TornTail,
     /// A complete WAL frame that fails its checksum or does not decode.
@@ -129,9 +136,13 @@ pub struct SnapshotCheck {
 
 impl SnapshotCheck {
     /// Whether boot's [`load_latest`](crate::load_latest) would restore
-    /// from this file.
+    /// from this file.  A non-finite location does not stop the load; the
+    /// engine refuses the restored state afterwards.
     pub fn loadable(&self) -> bool {
-        !self.findings.iter().any(|f| f.severity == Severity::Error)
+        !self
+            .findings
+            .iter()
+            .any(|f| f.severity == Severity::Error && f.category != FsckCategory::NonFiniteLocation)
     }
 }
 
@@ -241,6 +252,26 @@ fn file_label(path: &Path) -> String {
         .unwrap_or_else(|| path.display().to_string())
 }
 
+/// The finding for an object whose location boot refuses, if it has one.
+fn non_finite_location(
+    file: &str,
+    object: &SpatialObject,
+    place: std::fmt::Arguments<'_>,
+) -> Option<FsckFinding> {
+    let p = object.location;
+    (!(p.x.is_finite() && p.y.is_finite())).then(|| {
+        FsckFinding::new(
+            file,
+            FsckCategory::NonFiniteLocation,
+            Severity::Error,
+            format!(
+                "{place}: object {} has the non-finite location ({}, {}); boot refuses it",
+                object.id, p.x, p.y
+            ),
+        )
+    })
+}
+
 /// Structurally verifies one snapshot file without booting an engine.
 ///
 /// Only I/O failures are `Err`; structural damage comes back as findings
@@ -337,6 +368,12 @@ pub fn check_snapshot_file(path: &Path) -> Result<SnapshotCheck, PersistError> {
                         name_generation, state.generation
                     ),
                 ));
+            }
+            for object in state.dataset.objects() {
+                let place = format_args!("snapshot object");
+                if let Some(finding) = non_finite_location(&file, object, place) {
+                    check.findings.push(finding);
+                }
             }
         }
         Err(PersistError::Corrupt { message, .. }) => {
@@ -507,6 +544,12 @@ pub fn check_wal_file(path: &Path) -> Result<WalCheck, PersistError> {
                         entry.generation, check.frames
                     ),
                 ));
+            }
+        }
+        if let Mutation::Append { object } = &entry.mutation {
+            let place = format_args!("append in frame {}", check.frames);
+            if let Some(finding) = non_finite_location(&file, object, place) {
+                check.findings.push(finding);
             }
         }
         check.generations.push(entry.generation);

@@ -18,11 +18,10 @@ pub mod prelude {
     pub use asrs_baseline::{naive, segment_tree::MaxAddSegmentTree, OptimalEnclosure, SweepBase};
     pub use asrs_core::{
         AsrsEngine, AsrsError, AsrsQuery, Backend, Budget, CacheStats, ConfigError, CostEstimate,
-        DsSearch, EngineBuilder, EngineHandle, EngineStatistics, ExecutionPlan, GiDsSearch,
-        GridIndex, IndexMaintenance, IndexStatistics, MaxRsResult, MaxRsSearch, MutationPolicy,
-        MutationReceipt, MutationStats, NaiveSearch, PlanReason, Planner, QueryCache, QueryError,
-        QueryOutcome, QueryRequest, QueryResponse, RequestKey, SearchConfig, SearchResult,
-        SearchStats, ShardFanOut,
+        EngineBuilder, EngineHandle, EngineStatistics, ExecutionPlan, GridIndex, IndexMaintenance,
+        IndexStatistics, MaxRsResult, MutationPolicy, MutationReceipt, MutationStats, NaiveSearch,
+        PlanReason, Planner, QueryCache, QueryError, QueryOutcome, QueryRequest, QueryResponse,
+        RequestKey, SearchConfig, SearchResult, SearchStats, ShardFanOut,
     };
     pub use asrs_data::gen::{
         CityGenerator, CityMap, ClusteredGenerator, District, PoiSynGenerator, TweetGenerator,

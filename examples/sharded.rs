@@ -19,7 +19,7 @@ fn main() {
         .build()
         .expect("schema has day_of_week");
 
-    // 2. The parity baseline: the scatter-gather executor with ONE shard.
+    // 2. The parity baseline: the shard scatter with ONE shard.
     let baseline = AsrsEngine::builder(dataset.clone(), aggregator.clone())
         .shards(1)
         .build_index(24, 24)

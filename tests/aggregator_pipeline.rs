@@ -3,6 +3,15 @@
 
 use asrs_suite::prelude::*;
 
+/// The best region for `query` by DS-Search, through an engine over `ds`.
+fn ds_search(ds: &Dataset, agg: &CompositeAggregator, query: &AsrsQuery) -> SearchResult {
+    let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+        .build()
+        .unwrap();
+    let request = QueryRequest::similar(query.clone()).with_backend(Backend::DsSearch);
+    engine.submit(&request).unwrap().best().unwrap().clone()
+}
+
 /// Builds the apartment-hunting schema of the paper's Example 1 / Fig. 1.
 fn apartment_schema() -> Schema {
     Schema::new(vec![
@@ -81,7 +90,7 @@ fn paper_examples_2_3_and_4_reproduce() {
     // DS-Search with r_q as the example must therefore prefer r_1's
     // neighbourhood over r_2's (distance at most d1).
     let query = AsrsQuery::from_example_region(&ds, &agg, &rq).unwrap();
-    let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+    let result = ds_search(&ds, &agg, &query);
     assert!(result.distance <= d1 + 1e-9);
 }
 
@@ -97,7 +106,7 @@ fn f1_style_query_finds_a_weekend_heavy_region() {
         FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, 25.0, 25.0]),
         Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]),
     );
-    let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+    let result = ds_search(&ds, &agg, &query);
     let rep = agg.aggregate_region(&ds, &result.region);
     let weekday: f64 = rep.as_slice()[..5].iter().sum();
     let weekend: f64 = rep.as_slice()[5..].iter().sum();
@@ -121,7 +130,7 @@ fn f2_style_query_finds_popular_highly_rated_regions() {
         FeatureVector::new(vec![vmax, 10.0]),
         Weights::new(vec![1.0 / vmax, 1.0 / 10.0]),
     );
-    let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+    let result = ds_search(&ds, &agg, &query);
     let rep = agg.aggregate_region(&ds, &result.region);
     // The selected region must have an above-average rating and a
     // substantial number of visits.
@@ -149,7 +158,7 @@ fn dataset_io_roundtrip_preserves_search_results() {
         FeatureVector::new(vec![2.0, 2.0, 2.0, 2.0]),
         Weights::uniform(4),
     );
-    let original = DsSearch::new(&ds, &agg).search(&query).unwrap();
-    let roundtrip = DsSearch::new(&reloaded, &agg).search(&query).unwrap();
+    let original = ds_search(&ds, &agg, &query);
+    let roundtrip = ds_search(&reloaded, &agg, &query);
     assert_eq!(original.distance, roundtrip.distance);
 }

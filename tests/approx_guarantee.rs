@@ -4,6 +4,22 @@
 
 use asrs_suite::prelude::*;
 
+/// The best region `engine` answers for `request` pinned to `backend`.
+fn pinned(engine: &AsrsEngine, request: QueryRequest, backend: Backend) -> SearchResult {
+    let response = engine.submit(&request.with_backend(backend)).unwrap();
+    response.best().unwrap().clone()
+}
+
+fn engine(ds: Dataset, agg: CompositeAggregator, index: Option<GridIndex>) -> AsrsEngine {
+    let builder = AsrsEngine::builder(ds, agg);
+    match index {
+        Some(index) => builder.index(index),
+        None => builder,
+    }
+    .build()
+    .unwrap()
+}
+
 fn f1_query(size: RegionSize) -> AsrsQuery {
     AsrsQuery::new(
         size,
@@ -20,12 +36,15 @@ fn approximation_guarantee_holds_for_ds_search() {
         .build()
         .unwrap();
     let query = f1_query(RegionSize::new(70.0, 70.0));
-    let exact = DsSearch::new(&ds, &agg).search(&query).unwrap();
+    let engine = engine(ds, agg, None);
+    let exact = pinned(
+        &engine,
+        QueryRequest::similar(query.clone()),
+        Backend::DsSearch,
+    );
     for delta in [0.1, 0.2, 0.3, 0.4] {
-        let approx =
-            DsSearch::with_config(&ds, &agg, SearchConfig::new().with_delta(delta).unwrap())
-                .search(&query)
-                .unwrap();
+        let request = QueryRequest::approximate(query.clone(), delta);
+        let approx = pinned(&engine, request, Backend::DsSearch);
         assert!(
             approx.distance <= (1.0 + delta) * exact.distance + 1e-9,
             "δ={delta}: approx {} vs optimal {}",
@@ -47,11 +66,12 @@ fn approximation_guarantee_holds_for_gi_ds() {
         .build()
         .unwrap();
     let index = GridIndex::build(&ds, &agg, 48, 48).unwrap();
-    let solver = GiDsSearch::new(&ds, &agg, &index);
+    let engine = engine(ds, agg, Some(index));
     let query = f1_query(RegionSize::new(45.0, 45.0));
-    let exact = solver.search(&query).unwrap();
+    let exact = pinned(&engine, QueryRequest::similar(query.clone()), Backend::GiDs);
     for delta in [0.1, 0.2, 0.3, 0.4] {
-        let approx = solver.search_approx(&query, delta).unwrap();
+        let request = QueryRequest::approximate(query.clone(), delta);
+        let approx = pinned(&engine, request, Backend::GiDs);
         assert!(
             approx.distance <= (1.0 + delta) * exact.distance + 1e-9,
             "δ={delta}: approx {} vs optimal {}",
@@ -69,15 +89,16 @@ fn larger_delta_never_searches_more_index_cells() {
         .build()
         .unwrap();
     let index = GridIndex::build(&ds, &agg, 40, 40).unwrap();
-    let solver = GiDsSearch::new(&ds, &agg, &index);
+    let engine = engine(ds, agg, Some(index));
     let query = f1_query(RegionSize::new(55.0, 55.0));
     let mut searched = Vec::new();
     for delta in [0.0, 0.1, 0.2, 0.4] {
-        let result = if delta == 0.0 {
-            solver.search(&query).unwrap()
+        let request = if delta == 0.0 {
+            QueryRequest::similar(query.clone())
         } else {
-            solver.search_approx(&query, delta).unwrap()
+            QueryRequest::approximate(query.clone(), delta)
         };
+        let result = pinned(&engine, request, Backend::GiDs);
         searched.push(result.stats.index_cells_searched);
     }
     for w in searched.windows(2) {
@@ -99,15 +120,16 @@ fn quality_ratio_matches_table_2_shape() {
         .build()
         .unwrap();
     let index = GridIndex::build(&ds, &agg, 48, 48).unwrap();
-    let solver = GiDsSearch::new(&ds, &agg, &index);
+    let engine = engine(ds, agg, Some(index));
     let query = f1_query(RegionSize::new(80.0, 80.0));
-    let exact = solver.search(&query).unwrap();
+    let exact = pinned(&engine, QueryRequest::similar(query.clone()), Backend::GiDs);
     assert!(
         exact.distance > 0.0,
         "a strict optimum keeps the ratio well-defined"
     );
     for delta in [0.1, 0.4] {
-        let approx = solver.search_approx(&query, delta).unwrap();
+        let request = QueryRequest::approximate(query.clone(), delta);
+        let approx = pinned(&engine, request, Backend::GiDs);
         let quality = approx.distance / exact.distance;
         assert!(quality >= 1.0 - 1e-9);
         assert!(quality <= 1.0 + delta + 1e-9);
@@ -126,9 +148,13 @@ fn zero_delta_is_exactly_the_exact_algorithm() {
         FeatureVector::new(vec![4.0, 4.0, 4.0, 4.0]),
         Weights::uniform(4),
     );
-    let exact = DsSearch::new(&ds, &agg).search(&query).unwrap();
-    let zero_delta = DsSearch::with_config(&ds, &agg, SearchConfig::new().with_delta(0.0).unwrap())
-        .search(&query)
-        .unwrap();
+    let engine = engine(ds, agg, None);
+    let exact = pinned(
+        &engine,
+        QueryRequest::similar(query.clone()),
+        Backend::DsSearch,
+    );
+    let request = QueryRequest::approximate(query, 0.0);
+    let zero_delta = pinned(&engine, request, Backend::DsSearch);
     assert_eq!(exact.distance, zero_delta.distance);
 }

@@ -3,6 +3,41 @@
 //! equivalence checks (seeded loops; the offline build has no proptest).
 
 use asrs_suite::prelude::*;
+
+/// The best region for `query` by DS-Search, through an engine over `ds`.
+fn ds_search(ds: &Dataset, agg: &CompositeAggregator, query: &AsrsQuery) -> SearchResult {
+    let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+        .build()
+        .unwrap();
+    let request = QueryRequest::similar(query.clone()).with_backend(Backend::DsSearch);
+    engine.submit(&request).unwrap().best().unwrap().clone()
+}
+
+/// The best region for `query` by GI-DS over `index`, through an engine
+/// over `ds`.
+fn gi_ds(
+    ds: &Dataset,
+    agg: &CompositeAggregator,
+    index: GridIndex,
+    query: &AsrsQuery,
+) -> SearchResult {
+    let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+        .index(index)
+        .build()
+        .unwrap();
+    let request = QueryRequest::similar(query.clone()).with_backend(Backend::GiDs);
+    engine.submit(&request).unwrap().best().unwrap().clone()
+}
+
+/// The MaxRS answer to `request`, through an engine over `ds`.
+fn max_rs(ds: &Dataset, request: QueryRequest) -> MaxRsResult {
+    let agg = CompositeAggregator::builder(ds.schema())
+        .count(Selection::All)
+        .build()
+        .unwrap();
+    let engine = AsrsEngine::builder(ds.clone(), agg).build().unwrap();
+    engine.submit(&request).unwrap().max_rs().unwrap().clone()
+}
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,7 +70,7 @@ fn case_study_city_ranks_marina_bay_above_bugis() {
     // The search itself must find a region at least as similar as Marina
     // Bay (it may legitimately find an even better one).
     let query = AsrsQuery::from_example_region(ds, &agg, &orchard).unwrap();
-    let result = DsSearch::new(ds, &agg).search(&query).unwrap();
+    let result = ds_search(ds, &agg, &query);
     assert!(result.distance <= d_marina + 1e-9);
 }
 
@@ -49,9 +84,9 @@ fn indexed_and_plain_search_agree_on_the_city() {
         .unwrap();
     let orchard = city.district("Orchard").unwrap().rect;
     let query = AsrsQuery::from_example_region(ds, &agg, &orchard).unwrap();
-    let plain = DsSearch::new(ds, &agg).search(&query).unwrap();
+    let plain = ds_search(ds, &agg, &query);
     let index = GridIndex::build(ds, &agg, 64, 64).unwrap();
-    let indexed = GiDsSearch::new(ds, &agg, &index).search(&query).unwrap();
+    let indexed = gi_ds(ds, &agg, index, &query);
     assert!((plain.distance - indexed.distance).abs() < 1e-9);
 }
 
@@ -70,7 +105,7 @@ fn search_scales_through_the_full_pipeline() {
         FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, 60.0, 60.0]),
         Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]),
     );
-    let result = GiDsSearch::new(&ds, &agg, &index).search(&query).unwrap();
+    let result = gi_ds(&ds, &agg, index, &query);
     let rep = agg.aggregate_region(&ds, &result.region);
     let recomputed = agg.distance(&rep, &query.target, &query.weights, query.metric);
     assert!((recomputed - result.distance).abs() < 1e-6);
@@ -101,7 +136,7 @@ fn ds_search_is_exact_on_random_instances() {
             FeatureVector::new(vec![target_a, target_b, target_a, target_b]),
             Weights::uniform(4),
         );
-        let result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let result = ds_search(&ds, &agg, &query);
         let oracle = naive::naive_best_region(&ds, &agg, &query).unwrap();
         assert!(
             (result.distance - oracle.distance).abs() < 1e-9,
@@ -124,7 +159,7 @@ fn maxrs_adaptation_is_exact_on_random_instances() {
         let k = rng.gen_range(2.0..25.0);
         let ds = UniformGenerator::default().generate(n, seed);
         let size = RegionSize::new(k, k * 0.8);
-        let ds_count = MaxRsSearch::new(&ds, size).search().unwrap().count;
+        let ds_count = max_rs(&ds, QueryRequest::max_rs(size)).count;
         let oe_count = OptimalEnclosure::new(&ds, size).search().unwrap().count;
         assert_eq!(ds_count, oe_count, "seed {seed}");
     }

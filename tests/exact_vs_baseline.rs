@@ -4,6 +4,15 @@
 
 use asrs_suite::prelude::*;
 
+/// The best region for `query` by DS-Search, through an engine over `ds`.
+fn ds_search(ds: &Dataset, agg: &CompositeAggregator, query: &AsrsQuery) -> SearchResult {
+    let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+        .build()
+        .unwrap();
+    let request = QueryRequest::similar(query.clone()).with_backend(Backend::DsSearch);
+    engine.submit(&request).unwrap().best().unwrap().clone()
+}
+
 fn tweet_query(target_weekend: f64, size: RegionSize) -> AsrsQuery {
     // The paper's composite aggregator F1: distribution over the day of the
     // week, weekend dimensions weighted 1/2, weekday dimensions 1/5.
@@ -35,7 +44,7 @@ fn ds_search_matches_the_naive_oracle_on_uniform_data() {
             FeatureVector::new(vec![3.0, 2.0, 1.0, 0.0]),
             Weights::uniform(4),
         );
-        let ds_result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let ds_result = ds_search(&ds, &agg, &query);
         let oracle = naive::naive_best_region(&ds, &agg, &query).unwrap();
         assert!(
             (ds_result.distance - oracle.distance).abs() < 1e-9,
@@ -55,7 +64,7 @@ fn ds_search_matches_the_sweep_baseline_on_clustered_tweets() {
             .build()
             .unwrap();
         let query = tweet_query(6.0, RegionSize::new(120.0, 120.0));
-        let ds_result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let ds_result = ds_search(&ds, &agg, &query);
         let base = SweepBase::new(&ds, &agg).search(&query).unwrap();
         assert!(
             (ds_result.distance - base.distance).abs() < 1e-9,
@@ -81,7 +90,7 @@ fn all_three_solvers_agree_with_mixed_aggregators() {
             FeatureVector::new(vec![4_000.0, 10.0]),
             Weights::new(vec![1.0 / 4_000.0, 0.1]),
         );
-        let ds_result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let ds_result = ds_search(&ds, &agg, &query);
         let sweep = SweepBase::new(&ds, &agg).search(&query).unwrap();
         let oracle = naive::naive_best_region(&ds, &agg, &query).unwrap();
         assert!(
@@ -113,7 +122,7 @@ fn agreement_holds_across_query_sizes() {
             FeatureVector::new(vec![1.0, 1.0, 1.0, 1.0]),
             Weights::uniform(4),
         );
-        let ds_result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+        let ds_result = ds_search(&ds, &agg, &query);
         let oracle = naive::naive_best_region(&ds, &agg, &query).unwrap();
         assert!(
             (ds_result.distance - oracle.distance).abs() < 1e-9,
@@ -138,7 +147,7 @@ fn agreement_holds_with_selective_aggregators_and_l2() {
         Weights::uniform(2),
     )
     .with_metric(DistanceMetric::L2);
-    let ds_result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+    let ds_result = ds_search(&ds, &agg, &query);
     let oracle = naive::naive_best_region(&ds, &agg, &query).unwrap();
     assert!(
         (ds_result.distance - oracle.distance).abs() < 1e-9,
@@ -159,7 +168,7 @@ fn query_by_example_recovers_a_zero_distance_region() {
         .unwrap();
     let example = Rect::new(200.0, 300.0, 400.0, 480.0);
     let query = AsrsQuery::from_example_region(&ds, &agg, &example).unwrap();
-    let ds_result = DsSearch::new(&ds, &agg).search(&query).unwrap();
+    let ds_result = ds_search(&ds, &agg, &query);
     let sweep = SweepBase::new(&ds, &agg).search(&query).unwrap();
     assert!(ds_result.distance < 1e-9);
     assert!(sweep.distance < 1e-9);

@@ -3,6 +3,31 @@
 
 use asrs_suite::prelude::*;
 
+/// The best region for `query` by DS-Search, through an engine over `ds`.
+fn ds_search(ds: &Dataset, agg: &CompositeAggregator, query: &AsrsQuery) -> SearchResult {
+    let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+        .build()
+        .unwrap();
+    let request = QueryRequest::similar(query.clone()).with_backend(Backend::DsSearch);
+    engine.submit(&request).unwrap().best().unwrap().clone()
+}
+
+/// The best region for `query` by GI-DS over `index`, through an engine
+/// over `ds`.
+fn gi_ds(
+    ds: &Dataset,
+    agg: &CompositeAggregator,
+    index: GridIndex,
+    query: &AsrsQuery,
+) -> SearchResult {
+    let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+        .index(index)
+        .build()
+        .unwrap();
+    let request = QueryRequest::similar(query.clone()).with_backend(Backend::GiDs);
+    engine.submit(&request).unwrap().best().unwrap().clone()
+}
+
 #[test]
 fn gi_ds_equals_ds_search_across_granularities() {
     let ds = TweetGenerator::compact(6).generate(1500, 9);
@@ -15,10 +40,10 @@ fn gi_ds_equals_ds_search_across_granularities() {
         FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, 25.0, 25.0]),
         Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]),
     );
-    let reference = DsSearch::new(&ds, &agg).search(&query).unwrap();
+    let reference = ds_search(&ds, &agg, &query);
     for granularity in [16, 32, 64] {
         let index = GridIndex::build(&ds, &agg, granularity, granularity).unwrap();
-        let result = GiDsSearch::new(&ds, &agg, &index).search(&query).unwrap();
+        let result = gi_ds(&ds, &agg, index, &query);
         assert!(
             (result.distance - reference.distance).abs() < 1e-9,
             "granularity {granularity}: GI-DS {} vs DS {}",
@@ -42,7 +67,7 @@ fn gi_ds_equals_the_naive_oracle_on_small_instances() {
             FeatureVector::new(vec![2.0, 2.0, 0.0, 1.0]),
             Weights::uniform(4),
         );
-        let gi = GiDsSearch::new(&ds, &agg, &index).search(&query).unwrap();
+        let gi = gi_ds(&ds, &agg, index, &query);
         let oracle = naive::naive_best_region(&ds, &agg, &query).unwrap();
         assert!(
             (gi.distance - oracle.distance).abs() < 1e-9,
@@ -70,7 +95,7 @@ fn finer_index_granularity_searches_a_smaller_fraction_of_cells() {
     let mut ratios = Vec::new();
     for granularity in [16, 32, 64] {
         let index = GridIndex::build(&ds, &agg, granularity, granularity).unwrap();
-        let result = GiDsSearch::new(&ds, &agg, &index).search(&query).unwrap();
+        let result = gi_ds(&ds, &agg, index, &query);
         ratios.push(result.stats.index_search_ratio().unwrap());
     }
     assert!(
@@ -115,8 +140,8 @@ fn gi_ds_handles_numeric_aggregators() {
         FeatureVector::new(vec![20_000.0, 10.0]),
         Weights::new(vec![1.0 / 20_000.0, 0.1]),
     );
-    let reference = DsSearch::new(&ds, &agg).search(&query).unwrap();
-    let indexed = GiDsSearch::new(&ds, &agg, &index).search(&query).unwrap();
+    let reference = ds_search(&ds, &agg, &query);
+    let indexed = gi_ds(&ds, &agg, index, &query);
     assert!(
         (reference.distance - indexed.distance).abs() < 1e-6,
         "GI-DS {} vs DS {}",

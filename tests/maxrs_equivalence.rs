@@ -4,12 +4,31 @@
 
 use asrs_suite::prelude::*;
 
+/// The best region for `query` by DS-Search, through an engine over `ds`.
+fn ds_search(ds: &Dataset, agg: &CompositeAggregator, query: &AsrsQuery) -> SearchResult {
+    let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+        .build()
+        .unwrap();
+    let request = QueryRequest::similar(query.clone()).with_backend(Backend::DsSearch);
+    engine.submit(&request).unwrap().best().unwrap().clone()
+}
+
+/// The MaxRS answer to `request`, through an engine over `ds`.
+fn max_rs(ds: &Dataset, request: QueryRequest) -> MaxRsResult {
+    let agg = CompositeAggregator::builder(ds.schema())
+        .count(Selection::All)
+        .build()
+        .unwrap();
+    let engine = AsrsEngine::builder(ds.clone(), agg).build().unwrap();
+    engine.submit(&request).unwrap().max_rs().unwrap().clone()
+}
+
 #[test]
 fn ds_maxrs_equals_oe_and_oracle_on_random_data() {
     for seed in 0..6 {
         let ds = UniformGenerator::default().generate(80, seed);
         let size = RegionSize::new(14.0, 11.0);
-        let ds_result = MaxRsSearch::new(&ds, size).search().unwrap();
+        let ds_result = max_rs(&ds, QueryRequest::max_rs(size));
         let oe = OptimalEnclosure::new(&ds, size).search().unwrap();
         let oracle = naive::naive_maxrs_count(&ds, size.width, size.height).unwrap();
         assert_eq!(ds_result.count, oracle, "seed {seed}: DS-MaxRS vs oracle");
@@ -22,7 +41,7 @@ fn ds_maxrs_equals_oe_on_clustered_data() {
     for seed in [1, 5, 9] {
         let ds = TweetGenerator::compact(4).generate(600, seed);
         let size = RegionSize::new(80.0, 80.0);
-        let ds_result = MaxRsSearch::new(&ds, size).search().unwrap();
+        let ds_result = max_rs(&ds, QueryRequest::max_rs(size));
         let oe = OptimalEnclosure::new(&ds, size).search().unwrap();
         assert_eq!(
             ds_result.count, oe.count,
@@ -40,10 +59,7 @@ fn maxrs_count_is_monotone_in_region_size() {
     let ds = PoiSynGenerator::compact(5).generate(400, 3);
     let mut previous = 0usize;
     for k in [10.0, 40.0, 70.0, 100.0] {
-        let count = MaxRsSearch::new(&ds, RegionSize::new(k, k))
-            .search()
-            .unwrap()
-            .count;
+        let count = max_rs(&ds, QueryRequest::max_rs(RegionSize::new(k, k))).count;
         assert!(
             count >= previous,
             "a larger region can always enclose at least as many objects"
@@ -59,12 +75,12 @@ fn class_constrained_maxrs_is_consistent() {
     // recount of the returned region.
     let ds = UniformGenerator::default().generate(300, 11);
     let size = RegionSize::new(18.0, 18.0);
-    let unconstrained = MaxRsSearch::new(&ds, size).search().unwrap();
+    let unconstrained = max_rs(&ds, QueryRequest::max_rs(size));
     for category in 0..4u32 {
-        let constrained = MaxRsSearch::new(&ds, size)
-            .with_selection(Selection::cat_equals(0, category))
-            .search()
-            .unwrap();
+        let constrained = max_rs(
+            &ds,
+            QueryRequest::max_rs_selective(size, Selection::cat_equals(0, category)),
+        );
         assert!(constrained.count <= unconstrained.count);
         let recount = ds
             .objects_strictly_in(&constrained.region)
@@ -82,7 +98,7 @@ fn maxrs_via_generic_asrs_query_matches_dedicated_wrapper() {
     // query path must agree.
     let ds = UniformGenerator::default().generate(250, 23);
     let size = RegionSize::new(20.0, 15.0);
-    let wrapper = MaxRsSearch::new(&ds, size).search().unwrap();
+    let wrapper = max_rs(&ds, QueryRequest::max_rs(size));
 
     let agg = CompositeAggregator::builder(ds.schema())
         .count(Selection::All)
@@ -93,7 +109,7 @@ fn maxrs_via_generic_asrs_query_matches_dedicated_wrapper() {
         FeatureVector::new(vec![ds.len() as f64 + 1.0]),
         Weights::uniform(1),
     );
-    let generic = DsSearch::new(&ds, &agg).search(&query).unwrap();
+    let generic = ds_search(&ds, &agg, &query);
     let generic_count = generic.representation[0].round() as usize;
     assert_eq!(wrapper.count, generic_count);
 }

@@ -862,3 +862,91 @@ fn a_non_finite_append_is_refused_and_the_next_append_survives_reboots() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Whether `asrs-fsck` reports a non-finite location in `dir` as an error.
+fn fsck_flags_non_finite_location(dir: &std::path::Path) -> bool {
+    use asrs_persist::fsck::{check_dir, FsckCategory, Severity};
+    check_dir(dir)
+        .unwrap()
+        .all_findings()
+        .iter()
+        .any(|f| f.category == FsckCategory::NonFiniteLocation && f.severity == Severity::Error)
+}
+
+/// Regression test: a snapshot written before appends refused non-finite
+/// locations used to boot, and every search then panicked on the record's
+/// rectangle.  Boot now refuses the image with the error an append gets,
+/// and `asrs-fsck` reports the record.
+#[test]
+fn a_snapshot_holding_a_non_finite_location_refuses_to_boot() {
+    for shards in [0, 2] {
+        let (ds, agg) = workload(80, 43);
+        let dir = temp_dir("nan-snapshot", shards);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut objects: Vec<SpatialObject> = ds.objects().cloned().collect();
+        objects[17].location = Point::new(f64::NAN, objects[17].location.y);
+        let id = objects[17].id;
+        let state = asrs_core::EngineState {
+            generation: 5,
+            dataset: std::sync::Arc::new(Dataset::new_unchecked(ds.schema().clone(), objects)),
+            index: None,
+        };
+        asrs_persist::write_snapshot(&dir, &state).unwrap();
+        assert!(fsck_flags_non_finite_location(&dir), "shards {shards}");
+        let booted = engine_builder(ds, agg, shards, 0)
+            .persist_dir(&dir)
+            .build()
+            .err();
+        assert!(
+            matches!(
+                booted,
+                Some(PersistError::Engine(AsrsError::NonFiniteLocation { id: refused, .. }))
+                    if refused == id
+            ),
+            "shards {shards}: {booted:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Regression test: the same for a WAL append frame written before appends
+/// refused non-finite locations — replay now refuses it.
+#[test]
+fn a_wal_append_holding_a_non_finite_location_refuses_to_boot() {
+    for shards in [0, 2] {
+        let (ds, agg) = workload(80, 47);
+        let template = ds.object(0).clone();
+        let dir = temp_dir("nan-wal", shards);
+        let persistent = engine_builder(ds.clone(), agg.clone(), shards, 0)
+            .persist_dir(&dir)
+            .build()
+            .unwrap();
+        let generation = persistent.engine().generation();
+        drop(persistent);
+        let (wal, _) = Wal::open(&dir.join("wal.log")).unwrap();
+        let object = SpatialObject::new(
+            9_000_000,
+            Point::new(template.location.x, f64::INFINITY),
+            template.values.clone(),
+        );
+        wal.append(generation + 1, &Mutation::Append { object })
+            .unwrap();
+        drop(wal);
+        assert!(fsck_flags_non_finite_location(&dir), "shards {shards}");
+        let booted = engine_builder(ds, agg, shards, 0)
+            .persist_dir(&dir)
+            .build()
+            .err();
+        assert!(
+            matches!(
+                booted,
+                Some(PersistError::Engine(AsrsError::NonFiniteLocation {
+                    id: 9_000_000,
+                    ..
+                }))
+            ),
+            "shards {shards}: {booted:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -123,7 +123,7 @@ fn batch_results_expose_per_query_outcomes() {
 /// workload: every response must be deterministic across threads and
 /// repetitions, and — because the cache was warmed first — must replay the
 /// warm bytes exactly (statistics included).  This is the serving-side
-/// guarantee of the scatter-gather executor: concurrency and shard count
+/// guarantee of the shard scatter: concurrency and shard count
 /// are invisible to clients.
 #[test]
 fn sharded_handles_are_deterministic_under_concurrency() {

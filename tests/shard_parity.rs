@@ -1,6 +1,6 @@
 //! Differential parity harness for the sharded scatter-gather engine.
 //!
-//! The sharded executor promises: for every `QueryRequest`, the response of
+//! The shard scatter promises: for every `QueryRequest`, the response of
 //! `shards(k)` is byte-identical to the response of the single-shard
 //! baseline `shards(1)` — outcomes, anchors, distances, representations,
 //! counts and the reported backend all included.  Execution statistics are
