@@ -5,8 +5,7 @@
 //!
 //! 1. **The deep invariant auditor** (implemented in `asrs-core`, report
 //!    types re-exported here) — [`AuditReport`] from
-//!    [`AsrsEngine::audit`](asrs_core::AsrsEngine::audit) /
-//!    [`EngineHandle::audit`](asrs_core::EngineHandle::audit), which
+//!    [`AsrsEngine::audit`](asrs_core::AsrsEngine::audit), which
 //!    recomputes every redundant structure of a live engine generation
 //!    (grid-index suffix tables, dataset bounding boxes, shard partition
 //!    disjointness/cover/ownership, planner statistics, cache generation

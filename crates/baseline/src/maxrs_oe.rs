@@ -54,7 +54,7 @@ impl<'a> OptimalEnclosure<'a> {
             });
         }
         let started = Instant::now();
-        let asp = AspInstance::build(self.dataset, self.size, None, 1e-12);
+        let asp = AspInstance::build(self.dataset, self.size);
         if asp.rects().is_empty() {
             let anchor = Point::origin();
             return Ok(MaxRsOutcome {

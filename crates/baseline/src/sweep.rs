@@ -56,7 +56,7 @@ impl<'a> SweepBase<'a> {
     pub fn search(&self, query: &AsrsQuery) -> Result<BaselineAnswer, AsrsError> {
         query.validate(self.aggregator)?;
         let started = Instant::now();
-        let asp = AspInstance::build(self.dataset, query.size, None, 1e-12);
+        let asp = AspInstance::build(self.dataset, query.size);
         let dims = self.aggregator.stats_dim();
 
         // Empty-region candidate: a point outside every rectangle.

@@ -267,7 +267,8 @@ fn fig11_table1(scale: f64) {
 }
 
 /// Figure 12 + Table 2: the approximate solution — runtime vs δ and
-/// cardinality, and the approximation quality d_app / d_opt.
+/// cardinality, and the approximation quality d_app / d_opt, asserted to
+/// stay within the (1+δ) guarantee in every cell.
 fn fig12_table2(scale: f64) {
     for workload in [Workload::Tweet, Workload::PoiSyn] {
         let mut runtime_table = Table::new(
@@ -318,6 +319,11 @@ fn fig12_table2(scale: f64) {
                 let approx = engine.submit(&request).unwrap();
                 runtime_row.push(format_duration(started.elapsed()));
                 let approx_distance = approx.best().expect("best region").distance;
+                assert!(
+                    approx_distance <= (1.0 + delta) * exact_distance + 1e-9,
+                    "{} n={n} δ={delta}: d_app {approx_distance} exceeds (1+δ)·d_opt {exact_distance}",
+                    workload.name()
+                );
                 let quality = if exact_distance > 0.0 {
                     approx_distance / exact_distance
                 } else {

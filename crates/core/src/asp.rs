@@ -41,20 +41,23 @@ pub struct AspInstance {
     size: RegionSize,
 }
 
+/// The smallest admissible GPS accuracy.  Keeps the drop condition from
+/// chasing two coordinates separated by numerical noise only.
+const ACCURACY_FLOOR: f64 = 1e-12;
+
+/// Definition 7's accuracy estimate over the rectangles' edge coordinates
+/// (`xs`/`ys`, duplicates included, in any order), floored at
+/// [`ACCURACY_FLOOR`].
+fn estimate_accuracy(xs: &[f64], ys: &[f64]) -> Accuracy {
+    Accuracy::from_edge_coordinates(xs, ys, Accuracy::new(ACCURACY_FLOOR, ACCURACY_FLOOR))
+}
+
 impl AspInstance {
-    /// Builds the ASP instance for `dataset` and query size `size`.
-    ///
-    /// `accuracy_override` forces a specific (ΔX, ΔY); otherwise the
+    /// Builds the ASP instance for `dataset` and query size `size`; the
     /// accuracy is estimated from the rectangle edge coordinates
-    /// (Definition 7) with `accuracy_floor` as the smallest admissible
-    /// value.
-    pub fn build(
-        dataset: &Dataset,
-        size: RegionSize,
-        accuracy_override: Option<Accuracy>,
-        accuracy_floor: f64,
-    ) -> Self {
-        Self::build_visiting(dataset, size, accuracy_override, accuracy_floor, |_| {})
+    /// (Definition 7).
+    pub fn build(dataset: &Dataset, size: RegionSize) -> Self {
+        Self::build_visiting(dataset, size, |_| {})
     }
 
     /// Builds the instance together with the [`Contributions`] of
@@ -64,21 +67,15 @@ impl AspInstance {
         dataset: &Dataset,
         aggregator: &CompositeAggregator,
         size: RegionSize,
-        accuracy_override: Option<Accuracy>,
-        accuracy_floor: f64,
     ) -> (Self, Contributions) {
         let mut table = Contributions::with_capacity(aggregator, dataset.len());
-        let asp = Self::build_visiting(dataset, size, accuracy_override, accuracy_floor, |o| {
-            table.push(aggregator, o)
-        });
+        let asp = Self::build_visiting(dataset, size, |o| table.push(aggregator, o));
         (asp, table)
     }
 
     fn build_visiting(
         dataset: &Dataset,
         size: RegionSize,
-        accuracy_override: Option<Accuracy>,
-        accuracy_floor: f64,
         mut visit: impl FnMut(&SpatialObject),
     ) -> Self {
         let rects: Vec<RectObject> = dataset
@@ -93,28 +90,18 @@ impl AspInstance {
             })
             .collect();
         let space = Rect::mbr_of(rects.iter().map(|r| r.rect));
-        let accuracy = match accuracy_override {
-            Some(acc) => acc,
-            None => {
-                let mut xs = Vec::with_capacity(rects.len() * 2);
-                let mut ys = Vec::with_capacity(rects.len() * 2);
-                for r in &rects {
-                    xs.push(r.rect.min_x);
-                    xs.push(r.rect.max_x);
-                    ys.push(r.rect.min_y);
-                    ys.push(r.rect.max_y);
-                }
-                let floor = Accuracy::new(
-                    accuracy_floor.max(f64::MIN_POSITIVE),
-                    accuracy_floor.max(f64::MIN_POSITIVE),
-                );
-                Accuracy::from_edge_coordinates(&xs, &ys, floor)
-            }
-        };
+        let mut xs = Vec::with_capacity(rects.len() * 2);
+        let mut ys = Vec::with_capacity(rects.len() * 2);
+        for r in &rects {
+            xs.push(r.rect.min_x);
+            xs.push(r.rect.max_x);
+            ys.push(r.rect.min_y);
+            ys.push(r.rect.max_y);
+        }
         Self {
             rects,
             space,
-            accuracy,
+            accuracy: estimate_accuracy(&xs, &ys),
             size,
         }
     }
@@ -154,27 +141,12 @@ impl AspInstance {
     /// Recomputes the space and accuracy after [`AspInstance::push_rect`]
     /// and [`AspInstance::remove_rects`] calls, mirroring
     /// [`AspInstance::build`] fold-for-fold: the same MBR iteration order
-    /// and the same floor clamping.  `xs`/`ys` must hold
-    /// the edge coordinates of every rectangle (duplicates included; order
-    /// is irrelevant — the estimator sorts internally).
-    pub(crate) fn refresh(
-        &mut self,
-        accuracy_override: Option<Accuracy>,
-        accuracy_floor: f64,
-        xs: &[f64],
-        ys: &[f64],
-    ) {
+    /// and the same estimate.  `xs`/`ys` must hold the edge coordinates of
+    /// every rectangle (duplicates included; order is irrelevant — the
+    /// estimator sorts internally).
+    pub(crate) fn refresh(&mut self, xs: &[f64], ys: &[f64]) {
         self.space = Rect::mbr_of(self.rects.iter().map(|r| r.rect));
-        self.accuracy = match accuracy_override {
-            Some(acc) => acc,
-            None => {
-                let floor = Accuracy::new(
-                    accuracy_floor.max(f64::MIN_POSITIVE),
-                    accuracy_floor.max(f64::MIN_POSITIVE),
-                );
-                Accuracy::from_edge_coordinates(xs, ys, floor)
-            }
-        };
+        self.accuracy = estimate_accuracy(xs, ys);
     }
 
     /// The rectangle objects.
@@ -482,7 +454,7 @@ mod tests {
     fn rectangles_have_top_right_corner_on_objects() {
         let ds = dataset();
         let size = RegionSize::new(2.0, 1.0);
-        let asp = AspInstance::build(&ds, size, None, 1e-12);
+        let asp = AspInstance::build(&ds, size);
         assert_eq!(asp.rects().len(), 3);
         for (r, o) in asp.rects().iter().zip(ds.objects()) {
             assert_eq!(r.rect.top_right(), o.location);
@@ -497,7 +469,7 @@ mod tests {
         // region with bottom-left corner p.
         let ds = dataset();
         let size = RegionSize::new(3.0, 3.0);
-        let asp = AspInstance::build(&ds, size, None, 1e-12);
+        let asp = AspInstance::build(&ds, size);
         let candidates = asp.all_rect_indices();
         let probes = [
             Point::new(1.5, 1.5),
@@ -522,7 +494,7 @@ mod tests {
     #[test]
     fn space_is_union_of_rectangles() {
         let ds = dataset();
-        let asp = AspInstance::build(&ds, RegionSize::new(2.0, 2.0), None, 1e-12);
+        let asp = AspInstance::build(&ds, RegionSize::new(2.0, 2.0));
         let space = asp.space().unwrap();
         assert_eq!(space, Rect::new(0.0, -1.0, 9.0, 4.0));
     }
@@ -530,7 +502,7 @@ mod tests {
     #[test]
     fn empty_dataset_has_no_space() {
         let ds = Dataset::new_unchecked(Schema::empty(), vec![]);
-        let asp = AspInstance::build(&ds, RegionSize::new(1.0, 1.0), None, 1e-12);
+        let asp = AspInstance::build(&ds, RegionSize::new(1.0, 1.0));
         assert!(asp.space().is_none());
         assert!(asp.rects().is_empty());
     }
@@ -540,22 +512,14 @@ mod tests {
         let ds = dataset();
         // Objects at x = 2, 5, 9 and a = 2 give edge xs {0,2,3,5,7,9}; the
         // minimum gap is 1 (between 2 and 3).
-        let asp = AspInstance::build(&ds, RegionSize::new(2.0, 2.0), None, 1e-12);
+        let asp = AspInstance::build(&ds, RegionSize::new(2.0, 2.0));
         assert!((asp.accuracy().dx - 1.0).abs() < 1e-12);
-        // Override wins.
-        let asp = AspInstance::build(
-            &ds,
-            RegionSize::new(2.0, 2.0),
-            Some(Accuracy::new(0.5, 0.5)),
-            1e-12,
-        );
-        assert_eq!(asp.accuracy(), Accuracy::new(0.5, 0.5));
     }
 
     #[test]
     fn snapper_maps_arrangement_cells_to_one_representative() {
         let ds = dataset();
-        let asp = AspInstance::build(&ds, RegionSize::new(2.0, 1.0), None, 1e-12);
+        let asp = AspInstance::build(&ds, RegionSize::new(2.0, 1.0));
         let snapper = EdgeSnapper::from_asp(&asp);
         // Two probes inside the same global edge interval snap to the same
         // midpoint; snapping is idempotent.
@@ -578,7 +542,7 @@ mod tests {
     #[test]
     fn rects_intersecting_filters_by_area() {
         let ds = dataset();
-        let asp = AspInstance::build(&ds, RegionSize::new(1.0, 1.0), None, 1e-12);
+        let asp = AspInstance::build(&ds, RegionSize::new(1.0, 1.0));
         let area = Rect::new(1.0, 1.0, 2.5, 2.5);
         let hits = asp.rects_intersecting(&area);
         assert_eq!(hits, vec![0]);

@@ -16,8 +16,7 @@
 //! [`mutate`](crate::mutate)), so the whole mutation-parity and
 //! persistence-recovery suites execute under continuous audit; release
 //! builds compile the hook out.  Callers can audit on demand through
-//! [`AsrsEngine::audit`](crate::AsrsEngine::audit) /
-//! [`EngineHandle::audit`](crate::EngineHandle::audit), and a serving
+//! [`AsrsEngine::audit`](crate::AsrsEngine::audit), and a serving
 //! engine exposes the report as `GET /audit`.
 
 use crate::engine::{EngineCore, EngineShared};

@@ -111,7 +111,6 @@ use asrs_geo::{Point, Rect, RegionSize};
 use crate::asp::{AspInstance, Contributions, EdgeSnapper, RectObject};
 use crate::best::BestSet;
 use crate::cache::CarryCandidate;
-use crate::config::SearchConfig;
 use crate::discretize::Scratch;
 use crate::ds_search::DsSearch;
 use crate::engine::EngineCore;
@@ -291,12 +290,16 @@ fn slot_survives(
     // cells in a single window, but the threshold search visits only what
     // Equation-1 pruning cannot exclude.
     let cutoff = d_max + d_max.abs() * CUTOFF_SLACK;
-    let exact = SearchConfig {
-        delta: 0.0,
-        ..next.config.clone()
-    };
     let ctx = probes.context(next, size);
-    let solver = DsSearch::new(&next.aggregator, &exact, &ctx.asp, &ctx.table, query, None);
+    let solver = DsSearch::new(
+        &next.aggregator,
+        &next.config,
+        0.0,
+        &ctx.asp,
+        &ctx.table,
+        query,
+        None,
+    );
     let mut scratch = solver.scratch();
     !touched
         .iter()
@@ -336,12 +339,8 @@ fn maxrs_survives(
         }
     }
     // R3 via the same reduction the executor runs (`maxrs::reduction`):
-    // exact config, count aggregator over the request's selection, target
+    // exact search, count aggregator over the request's selection, target
     // above the successor cardinality.
-    let exact = SearchConfig {
-        delta: 0.0,
-        ..next.config.clone()
-    };
     let Ok((aggregator, query)) = crate::maxrs::reduction(&next.dataset, size, selection) else {
         return false;
     };
@@ -354,7 +353,15 @@ fn maxrs_survives(
     }
     let cutoff = d_reported + d_reported * CUTOFF_SLACK;
     let (ctx, table) = probes.count_context(next, size, selection, &aggregator);
-    let solver = DsSearch::new(&aggregator, &exact, &ctx.asp, table, &query, None);
+    let solver = DsSearch::new(
+        &aggregator,
+        &next.config,
+        0.0,
+        &ctx.asp,
+        table,
+        &query,
+        None,
+    );
     let mut scratch = solver.scratch();
     !touched
         .iter()
@@ -367,7 +374,7 @@ fn maxrs_survives(
 /// for the query.  A window intersecting more than [`PROBE_BUDGET`]
 /// candidate rectangles counts as reaching it.
 ///
-/// Mirrors the cold path: exact config (δ forced to zero, like the scatter)
+/// Mirrors the cold path: exact search (δ = 0, like the scatter)
 /// and the same contributing-rectangle filter.  Window cells no rectangle
 /// reaches are real candidates too (a removal can strip a window down to
 /// empty covering), so the empty-covering distance is tested first and
@@ -578,13 +585,7 @@ impl SizeContext {
     /// sorted once and feed the snapper too: its edges are bit-identical
     /// to [`EdgeSnapper::from_asp`]'s.
     fn fresh(next: &EngineCore, size: RegionSize) -> Self {
-        let (asp, table) = AspInstance::with_contributions(
-            &next.dataset,
-            &next.aggregator,
-            size,
-            next.config.accuracy,
-            next.config.accuracy_floor,
-        );
+        let (asp, table) = AspInstance::with_contributions(&next.dataset, &next.aggregator, size);
         let mut xs = Vec::with_capacity(asp.rects().len() * 2);
         let mut ys = Vec::with_capacity(asp.rects().len() * 2);
         for r in asp.rects() {
@@ -639,12 +640,7 @@ impl SizeContext {
         }
         merge_sorted(&mut self.xs, gone_xs, new_xs);
         merge_sorted(&mut self.ys, gone_ys, new_ys);
-        self.asp.refresh(
-            next.config.accuracy,
-            next.config.accuracy_floor,
-            &self.xs,
-            &self.ys,
-        );
+        self.asp.refresh(&self.xs, &self.ys);
         self.snapper = EdgeSnapper::from_sorted_edges(&self.xs, &self.ys);
         self.generation = next.generation;
         self.len = next.dataset.len();
@@ -956,20 +952,22 @@ mod tests {
         let bbox = core.dataset.bounding_box().unwrap();
         let dim = core.aggregator.feature_dim();
         let size = RegionSize::new(bbox.width() * 0.12, bbox.height() * 0.1);
-        let (asp, table) = AspInstance::with_contributions(
-            &core.dataset,
-            &core.aggregator,
-            size,
-            None,
-            core.config.accuracy_floor,
-        );
+        let (asp, table) = AspInstance::with_contributions(&core.dataset, &core.aggregator, size);
         // A dense target no window reaches easily, and the all-zero target
         // the empty covering matches exactly.
         let targets = [vec![3.0; dim], vec![0.0; dim]];
         let (mut searched, mut shortcut) = (0, 0);
         for target in targets {
             let query = AsrsQuery::new(size, FeatureVector::new(target), Weights::uniform(dim));
-            let solver = DsSearch::new(&core.aggregator, &core.config, &asp, &table, &query, None);
+            let solver = DsSearch::new(
+                &core.aggregator,
+                &core.config,
+                0.0,
+                &asp,
+                &table,
+                &query,
+                None,
+            );
             let mut scratch = solver.scratch();
             let (_, empty_distance) = solver.empty_candidate();
             for i in 0..40 {

@@ -1,53 +1,22 @@
 //! Search configuration.
 
 use crate::error::ConfigError;
-use asrs_geo::Accuracy;
-use serde::{Deserialize, Serialize};
 
-/// Tuning knobs of DS-Search and GI-DS.
+/// The discretisation grid of DS-Search and GI-DS — the one search setting
+/// callers vary (the paper sweeps it in Fig. 9).
 ///
-/// The defaults follow the paper's experimental setup: a 30 × 30
-/// discretisation grid (the best setting in Fig. 9) and exact search
-/// (`delta = 0`).
-///
-/// All builder methods are fallible and return [`ConfigError`] on invalid
-/// input instead of panicking; a fully-populated configuration (e.g. one
-/// deserialized from JSON) can be re-checked with
-/// [`SearchConfig::validate`], which the engine and every search backend
-/// call before running.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The default is the paper's best setting, a 30 × 30 grid.  Everything
+/// else the search needs is fixed or derived from the instance: the GPS
+/// accuracy is Definition 7's estimate (see [`asp`](crate::asp)), the
+/// approximation parameter δ travels on
+/// [`QueryRequest::approximate`](crate::QueryRequest::approximate), and
+/// the recursion's safety valves are constants of the kernel.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
     /// Number of grid columns used by the `Discretize` procedure (`n_col`).
     pub ncols: usize,
     /// Number of grid rows used by the `Discretize` procedure (`n_row`).
     pub nrows: usize,
-    /// Optional explicit GPS accuracy (ΔX, ΔY).  When `None`, the accuracy
-    /// is estimated from the rectangle edge coordinates of the reduced ASP
-    /// instance (Definition 7), with [`SearchConfig::accuracy_floor`] as a
-    /// lower bound.
-    pub accuracy: Option<Accuracy>,
-    /// Lower bound applied to the estimated accuracy.  Prevents
-    /// pathologically deep recursions when two coordinates are separated by
-    /// numerical noise only.
-    pub accuracy_floor: f64,
-    /// Approximation parameter δ of the (1+δ)-approximate ASRS problem
-    /// (Section 6).  `0.0` gives the exact algorithm.
-    pub delta: f64,
-    /// Maximum depth of the discretize–split recursion.  Spaces deeper than
-    /// this are resolved exactly by enumerating the remaining candidate
-    /// points instead of splitting further; this is a termination safety
-    /// valve that does not affect correctness.
-    pub max_depth: u32,
-    /// Dirty cells crossed by at most this many rectangles are resolved
-    /// exactly (one probe per arrangement piece inside the cell) instead of
-    /// being split further.  This keeps the discretize–split recursion from
-    /// chasing cells along the optimal region's boundary whose real-valued
-    /// lower bounds stay marginally below the optimum.
-    pub resolve_crossing_threshold: u32,
-    /// Maximum number of sub-spaces processed before the search switches to
-    /// exact per-cell resolution for everything that remains.  A safety
-    /// valve against pathological inputs; it does not affect correctness.
-    pub max_spaces: u64,
 }
 
 impl Default for SearchConfig {
@@ -55,12 +24,6 @@ impl Default for SearchConfig {
         Self {
             ncols: 30,
             nrows: 30,
-            accuracy: None,
-            accuracy_floor: 1e-12,
-            delta: 0.0,
-            max_depth: 64,
-            resolve_crossing_threshold: 24,
-            max_spaces: 1_000_000,
         }
     }
 }
@@ -76,54 +39,14 @@ impl SearchConfig {
     /// # Errors
     ///
     /// [`ConfigError::GridTooCoarse`] unless both sides are at least 2.
-    pub fn with_grid(mut self, ncols: usize, nrows: usize) -> Result<Self, ConfigError> {
-        if ncols < 2 || nrows < 2 {
-            return Err(ConfigError::GridTooCoarse { ncols, nrows });
-        }
-        self.ncols = ncols;
-        self.nrows = nrows;
-        Ok(self)
+    pub fn with_grid(self, ncols: usize, nrows: usize) -> Result<Self, ConfigError> {
+        let config = Self { ncols, nrows };
+        config.validate()?;
+        Ok(config)
     }
 
-    /// Sets an explicit GPS accuracy.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::InvalidAccuracy`] unless both components are finite
-    /// and positive.
-    pub fn with_accuracy(mut self, accuracy: Accuracy) -> Result<Self, ConfigError> {
-        if !(accuracy.dx.is_finite()
-            && accuracy.dx > 0.0
-            && accuracy.dy.is_finite()
-            && accuracy.dy > 0.0)
-        {
-            return Err(ConfigError::InvalidAccuracy {
-                dx: accuracy.dx,
-                dy: accuracy.dy,
-            });
-        }
-        self.accuracy = Some(accuracy);
-        Ok(self)
-    }
-
-    /// Sets the approximation parameter δ (0 = exact).
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::InvalidDelta`] unless δ is finite and non-negative.
-    pub fn with_delta(mut self, delta: f64) -> Result<Self, ConfigError> {
-        if !(delta.is_finite() && delta >= 0.0) {
-            return Err(ConfigError::InvalidDelta { delta });
-        }
-        self.delta = delta;
-        Ok(self)
-    }
-
-    /// Checks every field, including ones set directly or deserialized.
-    ///
-    /// Search backends call this once per query, so a hand-mutated invalid
-    /// configuration surfaces as an [`ConfigError`] instead of a panic or
-    /// an endless recursion.
+    /// Checks a configuration whose fields were set directly; the engine
+    /// builders call it once, before anything is built.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.ncols < 2 || self.nrows < 2 {
             return Err(ConfigError::GridTooCoarse {
@@ -131,36 +54,20 @@ impl SearchConfig {
                 nrows: self.nrows,
             });
         }
-        if !(self.delta.is_finite() && self.delta >= 0.0) {
-            return Err(ConfigError::InvalidDelta { delta: self.delta });
-        }
-        if let Some(acc) = self.accuracy {
-            if !(acc.dx.is_finite() && acc.dx > 0.0 && acc.dy.is_finite() && acc.dy > 0.0) {
-                return Err(ConfigError::InvalidAccuracy {
-                    dx: acc.dx,
-                    dy: acc.dy,
-                });
-            }
-        }
-        if !(self.accuracy_floor.is_finite() && self.accuracy_floor >= 0.0) {
-            return Err(ConfigError::InvalidAccuracyFloor {
-                floor: self.accuracy_floor,
-            });
-        }
-        if self.max_depth == 0 {
-            return Err(ConfigError::InvalidLimit { field: "max_depth" });
-        }
-        if self.max_spaces == 0 {
-            return Err(ConfigError::InvalidLimit {
-                field: "max_spaces",
-            });
-        }
         Ok(())
     }
+}
 
-    /// The pruning factor `1 + δ`.
-    pub(crate) fn prune_factor(&self) -> f64 {
-        1.0 + self.delta
+/// Checks the approximation parameter δ of an approximate request.
+///
+/// # Errors
+///
+/// [`ConfigError::InvalidDelta`] unless δ is finite and non-negative.
+pub(crate) fn check_delta(delta: f64) -> Result<f64, ConfigError> {
+    if delta.is_finite() && delta >= 0.0 {
+        Ok(delta)
+    } else {
+        Err(ConfigError::InvalidDelta { delta })
     }
 }
 
@@ -173,23 +80,14 @@ mod tests {
         let c = SearchConfig::default();
         assert_eq!(c.ncols, 30);
         assert_eq!(c.nrows, 30);
-        assert_eq!(c.delta, 0.0);
-        assert_eq!(c.prune_factor(), 1.0);
-        assert!(c.accuracy.is_none());
         assert!(c.validate().is_ok());
     }
 
     #[test]
     fn builder_methods() {
-        let c = SearchConfig::new()
-            .with_grid(10, 20)
-            .and_then(|c| c.with_delta(0.3))
-            .and_then(|c| c.with_accuracy(Accuracy::new(0.5, 0.25)))
-            .unwrap();
+        let c = SearchConfig::new().with_grid(10, 20).unwrap();
         assert_eq!(c.ncols, 10);
         assert_eq!(c.nrows, 20);
-        assert_eq!(c.prune_factor(), 1.3);
-        assert_eq!(c.accuracy, Some(Accuracy::new(0.5, 0.25)));
         assert!(c.validate().is_ok());
     }
 
@@ -212,23 +110,12 @@ mod tests {
     #[test]
     fn delta_must_be_finite_and_non_negative() {
         assert_eq!(
-            SearchConfig::new().with_delta(-0.1),
+            check_delta(-0.1),
             Err(ConfigError::InvalidDelta { delta: -0.1 })
         );
-        assert!(SearchConfig::new().with_delta(f64::NAN).is_err());
-        assert!(SearchConfig::new().with_delta(f64::INFINITY).is_err());
-        assert!(SearchConfig::new().with_delta(0.0).is_ok());
-    }
-
-    #[test]
-    fn accuracy_must_be_positive() {
-        assert!(matches!(
-            SearchConfig::new().with_accuracy(Accuracy::new(0.0, 1.0)),
-            Err(ConfigError::InvalidAccuracy { .. })
-        ));
-        assert!(SearchConfig::new()
-            .with_accuracy(Accuracy::new(1e-9, 1e-9))
-            .is_ok());
+        assert!(check_delta(f64::NAN).is_err());
+        assert!(check_delta(f64::INFINITY).is_err());
+        assert_eq!(check_delta(0.0), Ok(0.0));
     }
 
     #[test]
@@ -240,75 +127,6 @@ mod tests {
         assert!(matches!(
             c.validate(),
             Err(ConfigError::GridTooCoarse { .. })
-        ));
-
-        let c = SearchConfig {
-            delta: f64::NAN,
-            ..SearchConfig::default()
-        };
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::InvalidDelta { .. })
-        ));
-
-        let c = SearchConfig {
-            accuracy_floor: -1.0,
-            ..SearchConfig::default()
-        };
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::InvalidAccuracyFloor { .. })
-        ));
-
-        let c = SearchConfig {
-            max_depth: 0,
-            ..SearchConfig::default()
-        };
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::InvalidLimit { field: "max_depth" })
-        );
-
-        let c = SearchConfig {
-            max_spaces: 0,
-            ..SearchConfig::default()
-        };
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::InvalidLimit {
-                field: "max_spaces"
-            })
-        );
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_every_field() {
-        let config = SearchConfig::new()
-            .with_grid(12, 18)
-            .and_then(|c| c.with_delta(0.25))
-            .and_then(|c| c.with_accuracy(Accuracy::new(1e-8, 2e-8)))
-            .unwrap();
-        let json = serde::json::to_string(&config);
-        let back: SearchConfig = serde::json::from_str(&json).unwrap();
-        assert_eq!(back, config);
-        assert!(back.validate().is_ok());
-    }
-
-    #[test]
-    fn serde_round_trip_keeps_validation_meaningful() {
-        // A config that was serialized from a hand-mutated invalid state
-        // still deserializes (the wire format is schema-checked only) but
-        // fails validation, so no search will run with it.
-        let config = SearchConfig {
-            delta: -2.0,
-            ..SearchConfig::default()
-        };
-        let json = serde::json::to_string(&config);
-        let back: SearchConfig = serde::json::from_str(&json).unwrap();
-        assert_eq!(back.delta, -2.0);
-        assert!(matches!(
-            back.validate(),
-            Err(ConfigError::InvalidDelta { .. })
         ));
     }
 }

@@ -429,7 +429,7 @@ mod tests {
             FeatureVector::new(vec![1.0, 1.0]),
             Weights::uniform(2),
         );
-        let (asp, table) = AspInstance::with_contributions(&ds, &agg, query.size, None, 1e-12);
+        let (asp, table) = AspInstance::with_contributions(&ds, &agg, query.size);
         Fixture {
             ds,
             agg,

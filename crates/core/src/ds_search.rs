@@ -15,6 +15,24 @@ use asrs_geo::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Maximum depth of the discretize–split recursion.  A deeper space is
+/// resolved exactly by enumerating its remaining candidate points instead
+/// of being split further — a termination safety valve that does not
+/// affect correctness.
+const MAX_DEPTH: u32 = 64;
+
+/// Sub-spaces processed before the search resolves everything that
+/// remains exactly, cell by cell.  A safety valve against pathological
+/// inputs; it does not affect correctness.
+const MAX_SPACES: u64 = 1_000_000;
+
+/// Dirty cells crossed by at most this many rectangles are resolved
+/// exactly (one probe per arrangement piece inside the cell) instead of
+/// being split further.  This keeps the recursion from chasing cells along
+/// the optimal region's boundary whose real-valued lower bounds stay
+/// marginally below the optimum.
+const RESOLVE_CROSSING_THRESHOLD: u32 = 24;
+
 /// The DS-Search kernel for the ASRS problem, bound to one query over one
 /// ASP instance.
 ///
@@ -28,8 +46,9 @@ use std::collections::BinaryHeap;
 ///
 /// Two deviations from the paper's pseudo-code, both conservative:
 ///
-/// * When a space satisfies the drop condition (or exceeds
-///   [`SearchConfig::max_depth`]) but still has unpruned dirty cells, the
+/// * When a space satisfies the drop condition (or exceeds [`MAX_DEPTH`],
+///   or the search has processed [`MAX_SPACES`] spaces) but still has
+///   unpruned dirty cells, the
 ///   remaining candidate positions inside those cells are enumerated
 ///   exactly instead of being discarded.  Because cells are then narrower
 ///   than the minimum edge gap, at most one vertical and one horizontal
@@ -39,6 +58,11 @@ use std::collections::BinaryHeap;
 /// * The heap is also cut off at `d_opt / (1 + δ)`, which specialises to
 ///   the paper's `d_opt` cutoff for the exact setting `δ = 0`.
 ///
+/// Dirty cells crossed by at most [`RESOLVE_CROSSING_THRESHOLD`]
+/// rectangles are resolved the same exact way on the spot.  The
+/// discretisation grid is the one setting ([`SearchConfig`]); δ comes with
+/// each request.
+///
 /// The kernel searches whatever sub-space it is handed
 /// ([`DsSearch::search_space`]).  The engine's executor decides which
 /// sub-spaces those are: the whole ASP space (Algorithm 1), the index
@@ -47,6 +71,8 @@ use std::collections::BinaryHeap;
 pub(crate) struct DsSearch<'a> {
     pub(crate) aggregator: &'a CompositeAggregator,
     pub(crate) config: &'a SearchConfig,
+    /// The pruning factor `1 + δ` (1 for the exact algorithm).
+    pub(crate) prune_factor: f64,
     pub(crate) asp: &'a AspInstance,
     /// The statistics rows of `asp`'s rectangles under `aggregator`.
     pub(crate) table: &'a Contributions,
@@ -96,10 +122,12 @@ impl Ord for HeapEntry {
 
 impl<'a> DsSearch<'a> {
     /// Binds the kernel to `query` over `asp`, whose rectangles'
-    /// statistics rows under `aggregator` are `table`.
+    /// statistics rows under `aggregator` are `table`, pruning for the
+    /// (1+`delta`)-approximate problem (`delta = 0` is exact).
     pub(crate) fn new(
         aggregator: &'a CompositeAggregator,
         config: &'a SearchConfig,
+        delta: f64,
         asp: &'a AspInstance,
         table: &'a Contributions,
         query: &'a AsrsQuery,
@@ -108,6 +136,7 @@ impl<'a> DsSearch<'a> {
         Self {
             aggregator,
             config,
+            prune_factor: 1.0 + delta,
             asp,
             table,
             query,
@@ -182,7 +211,7 @@ impl<'a> DsSearch<'a> {
         scratch: &mut Scratch,
     ) -> Result<(), AsrsError> {
         let asp = self.asp;
-        let prune_factor = self.config.prune_factor();
+        let prune_factor = self.prune_factor;
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         heap.push(HeapEntry {
             lb: 0.0,
@@ -227,16 +256,15 @@ impl<'a> DsSearch<'a> {
             // real-valued lower bounds can stay strictly below the optimum
             // along the optimal region's boundary.
             let dropped = satisfies_drop_condition(&outcome.grid, &asp.accuracy());
-            let resolve_all = dropped
-                || entry.depth >= self.config.max_depth
-                || stats.spaces_processed >= self.config.max_spaces;
+            let resolve_all =
+                dropped || entry.depth >= MAX_DEPTH || stats.spaces_processed >= MAX_SPACES;
             if resolve_all {
                 stats.drops += 1;
             }
             let mut to_split: Vec<DirtyCell> = Vec::new();
             let mut to_resolve: Vec<DirtyCell> = Vec::new();
             for cell in outcome.retained_dirty {
-                if resolve_all || cell.partials <= self.config.resolve_crossing_threshold {
+                if resolve_all || cell.partials <= RESOLVE_CROSSING_THRESHOLD {
                     to_resolve.push(cell);
                 } else {
                     to_split.push(cell);
@@ -359,7 +387,7 @@ impl<'a> DsSearch<'a> {
             if let Some(b) = self.budget {
                 b.check()?;
             }
-            if self.prunes(cell.lb, best.cutoff() / self.config.prune_factor()) {
+            if self.prunes(cell.lb, best.cutoff() / self.prune_factor) {
                 continue;
             }
             let rect = edges.cell_rect(cell.col, cell.row);
@@ -465,7 +493,7 @@ mod tests {
         query: &AsrsQuery,
         k: usize,
     ) -> Result<Vec<SearchResult>, AsrsError> {
-        Executor::new(ds, agg, config, Slabs::Whole).run(query, k, None)
+        Executor::new(ds, agg, &config, Slabs::Whole).run(query, k, 0.0, None)
     }
 
     /// The best region by DS-Search over the whole space.
@@ -475,7 +503,18 @@ mod tests {
         config: SearchConfig,
         query: &AsrsQuery,
     ) -> Result<SearchResult, AsrsError> {
-        Executor::new(ds, agg, config, Slabs::Whole).best(query, None)
+        approximate(ds, agg, config, query, 0.0)
+    }
+
+    /// The best region for the (1+`delta`)-approximate problem.
+    fn approximate(
+        ds: &Dataset,
+        agg: &CompositeAggregator,
+        config: SearchConfig,
+        query: &AsrsQuery,
+        delta: f64,
+    ) -> Result<SearchResult, AsrsError> {
+        Executor::new(ds, agg, &config, Slabs::Whole).best(query, delta, None)
     }
 
     fn fig2_dataset() -> Dataset {
@@ -625,13 +664,7 @@ mod tests {
         );
         let exact = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
         for delta in [0.1, 0.3, 0.5] {
-            let approx = search(
-                &ds,
-                &agg,
-                SearchConfig::new().with_delta(delta).unwrap(),
-                &query,
-            )
-            .unwrap();
+            let approx = approximate(&ds, &agg, SearchConfig::default(), &query, delta).unwrap();
             assert!(
                 approx.distance <= (1.0 + delta) * exact.distance + 1e-9,
                 "delta={delta}: {} > (1+δ)·{}",
@@ -671,16 +704,15 @@ mod tests {
             .distribution("color", Selection::All)
             .build()
             .unwrap();
-        let query = AsrsQuery::new(
-            RegionSize::new(3.0, 3.0),
-            FeatureVector::new(vec![1.0, 1.0]),
-            Weights::uniform(2),
-        );
+        // The grid is checked once, where the engine is built.
         let config = SearchConfig {
             ncols: 0,
             ..SearchConfig::default()
         };
-        let err = search(&ds, &agg, config, &query).unwrap_err();
+        let err = crate::AsrsEngine::builder(ds, agg)
+            .config(config)
+            .build()
+            .unwrap_err();
         assert!(matches!(err, AsrsError::Config(_)));
     }
 

@@ -12,10 +12,10 @@
 //!   statistics (a request-level [`QueryRequest::with_backend`] override
 //!   pins it), and [`AsrsEngine::submit`] executes the plan into a
 //!   [`QueryResponse`],
-//! * [`AsrsEngine::handle`] hands out cheap `Clone + Send + Sync`
-//!   [`EngineHandle`](crate::EngineHandle)s over the engine's `Arc`-shared
-//!   immutable core for concurrent submission, and every request can carry
-//!   a wall-clock budget enforced down the discretize–split recursion,
+//! * the engine is a cheap `Clone + Send + Sync` value over its
+//!   `Arc`-shared generational state, so clones submit and mutate
+//!   concurrently, and every request can carry a wall-clock budget
+//!   enforced down the discretize–split recursion,
 //! * every query is validated once at the engine boundary and every
 //!   fallible method returns `Result<_, AsrsError>` — nothing panics on
 //!   bad input.
@@ -50,7 +50,7 @@ use crate::config::SearchConfig;
 use crate::error::AsrsError;
 use crate::executor::{Executor, Slabs};
 use crate::grid_index::GridIndex;
-use crate::mutate::{MutationPolicy, MutationReceipt, MutationState, MutationStats};
+use crate::mutate::{MutationReceipt, MutationState, MutationStats};
 use crate::planner::{EngineStatistics, ExecutionPlan, IndexStatistics, Planner};
 use crate::query::AsrsQuery;
 use crate::request::{Backend, QueryOutcome, QueryRequest, QueryResponse};
@@ -130,7 +130,6 @@ pub struct EngineBuilder {
     planner: Planner,
     cache_capacity: usize,
     shards: usize,
-    mutation_policy: MutationPolicy,
 }
 
 impl EngineBuilder {
@@ -143,15 +142,7 @@ impl EngineBuilder {
             planner: Planner::default(),
             cache_capacity: 0,
             shards: 0,
-            mutation_policy: MutationPolicy::default(),
         }
-    }
-
-    /// Replaces the [`MutationPolicy`] governing incremental index
-    /// maintenance under mutation.
-    pub fn mutation_policy(mut self, policy: MutationPolicy) -> Self {
-        self.mutation_policy = policy;
-        self
     }
 
     /// Shards the engine: the plane around the dataset is partitioned
@@ -194,12 +185,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Replaces the cost-based [`Planner`] (e.g. to tune its thresholds).
-    pub fn planner(mut self, planner: Planner) -> Self {
-        self.planner = planner;
-        self
-    }
-
     /// Admission control: rejects any request whose planned backend's cost
     /// estimate exceeds `ceiling` (abstract rectangle-visit units, see
     /// [`CostEstimate`](crate::CostEstimate)) with
@@ -211,7 +196,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Replaces the search configuration (validated in
+    /// Replaces the discretisation grid (validated in
     /// [`EngineBuilder::build`]).
     pub fn config(mut self, config: SearchConfig) -> Self {
         self.config = config;
@@ -329,7 +314,6 @@ impl EngineBuilder {
             planner: self.planner,
             statistics,
             cache,
-            policy: self.mutation_policy,
             shards,
         }))
     }
@@ -337,9 +321,9 @@ impl EngineBuilder {
     /// Reassembles an engine from a persisted [`EngineState`] instead of
     /// building from the seed dataset — no index build.
     ///
-    /// The builder's *settings* (aggregator, configuration, planner,
-    /// cache capacity, shard count, index granularity, mutation
-    /// policy) still apply; its seed dataset is ignored in favour of
+    /// The builder's *settings* (aggregator, discretisation grid, cost
+    /// ceiling, cache capacity, shard count, index granularity) still
+    /// apply; its seed dataset is ignored in favour of
     /// `state`.  The restored engine is byte-identical in responses to the
     /// engine the state was exported from: the dataset keeps its object
     /// order, the index table is carried over verbatim (or, for an image
@@ -440,15 +424,13 @@ pub(crate) struct EngineCore {
     pub(crate) planner: Planner,
     pub(crate) statistics: EngineStatistics,
     pub(crate) cache: Option<Arc<QueryCache>>,
-    /// Thresholds governing incremental index maintenance.
-    pub(crate) policy: MutationPolicy,
     /// Shard table of a sharded engine (see [`EngineBuilder::shards`] and
     /// the internal `shard` module); `None` on single engines.
     pub(crate) shards: Option<ShardSet>,
 }
 
-/// The shared state behind [`AsrsEngine`] and every
-/// [`EngineHandle`](crate::EngineHandle): the current generation's core
+/// The shared state behind every clone of an [`AsrsEngine`]: the current
+/// generation's core
 /// behind an epoch-swap lock, plus the serialized mutation state.
 ///
 /// Readers take the read lock only long enough to clone the inner [`Arc`]
@@ -475,10 +457,9 @@ pub(crate) struct EngineShared {
 
 impl EngineShared {
     pub(crate) fn new(core: EngineCore) -> Self {
-        let state = MutationState::for_core(&core);
         Self {
             current: RwLock::new(Arc::new(core)),
-            mutator: Mutex::new(state),
+            mutator: Mutex::new(MutationState::new()),
             commit_queue: Mutex::new(crate::mutate::CommitQueue::default()),
             durability: OnceLock::new(),
         }
@@ -569,18 +550,6 @@ pub struct EngineState {
     pub index: Option<Arc<GridIndex>>,
 }
 
-/// Captures an [`EngineState`] from the current generation (shared by
-/// [`AsrsEngine::export_state`] and
-/// [`EngineHandle::export_state`](crate::EngineHandle::export_state)).
-pub(crate) fn export_state(shared: &EngineShared) -> EngineState {
-    let core = shared.load();
-    EngineState {
-        generation: core.generation,
-        dataset: Arc::clone(&core.dataset),
-        index: core.index.clone(),
-    }
-}
-
 impl EngineCore {
     pub(crate) fn plan(&self, request: &QueryRequest) -> Result<ExecutionPlan, AsrsError> {
         self.planner.plan(&self.statistics, request)
@@ -625,28 +594,29 @@ impl EngineCore {
         let backend = plan.backend;
         let outcome = match request.operation() {
             QueryRequest::Similar { query } => {
-                QueryOutcome::Best(self.executor(backend, None)?.best(query, budget)?)
+                QueryOutcome::Best(self.executor(backend)?.best(query, 0.0, budget)?)
             }
             QueryRequest::Approximate { query, delta } => {
-                QueryOutcome::Best(self.executor(backend, Some(*delta))?.best(query, budget)?)
+                let delta = crate::config::check_delta(*delta)?;
+                QueryOutcome::Best(self.executor(backend)?.best(query, delta, budget)?)
             }
             QueryRequest::TopK { query, k } => {
-                QueryOutcome::Ranked(self.executor(backend, None)?.run(query, *k, budget)?)
+                QueryOutcome::Ranked(self.executor(backend)?.run(query, *k, 0.0, budget)?)
             }
             QueryRequest::Batch { queries } => QueryOutcome::Batch(
-                self.executor(backend, None)?
+                self.executor(backend)?
                     .batch(queries, budget)?
                     .into_iter()
                     .collect::<Result<_, _>>()?,
             ),
-            QueryRequest::MaxRs { size } => QueryOutcome::MaxRs(
-                self.executor(backend, None)?
-                    .max_rs(*size, &Selection::All, budget)?,
-            ),
-            QueryRequest::MaxRsSelective { size, selection } => QueryOutcome::MaxRs(
-                self.executor(backend, None)?
-                    .max_rs(*size, selection, budget)?,
-            ),
+            QueryRequest::MaxRs { size } => QueryOutcome::MaxRs(self.executor(backend)?.max_rs(
+                *size,
+                &Selection::All,
+                budget,
+            )?),
+            QueryRequest::MaxRsSelective { size, selection } => {
+                QueryOutcome::MaxRs(self.executor(backend)?.max_rs(*size, selection, budget)?)
+            }
             QueryRequest::Configured { .. } => {
                 // lint:allow(operation() strips every Configured envelope before dispatch; this arm is statically dead)
                 unreachable!("operation() peels Configured envelopes")
@@ -655,15 +625,10 @@ impl EngineCore {
         Ok(QueryResponse::from_outcome(backend, outcome))
     }
 
-    /// The executor for `backend` under the engine's configuration, with
-    /// the approximation parameter overridden by `delta` (validated here).
+    /// The executor for `backend` over the engine's discretisation grid.
     /// A sharded core scatters over its anchor slabs whatever backend the
     /// plan reports, and answers exactly (δ included in that guarantee).
-    fn executor(&self, backend: Backend, delta: Option<f64>) -> Result<Executor<'_>, AsrsError> {
-        let config = match delta {
-            Some(delta) => self.config.clone().with_delta(delta)?,
-            None => self.config.clone(),
-        };
+    fn executor(&self, backend: Backend) -> Result<Executor<'_>, AsrsError> {
         let slabs = match (&self.shards, backend) {
             (Some(shards), _) => Slabs::Shards(shards),
             (None, Backend::DsSearch) => Slabs::Whole,
@@ -677,7 +642,7 @@ impl EngineCore {
         Ok(Executor::new(
             &self.dataset,
             &self.aggregator,
-            config,
+            &self.config,
             slabs,
         ))
     }
@@ -690,10 +655,19 @@ impl EngineCore {
 /// completion, while mutations ([`AsrsEngine::append`],
 /// [`AsrsEngine::remove`], TTL expiry) assemble a successor core — with
 /// incrementally maintained indexes — and swap it in atomically.
-/// [`AsrsEngine::handle`] hands out cheap `Clone + Send + Sync`
-/// [`EngineHandle`](crate::EngineHandle)s for concurrent submission *and*
-/// mutation.
-#[derive(Debug)]
+///
+/// The engine is `Clone + Send + Sync`: a clone shares the generational
+/// state behind an [`Arc`], so cloning costs one reference-count increment
+/// and every clone can [`submit`](AsrsEngine::submit) — and mutate, via
+/// [`append`](AsrsEngine::append) / [`remove`](AsrsEngine::remove) —
+/// concurrently from its own thread.  Queries snapshot the generation
+/// current at submission and are never disturbed by concurrent mutations;
+/// mutations serialize among themselves on `engine.mutator` (every lock
+/// acquisition is listed in `crates/interlock/LOCK_ORDER.md`, and the
+/// protocol is exhaustively schedule-checked by
+/// `cargo test -p asrs-core --features model`).  The
+/// [`EngineHandle`](crate::EngineHandle) example submits from four threads.
+#[derive(Debug, Clone)]
 pub struct AsrsEngine {
     pub(crate) shared: Arc<EngineShared>,
 }
@@ -715,10 +689,10 @@ impl AsrsEngine {
         self.shared.load()
     }
 
-    /// A cheap, cloneable, thread-safe handle submitting to this engine
-    /// (see [`EngineHandle`](crate::EngineHandle)).
+    /// A clone of this engine, sharing its state (see
+    /// [`EngineHandle`](crate::EngineHandle)).
     pub fn handle(&self) -> crate::EngineHandle {
-        crate::EngineHandle::new(Arc::clone(&self.shared))
+        self.clone()
     }
 
     /// The current generation number: 0 for a freshly built engine,
@@ -735,7 +709,12 @@ impl AsrsEngine {
     /// background.  Mutations applied after the call are not part of the
     /// image (they are the WAL's job).
     pub fn export_state(&self) -> EngineState {
-        export_state(&self.shared)
+        let core = self.core();
+        EngineState {
+            generation: core.generation,
+            dataset: Arc::clone(&core.dataset),
+            index: core.index.clone(),
+        }
     }
 
     /// Attaches the write-ahead [`DurabilitySink`] every subsequent
@@ -771,11 +750,6 @@ impl AsrsEngine {
     /// The current generation's grid index, if any.
     pub fn index(&self) -> Option<Arc<GridIndex>> {
         self.core().index.clone()
-    }
-
-    /// The search configuration.
-    pub fn config(&self) -> SearchConfig {
-        self.core().config.clone()
     }
 
     /// The current generation's dataset/index statistics (refreshed on
@@ -888,7 +862,8 @@ impl AsrsEngine {
     /// debug builds additionally run the same audit after every mutation.
     /// The audit rescans the dataset and rebuilds indexes for comparison,
     /// so it costs a mutation's worth of work — an observability surface,
-    /// not a query path.
+    /// not a query path.  The server's `GET /audit` endpoint serves this
+    /// report.
     pub fn audit(&self) -> crate::AuditReport {
         crate::audit::audit_shared(&self.shared)
     }
@@ -1044,17 +1019,20 @@ mod tests {
     fn invalid_config_fails_at_build_time() {
         let (ds, agg) = setup(50, 1);
         let config = SearchConfig {
-            delta: -1.0,
+            nrows: 1,
             ..SearchConfig::default()
         };
         let err = AsrsEngine::builder(ds, agg)
             .config(config)
             .build()
             .unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            AsrsError::Config(ConfigError::InvalidDelta { .. })
-        ));
+            AsrsError::Config(ConfigError::GridTooCoarse {
+                ncols: 30,
+                nrows: 1
+            })
+        );
     }
 
     #[test]
@@ -1174,25 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn max_rs_stays_exact_under_an_approximate_engine_config() {
-        let (ds, agg) = setup(150, 7);
-        let exact_engine = AsrsEngine::builder(ds.clone(), agg.clone())
-            .build()
-            .unwrap();
-        let approx_engine = AsrsEngine::builder(ds, agg)
-            .config(SearchConfig::new().with_delta(0.4).unwrap())
-            .build()
-            .unwrap();
-        let size = RegionSize::new(20.0, 20.0);
-        let exact = max_rs(&exact_engine, QueryRequest::max_rs(size)).unwrap();
-        let under_delta = max_rs(&approx_engine, QueryRequest::max_rs(size)).unwrap();
-        assert_eq!(
-            exact.count, under_delta.count,
-            "MaxRS must ignore the engine's delta and return the true maximum"
-        );
-    }
-
-    #[test]
     fn submit_reports_backend_and_stats() {
         let (ds, agg) = setup(300, 19);
         let engine = AsrsEngine::builder(ds, agg)
@@ -1297,7 +1256,7 @@ mod tests {
             let plan = engine.plan(&QueryRequest::batch(queries.clone())).unwrap();
             let results = engine
                 .core()
-                .executor(plan.backend, None)
+                .executor(plan.backend)
                 .unwrap()
                 .batch(&queries, None)
                 .unwrap();
@@ -1620,32 +1579,117 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_threshold_caps_incremental_drift() {
+    fn incremental_index_maintenance_never_falls_back_to_a_rebuild() {
+        // 25 interior mutations on 40 objects, all absorbed incrementally:
+        // however many deltas accumulate, the maintained index is a fresh
+        // build bit for bit, so nothing calls for a rebuild.
         let (ds, agg) = setup(40, 41);
-        let engine = AsrsEngine::builder(ds.clone(), agg)
+        let engine = AsrsEngine::builder(ds.clone(), agg.clone())
             .build_index(8, 8)
-            .mutation_policy(crate::mutate::MutationPolicy {
-                index_rebuild_fraction: 0.1, // 40 objects → budget of 4
-                ..Default::default()
-            })
             .build()
             .unwrap();
-        let mut kinds = Vec::new();
-        for i in 0..5 {
-            let r = engine
-                .append(object_at(&ds, 9000 + i, 30.0 + i as f64, 40.0))
-                .unwrap();
-            kinds.push(r.index);
+        let bbox = ds.bounding_box().unwrap();
+        // Removing an object strictly inside the bounding box leaves the
+        // box, and so the index geometry, where it was.
+        let mut interior = ds
+            .objects()
+            .filter(|o| {
+                let p = o.location;
+                p.x > bbox.min_x && p.x < bbox.max_x && p.y > bbox.min_y && p.y < bbox.max_y
+            })
+            .map(|o| o.id);
+        let mut receipts = Vec::new();
+        for i in 0..25u64 {
+            let receipt = if i % 5 == 4 {
+                engine.remove(interior.next().unwrap()).unwrap()
+            } else {
+                let f = (i as f64 + 0.5) / 25.0;
+                let (x, y) = (
+                    bbox.min_x + bbox.width() * (0.1 + 0.8 * f),
+                    bbox.min_y + bbox.height() * (0.9 - 0.8 * f),
+                );
+                engine.append(object_at(&ds, 9000 + i, x, y)).unwrap()
+            };
+            receipts.push(receipt.index);
         }
-        use crate::mutate::IndexMaintenance::{Incremental, Rebuilt};
-        assert_eq!(
-            kinds,
-            vec![Incremental, Incremental, Incremental, Incremental, Rebuilt],
-            "the fifth delta must cross the 10% budget and rebuild"
-        );
+        use crate::mutate::IndexMaintenance::Incremental;
+        assert_eq!(receipts, vec![Incremental; 25]);
         let stats = engine.mutation_stats();
-        assert_eq!(stats.incremental_index_updates, 4);
-        assert_eq!(stats.index_rebuilds, 1);
+        assert_eq!((stats.appends, stats.removes), (20, 5));
+        assert_eq!(stats.incremental_index_updates, 25);
+        assert_eq!(stats.index_rebuilds, 0);
+
+        let dataset = engine.dataset();
+        let maintained = engine.index().unwrap();
+        let fresh = GridIndex::build(&dataset, &agg, 8, 8).unwrap();
+        let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(maintained.spec(), fresh.spec());
+        assert_eq!(bits(maintained.base_table()), bits(fresh.base_table()));
+        assert_eq!(bits(maintained.suffix_table()), bits(fresh.suffix_table()));
+
+        let rebuilt = AsrsEngine::builder((*dataset).clone(), agg)
+            .build_index(8, 8)
+            .build()
+            .unwrap();
+        for request in [
+            QueryRequest::similar(query()),
+            QueryRequest::top_k(query(), 3),
+            QueryRequest::max_rs(RegionSize::new(20.0, 20.0)),
+        ] {
+            assert_eq!(
+                serde::json::to_string(&engine.submit(&request).unwrap().stats_stripped()),
+                serde::json::to_string(&rebuilt.submit(&request).unwrap().stats_stripped()),
+                "{}",
+                request.operation_name()
+            );
+        }
+    }
+
+    #[test]
+    fn virtual_index_statistics_match_the_built_index() {
+        // A sharded engine plans from the statistics of the index it does
+        // not build; they must be the built index's, generation after
+        // generation, for the planner to choose alike.
+        let (ds, agg) = setup(120, 59);
+        let engines: Vec<AsrsEngine> = [0, 2]
+            .into_iter()
+            .map(|shards| {
+                AsrsEngine::builder(ds.clone(), agg.clone())
+                    .build_index(12, 12)
+                    .shards(shards)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let same = |when: &str| {
+            let built = engines[0].statistics().index;
+            assert!(built.is_some() && engines[0].index().is_some(), "{when}");
+            assert!(engines[1].index().is_none(), "{when}");
+            assert_eq!(engines[1].statistics().index, built, "{when}");
+        };
+        same("fresh");
+
+        let bbox = ds.bounding_box().unwrap();
+        for engine in &engines {
+            let receipt = engine
+                .append(object_at(&ds, 9000, bbox.max_x + 30.0, bbox.max_y + 10.0))
+                .unwrap();
+            assert_eq!(receipt.generation, 1);
+        }
+        same("after an exterior append");
+
+        let interior = ds
+            .objects()
+            .find(|o| {
+                let p = o.location;
+                p.x > bbox.min_x && p.x < bbox.max_x && p.y > bbox.min_y && p.y < bbox.max_y
+            })
+            .unwrap()
+            .id;
+        for engine in &engines {
+            engine.remove(interior).unwrap();
+        }
+        same("after an interior removal");
     }
 
     #[test]

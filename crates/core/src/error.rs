@@ -11,7 +11,8 @@ use asrs_data::SchemaError;
 use std::fmt;
 use std::time::Duration;
 
-/// Errors raised when validating a [`SearchConfig`](crate::SearchConfig).
+/// Errors raised when validating a [`SearchConfig`](crate::SearchConfig),
+/// an approximate request's δ or a grid-index granularity.
 ///
 /// These replace the panicking `assert!`s the configuration builders used
 /// to have: invalid settings are reported as values, never as panics.
@@ -29,24 +30,6 @@ pub enum ConfigError {
     InvalidDelta {
         /// The offending value.
         delta: f64,
-    },
-    /// An explicit GPS accuracy has a non-positive or non-finite component.
-    InvalidAccuracy {
-        /// Horizontal accuracy ΔX.
-        dx: f64,
-        /// Vertical accuracy ΔY.
-        dy: f64,
-    },
-    /// The accuracy floor is negative or not finite.
-    InvalidAccuracyFloor {
-        /// The offending value.
-        floor: f64,
-    },
-    /// A termination safety valve (`max_depth` / `max_spaces`) is zero, so
-    /// the search could not process a single space.
-    InvalidLimit {
-        /// Name of the offending field.
-        field: &'static str,
     },
     /// A grid-index granularity has a zero side.
     InvalidIndexGranularity {
@@ -71,21 +54,6 @@ impl fmt::Display for ConfigError {
                     f,
                     "approximation parameter delta must be finite and non-negative, got {delta}"
                 )
-            }
-            ConfigError::InvalidAccuracy { dx, dy } => {
-                write!(
-                    f,
-                    "accuracy components must be finite and positive, got ({dx}, {dy})"
-                )
-            }
-            ConfigError::InvalidAccuracyFloor { floor } => {
-                write!(
-                    f,
-                    "accuracy floor must be finite and non-negative, got {floor}"
-                )
-            }
-            ConfigError::InvalidLimit { field } => {
-                write!(f, "termination limit `{field}` must be positive")
             }
             ConfigError::InvalidIndexGranularity { cols, rows } => {
                 write!(

@@ -51,28 +51,23 @@ pub(crate) enum Slabs<'a> {
     Arrangement,
 }
 
-/// One request's executor: the instance's data, the configuration and the
-/// slab plan.
+/// One request's executor: the instance's data, the discretisation grid
+/// and the slab plan.
 pub(crate) struct Executor<'a> {
     dataset: &'a Dataset,
     aggregator: &'a CompositeAggregator,
-    config: SearchConfig,
+    config: &'a SearchConfig,
     slabs: Slabs<'a>,
 }
 
 impl<'a> Executor<'a> {
-    /// An executor over `slabs`.  A shard scatter answers exactly: δ only
-    /// relaxes pruning, and relaxed pruning is trajectory-dependent, so it
-    /// is forced to zero there (see the `shard` module).
+    /// An executor over `slabs`.
     pub(crate) fn new(
         dataset: &'a Dataset,
         aggregator: &'a CompositeAggregator,
-        mut config: SearchConfig,
+        config: &'a SearchConfig,
         slabs: Slabs<'a>,
     ) -> Self {
-        if let Slabs::Shards(_) = slabs {
-            config.delta = 0.0;
-        }
         Self {
             dataset,
             aggregator,
@@ -83,11 +78,14 @@ impl<'a> Executor<'a> {
 
     /// The `k` best candidate regions with pairwise distinct anchors, best
     /// first; fewer when the instance has fewer distinct candidates.
+    /// Pruning is relaxed for the (1+`delta`)-approximate problem, except
+    /// on a shard scatter, which answers exactly: relaxed pruning is
+    /// trajectory-dependent, so δ is forced to zero there (see the `shard`
+    /// module).
     ///
     /// # Errors
     ///
     /// [`AsrsError::Query`] when the query does not match the aggregator,
-    /// [`AsrsError::Config`] for an invalid configuration,
     /// [`AsrsError::InvalidTopK`] when `k` is zero, and
     /// [`AsrsError::DeadlineExceeded`] once `budget` is spent (it is polled
     /// at every opened index cell and every sub-space the kernel pops).
@@ -95,10 +93,10 @@ impl<'a> Executor<'a> {
         &self,
         query: &AsrsQuery,
         k: usize,
+        delta: f64,
         budget: Option<Budget>,
     ) -> Result<Vec<SearchResult>, AsrsError> {
         query.validate(self.aggregator)?;
-        self.config.validate()?;
         if k == 0 {
             return Err(AsrsError::InvalidTopK);
         }
@@ -106,24 +104,24 @@ impl<'a> Executor<'a> {
             b.check()?;
         }
         if let Slabs::Arrangement = self.slabs {
-            return NaiveSearch::with_config(self.dataset, self.aggregator, self.config.clone())
+            return NaiveSearch::new(self.dataset, self.aggregator)
                 .search_top_k_within(query, k, budget);
         }
         let started = Instant::now();
-        let (asp, table) = AspInstance::with_contributions(
-            self.dataset,
-            self.aggregator,
-            query.size,
-            self.config.accuracy,
-            self.config.accuracy_floor,
-        );
+        let (asp, table) =
+            AspInstance::with_contributions(self.dataset, self.aggregator, query.size);
         let mut stats = SearchStats {
             rectangles: asp.rects().len() as u64,
             ..SearchStats::default()
         };
+        let delta = match self.slabs {
+            Slabs::Shards(_) => 0.0,
+            _ => delta,
+        };
         let solver = DsSearch::new(
             self.aggregator,
-            &self.config,
+            self.config,
+            delta,
             &asp,
             &table,
             query,
@@ -160,9 +158,10 @@ impl<'a> Executor<'a> {
     pub(crate) fn best(
         &self,
         query: &AsrsQuery,
+        delta: f64,
         budget: Option<Budget>,
     ) -> Result<SearchResult, AsrsError> {
-        self.run(query, 1, budget)?
+        self.run(query, 1, delta, budget)?
             .into_iter()
             .next()
             .ok_or_else(crate::best::no_finite_candidate)
@@ -171,7 +170,7 @@ impl<'a> Executor<'a> {
     /// The MaxRS answer for regions of `size` over the objects satisfying
     /// `selection`: the count reduction (see the `maxrs` module) run
     /// through this executor's slabs.  MaxRS promises the true maximum, so
-    /// δ is ignored and the search always runs exact.
+    /// the search always runs exact.
     pub(crate) fn max_rs(
         &self,
         size: RegionSize,
@@ -181,19 +180,15 @@ impl<'a> Executor<'a> {
         let (aggregator, query) = crate::maxrs::reduction(self.dataset, size, selection)?;
         let reduced = Executor {
             aggregator: &aggregator,
-            config: SearchConfig {
-                delta: 0.0,
-                ..self.config.clone()
-            },
             ..*self
         };
         Ok(crate::maxrs::result_from_search(
-            reduced.best(&query, budget)?,
+            reduced.best(&query, 0.0, budget)?,
         ))
     }
 
-    /// Answers every query of a batch, one `Result` per query in input
-    /// order.
+    /// Answers every query of a batch exactly, one `Result` per query in
+    /// input order.
     ///
     /// Validation is all-or-nothing: a malformed query fails the whole
     /// batch (the outer `Result`) before any search runs.  The queries then
@@ -222,7 +217,7 @@ impl<'a> Executor<'a> {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 #[cfg(test)]
                 test_hooks::maybe_panic(query);
-                self.best(query, budget)
+                self.best(query, 0.0, budget)
             }))
             .unwrap_or_else(|payload| {
                 Err(AsrsError::Internal {

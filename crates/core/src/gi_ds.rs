@@ -127,7 +127,7 @@ pub(crate) fn search_index_cells(
         if let Some(b) = solver.budget {
             b.check()?;
         }
-        if entry.lb >= best.cutoff() / solver.config.prune_factor() {
+        if entry.lb >= best.cutoff() / solver.prune_factor {
             break;
         }
         stats.index_cells_searched += 1;
@@ -209,15 +209,16 @@ mod tests {
     use asrs_data::Dataset;
     use asrs_geo::RegionSize;
 
-    /// The best region over `slabs`, as the engine runs a pinned backend.
+    /// The best region over `slabs` for the (1+`delta`)-approximate
+    /// problem, as the engine runs a pinned backend.
     fn search(
         ds: &Dataset,
         agg: &CompositeAggregator,
-        config: SearchConfig,
+        delta: f64,
         slabs: Slabs<'_>,
         query: &AsrsQuery,
     ) -> Result<SearchResult, AsrsError> {
-        Executor::new(ds, agg, config, slabs).best(query, None)
+        Executor::new(ds, agg, &SearchConfig::default(), slabs).best(query, delta, None)
     }
 
     #[test]
@@ -250,15 +251,8 @@ mod tests {
             FeatureVector::new(vec![4.0, 2.0, 1.0, 3.0]),
             Weights::uniform(4),
         );
-        let plain = search(&ds, &agg, SearchConfig::default(), Slabs::Whole, &query).unwrap();
-        let indexed = search(
-            &ds,
-            &agg,
-            SearchConfig::default(),
-            Slabs::IndexCells(&index),
-            &query,
-        )
-        .unwrap();
+        let plain = search(&ds, &agg, 0.0, Slabs::Whole, &query).unwrap();
+        let indexed = search(&ds, &agg, 0.0, Slabs::IndexCells(&index), &query).unwrap();
         assert!(
             (plain.distance - indexed.distance).abs() < 1e-9,
             "DS {} vs GI-DS {}",
@@ -281,14 +275,7 @@ mod tests {
             FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, 40.0, 40.0]),
             Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]),
         );
-        let result = search(
-            &ds,
-            &agg,
-            SearchConfig::default(),
-            Slabs::IndexCells(&index),
-            &query,
-        )
-        .unwrap();
+        let result = search(&ds, &agg, 0.0, Slabs::IndexCells(&index), &query).unwrap();
         let ratio = result.stats.index_search_ratio().unwrap();
         assert!(
             ratio < 0.6,
@@ -312,10 +299,9 @@ mod tests {
             Weights::uniform(4),
         );
         let slabs = Slabs::IndexCells(&index);
-        let exact = search(&ds, &agg, SearchConfig::default(), slabs, &query).unwrap();
+        let exact = search(&ds, &agg, 0.0, slabs, &query).unwrap();
         for delta in [0.1, 0.2, 0.4] {
-            let config = SearchConfig::default().with_delta(delta).unwrap();
-            let approx = search(&ds, &agg, config, slabs, &query).unwrap();
+            let approx = search(&ds, &agg, delta, slabs, &query).unwrap();
             assert!(
                 approx.distance <= (1.0 + delta) * exact.distance + 1e-9,
                 "δ={delta}: {} vs optimal {}",
@@ -339,14 +325,7 @@ mod tests {
         let index = GridIndex::build(&ds, &agg, 16, 16).unwrap();
         let example = Rect::new(5.0, 60.0, 30.0, 80.0);
         let query = AsrsQuery::from_example_region(&ds, &agg, &example).unwrap();
-        let result = search(
-            &ds,
-            &agg,
-            SearchConfig::default(),
-            Slabs::IndexCells(&index),
-            &query,
-        )
-        .unwrap();
+        let result = search(&ds, &agg, 0.0, Slabs::IndexCells(&index), &query).unwrap();
         let rep = agg.aggregate_region(&ds, &result.region);
         let d = agg.distance(&rep, &query.target, &query.weights, query.metric);
         assert!((d - result.distance).abs() < 1e-9);

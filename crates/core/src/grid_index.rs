@@ -17,6 +17,41 @@ use asrs_aggregator::CompositeAggregator;
 use asrs_data::{Dataset, SpatialObject};
 use asrs_geo::{GridSpec, Rect};
 
+/// The `cols × rows` grid an index over `dataset` lays: the dataset's
+/// bounding box padded by half its larger extent on a degenerate axis (1.0
+/// for a single point), split into equal cells.  The one geometry rule
+/// [`GridIndex::build`], [`GridIndex::space_matches`] and the planner's
+/// virtual index statistics share.
+///
+/// Degenerate (collinear) axes are padded *relative* to the dataset extent
+/// so the grid stays dense with real cells: an absolute pad turned
+/// micro-extent datasets — e.g. a lat/lon neighbourhood spanning ~0.01° —
+/// into grids that were almost entirely dead padding.  The absolute
+/// fallback only applies to single-point datasets, which have no extent to
+/// scale from.
+///
+/// # Errors
+///
+/// [`AsrsError::Config`] when a side of the grid is zero;
+/// [`AsrsError::EmptyDataset`] when the dataset has no object to index.
+pub(crate) fn index_grid(
+    dataset: &Dataset,
+    cols: usize,
+    rows: usize,
+) -> Result<GridSpec, AsrsError> {
+    if cols == 0 || rows == 0 {
+        return Err(ConfigError::InvalidIndexGranularity { cols, rows }.into());
+    }
+    let space = index_space(dataset).ok_or(AsrsError::EmptyDataset)?;
+    Ok(GridSpec::new(space, cols, rows))
+}
+
+/// The area an index over `dataset` covers (see [`index_grid`]); `None`
+/// for an empty dataset.
+fn index_space(dataset: &Dataset) -> Option<Rect> {
+    dataset.relative_padded_bounding_box(0.5, 1.0)
+}
+
 /// The grid index: suffix-cumulative statistics vectors over an
 /// `s_x × s_y` grid.
 ///
@@ -89,20 +124,7 @@ impl GridIndex {
         cols: usize,
         rows: usize,
     ) -> Result<Self, AsrsError> {
-        if cols == 0 || rows == 0 {
-            return Err(ConfigError::InvalidIndexGranularity { cols, rows }.into());
-        }
-        // Degenerate (collinear) axes are padded *relative* to the dataset
-        // extent so the grid stays dense with real cells: an absolute pad
-        // (the old `padded_bounding_box(1.0)`) turned micro-extent datasets
-        // — e.g. a lat/lon neighbourhood spanning ~0.01° — into grids that
-        // were almost entirely dead padding.  The absolute fallback only
-        // applies to single-point datasets, which have no extent to scale
-        // from.
-        let bbox = dataset
-            .relative_padded_bounding_box(0.5, 1.0)
-            .ok_or(AsrsError::EmptyDataset)?;
-        let spec = GridSpec::new(bbox, cols, rows);
+        let spec = index_grid(dataset, cols, rows)?;
         let dims = aggregator.stats_dim();
         let width = cols + 1;
         let mut base = vec![0.0; width * (rows + 1) * dims];
@@ -167,7 +189,7 @@ impl GridIndex {
     /// it), incremental maintenance would diverge from a rebuild and the
     /// caller must rebuild instead.
     pub fn space_matches(&self, dataset: &Dataset) -> bool {
-        dataset.relative_padded_bounding_box(0.5, 1.0).as_ref() == Some(self.spec.space())
+        index_space(dataset).as_ref() == Some(self.spec.space())
     }
 
     /// Incrementally folds one appended object into the index.

@@ -24,7 +24,7 @@
 //!    summary tables of Section 5: GI-DS searches only the index cells
 //!    whose lower bound can still beat the best known distance.
 //! 4. The same machinery answers the (1+δ)-approximate problem (Section 6)
-//!    via [`SearchConfig::delta`] / [`QueryRequest::approximate`].
+//!    per request, via [`QueryRequest::approximate`].
 //! 5. MaxRS ([`QueryRequest::max_rs`]) is answered by DS-Search through
 //!    its count reduction (Section 7.5).
 //!
@@ -48,9 +48,20 @@
 //! ([`QueryRequest::with_backend`]) for callers who know better than the
 //! cost model.
 //!
-//! [`AsrsEngine::handle`] returns a cheap `Clone + Send + Sync`
-//! [`EngineHandle`] over the engine's [`std::sync::Arc`]-shared immutable
-//! core, so many threads can submit concurrently.
+//! [`AsrsEngine`] is a cheap `Clone + Send + Sync` value over its
+//! [`std::sync::Arc`]-shared state, so many threads can submit (and
+//! mutate) through clones concurrently; [`EngineHandle`] is another name
+//! for it.
+//!
+//! # Settings
+//!
+//! The search itself has one setting, the discretisation grid
+//! ([`SearchConfig`], swept in the paper's Fig. 9).  The GPS accuracy
+//! (ΔX, ΔY) is always Definition 7's estimate from the instance, δ
+//! travels on each approximate request, and the kernel's safety valves,
+//! the planner's thresholds and the mutation log's retention are
+//! constants.  The admission ceiling ([`EngineBuilder::cost_ceiling`]) is
+//! a deployment setting.
 //!
 //! # Sharded scatter-gather
 //!
@@ -79,10 +90,9 @@
 //! cache is shared across generations with generation-stamped keys
 //! ([`RequestKey::stamped`]), so a stale hit is structurally impossible.
 //! Grid indexes are maintained *incrementally* — one cell edit plus a
-//! suffix-table sweep per mutation, bit-identical to a fresh build — with
-//! a rebuild fallback when the grid geometry moves or the accumulated
-//! delta crosses [`MutationPolicy::index_rebuild_fraction`]; sharded
-//! engines route each mutation to its owning region and move one count.
+//! suffix-table sweep per mutation, bit-identical to a fresh build — and
+//! rebuilt only when the grid geometry moves; sharded engines route each
+//! mutation to its owning region and move one count.
 //! The end-to-end guarantee, enforced by
 //! `tests/mutation_parity.rs`: after any mutation sequence, responses are
 //! **byte-identical** to those of a fresh engine rebuilt from the
@@ -179,7 +189,7 @@ pub use error::{AsrsError, ConfigError};
 pub use grid_index::GridIndex;
 pub use handle::EngineHandle;
 pub use maxrs::MaxRsResult;
-pub use mutate::{IndexMaintenance, MutationPolicy, MutationReceipt, MutationStats};
+pub use mutate::{IndexMaintenance, MutationReceipt, MutationStats};
 pub use naive::NaiveSearch;
 pub use planner::{
     CostEstimate, EngineStatistics, ExecutionPlan, IndexStatistics, PlanReason, Planner,

@@ -100,7 +100,7 @@ mod tests {
             .count(Selection::All)
             .build()
             .unwrap();
-        Executor::new(ds, &count, SearchConfig::default(), Slabs::Whole)
+        Executor::new(ds, &count, &SearchConfig::default(), Slabs::Whole)
             .max_rs(size, &selection, None)
     }
 

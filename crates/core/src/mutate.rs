@@ -3,8 +3,7 @@
 //!
 //! # The epoch-swap model
 //!
-//! An [`AsrsEngine`](crate::AsrsEngine) and all its
-//! [`EngineHandle`](crate::EngineHandle)s share one
+//! Every clone of an [`AsrsEngine`](crate::AsrsEngine) shares one
 //! [`EngineShared`](crate::engine::EngineShared): the current generation's
 //! immutable [`EngineCore`](crate::engine::EngineCore) behind a read lock,
 //! plus the mutation state behind a mutex.  A query snapshots the current
@@ -44,13 +43,14 @@
 //! dataset — identical object vector (appends go to the tail, removals
 //! shift without reordering), bit-identical grid indexes (see
 //! [`GridIndex::update_append`](crate::GridIndex::update_append) /
-//! [`GridIndex::update_remove`](crate::GridIndex::update_remove), with a
-//! rebuild fallback whenever the padded grid geometry moves or the applied
-//! delta crosses [`MutationPolicy::index_rebuild_fraction`]), and planner
-//! statistics recaptured per generation.  A coalesced batch applies its
-//! ops *in serialization order* through the exact per-delta maintenance a
-//! sequence of solo mutations would run, so batching never changes
-//! answers.  `tests/mutation_parity.rs` enforces the consequence
+//! [`GridIndex::update_remove`](crate::GridIndex::update_remove), rebuilt
+//! only where they must be: the padded grid geometry moved, or the
+//! dataset gained its first object), and planner statistics recaptured per
+//! generation.  An incrementally maintained index *is* a fresh build, so
+//! no number of accumulated deltas calls for a rebuild.  A coalesced batch
+//! applies its ops *in serialization order* through the exact per-delta
+//! maintenance a sequence of solo mutations would run, so batching never
+//! changes answers.  `tests/mutation_parity.rs` enforces the consequence
 //! end-to-end: query responses from a mutated engine are byte-identical to
 //! a fresh engine rebuilt from the equivalent final dataset, for shard
 //! counts {1, 2, 4}, cache enabled — batched and sequential application
@@ -84,29 +84,8 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Thresholds governing how a mutable engine maintains itself; set via
-/// [`EngineBuilder::mutation_policy`](crate::EngineBuilder::mutation_policy).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MutationPolicy {
-    /// Fraction of the index's build-time object count that may be applied
-    /// as incremental deltas before the next mutation forces a full index
-    /// rebuild (amortising floating-point-drift-free but per-mutation
-    /// suffix sweeps into one bulk build).  Incremental maintenance and
-    /// rebuilds produce bit-identical indexes, so this is purely a
-    /// performance knob.  Default 0.25.
-    pub index_rebuild_fraction: f64,
-    /// How many recent mutations the in-memory log retains.  Default 256.
-    pub log_retention: usize,
-}
-
-impl Default for MutationPolicy {
-    fn default() -> Self {
-        Self {
-            index_rebuild_fraction: 0.25,
-            log_retention: 256,
-        }
-    }
-}
+/// How many recent mutations the in-memory log retains.
+const LOG_RETENTION: usize = 256;
 
 /// What happened to the engine's index when a mutation was applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -117,8 +96,8 @@ pub enum IndexMaintenance {
     /// plus a suffix-table sweep, no rescan of the dataset.
     Incremental,
     /// The affected index was rebuilt from scratch — the grid geometry
-    /// moved, the accumulated delta crossed the rebuild threshold, or a
-    /// previously empty (hence unindexed) dataset gained its first object.
+    /// moved, or a previously empty (hence unindexed) dataset gained its
+    /// first object.
     Rebuilt,
     /// The index was dropped because the dataset emptied.
     Dropped,
@@ -164,8 +143,7 @@ pub struct MutationStats {
     pub expiries: u64,
     /// Index deltas absorbed incrementally.
     pub incremental_index_updates: u64,
-    /// Full index rebuilds (geometry moves, threshold crossings, first
-    /// objects).
+    /// Full index rebuilds (geometry moves, first objects).
     pub index_rebuilds: u64,
     /// TTL'd objects whose deadline has not passed yet.
     pub pending_ttl: usize,
@@ -195,12 +173,6 @@ pub(crate) struct MutationState {
     ttl_armed: std::collections::HashMap<u64, u64>,
     /// Monotonic token source for [`MutationState::ttl_armed`].
     ttl_token: u64,
-    /// Incremental deltas applied to the top-level index since its last
-    /// full build (the numerator of the rebuild-fraction check).
-    mutations_since_index_build: usize,
-    /// Object count when the top-level index was last fully built (the
-    /// denominator of the rebuild-fraction check).
-    objects_at_index_build: usize,
     incremental_updates: u64,
     index_rebuilds: u64,
     /// Per-size probe contexts the carry-forward pass reuses across
@@ -210,14 +182,12 @@ pub(crate) struct MutationState {
 }
 
 impl MutationState {
-    pub(crate) fn for_core(core: &EngineCore) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            log: MutationLog::new(core.policy.log_retention),
+            log: MutationLog::new(LOG_RETENTION),
             ttl: BinaryHeap::new(),
             ttl_armed: std::collections::HashMap::new(),
             ttl_token: 0,
-            mutations_since_index_build: 0,
-            objects_at_index_build: core.dataset.len(),
             incremental_updates: 0,
             index_rebuilds: 0,
             carry_probes: crate::carry::CarryProbes::default(),
@@ -579,16 +549,12 @@ enum TtlEvent {
 }
 
 /// Working copy of the index maintenance counters a batch evolves
-/// while assembling its successor core.  Ops within a batch read the
-/// evolving values (the rebuild-fraction budget is cumulative), but the
-/// durable [`MutationState`] only absorbs the draft at the commit point —
-/// a batch aborted by a WAL veto leaves the published counters (and the
-/// rebuild budget) exactly as they were, so `/metrics` never records
-/// rebuilds that no generation shipped.
+/// while assembling its successor core.  The durable [`MutationState`]
+/// only absorbs the draft at the commit point — a batch aborted by a WAL
+/// veto leaves the published counters exactly as they were, so `/metrics`
+/// never records maintenance that no generation shipped.
 #[derive(Debug, Clone, Copy)]
 struct CounterDraft {
-    mutations_since_index_build: usize,
-    objects_at_index_build: usize,
     incremental_updates: u64,
     index_rebuilds: u64,
 }
@@ -596,8 +562,6 @@ struct CounterDraft {
 impl CounterDraft {
     fn from_state(state: &MutationState) -> Self {
         Self {
-            mutations_since_index_build: state.mutations_since_index_build,
-            objects_at_index_build: state.objects_at_index_build,
             incremental_updates: state.incremental_updates,
             index_rebuilds: state.index_rebuilds,
         }
@@ -796,13 +760,9 @@ fn publish(
         state.log.record(generation, logged);
     }
     let CounterDraft {
-        mutations_since_index_build,
-        objects_at_index_build,
         incremental_updates,
         index_rebuilds,
     } = assembled.counters;
-    state.mutations_since_index_build = mutations_since_index_build;
-    state.objects_at_index_build = objects_at_index_build;
     state.incremental_updates = incremental_updates;
     state.index_rebuilds = index_rebuilds;
     // Replay the TTL bookkeeping in serialization order, so whichever of
@@ -979,7 +939,6 @@ fn assemble(
         planner: core.planner.clone(),
         statistics,
         cache: core.cache.clone(),
-        policy: core.policy.clone(),
         shards,
     };
     // Debug builds audit every assembled successor before it publishes:
@@ -1049,17 +1008,15 @@ fn fold_delta(
         rows,
         delta,
         counters,
-        &core.policy,
     )?;
     *index = next.map(Arc::new);
     Ok(how)
 }
 
 /// Maintains the engine's grid index under `delta`: incremental while the
-/// grid geometry still matches and the accumulated delta stays within the
-/// rebuild budget, a full rebuild otherwise.  Both paths produce
-/// bit-identical indexes (see [`GridIndex`]); the choice is performance.
-#[allow(clippy::too_many_arguments)]
+/// grid geometry still matches, a full rebuild where it must be — the
+/// geometry moved, or there was no index to update.  Both paths produce
+/// bit-identical indexes (see [`GridIndex`]).
 fn maintain_index(
     current: Option<&GridIndex>,
     dataset: &Dataset,
@@ -1068,31 +1025,24 @@ fn maintain_index(
     rows: usize,
     delta: Delta<'_>,
     counters: &mut CounterDraft,
-    policy: &MutationPolicy,
 ) -> Result<(Option<GridIndex>, IndexMaintenance), AsrsError> {
     if dataset.is_empty() {
         // Nothing left to index; a fresh builder over the empty dataset
         // would refuse to build one too.
         return Ok((None, IndexMaintenance::Dropped));
     }
-    let budget = (policy.index_rebuild_fraction * counters.objects_at_index_build.max(1) as f64)
-        .ceil() as usize;
-    let within_budget = counters.mutations_since_index_build < budget.max(1);
     if let Some(idx) = current {
-        if within_budget && idx.space_matches(dataset) {
+        if idx.space_matches(dataset) {
             let mut next = idx.clone();
             match delta {
                 Delta::Append(object) => next.update_append(object, aggregator),
                 Delta::Remove(object) => next.update_remove(object, dataset, aggregator),
             }
-            counters.mutations_since_index_build += 1;
             counters.incremental_updates += 1;
             return Ok((Some(next), IndexMaintenance::Incremental));
         }
     }
     let next = GridIndex::build(dataset, aggregator, cols, rows)?;
-    counters.mutations_since_index_build = 0;
-    counters.objects_at_index_build = dataset.len();
     counters.index_rebuilds += 1;
     Ok((Some(next), IndexMaintenance::Rebuilt))
 }

@@ -15,7 +15,6 @@
 use crate::asp::AspInstance;
 use crate::best::BestSet;
 use crate::budget::Budget;
-use crate::config::SearchConfig;
 use crate::error::AsrsError;
 use crate::query::AsrsQuery;
 use crate::result::SearchResult;
@@ -30,26 +29,14 @@ use std::time::Instant;
 pub struct NaiveSearch<'a> {
     dataset: &'a Dataset,
     aggregator: &'a CompositeAggregator,
-    config: SearchConfig,
 }
 
 impl<'a> NaiveSearch<'a> {
-    /// Creates a solver with the default configuration.
+    /// Creates a solver over `dataset`; the oracle has nothing to tune.
     pub fn new(dataset: &'a Dataset, aggregator: &'a CompositeAggregator) -> Self {
-        Self::with_config(dataset, aggregator, SearchConfig::default())
-    }
-
-    /// Creates a solver with an explicit configuration.  Only the accuracy
-    /// settings are consulted (the oracle has no grid or δ to tune).
-    pub fn with_config(
-        dataset: &'a Dataset,
-        aggregator: &'a CompositeAggregator,
-        config: SearchConfig,
-    ) -> Self {
         Self {
             dataset,
             aggregator,
-            config,
         }
     }
 
@@ -57,8 +44,7 @@ impl<'a> NaiveSearch<'a> {
     ///
     /// # Errors
     ///
-    /// [`AsrsError::Query`] when the query does not match the aggregator;
-    /// [`AsrsError::Config`] when the configuration is invalid.
+    /// [`AsrsError::Query`] when the query does not match the aggregator.
     pub fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
         self.search_within(query, None)
     }
@@ -113,18 +99,12 @@ impl<'a> NaiveSearch<'a> {
         budget: Option<Budget>,
     ) -> Result<Vec<SearchResult>, AsrsError> {
         query.validate(self.aggregator)?;
-        self.config.validate()?;
         if let Some(b) = budget {
             b.check()?;
         }
         let started = Instant::now();
         let mut stats = SearchStats::new();
-        let asp = AspInstance::build(
-            self.dataset,
-            query.size,
-            self.config.accuracy,
-            self.config.accuracy_floor,
-        );
+        let asp = AspInstance::build(self.dataset, query.size);
         stats.rectangles = asp.rects().len() as u64;
 
         // Coordinates of all vertical / horizontal edges.
@@ -188,6 +168,7 @@ impl<'a> NaiveSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SearchConfig;
     use crate::executor::{Executor, Slabs};
     use asrs_aggregator::{FeatureVector, Selection, Weights};
     use asrs_data::gen::UniformGenerator;
@@ -207,8 +188,8 @@ mod tests {
                 Weights::uniform(4),
             );
             let naive = NaiveSearch::new(&ds, &agg).search(&query).unwrap();
-            let ds_result = Executor::new(&ds, &agg, SearchConfig::default(), Slabs::Whole)
-                .best(&query, None)
+            let ds_result = Executor::new(&ds, &agg, &SearchConfig::default(), Slabs::Whole)
+                .best(&query, 0.0, None)
                 .unwrap();
             assert!(
                 (naive.distance - ds_result.distance).abs() < 1e-9,

@@ -64,21 +64,10 @@ pub struct IndexStatistics {
 impl EngineStatistics {
     /// Gathers statistics from a dataset and optional index.
     pub fn capture(dataset: &Dataset, index: Option<&GridIndex>) -> Self {
-        let index_stats = index.map(|idx| {
-            let (cols, rows) = idx.granularity();
-            let cells = (cols * rows).max(1) as f64;
-            IndexStatistics {
-                cols,
-                rows,
-                cell_width: idx.spec().cell_width(),
-                cell_height: idx.spec().cell_height(),
-                avg_objects_per_cell: idx.objects_indexed() as f64 / cells,
-            }
-        });
         Self {
             object_count: dataset.len(),
             extent: dataset.bounding_box(),
-            index: index_stats,
+            index: index.map(|idx| IndexStatistics::of_grid(idx.spec(), idx.objects_indexed())),
             shards: None,
         }
     }
@@ -91,30 +80,30 @@ impl IndexStatistics {
     /// Used by sharded engines: a sharded engine that requested an index
     /// builds none (the scatter never reads one), but its planner must
     /// still decide from whole-dataset index geometry so the chosen
-    /// backend is identical for every shard count.  The formulas replicate
-    /// [`EngineStatistics::capture`] over [`GridIndex::build`]'s grid
-    /// specification bit for bit.
+    /// backend is identical for every shard count.  The grid is the one
+    /// [`GridIndex::build`] lays, read by the formulas
+    /// [`EngineStatistics::capture`] applies to a built index.
     ///
     /// # Errors
     ///
-    /// [`AsrsError::EmptyDataset`] when the dataset has no object (the same
-    /// condition under which [`GridIndex::build`] refuses to index).
+    /// Exactly those of [`GridIndex::build`]: a zero granularity, or an
+    /// empty dataset.
     pub fn virtual_for(dataset: &Dataset, cols: usize, rows: usize) -> Result<Self, AsrsError> {
-        if cols == 0 || rows == 0 {
-            return Err(crate::error::ConfigError::InvalidIndexGranularity { cols, rows }.into());
-        }
-        let bbox = dataset
-            .relative_padded_bounding_box(0.5, 1.0)
-            .ok_or(AsrsError::EmptyDataset)?;
-        let spec = GridSpec::new(bbox, cols, rows);
-        let cells = (cols * rows).max(1) as f64;
-        Ok(Self {
+        let spec = crate::grid_index::index_grid(dataset, cols, rows)?;
+        Ok(Self::of_grid(&spec, dataset.len()))
+    }
+
+    /// The statistics of an index laid out as `spec` over `objects`
+    /// objects.
+    fn of_grid(spec: &GridSpec, objects: usize) -> Self {
+        let (cols, rows) = (spec.cols(), spec.rows());
+        Self {
             cols,
             rows,
             cell_width: spec.cell_width(),
             cell_height: spec.cell_height(),
-            avg_objects_per_cell: dataset.len() as f64 / cells,
-        })
+            avg_objects_per_cell: objects as f64 / (cols * rows).max(1) as f64,
+        }
     }
 }
 
@@ -271,6 +260,17 @@ impl ExecutionPlan {
     }
 }
 
+/// Datasets with at most this many objects run the naive oracle unless the
+/// request forces a backend: the oracle evaluates `(n+1)²` probes, which at
+/// 16 objects is cheaper than one 30 × 30 discretisation.
+const NAIVE_MAX_OBJECTS: usize = 16;
+
+/// A query whose cell-expanded span covers at least this fraction of the
+/// indexed extent on both axes runs DS-Search instead of GI-DS: at that
+/// size, pruning bounds computed per index cell overlap on more than half
+/// the extent and rarely discard anything.
+const SPAN_THRESHOLD: f64 = 0.5;
+
 /// The cost-based planner: decides which backend executes a
 /// [`QueryRequest`].
 ///
@@ -308,11 +308,11 @@ impl ExecutionPlan {
 ///    ([`QueryRequest::with_backend`]) always wins;
 /// 2. MaxRS variants always run the DS-Search adaptation (it is the only
 ///    MaxRS implementation);
-/// 3. datasets with at most [`Planner::naive_max_objects`] objects run the
+/// 3. datasets with at most 16 objects (`NAIVE_MAX_OBJECTS`) run the
 ///    naive oracle (`(n + 1)²` probes beat building any search structure);
 /// 4. without an index only DS-Search remains;
 /// 5. with an index, a query whose cell-expanded span covers at least
-///    [`Planner::span_threshold`] of the extent on *both* axes runs
+///    half (`SPAN_THRESHOLD`) of the extent on *both* axes runs
 ///    DS-Search; anything smaller runs GI-DS.
 ///
 /// # Assumptions
@@ -324,20 +324,10 @@ impl ExecutionPlan {
 /// workloads: uniform-ish densities, queries at least an order of
 /// magnitude smaller than the dataset extent in the common case.
 ///
-/// The thresholds are public so deployments can tune them
-/// ([`EngineBuilder::planner`](crate::EngineBuilder::planner)); the
-/// defaults follow the paper's workloads.
-#[derive(Debug, Clone, PartialEq)]
+/// The one deployment setting is the admission ceiling
+/// ([`Planner::cost_ceiling`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Planner {
-    /// Datasets with at most this many objects run the naive oracle unless
-    /// the request forces a backend.  Default 16: the oracle evaluates `(n+1)²` probes,
-    /// which at 16 objects is cheaper than one 30 × 30 discretisation.
-    pub naive_max_objects: usize,
-    /// A query whose cell-expanded span covers at least this fraction of
-    /// the indexed extent on both axes runs DS-Search instead of GI-DS.
-    /// Default 0.5: at that size, pruning bounds computed per index cell
-    /// overlap on more than half the extent and rarely discard anything.
-    pub span_threshold: f64,
     /// Admission ceiling on the chosen backend's cost estimate, in the
     /// abstract rectangle-visit units of [`CostEstimate`]; a request whose
     /// estimate exceeds it is rejected with
@@ -346,16 +336,6 @@ pub struct Planner {
     /// (the default) admits everything — backpressure alone bounds load.
     /// See [`EngineBuilder::cost_ceiling`](crate::EngineBuilder::cost_ceiling).
     pub cost_ceiling: Option<f64>,
-}
-
-impl Default for Planner {
-    fn default() -> Self {
-        Self {
-            naive_max_objects: 16,
-            span_threshold: 0.5,
-            cost_ceiling: None,
-        }
-    }
 }
 
 impl Planner {
@@ -398,13 +378,13 @@ impl Planner {
                 return Err(AsrsError::IndexRequired { backend: "gi-ds" });
             }
             (backend, PlanReason::ForcedByRequest)
-        } else if stats.object_count <= self.naive_max_objects {
+        } else if stats.object_count <= NAIVE_MAX_OBJECTS {
             (Backend::Naive, PlanReason::TinyDataset)
         } else if stats.index.is_none() {
             (Backend::DsSearch, PlanReason::NoIndex)
         } else {
             match span_ratio {
-                Some((sx, sy)) if sx >= self.span_threshold && sy >= self.span_threshold => {
+                Some((sx, sy)) if sx >= SPAN_THRESHOLD && sy >= SPAN_THRESHOLD => {
                     (Backend::DsSearch, PlanReason::QuerySpansExtent)
                 }
                 _ => (Backend::GiDs, PlanReason::IndexPrunes),
@@ -581,7 +561,6 @@ mod tests {
     fn cost_ceiling_rejects_expensive_plans_before_execution() {
         let planner = Planner {
             cost_ceiling: Some(1.0),
-            ..Planner::default()
         };
         let plan = planner
             .plan(&stats(500, true), &similar(RegionSize::new(4.0, 4.0)))
@@ -599,7 +578,6 @@ mod tests {
         // A generous ceiling admits.
         let generous = Planner {
             cost_ceiling: Some(1e18),
-            ..Planner::default()
         };
         let plan = generous
             .plan(&stats(500, true), &similar(RegionSize::new(4.0, 4.0)))

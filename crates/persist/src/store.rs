@@ -280,7 +280,6 @@ pub struct PersistentBuilder {
     builder: EngineBuilder,
     dir: PathBuf,
     compaction_threshold: u64,
-    snapshot_on_build: bool,
 }
 
 impl PersistentBuilder {
@@ -291,14 +290,6 @@ impl PersistentBuilder {
     /// cadence.
     pub fn compaction_threshold(mut self, frames: u64) -> Self {
         self.compaction_threshold = frames.max(1);
-        self
-    }
-
-    /// Whether `build` writes an initial snapshot when none exists yet
-    /// (default `true`).  Disabling trades first-boot latency for
-    /// replaying the whole WAL on the next boot.
-    pub fn snapshot_on_build(mut self, yes: bool) -> Self {
-        self.snapshot_on_build = yes;
         self
     }
 
@@ -386,9 +377,7 @@ impl PersistentBuilder {
         // Re-establish the invariant "everything up to the current
         // generation is in a snapshot or the log": fresh directories get
         // their first snapshot, and a heavily-replayed boot compacts.
-        if (self.snapshot_on_build && snapshot_file.is_none())
-            || replayed >= self.compaction_threshold
-        {
+        if snapshot_file.is_none() || replayed >= self.compaction_threshold {
             persist.snapshot_now(&engine.export_state())?;
         }
 
@@ -419,7 +408,6 @@ impl PersistExt for EngineBuilder {
             builder: self,
             dir: dir.into(),
             compaction_threshold: 1024,
-            snapshot_on_build: true,
         }
     }
 }
@@ -466,7 +454,10 @@ mod tests {
         assert!(persistent.boot().cold_start);
         assert_eq!(persistent.boot().boot_generation, 0);
         let stats = persistent.persist().stats();
-        assert_eq!(stats.snapshots_written, 1, "snapshot_on_build default");
+        assert_eq!(
+            stats.snapshots_written, 1,
+            "a cold boot writes the first snapshot"
+        );
         assert_eq!(stats.wal_entries, 0);
 
         persistent.engine().append(object(500)).unwrap();

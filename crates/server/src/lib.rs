@@ -1,5 +1,5 @@
 //! Serve ASRS over the wire: a dependency-free threaded HTTP/1.1 JSON
-//! service over an [`EngineHandle`](asrs_core::EngineHandle).
+//! service over an [`AsrsEngine`](asrs_core::AsrsEngine).
 //!
 //! PR 2 made queries declarative and serializable
 //! ([`QueryRequest`](asrs_core::QueryRequest) /

@@ -1,5 +1,5 @@
 //! The threaded HTTP server: a bounded worker pool over an
-//! [`EngineHandle`].
+//! [`AsrsEngine`].
 //!
 //! The topology mirrors the engine's batch executor: one acceptor thread
 //! feeds accepted connections into a *bounded* channel, and a fixed pool of
@@ -11,7 +11,7 @@
 use crate::http::{self, HttpRequest};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, SweeperSnapshot};
 use asrs_core::sync::Mutex;
-use asrs_core::{AsrsError, EngineHandle, QueryRequest};
+use asrs_core::{AsrsEngine, AsrsError, QueryRequest};
 use asrs_data::SpatialObject;
 use asrs_persist::PersistHandle;
 use serde::{Deserialize, Serialize};
@@ -77,7 +77,7 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 pub struct AsrsServer {
     listener: TcpListener,
-    engine: EngineHandle,
+    engine: AsrsEngine,
     config: ServerConfig,
     persist: Option<Arc<PersistHandle>>,
 }
@@ -86,7 +86,7 @@ impl AsrsServer {
     /// Binds to `addr` (use port 0 for an ephemeral port) without serving
     /// yet.
     pub fn bind<A: ToSocketAddrs>(
-        engine: EngineHandle,
+        engine: AsrsEngine,
         addr: A,
         config: ServerConfig,
     ) -> io::Result<Self> {
@@ -213,7 +213,7 @@ impl Drop for ServerHandle {
 
 #[derive(Debug)]
 struct Shared {
-    engine: EngineHandle,
+    engine: AsrsEngine,
     metrics: ServerMetrics,
     shutdown: AtomicBool,
     read_timeout: Duration,

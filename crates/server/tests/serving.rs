@@ -1,6 +1,6 @@
 //! End-to-end serving tests over real sockets: smoke round trips, error
 //! mapping, and the concurrency/cache-identity guarantees of the satellite
-//! task — N threads hammering `EngineHandle` clones and the HTTP endpoint
+//! task — N threads hammering engine clones and the HTTP endpoint
 //! with a mixed workload must observe responses byte-identical to
 //! single-threaded `submit`, with cache hits indistinguishable from cold
 //! misses.

@@ -19,9 +19,9 @@ pub mod prelude {
     pub use asrs_core::{
         AsrsEngine, AsrsError, AsrsQuery, Backend, Budget, CacheStats, ConfigError, CostEstimate,
         EngineBuilder, EngineHandle, EngineStatistics, ExecutionPlan, GridIndex, IndexMaintenance,
-        IndexStatistics, MaxRsResult, MutationPolicy, MutationReceipt, MutationStats, NaiveSearch,
-        PlanReason, Planner, QueryCache, QueryError, QueryOutcome, QueryRequest, QueryResponse,
-        RequestKey, SearchConfig, SearchResult, SearchStats, ShardFanOut,
+        IndexStatistics, MaxRsResult, MutationReceipt, MutationStats, NaiveSearch, PlanReason,
+        Planner, QueryCache, QueryError, QueryOutcome, QueryRequest, QueryResponse, RequestKey,
+        SearchConfig, SearchResult, SearchStats, ShardFanOut,
     };
     pub use asrs_data::gen::{
         CityGenerator, CityMap, ClusteredGenerator, District, PoiSynGenerator, TweetGenerator,

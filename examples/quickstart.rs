@@ -6,7 +6,7 @@
 //! through the engine's declarative request/plan/execute API:
 //! query-by-example, cost-based backend planning with `plan.explain()`,
 //! `submit`, per-request deadlines, top-k and batch requests, and
-//! concurrent submission through cloned `EngineHandle`s.
+//! concurrent submission through engine clones.
 
 use asrs_suite::prelude::*;
 

@@ -39,7 +39,7 @@ fn main() {
     }
 
     // An engine with a grid index and a query-result cache, shared with the
-    // server through a cheap `EngineHandle`.
+    // server through a cheap clone.
     let dataset = UniformGenerator::default().generate(5_000, 42);
     let aggregator = CompositeAggregator::builder(dataset.schema())
         .distribution("category", Selection::All)

@@ -1,5 +1,5 @@
 //! The request/plan/execute API: planner decisions, JSON round-trips of
-//! requests and responses, deadlines, and concurrent `EngineHandle` use.
+//! requests and responses, deadlines, and concurrent use of engine clones.
 
 use asrs_suite::prelude::*;
 use std::time::Duration;

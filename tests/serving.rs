@@ -24,7 +24,7 @@ fn sample_query(i: u32) -> AsrsQuery {
 
 /// One engine, two surfaces: responses over the wire must be byte-identical
 /// to handle submissions, and the cache must make repeats cheap and
-/// observable through `/metrics` and `EngineHandle::cache_stats` alike.
+/// observable through `/metrics` and `AsrsEngine::cache_stats` alike.
 #[test]
 fn http_and_handle_surfaces_answer_identically() {
     let (ds, agg) = workload(350, 61);
