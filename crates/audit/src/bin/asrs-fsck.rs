@@ -6,11 +6,12 @@
 //! ```
 //!
 //! For each directory the tool verifies every snapshot file (framing,
-//! magic, version, CRC-32, full payload decode with shard-position bounds),
-//! the write-ahead log (frame by frame, distinguishing torn tails from
-//! corrupt frames), and the cross-file generation contiguity a boot
-//! depends on.  Nothing is booted and nothing is modified — it is safe to
-//! point at a live serving directory or a backup.
+//! magic, version, CRC-32, full payload decode, name against payload
+//! generation), the write-ahead log (frame by frame, distinguishing torn
+//! tails from corrupt frames), and the cross-file generation contiguity a
+//! boot depends on, with the readers boot itself runs.  Nothing is booted
+//! and nothing is modified — it is safe to point at a live serving
+//! directory or a backup.
 //!
 //! Output: one JSON [`FsckReport`] per directory
 //! on stdout (a JSON array when more than one directory is given), plus a

@@ -15,11 +15,12 @@
 //! 2. **The offline store verifier** (implemented in `asrs-persist::fsck`,
 //!    re-exported here) — [`check_dir`] and friends, which structurally
 //!    verify a persistence directory without booting an engine: per-file
-//!    magic/version/CRC, frame-by-frame WAL analysis with torn-tail
-//!    classification, shard-position bounds inside snapshots, and
-//!    cross-file generation contiguity.  The **`asrs-fsck`** binary in
-//!    this crate wraps it in a CLI with a JSON report and meaningful exit
-//!    codes.
+//!    magic/version/CRC, a full snapshot payload decode, frame-by-frame WAL
+//!    analysis with torn-tail classification, and cross-file generation
+//!    contiguity.  They run the same snapshot reader, log scan and replay
+//!    plan as boot, so their prediction is what boot does.  The
+//!    **`asrs-fsck`** binary in this crate wraps them in a CLI with a JSON
+//!    report and meaningful exit codes.
 //! 3. **The source lint** (the separate `asrs-lint` xtask) — a
 //!    dependency-free scan enforcing the workspace's panic-freedom and
 //!    `forbid(unsafe_code)` policies.

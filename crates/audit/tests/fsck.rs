@@ -8,13 +8,14 @@
 
 use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_audit::{check_dir, check_snapshot_file, FsckCategory, Severity};
+use asrs_core::EngineState;
 use asrs_core::{AsrsEngine, EngineBuilder};
 use asrs_data::columnar;
 use asrs_data::gen::UniformGenerator;
-use asrs_data::{AttrValue, SpatialObject};
+use asrs_data::{AttrValue, Dataset, Mutation, SpatialObject};
 use asrs_geo::Point;
 use asrs_persist::crc::crc32;
-use asrs_persist::PersistExt;
+use asrs_persist::{PersistError, PersistExt, Wal};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -219,9 +220,8 @@ fn a_truncated_wal_frame_is_a_torn_tail_warning() {
 fn a_generation_gap_in_the_wal_is_a_contiguity_error() {
     let dir = healthy_dir("gap", 0, 1);
     {
-        let (wal, _) = asrs_persist::Wal::open(&dir.join("wal.log")).unwrap();
-        wal.append(40, &asrs_data::Mutation::Remove { id: 2000 })
-            .unwrap();
+        let (wal, _) = Wal::open(&dir.join("wal.log")).unwrap();
+        wal.append(40, &Mutation::Remove { id: 2000 }).unwrap();
     }
     let report = check_dir(&dir).unwrap();
     let categories: Vec<_> = report
@@ -240,17 +240,14 @@ fn a_generation_gap_in_the_wal_is_a_contiguity_error() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Writes a generation-0 snapshot around a hand-built `index` section: a
-/// real dataset, then the index bytes.  The framing (magic, version, CRC)
-/// is *valid* — only the content is poisoned, so nothing but the payload
-/// decoder can catch it.
-fn snapshot_with_index_section(tag: &str, index: &[u8]) -> (PathBuf, PathBuf) {
-    let dir = temp_dir(tag);
-    fs::create_dir_all(&dir).unwrap();
-    let ds = UniformGenerator::default().generate(50, 23);
+/// Writes `snapshot-<generation>.snap` into `dir` around a hand-built
+/// `index` section: a real dataset, then the index bytes.  The framing
+/// (magic, version, CRC) is *valid* — only the content is poisoned, so
+/// nothing but the payload decoder can catch it.
+fn write_raw_snapshot(dir: &Path, generation: u64, ds: &Dataset, index: &[u8]) -> PathBuf {
     let mut payload = Vec::new();
-    columnar::put_u64(&mut payload, 0); // generation
-    columnar::encode_dataset(&ds, &mut payload);
+    columnar::put_u64(&mut payload, generation);
+    columnar::encode_dataset(ds, &mut payload);
     payload.extend_from_slice(index);
 
     let mut bytes = Vec::new();
@@ -258,8 +255,17 @@ fn snapshot_with_index_section(tag: &str, index: &[u8]) -> (PathBuf, PathBuf) {
     bytes.extend_from_slice(&2u32.to_le_bytes());
     bytes.extend_from_slice(&payload);
     bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    let snap = dir.join(format!("snapshot-{:016x}.snap", 0));
+    let snap = dir.join(format!("snapshot-{generation:016x}.snap"));
     fs::write(&snap, &bytes).unwrap();
+    snap
+}
+
+/// A fresh directory holding only a generation-0 raw snapshot.
+fn snapshot_with_index_section(tag: &str, index: &[u8]) -> (PathBuf, PathBuf) {
+    let dir = temp_dir(tag);
+    fs::create_dir_all(&dir).unwrap();
+    let ds = UniformGenerator::default().generate(50, 23);
+    let snap = write_raw_snapshot(&dir, 0, &ds, index);
     (dir, snap)
 }
 
@@ -358,4 +364,252 @@ fn usage_errors_exit_three() {
         Some(3),
         "unreadable directory is environmental"
     );
+}
+
+/// A persistence directory after `mutations` appends, and the state the
+/// engine reached; the engine is shut down before either is returned.
+fn persisted(tag: &str, shards: usize, mutations: u64) -> (PathBuf, EngineState) {
+    let dir = temp_dir(tag);
+    let p = engine_builder(shards).persist_dir(&dir).build().unwrap();
+    for id in 0..mutations {
+        p.engine().append(object(2000 + id)).unwrap();
+    }
+    (dir, p.engine().export_state())
+}
+
+/// Writes `state` as the newest snapshot without compacting the log, so
+/// the generation-0 image and every frame stay behind it.
+fn newest_snapshot(dir: &Path, state: &EngineState) -> PathBuf {
+    asrs_persist::write_snapshot(dir, state).unwrap().path
+}
+
+fn flip_byte(path: &Path, at: impl Fn(usize) -> usize) {
+    let mut bytes = fs::read(path).unwrap();
+    let at = at(bytes.len());
+    bytes[at] ^= 0x20;
+    fs::write(path, &bytes).unwrap();
+}
+
+fn truncate_by(path: &Path, bytes: u64) {
+    let full = fs::metadata(path).unwrap().len();
+    let f = fs::OpenOptions::new().write(true).open(path).unwrap();
+    f.set_len(full - bytes).unwrap();
+}
+
+fn append_frames(dir: &Path, generation: u64, mutations: &[Mutation]) {
+    let (wal, _) = Wal::open(&dir.join("wal.log")).unwrap();
+    wal.append_batch(generation, mutations).unwrap();
+}
+
+/// `state` with one object moved to a NaN location.
+fn with_nan_object(state: &EngineState) -> EngineState {
+    let mut objects: Vec<SpatialObject> = state.dataset.objects().cloned().collect();
+    objects[7].location = Point::new(f64::NAN, objects[7].location.y);
+    EngineState {
+        generation: state.generation,
+        dataset: std::sync::Arc::new(Dataset::new_unchecked(
+            state.dataset.schema().clone(),
+            objects,
+        )),
+        index: None,
+    }
+}
+
+/// One directory of the agreement table: how many appends it holds, and
+/// the damage done to it once the engine that wrote it shut down.
+struct Case {
+    name: &'static str,
+    shards: usize,
+    mutations: u64,
+    damage: fn(&Path, &EngineState),
+}
+
+/// fsck predicts boot: for every directory, boot fails exactly when fsck
+/// reports a generation discontinuity, a WAL header error or a
+/// non-finite location in what boot restores or replays (no case here
+/// logs one below the boot generation); otherwise fsck's boot plan is the
+/// `BootReport` field for field.
+#[test]
+fn fsck_predicts_what_boot_does() {
+    let cases = [
+        Case {
+            name: "healthy, unsharded",
+            shards: 0,
+            mutations: 3,
+            damage: |_, _| {},
+        },
+        Case {
+            name: "healthy, 2 shards",
+            shards: 2,
+            mutations: 3,
+            damage: |_, _| {},
+        },
+        Case {
+            name: "torn tail",
+            shards: 0,
+            mutations: 3,
+            damage: |dir, _| truncate_by(&dir.join("wal.log"), 5),
+        },
+        Case {
+            name: "bit flip mid-log",
+            shards: 0,
+            mutations: 3,
+            damage: |dir, _| {
+                let wal = dir.join("wal.log");
+                let bytes = fs::read(&wal).unwrap();
+                let first_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+                // Inside the second frame's payload.
+                flip_byte(&wal, |_| 8 + 8 + first_len + 8 + 4);
+            },
+        },
+        Case {
+            name: "WAL generation gap",
+            shards: 0,
+            mutations: 1,
+            damage: |dir, _| append_frames(dir, 9, &[Mutation::Remove { id: 2000 }]),
+        },
+        Case {
+            name: "group-committed batches",
+            shards: 2,
+            mutations: 2,
+            damage: |dir, state| {
+                let batch: Vec<Mutation> = (0..4)
+                    .map(|i| Mutation::Append {
+                        object: object(3000 + i),
+                    })
+                    .collect();
+                append_frames(dir, state.generation + 1, &batch);
+            },
+        },
+        Case {
+            name: "newest snapshot's CRC flipped, older one good",
+            shards: 0,
+            mutations: 3,
+            damage: |dir, state| {
+                let newest = newest_snapshot(dir, state);
+                flip_byte(&newest, |len| len - 1);
+            },
+        },
+        Case {
+            name: "non-finite location in the newest snapshot",
+            shards: 0,
+            mutations: 2,
+            damage: |dir, state| {
+                newest_snapshot(dir, &with_nan_object(state));
+            },
+        },
+        Case {
+            name: "non-finite location in a replayed frame",
+            shards: 2,
+            mutations: 2,
+            damage: |dir, state| {
+                let mut nan = object(3000);
+                nan.location = Point::new(f64::INFINITY, nan.location.y);
+                append_frames(
+                    dir,
+                    state.generation + 1,
+                    &[Mutation::Append { object: nan }],
+                );
+            },
+        },
+        Case {
+            name: "foreign and .tmp files",
+            shards: 0,
+            mutations: 2,
+            damage: |dir, _| {
+                fs::write(dir.join("notes.txt"), b"hello").unwrap();
+                fs::write(dir.join("snapshot-0000000000000009.snap.tmp"), b"half").unwrap();
+            },
+        },
+        Case {
+            name: "newest snapshot's index rejected by the engine",
+            shards: 0,
+            mutations: 3,
+            damage: |dir, state| {
+                // A 1x1 grid with one stats dim needs a 4-entry base
+                // table; this one holds 3.
+                let mut index = index_section([0.0, 0.0, 1.0, 1.0], 3);
+                for _ in 0..3 {
+                    columnar::put_f64(&mut index, 0.0);
+                }
+                write_raw_snapshot(dir, state.generation, &state.dataset, &index);
+            },
+        },
+        Case {
+            name: "snapshot name claims another generation than its payload",
+            shards: 0,
+            mutations: 3,
+            damage: |dir, state| {
+                let written = newest_snapshot(dir, state);
+                fs::rename(written, dir.join("snapshot-0000000000000007.snap")).unwrap();
+            },
+        },
+        Case {
+            name: "empty wal.log",
+            shards: 2,
+            mutations: 2,
+            damage: |dir, _| {
+                truncate_by(
+                    &dir.join("wal.log"),
+                    fs::metadata(dir.join("wal.log")).unwrap().len(),
+                )
+            },
+        },
+    ];
+
+    for (i, case) in cases.iter().enumerate() {
+        let (dir, state) = persisted(&format!("agree{i}"), case.shards, case.mutations);
+        (case.damage)(&dir, &state);
+        let name = case.name;
+        let report = check_dir(&dir).unwrap();
+        let has = |findings: &[asrs_audit::FsckFinding], category| {
+            findings.iter().any(|f| f.category == category)
+        };
+        let wal_findings = report.wal.as_ref().map_or(&[][..], |w| &w.findings[..]);
+        let wal_header_error = [
+            FsckCategory::Truncated,
+            FsckCategory::BadMagic,
+            FsckCategory::BadVersion,
+        ]
+        .into_iter()
+        .any(|c| has(wal_findings, c));
+        let restored_non_finite = report.snapshots.iter().any(|s| {
+            !report.cold_start
+                && s.loadable()
+                && s.payload_generation == Some(report.boot_generation)
+                && has(&s.findings, FsckCategory::NonFiniteLocation)
+        });
+        let fails = has(&report.findings, FsckCategory::GenerationDiscontinuity)
+            || wal_header_error
+            || restored_non_finite
+            || has(wal_findings, FsckCategory::NonFiniteLocation);
+
+        match engine_builder(case.shards).persist_dir(&dir).build() {
+            Ok(booted) => {
+                assert!(!fails, "{name}: boot succeeded\n{}", report.summary());
+                let boot = booted.boot();
+                assert_eq!(report.cold_start, boot.cold_start, "{name}");
+                assert_eq!(
+                    Some(report.boot_generation),
+                    boot.snapshot_generation.or(Some(0)),
+                    "{name}"
+                );
+                assert_eq!(report.replayable_frames, boot.replayed_entries, "{name}");
+                assert_eq!(report.final_generation, boot.boot_generation, "{name}");
+                assert_eq!(
+                    report.final_generation,
+                    booted.engine().generation(),
+                    "{name}"
+                );
+            }
+            Err(e) => {
+                assert!(fails, "{name}: boot failed with {e}\n{}", report.summary());
+                assert!(
+                    matches!(e, PersistError::Corrupt { .. } | PersistError::Engine(_)),
+                    "{name}: {e}"
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

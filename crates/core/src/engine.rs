@@ -492,39 +492,25 @@ impl EngineShared {
 /// A write-ahead durability hook for the generational mutation path.
 ///
 /// When a sink is attached ([`AsrsEngine::attach_durability`]), every
-/// mutation calls [`DurabilitySink::log_mutation`] with the generation it
-/// is about to publish and the mutation record, *before* the generation
-/// becomes visible to queries.  A sink that returns an error aborts the
-/// mutation — the caller sees the error, the engine stays on the previous
+/// publish calls [`DurabilitySink::log_batch`] with the generation it is
+/// about to publish and the mutation records that generation applies — a
+/// solo mutation is a batch of one — *before* the generation becomes
+/// visible to queries.  A sink that returns an error aborts the whole
+/// batch — every caller sees the error, the engine stays on the previous
 /// generation — so an acknowledged write is always on durable storage
 /// first.  `asrs-persist` implements this trait with an fsync'd,
 /// CRC-framed write-ahead log.
 pub trait DurabilitySink: Send + Sync + std::fmt::Debug {
-    /// Records one mutation about to be published as `generation`.
-    ///
-    /// # Errors
-    ///
-    /// Any error vetoes the mutation; implementations should return
-    /// [`AsrsError::Persistence`].
-    fn log_mutation(&self, generation: u64, mutation: &Mutation) -> Result<(), AsrsError>;
-
-    /// Records a whole group-committed batch about to be published as
-    /// `generation` — every mutation of the batch shares that one
-    /// generation number.  Implementations should make the entire batch
-    /// durable with **one** fsync; the default forwards frame by frame to
-    /// [`DurabilitySink::log_mutation`], which is correct but syncs per
-    /// frame.
+    /// Records the mutations about to be published as `generation`; every
+    /// mutation of the batch shares that one generation number.
+    /// Implementations should make the entire batch durable with **one**
+    /// fsync.
     ///
     /// # Errors
     ///
     /// Any error vetoes the whole batch; implementations should return
     /// [`AsrsError::Persistence`].
-    fn log_batch(&self, generation: u64, mutations: &[Mutation]) -> Result<(), AsrsError> {
-        for mutation in mutations {
-            self.log_mutation(generation, mutation)?;
-        }
-        Ok(())
-    }
+    fn log_batch(&self, generation: u64, mutations: &[Mutation]) -> Result<(), AsrsError>;
 }
 
 /// A point-in-time image of one engine generation, sufficient to

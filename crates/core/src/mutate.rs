@@ -1084,7 +1084,7 @@ mod tests {
     }
 
     impl DurabilitySink for TogglingSink {
-        fn log_mutation(&self, _generation: u64, _mutation: &Mutation) -> Result<(), AsrsError> {
+        fn log_batch(&self, _generation: u64, _mutations: &[Mutation]) -> Result<(), AsrsError> {
             if self.fail.load(Ordering::SeqCst) {
                 Err(AsrsError::Internal {
                     message: "sink vetoed".to_string(),

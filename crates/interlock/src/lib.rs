@@ -80,23 +80,6 @@ pub const LOCK_ALIASES: &[(&str, &str, &str)] = &[
 /// `Some("name@path suffix")` pins an otherwise ambiguous name to one
 /// definition; `None` suppresses resolution entirely.
 pub const CALL_OVERRIDES: &[(&str, &str, Option<&str>)] = &[
-    // `DurabilitySink::log_mutation` (impl in store.rs) forwards to
-    // `Wal::append`; the bare name `append` is ambiguous with the
-    // engine/mutate/handle append methods.
-    (
-        "persist/src/store.rs",
-        "append",
-        Some("append@crates/persist/src/wal.rs"),
-    ),
-    // `mutate::publish` calls the attached sink's `log_batch`; the name is
-    // ambiguous between the trait default (engine.rs) and the real
-    // batched-fsync impl (store.rs) — pin it to the impl so the
-    // `engine.mutator → persist.wal` edge stays on the graph.
-    (
-        "core/src/mutate.rs",
-        "log_batch",
-        Some("log_batch@crates/persist/src/store.rs"),
-    ),
     // `PersistHandle::log_batch` forwards to `Wal::append_batch`; the bare
     // name is ambiguous with the engine/mutate/handle batch-append
     // methods.

@@ -18,7 +18,8 @@ pub enum PersistError {
         source: io::Error,
     },
     /// A persisted file is structurally invalid: bad magic, unsupported
-    /// version, checksum mismatch, or a payload that does not decode.
+    /// version, checksum mismatch, or a payload that does not decode or
+    /// that the engine-side constructors reject.
     /// Torn WAL *tails* are tolerated silently (they are the expected
     /// crash artifact); this variant covers damage recovery cannot explain.
     Corrupt {

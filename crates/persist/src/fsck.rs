@@ -7,32 +7,37 @@
 //! against the live directory of a serving process, against a backup, or
 //! from the `asrs-fsck` binary in CI.
 //!
-//! Three layers of verification, mirroring what a real boot would do:
+//! fsck has no reader of its own: it classifies the verdicts of the
+//! readers boot runs, so its prediction is what boot does.  Three layers:
 //!
-//! 1. **Per-snapshot** ([`check_snapshot_file`]) — fixed framing, magic,
-//!    version, payload CRC-32, then a full payload decode through the same
-//!    [`decode_payload`](crate::snapshot) the boot path uses, which
-//!    bounds every declared length by the bytes remaining and checks the
-//!    index's rectangle and base-table shape.  The generation in the file
-//!    name must match the one in the payload, and every object's location
-//!    must be finite (the engine refuses the state otherwise).
-//! 2. **Per-WAL** ([`check_wal_file`]) — header magic/version, then a
-//!    frame-by-frame walk distinguishing a *torn tail* (an incomplete
-//!    final frame: the expected crash artifact, a warning) from *corrupt
-//!    frames* (checksum or decode failure in the middle of the log: real
-//!    damage, an error), plus in-log generation contiguity and finite
+//! 1. **Per-snapshot** ([`check_snapshot_file`]) — the snapshot reader
+//!    boot's [`load_latest`](crate::load_latest) uses: framing, magic,
+//!    version, payload CRC-32, a full payload decode that bounds every
+//!    declared length and checks the index's rectangle and base-table
+//!    shape, and the file name's generation against the payload's.  Any
+//!    damage makes the file unloadable, and boot skips exactly those
+//!    files.  Every object's location must also be finite: such an image
+//!    still loads, but the engine refuses it.
+//! 2. **Per-WAL** ([`check_wal_file`]) — the log scan
+//!    [`Wal::open`](crate::Wal::open) uses: the header check (an empty
+//!    file is a fresh log), then the frame walk, whose stop is either a
+//!    *torn tail* (an incomplete final frame: the expected crash artifact,
+//!    a warning) or damage (an oversized, checksum-failing or undecodable
+//!    frame: an error).  On top, in-log generation contiguity and finite
 //!    append locations.
-//! 3. **Cross-file** ([`check_dir`]) — the directory as a whole: simulate
-//!    the boot plan (newest loadable snapshot, replayable WAL suffix) and
-//!    flag a WAL that disagrees with snapshot history, exactly as
-//!    [`PersistentBuilder::build`](crate::PersistentBuilder) would reject
-//!    it.  Stale temporary files and foreign files are warnings.
+//! 3. **Cross-file** ([`check_dir`]) — the directory as a whole: the boot
+//!    plan (newest loadable snapshot, then the replay plan
+//!    [`PersistentBuilder::build`](crate::PersistentBuilder) runs over the
+//!    log) and a WAL that disagrees with snapshot history, which boot
+//!    refuses.  Stale temporary files and foreign files are warnings.
 //!
 //! Reports serialize to JSON for machines and summarize for humans.
 
-use crate::crc::crc32;
 use crate::error::PersistError;
-use crate::{snapshot, wal};
+use crate::snapshot;
+use crate::store::replay_plan;
+use crate::wal::{self, WAL_FILE};
+use asrs_data::columnar::ColumnarError;
 use asrs_data::{Mutation, SpatialObject};
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -94,6 +99,42 @@ pub enum FsckCategory {
     ForeignFile,
 }
 
+impl FsckCategory {
+    /// Crash artifacts boot recovers from silently are warnings; the rest
+    /// is damage.
+    fn severity(self) -> Severity {
+        match self {
+            FsckCategory::TornTail | FsckCategory::StaleTempFile | FsckCategory::ForeignFile => {
+                Severity::Warning
+            }
+            _ => Severity::Error,
+        }
+    }
+}
+
+/// A reader's verdict on bytes it refuses: the snapshot reader, the log
+/// scan and the replay plan return one, boot reports its detail, and fsck
+/// files it as a finding.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Damage {
+    /// What kind of damage.
+    pub category: FsckCategory,
+    /// Human-readable description.
+    pub detail: String,
+}
+
+impl Damage {
+    pub(crate) fn new(category: FsckCategory, detail: String) -> Self {
+        Damage { category, detail }
+    }
+}
+
+impl From<ColumnarError> for Damage {
+    fn from(e: ColumnarError) -> Self {
+        Damage::new(FsckCategory::PayloadDecode, e.to_string())
+    }
+}
+
 /// One problem found in one file (or in the directory as a whole).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FsckFinding {
@@ -109,12 +150,12 @@ pub struct FsckFinding {
 }
 
 impl FsckFinding {
-    fn new(file: &str, category: FsckCategory, severity: Severity, detail: String) -> Self {
+    fn new(file: &str, damage: Damage) -> Self {
         FsckFinding {
             file: file.to_string(),
-            category,
-            severity,
-            detail,
+            category: damage.category,
+            severity: damage.category.severity(),
+            detail: damage.detail,
         }
     }
 }
@@ -126,7 +167,7 @@ pub struct SnapshotCheck {
     pub file: String,
     /// Generation parsed from the file name (`None` for a malformed name).
     pub name_generation: Option<u64>,
-    /// Generation stored in the payload, when it decoded.
+    /// Generation of the state the file loads, `None` when boot skips it.
     pub payload_generation: Option<u64>,
     /// File size in bytes.
     pub bytes: u64,
@@ -139,10 +180,7 @@ impl SnapshotCheck {
     /// from this file.  A non-finite location does not stop the load; the
     /// engine refuses the restored state afterwards.
     pub fn loadable(&self) -> bool {
-        !self
-            .findings
-            .iter()
-            .any(|f| f.severity == Severity::Error && f.category != FsckCategory::NonFiniteLocation)
+        self.payload_generation.is_some()
     }
 }
 
@@ -260,15 +298,11 @@ fn non_finite_location(
 ) -> Option<FsckFinding> {
     let p = object.location;
     (!(p.x.is_finite() && p.y.is_finite())).then(|| {
-        FsckFinding::new(
-            file,
-            FsckCategory::NonFiniteLocation,
-            Severity::Error,
-            format!(
-                "{place}: object {} has the non-finite location ({}, {}); boot refuses it",
-                object.id, p.x, p.y
-            ),
-        )
+        let detail = format!(
+            "{place}: object {} has the non-finite location ({}, {}); boot refuses it",
+            object.id, p.x, p.y
+        );
+        FsckFinding::new(file, Damage::new(FsckCategory::NonFiniteLocation, detail))
     })
 }
 
@@ -279,10 +313,7 @@ fn non_finite_location(
 pub fn check_snapshot_file(path: &Path) -> Result<SnapshotCheck, PersistError> {
     let bytes = fs::read(path).map_err(|e| PersistError::io("read snapshot", path, e))?;
     let file = file_label(path);
-    let name_generation = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .and_then(snapshot::parse_generation);
+    let name_generation = snapshot::name_generation(path);
     let mut check = SnapshotCheck {
         file: file.clone(),
         name_generation,
@@ -290,110 +321,17 @@ pub fn check_snapshot_file(path: &Path) -> Result<SnapshotCheck, PersistError> {
         bytes: bytes.len() as u64,
         findings: Vec::new(),
     };
-
-    // Framing layers are checked in order; once one fails, the layers
-    // beneath it are meaningless, so the walk stops there.
-    if bytes.len() < 12 {
-        check.findings.push(FsckFinding::new(
-            &file,
-            FsckCategory::Truncated,
-            Severity::Error,
-            format!(
-                "{} bytes, shorter than the 12-byte fixed framing",
-                bytes.len()
-            ),
-        ));
-        return Ok(check);
-    }
-    if bytes[..4] != snapshot::MAGIC {
-        check.findings.push(FsckFinding::new(
-            &file,
-            FsckCategory::BadMagic,
-            Severity::Error,
-            format!(
-                "magic {:02x?} is not ASNP ({:02x?})",
-                &bytes[..4],
-                snapshot::MAGIC
-            ),
-        ));
-        return Ok(check);
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if !(snapshot::OLDEST_VERSION..=snapshot::VERSION).contains(&version) {
-        check.findings.push(FsckFinding::new(
-            &file,
-            FsckCategory::BadVersion,
-            Severity::Error,
-            format!(
-                "format version {version}; this build reads versions {} to {}",
-                snapshot::OLDEST_VERSION,
-                snapshot::VERSION
-            ),
-        ));
-        return Ok(check);
-    }
-    let payload = &bytes[8..bytes.len() - 4];
-    let tail = bytes.len() - 4;
-    let stored = u32::from_le_bytes([
-        bytes[tail],
-        bytes[tail + 1],
-        bytes[tail + 2],
-        bytes[tail + 3],
-    ]);
-    let computed = crc32(payload);
-    if stored != computed {
-        check.findings.push(FsckFinding::new(
-            &file,
-            FsckCategory::ChecksumMismatch,
-            Severity::Error,
-            format!("payload CRC-32 stored {stored:08x}, computed {computed:08x}"),
-        ));
-        return Ok(check);
-    }
-
-    // The checksum verifies, so the payload is what was written; now the
-    // content itself must decode.  This is the exact decoder the boot path
-    // runs, so every length bound and shape check it enforces is enforced
-    // here.
-    match snapshot::decode_payload(payload, version, path) {
+    match snapshot::decode_snapshot(&bytes, name_generation) {
         Ok(state) => {
             check.payload_generation = Some(state.generation);
-            if name_generation != Some(state.generation) {
-                check.findings.push(FsckFinding::new(
-                    &file,
-                    FsckCategory::GenerationMismatch,
-                    Severity::Error,
-                    format!(
-                        "file name claims generation {:?}, payload holds {}",
-                        name_generation, state.generation
-                    ),
-                ));
-            }
             for object in state.dataset.objects() {
                 let place = format_args!("snapshot object");
-                if let Some(finding) = non_finite_location(&file, object, place) {
-                    check.findings.push(finding);
-                }
+                check
+                    .findings
+                    .extend(non_finite_location(&file, object, place));
             }
         }
-        Err(PersistError::Corrupt { message, .. }) => {
-            let category = if message.contains("trailing payload bytes") {
-                FsckCategory::TrailingBytes
-            } else {
-                FsckCategory::PayloadDecode
-            };
-            check
-                .findings
-                .push(FsckFinding::new(&file, category, Severity::Error, message));
-        }
-        Err(other) => {
-            check.findings.push(FsckFinding::new(
-                &file,
-                FsckCategory::StateRejected,
-                Severity::Error,
-                other.to_string(),
-            ));
-        }
+        Err(damage) => check.findings.push(FsckFinding::new(&file, damage)),
     }
     Ok(check)
 }
@@ -412,155 +350,44 @@ pub fn check_wal_file(path: &Path) -> Result<WalCheck, PersistError> {
         torn_tail_bytes: 0,
         findings: Vec::new(),
     };
-
-    if bytes.len() < wal::HEADER_LEN as usize {
-        check.findings.push(FsckFinding::new(
-            &file,
-            FsckCategory::Truncated,
-            Severity::Error,
-            format!("{} bytes, shorter than the 8-byte header", bytes.len()),
-        ));
-        return Ok(check);
-    }
-    if bytes[..4] != wal::MAGIC {
-        check.findings.push(FsckFinding::new(
-            &file,
-            FsckCategory::BadMagic,
-            Severity::Error,
-            format!(
-                "magic {:02x?} is not ASWL ({:02x?})",
-                &bytes[..4],
-                wal::MAGIC
-            ),
-        ));
-        return Ok(check);
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != wal::VERSION {
-        check.findings.push(FsckFinding::new(
-            &file,
-            FsckCategory::BadVersion,
-            Severity::Error,
-            format!(
-                "format version {version}; this build reads version {}",
-                wal::VERSION
-            ),
-        ));
-        return Ok(check);
-    }
-
-    // Frame walk.  The one format-level subtlety: a frame that simply
-    // *stops early* (short header or short payload at end-of-file) is a
-    // torn tail — the artifact of crashing mid-append, which recovery
-    // truncates silently — while a frame that is fully present but wrong
-    // (checksum, decode) is damage recovery cannot explain.  The walk
-    // stops at the first of either, because nothing after an undamaged
-    // frame boundary can be trusted.
-    let mut at = wal::HEADER_LEN as usize;
-    loop {
-        let rest = &bytes[at..];
-        if rest.is_empty() {
-            break;
+    let scan = match wal::scan(&bytes) {
+        Ok(scan) => scan,
+        Err(damage) => {
+            check.findings.push(FsckFinding::new(&file, damage));
+            return Ok(check);
         }
-        if rest.len() < 8 {
-            check.torn_tail_bytes = rest.len() as u64;
-            check.findings.push(FsckFinding::new(
-                &file,
-                FsckCategory::TornTail,
-                Severity::Warning,
-                format!(
-                    "{} dangling byte(s) at offset {at}: a frame header cut short mid-append",
-                    rest.len()
-                ),
-            ));
-            break;
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        let stored_crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len > wal::MAX_FRAME_LEN {
-            check.findings.push(FsckFinding::new(
-                &file,
-                FsckCategory::OversizedFrame,
-                Severity::Error,
-                format!(
-                    "frame at offset {at} declares a {len}-byte payload, over the {}-byte ceiling; {} byte(s) unreachable",
-                    wal::MAX_FRAME_LEN,
-                    rest.len()
-                ),
-            ));
-            break;
-        }
-        if rest.len() < 8 + len as usize {
-            check.torn_tail_bytes = rest.len() as u64;
-            check.findings.push(FsckFinding::new(
-                &file,
-                FsckCategory::TornTail,
-                Severity::Warning,
-                format!(
-                    "incomplete final frame at offset {at}: {} of {} byte(s) present",
-                    rest.len(),
-                    8 + len as usize
-                ),
-            ));
-            break;
-        }
-        let payload = &rest[8..8 + len as usize];
-        let computed = crc32(payload);
-        if computed != stored_crc {
-            check.findings.push(FsckFinding::new(
-                &file,
-                FsckCategory::CorruptFrame,
-                Severity::Error,
-                format!(
-                    "frame at offset {at} fails its checksum (stored {stored_crc:08x}, computed {computed:08x}); {} byte(s) unreachable",
-                    rest.len()
-                ),
-            ));
-            break;
-        }
-        let Some(entry) = wal::decode_entry(payload) else {
-            check.findings.push(FsckFinding::new(
-                &file,
-                FsckCategory::CorruptFrame,
-                Severity::Error,
-                format!(
-                    "frame at offset {at} passes its checksum but its payload does not decode; {} byte(s) unreachable",
-                    rest.len()
-                ),
-            ));
-            break;
-        };
+    };
+    for (frame, entry) in scan.entries.iter().enumerate() {
         if let Some(&previous) = check.generations.last() {
             // Equal generations are a group-committed batch (several
             // frames, one fsync, one published generation); only an
             // actual jump is a gap.
             if entry.generation != previous && entry.generation != previous + 1 {
-                check.findings.push(FsckFinding::new(
-                    &file,
-                    FsckCategory::GenerationGap,
-                    Severity::Error,
-                    format!(
-                        "generation jumps from {previous} to {} at frame {}",
-                        entry.generation, check.frames
-                    ),
-                ));
+                let detail = format!(
+                    "generation jumps from {previous} to {} at frame {frame}",
+                    entry.generation
+                );
+                let gap = Damage::new(FsckCategory::GenerationGap, detail);
+                check.findings.push(FsckFinding::new(&file, gap));
             }
         }
         if let Mutation::Append { object } = &entry.mutation {
-            let place = format_args!("append in frame {}", check.frames);
-            if let Some(finding) = non_finite_location(&file, object, place) {
-                check.findings.push(finding);
-            }
+            let place = format_args!("append in frame {frame}");
+            check
+                .findings
+                .extend(non_finite_location(&file, object, place));
         }
         check.generations.push(entry.generation);
-        check.frames += 1;
-        at += 8 + len as usize;
+    }
+    check.frames = scan.entries.len() as u64;
+    if let Some(stop) = scan.stop {
+        if stop.category == FsckCategory::TornTail {
+            check.torn_tail_bytes = (bytes.len() - scan.intact_len) as u64;
+        }
+        check.findings.push(FsckFinding::new(&file, stop));
     }
     Ok(check)
 }
-
-/// The name of the write-ahead log file, as the store lays it out.
-const WAL_FILE: &str = "wal.log";
 
 /// Verifies a whole persistence directory: every snapshot, the WAL, and
 /// the cross-file consistency a boot depends on.
@@ -570,7 +397,6 @@ const WAL_FILE: &str = "wal.log";
 /// I/O error — fsck on a path that does not exist is a caller mistake,
 /// not an empty-but-healthy store.
 pub fn check_dir(dir: &Path) -> Result<FsckReport, PersistError> {
-    let dir_label = dir.display().to_string();
     let mut snapshots = Vec::new();
     let mut findings = Vec::new();
     let mut wal_check = None;
@@ -588,92 +414,49 @@ pub fn check_dir(dir: &Path) -> Result<FsckReport, PersistError> {
             wal_check = Some(check_wal_file(&path)?);
         } else if snapshot::parse_generation(&name).is_some() {
             snapshots.push(check_snapshot_file(&path)?);
-        } else if name.ends_with(".tmp") {
-            findings.push(FsckFinding::new(
-                &name,
-                FsckCategory::StaleTempFile,
-                Severity::Warning,
-                "leftover temporary file from an interrupted atomic write".to_string(),
-            ));
         } else {
+            let (category, detail) = if name.ends_with(".tmp") {
+                let detail = "leftover temporary file from an interrupted atomic write";
+                (FsckCategory::StaleTempFile, detail)
+            } else {
+                let detail = "not a snapshot, write-ahead log or temporary file";
+                (FsckCategory::ForeignFile, detail)
+            };
             findings.push(FsckFinding::new(
                 &name,
-                FsckCategory::ForeignFile,
-                Severity::Warning,
-                "not a snapshot, write-ahead log or temporary file".to_string(),
+                Damage::new(category, detail.to_string()),
             ));
         }
     }
     snapshots.sort_by_key(|s| s.name_generation);
 
-    // The boot plan: restore the newest loadable snapshot (damaged ones
-    // are skipped, as load_latest skips them), then replay WAL frames past
-    // it.  Frames at or below the boot generation are redundant leftovers
-    // of a crash between snapshot and compaction; past that the log must
-    // continue exactly where the snapshot ends.
-    let boot_generation = snapshots
-        .iter()
-        .filter(|s| s.loadable())
-        .filter_map(|s| s.payload_generation)
-        .max();
-    let cold_start = boot_generation.is_none();
-    let boot_generation = boot_generation.unwrap_or(0);
+    // The boot plan: restore the newest loadable snapshot (load_latest
+    // skips exactly the unloadable ones), then run boot's replay plan over
+    // the log's intact frames.
+    let boot_generation = snapshots.iter().filter_map(|s| s.payload_generation).max();
+    let generations = wal_check.as_ref().map_or(&[][..], |w| &w.generations[..]);
+    let (runs, jump) = replay_plan(boot_generation.unwrap_or(0), generations);
+    let final_generation = runs
+        .last()
+        .map_or(boot_generation.unwrap_or(0), |run| generations[run.start]);
+    findings.extend(jump.map(|jump| FsckFinding::new(WAL_FILE, jump)));
 
-    let mut at = boot_generation;
-    let mut replayable = 0u64;
-    if let Some(wal) = &wal_check {
-        for &generation in &wal.generations {
-            if generation <= boot_generation {
-                continue;
-            }
-            // A group-committed batch is a run of consecutive frames
-            // sharing one generation; every frame of the run past the
-            // boot generation replays into that one generation.
-            if generation == at {
-                replayable += 1;
-                continue;
-            }
-            if generation != at + 1 {
-                findings.push(FsckFinding::new(
-                    &wal.file,
-                    FsckCategory::GenerationDiscontinuity,
-                    Severity::Error,
-                    format!(
-                        "WAL jumps from generation {at} to {generation}; a snapshot or log segment is missing"
-                    ),
-                ));
-                break;
-            }
-            at = generation;
-            replayable += 1;
-        }
-    }
-
-    let all = snapshots
-        .iter()
-        .flat_map(|s| s.findings.iter())
-        .chain(wal_check.iter().flat_map(|w| w.findings.iter()))
-        .chain(findings.iter());
-    let (mut errors, mut warnings) = (0, 0);
-    for finding in all {
-        match finding.severity {
-            Severity::Error => errors += 1,
-            Severity::Warning => warnings += 1,
-        }
-    }
-
-    Ok(FsckReport {
-        directory: dir_label,
+    let mut report = FsckReport {
+        directory: dir.display().to_string(),
         snapshots,
         wal: wal_check,
-        boot_generation,
-        cold_start,
-        replayable_frames: replayable,
-        final_generation: at,
+        boot_generation: boot_generation.unwrap_or(0),
+        cold_start: boot_generation.is_none(),
+        replayable_frames: runs.iter().map(|run| run.len() as u64).sum(),
+        final_generation,
         findings,
-        errors,
-        warnings,
-    })
+        errors: 0,
+        warnings: 0,
+    };
+    let all = report.all_findings();
+    let errors = all.iter().filter(|f| f.severity == Severity::Error).count();
+    (report.errors, report.warnings) = (errors, all.len() - errors);
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -42,3 +42,9 @@ pub use store::{
     SnapshotReport,
 };
 pub use wal::{Wal, WalEntry, WalRecovery, FSYNC_BUCKET_BOUNDS_US};
+
+/// The little-endian `u32` at `bytes[at..at + 4]`; the caller has checked
+/// the length.
+pub(crate) fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+}

@@ -32,11 +32,20 @@
 //! Snapshot files are named `snapshot-<generation:016x>.snap`, written to
 //! a temporary sibling, fsync'd and renamed into place, then the directory
 //! itself is fsync'd — a crash mid-write leaves the previous snapshot
-//! untouched.  [`load_latest`] picks the highest-generation file whose
-//! checksum verifies, skipping damaged candidates.
+//! untouched.
+//!
+//! `decode_snapshot` is the one reader of the format, for
+//! [`load_latest`], [`read_snapshot`] and
+//! [`check_snapshot_file`](crate::check_snapshot_file): boot skips exactly
+//! the files fsck calls unloadable, including an index the engine rejects
+//! and a name that claims another generation than the payload.  A
+//! non-finite location is no damage here: the image loads and the engine
+//! then refuses it.
 
 use crate::crc::crc32;
 use crate::error::PersistError;
+use crate::fsck::{Damage, FsckCategory};
+use crate::le_u32;
 use asrs_core::{EngineState, GridIndex};
 use asrs_data::columnar::{self, ColumnarError, Reader};
 use asrs_geo::{GridSpec, Rect};
@@ -46,11 +55,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// File magic of the snapshot format.
-pub(crate) const MAGIC: [u8; 4] = *b"ASNP";
+const MAGIC: [u8; 4] = *b"ASNP";
 /// Current format version.
-pub(crate) const VERSION: u32 = 2;
+const VERSION: u32 = 2;
 /// The oldest format version this build reads.
-pub(crate) const OLDEST_VERSION: u32 = 1;
+const OLDEST_VERSION: u32 = 1;
+/// Magic, version and trailing CRC around the payload.
+const FRAMING_LEN: usize = 12;
 
 /// A snapshot file on disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +84,11 @@ fn file_name(generation: u64) -> String {
 pub(crate) fn parse_generation(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("snapshot-")?.strip_suffix(".snap")?;
     u64::from_str_radix(hex, 16).ok()
+}
+
+/// The generation `path`'s file name claims, if it is a snapshot name.
+pub(crate) fn name_generation(path: &Path) -> Option<u64> {
+    path.file_name()?.to_str().and_then(parse_generation)
 }
 
 fn put_rect(out: &mut Vec<u8>, rect: &Rect) {
@@ -111,17 +127,16 @@ fn put_index(out: &mut Vec<u8>, index: Option<&GridIndex>) {
     }
 }
 
-fn read_index(reader: &mut Reader<'_>, path: &Path) -> Result<Option<GridIndex>, PersistError> {
-    let decode = |e: ColumnarError| PersistError::corrupt(path, e.to_string());
-    if reader.u8().map_err(decode)? == 0 {
+fn read_index(reader: &mut Reader<'_>) -> Result<Option<GridIndex>, Damage> {
+    if reader.u8()? == 0 {
         return Ok(None);
     }
-    let space = read_rect(reader).map_err(decode)?;
-    let cols = reader.u64().map_err(decode)? as usize;
-    let rows = reader.u64().map_err(decode)? as usize;
-    let stats_dim = reader.u64().map_err(decode)? as usize;
-    let objects_indexed = reader.u64().map_err(decode)? as usize;
-    let len = reader.len(8).map_err(decode)?;
+    let space = read_rect(reader)?;
+    let cols = reader.u64()? as usize;
+    let rows = reader.u64()? as usize;
+    let stats_dim = reader.u64()? as usize;
+    let objects_indexed = reader.u64()? as usize;
+    let len = reader.len(8)?;
     // `GridSpec::new` panics on an empty grid, and `from_base_table`
     // multiplies the shape out unchecked.
     let sized = cols > 0
@@ -132,19 +147,21 @@ fn read_index(reader: &mut Reader<'_>, path: &Path) -> Result<Option<GridIndex>,
             .and_then(|(c, r)| c.checked_mul(r)?.checked_mul(stats_dim))
             .is_some();
     if !sized {
-        return Err(PersistError::corrupt(
-            path,
-            format!("index grid {cols}x{rows} with {stats_dim} stats dims has no valid size"),
-        ));
+        let detail =
+            format!("index grid {cols}x{rows} with {stats_dim} stats dims has no valid size");
+        return Err(Damage::new(FsckCategory::PayloadDecode, detail));
     }
     let mut base = Vec::with_capacity(len);
     for _ in 0..len {
-        base.push(reader.f64().map_err(decode)?);
+        base.push(reader.f64()?);
     }
     let spec = GridSpec::new(space, cols, rows);
     GridIndex::from_base_table(spec, stats_dim, objects_indexed, base)
         .map(Some)
-        .map_err(PersistError::Engine)
+        .map_err(|e| {
+            let detail = format!("engine rejected persisted state: {e}");
+            Damage::new(FsckCategory::StateRejected, detail)
+        })
 }
 
 /// Serializes `state` into the version-2 snapshot payload.
@@ -159,21 +176,14 @@ fn encode_payload(state: &EngineState) -> Vec<u8> {
 /// Deserializes a payload of format `version` back into an
 /// [`EngineState`].  A version-1 payload's trailing shard section is
 /// skipped: its checksum already verified, and boot re-partitions.
-pub(crate) fn decode_payload(
-    payload: &[u8],
-    version: u32,
-    path: &Path,
-) -> Result<EngineState, PersistError> {
-    let decode = |e: ColumnarError| PersistError::corrupt(path, e.to_string());
+fn decode_payload(payload: &[u8], version: u32) -> Result<EngineState, Damage> {
     let mut reader = Reader::new(payload);
-    let generation = reader.u64().map_err(decode)?;
-    let dataset = Arc::new(columnar::decode_dataset(&mut reader).map_err(decode)?);
-    let index = read_index(&mut reader, path)?.map(Arc::new);
+    let generation = reader.u64()?;
+    let dataset = Arc::new(columnar::decode_dataset(&mut reader)?);
+    let index = read_index(&mut reader)?.map(Arc::new);
     if version == VERSION && reader.remaining() != 0 {
-        return Err(PersistError::corrupt(
-            path,
-            format!("{} trailing payload bytes", reader.remaining()),
-        ));
+        let detail = format!("{} trailing payload bytes", reader.remaining());
+        return Err(Damage::new(FsckCategory::TrailingBytes, detail));
     }
     Ok(EngineState {
         generation,
@@ -182,11 +192,60 @@ pub(crate) fn decode_payload(
     })
 }
 
+/// Checks the framing of a whole snapshot file, then decodes its payload
+/// and, when the file name carries one, checks `name_generation` against
+/// the payload's generation.  Framing layers are checked in order and the
+/// first failure is the verdict: once one fails, the layers beneath it are
+/// meaningless.
+pub(crate) fn decode_snapshot(
+    bytes: &[u8],
+    name_generation: Option<u64>,
+) -> Result<EngineState, Damage> {
+    use FsckCategory::{BadMagic, BadVersion, ChecksumMismatch, GenerationMismatch, Truncated};
+    if bytes.len() < FRAMING_LEN {
+        let detail = format!(
+            "{} bytes, shorter than the {FRAMING_LEN}-byte fixed framing",
+            bytes.len()
+        );
+        return Err(Damage::new(Truncated, detail));
+    }
+    let magic = &bytes[..4];
+    if magic != MAGIC {
+        let detail = format!("magic {magic:02x?} is not ASNP ({MAGIC:02x?})");
+        return Err(Damage::new(BadMagic, detail));
+    }
+    let version = le_u32(bytes, 4);
+    if !(OLDEST_VERSION..=VERSION).contains(&version) {
+        let detail = format!(
+            "format version {version}; this build reads versions {OLDEST_VERSION} to {VERSION}"
+        );
+        return Err(Damage::new(BadVersion, detail));
+    }
+    let tail = bytes.len() - 4;
+    let payload = &bytes[8..tail];
+    let (stored, computed) = (le_u32(bytes, tail), crc32(payload));
+    if stored != computed {
+        let detail = format!("payload CRC-32 stored {stored:08x}, computed {computed:08x}");
+        return Err(Damage::new(ChecksumMismatch, detail));
+    }
+    let state = decode_payload(payload, version)?;
+    match name_generation {
+        Some(name) if name != state.generation => {
+            let detail = format!(
+                "file name claims generation {name}, payload holds {}",
+                state.generation
+            );
+            Err(Damage::new(GenerationMismatch, detail))
+        }
+        _ => Ok(state),
+    }
+}
+
 /// Writes a snapshot of `state` into `dir` (atomically: temporary file,
 /// fsync, rename, directory fsync) and returns its description.
 pub fn write_snapshot(dir: &Path, state: &EngineState) -> Result<SnapshotFile, PersistError> {
     let payload = encode_payload(state);
-    let mut bytes = Vec::with_capacity(payload.len() + 12);
+    let mut bytes = Vec::with_capacity(payload.len() + FRAMING_LEN);
     bytes.extend_from_slice(&MAGIC);
     bytes.extend_from_slice(&VERSION.to_le_bytes());
     bytes.extend_from_slice(&payload);
@@ -221,38 +280,8 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), PersistError> {
 /// Reads and fully validates one snapshot file.
 pub fn read_snapshot(path: &Path) -> Result<EngineState, PersistError> {
     let bytes = fs::read(path).map_err(|e| PersistError::io("read snapshot", path, e))?;
-    if bytes.len() < 12 {
-        return Err(PersistError::corrupt(
-            path,
-            "shorter than the fixed framing",
-        ));
-    }
-    if bytes[..4] != MAGIC {
-        return Err(PersistError::corrupt(path, "bad magic"));
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if !(OLDEST_VERSION..=VERSION).contains(&version) {
-        return Err(PersistError::corrupt(
-            path,
-            format!("unsupported format version {version}"),
-        ));
-    }
-    let payload = &bytes[8..bytes.len() - 4];
-    let tail = bytes.len() - 4;
-    let stored = u32::from_le_bytes([
-        bytes[tail],
-        bytes[tail + 1],
-        bytes[tail + 2],
-        bytes[tail + 3],
-    ]);
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(PersistError::corrupt(
-            path,
-            format!("checksum mismatch: stored {stored:08x}, computed {computed:08x}"),
-        ));
-    }
-    decode_payload(payload, version, path)
+    decode_snapshot(&bytes, name_generation(path))
+        .map_err(|damage| PersistError::corrupt(path, damage.detail))
 }
 
 /// Lists the snapshot files in `dir`, newest generation first.
@@ -273,29 +302,21 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
     Ok(found)
 }
 
-/// Loads the newest valid snapshot in `dir`, or `None` when the directory
-/// holds no loadable snapshot.  Damaged candidates (bad checksum,
-/// truncation, undecodable payload) are skipped in favour of the next
-/// older one — an interrupted snapshot write must never block recovery
-/// from an older good image.
+/// Loads the newest snapshot in `dir` that decodes,
+/// or `None` when the directory holds no loadable snapshot.  Every damaged
+/// candidate is skipped in favour of the next older one — an interrupted
+/// snapshot write must never block recovery from an older good image.
+/// Only an I/O failure is an error.
 pub fn load_latest(dir: &Path) -> Result<Option<(EngineState, SnapshotFile)>, PersistError> {
     for (generation, path) in list_snapshots(dir)? {
-        match read_snapshot(&path) {
-            Ok(state) => {
-                let bytes = fs::metadata(&path)
-                    .map(|m| m.len())
-                    .map_err(|e| PersistError::io("stat snapshot", &path, e))?;
-                return Ok(Some((
-                    state,
-                    SnapshotFile {
-                        path,
-                        generation,
-                        bytes,
-                    },
-                )));
-            }
-            Err(PersistError::Corrupt { .. }) => continue,
-            Err(other) => return Err(other),
+        let bytes = fs::read(&path).map_err(|e| PersistError::io("read snapshot", &path, e))?;
+        if let Ok(state) = decode_snapshot(&bytes, Some(generation)) {
+            let file = SnapshotFile {
+                path,
+                generation,
+                bytes: bytes.len() as u64,
+            };
+            return Ok(Some((state, file)));
         }
     }
     Ok(None)

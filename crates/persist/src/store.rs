@@ -19,11 +19,13 @@
 //!     .unwrap();
 //! ```
 //!
-//! Boot order: load the newest valid snapshot (if any) and restore the
-//! engine from it without re-indexing; replay the WAL tail past the
-//! snapshot's generation through the ordinary mutation path; only *then*
-//! attach the WAL as the engine's durability sink, so replayed mutations
-//! are not logged twice.  From that point every mutation is fsync'd to
+//! Boot order: load the newest snapshot that decodes (if any) and restore
+//! the engine from it without re-indexing; replay the WAL tail past the
+//! snapshot's generation through the ordinary mutation path, as
+//! `replay_plan` lays it out; only *then* attach the WAL as the engine's
+//! durability sink, so replayed mutations are not logged twice.
+//! `asrs-fsck` predicts a boot with the same snapshot reader, log scan and
+//! replay plan.  From that point every mutation is fsync'd to
 //! the log before its generation is published (see
 //! `asrs_core::DurabilitySink`).
 //!
@@ -36,18 +38,55 @@
 //! thread polls it and snapshots outside the write path.
 
 use crate::error::PersistError;
+use crate::fsck::{Damage, FsckCategory};
 use crate::snapshot::{self, SnapshotFile};
-use crate::wal::Wal;
+use crate::wal::{Wal, WAL_FILE};
 use asrs_core::sync::Mutex;
 use asrs_core::{AsrsEngine, AsrsError, DurabilitySink, EngineBuilder, EngineState};
 use asrs_data::Mutation;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// File name of the write-ahead log inside the persistence directory.
-const WAL_FILE: &str = "wal.log";
+/// The replay plan: which log frames boot applies on top of
+/// `boot_generation`, given each intact frame's generation in log order.
+///
+/// Each run of consecutive frames sharing a generation (a group-committed
+/// batch) replays as one batch.  A run at or below the generation reached
+/// so far is redundant (left by a crash between snapshot and compaction)
+/// and skipped; any other run must claim the next generation.  Returns the
+/// runs to apply, as index ranges into the log, and the
+/// `GenerationDiscontinuity` that ends the plan early, if any: boot refuses
+/// such a log.
+pub(crate) fn replay_plan(
+    boot_generation: u64,
+    generations: &[u64],
+) -> (Vec<Range<usize>>, Option<Damage>) {
+    let mut runs = Vec::new();
+    let mut at = boot_generation;
+    let mut start = 0;
+    while let Some(&generation) = generations.get(start) {
+        let same = generations[start..]
+            .iter()
+            .take_while(|&&g| g == generation);
+        let end = start + same.count();
+        if generation > at {
+            if generation != at + 1 {
+                let detail = format!(
+                    "WAL jumps from generation {at} to {generation}; a snapshot or log segment is missing"
+                );
+                let jump = Damage::new(FsckCategory::GenerationDiscontinuity, detail);
+                return (runs, Some(jump));
+            }
+            runs.push(start..end);
+            at = generation;
+        }
+        start = end;
+    }
+    (runs, None)
+}
 
 /// How the engine came back at boot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -212,16 +251,6 @@ impl PersistHandle {
 }
 
 impl DurabilitySink for PersistHandle {
-    fn log_mutation(&self, generation: u64, mutation: &Mutation) -> Result<(), AsrsError> {
-        self.wal
-            .append(generation, mutation)
-            .map_err(PersistError::into_asrs)?;
-        if self.wal.len() >= self.compaction_threshold {
-            self.snapshot_due.store(true, Ordering::Release);
-        }
-        Ok(())
-    }
-
     fn log_batch(&self, generation: u64, mutations: &[Mutation]) -> Result<(), AsrsError> {
         self.wal
             .append_batch(generation, mutations)
@@ -307,49 +336,29 @@ impl PersistentBuilder {
             None => (self.builder.build()?, None),
         };
 
-        // Replay the tail: frames the snapshot does not cover.  Frames at
-        // or below the boot generation are redundant (a crash between
-        // snapshot and compaction leaves them behind) and are skipped;
-        // past that, generations must be contiguous or the log and
-        // snapshot disagree about history.  A group-committed batch is a
-        // run of consecutive frames sharing one generation; the run
-        // replays as one atomic batch so the recovered engine's generation
-        // counter lands exactly where the log says it should.
+        // Replay the tail: the frames the snapshot does not cover, one
+        // batch per group-committed generation.  TTLs are not durable
+        // (they are wall-clock relative); an expiry that made it to the
+        // log replays as its outcome — the engine applies `Expire` records
+        // as plain removals.
+        let generations: Vec<u64> = recovery.entries.iter().map(|e| e.generation).collect();
+        let (runs, jump) = replay_plan(engine.generation(), &generations);
+        if let Some(jump) = jump {
+            return Err(PersistError::corrupt(wal.path(), jump.detail));
+        }
         let mut replayed = 0u64;
-        let wal_path = wal.path().to_path_buf();
-        let mut i = 0;
-        while i < recovery.entries.len() {
-            let generation = recovery.entries[i].generation;
-            let mut end = i + 1;
-            while end < recovery.entries.len() && recovery.entries[end].generation == generation {
-                end += 1;
-            }
-            let at = engine.generation();
-            if generation <= at {
-                i = end;
-                continue;
-            }
-            if generation != at + 1 {
-                return Err(PersistError::corrupt(
-                    &wal_path,
-                    format!(
-                        "WAL jumps from generation {at} to {generation}; a snapshot or log segment is missing"
-                    ),
-                ));
-            }
-            // TTLs are not durable (they are wall-clock relative); an
-            // expiry that made it to the log replays as its outcome — the
-            // engine applies `Expire` records as plain removals.
-            let batch: Vec<Mutation> = recovery.entries[i..end]
+        for run in runs {
+            let batch: Vec<Mutation> = recovery.entries[run.clone()]
                 .iter()
                 .map(|e| e.mutation.clone())
                 .collect();
             let receipts = engine
                 .apply_mutations(&batch)
                 .map_err(PersistError::Engine)?;
-            debug_assert!(receipts.iter().all(|r| r.generation == generation));
-            replayed += (end - i) as u64;
-            i = end;
+            debug_assert!(receipts
+                .iter()
+                .all(|r| r.generation == generations[run.start]));
+            replayed += run.len() as u64;
         }
 
         let boot = BootReport {

@@ -17,12 +17,18 @@
 //! acknowledged mutation is never lost.  A crash can leave a *torn tail* —
 //! a partially written final frame — which [`Wal::open`] detects via the
 //! length prefix and checksum and truncates away; everything before the
-//! tear is intact by construction.  Compaction (after a snapshot) rewrites
-//! the log keeping only frames newer than the snapshot generation, through
-//! the same temp-file-and-rename dance the snapshots use.
+//! tear is intact by construction.  An empty file (a crash before the
+//! header was written) opens as a fresh log.  Compaction (after a snapshot)
+//! rewrites the log keeping only frames newer than the snapshot generation,
+//! through the same temp-file-and-rename dance the snapshots use.
+//!
+//! `scan` is the one reader of the format, for [`Wal::open`],
+//! [`Wal::compact`] and [`check_wal_file`](crate::check_wal_file).
 
 use crate::crc::crc32;
 use crate::error::PersistError;
+use crate::fsck::{Damage, FsckCategory};
+use crate::le_u32;
 use crate::snapshot::sync_dir;
 use asrs_core::sync::Mutex;
 use asrs_data::columnar::{self, Reader};
@@ -33,15 +39,19 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+/// File name of the write-ahead log inside a persistence directory.
+pub(crate) const WAL_FILE: &str = "wal.log";
 /// File magic of the write-ahead log.
-pub(crate) const MAGIC: [u8; 4] = *b"ASWL";
+const MAGIC: [u8; 4] = *b"ASWL";
 /// Current format version.
-pub(crate) const VERSION: u32 = 1;
+const VERSION: u32 = 1;
 /// Bytes before the first frame.
-pub(crate) const HEADER_LEN: u64 = 8;
+const HEADER_LEN: usize = 8;
+/// Bytes of a frame before its payload: length and CRC-32.
+const FRAME_HEADER_LEN: usize = 8;
 /// Ceiling on a single frame payload; anything larger is framing damage,
 /// not a real record (a mutation is one object, not a dataset).
-pub(crate) const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// One replayable record recovered from the log.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,6 +69,132 @@ pub struct WalRecovery {
     pub entries: Vec<WalEntry>,
     /// Bytes of torn tail discarded (0 for a clean shutdown).
     pub truncated_bytes: u64,
+}
+
+/// The intact prefix of a log file.
+#[derive(Debug)]
+pub(crate) struct Scan {
+    /// Every intact frame, in log order.
+    pub entries: Vec<WalEntry>,
+    /// File length up to the end of the last intact frame (header
+    /// included; 0 for an empty file).
+    pub intact_len: usize,
+    /// Why the walk ended before the end of the file: a `TornTail`, an
+    /// `OversizedFrame` or a `CorruptFrame`.
+    pub stop: Option<Damage>,
+}
+
+/// Reads a whole log file: the header check, then the frame walk.  An
+/// empty file is a fresh log; an unreadable header is the `Err`.  The walk
+/// stops at the first frame that is cut short, oversized, fails its
+/// checksum or does not decode, because nothing after a damaged frame
+/// boundary can be trusted.
+pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, Damage> {
+    use FsckCategory::{BadMagic, BadVersion, CorruptFrame, OversizedFrame, TornTail, Truncated};
+    let mut scan = Scan {
+        entries: Vec::new(),
+        intact_len: 0,
+        stop: None,
+    };
+    if bytes.is_empty() {
+        return Ok(scan);
+    }
+    if bytes.len() < HEADER_LEN {
+        let detail = format!(
+            "{} bytes, shorter than the {HEADER_LEN}-byte header",
+            bytes.len()
+        );
+        return Err(Damage::new(Truncated, detail));
+    }
+    let magic = &bytes[..4];
+    if magic != MAGIC {
+        let detail = format!("magic {magic:02x?} is not ASWL ({MAGIC:02x?})");
+        return Err(Damage::new(BadMagic, detail));
+    }
+    let version = le_u32(bytes, 4);
+    if version != VERSION {
+        let detail = format!("format version {version}; this build reads version {VERSION}");
+        return Err(Damage::new(BadVersion, detail));
+    }
+
+    let mut at = HEADER_LEN;
+    let stop = loop {
+        let rest = bytes.len() - at;
+        if rest == 0 {
+            break None;
+        }
+        if rest < FRAME_HEADER_LEN {
+            let detail = format!(
+                "{rest} dangling byte(s) at offset {at}: a frame header cut short mid-append"
+            );
+            break Some(Damage::new(TornTail, detail));
+        }
+        let len = le_u32(bytes, at);
+        if len > MAX_FRAME_LEN {
+            let detail = format!(
+                "frame at offset {at} declares a {len}-byte payload, over the {MAX_FRAME_LEN}-byte ceiling; {rest} byte(s) unreachable"
+            );
+            break Some(Damage::new(OversizedFrame, detail));
+        }
+        let needed = FRAME_HEADER_LEN + len as usize;
+        if rest < needed {
+            let detail = format!(
+                "incomplete final frame at offset {at}: {rest} of {needed} byte(s) present"
+            );
+            break Some(Damage::new(TornTail, detail));
+        }
+        let payload = &bytes[at + FRAME_HEADER_LEN..at + needed];
+        let (stored, computed) = (le_u32(bytes, at + 4), crc32(payload));
+        if stored != computed {
+            let detail = format!(
+                "frame at offset {at} fails its checksum (stored {stored:08x}, computed {computed:08x}); {rest} byte(s) unreachable"
+            );
+            break Some(Damage::new(CorruptFrame, detail));
+        }
+        let Some(entry) = decode_entry(payload) else {
+            let detail = format!(
+                "frame at offset {at} passes its checksum but its payload does not decode; {rest} byte(s) unreachable"
+            );
+            break Some(Damage::new(CorruptFrame, detail));
+        };
+        scan.entries.push(entry);
+        at += needed;
+    };
+    scan.intact_len = at;
+    scan.stop = stop;
+    Ok(scan)
+}
+
+/// The log header: magic, then the format version.
+fn header() -> Vec<u8> {
+    [MAGIC, VERSION.to_le_bytes()].concat()
+}
+
+/// Appends one frame — length, CRC-32, then the generation and the
+/// columnar mutation — to `out`.
+fn put_frame(out: &mut Vec<u8>, generation: u64, mutation: &Mutation) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    columnar::put_u64(out, generation);
+    columnar::encode_mutation(mutation, out);
+    let payload = &out[start + FRAME_HEADER_LEN..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Decodes one frame payload.
+fn decode_entry(payload: &[u8]) -> Option<WalEntry> {
+    let mut reader = Reader::new(payload);
+    let generation = reader.u64().ok()?;
+    let mutation = columnar::decode_mutation(&mut reader).ok()?;
+    if reader.remaining() != 0 {
+        return None;
+    }
+    Some(WalEntry {
+        generation,
+        mutation,
+    })
 }
 
 #[derive(Debug)]
@@ -110,56 +246,6 @@ pub struct Wal {
     fsync_latency: FsyncLatency,
 }
 
-/// Encodes one frame payload.
-fn encode_entry(generation: u64, mutation: &Mutation) -> Vec<u8> {
-    let mut payload = Vec::new();
-    columnar::put_u64(&mut payload, generation);
-    columnar::encode_mutation(mutation, &mut payload);
-    payload
-}
-
-/// Decodes one frame payload.
-pub(crate) fn decode_entry(payload: &[u8]) -> Option<WalEntry> {
-    let mut reader = Reader::new(payload);
-    let generation = reader.u64().ok()?;
-    let mutation = columnar::decode_mutation(&mut reader).ok()?;
-    if reader.remaining() != 0 {
-        return None;
-    }
-    Some(WalEntry {
-        generation,
-        mutation,
-    })
-}
-
-/// Scans `bytes` (past the header) into intact entries, returning the
-/// offset where the intact prefix ends.
-fn scan_frames(bytes: &[u8]) -> (Vec<WalEntry>, u64) {
-    let mut entries = Vec::new();
-    let mut at = 0usize;
-    loop {
-        let rest = &bytes[at..];
-        if rest.len() < 8 {
-            break;
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        let stored_crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len > MAX_FRAME_LEN || rest.len() < 8 + len as usize {
-            break;
-        }
-        let payload = &rest[8..8 + len as usize];
-        if crc32(payload) != stored_crc {
-            break;
-        }
-        let Some(entry) = decode_entry(payload) else {
-            break;
-        };
-        entries.push(entry);
-        at += 8 + len as usize;
-    }
-    (entries, HEADER_LEN + at as u64)
-}
-
 impl Wal {
     /// Opens (or creates) the log at `path`, recovering every intact frame
     /// and truncating any torn tail left by a crash.
@@ -171,114 +257,60 @@ impl Wal {
             .truncate(false)
             .open(path)
             .map_err(|e| PersistError::io("open WAL", path, e))?;
-        let disk_len = file
-            .metadata()
-            .map_err(|e| PersistError::io("stat WAL", path, e))?
-            .len();
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)
+            .map_err(|e| PersistError::io("read WAL", path, e))?;
+        let scan = scan(&bytes).map_err(|damage| PersistError::corrupt(path, damage.detail))?;
 
-        if disk_len == 0 {
+        let len = if bytes.is_empty() {
             // Fresh log: write the header durably before first use.
-            file.write_all(&MAGIC)
-                .and_then(|()| file.write_all(&VERSION.to_le_bytes()))
+            file.write_all(&header())
                 .and_then(|()| file.sync_all())
                 .map_err(|e| PersistError::io("initialise WAL", path, e))?;
             if let Some(dir) = path.parent() {
                 sync_dir(dir)?;
             }
-            let wal = Wal {
-                path: path.to_path_buf(),
-                inner: Mutex::new(WalInner {
-                    file,
-                    entries: 0,
-                    bytes: HEADER_LEN,
-                }),
-                fsync_latency: FsyncLatency::default(),
-            };
-            return Ok((
-                wal,
-                WalRecovery {
-                    entries: Vec::new(),
-                    truncated_bytes: 0,
-                },
-            ));
-        }
-
-        let mut bytes = Vec::with_capacity(disk_len as usize);
-        file.rewind()
-            .and_then(|()| file.read_to_end(&mut bytes))
-            .map_err(|e| PersistError::io("read WAL", path, e))?;
-        if bytes.len() < HEADER_LEN as usize || bytes[..4] != MAGIC {
-            return Err(PersistError::corrupt(path, "bad WAL header"));
-        }
-        let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if version != VERSION {
-            return Err(PersistError::corrupt(
-                path,
-                format!("unsupported WAL version {version}"),
-            ));
-        }
-
-        let (entries, good_len) = scan_frames(&bytes[HEADER_LEN as usize..]);
-        let truncated_bytes = disk_len - good_len;
-        if truncated_bytes > 0 {
-            file.set_len(good_len)
-                .and_then(|()| file.sync_all())
-                .map_err(|e| PersistError::io("truncate torn WAL tail", path, e))?;
-        }
-        file.seek(SeekFrom::Start(good_len))
-            .map_err(|e| PersistError::io("seek WAL", path, e))?;
+            HEADER_LEN
+        } else {
+            if scan.intact_len < bytes.len() {
+                file.set_len(scan.intact_len as u64)
+                    .and_then(|()| file.sync_all())
+                    .map_err(|e| PersistError::io("truncate torn WAL tail", path, e))?;
+            }
+            file.seek(SeekFrom::Start(scan.intact_len as u64))
+                .map_err(|e| PersistError::io("seek WAL", path, e))?;
+            scan.intact_len
+        };
 
         let wal = Wal {
             path: path.to_path_buf(),
             inner: Mutex::new(WalInner {
                 file,
-                entries: entries.len() as u64,
-                bytes: good_len,
+                entries: scan.entries.len() as u64,
+                bytes: len as u64,
             }),
             fsync_latency: FsyncLatency::default(),
         };
         Ok((
             wal,
             WalRecovery {
-                entries,
-                truncated_bytes,
+                entries: scan.entries,
+                truncated_bytes: (bytes.len() - scan.intact_len) as u64,
             },
         ))
     }
 
-    /// Appends one mutation frame and fsyncs it.  Returns only once the
-    /// record is durable; the caller (the engine's publish path) must not
-    /// expose the new generation before this returns.
+    /// Appends one mutation frame and fsyncs it: a batch of one.
     pub fn append(&self, generation: u64, mutation: &Mutation) -> Result<(), PersistError> {
-        let payload = encode_entry(generation, mutation);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-
-        // interlock:allow(the write+fsync under the WAL lock IS the durability critical section)
-        // lint:allow(a poisoned WAL lock means a writer died mid-append; reusing the file handle could interleave a torn frame with a live one)
-        let mut inner = self.inner.lock().expect("WAL lock poisoned");
-        let started = Instant::now();
-        inner
-            .file
-            .write_all(&frame)
-            .and_then(|()| inner.file.sync_data())
-            .map_err(|e| PersistError::io("append to WAL", &self.path, e))?;
-        self.fsync_latency
-            .record(started.elapsed().as_micros() as u64);
-        inner.entries += 1;
-        inner.bytes += frame.len() as u64;
-        Ok(())
+        self.append_batch(generation, std::slice::from_ref(mutation))
     }
 
     /// Appends one frame per mutation of a group-committed batch — all
     /// stamped with the same `generation` — with **one** write and **one**
-    /// fsync for the whole batch.  The frame format is unchanged
-    /// (replayers see `mutations.len()` consecutive frames sharing a
-    /// generation), so logs written by this method read back with the same
-    /// scanner; only the durability cost is amortised.  Returns only once
-    /// every frame is durable.
+    /// fsync for the whole batch (replayers see `mutations.len()`
+    /// consecutive frames sharing a generation).  Returns only once every
+    /// frame is durable; the caller (the engine's publish path) must not
+    /// expose the new generation before this returns.
     pub fn append_batch(
         &self,
         generation: u64,
@@ -289,10 +321,7 @@ impl Wal {
         }
         let mut frames = Vec::new();
         for mutation in mutations {
-            let payload = encode_entry(generation, mutation);
-            frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frames.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frames.extend_from_slice(&payload);
+            put_frame(&mut frames, generation, mutation);
         }
 
         // interlock:allow(the write+fsync under the WAL lock IS the durability critical section)
@@ -303,7 +332,7 @@ impl Wal {
             .file
             .write_all(&frames)
             .and_then(|()| inner.file.sync_data())
-            .map_err(|e| PersistError::io("append batch to WAL", &self.path, e))?;
+            .map_err(|e| PersistError::io("append to WAL", &self.path, e))?;
         self.fsync_latency
             .record(started.elapsed().as_micros() as u64);
         inner.entries += mutations.len() as u64;
@@ -327,21 +356,15 @@ impl Wal {
             .rewind()
             .and_then(|()| inner.file.read_to_end(&mut bytes))
             .map_err(|e| PersistError::io("read WAL for compaction", &self.path, e))?;
-        let (entries, _) = scan_frames(&bytes[HEADER_LEN as usize..]);
+        let scan =
+            scan(&bytes).map_err(|damage| PersistError::corrupt(&self.path, damage.detail))?;
 
         let tmp = self.path.with_extension("log.tmp");
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
+        let mut out = header();
         let mut kept = 0u64;
-        for entry in &entries {
-            if entry.generation > keep_after {
-                let payload = encode_entry(entry.generation, &entry.mutation);
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                out.extend_from_slice(&crc32(&payload).to_le_bytes());
-                out.extend_from_slice(&payload);
-                kept += 1;
-            }
+        for entry in scan.entries.iter().filter(|e| e.generation > keep_after) {
+            put_frame(&mut out, entry.generation, &entry.mutation);
+            kept += 1;
         }
         let mut file =
             File::create(&tmp).map_err(|e| PersistError::io("create compacted WAL", &tmp, e))?;
@@ -420,7 +443,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("asrs-wal-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir.join("wal.log")
+        dir.join(WAL_FILE)
     }
 
     fn object(id: u64) -> SpatialObject {
