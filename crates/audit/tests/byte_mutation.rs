@@ -189,16 +189,21 @@ fn damaged_logs_get_one_verdict_from_boot_and_fsck() {
         }
         fs::write(&path, &bytes).unwrap();
         let check = check_wal_file(&path).unwrap();
-        let header_error = check.findings.iter().any(|f| {
+        // Boot refuses an unreadable header and a damaged frame with bytes
+        // after it; everything else it recovers by truncation.
+        let refused = check.findings.iter().any(|f| {
             matches!(
                 f.category,
-                FsckCategory::Truncated | FsckCategory::BadMagic | FsckCategory::BadVersion
+                FsckCategory::Truncated
+                    | FsckCategory::BadMagic
+                    | FsckCategory::BadVersion
+                    | FsckCategory::CorruptFrame
             )
         });
         fs::write(&copy, &bytes).unwrap();
         match Wal::open(&copy) {
             Ok((_, recovery)) => {
-                assert!(!header_error, "round {round}: {:?}", check.findings);
+                assert!(!refused, "round {round}: {:?}", check.findings);
                 assert_eq!(
                     recovery.entries.len() as u64,
                     check.frames,
@@ -206,7 +211,14 @@ fn damaged_logs_get_one_verdict_from_boot_and_fsck() {
                     check.findings
                 );
             }
-            Err(e) => assert!(header_error, "round {round}: open failed with {e}"),
+            Err(e) => {
+                assert!(refused, "round {round}: open failed with {e}");
+                assert_eq!(
+                    fs::read(&copy).unwrap(),
+                    bytes,
+                    "round {round}: refused log rewritten"
+                );
+            }
         }
         let _ = fs::remove_file(&copy);
     }

@@ -579,8 +579,11 @@ fn fsck_predicts_what_boot_does() {
                 && s.payload_generation == Some(report.boot_generation)
                 && has(&s.findings, FsckCategory::NonFiniteLocation)
         });
+        // Boot refuses a log damaged before its last frame rather than
+        // truncate acknowledged frames away.
         let fails = has(&report.findings, FsckCategory::GenerationDiscontinuity)
             || wal_header_error
+            || has(wal_findings, FsckCategory::CorruptFrame)
             || restored_non_finite
             || has(wal_findings, FsckCategory::NonFiniteLocation);
 
@@ -605,7 +608,12 @@ fn fsck_predicts_what_boot_does() {
             Err(e) => {
                 assert!(fails, "{name}: boot failed with {e}\n{}", report.summary());
                 assert!(
-                    matches!(e, PersistError::Corrupt { .. } | PersistError::Engine(_)),
+                    matches!(
+                        e,
+                        PersistError::Corrupt { .. }
+                            | PersistError::CorruptWalFrame { .. }
+                            | PersistError::Engine(_)
+                    ),
                     "{name}: {e}"
                 );
             }

@@ -395,6 +395,37 @@ impl EdgeSnapper {
         }
     }
 
+    /// The sorted, deduplicated x edge coordinates.
+    pub(crate) fn xs(&self) -> &[f64] {
+        &self.xs
+    }
+
+    /// The sorted, deduplicated y edge coordinates.
+    pub(crate) fn ys(&self) -> &[f64] {
+        &self.ys
+    }
+
+    /// The first `(y, x)` representative of the arrangement cells meeting
+    /// `region`: the heads of [`EdgeSnapper::x_reps_within`] and
+    /// [`EdgeSnapper::y_reps_within`], without the lists.
+    pub(crate) fn first_rep_within(&self, region: &Rect) -> Point {
+        Point::new(
+            Self::first_rep(&self.xs, region.min_x, region.max_x),
+            Self::first_rep(&self.ys, region.min_y, region.max_y),
+        )
+    }
+
+    /// The first element of [`EdgeSnapper::axis_reps`]: the representative
+    /// of the fragment between `lo` and the first edge above it (or `hi`).
+    fn first_rep(edges: &[f64], lo: f64, hi: f64) -> f64 {
+        if hi <= lo {
+            return Self::snap_axis(edges, (lo + hi) / 2.0);
+        }
+        let a = edges.partition_point(|e| *e <= lo);
+        let end = edges.get(a).map_or(hi, |&e| e.min(hi));
+        Self::snap_axis(edges, (lo + end) / 2.0)
+    }
+
     /// Canonical representatives of every arrangement x-interval meeting
     /// the open range `(lo, hi)`, ascending (see [`EdgeSnapper::axis_reps`]).
     pub(crate) fn x_reps_within(&self, lo: f64, hi: f64) -> Vec<f64> {
@@ -537,6 +568,31 @@ mod tests {
         assert_eq!(below.x, 0.0 - 1.0);
         // A coordinate exactly on an edge is its own class.
         assert_eq!(snapper.snap(Point::new(3.0, 1.4)).x, 3.0);
+    }
+
+    #[test]
+    fn the_first_representative_heads_the_list() {
+        let ds = dataset();
+        let asp = AspInstance::build(&ds, RegionSize::new(2.0, 1.0));
+        let snapper = EdgeSnapper::from_asp(&asp);
+        // x-edges {0, 2, 3, 5, 7, 9}: ranges inside one interval, across
+        // edges, starting on an edge, beyond both ends and degenerate.
+        for (lo, hi) in [
+            (2.1, 2.9),
+            (1.0, 6.0),
+            (3.0, 8.0),
+            (-4.0, -1.0),
+            (8.5, 20.0),
+            (-1.0, 30.0),
+            (4.0, 4.0),
+        ] {
+            let region = Rect::new(lo, lo / 3.0, hi, hi / 3.0);
+            let first = Point::new(
+                snapper.x_reps_within(lo, hi)[0],
+                snapper.y_reps_within(lo / 3.0, hi / 3.0)[0],
+            );
+            assert_eq!(snapper.first_rep_within(&region), first, "({lo}, {hi})");
+        }
     }
 
     #[test]

@@ -41,12 +41,16 @@ pub(crate) struct BestEntry {
 /// The `k` best candidates seen so far, ordered by ascending distance,
 /// with pairwise distinct anchor points.
 ///
-/// Ties are broken deterministically: entries with equal distances are
-/// ordered by anchor `(y, x)`, and a full set replaces its worst entry
-/// whenever a new candidate precedes it under that total order.  The final
-/// contents therefore do not depend on the order in which equally-good
-/// candidates were discovered, which is what makes batch and top-k answers
-/// reproducible across runs and thread schedules.
+/// Every offered anchor is snapped to the canonical representative of its
+/// arrangement cell first (see [`EdgeSnapper`]), so a candidate's identity
+/// is a property of the instance rather than of the decomposition that
+/// probed it.  Ties are broken deterministically: entries with equal
+/// distances are ordered by anchor `(y, x)`, and a full set replaces its
+/// worst entry whenever a new candidate precedes it under that total
+/// order.  The final contents therefore do not depend on the order in
+/// which equally-good candidates were discovered, which is what makes
+/// every slab plan, batch and top-k answer reproducible across plans, runs
+/// and thread schedules.
 #[derive(Debug, Clone)]
 pub(crate) struct BestSet {
     capacity: usize,
@@ -54,12 +58,7 @@ pub(crate) struct BestSet {
     /// Candidates rejected because their distance was not finite; surfaced
     /// as [`SearchStats::non_finite_candidates`](crate::SearchStats).
     non_finite_rejected: u64,
-    /// When set, every offered anchor is snapped to the canonical
-    /// representative of its arrangement cell first (see [`EdgeSnapper`]),
-    /// so the retained anchors — and the tie-break among them — no longer
-    /// depend on which decomposition of the space produced the probes.
-    /// This is the determinism contract of the shard scatter.
-    snapper: Option<Arc<EdgeSnapper>>,
+    snapper: Arc<EdgeSnapper>,
 }
 
 /// Strict "precedes" under the total order (distance, anchor.y, anchor.x).
@@ -74,33 +73,20 @@ fn precedes(d_a: f64, a: &Point, d_b: f64, b: &Point) -> bool {
 }
 
 impl BestSet {
-    pub fn new(capacity: usize) -> Self {
+    /// An empty set of `capacity` entries whose anchors `snapper` snaps.
+    pub fn new(capacity: usize, snapper: Arc<EdgeSnapper>) -> Self {
         debug_assert!(capacity >= 1);
         Self {
             capacity,
             entries: Vec::with_capacity(capacity),
             non_finite_rejected: 0,
-            snapper: None,
+            snapper,
         }
-    }
-
-    /// A set that snaps every offered anchor to its arrangement-cell
-    /// representative (decomposition-independent anchors; see
-    /// [`EdgeSnapper`]).
-    pub fn with_snapper(capacity: usize, snapper: Arc<EdgeSnapper>) -> Self {
-        let mut set = Self::new(capacity);
-        set.snapper = Some(snapper);
-        set
     }
 
     /// An empty set with this set's capacity and snapper.
     pub fn emptied(&self) -> Self {
-        Self {
-            capacity: self.capacity,
-            entries: Vec::with_capacity(self.capacity),
-            non_finite_rejected: 0,
-            snapper: self.snapper.clone(),
-        }
+        Self::new(self.capacity, Arc::clone(&self.snapper))
     }
 
     /// Number of candidates rejected for a non-finite distance.
@@ -138,10 +124,7 @@ impl BestSet {
             self.non_finite_rejected += 1;
             return;
         }
-        let anchor = match &self.snapper {
-            Some(snapper) => snapper.snap(anchor),
-            None => anchor,
-        };
+        let anchor = self.snapper.snap(anchor);
         self.offer_at(distance, anchor, representation);
     }
 
@@ -151,43 +134,30 @@ impl BestSet {
     /// The searches evaluate whole windows (clean cells, resolve-window
     /// fragments) whose covering — hence distance and representation — is
     /// constant, but which generically span several *global* arrangement
-    /// cells: distinct, equally good candidates.  Without a snapper the
-    /// region is represented by its centre probe, exactly as before.  With
-    /// a snapper every arrangement cell inside the region is offered, so
-    /// the retained candidates do not depend on how the space was carved
-    /// into windows — the decomposition-independence the shard scatter
-    /// relies on.  A full set skips the enumeration when even the region's
-    /// minimal representative (all share `distance`; the order is
-    /// `(distance, y, x)`) cannot improve it.
+    /// cells: distinct, equally good candidates.  Every arrangement cell
+    /// inside the region is offered, so the retained candidates do not
+    /// depend on how the space was carved into windows.  A full set first
+    /// tests the region's minimal representative — all share `distance`
+    /// and the order is `(distance, y, x)`, so it is the window's first
+    /// `(y, x)` representative, one binary search per axis — and skips the
+    /// region when even that cannot improve the set, before any list is
+    /// built.
     pub fn offer_region(&mut self, distance: f64, region: &Rect, representation: FeatureVector) {
-        let Some(snapper) = self.snapper.clone() else {
-            self.offer(distance, region.center(), representation);
-            return;
-        };
         if !distance.is_finite() {
             self.non_finite_rejected += 1;
             return;
         }
-        let xs = snapper.x_reps_within(region.min_x, region.max_x);
-        let ys = snapper.y_reps_within(region.min_y, region.max_y);
-        if self.entries.len() >= self.capacity {
-            let y0 = *ys
-                .first()
-                // lint:allow(axis_reps always yields >= 1 representative for a non-degenerate range; an empty list is a snapper bug worth a loud stop)
-                .expect("axis_reps yields at least one representative");
-            let x0 = *xs
-                .first()
-                // lint:allow(axis_reps always yields >= 1 representative for a non-degenerate range; an empty list is a snapper bug worth a loud stop)
-                .expect("axis_reps yields at least one representative");
-            // lint:allow(entries.len() >= capacity >= 1 inside this branch, so last() cannot be None)
-            let worst = self.entries.last().expect("capacity >= 1");
+        if let Some(worst) = self.entries.get(self.capacity - 1) {
+            let first = self.snapper.first_rep_within(region);
             // Equal anchors always carry equal distances (a cell's
             // covering determines both), so a region that cannot precede
             // the worst entry cannot change the set at all.
-            if !precedes(distance, &Point::new(x0, y0), worst.distance, &worst.anchor) {
+            if !precedes(distance, &first, worst.distance, &worst.anchor) {
                 return;
             }
         }
+        let xs = self.snapper.x_reps_within(region.min_x, region.max_x);
+        let ys = self.snapper.y_reps_within(region.min_y, region.max_y);
         for &y in &ys {
             for &x in &xs {
                 self.offer_at(distance, Point::new(x, y), representation.clone());
@@ -195,9 +165,9 @@ impl BestSet {
         }
     }
 
-    /// The insertion core shared by [`BestSet::offer`] (which snaps first
-    /// when a snapper is attached) and [`BestSet::offer_region`] (whose
-    /// representatives are canonical already).
+    /// The insertion core shared by [`BestSet::offer`] (which snaps first)
+    /// and [`BestSet::offer_region`] (whose representatives are canonical
+    /// already).
     fn offer_at(&mut self, distance: f64, anchor: Point, representation: FeatureVector) {
         if let Some(existing) = self.entries.iter().position(|e| e.anchor == anchor) {
             if distance < self.entries[existing].distance {
@@ -265,13 +235,19 @@ pub(crate) fn best_to_results(
 mod tests {
     use super::*;
 
+    /// A set over an instance without edges, where snapping is the
+    /// identity.
+    fn unsnapped(capacity: usize) -> BestSet {
+        BestSet::new(capacity, Arc::new(EdgeSnapper::from_sorted_edges(&[], &[])))
+    }
+
     fn offer(set: &mut BestSet, d: f64, x: f64) {
         set.offer(d, Point::new(x, 0.0), FeatureVector::new(vec![d]));
     }
 
     #[test]
     fn capacity_one_behaves_like_a_scalar_tracker() {
-        let mut set = BestSet::new(1);
+        let mut set = unsnapped(1);
         assert_eq!(set.cutoff(), f64::INFINITY);
         offer(&mut set, 5.0, 1.0);
         assert_eq!(set.cutoff(), 5.0);
@@ -284,7 +260,7 @@ mod tests {
 
     #[test]
     fn keeps_the_k_best_in_order() {
-        let mut set = BestSet::new(3);
+        let mut set = unsnapped(3);
         for (d, x) in [(4.0, 1.0), (1.0, 2.0), (3.0, 3.0), (2.0, 4.0), (5.0, 5.0)] {
             offer(&mut set, d, x);
         }
@@ -294,7 +270,7 @@ mod tests {
 
     #[test]
     fn cutoff_is_the_kth_distance_once_full() {
-        let mut set = BestSet::new(2);
+        let mut set = unsnapped(2);
         assert_eq!(set.cutoff(), f64::INFINITY);
         offer(&mut set, 4.0, 1.0);
         assert_eq!(set.cutoff(), f64::INFINITY);
@@ -306,12 +282,12 @@ mod tests {
 
     #[test]
     fn duplicate_anchors_keep_the_better_distance() {
-        let mut set = BestSet::new(3);
+        let mut set = unsnapped(3);
         offer(&mut set, 4.0, 1.0);
         offer(&mut set, 2.0, 1.0); // same anchor, better: replaces
         assert_eq!(set.into_entries().len(), 1);
 
-        let mut set = BestSet::new(3);
+        let mut set = unsnapped(3);
         offer(&mut set, 2.0, 1.0);
         offer(&mut set, 4.0, 1.0); // same anchor, worse: ignored
         let entries = set.into_entries();
@@ -321,7 +297,7 @@ mod tests {
 
     #[test]
     fn equal_distances_with_distinct_anchors_all_fit() {
-        let mut set = BestSet::new(3);
+        let mut set = unsnapped(3);
         offer(&mut set, 1.0, 1.0);
         offer(&mut set, 1.0, 2.0);
         offer(&mut set, 1.0, 3.0);
@@ -333,7 +309,7 @@ mod tests {
         // Regression test: a NaN distance used to be inserted and, because
         // total_cmp orders NaN above +inf, could corrupt the top-k order
         // and freeze the pruning cutoff.  It must be skipped instead.
-        let mut set = BestSet::new(2);
+        let mut set = unsnapped(2);
         offer(&mut set, 3.0, 1.0);
         offer(&mut set, f64::NAN, 2.0);
         offer(&mut set, f64::INFINITY, 3.0);
@@ -350,7 +326,7 @@ mod tests {
 
     #[test]
     fn rejected_candidates_surface_in_search_stats() {
-        let mut set = BestSet::new(1);
+        let mut set = unsnapped(1);
         offer(&mut set, f64::NAN, 1.0);
         offer(&mut set, 2.0, 2.0);
         let results = best_to_results(set, RegionSize::new(1.0, 1.0), SearchStats::new());
@@ -373,7 +349,7 @@ mod tests {
         ];
         let mut reference: Option<Vec<(f64, f64)>> = None;
         for rotation in 0..candidates.len() {
-            let mut set = BestSet::new(3);
+            let mut set = unsnapped(3);
             for i in 0..candidates.len() {
                 let (d, x) = candidates[(i + rotation) % candidates.len()];
                 offer(&mut set, d, x);

@@ -57,9 +57,9 @@
 //! interval, so a competitor ordered after a reported anchor stays after
 //! it unless the reported anchor's own interval split — which R4 rejects.
 //!
-//! Batch-level gates: only sharded (canonical-mode) cores carry — the
-//! byte-identity guarantee the predicate leans on is the shard
-//! scatter's; bounding-box movement rejects the whole batch (the search
+//! Batch-level gates: only sharded cores carry — the byte-identity
+//! guarantee the predicate leans on is stated and tested for the shard
+//! scatter; bounding-box movement rejects the whole batch (the search
 //! space itself moved).  Top-k responses carry only when
 //! the ranking is full (`len == k`), since a short ranking can be extended
 //! by a candidate *worse* than every reported distance.  MaxRS responses
@@ -103,6 +103,7 @@
 //! the unit tests below check the same in release builds.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_data::{AttrValue, Dataset, SpatialObject};
@@ -303,7 +304,7 @@ fn slot_survives(
     let mut scratch = solver.scratch();
     !touched
         .iter()
-        .any(|p| window_reaches(&solver, *p, cutoff, &mut scratch))
+        .any(|p| window_reaches(&solver, &ctx.snapper, *p, cutoff, &mut scratch))
 }
 
 /// R2 + R3 + R4 for a MaxRS answer, through the MaxRS → ASRS reduction
@@ -365,26 +366,27 @@ fn maxrs_survives(
     let mut scratch = solver.scratch();
     !touched
         .iter()
-        .any(|p| window_reaches(&solver, *p, cutoff, &mut scratch))
+        .any(|p| window_reaches(&solver, &ctx.snapper, *p, cutoff, &mut scratch))
 }
 
 /// Whether some candidate anchored in the influence window of `touched`
 /// attains a distance at or below `cutoff` against the successor dataset,
 /// decided by `solver`, the kernel bound to the successor's probe context
-/// for the query.  A window intersecting more than [`PROBE_BUDGET`]
-/// candidate rectangles counts as reaching it.
+/// for the query, whose `snapper` canonicalises the probed anchors.  A
+/// window intersecting more than [`PROBE_BUDGET`] candidate rectangles
+/// counts as reaching it.
 ///
 /// Mirrors the cold path: exact search (δ = 0, like the scatter)
 /// and the same contributing-rectangle filter.  Window cells no rectangle
 /// reaches are real candidates too (a removal can strip a window down to
 /// empty covering), so the empty-covering distance is tested first and
 /// answers without a search when it reaches the cutoff.  Otherwise the
-/// search starts from a seed at the next float above the cutoff: the
-/// non-canonical pruning (`lb >= cutoff`) then discards every sub-space
-/// whose bound exceeds the cutoff, and any candidate at or below it
-/// displaces the seed.
+/// search starts from a seed at the next float above the cutoff: pruning
+/// then discards every sub-space whose bound exceeds the seed, and any
+/// candidate at or below the cutoff displaces it.
 fn window_reaches(
     solver: &DsSearch<'_>,
+    snapper: &Arc<EdgeSnapper>,
     touched: Point,
     cutoff: f64,
     scratch: &mut Scratch,
@@ -406,7 +408,7 @@ fn window_reaches(
     if candidates.len() > PROBE_BUDGET {
         return true;
     }
-    let mut best = BestSet::new(1);
+    let mut best = BestSet::new(1, Arc::clone(snapper));
     best.offer(
         cutoff.next_up(),
         Point::new(window.min_x, window.min_y),
@@ -443,7 +445,7 @@ pub(crate) struct CarryProbes {
 struct SizeContext {
     asp: AspInstance,
     table: Contributions,
-    snapper: EdgeSnapper,
+    snapper: Arc<EdgeSnapper>,
     xs: Vec<f64>,
     ys: Vec<f64>,
     generation: u64,
@@ -596,7 +598,7 @@ impl SizeContext {
         }
         xs.sort_by(f64::total_cmp);
         ys.sort_by(f64::total_cmp);
-        let snapper = EdgeSnapper::from_sorted_edges(&xs, &ys);
+        let snapper = Arc::new(EdgeSnapper::from_sorted_edges(&xs, &ys));
         Self {
             asp,
             table,
@@ -641,7 +643,7 @@ impl SizeContext {
         merge_sorted(&mut self.xs, gone_xs, new_xs);
         merge_sorted(&mut self.ys, gone_ys, new_ys);
         self.asp.refresh(&self.xs, &self.ys);
-        self.snapper = EdgeSnapper::from_sorted_edges(&self.xs, &self.ys);
+        self.snapper = Arc::new(EdgeSnapper::from_sorted_edges(&self.xs, &self.ys));
         self.generation = next.generation;
         self.len = next.dataset.len();
         #[cfg(debug_assertions)]
@@ -930,7 +932,7 @@ mod tests {
         let candidates = solver
             .table
             .contributing(solver.asp.rects_intersecting(&window));
-        let mut best = BestSet::new(1);
+        let mut best = BestSet::new(1, Arc::new(EdgeSnapper::from_asp(solver.asp)));
         solver
             .search_space(
                 window,
@@ -969,6 +971,7 @@ mod tests {
                 None,
             );
             let mut scratch = solver.scratch();
+            let snapper = Arc::new(EdgeSnapper::from_asp(&asp));
             let (_, empty_distance) = solver.empty_candidate();
             for i in 0..40 {
                 let touched = Point::new(
@@ -977,7 +980,7 @@ mod tests {
                 );
                 let min = window_min(&solver, touched);
                 let reaches = |cutoff: f64, scratch: &mut Scratch| {
-                    window_reaches(&solver, touched, cutoff, scratch)
+                    window_reaches(&solver, &snapper, touched, cutoff, scratch)
                 };
                 assert!(!reaches(min.next_down(), &mut scratch), "below {min}");
                 assert!(reaches(min, &mut scratch), "at {min}");

@@ -10,7 +10,7 @@ use crate::error::ConfigError;
 /// accuracy is Definition 7's estimate (see [`asp`](crate::asp)), the
 /// approximation parameter δ travels on
 /// [`QueryRequest::approximate`](crate::QueryRequest::approximate), and
-/// the recursion's safety valves are constants of the kernel.
+/// the kernel's crossing threshold is a constant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
     /// Number of grid columns used by the `Discretize` procedure (`n_col`).

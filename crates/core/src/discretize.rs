@@ -241,12 +241,10 @@ impl Scratch {
 /// Clean cells that improve on the cutoff are offered to `best` in place.
 /// On return `scratch.edges` describes the grid laid over `space`.
 ///
-/// With `retain_ties`, dirty cells whose lower bound *equals* the pruning
-/// threshold are retained instead of pruned.  The fast path prunes them
-/// (they cannot improve the best distance), but which equally-optimal
-/// candidates then get discovered depends on the decomposition trajectory;
-/// the shard scatter needs every tied candidate probed so its anchor
-/// tie-break is shard-count-independent.
+/// Dirty cells whose lower bound *equals* the pruning threshold are
+/// retained: they cannot improve the best distance, but they can hold an
+/// equally-optimal candidate that wins the anchor tie-break, and which
+/// tied candidates get discovered must not depend on the decomposition.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn discretize(
     space: &Rect,
@@ -257,7 +255,6 @@ pub(crate) fn discretize(
     query: &AsrsQuery,
     best: &mut BestSet,
     prune_factor: f64,
-    retain_ties: bool,
     scratch: &mut Scratch,
 ) -> DiscretizeOutcome {
     let Scratch {
@@ -364,12 +361,7 @@ pub(crate) fn discretize(
     let threshold = best.cutoff() / prune_factor;
     let mut retained_dirty = Vec::with_capacity(provisional_dirty.len());
     for cell in provisional_dirty {
-        let keep = if retain_ties {
-            cell.lb <= threshold
-        } else {
-            cell.lb < threshold
-        };
-        if keep {
+        if cell.lb <= threshold {
             retained_dirty.push(cell);
         } else {
             pruned_dirty += 1;
@@ -388,10 +380,12 @@ pub(crate) fn discretize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asp::EdgeSnapper;
     use crate::query::AsrsQuery;
     use asrs_aggregator::{CompositeAggregator, FeatureVector, Selection, Weights};
     use asrs_data::{AttrValue, AttributeDef, AttributeKind, Dataset, DatasetBuilder, Schema};
     use asrs_geo::{Point, RegionSize};
+    use std::sync::Arc;
 
     /// Mirrors the reduction example of Fig. 2: six objects coloured red or
     /// blue; the query representation is (#red, #blue) = (1, 1).
@@ -440,6 +434,12 @@ mod tests {
     }
 
     impl Fixture {
+        /// An empty one-entry result set snapping to this instance's
+        /// arrangement.
+        fn best_set(&self) -> BestSet {
+            BestSet::new(1, Arc::new(EdgeSnapper::from_asp(&self.asp)))
+        }
+
         /// Discretises the whole instance space on an `n × n` grid.
         fn run(
             &self,
@@ -457,7 +457,6 @@ mod tests {
                 &self.query,
                 best,
                 prune_factor,
-                false,
                 &mut Scratch::new(&self.agg, n, n),
             )
         }
@@ -466,7 +465,7 @@ mod tests {
     #[test]
     fn clean_and_dirty_cells_partition_the_grid() {
         let f = setup();
-        let mut best = BestSet::new(1);
+        let mut best = f.best_set();
         let out = f.run(10, &f.asp.all_rect_indices(), &mut best, 1.0);
         assert_eq!(out.clean_cells + out.dirty_cells, 100);
         assert!(out.dirty_cells > 0, "rect edges must cross some cells");
@@ -481,7 +480,7 @@ mod tests {
     fn clean_cell_distances_match_direct_evaluation() {
         let f = setup();
         let Fixture { ds, agg, query, .. } = &f;
-        let mut best = BestSet::new(1);
+        let mut best = f.best_set();
         f.run(8, &f.asp.all_rect_indices(), &mut best, 1.0);
         // The best candidate's representation must equal the representation
         // computed directly from the objects inside the anchored region.
@@ -509,7 +508,7 @@ mod tests {
             asp,
             ..
         } = &f;
-        let mut best = BestSet::new(1);
+        let mut best = f.best_set();
         let out = f.run(10, &f.asp.all_rect_indices(), &mut best, 1.0);
         let candidates = asp.all_rect_indices();
         for cell in &out.retained_dirty {
@@ -538,35 +537,37 @@ mod tests {
     fn pruning_respects_current_best() {
         let f = setup();
         // With an already-perfect best distance of 0, every dirty cell whose
-        // lower bound is 0 is retained and everything else pruned.
-        let mut best = BestSet::new(1);
-        best.offer(
-            0.0,
-            Point::new(-100.0, -100.0),
-            FeatureVector::new(vec![1.0, 1.0]),
-        );
+        // lower bound is 0 is retained (it may hold a tied candidate) and
+        // everything else pruned.
+        let mut best = f.best_set();
+        let seed = Point::new(-100.0, -100.0);
+        best.offer(0.0, seed, FeatureVector::new(vec![1.0, 1.0]));
         let out = f.run(10, &f.asp.all_rect_indices(), &mut best, 1.0);
-        assert!(out.retained_dirty.is_empty());
-        assert_eq!(out.pruned_dirty, out.dirty_cells);
+        assert!(out.retained_dirty.iter().all(|c| c.lb <= 0.0));
+        assert!(out.pruned_dirty > 0);
+        assert_eq!(
+            out.retained_dirty.len() as u64 + out.pruned_dirty,
+            out.dirty_cells
+        );
         assert_eq!(
             best.best().anchor,
-            Point::new(-100.0, -100.0),
-            "nothing can improve on a best of 0"
+            EdgeSnapper::from_asp(&f.asp).snap(seed),
+            "nothing can improve on a best of 0 below every edge"
         );
     }
 
     #[test]
     fn approximation_factor_tightens_retention() {
         let f = setup();
-        let exact = f.run(10, &f.asp.all_rect_indices(), &mut BestSet::new(1), 1.0);
-        let approx = f.run(10, &f.asp.all_rect_indices(), &mut BestSet::new(1), 1.4);
+        let exact = f.run(10, &f.asp.all_rect_indices(), &mut f.best_set(), 1.0);
+        let approx = f.run(10, &f.asp.all_rect_indices(), &mut f.best_set(), 1.4);
         assert!(approx.retained_dirty.len() <= exact.retained_dirty.len());
     }
 
     #[test]
     fn empty_candidate_set_yields_all_clean_cells() {
         let f = setup();
-        let mut best = BestSet::new(1);
+        let mut best = f.best_set();
         let out = f.run(5, &[], &mut best, 1.0);
         assert_eq!(out.clean_cells, 25);
         assert_eq!(out.dirty_cells, 0);

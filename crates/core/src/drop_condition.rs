@@ -4,14 +4,16 @@
 //! coordinate accuracy in both dimensions, every disjoint region of the
 //! rectangle arrangement that lies inside the space is guaranteed to
 //! contain at least one clean cell, so the space never needs to be split
-//! again.
+//! again.  The kernel stops splitting earlier, once *either* dimension is
+//! that small, and resolves the space's surviving dirty cells exactly
+//! instead (see [`DsSearch`](crate::ds_search::DsSearch)).
 
 use asrs_geo::{Accuracy, GridSpec};
 
-/// Returns `true` when the grid satisfies the drop condition:
-/// `2 · w_c < ΔX` and `2 · h_c < ΔY`.
+/// Returns `true` when the grid's cells are below half the accuracy along
+/// at least one axis: `2 · w_c < ΔX` or `2 · h_c < ΔY`.
 pub(crate) fn satisfies_drop_condition(grid: &GridSpec, accuracy: &Accuracy) -> bool {
-    2.0 * grid.cell_width() < accuracy.dx && 2.0 * grid.cell_height() < accuracy.dy
+    2.0 * grid.cell_width() < accuracy.dx || 2.0 * grid.cell_height() < accuracy.dy
 }
 
 #[cfg(test)]
@@ -21,11 +23,13 @@ mod tests {
 
     #[test]
     fn small_cells_satisfy_the_condition() {
-        // 10x10 grid over a 1x1 space: cells are 0.1 wide/tall.
+        // 10x10 grid over a 1x1 space: cells are 0.1 wide/tall.  One axis
+        // below half the accuracy is enough.
         let grid = GridSpec::new(Rect::new(0.0, 0.0, 1.0, 1.0), 10, 10);
         assert!(satisfies_drop_condition(&grid, &Accuracy::new(0.3, 0.3)));
-        assert!(!satisfies_drop_condition(&grid, &Accuracy::new(0.2, 0.3)));
-        assert!(!satisfies_drop_condition(&grid, &Accuracy::new(0.3, 0.05)));
+        assert!(satisfies_drop_condition(&grid, &Accuracy::new(0.2, 0.3)));
+        assert!(satisfies_drop_condition(&grid, &Accuracy::new(0.3, 0.05)));
+        assert!(!satisfies_drop_condition(&grid, &Accuracy::new(0.2, 0.05)));
     }
 
     #[test]

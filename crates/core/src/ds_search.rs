@@ -15,17 +15,6 @@ use asrs_geo::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Maximum depth of the discretize–split recursion.  A deeper space is
-/// resolved exactly by enumerating its remaining candidate points instead
-/// of being split further — a termination safety valve that does not
-/// affect correctness.
-const MAX_DEPTH: u32 = 64;
-
-/// Sub-spaces processed before the search resolves everything that
-/// remains exactly, cell by cell.  A safety valve against pathological
-/// inputs; it does not affect correctness.
-const MAX_SPACES: u64 = 1_000_000;
-
 /// Dirty cells crossed by at most this many rectangles are resolved
 /// exactly (one probe per arrangement piece inside the cell) instead of
 /// being split further.  This keeps the recursion from chasing cells along
@@ -44,17 +33,45 @@ const RESOLVE_CROSSING_THRESHOLD: u32 = 24;
 /// satisfies the *drop condition* and needs no further splitting
 /// (Theorem 2).
 ///
-/// Two deviations from the paper's pseudo-code, both conservative:
+/// The kernel has one mode, and its answer is a pure function of the
+/// instance, whatever sub-spaces it is handed: pruning is strict (a bound
+/// *equal* to the cutoff survives), so every candidate tied with the final
+/// cutoff is probed, and the [`BestSet`] snaps every anchor to its
+/// arrangement cell's canonical representative, so the `(distance, y, x)`
+/// tie-break picks the same winners for every decomposition.  Whole-space
+/// DS-Search, GI-DS, the shard scatter and the exhaustive oracle therefore
+/// report the same outcome for exact requests.
 ///
-/// * When a space satisfies the drop condition (or exceeds [`MAX_DEPTH`],
-///   or the search has processed [`MAX_SPACES`] spaces) but still has
-///   unpruned dirty cells, the
-///   remaining candidate positions inside those cells are enumerated
-///   exactly instead of being discarded.  Because cells are then narrower
-///   than the minimum edge gap, at most one vertical and one horizontal
-///   rectangle edge can cross a cell, so the enumeration evaluates at most
-///   four points per cell.  This closes the corner case where the optimal
-///   disjoint region only intersects the dropped space in a sliver.
+/// Deviations from the paper's pseudo-code, all conservative:
+///
+/// * When a space satisfies the drop condition but still has unpruned
+///   dirty cells, the remaining candidate positions inside those cells
+///   are enumerated exactly instead of being discarded: every
+///   arrangement piece of every such cell is probed once.  This closes the
+///   corner case where the optimal disjoint region only intersects the
+///   dropped space in a sliver.
+/// * The drop condition resolves a space once *either* axis's cells are
+///   below half the accuracy, not only once both are (Theorem 2 asks for
+///   both).  Exact resolution enumerates every arrangement piece of any
+///   cell, so this changes cost, not answers; it keeps a sliver one ulp
+///   tall and many cells wide from splitting without end.
+/// * `Split` bisects the retained cells at the middle column or row of
+///   their longer extent in plane units instead of growing two groups by
+///   area enlargement (Section 4.4).  Both parts are the bounding boxes of
+///   their cells, so every split shrinks the longer extent — the greedy
+///   heuristic could return a part equal to its parent, or cut only the
+///   short axis of a thin strip, and stop the bound from tightening.
+///
+/// Together the last two bound the recursion without a depth cap.  On an
+/// `n × m` grid a part spans at most `⌈n/2⌉` of its parent's `n` columns
+/// (or `⌈m/2⌉` of `m` rows; a single retained cell shrinks both axes to
+/// one cell), so each split shrinks one axis by at least `ρ = ⌈n/2⌉ / n`
+/// (½ on the default 30 × 30 grid).  A space of extent `W × H` drops once
+/// `W < n·ΔX/2` or `H < m·ΔY/2`, so with `a = ⌈log_{1/ρ}(2W₀ / (n·ΔX))⌉`
+/// and `b` likewise for `y`, no space deeper than `a + b − 1` splits
+/// again.  The accuracy is floored at `1e-12`, so a root extent of `10³`
+/// gives `a, b ≤ 46`; the deepest space the paper-scale figures reach is
+/// at depth 51.
 /// * The heap is also cut off at `d_opt / (1 + δ)`, which specialises to
 ///   the paper's `d_opt` cutoff for the exact setting `δ = 0`.
 ///
@@ -79,21 +96,10 @@ pub(crate) struct DsSearch<'a> {
     pub(crate) query: &'a AsrsQuery,
     /// Polled at every popped sub-space and resolved cell.
     pub(crate) budget: Option<&'a Budget>,
-    /// Canonical-tie mode: pruning comparisons become strict (`>` instead
-    /// of `>=`), so every candidate tied with the final cutoff is probed.
-    /// With anchors snapped to arrangement-cell representatives (a
-    /// [`BestSet`] with an [`EdgeSnapper`](crate::asp::EdgeSnapper)) the
-    /// reported answer becomes a pure function of the instance —
-    /// independent of how the search space was decomposed — which is the
-    /// invariant the shard scatter builds on.  Slower than the default mode
-    /// (equal-bound cells are resolved instead of pruned), so unsharded
-    /// engines leave it off.
-    canonical: bool,
 }
 
 struct HeapEntry {
     lb: f64,
-    depth: u32,
     space: Rect,
     candidates: Vec<u32>,
 }
@@ -141,28 +147,6 @@ impl<'a> DsSearch<'a> {
             table,
             query,
             budget,
-            canonical: false,
-        }
-    }
-
-    /// Enables canonical-tie mode (see the `canonical` field): strict
-    /// pruning, making the answer independent of the space decomposition
-    /// at the cost of resolving equal-bound cells the fast path would
-    /// prune.
-    pub(crate) fn canonical_ties(mut self) -> Self {
-        self.canonical = true;
-        self
-    }
-
-    /// Whether a lower bound disqualifies a cell/space at `threshold`:
-    /// ties survive in canonical mode so every equally-optimal candidate is
-    /// probed.
-    #[inline]
-    fn prunes(&self, lb: f64, threshold: f64) -> bool {
-        if self.canonical {
-            lb > threshold
-        } else {
-            lb >= threshold
         }
     }
 
@@ -215,7 +199,6 @@ impl<'a> DsSearch<'a> {
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         heap.push(HeapEntry {
             lb: 0.0,
-            depth: 0,
             space,
             candidates,
         });
@@ -225,7 +208,7 @@ impl<'a> DsSearch<'a> {
             if let Some(b) = self.budget {
                 b.check()?;
             }
-            if self.prunes(entry.lb, best.cutoff() / prune_factor) {
+            if entry.lb > best.cutoff() / prune_factor {
                 break;
             }
             stats.spaces_processed += 1;
@@ -238,7 +221,6 @@ impl<'a> DsSearch<'a> {
                 self.query,
                 best,
                 prune_factor,
-                self.canonical,
                 scratch,
             );
             stats.cells_examined += outcome.clean_cells + outcome.dirty_cells;
@@ -255,9 +237,7 @@ impl<'a> DsSearch<'a> {
             // This also guarantees termination for aggregators whose
             // real-valued lower bounds can stay strictly below the optimum
             // along the optimal region's boundary.
-            let dropped = satisfies_drop_condition(&outcome.grid, &asp.accuracy());
-            let resolve_all =
-                dropped || entry.depth >= MAX_DEPTH || stats.spaces_processed >= MAX_SPACES;
+            let resolve_all = satisfies_drop_condition(&outcome.grid, &asp.accuracy());
             if resolve_all {
                 stats.drops += 1;
             }
@@ -278,7 +258,7 @@ impl<'a> DsSearch<'a> {
             }
             stats.splits += 1;
             for part in split(&outcome.grid, &to_split) {
-                if self.prunes(part.lb, best.cutoff() / prune_factor) {
+                if part.lb > best.cutoff() / prune_factor {
                     continue;
                 }
                 let sub_candidates: Vec<u32> = entry
@@ -290,7 +270,6 @@ impl<'a> DsSearch<'a> {
                 stats.heap_pushes += 1;
                 heap.push(HeapEntry {
                     lb: part.lb,
-                    depth: entry.depth + 1,
                     space: part.space,
                     candidates: sub_candidates,
                 });
@@ -302,7 +281,7 @@ impl<'a> DsSearch<'a> {
     /// Exact per-cell resolution: enumerates one probe point per
     /// arrangement piece inside the cell and evaluates it directly.  Used
     /// for dirty cells crossed by few rectangle edges and for every
-    /// surviving dirty cell of a dropped or depth-capped space.
+    /// surviving dirty cell of a dropped space.
     ///
     /// `cells` are in row-major order and lie in the grid
     /// `scratch.edges` describes.  Work is bucketed so that no step scans
@@ -387,7 +366,7 @@ impl<'a> DsSearch<'a> {
             if let Some(b) = self.budget {
                 b.check()?;
             }
-            if self.prunes(cell.lb, best.cutoff() / self.prune_factor) {
+            if cell.lb > best.cutoff() / self.prune_factor {
                 continue;
             }
             let rect = edges.cell_rect(cell.col, cell.row);
@@ -447,8 +426,8 @@ impl<'a> DsSearch<'a> {
                     // `<=` rather than `<`: equal-distance candidates still
                     // reach the set so its anchor tie-breaking stays
                     // discovery-order independent.  The window's covering
-                    // is uniform, so in canonical mode the whole window is
-                    // offered (one candidate per arrangement cell in it).
+                    // is uniform, so the whole window is offered (one
+                    // candidate per arrangement cell in it).
                     if distance <= best.cutoff() {
                         best.offer_region(
                             distance,

@@ -51,13 +51,13 @@ use crate::error::AsrsError;
 use crate::executor::{Executor, Slabs};
 use crate::grid_index::GridIndex;
 use crate::mutate::{MutationReceipt, MutationState, MutationStats};
-use crate::planner::{EngineStatistics, ExecutionPlan, IndexStatistics, Planner};
+use crate::planner::{EngineStatistics, ExecutionPlan, IndexStatistics, PlanReason, Planner};
 use crate::query::AsrsQuery;
 use crate::request::{Backend, QueryOutcome, QueryRequest, QueryResponse};
 use crate::shard::ShardSet;
 use crate::sync::{Mutex, RwLock};
 use asrs_aggregator::{CompositeAggregator, Selection};
-use asrs_data::{Dataset, Mutation, MutationLog, SpatialObject};
+use asrs_data::{Dataset, Mutation, SpatialObject};
 use asrs_geo::Rect;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -155,17 +155,21 @@ impl EngineBuilder {
     /// is built.  Requests are scattered across the shards' anchor slabs of
     /// the full instance and gathered with the engine's deterministic
     /// tie-break; the gathered outcome is byte-identical for every shard
-    /// count, statistics excepted (the internal `shard` module documents
-    /// the exactness and determinism argument; the comparison form is
+    /// count and to the unsharded engine's, statistics excepted (the
+    /// internal `shard` module documents the exactness and determinism
+    /// argument; the comparison form is
     /// [`QueryResponse::stats_stripped`](crate::QueryResponse::stats_stripped)).
+    /// Approximate requests are the exception: the scatter answers them
+    /// exactly, the unsharded engine within the (1+δ) band.  A request
+    /// that pins [`Backend::Naive`] runs the oracle, not the scatter.
     /// The regions are fixed for the engine's lifetime: every point of the
     /// plane routes to exactly one of them, so mutations never re-partition.
     ///
     /// `0` (the default) disables sharding entirely — the classic
     /// single-core engine.  Note that `shards(1)` is *not* the same as
-    /// `0`: it runs the shard scatter with a single shard, which
-    /// is the parity baseline the sharded counts are byte-compared
-    /// against.
+    /// `0`: it runs the shard scatter with a single shard, which is the
+    /// parity baseline the other counts are byte-compared against; only
+    /// sharded engines carry cache entries across mutations.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -577,45 +581,47 @@ impl EngineCore {
         let budget = plan
             .budget_ms
             .map(|ms| Budget::new(Duration::from_millis(ms)));
-        let backend = plan.backend;
+        let executor = self.executor(&plan)?;
         let outcome = match request.operation() {
             QueryRequest::Similar { query } => {
-                QueryOutcome::Best(self.executor(backend)?.best(query, 0.0, budget)?)
+                QueryOutcome::Best(executor.best(query, 0.0, budget)?)
             }
             QueryRequest::Approximate { query, delta } => {
                 let delta = crate::config::check_delta(*delta)?;
-                QueryOutcome::Best(self.executor(backend)?.best(query, delta, budget)?)
+                QueryOutcome::Best(executor.best(query, delta, budget)?)
             }
             QueryRequest::TopK { query, k } => {
-                QueryOutcome::Ranked(self.executor(backend)?.run(query, *k, 0.0, budget)?)
+                QueryOutcome::Ranked(executor.run(query, *k, 0.0, budget)?)
             }
             QueryRequest::Batch { queries } => QueryOutcome::Batch(
-                self.executor(backend)?
+                executor
                     .batch(queries, budget)?
                     .into_iter()
                     .collect::<Result<_, _>>()?,
             ),
-            QueryRequest::MaxRs { size } => QueryOutcome::MaxRs(self.executor(backend)?.max_rs(
-                *size,
-                &Selection::All,
-                budget,
-            )?),
+            QueryRequest::MaxRs { size } => {
+                QueryOutcome::MaxRs(executor.max_rs(*size, &Selection::All, budget)?)
+            }
             QueryRequest::MaxRsSelective { size, selection } => {
-                QueryOutcome::MaxRs(self.executor(backend)?.max_rs(*size, selection, budget)?)
+                QueryOutcome::MaxRs(executor.max_rs(*size, selection, budget)?)
             }
             QueryRequest::Configured { .. } => {
                 // lint:allow(operation() strips every Configured envelope before dispatch; this arm is statically dead)
                 unreachable!("operation() peels Configured envelopes")
             }
         };
-        Ok(QueryResponse::from_outcome(backend, outcome))
+        Ok(QueryResponse::from_outcome(plan.backend, outcome))
     }
 
-    /// The executor for `backend` over the engine's discretisation grid.
-    /// A sharded core scatters over its anchor slabs whatever backend the
-    /// plan reports, and answers exactly (δ included in that guarantee).
-    fn executor(&self, backend: Backend) -> Result<Executor<'_>, AsrsError> {
-        let slabs = match (&self.shards, backend) {
+    /// The executor for `plan`'s backend over the engine's discretisation
+    /// grid.  A sharded core scatters over its anchor slabs whatever
+    /// backend the plan reports, and answers exactly (δ included in that
+    /// guarantee) — except for a request that pins the naive oracle, which
+    /// runs the oracle.
+    fn executor(&self, plan: &ExecutionPlan) -> Result<Executor<'_>, AsrsError> {
+        let pinned = plan.reason == PlanReason::ForcedByRequest;
+        let slabs = match (&self.shards, plan.backend) {
+            (Some(_), Backend::Naive) if pinned => Slabs::Arrangement,
             (Some(shards), _) => Slabs::Shards(shards),
             (None, Backend::DsSearch) => Slabs::Whole,
             (None, Backend::GiDs) => Slabs::IndexCells(
@@ -819,12 +825,6 @@ impl AsrsEngine {
     /// due).
     pub fn sweep_expired(&self) -> Result<Vec<MutationReceipt>, AsrsError> {
         crate::mutate::sweep_expired(&self.shared)
-    }
-
-    /// A snapshot of the bounded mutation log (recent entries plus
-    /// lifetime counters).
-    pub fn mutation_log(&self) -> MutationLog {
-        crate::mutate::log_snapshot(&self.shared)
     }
 
     /// Mutation counters for observability (served by `/metrics`).
@@ -1242,7 +1242,7 @@ mod tests {
             let plan = engine.plan(&QueryRequest::batch(queries.clone())).unwrap();
             let results = engine
                 .core()
-                .executor(plan.backend)
+                .executor(&plan)
                 .unwrap()
                 .batch(&queries, None)
                 .unwrap();
@@ -1561,7 +1561,8 @@ mod tests {
         // Nothing was applied.
         assert_eq!(engine.generation(), 0);
         assert_eq!(engine.dataset().len(), 80);
-        assert_eq!(engine.mutation_log().total(), 0);
+        let stats = engine.mutation_stats();
+        assert_eq!((stats.appends, stats.removes, stats.expiries), (0, 0, 0));
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //! * [`Slabs::IndexCells`] — the index margins, then the index cells
 //!   best-first by their Section 5.3 bound until none can improve the
 //!   result (GI-DS, see the `gi_ds` module);
-//! * [`Slabs::Shards`] — the shards' anchor slabs, in canonical mode (see
-//!   the `shard` module).
+//! * [`Slabs::Shards`] — the shards' anchor slabs (see the `shard`
+//!   module).
 //!
 //! [`Slabs::Arrangement`] is the one plan without slabs: the [`NaiveSearch`]
 //! oracle probes every arrangement cell, and the slab plans are tested
-//! against it.  Single, approximate, top-k, batch and MaxRS requests (the
-//! count reduction of the `maxrs` module) all run through [`Executor::run`].
+//! against it.  The kernel has one mode (see [`DsSearch`]), so every plan
+//! gives an exact request the same outcome; only the statistics and the
+//! reported backend tell them apart.  Single, approximate, top-k, batch
+//! and MaxRS requests (the count reduction of the `maxrs` module) all run
+//! through [`Executor::run`].
 
 use crate::asp::{AspInstance, EdgeSnapper};
 use crate::best::BestSet;
@@ -45,7 +48,7 @@ pub(crate) enum Slabs<'a> {
     Whole,
     /// The margins outside the index grid, then its cells best-first.
     IndexCells(&'a GridIndex),
-    /// The shards' anchor slabs, searched canonically.
+    /// The shards' anchor slabs.
     Shards(&'a ShardSet),
     /// No slabs: every arrangement cell, probed by the exhaustive oracle.
     Arrangement,
@@ -127,13 +130,7 @@ impl<'a> Executor<'a> {
             query,
             budget.as_ref(),
         );
-        let (solver, mut best) = match self.slabs {
-            Slabs::Shards(_) => (
-                solver.canonical_ties(),
-                BestSet::with_snapper(k, Arc::new(EdgeSnapper::from_asp(&asp))),
-            ),
-            _ => (solver, BestSet::new(k)),
-        };
+        let mut best = BestSet::new(k, Arc::new(EdgeSnapper::from_asp(&asp)));
         solver.seed_empty_region(&mut best);
         match self.slabs {
             Slabs::Whole => {

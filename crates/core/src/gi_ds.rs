@@ -127,7 +127,7 @@ pub(crate) fn search_index_cells(
         if let Some(b) = solver.budget {
             b.check()?;
         }
-        if entry.lb >= best.cutoff() / solver.prune_factor {
+        if entry.lb > best.cutoff() / solver.prune_factor {
             break;
         }
         stats.index_cells_searched += 1;

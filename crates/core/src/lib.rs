@@ -58,9 +58,8 @@
 //! The search itself has one setting, the discretisation grid
 //! ([`SearchConfig`], swept in the paper's Fig. 9).  The GPS accuracy
 //! (ΔX, ΔY) is always Definition 7's estimate from the instance, δ
-//! travels on each approximate request, and the kernel's safety valves,
-//! the planner's thresholds and the mutation log's retention are
-//! constants.  The admission ceiling ([`EngineBuilder::cost_ceiling`]) is
+//! travels on each approximate request, and the kernel's crossing
+//! threshold and the planner's thresholds are constants.  The admission ceiling ([`EngineBuilder::cost_ceiling`]) is
 //! a deployment setting.
 //!
 //! # Sharded scatter-gather
@@ -71,10 +70,13 @@
 //! over the shared full instance: each shard answers the candidate
 //! anchors its region induces and the per-shard
 //! result sets merge under the deterministic `(distance, anchor.y,
-//! anchor.x)` tie-break.  The gathered outcome is byte-identical for
-//! every shard count — anchors are snapped to canonical arrangement-cell
-//! representatives and pruning retains ties, so the answer is a pure
-//! function of the instance rather than of the decomposition
+//! anchor.x)` tie-break.  The search kernel has one mode: anchors are
+//! snapped to canonical arrangement-cell representatives and pruning
+//! retains ties, so an answer is a pure function of the instance rather
+//! than of the decomposition.  The gathered outcome is therefore
+//! byte-identical for every shard count and to the unsharded engine's,
+//! except that the unsharded engine prunes approximate requests against
+//! the (1+δ) band where the scatter answers them exactly
 //! ([`QueryResponse::stats_stripped`] is the comparison form; execution
 //! statistics, including [`SearchStats::shards_touched`] /
 //! [`SearchStats::shards_pruned`], describe the decomposition that ran).
@@ -105,8 +107,9 @@
 //! every operation — similar, approximate, top-k, batch and MaxRS — through
 //! one entry point, [`AsrsEngine::submit`].  Its backends ([`Backend`]:
 //! DS-Search, GI-DS and the [`NaiveSearch`] oracle) return identical
-//! optimal distances; every fallible path reports [`AsrsError`] — no
-//! public builder or search panics on bad input.
+//! answers for exact requests, anchors included; every fallible path
+//! reports [`AsrsError`] — no public builder or search panics on bad
+//! input.
 //!
 //! # Quick example
 //!

@@ -76,16 +76,13 @@ use crate::error::AsrsError;
 use crate::grid_index::GridIndex;
 use crate::shard::ShardSet;
 use asrs_aggregator::CompositeAggregator;
-use asrs_data::{Dataset, Mutation, MutationLog, SpatialObject};
+use asrs_data::{Dataset, Mutation, SpatialObject};
 use asrs_geo::Point;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How many recent mutations the in-memory log retains.
-const LOG_RETENTION: usize = 256;
 
 /// What happened to the engine's index when a mutation was applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -162,7 +159,10 @@ struct TtlEntry {
 /// read-modify-write outside the published cores.
 #[derive(Debug)]
 pub(crate) struct MutationState {
-    log: MutationLog,
+    /// Lifetime appends, caller removals and TTL expiries.
+    appends: u64,
+    removes: u64,
+    expiries: u64,
     ttl: BinaryHeap<Reverse<TtlEntry>>,
     /// The *armed* TTLs: object id → the token of its latest arming.  A
     /// heap entry only expires an object while its token is still the
@@ -184,7 +184,9 @@ pub(crate) struct MutationState {
 impl MutationState {
     pub(crate) fn new() -> Self {
         Self {
-            log: MutationLog::new(LOG_RETENTION),
+            appends: 0,
+            removes: 0,
+            expiries: 0,
             ttl: BinaryHeap::new(),
             ttl_armed: std::collections::HashMap::new(),
             ttl_token: 0,
@@ -380,7 +382,7 @@ pub(crate) fn commit(
     // for the sweeper: expiring them here would fail a caller's
     // `remove(id)` (or let a duplicate `append(id)` through) that was
     // valid when issued.  The expiry receipts have no caller to go to;
-    // the mutation log records the expiries all the same.
+    // the WAL and the expiry counter record them all the same.
     let referenced: HashSet<u64> = drained
         .iter()
         .flat_map(|group| group.ops.iter())
@@ -500,17 +502,6 @@ pub(crate) fn sweep_expired(shared: &EngineShared) -> Result<Vec<MutationReceipt
     expired
 }
 
-/// A snapshot of the bounded mutation log.
-pub(crate) fn log_snapshot(shared: &EngineShared) -> MutationLog {
-    shared
-        .mutator
-        .lock()
-        // lint:allow(a poisoned mutation lock means a mutator died mid-publish; the TTL/log state is unknowable and continuing could corrupt history)
-        .expect("mutation lock poisoned")
-        .log
-        .clone()
-}
-
 /// A snapshot of the mutation counters.
 pub(crate) fn stats_snapshot(shared: &EngineShared) -> MutationStats {
     // lint:allow(a poisoned mutation lock means a mutator died mid-publish; the TTL/log state is unknowable and continuing could corrupt history)
@@ -519,9 +510,9 @@ pub(crate) fn stats_snapshot(shared: &EngineShared) -> MutationStats {
     MutationStats {
         generation: core.generation,
         object_count: core.dataset.len(),
-        appends: state.log.appends,
-        removes: state.log.removes,
-        expiries: state.log.expiries,
+        appends: state.appends,
+        removes: state.removes,
+        expiries: state.expiries,
         incremental_index_updates: state.incremental_updates,
         index_rebuilds: state.index_rebuilds,
         pending_ttl: state.ttl_armed.len(),
@@ -756,8 +747,12 @@ fn publish(
     // one generation's entries concurrently.
     crate::carry::carry_forward(&core, &next, &assembled.touched, &mut state.carry_probes);
     shared.swap(Arc::clone(&next));
-    for logged in assembled.logged {
-        state.log.record(generation, logged);
+    for logged in &assembled.logged {
+        match logged {
+            Mutation::Append { .. } => state.appends += 1,
+            Mutation::Remove { .. } => state.removes += 1,
+            Mutation::Expire { .. } => state.expiries += 1,
+        }
     }
     let CounterDraft {
         incremental_updates,

@@ -4,15 +4,18 @@
 //! of axis-aligned cells; every disjoint region of the paper (Lemma 2) is a
 //! union of such cells, so evaluating one probe point per arrangement cell
 //! visits every disjoint region.  [`NaiveSearch`] does exactly that: it
-//! takes the midpoints between consecutive distinct edge coordinates (plus
-//! one point outside everything) and evaluates every `(x, y)` combination.
+//! takes the midpoints between consecutive distinct edge coordinates,
+//! evaluates every `(x, y)` combination, and adds one point outside
+//! everything.  The probes are the arrangement cells' canonical
+//! representatives (see [`EdgeSnapper`]), the candidates the pruning
+//! backends offer, so the oracle reports the same anchors as they do.
 //!
 //! The cost is `O(n²)` probe points, each evaluated in `O(n)` — far too
 //! slow for production queries, but an unimpeachable ground truth for the
 //! engine's faster backends, which is why the engine exposes it as
 //! [`Backend::Naive`](crate::Backend).
 
-use crate::asp::AspInstance;
+use crate::asp::{AspInstance, EdgeSnapper};
 use crate::best::BestSet;
 use crate::budget::Budget;
 use crate::error::AsrsError;
@@ -22,6 +25,7 @@ use crate::stats::SearchStats;
 use asrs_aggregator::CompositeAggregator;
 use asrs_data::Dataset;
 use asrs_geo::Point;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The exhaustive ASRS solver.  Intended for small instances (≲ 200
@@ -107,56 +111,41 @@ impl<'a> NaiveSearch<'a> {
         let asp = AspInstance::build(self.dataset, query.size);
         stats.rectangles = asp.rects().len() as u64;
 
-        // Coordinates of all vertical / horizontal edges.
-        let mut xs: Vec<f64> = Vec::with_capacity(asp.rects().len() * 2);
-        let mut ys: Vec<f64> = Vec::with_capacity(asp.rects().len() * 2);
-        for r in asp.rects() {
-            xs.push(r.rect.min_x);
-            xs.push(r.rect.max_x);
-            ys.push(r.rect.min_y);
-            ys.push(r.rect.max_y);
-        }
-        xs.sort_by(f64::total_cmp);
-        xs.dedup();
-        ys.sort_by(f64::total_cmp);
-        ys.dedup();
-
-        // Probe abscissae: midpoints of consecutive distinct coordinates
-        // plus a point beyond the last edge (covering the
-        // "outside everything" case).
-        let probes_axis = |coords: &[f64]| -> Vec<f64> {
-            let mut probes = Vec::with_capacity(coords.len() + 1);
-            for w in coords.windows(2) {
-                probes.push((w[0] + w[1]) / 2.0);
-            }
-            match coords.last() {
-                Some(last) => probes.push(last + 1.0),
-                None => probes.push(0.0),
-            }
-            probes
+        // Probe coordinates: the midpoints of consecutive distinct edges,
+        // i.e. one point per arrangement cell inside the instance's space,
+        // plus one point outside everything — where the kernel seeds the
+        // empty region.
+        let snapper = Arc::new(EdgeSnapper::from_asp(&asp));
+        let midpoints =
+            |edges: &[f64]| -> Vec<f64> { edges.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect() };
+        let (px, py) = (midpoints(snapper.xs()), midpoints(snapper.ys()));
+        let outside = match (snapper.xs().last(), snapper.ys().last()) {
+            (Some(x), Some(y)) => Point::new(x + 1.0, y + 1.0),
+            _ => Point::origin(),
         };
-        let px = probes_axis(&xs);
-        let py = probes_axis(&ys);
 
         let candidates = asp.all_rect_indices();
-        let mut best = BestSet::new(k);
+        let mut best = BestSet::new(k, snapper);
+        let mut probe = |p: Point, best: &mut BestSet| {
+            stats.fallback_points += 1;
+            let objects = asp.objects_covering(&p, &candidates);
+            let rep = self
+                .aggregator
+                .aggregate(objects.iter().map(|&i| self.dataset.object(i as usize)));
+            let d = self
+                .aggregator
+                .distance(&rep, &query.target, &query.weights, query.metric);
+            if d <= best.cutoff() {
+                best.offer(d, p, rep);
+            }
+        };
+        probe(outside, &mut best);
         for &x in &px {
             if let Some(b) = budget {
                 b.check()?;
             }
             for &y in &py {
-                stats.fallback_points += 1;
-                let p = Point::new(x, y);
-                let objects = asp.objects_covering(&p, &candidates);
-                let rep = self
-                    .aggregator
-                    .aggregate(objects.iter().map(|&i| self.dataset.object(i as usize)));
-                let d = self
-                    .aggregator
-                    .distance(&rep, &query.target, &query.weights, query.metric);
-                if d <= best.cutoff() {
-                    best.offer(d, p, rep);
-                }
+                probe(Point::new(x, y), &mut best);
             }
         }
 

@@ -37,21 +37,17 @@
 //! # Byte-identical answers, for every shard count
 //!
 //! Two decompositions of the same search space probe equally-optimal
-//! candidates at different points, so a naïve scatter would return
-//! different — equally correct — anchors for different shard counts.  The
-//! scatter closes that hole with the canonical mode of [`DsSearch`]:
-//!
-//! * every offered anchor is snapped to the canonical representative of
-//!   its arrangement cell ([`EdgeSnapper`](crate::asp::EdgeSnapper)),
-//!   making candidate identity a property of the instance rather than of
-//!   the decomposition, and
-//! * pruning keeps candidates *tied* with the best distance alive, so
-//!   every decomposition discovers the complete set of optimal candidates
-//!   and the `(distance, y, x)` tie-break picks the same winner.
-//!
-//! Together these make the gathered outcome byte-identical for every shard
-//! count (statistics excepted — counters necessarily describe the actual
-//! decomposition; see [`QueryResponse::stats_stripped`]).  The guarantee
+//! candidates at different points.  The kernel ([`DsSearch`]) makes its
+//! answer a function of the instance anyway: every offered anchor is
+//! snapped to the canonical representative of its arrangement cell
+//! ([`EdgeSnapper`](crate::asp::EdgeSnapper)), and pruning keeps
+//! candidates *tied* with the cutoff alive, so every decomposition
+//! discovers the complete set of optimal candidates and the `(distance,
+//! y, x)` tie-break picks the same winners.  A slab is just one more
+//! sub-space, so the gathered outcome is byte-identical for every shard
+//! count and to the unsharded engine's (statistics excepted — counters
+//! necessarily describe the actual decomposition; see
+//! [`QueryResponse::stats_stripped`]).  The guarantee
 //! is bit-exact for aggregates computed in exact arithmetic (counts and
 //! distributions — the paper's primary composite aggregators); aggregates
 //! summing floating-point attribute values are equal up to summation
@@ -60,7 +56,8 @@
 //! Approximate requests are answered *exactly* by the scatter (δ only
 //! relaxes pruning, and relaxed pruning is trajectory-dependent);
 //! exact answers trivially satisfy the (1+δ) guarantee and stay
-//! shard-count-invariant.
+//! shard-count-invariant.  The unsharded engine prunes them against the
+//! (1+δ) band.
 
 use crate::asp::AspInstance;
 use crate::best::BestSet;
@@ -174,14 +171,13 @@ fn slab_for(region: &Rect, asp: &AspInstance) -> Option<Rect> {
 
 /// Scatters one search over the anchor slabs of `shards` and gathers the
 /// answers into `best` (see the module documentation for the guarantees).
-/// `solver` runs in canonical-tie mode, `best` snaps its anchors and holds
-/// the empty-region seed.
+/// `best` holds the empty-region seed.
 ///
 /// Runs shard tasks on up to `available_parallelism` threads; with a
 /// single worker the tasks share `best`, so the cutoff found in an early
 /// slab prunes the later ones.  Both schedules produce identical results:
-/// strict tie-retaining pruning never discards a candidate tied with the
-/// final cutoff, whatever the cutoff trajectory.
+/// the kernel's tie-retaining pruning never discards a candidate tied with
+/// the final cutoff, whatever the cutoff trajectory.
 pub(crate) fn scatter(
     solver: &DsSearch<'_>,
     shards: &ShardSet,

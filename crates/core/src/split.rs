@@ -1,10 +1,13 @@
 //! Function `Split` (Section 4.4).
 //!
 //! The dirty cells that survived pruning are partitioned into two groups
-//! whose minimum bounding rectangles become the two new, smaller sub-spaces.
-//! The heuristic follows the paper: pick two seed cells far from each other,
-//! then greedily assign every remaining cell to the group whose MBR grows
-//! the least.
+//! whose minimum bounding rectangles become the two new, smaller
+//! sub-spaces.  The paper grows the groups greedily by area enlargement
+//! from two far-apart seeds; that heuristic can return a part equal to its
+//! parent, or cut only the short axis of a thin strip, and then the space
+//! stops shrinking.  This split bisects the cells at the middle column or
+//! row of their longer extent instead, so every part is shorter than its
+//! parent along that extent.
 
 use crate::discretize::DirtyCell;
 use asrs_geo::{GridSpec, Rect};
@@ -19,105 +22,77 @@ pub(crate) struct SubSpace {
 
 /// Splits the retained dirty cells of `grid` into at most two sub-spaces.
 ///
-/// Returns an empty vector when there is no retained dirty cell, a single
-/// sub-space when there is exactly one, and two sub-spaces otherwise.
+/// The cells' bounding box is measured in plane units; its longer side
+/// (among the sides at least two cells long) is cut at its middle column
+/// or row, and each part is the bounding box of its cells.  Returns an
+/// empty vector when there is no retained dirty cell and a single
+/// sub-space when every retained cell is the same cell.
 pub(crate) fn split(grid: &GridSpec, retained: &[DirtyCell]) -> Vec<SubSpace> {
-    match retained.len() {
-        0 => Vec::new(),
-        1 => {
-            let cell = &retained[0];
-            vec![SubSpace {
-                space: grid.cell_rect(cell.col, cell.row),
-                lb: cell.lb,
-            }]
-        }
-        _ => split_two(grid, retained),
-    }
-}
-
-fn split_two(grid: &GridSpec, retained: &[DirtyCell]) -> Vec<SubSpace> {
-    let (seed_a, seed_b) = pick_seeds(retained);
-    let mut mbr_a = grid.cell_rect(retained[seed_a].col, retained[seed_a].row);
-    let mut mbr_b = grid.cell_rect(retained[seed_b].col, retained[seed_b].row);
-    let mut lb_a = retained[seed_a].lb;
-    let mut lb_b = retained[seed_b].lb;
-
-    for (i, cell) in retained.iter().enumerate() {
-        if i == seed_a || i == seed_b {
-            continue;
-        }
-        let rect = grid.cell_rect(cell.col, cell.row);
-        let cost_a = mbr_a.enlargement(&rect);
-        let cost_b = mbr_b.enlargement(&rect);
-        // Paper: "if cost1 > cost2 then G2 ← G2 ∪ {g} else G1 ← G1 ∪ {g}".
-        if cost_a > cost_b {
-            mbr_b = mbr_b.mbr(&rect);
-            lb_b = lb_b.min(cell.lb);
-        } else {
-            mbr_a = mbr_a.mbr(&rect);
-            lb_a = lb_a.min(cell.lb);
-        }
-    }
-
-    vec![
-        SubSpace {
-            space: mbr_a,
-            lb: lb_a,
-        },
-        SubSpace {
-            space: mbr_b,
-            lb: lb_b,
-        },
-    ]
-}
-
-/// Picks two cells that are far from each other, as seeds of the two groups.
-///
-/// A full pairwise scan is quadratic in the number of dirty cells; instead
-/// the four extreme cells along the two diagonal directions are considered
-/// and the farthest pair among them is returned — a linear-time
-/// approximation of "two cells far from each other".
-fn pick_seeds(retained: &[DirtyCell]) -> (usize, usize) {
-    debug_assert!(retained.len() >= 2);
-    let mut extremes = [0usize; 4];
-    let key = |i: usize| {
-        let c = &retained[i];
-        (c.col as i64 + c.row as i64, c.col as i64 - c.row as i64)
+    let Some(whole) = Group::of(retained.iter()) else {
+        return Vec::new();
     };
-    for i in 1..retained.len() {
-        let (sum, diff) = key(i);
-        if sum < key(extremes[0]).0 {
-            extremes[0] = i;
-        }
-        if sum > key(extremes[1]).0 {
-            extremes[1] = i;
-        }
-        if diff < key(extremes[2]).1 {
-            extremes[2] = i;
-        }
-        if diff > key(extremes[3]).1 {
-            extremes[3] = i;
-        }
-    }
-    let mut best = (extremes[0], extremes[1]);
-    let mut best_d = -1i64;
-    for i in 0..4 {
-        for j in (i + 1)..4 {
-            let a = &retained[extremes[i]];
-            let b = &retained[extremes[j]];
-            let d = (a.col as i64 - b.col as i64).pow(2) + (a.row as i64 - b.row as i64).pow(2);
-            if d > best_d {
-                best_d = d;
-                best = (extremes[i], extremes[j]);
-            }
-        }
-    }
-    if best.0 == best.1 {
-        // All candidates coincide (e.g. all cells on one diagonal): fall
-        // back to the first and last retained cells.
-        (0, retained.len() - 1)
+    let (cols, rows) = (whole.c1 - whole.c0 + 1, whole.r1 - whole.r0 + 1);
+    let width = cols as f64 * grid.cell_width();
+    let height = rows as f64 * grid.cell_height();
+    let parts = if cols > 1 && (rows == 1 || width >= height) {
+        let mid = whole.c0 + cols / 2;
+        [
+            Group::of(retained.iter().filter(|c| c.col < mid)),
+            Group::of(retained.iter().filter(|c| c.col >= mid)),
+        ]
+    } else if rows > 1 {
+        let mid = whole.r0 + rows / 2;
+        [
+            Group::of(retained.iter().filter(|c| c.row < mid)),
+            Group::of(retained.iter().filter(|c| c.row >= mid)),
+        ]
     } else {
-        best
+        [Some(whole), None]
+    };
+    parts
+        .into_iter()
+        .flatten()
+        .map(|g| g.sub_space(grid))
+        .collect()
+}
+
+/// The cell-index bounding box of a group of cells and their minimum
+/// lower bound.
+struct Group {
+    c0: usize,
+    c1: usize,
+    r0: usize,
+    r1: usize,
+    lb: f64,
+}
+
+impl Group {
+    fn of<'c>(mut cells: impl Iterator<Item = &'c DirtyCell>) -> Option<Self> {
+        let first = cells.next()?;
+        let mut group = Group {
+            c0: first.col,
+            c1: first.col,
+            r0: first.row,
+            r1: first.row,
+            lb: first.lb,
+        };
+        for c in cells {
+            group.c0 = group.c0.min(c.col);
+            group.c1 = group.c1.max(c.col);
+            group.r0 = group.r0.min(c.row);
+            group.r1 = group.r1.max(c.row);
+            group.lb = group.lb.min(c.lb);
+        }
+        Some(group)
+    }
+
+    fn sub_space(&self, grid: &GridSpec) -> SubSpace {
+        SubSpace {
+            space: grid
+                .cell_rect(self.c0, self.r0)
+                .mbr(&grid.cell_rect(self.c1, self.r1)),
+            lb: self.lb,
+        }
     }
 }
 
@@ -220,13 +195,65 @@ mod tests {
         assert!(parts.iter().all(|p| p.space.area() <= 100.0));
     }
 
+    /// The bounding box of `cells` in `grid`.
+    fn mbr(grid: &GridSpec, cells: &[DirtyCell]) -> Rect {
+        cells
+            .iter()
+            .map(|c| grid.cell_rect(c.col, c.row))
+            .reduce(|a, b| a.mbr(&b))
+            .unwrap()
+    }
+
     #[test]
-    fn identical_cells_fall_back_gracefully() {
-        let cells = vec![cell(4, 4, 0.3), cell(4, 4, 0.1)];
+    fn a_part_never_equals_its_parent() {
+        // The two diagonals of the grid: the area-enlargement heuristic
+        // grew one group to the whole grid, so that part was its parent.
+        let cells: Vec<DirtyCell> = (0..10)
+            .flat_map(|i| [cell(i, i, 1.0), cell(i, 9 - i, 1.0)])
+            .collect();
+        let parent = mbr(&grid(), &cells);
         let parts = split(&grid(), &cells);
         assert_eq!(parts.len(), 2);
         for p in &parts {
-            assert_eq!(p.space, grid().cell_rect(4, 4));
+            assert!(p.space.width() < parent.width(), "{:?}", p.space);
+            assert!(parent.contains_rect(&p.space));
         }
+        for c in &cells {
+            let rect = grid().cell_rect(c.col, c.row);
+            assert!(parts.iter().any(|p| p.space.contains_rect(&rect)));
+        }
+    }
+
+    #[test]
+    fn a_thin_strip_is_cut_along_its_long_axis() {
+        // A 1000 × 1e-4 strip whose retained cells span its whole width:
+        // growing a group along x costs almost no area, so the greedy
+        // split cut only y and both parts stayed 1000 wide.
+        let strip = GridSpec::new(Rect::new(0.0, 0.0, 1000.0, 1e-4), 30, 30);
+        let cells: Vec<DirtyCell> = (0..30)
+            .flat_map(|c| [cell(c, 14, 0.5), cell(c, 15, 0.5)])
+            .collect();
+        let parent = mbr(&strip, &cells);
+        let parts = split(&strip, &cells);
+        assert_eq!(parts.len(), 2);
+        for p in &parts {
+            assert!(
+                p.space.width() <= parent.width() / 2.0 + 1e-9,
+                "{:?}",
+                p.space
+            );
+            assert_eq!(p.space.height(), parent.height());
+        }
+    }
+
+    #[test]
+    fn identical_cells_fall_back_gracefully() {
+        // One cell cannot be bisected: it comes back as one sub-space
+        // carrying the smaller bound.
+        let cells = vec![cell(4, 4, 0.3), cell(4, 4, 0.1)];
+        let parts = split(&grid(), &cells);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].space, grid().cell_rect(4, 4));
+        assert_eq!(parts[0].lb, 0.1);
     }
 }

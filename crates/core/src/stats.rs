@@ -26,7 +26,7 @@ pub struct SearchStats {
     /// Number of spaces dropped because they satisfied the drop condition.
     pub drops: u64,
     /// Number of candidate points evaluated by the exact fallback applied
-    /// to dropped or depth-capped spaces.
+    /// to dropped spaces and to cells few rectangles cross.
     pub fallback_points: u64,
     /// Number of sub-spaces pushed onto the heap.
     pub heap_pushes: u64,

@@ -13,8 +13,8 @@
 //!   bounding-box, sampling and region-extraction helpers plus
 //!   order-preserving [`Dataset::append`] / [`Dataset::remove_by_id`]
 //!   mutators (the substrate of the generational engine in `asrs-core`).
-//! * [`Mutation`] / [`MutationLog`] — serializable dataset deltas and the
-//!   bounded log of what a generational engine applied.
+//! * [`Mutation`] — a serializable dataset delta, what a generational
+//!   engine applies and its write-ahead log records.
 //! * [`SpatialPartition`] — longest-axis recursive spatial partitioning of
 //!   the plane into `n` shard regions around a dataset (the shard layout of
 //!   the sharded engine).
@@ -41,7 +41,7 @@ mod schema;
 mod value;
 
 pub use dataset::{Dataset, DatasetBuilder};
-pub use mutation::{LoggedMutation, Mutation, MutationLog};
+pub use mutation::Mutation;
 pub use object::SpatialObject;
 pub use partition::SpatialPartition;
 pub use schema::{AttributeDef, AttributeKind, Schema, SchemaError};

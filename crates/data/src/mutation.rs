@@ -4,10 +4,9 @@
 //! append an object, remove an object by id, or expire an object whose TTL
 //! lapsed (an expiry is a removal whose *cause* is the clock rather than a
 //! caller).  The engine layer in `asrs-core` applies mutations to a
-//! [`Dataset`](crate::Dataset) one generation at a time and records what it
-//! applied in a [`MutationLog`], so operators can see the recent write
-//! history and tests can replay a mutation sequence onto a fresh dataset to
-//! prove rebuild equivalence.
+//! [`Dataset`](crate::Dataset) one generation at a time, its write-ahead
+//! log persists them, and tests replay a mutation sequence onto a fresh
+//! dataset to prove rebuild equivalence.
 //!
 //! Order matters: replaying the same mutations in the same order onto the
 //! same seed dataset produces a byte-identical object vector (appends go to
@@ -50,73 +49,6 @@ impl Mutation {
     }
 }
 
-/// One applied mutation, stamped with the generation it produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoggedMutation {
-    /// Generation of the engine state *after* this mutation was applied.
-    pub generation: u64,
-    /// The mutation that was applied.
-    pub mutation: Mutation,
-}
-
-/// A bounded log of applied mutations plus lifetime counters.
-///
-/// The log retains the most recent `retention` entries (older entries are
-/// dropped from the front); the counters cover the whole lifetime, so a
-/// trimmed log still reports how much was ever applied.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MutationLog {
-    entries: Vec<LoggedMutation>,
-    retention: usize,
-    /// Appends applied over the lifetime of the log.
-    pub appends: u64,
-    /// Caller-initiated removals applied over the lifetime of the log.
-    pub removes: u64,
-    /// TTL expiries applied over the lifetime of the log.
-    pub expiries: u64,
-}
-
-impl MutationLog {
-    /// An empty log retaining up to `retention` recent entries.
-    pub fn new(retention: usize) -> Self {
-        Self {
-            entries: Vec::new(),
-            retention: retention.max(1),
-            appends: 0,
-            removes: 0,
-            expiries: 0,
-        }
-    }
-
-    /// Records an applied mutation, trimming the oldest entry when the
-    /// retention bound is exceeded.
-    pub fn record(&mut self, generation: u64, mutation: Mutation) {
-        match &mutation {
-            Mutation::Append { .. } => self.appends += 1,
-            Mutation::Remove { .. } => self.removes += 1,
-            Mutation::Expire { .. } => self.expiries += 1,
-        }
-        self.entries.push(LoggedMutation {
-            generation,
-            mutation,
-        });
-        if self.entries.len() > self.retention {
-            let excess = self.entries.len() - self.retention;
-            self.entries.drain(..excess);
-        }
-    }
-
-    /// The retained entries, oldest first.
-    pub fn entries(&self) -> &[LoggedMutation] {
-        &self.entries
-    }
-
-    /// Total mutations applied over the lifetime of the log.
-    pub fn total(&self) -> u64 {
-        self.appends + self.removes + self.expiries
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,20 +56,6 @@ mod tests {
 
     fn obj(id: u64) -> SpatialObject {
         SpatialObject::new(id, Point::new(id as f64, 0.0), vec![])
-    }
-
-    #[test]
-    fn log_counts_and_trims() {
-        let mut log = MutationLog::new(2);
-        log.record(1, Mutation::Append { object: obj(1) });
-        log.record(2, Mutation::Remove { id: 1 });
-        log.record(3, Mutation::Expire { id: 2 });
-        assert_eq!((log.appends, log.removes, log.expiries), (1, 1, 1));
-        assert_eq!(log.total(), 3);
-        // Retention 2: the append fell off the front.
-        assert_eq!(log.entries().len(), 2);
-        assert_eq!(log.entries()[0].generation, 2);
-        assert_eq!(log.entries()[1].mutation.kind(), "expire");
     }
 
     #[test]

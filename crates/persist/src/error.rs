@@ -28,6 +28,19 @@ pub enum PersistError {
         /// Human-readable description of the damage.
         message: String,
     },
+    /// A complete write-ahead-log frame with bytes after it fails its
+    /// checksum or does not decode.  Unlike a torn tail this is not a
+    /// crash artifact, and the frames after it may hold acknowledged
+    /// mutations, so the log is refused and left as it is instead of
+    /// being truncated.
+    CorruptWalFrame {
+        /// The log file.
+        path: PathBuf,
+        /// Byte offset of the damaged frame.
+        offset: u64,
+        /// Human-readable description of the damage.
+        message: String,
+    },
     /// The engine rejected a restore or replay (configuration mismatch,
     /// replayed mutation failing validation, …).
     Engine(AsrsError),
@@ -78,6 +91,15 @@ impl fmt::Display for PersistError {
                     message
                 )
             }
+            PersistError::CorruptWalFrame {
+                path,
+                offset,
+                message,
+            } => write!(
+                f,
+                "write-ahead log {} is damaged at byte offset {offset} ({message}); refusing to drop the frames after it",
+                path.display()
+            ),
             PersistError::Engine(e) => write!(f, "engine rejected persisted state: {e}"),
         }
     }
@@ -88,7 +110,7 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io { source, .. } => Some(source),
             PersistError::Engine(e) => Some(e),
-            PersistError::Corrupt { .. } => None,
+            PersistError::Corrupt { .. } | PersistError::CorruptWalFrame { .. } => None,
         }
     }
 }

@@ -21,10 +21,11 @@
 //! 2. **Per-WAL** ([`check_wal_file`]) — the log scan
 //!    [`Wal::open`](crate::Wal::open) uses: the header check (an empty
 //!    file is a fresh log), then the frame walk, whose stop is either a
-//!    *torn tail* (an incomplete final frame: the expected crash artifact,
-//!    a warning) or damage (an oversized, checksum-failing or undecodable
-//!    frame: an error).  On top, in-log generation contiguity and finite
-//!    append locations.
+//!    *torn tail* (an incomplete or damaged final frame: the expected
+//!    crash artifact, a warning, truncated by boot) or damage (an
+//!    oversized frame, which boot truncates at, or a checksum-failing or
+//!    undecodable frame with bytes after it, which boot refuses: errors).
+//!    On top, in-log generation contiguity and finite append locations.
 //! 3. **Cross-file** ([`check_dir`]) — the directory as a whole: the boot
 //!    plan (newest loadable snapshot, then the replay plan
 //!    [`PersistentBuilder::build`](crate::PersistentBuilder) runs over the
@@ -82,9 +83,11 @@ pub enum FsckCategory {
     /// which boot refuses.  Only files written before appends refused
     /// such locations can hold one.
     NonFiniteLocation,
-    /// An incomplete final WAL frame — the expected crash artifact.
+    /// An incomplete final WAL frame, or a final frame that fails its
+    /// checksum or decode — the expected crash artifact.
     TornTail,
-    /// A complete WAL frame that fails its checksum or does not decode.
+    /// A complete WAL frame with bytes after it that fails its checksum or
+    /// does not decode; boot refuses the log.
     CorruptFrame,
     /// A frame declares a payload beyond the format's size ceiling.
     OversizedFrame,

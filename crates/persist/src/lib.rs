@@ -14,7 +14,8 @@
 //! * **A write-ahead log** ([`wal`]) — length-prefixed, CRC-framed
 //!   mutation records, fsync'd *before* the engine publishes the mutated
 //!   generation.  A crash loses at most the unacknowledged tail, which is
-//!   detected and truncated on the next open.
+//!   detected and truncated on the next open; damage before the last
+//!   frame refuses the open instead.
 //!
 //! [`store`] ties them together: [`PersistExt::persist_dir`] turns an
 //! `EngineBuilder` into a [`PersistentBuilder`] whose `build` restores

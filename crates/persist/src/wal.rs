@@ -15,9 +15,14 @@
 //! Appends write one frame and `fdatasync` it before returning; the engine
 //! publishes a generation only after its frame is durable, so an
 //! acknowledged mutation is never lost.  A crash can leave a *torn tail* —
-//! a partially written final frame — which [`Wal::open`] detects via the
-//! length prefix and checksum and truncates away; everything before the
-//! tear is intact by construction.  An empty file (a crash before the
+//! a partially written final frame, a final frame whose payload never
+//! reached the disk (it fails its checksum or decode), or a zero-filled
+//! extension — which [`Wal::open`] detects via the length prefix and
+//! checksum and truncates away; everything before the tear is intact by
+//! construction.  A damaged frame with bytes after it is not a crash
+//! artifact: the frames after it may be acknowledged mutations, so
+//! [`Wal::open`] refuses the log ([`PersistError::CorruptWalFrame`]) and
+//! leaves the file as it found it.  An empty file (a crash before the
 //! header was written) opens as a fresh log.  Compaction (after a snapshot)
 //! rewrites the log keeping only frames newer than the snapshot generation,
 //! through the same temp-file-and-rename dance the snapshots use.
@@ -80,7 +85,8 @@ pub(crate) struct Scan {
     /// included; 0 for an empty file).
     pub intact_len: usize,
     /// Why the walk ended before the end of the file: a `TornTail`, an
-    /// `OversizedFrame` or a `CorruptFrame`.
+    /// `OversizedFrame` or a `CorruptFrame` (a damaged frame with bytes
+    /// after it, at offset `intact_len`).
     pub stop: Option<Damage>,
 }
 
@@ -88,7 +94,9 @@ pub(crate) struct Scan {
 /// empty file is a fresh log; an unreadable header is the `Err`.  The walk
 /// stops at the first frame that is cut short, oversized, fails its
 /// checksum or does not decode, because nothing after a damaged frame
-/// boundary can be trusted.
+/// boundary can be trusted.  A frame that fails its checksum or decode is
+/// a torn tail when it is the last one or only zero bytes follow it, and a
+/// `CorruptFrame` otherwise.
 pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, Damage> {
     use FsckCategory::{BadMagic, BadVersion, CorruptFrame, OversizedFrame, TornTail, Truncated};
     let mut scan = Scan {
@@ -145,17 +153,29 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, Damage> {
         }
         let payload = &bytes[at + FRAME_HEADER_LEN..at + needed];
         let (stored, computed) = (le_u32(bytes, at + 4), crc32(payload));
-        if stored != computed {
-            let detail = format!(
-                "frame at offset {at} fails its checksum (stored {stored:08x}, computed {computed:08x}); {rest} byte(s) unreachable"
-            );
-            break Some(Damage::new(CorruptFrame, detail));
-        }
-        let Some(entry) = decode_entry(payload) else {
-            let detail = format!(
-                "frame at offset {at} passes its checksum but its payload does not decode; {rest} byte(s) unreachable"
-            );
-            break Some(Damage::new(CorruptFrame, detail));
+        let entry = if stored == computed {
+            decode_entry(payload)
+                .ok_or_else(|| "passes its checksum but its payload does not decode".to_string())
+        } else {
+            Err(format!(
+                "fails its checksum (stored {stored:08x}, computed {computed:08x})"
+            ))
+        };
+        let entry = match entry {
+            Ok(entry) => entry,
+            Err(what) if bytes[at + needed..].iter().all(|&b| b == 0) => {
+                let detail = format!(
+                    "frame at offset {at} {what}, and only zero bytes (if any) follow it: an append that never reached the disk"
+                );
+                break Some(Damage::new(TornTail, detail));
+            }
+            Err(what) => {
+                let detail = format!(
+                    "frame at offset {at} {what}; {} byte(s) follow it",
+                    rest - needed
+                );
+                break Some(Damage::new(CorruptFrame, detail));
+            }
         };
         scan.entries.push(entry);
         at += needed;
@@ -163,6 +183,24 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, Damage> {
     scan.intact_len = at;
     scan.stop = stop;
     Ok(scan)
+}
+
+impl Scan {
+    /// The typed refusal of a walk that stopped at a damaged frame with
+    /// bytes after it: truncating there would delete frames that may be
+    /// acknowledged mutations.
+    fn refuse_mid_log_damage(&self, path: &Path) -> Result<(), PersistError> {
+        match &self.stop {
+            Some(damage) if damage.category == FsckCategory::CorruptFrame => {
+                Err(PersistError::CorruptWalFrame {
+                    path: path.to_path_buf(),
+                    offset: self.intact_len as u64,
+                    message: damage.detail.clone(),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// The log header: magic, then the format version.
@@ -249,6 +287,11 @@ pub struct Wal {
 impl Wal {
     /// Opens (or creates) the log at `path`, recovering every intact frame
     /// and truncating any torn tail left by a crash.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::CorruptWalFrame`] when a frame with bytes after it
+    /// fails its checksum or decode; the file is left untouched.
     pub fn open(path: &Path) -> Result<(Wal, WalRecovery), PersistError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -261,6 +304,7 @@ impl Wal {
         file.read_to_end(&mut bytes)
             .map_err(|e| PersistError::io("read WAL", path, e))?;
         let scan = scan(&bytes).map_err(|damage| PersistError::corrupt(path, damage.detail))?;
+        scan.refuse_mid_log_damage(path)?;
 
         let len = if bytes.is_empty() {
             // Fresh log: write the header durably before first use.
@@ -358,6 +402,7 @@ impl Wal {
             .map_err(|e| PersistError::io("read WAL for compaction", &self.path, e))?;
         let scan =
             scan(&bytes).map_err(|damage| PersistError::corrupt(&self.path, damage.detail))?;
+        scan.refuse_mid_log_damage(&self.path)?;
 
         let tmp = self.path.with_extension("log.tmp");
         let mut out = header();
@@ -514,26 +559,93 @@ mod tests {
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
-    #[test]
-    fn corrupted_frame_truncates_from_the_damage_onward() {
-        let path = temp_log("bitrot");
+    /// Writes the four test mutations and returns the log's bytes with the
+    /// offset of each frame.
+    fn written(path: &Path) -> (Vec<u8>, Vec<usize>) {
         {
-            let (wal, _) = Wal::open(&path).unwrap();
+            let (wal, _) = Wal::open(path).unwrap();
             for (generation, m) in mutations() {
                 wal.append(generation, &m).unwrap();
             }
         }
-        // Flip a byte inside the second frame's payload.
-        let mut bytes = fs::read(&path).unwrap();
-        let second_frame_at = {
-            let first_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-            8 + 8 + first_len
-        };
-        bytes[second_frame_at + 10] ^= 0x40;
+        let bytes = fs::read(path).unwrap();
+        let mut frames = Vec::new();
+        let mut at = HEADER_LEN;
+        while at < bytes.len() {
+            frames.push(at);
+            at += FRAME_HEADER_LEN + le_u32(&bytes, at) as usize;
+        }
+        (bytes, frames)
+    }
+
+    #[test]
+    fn corrupted_frame_refuses_the_log_and_leaves_it_untouched() {
+        let path = temp_log("bitrot");
+        let (mut bytes, frames) = written(&path);
+        // Flip a byte inside the second frame's payload: two acknowledged
+        // frames follow it.
+        bytes[frames[1] + 10] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
 
+        match Wal::open(&path) {
+            Err(PersistError::CorruptWalFrame { offset, .. }) => {
+                assert_eq!(offset, frames[1] as u64)
+            }
+            other => panic!("expected a corrupt-frame refusal, got {other:?}"),
+        }
+        assert_eq!(fs::read(&path).unwrap(), bytes, "the file is not rewritten");
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn one_flipped_byte_in_frame_two_of_three_refuses_boot() {
+        let path = temp_log("flip2of3");
+        {
+            let (wal, _) = Wal::open(&path).unwrap();
+            for (generation, m) in mutations().into_iter().take(3) {
+                wal.append(generation, &m).unwrap();
+            }
+        }
+        let healthy = fs::read(&path).unwrap();
+        let second = HEADER_LEN + FRAME_HEADER_LEN + le_u32(&healthy, HEADER_LEN) as usize;
+        let second_len = FRAME_HEADER_LEN + le_u32(&healthy, second) as usize;
+        // Every byte of frame 2 after its length field: the CRC and each
+        // payload byte.
+        for at in second + 4..second + second_len {
+            let mut bytes = healthy.clone();
+            bytes[at] ^= 0x01;
+            fs::write(&path, &bytes).unwrap();
+            let err = Wal::open(&path).unwrap_err();
+            assert!(
+                matches!(err, PersistError::CorruptWalFrame { offset, .. } if offset == second as u64),
+                "byte {at}: {err}"
+            );
+            assert!(err.to_string().contains(&second.to_string()), "{err}");
+            assert_eq!(fs::read(&path).unwrap(), bytes, "byte {at}: file rewritten");
+        }
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn a_damaged_final_frame_is_a_torn_tail() {
+        let path = temp_log("lastframe");
+        let (mut bytes, frames) = written(&path);
+        // The final frame's payload never reached the disk: it fails its
+        // checksum, or zeros follow it.
+        bytes[frames[3] + 10] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
         let (_, recovery) = Wal::open(&path).unwrap();
-        assert_eq!(recovery.entries.len(), 1, "only the intact prefix survives");
+        assert_eq!(recovery.entries.len(), 3);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+
+        let path = temp_log("zerofill");
+        let (mut bytes, frames) = written(&path);
+        bytes[frames[2] + 10] ^= 0x40;
+        bytes[frames[3]..].fill(0);
+        fs::write(&path, &bytes).unwrap();
+        let (_, recovery) = Wal::open(&path).unwrap();
+        assert_eq!(recovery.entries.len(), 2);
+        assert_eq!(fs::metadata(&path).unwrap().len(), frames[2] as u64);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 

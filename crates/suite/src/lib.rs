@@ -28,8 +28,8 @@ pub mod prelude {
         UniformGenerator, CITY_CATEGORIES, WEEKDAY_LABELS,
     };
     pub use asrs_data::{
-        AttrValue, AttributeDef, AttributeKind, Dataset, DatasetBuilder, LoggedMutation, Mutation,
-        MutationLog, Schema, SpatialObject, SpatialPartition,
+        AttrValue, AttributeDef, AttributeKind, Dataset, DatasetBuilder, Mutation, Schema,
+        SpatialObject, SpatialPartition,
     };
     pub use asrs_geo::{Accuracy, GridSpec, Point, Rect, RegionSize};
     pub use asrs_persist::{

@@ -143,21 +143,88 @@ fn top_k_distances_are_monotone_in_k() {
 
 #[test]
 fn top_k_agrees_with_the_naive_oracle_on_distances() {
-    // On a small instance the k best distances of DS-Search must match the
-    // exhaustive enumeration's k best (anchors may differ inside ties).
-    let (ds, agg, queries) = workload(60, 29);
-    let engine = indexed_engine(&ds, &agg);
+    // On small instances the k best distances of DS-Search and GI-DS must
+    // match the exhaustive enumeration's k best, rank by rank.
+    for seed in 1..=12 {
+        let (ds, agg, queries) = workload(80, seed);
+        let engine = indexed_engine(&ds, &agg);
+        for (qi, query) in queries.iter().enumerate() {
+            let request = QueryRequest::top_k(query.clone(), 4);
+            let oracle = forced(&engine, request.clone(), Backend::Naive);
+            let expected: Vec<f64> = oracle.results().iter().map(|r| r.distance).collect();
+            for backend in [Backend::DsSearch, Backend::GiDs] {
+                let got: Vec<f64> = forced(&engine, request.clone(), backend)
+                    .results()
+                    .iter()
+                    .map(|r| r.distance)
+                    .collect();
+                assert_eq!(got.len(), expected.len(), "seed {seed} query {qi}");
+                assert!(
+                    got.iter().zip(&expected).all(|(a, b)| (a - b).abs() < 1e-9),
+                    "seed {seed} query {qi} {backend:?}: {got:?} vs the oracle's {expected:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The outcome bytes of a response: statistics and the reported backend
+/// aside, everything a caller reads.
+fn outcome_bytes(response: &QueryResponse) -> String {
+    serde::json::to_string(&response.stats_stripped().outcome)
+}
+
+#[test]
+fn every_plan_answers_similar_and_top_k_byte_identically() {
+    // One kernel mode: forced DS-Search, GI-DS and the naive oracle, on an
+    // unsharded engine and on the 2-shard scatter, report the same
+    // anchors, distances and representations — ties included.
+    for seed in 1..=12 {
+        let (ds, agg, queries) = workload(80, seed);
+        let unsharded = indexed_engine(&ds, &agg);
+        let sharded = AsrsEngine::builder(ds.clone(), agg.clone())
+            .build_index(24, 24)
+            .shards(2)
+            .build()
+            .unwrap();
+        for (qi, query) in queries.iter().enumerate() {
+            for request in [
+                QueryRequest::similar(query.clone()),
+                QueryRequest::top_k(query.clone(), 4),
+            ] {
+                let reference =
+                    outcome_bytes(&forced(&sharded, request.clone(), Backend::DsSearch));
+                for engine in [&unsharded, &sharded] {
+                    for backend in [Backend::DsSearch, Backend::GiDs, Backend::Naive] {
+                        let got = outcome_bytes(&forced(engine, request.clone(), backend));
+                        assert_eq!(
+                            got,
+                            reference,
+                            "seed {seed} query {qi} {} {backend:?} on {} shard(s)",
+                            request.operation_name(),
+                            engine.shard_count()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_pinned_oracle_runs_the_oracle_on_a_sharded_engine() {
+    let (ds, agg, queries) = workload(80, 3);
+    let unsharded = indexed_engine(&ds, &agg);
+    let sharded = AsrsEngine::builder(ds, agg).shards(2).build().unwrap();
     for query in &queries {
-        let request = QueryRequest::top_k(query.clone(), 4);
-        let a = forced(&engine, request.clone(), Backend::DsSearch);
-        let b = forced(&engine, request, Backend::Naive);
-        let (a, b) = (a.results(), b.results());
-        assert_eq!(a.len(), b.len());
-        assert!(
-            (a[0].distance - b[0].distance).abs() < 1e-9,
-            "optimum must agree: {} vs {}",
-            a[0].distance,
-            b[0].distance
+        let request = QueryRequest::top_k(query.clone(), 3);
+        let scattered = forced(&sharded, request.clone(), Backend::Naive);
+        assert_eq!(scattered.stats.shards_touched, 0, "no slab ran");
+        assert!(scattered.stats.fallback_points > 0, "the oracle probed");
+        let oracle = forced(&unsharded, request, Backend::Naive);
+        assert_eq!(
+            serde::json::to_string(&scattered.stats_stripped()),
+            serde::json::to_string(&oracle.stats_stripped())
         );
     }
 }
