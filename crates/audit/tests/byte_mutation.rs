@@ -189,8 +189,9 @@ fn damaged_logs_get_one_verdict_from_boot_and_fsck() {
         }
         fs::write(&path, &bytes).unwrap();
         let check = check_wal_file(&path).unwrap();
-        // Boot refuses an unreadable header and a damaged frame with bytes
-        // after it; everything else it recovers by truncation.
+        // Boot refuses an unreadable header, a damaged frame with bytes
+        // after it and an oversized length with non-zero bytes after its
+        // header; everything else it recovers by truncation.
         let refused = check.findings.iter().any(|f| {
             matches!(
                 f.category,
@@ -198,6 +199,7 @@ fn damaged_logs_get_one_verdict_from_boot_and_fsck() {
                     | FsckCategory::BadMagic
                     | FsckCategory::BadVersion
                     | FsckCategory::CorruptFrame
+                    | FsckCategory::OversizedFrame
             )
         });
         fs::write(&copy, &bytes).unwrap();

@@ -584,6 +584,7 @@ fn fsck_predicts_what_boot_does() {
         let fails = has(&report.findings, FsckCategory::GenerationDiscontinuity)
             || wal_header_error
             || has(wal_findings, FsckCategory::CorruptFrame)
+            || has(wal_findings, FsckCategory::OversizedFrame)
             || restored_non_finite
             || has(wal_findings, FsckCategory::NonFiniteLocation);
 

@@ -10,6 +10,7 @@
 use asrs_aggregator::CompositeAggregator;
 use asrs_data::{Dataset, SpatialObject};
 use asrs_geo::{Accuracy, Point, Rect, RegionSize};
+use std::sync::Arc;
 
 /// A rectangle object of the reduced ASP instance: the geometric rectangle
 /// plus the index of the originating spatial object (whose attributes it
@@ -32,24 +33,42 @@ impl RectObject {
 }
 
 /// The reduced ASP instance: the rectangle objects plus the space in which
-/// the answer point may lie and the instance's coordinate accuracy.
+/// the answer point may lie, the instance's coordinate accuracy and its
+/// edge table.
+///
+/// The edge table (every rectangle edge coordinate per axis, sorted and
+/// deduplicated) is the instance's one sorted view of its edges.  It is
+/// built once, with the instance, and everything else reads it: the
+/// accuracy estimate (Definition 7) is a linear gap scan over it, every
+/// search's result set snaps anchors with it, and the naive oracle probes
+/// its intervals.
 #[derive(Debug, Clone)]
 pub struct AspInstance {
     rects: Vec<RectObject>,
     space: Option<Rect>,
     accuracy: Accuracy,
     size: RegionSize,
+    edges: Arc<EdgeSnapper>,
 }
 
 /// The smallest admissible GPS accuracy.  Keeps the drop condition from
 /// chasing two coordinates separated by numerical noise only.
 const ACCURACY_FLOOR: f64 = 1e-12;
 
-/// Definition 7's accuracy estimate over the rectangles' edge coordinates
-/// (`xs`/`ys`, duplicates included, in any order), floored at
-/// [`ACCURACY_FLOOR`].
-fn estimate_accuracy(xs: &[f64], ys: &[f64]) -> Accuracy {
-    Accuracy::from_edge_coordinates(xs, ys, Accuracy::new(ACCURACY_FLOOR, ACCURACY_FLOOR))
+/// The edge coordinates of `rects` per axis, both edges per rectangle,
+/// sorted by `total_cmp` with duplicates kept.
+fn edge_multiset(rects: &[RectObject]) -> (Vec<f64>, Vec<f64>) {
+    let mut xs = Vec::with_capacity(rects.len() * 2);
+    let mut ys = Vec::with_capacity(rects.len() * 2);
+    for r in rects {
+        xs.push(r.rect.min_x);
+        xs.push(r.rect.max_x);
+        ys.push(r.rect.min_y);
+        ys.push(r.rect.max_y);
+    }
+    xs.sort_by(f64::total_cmp);
+    ys.sort_by(f64::total_cmp);
+    (xs, ys)
 }
 
 impl AspInstance {
@@ -57,7 +76,7 @@ impl AspInstance {
     /// accuracy is estimated from the rectangle edge coordinates
     /// (Definition 7).
     pub fn build(dataset: &Dataset, size: RegionSize) -> Self {
-        Self::build_visiting(dataset, size, |_| {})
+        Self::from_rects(Self::rects_visiting(dataset, size, |_| {}), size)
     }
 
     /// Builds the instance together with the [`Contributions`] of
@@ -69,16 +88,31 @@ impl AspInstance {
         size: RegionSize,
     ) -> (Self, Contributions) {
         let mut table = Contributions::with_capacity(aggregator, dataset.len());
-        let asp = Self::build_visiting(dataset, size, |o| table.push(aggregator, o));
-        (asp, table)
+        let rects = Self::rects_visiting(dataset, size, |o| table.push(aggregator, o));
+        (Self::from_rects(rects, size), table)
     }
 
-    fn build_visiting(
+    /// [`AspInstance::with_contributions`] plus the sorted edge multiset
+    /// the edge table was deduplicated from (see [`AspInstance::refresh`]),
+    /// from the same one sort per axis.
+    pub(crate) fn with_contributions_and_edges(
+        dataset: &Dataset,
+        aggregator: &CompositeAggregator,
+        size: RegionSize,
+    ) -> (Self, Contributions, Vec<f64>, Vec<f64>) {
+        let mut table = Contributions::with_capacity(aggregator, dataset.len());
+        let rects = Self::rects_visiting(dataset, size, |o| table.push(aggregator, o));
+        let (xs, ys) = edge_multiset(&rects);
+        let edges = EdgeSnapper::from_sorted_edges(xs.clone(), ys.clone());
+        (Self::assemble(rects, size, edges), table, xs, ys)
+    }
+
+    fn rects_visiting(
         dataset: &Dataset,
         size: RegionSize,
         mut visit: impl FnMut(&SpatialObject),
-    ) -> Self {
-        let rects: Vec<RectObject> = dataset
+    ) -> Vec<RectObject> {
+        dataset
             .objects()
             .enumerate()
             .map(|(idx, o)| {
@@ -88,20 +122,20 @@ impl AspInstance {
                     object_idx: idx as u32,
                 }
             })
-            .collect();
-        let space = Rect::mbr_of(rects.iter().map(|r| r.rect));
-        let mut xs = Vec::with_capacity(rects.len() * 2);
-        let mut ys = Vec::with_capacity(rects.len() * 2);
-        for r in &rects {
-            xs.push(r.rect.min_x);
-            xs.push(r.rect.max_x);
-            ys.push(r.rect.min_y);
-            ys.push(r.rect.max_y);
-        }
+            .collect()
+    }
+
+    fn from_rects(rects: Vec<RectObject>, size: RegionSize) -> Self {
+        let (xs, ys) = edge_multiset(&rects);
+        Self::assemble(rects, size, EdgeSnapper::from_sorted_edges(xs, ys))
+    }
+
+    fn assemble(rects: Vec<RectObject>, size: RegionSize, edges: EdgeSnapper) -> Self {
         Self {
+            space: Rect::mbr_of(rects.iter().map(|r| r.rect)),
+            accuracy: edges.accuracy(),
+            edges: Arc::new(edges),
             rects,
-            space,
-            accuracy: estimate_accuracy(&xs, &ys),
             size,
         }
     }
@@ -138,15 +172,18 @@ impl AspInstance {
         }
     }
 
-    /// Recomputes the space and accuracy after [`AspInstance::push_rect`]
-    /// and [`AspInstance::remove_rects`] calls, mirroring
-    /// [`AspInstance::build`] fold-for-fold: the same MBR iteration order
-    /// and the same estimate.  `xs`/`ys` must hold the edge coordinates of
-    /// every rectangle (duplicates included; order is irrelevant — the
-    /// estimator sorts internally).
+    /// Recomputes the space, edge table and accuracy after
+    /// [`AspInstance::push_rect`] and [`AspInstance::remove_rects`] calls,
+    /// mirroring [`AspInstance::build`] fold-for-fold: the same MBR
+    /// iteration order, the same edge table and the same estimate.
+    /// `xs`/`ys` must hold the edge coordinates of every rectangle, sorted
+    /// by `total_cmp` with duplicates kept — the multiset a caller
+    /// maintains by merging, so no refresh sorts.
     pub(crate) fn refresh(&mut self, xs: &[f64], ys: &[f64]) {
+        let edges = EdgeSnapper::from_sorted_edges(xs.to_vec(), ys.to_vec());
         self.space = Rect::mbr_of(self.rects.iter().map(|r| r.rect));
-        self.accuracy = estimate_accuracy(xs, ys);
+        self.accuracy = edges.accuracy();
+        self.edges = Arc::new(edges);
     }
 
     /// The rectangle objects.
@@ -172,6 +209,13 @@ impl AspInstance {
     #[inline]
     pub fn size(&self) -> RegionSize {
         self.size
+    }
+
+    /// The instance's edge table, shared with the result sets that snap
+    /// to it.
+    #[inline]
+    pub(crate) fn edges(&self) -> &Arc<EdgeSnapper> {
+        &self.edges
     }
 
     /// Indices of the rectangles whose closed extent intersects `area`.
@@ -319,7 +363,8 @@ impl Contributions {
 /// which is what lets the shard scatter promise
 /// byte-identical answers regardless of the shard count.
 ///
-/// The representatives match the exhaustive oracle's probe grid: interior
+/// The table is built once per instance (see [`AspInstance`]).  The
+/// representatives match the exhaustive oracle's probe grid: interior
 /// intervals map to `(eᵢ + eᵢ₊₁) / 2`, everything beyond the last edge to
 /// `last + 1.0`, everything before the first edge to `first - 1.0`, and a
 /// coordinate lying exactly on an edge is kept as-is (it is its own
@@ -331,33 +376,22 @@ pub(crate) struct EdgeSnapper {
 }
 
 impl EdgeSnapper {
-    /// Collects the sorted, deduplicated edge coordinates of an instance.
-    pub(crate) fn from_asp(asp: &AspInstance) -> Self {
-        let mut xs = Vec::with_capacity(asp.rects().len() * 2);
-        let mut ys = Vec::with_capacity(asp.rects().len() * 2);
-        for r in asp.rects() {
-            xs.push(r.rect.min_x);
-            xs.push(r.rect.max_x);
-            ys.push(r.rect.min_y);
-            ys.push(r.rect.max_y);
-        }
-        xs.sort_by(f64::total_cmp);
+    /// Builds the table from edge coordinates sorted by `total_cmp`
+    /// (duplicates allowed), deduplicating in place.
+    pub(crate) fn from_sorted_edges(mut xs: Vec<f64>, mut ys: Vec<f64>) -> Self {
+        debug_assert!(xs.is_sorted_by(|a, b| a.total_cmp(b).is_le()));
+        debug_assert!(ys.is_sorted_by(|a, b| a.total_cmp(b).is_le()));
         xs.dedup();
-        ys.sort_by(f64::total_cmp);
         ys.dedup();
         Self { xs, ys }
     }
 
-    /// Builds a snapper from edge-coordinate arrays already sorted by
-    /// `total_cmp` (duplicates allowed) — the incrementally maintained
-    /// arrays of the carry-probe cache.  Same multiset, same sort order,
-    /// same dedup as [`EdgeSnapper::from_asp`], hence bit-identical edges.
-    pub(crate) fn from_sorted_edges(xs: &[f64], ys: &[f64]) -> Self {
-        let mut xs = xs.to_vec();
-        xs.dedup();
-        let mut ys = ys.to_vec();
-        ys.dedup();
-        Self { xs, ys }
+    /// Definition 7's accuracy estimate — the smallest gap between
+    /// distinct edge coordinates per axis — floored at [`ACCURACY_FLOOR`]:
+    /// one scan over the sorted table.
+    fn accuracy(&self) -> Accuracy {
+        let floor = Accuracy::new(ACCURACY_FLOOR, ACCURACY_FLOOR);
+        Accuracy::from_sorted_edge_coordinates(&self.xs, &self.ys, floor)
     }
 
     /// Bitwise equality of the edge arrays: the check that an
@@ -548,10 +582,35 @@ mod tests {
     }
 
     #[test]
+    fn the_edge_table_gives_the_sorting_estimate() {
+        // The linear scan over the deduplicated table reports the same
+        // accuracy, bit for bit, as Definition 7's estimate over the raw
+        // edge multiset.
+        let ds = asrs_data::gen::UniformGenerator::default().generate(500, 3);
+        for size in [RegionSize::new(3.0, 0.5), RegionSize::new(0.1, 7.25)] {
+            let asp = AspInstance::build(&ds, size);
+            let xs: Vec<f64> = asp
+                .rects()
+                .iter()
+                .flat_map(|r| [r.rect.min_x, r.rect.max_x])
+                .collect();
+            let ys: Vec<f64> = asp
+                .rects()
+                .iter()
+                .flat_map(|r| [r.rect.min_y, r.rect.max_y])
+                .collect();
+            let floor = Accuracy::new(ACCURACY_FLOOR, ACCURACY_FLOOR);
+            let expected = Accuracy::from_edge_coordinates(&xs, &ys, floor);
+            assert_eq!(asp.accuracy().dx.to_bits(), expected.dx.to_bits());
+            assert_eq!(asp.accuracy().dy.to_bits(), expected.dy.to_bits());
+        }
+    }
+
+    #[test]
     fn snapper_maps_arrangement_cells_to_one_representative() {
         let ds = dataset();
         let asp = AspInstance::build(&ds, RegionSize::new(2.0, 1.0));
-        let snapper = EdgeSnapper::from_asp(&asp);
+        let snapper = Arc::clone(asp.edges());
         // Two probes inside the same global edge interval snap to the same
         // midpoint; snapping is idempotent.
         // x-edges include {0, 2, 3, 5, 7, 9}; 2.1 and 2.9 share (2, 3).
@@ -574,7 +633,7 @@ mod tests {
     fn the_first_representative_heads_the_list() {
         let ds = dataset();
         let asp = AspInstance::build(&ds, RegionSize::new(2.0, 1.0));
-        let snapper = EdgeSnapper::from_asp(&asp);
+        let snapper = Arc::clone(asp.edges());
         // x-edges {0, 2, 3, 5, 7, 9}: ranges inside one interval, across
         // edges, starting on an edge, beyond both ends and degenerate.
         for (lo, hi) in [

@@ -238,7 +238,10 @@ mod tests {
     /// A set over an instance without edges, where snapping is the
     /// identity.
     fn unsnapped(capacity: usize) -> BestSet {
-        BestSet::new(capacity, Arc::new(EdgeSnapper::from_sorted_edges(&[], &[])))
+        BestSet::new(
+            capacity,
+            Arc::new(EdgeSnapper::from_sorted_edges(Vec::new(), Vec::new())),
+        )
     }
 
     fn offer(set: &mut BestSet, d: f64, x: f64) {

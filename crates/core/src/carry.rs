@@ -43,7 +43,8 @@
 //!   A small relative tolerance widens the rejection band so an epsilon
 //!   disagreement between evaluation orders can only reject.
 //! - **R4 (anchor stability)** — every reported anchor snaps to itself
-//!   under the successor instance's [`EdgeSnapper`].  Canonical answers
+//!   under the successor instance's edge table
+//!   ([`EdgeSnapper`](crate::asp::EdgeSnapper)).  Canonical answers
 //!   report global edge-interval midpoints; if an edge appeared or
 //!   vanished next to a reported anchor, the recomputed answer would name
 //!   a different representative even though the covering set is unchanged.
@@ -87,7 +88,7 @@
 //! # Probe-context reuse
 //!
 //! R3 and R4 need an [`AspInstance`] (with its [`Contributions`] table and
-//! its [`EdgeSnapper`]) per distinct query size — the expensive part of
+//! its edge table) per distinct query size — the expensive part of
 //! the pass.  The contexts persist in the mutator state ([`CarryProbes`])
 //! across publishes and follow each batch incrementally, whatever its
 //! shape: appends, removals, TTL expiries or a mix.  Once per pass the
@@ -95,11 +96,11 @@
 //! datasets in order (removals preserve order and appends land at the
 //! end, so the walk is exact).  Each context then drops the removed
 //! rectangles (renumbering the rest) with their contribution rows and
-//! edge coordinates, pushes the appended tail, and re-derives space,
-//! accuracy and snapper with the same folds the builder uses — a result
-//! bit-identical to a fresh build.  Only a context that does not reflect
-//! the predecessor (a size the previous pass did not probe) is rebuilt
-//! from scratch.  Debug builds assert every update against a fresh build;
+//! edge coordinates, pushes the appended tail, merges the edge multiset
+//! and re-derives space, edge table and accuracy from it without a sort —
+//! a result bit-identical to a fresh build.  Only a context that does not
+//! reflect the predecessor (a size the previous pass did not probe) is
+//! rebuilt from scratch.  Debug builds assert every update against a fresh build;
 //! the unit tests below check the same in release builds.
 
 use std::collections::HashMap;
@@ -109,7 +110,7 @@ use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_data::{AttrValue, Dataset, SpatialObject};
 use asrs_geo::{Point, Rect, RegionSize};
 
-use crate::asp::{AspInstance, Contributions, EdgeSnapper, RectObject};
+use crate::asp::{AspInstance, Contributions, RectObject};
 use crate::best::BestSet;
 use crate::cache::CarryCandidate;
 use crate::discretize::Scratch;
@@ -279,7 +280,7 @@ fn slot_survives(
     {
         let ctx = probes.context(next, size);
         for result in results {
-            let snapped = ctx.snapper.snap(result.anchor);
+            let snapped = ctx.asp.edges().snap(result.anchor);
             if !points_bit_equal(snapped, result.anchor) {
                 return false;
             }
@@ -304,7 +305,7 @@ fn slot_survives(
     let mut scratch = solver.scratch();
     !touched
         .iter()
-        .any(|p| window_reaches(&solver, &ctx.snapper, *p, cutoff, &mut scratch))
+        .any(|p| window_reaches(&solver, *p, cutoff, &mut scratch))
 }
 
 /// R2 + R3 + R4 for a MaxRS answer, through the MaxRS → ASRS reduction
@@ -335,7 +336,7 @@ fn maxrs_survives(
     // R4: the reported anchor is still its own cell representative.
     {
         let ctx = probes.context(next, size);
-        if !points_bit_equal(ctx.snapper.snap(result.anchor), result.anchor) {
+        if !points_bit_equal(ctx.asp.edges().snap(result.anchor), result.anchor) {
             return false;
         }
     }
@@ -366,13 +367,13 @@ fn maxrs_survives(
     let mut scratch = solver.scratch();
     !touched
         .iter()
-        .any(|p| window_reaches(&solver, &ctx.snapper, *p, cutoff, &mut scratch))
+        .any(|p| window_reaches(&solver, *p, cutoff, &mut scratch))
 }
 
 /// Whether some candidate anchored in the influence window of `touched`
 /// attains a distance at or below `cutoff` against the successor dataset,
 /// decided by `solver`, the kernel bound to the successor's probe context
-/// for the query, whose `snapper` canonicalises the probed anchors.  A
+/// for the query, whose edge table canonicalises the probed anchors.  A
 /// window intersecting more than [`PROBE_BUDGET`] candidate rectangles
 /// counts as reaching it.
 ///
@@ -386,7 +387,6 @@ fn maxrs_survives(
 /// candidate at or below the cutoff displaces it.
 fn window_reaches(
     solver: &DsSearch<'_>,
-    snapper: &Arc<EdgeSnapper>,
     touched: Point,
     cutoff: f64,
     scratch: &mut Scratch,
@@ -408,7 +408,7 @@ fn window_reaches(
     if candidates.len() > PROBE_BUDGET {
         return true;
     }
-    let mut best = BestSet::new(1, Arc::clone(snapper));
+    let mut best = BestSet::new(1, Arc::clone(solver.asp.edges()));
     best.offer(
         cutoff.next_up(),
         Point::new(window.min_x, window.min_y),
@@ -436,16 +436,23 @@ pub(crate) struct CarryProbes {
     fresh_builds: usize,
 }
 
-/// One cached probe context: the ASP instance, its contribution table
-/// under the engine's aggregator, and the snapper for a query size, plus
-/// the sorted (by `total_cmp`, duplicates kept) edge-coordinate arrays the
+/// One cached probe context: the ASP instance (with its edge table, which
+/// snaps the probed anchors) and its contribution table under the
+/// engine's aggregator for a query size, plus the edge multiset the
 /// incremental update maintains, tagged with the dataset generation and
 /// length they reflect.
+///
+/// `xs`/`ys` are the edge coordinates sorted by `total_cmp` with
+/// duplicates kept: the multiset the instance's deduplicated edge table
+/// comes from.  A fresh build sorts it once, together with the instance
+/// ([`AspInstance::with_contributions_and_edges`]); every later batch
+/// merges its removed and appended edges in one pass, and
+/// [`AspInstance::refresh`] derives table and accuracy from the merge
+/// without sorting again.
 #[derive(Debug)]
 struct SizeContext {
     asp: AspInstance,
     table: Contributions,
-    snapper: Arc<EdgeSnapper>,
     xs: Vec<f64>,
     ys: Vec<f64>,
     generation: u64,
@@ -582,27 +589,15 @@ impl<'a> PassProbes<'a> {
 
 impl SizeContext {
     /// Builds the context from scratch, mirroring the executor's instance
-    /// construction for a shard scatter exactly (`Executor::run`), so
-    /// snapped representatives agree bit-for-bit.  The edge arrays are
-    /// sorted once and feed the snapper too: its edges are bit-identical
-    /// to [`EdgeSnapper::from_asp`]'s.
+    /// construction exactly (`Executor::run`), so snapped representatives
+    /// agree bit-for-bit; the edge multiset comes from the instance's own
+    /// sort.
     fn fresh(next: &EngineCore, size: RegionSize) -> Self {
-        let (asp, table) = AspInstance::with_contributions(&next.dataset, &next.aggregator, size);
-        let mut xs = Vec::with_capacity(asp.rects().len() * 2);
-        let mut ys = Vec::with_capacity(asp.rects().len() * 2);
-        for r in asp.rects() {
-            xs.push(r.rect.min_x);
-            xs.push(r.rect.max_x);
-            ys.push(r.rect.min_y);
-            ys.push(r.rect.max_y);
-        }
-        xs.sort_by(f64::total_cmp);
-        ys.sort_by(f64::total_cmp);
-        let snapper = Arc::new(EdgeSnapper::from_sorted_edges(&xs, &ys));
+        let (asp, table, xs, ys) =
+            AspInstance::with_contributions_and_edges(&next.dataset, &next.aggregator, size);
         Self {
             asp,
             table,
-            snapper,
             xs,
             ys,
             generation: next.generation,
@@ -613,9 +608,9 @@ impl SizeContext {
     /// Brings a context of the predecessor up to `next`: drop the removed
     /// rectangles (renumbering the rest) with their contribution rows,
     /// push the appended tail's rectangles and rows, merge the edge
-    /// coordinates in one pass per axis, and re-derive space, accuracy and
-    /// snapper with the same folds a fresh build uses — bit-identical
-    /// output for a fraction of the sort cost.
+    /// coordinates in one pass per axis, and re-derive space, edge table
+    /// and accuracy with the same folds a fresh build uses — bit-identical
+    /// output without a sort.
     fn apply(&mut self, next: &EngineCore, size: RegionSize, delta: &DatasetDelta) {
         let added = next.dataset.len() - delta.tail;
         let mut gone_xs = Vec::with_capacity(delta.removed.len() * 2);
@@ -643,7 +638,6 @@ impl SizeContext {
         merge_sorted(&mut self.xs, gone_xs, new_xs);
         merge_sorted(&mut self.ys, gone_ys, new_ys);
         self.asp.refresh(&self.xs, &self.ys);
-        self.snapper = Arc::new(EdgeSnapper::from_sorted_edges(&self.xs, &self.ys));
         self.generation = next.generation;
         self.len = next.dataset.len();
         #[cfg(debug_assertions)]
@@ -662,7 +656,7 @@ impl SizeContext {
 
     /// The first field in which this context differs from a from-scratch
     /// build of `next`, compared bit for bit, or `None` when it matches;
-    /// the snapper is compared with the executor's own construction.  The
+    /// the edge table is compared with the executor's own construction.  The
     /// release-mode unit tests check it like the debug assertion.
     #[cfg(any(debug_assertions, test))]
     fn diverges_from_fresh(&self, next: &EngineCore, size: RegionSize) -> Option<&'static str> {
@@ -680,8 +674,12 @@ impl SizeContext {
             Some("contribution table")
         } else if !bits(&self.xs, &fresh.xs) || !bits(&self.ys, &fresh.ys) {
             Some("edge arrays")
-        } else if !self.snapper.bits_eq(&EdgeSnapper::from_asp(&fresh.asp)) {
-            Some("snapper")
+        } else if !self
+            .asp
+            .edges()
+            .bits_eq(AspInstance::build(&next.dataset, size).edges())
+        {
+            Some("edge table")
         } else if self.len != fresh.len {
             Some("length")
         } else {
@@ -932,7 +930,7 @@ mod tests {
         let candidates = solver
             .table
             .contributing(solver.asp.rects_intersecting(&window));
-        let mut best = BestSet::new(1, Arc::new(EdgeSnapper::from_asp(solver.asp)));
+        let mut best = BestSet::new(1, Arc::clone(solver.asp.edges()));
         solver
             .search_space(
                 window,
@@ -971,7 +969,6 @@ mod tests {
                 None,
             );
             let mut scratch = solver.scratch();
-            let snapper = Arc::new(EdgeSnapper::from_asp(&asp));
             let (_, empty_distance) = solver.empty_candidate();
             for i in 0..40 {
                 let touched = Point::new(
@@ -980,7 +977,7 @@ mod tests {
                 );
                 let min = window_min(&solver, touched);
                 let reaches = |cutoff: f64, scratch: &mut Scratch| {
-                    window_reaches(&solver, &snapper, touched, cutoff, scratch)
+                    window_reaches(&solver, touched, cutoff, scratch)
                 };
                 assert!(!reaches(min.next_down(), &mut scratch), "below {min}");
                 assert!(reaches(min, &mut scratch), "at {min}");

@@ -26,6 +26,15 @@
 //! `O(n_col · n_row · d)` prefix pass and `O(n_col · n_row · d)` for the
 //! cell evaluations — the `O(n + n_col · n_row · d)` of the paper's
 //! Lemma 6, with no per-cell allocation on top.
+//!
+//! Dirty cells that are resolved exactly rather than split cost on top of
+//! that one probe per piece of their covering arrangement, and no more:
+//! the kernel cuts a cell into x-strips at its crossing rectangles'
+//! x-edges, skips a strip whose Equation-1 bound exceeds the cutoff, and
+//! cuts each remaining strip only at the y-edges of the rectangles active
+//! in it.  A cell crossed by `c` rectangles thus costs at most
+//! `(2c + 1)²` probes, and usually far fewer: the flat product of every
+//! crossing rectangle's cuts is never enumerated.
 
 use crate::asp::{AspInstance, Contributions};
 use crate::best::BestSet;
@@ -187,20 +196,25 @@ pub(crate) struct Scratch {
     pub edges: GridEdges,
     /// Feature vector of the cell or probe under evaluation.
     pub features: Vec<f64>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
+    /// Equation-1 feature bounds of the dirty cell or resolve strip under
+    /// evaluation.
+    pub lo: Vec<f64>,
+    /// See [`Scratch::lo`].
+    pub hi: Vec<f64>,
     /// Candidate list of each cell under exact resolution.
     pub lists: Vec<Vec<u32>>,
     /// Rectangles crossing the resolved cell.
     pub partial: Vec<u32>,
     /// Crossing rectangles covering the current probe column.
     pub active: Vec<u32>,
-    /// Probe-window cuts of the resolved cell.
+    /// Strip cuts of the resolved cell.
     pub xs: Vec<f64>,
-    /// See [`Scratch::xs`].
+    /// Window cuts of the current strip.
     pub ys: Vec<f64>,
     /// Contributions shared by every probe of the resolved cell.
     pub base: StatsAccumulator,
+    /// Statistics of [`Scratch::base`].
+    pub base_stats: Vec<f64>,
     /// Contributions of the current probe.
     pub probe: StatsAccumulator,
     /// Statistics of the current probe.
@@ -225,6 +239,7 @@ impl Scratch {
             xs: Vec::new(),
             ys: Vec::new(),
             base: StatsAccumulator::new(dims),
+            base_stats: vec![0.0; dims],
             probe: StatsAccumulator::new(dims),
             probe_stats: vec![0.0; dims],
         }
@@ -380,7 +395,6 @@ pub(crate) fn discretize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asp::EdgeSnapper;
     use crate::query::AsrsQuery;
     use asrs_aggregator::{CompositeAggregator, FeatureVector, Selection, Weights};
     use asrs_data::{AttrValue, AttributeDef, AttributeKind, Dataset, DatasetBuilder, Schema};
@@ -437,7 +451,7 @@ mod tests {
         /// An empty one-entry result set snapping to this instance's
         /// arrangement.
         fn best_set(&self) -> BestSet {
-            BestSet::new(1, Arc::new(EdgeSnapper::from_asp(&self.asp)))
+            BestSet::new(1, Arc::clone(self.asp.edges()))
         }
 
         /// Discretises the whole instance space on an `n × n` grid.
@@ -551,7 +565,7 @@ mod tests {
         );
         assert_eq!(
             best.best().anchor,
-            EdgeSnapper::from_asp(&f.asp).snap(seed),
+            f.asp.edges().snap(seed),
             "nothing can improve on a best of 0 below every edge"
         );
     }

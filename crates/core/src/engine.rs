@@ -51,7 +51,7 @@ use crate::error::AsrsError;
 use crate::executor::{Executor, Slabs};
 use crate::grid_index::GridIndex;
 use crate::mutate::{MutationReceipt, MutationState, MutationStats};
-use crate::planner::{EngineStatistics, ExecutionPlan, IndexStatistics, PlanReason, Planner};
+use crate::planner::{EngineStatistics, ExecutionPlan, IndexStatistics, Planner};
 use crate::query::AsrsQuery;
 use crate::request::{Backend, QueryOutcome, QueryRequest, QueryResponse};
 use crate::shard::ShardSet;
@@ -161,7 +161,8 @@ impl EngineBuilder {
     /// [`QueryResponse::stats_stripped`](crate::QueryResponse::stats_stripped)).
     /// Approximate requests are the exception: the scatter answers them
     /// exactly, the unsharded engine within the (1+δ) band.  A request
-    /// that pins [`Backend::Naive`] runs the oracle, not the scatter.
+    /// planned or pinned to [`Backend::Naive`] (the planner picks it for
+    /// datasets of at most 16 objects) runs the oracle, not the scatter.
     /// The regions are fixed for the engine's lifetime: every point of the
     /// plane routes to exactly one of them, so mutations never re-partition.
     ///
@@ -614,14 +615,13 @@ impl EngineCore {
     }
 
     /// The executor for `plan`'s backend over the engine's discretisation
-    /// grid.  A sharded core scatters over its anchor slabs whatever
-    /// backend the plan reports, and answers exactly (δ included in that
-    /// guarantee) — except for a request that pins the naive oracle, which
-    /// runs the oracle.
+    /// grid.  The naive oracle runs whenever the plan names it, pinned or
+    /// planned, so the reported backend is the one that ran.  Otherwise a
+    /// sharded core scatters over its anchor slabs whatever backend the
+    /// plan reports, and answers exactly (δ included in that guarantee).
     fn executor(&self, plan: &ExecutionPlan) -> Result<Executor<'_>, AsrsError> {
-        let pinned = plan.reason == PlanReason::ForcedByRequest;
         let slabs = match (&self.shards, plan.backend) {
-            (Some(_), Backend::Naive) if pinned => Slabs::Arrangement,
+            (_, Backend::Naive) => Slabs::Arrangement,
             (Some(shards), _) => Slabs::Shards(shards),
             (None, Backend::DsSearch) => Slabs::Whole,
             (None, Backend::GiDs) => Slabs::IndexCells(
@@ -629,7 +629,6 @@ impl EngineCore {
                     .as_deref()
                     .ok_or(AsrsError::IndexRequired { backend: "gi-ds" })?,
             ),
-            (None, Backend::Naive) => Slabs::Arrangement,
         };
         Ok(Executor::new(
             &self.dataset,

@@ -22,7 +22,7 @@
 //! and MaxRS requests (the count reduction of the `maxrs` module) all run
 //! through [`Executor::run`].
 
-use crate::asp::{AspInstance, EdgeSnapper};
+use crate::asp::AspInstance;
 use crate::best::BestSet;
 use crate::budget::Budget;
 use crate::config::SearchConfig;
@@ -130,7 +130,7 @@ impl<'a> Executor<'a> {
             query,
             budget.as_ref(),
         );
-        let mut best = BestSet::new(k, Arc::new(EdgeSnapper::from_asp(&asp)));
+        let mut best = BestSet::new(k, Arc::clone(asp.edges()));
         solver.seed_empty_region(&mut best);
         match self.slabs {
             Slabs::Whole => {

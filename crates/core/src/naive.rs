@@ -7,7 +7,8 @@
 //! takes the midpoints between consecutive distinct edge coordinates,
 //! evaluates every `(x, y)` combination, and adds one point outside
 //! everything.  The probes are the arrangement cells' canonical
-//! representatives (see [`EdgeSnapper`]), the candidates the pruning
+//! representatives (the intervals of the instance's edge table, see
+//! [`EdgeSnapper`](crate::asp::EdgeSnapper)), the candidates the pruning
 //! backends offer, so the oracle reports the same anchors as they do.
 //!
 //! The cost is `O(n²)` probe points, each evaluated in `O(n)` — far too
@@ -15,7 +16,7 @@
 //! engine's faster backends, which is why the engine exposes it as
 //! [`Backend::Naive`](crate::Backend).
 
-use crate::asp::{AspInstance, EdgeSnapper};
+use crate::asp::AspInstance;
 use crate::best::BestSet;
 use crate::budget::Budget;
 use crate::error::AsrsError;
@@ -115,7 +116,7 @@ impl<'a> NaiveSearch<'a> {
         // i.e. one point per arrangement cell inside the instance's space,
         // plus one point outside everything — where the kernel seeds the
         // empty region.
-        let snapper = Arc::new(EdgeSnapper::from_asp(&asp));
+        let snapper = Arc::clone(asp.edges());
         let midpoints =
             |edges: &[f64]| -> Vec<f64> { edges.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect() };
         let (px, py) = (midpoints(snapper.xs()), midpoints(snapper.ys()));

@@ -26,7 +26,11 @@ pub struct SearchStats {
     /// Number of spaces dropped because they satisfied the drop condition.
     pub drops: u64,
     /// Number of candidate points evaluated by the exact fallback applied
-    /// to dropped spaces and to cells few rectangles cross.
+    /// to dropped spaces and to cells few rectangles cross: one per
+    /// arrangement piece of the *active* rectangles (those crossing the
+    /// cell and covering the strip) in each x-strip whose Equation-1
+    /// bound does not exceed the cutoff.  The naive oracle counts one per
+    /// probe of its full arrangement grid.
     pub fallback_points: u64,
     /// Number of sub-spaces pushed onto the heap.
     pub heap_pushes: u64,

@@ -22,9 +22,10 @@
 //!    [`Wal::open`](crate::Wal::open) uses: the header check (an empty
 //!    file is a fresh log), then the frame walk, whose stop is either a
 //!    *torn tail* (an incomplete or damaged final frame: the expected
-//!    crash artifact, a warning, truncated by boot) or damage (an
-//!    oversized frame, which boot truncates at, or a checksum-failing or
-//!    undecodable frame with bytes after it, which boot refuses: errors).
+//!    crash artifact, a warning, truncated by boot) or damage (a frame
+//!    header declaring a payload over the ceiling, or a checksum-failing
+//!    or undecodable frame, with bytes after it, which boot refuses:
+//!    errors).
 //!    On top, in-log generation contiguity and finite append locations.
 //! 3. **Cross-file** ([`check_dir`]) — the directory as a whole: the boot
 //!    plan (newest loadable snapshot, then the replay plan
@@ -89,7 +90,8 @@ pub enum FsckCategory {
     /// A complete WAL frame with bytes after it that fails its checksum or
     /// does not decode; boot refuses the log.
     CorruptFrame,
-    /// A frame declares a payload beyond the format's size ceiling.
+    /// A frame declares a payload beyond the format's size ceiling, and
+    /// non-zero bytes follow its header; boot refuses the log.
     OversizedFrame,
     /// Generations inside the WAL are not contiguous.
     GenerationGap,

@@ -22,7 +22,10 @@
 //! construction.  A damaged frame with bytes after it is not a crash
 //! artifact: the frames after it may be acknowledged mutations, so
 //! [`Wal::open`] refuses the log ([`PersistError::CorruptWalFrame`]) and
-//! leaves the file as it found it.  An empty file (a crash before the
+//! leaves the file as it found it.  So does a length field past the frame
+//! ceiling with any non-zero byte after its frame header: where such a
+//! frame would end is unknown, so every later byte may belong to an
+//! acknowledged frame.  An empty file (a crash before the
 //! header was written) opens as a fresh log.  Compaction (after a snapshot)
 //! rewrites the log keeping only frames newer than the snapshot generation,
 //! through the same temp-file-and-rename dance the snapshots use.
@@ -84,9 +87,9 @@ pub(crate) struct Scan {
     /// File length up to the end of the last intact frame (header
     /// included; 0 for an empty file).
     pub intact_len: usize,
-    /// Why the walk ended before the end of the file: a `TornTail`, an
-    /// `OversizedFrame` or a `CorruptFrame` (a damaged frame with bytes
-    /// after it, at offset `intact_len`).
+    /// Why the walk ended before the end of the file: a `TornTail`, or an
+    /// `OversizedFrame` or `CorruptFrame` with bytes after it at offset
+    /// `intact_len`.
     pub stop: Option<Damage>,
 }
 
@@ -96,7 +99,9 @@ pub(crate) struct Scan {
 /// checksum or does not decode, because nothing after a damaged frame
 /// boundary can be trusted.  A frame that fails its checksum or decode is
 /// a torn tail when it is the last one or only zero bytes follow it, and a
-/// `CorruptFrame` otherwise.
+/// `CorruptFrame` otherwise.  A frame header declaring a payload over the
+/// ceiling is a torn tail when only zero bytes follow the header, and an
+/// `OversizedFrame` otherwise.
 pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, Damage> {
     use FsckCategory::{BadMagic, BadVersion, CorruptFrame, OversizedFrame, TornTail, Truncated};
     let mut scan = Scan {
@@ -139,6 +144,12 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, Damage> {
         }
         let len = le_u32(bytes, at);
         if len > MAX_FRAME_LEN {
+            if bytes[at + FRAME_HEADER_LEN..].iter().all(|&b| b == 0) {
+                let detail = format!(
+                    "frame at offset {at} declares a {len}-byte payload, over the {MAX_FRAME_LEN}-byte ceiling, and only zero bytes (if any) follow its header: an append that never reached the disk"
+                );
+                break Some(Damage::new(TornTail, detail));
+            }
             let detail = format!(
                 "frame at offset {at} declares a {len}-byte payload, over the {MAX_FRAME_LEN}-byte ceiling; {rest} byte(s) unreachable"
             );
@@ -187,11 +198,17 @@ pub(crate) fn scan(bytes: &[u8]) -> Result<Scan, Damage> {
 
 impl Scan {
     /// The typed refusal of a walk that stopped at a damaged frame with
-    /// bytes after it: truncating there would delete frames that may be
-    /// acknowledged mutations.
+    /// bytes after it (a `CorruptFrame` or an `OversizedFrame`):
+    /// truncating there would delete frames that may be acknowledged
+    /// mutations.
     fn refuse_mid_log_damage(&self, path: &Path) -> Result<(), PersistError> {
         match &self.stop {
-            Some(damage) if damage.category == FsckCategory::CorruptFrame => {
+            Some(damage)
+                if matches!(
+                    damage.category,
+                    FsckCategory::CorruptFrame | FsckCategory::OversizedFrame
+                ) =>
+            {
                 Err(PersistError::CorruptWalFrame {
                     path: path.to_path_buf(),
                     offset: self.intact_len as u64,
@@ -291,7 +308,9 @@ impl Wal {
     /// # Errors
     ///
     /// [`PersistError::CorruptWalFrame`] when a frame with bytes after it
-    /// fails its checksum or decode; the file is left untouched.
+    /// fails its checksum or decode, or a frame header declares a payload
+    /// over the size ceiling with non-zero bytes after it; the file is
+    /// left untouched.
     pub fn open(path: &Path) -> Result<(Wal, WalRecovery), PersistError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -623,6 +642,39 @@ mod tests {
             assert!(err.to_string().contains(&second.to_string()), "{err}");
             assert_eq!(fs::read(&path).unwrap(), bytes, "byte {at}: file rewritten");
         }
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn an_oversized_length_in_frame_two_of_three_refuses_boot() {
+        let path = temp_log("oversized2of3");
+        {
+            let (wal, _) = Wal::open(&path).unwrap();
+            for (generation, m) in mutations().into_iter().take(3) {
+                wal.append(generation, &m).unwrap();
+            }
+        }
+        let healthy = fs::read(&path).unwrap();
+        let second = HEADER_LEN + FRAME_HEADER_LEN + le_u32(&healthy, HEADER_LEN) as usize;
+        // The high byte of frame 2's length field: a payload far past the
+        // ceiling, with frame 3 still behind it.
+        let mut bytes = healthy.clone();
+        bytes[second + 3] ^= 0xff;
+        assert!(le_u32(&bytes, second) > MAX_FRAME_LEN);
+        fs::write(&path, &bytes).unwrap();
+        let err = Wal::open(&path).unwrap_err();
+        assert!(
+            matches!(err, PersistError::CorruptWalFrame { offset, .. } if offset == second as u64),
+            "{err}"
+        );
+        assert_eq!(fs::read(&path).unwrap(), bytes, "the file is not rewritten");
+
+        // The same header followed only by zeros is a torn append.
+        bytes[second + FRAME_HEADER_LEN..].fill(0);
+        fs::write(&path, &bytes).unwrap();
+        let (_, recovery) = Wal::open(&path).unwrap();
+        assert_eq!(recovery.entries.len(), 1);
+        assert_eq!(fs::metadata(&path).unwrap().len(), second as u64);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -212,6 +212,66 @@ fn every_plan_answers_similar_and_top_k_byte_identically() {
 }
 
 #[test]
+fn max_rs_matches_the_oracle_under_heavy_ties() {
+    // MaxRS is the request shape with the most tied candidates.  Its count
+    // reduction (count aggregator, target one above the cardinality) runs
+    // as a similar and a top-4 request through forced DS-Search, GI-DS and
+    // the oracle, unsharded and on 2 shards; the MaxRS request itself runs
+    // the DS-Search adaptation on both engines.  Every answer must be the
+    // pinned oracle's, byte for byte.
+    for seed in 1..=12 {
+        let (ds, _, _) = workload(80, seed);
+        let count = CompositeAggregator::builder(ds.schema())
+            .count(Selection::All)
+            .build()
+            .unwrap();
+        let unsharded = indexed_engine(&ds, &count);
+        let sharded = AsrsEngine::builder(ds.clone(), count)
+            .build_index(24, 24)
+            .shards(2)
+            .build()
+            .unwrap();
+        let target = ds.len() as f64 + 1.0;
+        for (w, h) in [(30.0, 30.0), (60.0, 60.0), (100.0, 100.0), (150.0, 120.0)] {
+            let size = RegionSize::new(w, h);
+            let reduced =
+                AsrsQuery::new(size, FeatureVector::new(vec![target]), Weights::uniform(1));
+            let case = format!("seed {seed} size {w}x{h}");
+            for request in [
+                QueryRequest::similar(reduced.clone()),
+                QueryRequest::top_k(reduced.clone(), 4),
+            ] {
+                let oracle = outcome_bytes(&forced(&unsharded, request.clone(), Backend::Naive));
+                for engine in [&unsharded, &sharded] {
+                    for backend in [Backend::DsSearch, Backend::GiDs, Backend::Naive] {
+                        assert_eq!(
+                            outcome_bytes(&forced(engine, request.clone(), backend)),
+                            oracle,
+                            "{case} {} {backend:?} on {} shard(s)",
+                            request.operation_name(),
+                            engine.shard_count()
+                        );
+                    }
+                }
+            }
+            let oracle = forced(&unsharded, QueryRequest::similar(reduced), Backend::Naive);
+            let oracle = best(&oracle);
+            for engine in [&unsharded, &sharded] {
+                let response = forced(engine, QueryRequest::max_rs(size), Backend::DsSearch);
+                let answer = response.max_rs().unwrap();
+                assert_eq!(
+                    serde::json::to_string(&(answer.anchor, answer.region)),
+                    serde::json::to_string(&(oracle.anchor, oracle.region)),
+                    "{case} on {} shard(s)",
+                    engine.shard_count()
+                );
+                assert_eq!(answer.count as f64, target - oracle.distance, "{case}");
+            }
+        }
+    }
+}
+
+#[test]
 fn a_pinned_oracle_runs_the_oracle_on_a_sharded_engine() {
     let (ds, agg, queries) = workload(80, 3);
     let unsharded = indexed_engine(&ds, &agg);

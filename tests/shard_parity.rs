@@ -275,17 +275,21 @@ fn degenerate_datasets_keep_parity() {
             .build()
             .unwrap();
         let baseline = sharded_engine(&ds, &agg, 1, false);
+        let unsharded = sharded_engine(&ds, &agg, 0, false);
         let requests = request_pool(&ds, &agg, 5);
+        let similar = QueryRequest::similar(AsrsQuery::new(
+            RegionSize::new(1.0, 1.0),
+            FeatureVector::new(vec![0.4, 1.3, 0.7]),
+            Weights::uniform(3),
+        ));
         for &k in &SHARD_COUNTS {
             let sharded = sharded_engine(&ds, &agg, k, false);
             // Every shard is accounted for: either its slab executed or
-            // routing pruned it (no rectangle reaches an empty slab).
+            // routing pruned it (no rectangle reaches an empty slab).  The
+            // planner sends datasets this small to the naive oracle, so
+            // the scatter is pinned.
             let response = sharded
-                .submit(&QueryRequest::similar(AsrsQuery::new(
-                    RegionSize::new(1.0, 1.0),
-                    FeatureVector::new(vec![0.4, 1.3, 0.7]),
-                    Weights::uniform(3),
-                )))
+                .submit(&similar.clone().with_backend(Backend::DsSearch))
                 .unwrap();
             assert_eq!(
                 response.stats.shards_touched + response.stats.shards_pruned,
@@ -294,6 +298,18 @@ fn degenerate_datasets_keep_parity() {
                 ds.len()
             );
             assert!(response.stats.shards_touched >= 1);
+            // Unpinned, the oracle the plan reports is what runs: no slab,
+            // and the unsharded engine's outcome.
+            let planned = sharded.submit(&similar).unwrap();
+            assert_eq!(planned.backend, Backend::Naive);
+            assert_eq!(planned.stats.shards_touched, 0, "shards {k}");
+            assert_eq!(
+                serde::json::to_string(&planned.stats_stripped().outcome),
+                serde::json::to_string(
+                    &unsharded.submit(&similar).unwrap().stats_stripped().outcome
+                ),
+                "shards {k}"
+            );
             for request in &requests {
                 let a = canonical_bytes(&baseline.submit(request).unwrap());
                 let b = canonical_bytes(&sharded.submit(request).unwrap());
@@ -314,16 +330,15 @@ fn degenerate_datasets_keep_parity() {
         FeatureVector::new(vec![2.0]),
         Weights::uniform(1),
     );
+    // Pinned to the scatter, as the planner sends an empty dataset to the
+    // naive oracle.
+    let request = QueryRequest::similar(query).with_backend(Backend::DsSearch);
     let baseline = sharded_engine(&empty, &agg, 1, false);
-    let a = baseline
-        .submit(&QueryRequest::similar(query.clone()))
-        .unwrap();
+    let a = baseline.submit(&request).unwrap();
     assert_eq!(a.best().unwrap().distance, 2.0);
     for &k in &SHARD_COUNTS {
         let sharded = sharded_engine(&empty, &agg, k, false);
-        let b = sharded
-            .submit(&QueryRequest::similar(query.clone()))
-            .unwrap();
+        let b = sharded.submit(&request).unwrap();
         assert_eq!(canonical_bytes(&a), canonical_bytes(&b));
         // No rectangle reaches any slab: routing prunes every shard.
         assert_eq!(b.stats.shards_pruned, k as u64);
