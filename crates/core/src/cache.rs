@@ -43,6 +43,7 @@
 
 use crate::error::AsrsError;
 use crate::request::{QueryRequest, QueryResponse, RequestKey};
+use crate::stats::LatencyHistogram;
 use crate::sync::Mutex;
 use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
@@ -50,6 +51,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Number of independently locked shards.  A fixed power of two keeps the
 /// key → shard mapping a cheap mask; 16 shards already make lock collisions
@@ -223,7 +225,27 @@ pub struct CacheStats {
     /// Carry-forward attempts rejected by the byte-identity proof path —
     /// each one is a soundness near-miss worth investigating.
     pub carry_proof_failures: u64,
+    /// Carry passes run: one per published generation.
+    pub carry_passes: u64,
+    /// Total microseconds spent in those passes.
+    pub carry_pass_total_us: u64,
+    /// Carry-pass latency histogram bucket counts, one per
+    /// [`CARRY_PASS_BUCKET_BOUNDS_US`] bound plus a trailing overflow
+    /// bucket.
+    pub carry_pass_latency_us: Vec<u64>,
+    /// Per-size probe contexts the carry passes patched in place.
+    pub carry_contexts_patched: u64,
+    /// Per-size probe contexts the carry passes built from scratch: the
+    /// first probe of a size, a context the previous pass left behind, or
+    /// one found inconsistent while patching.
+    pub carry_contexts_rebuilt: u64,
 }
+
+/// Upper bounds (microseconds, inclusive) of the carry-pass latency
+/// histogram buckets; one implicit overflow bucket follows the last bound.
+pub const CARRY_PASS_BUCKET_BOUNDS_US: [u64; 12] = [
+    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
+];
 
 impl CacheStats {
     /// Fraction of lookups answered from the cache (0 when none happened).
@@ -258,6 +280,9 @@ pub struct QueryCache {
     coalesced_waits: AtomicU64,
     carried_forward: AtomicU64,
     carry_proof_failures: AtomicU64,
+    carry_pass_latency: LatencyHistogram,
+    carry_contexts_patched: AtomicU64,
+    carry_contexts_rebuilt: AtomicU64,
 }
 
 impl QueryCache {
@@ -279,6 +304,9 @@ impl QueryCache {
             coalesced_waits: AtomicU64::new(0),
             carried_forward: AtomicU64::new(0),
             carry_proof_failures: AtomicU64::new(0),
+            carry_pass_latency: LatencyHistogram::new(&CARRY_PASS_BUCKET_BOUNDS_US),
+            carry_contexts_patched: AtomicU64::new(0),
+            carry_contexts_rebuilt: AtomicU64::new(0),
         }
     }
 
@@ -496,6 +524,18 @@ impl QueryCache {
         self.carry_proof_failures.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one carry pass: its duration and the per-size probe
+    /// contexts it patched and rebuilt.  Passes run under the engine's
+    /// mutation mutex, so the counters need no lock of their own.
+    pub(crate) fn note_carry_pass(&self, elapsed: Duration, patched: u64, rebuilt: u64) {
+        self.carry_pass_latency
+            .record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+        self.carry_contexts_patched
+            .fetch_add(patched, Ordering::Relaxed);
+        self.carry_contexts_rebuilt
+            .fetch_add(rebuilt, Ordering::Relaxed);
+    }
+
     /// The generation stamp and carry provenance of every stored key, for
     /// the invariant auditor (an engine-owned cache only ever stores
     /// [`RequestKey::stamped`](crate::RequestKey::stamped) keys).  Keys
@@ -521,6 +561,8 @@ impl QueryCache {
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
+        let (carry_passes, carry_pass_total_us, carry_pass_latency_us) =
+            self.carry_pass_latency.snapshot();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -534,6 +576,11 @@ impl QueryCache {
             coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
             carried_forward: self.carried_forward.load(Ordering::Relaxed),
             carry_proof_failures: self.carry_proof_failures.load(Ordering::Relaxed),
+            carry_passes,
+            carry_pass_total_us,
+            carry_pass_latency_us,
+            carry_contexts_patched: self.carry_contexts_patched.load(Ordering::Relaxed),
+            carry_contexts_rebuilt: self.carry_contexts_rebuilt.load(Ordering::Relaxed),
         }
     }
 }

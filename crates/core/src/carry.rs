@@ -87,32 +87,61 @@
 //!
 //! # Probe-context reuse
 //!
-//! R3 and R4 need an [`AspInstance`] (with its [`Contributions`] table and
-//! its edge table) per distinct query size — the expensive part of
-//! the pass.  The contexts persist in the mutator state ([`CarryProbes`])
-//! across publishes and follow each batch incrementally, whatever its
-//! shape: appends, removals, TTL expiries or a mix.  Once per pass the
-//! [`DatasetDelta`] is derived by walking the predecessor and successor
-//! datasets in order (removals preserve order and appends land at the
-//! end, so the walk is exact).  Each context then drops the removed
-//! rectangles (renumbering the rest) with their contribution rows and
-//! edge coordinates, pushes the appended tail, merges the edge multiset
-//! and re-derives space, edge table and accuracy from it without a sort —
-//! a result bit-identical to a fresh build.  Only a context that does not
-//! reflect the predecessor (a size the previous pass did not probe) is
-//! rebuilt from scratch.  Debug builds assert every update against a fresh build;
-//! the unit tests below check the same in release builds.
+//! R3 and R4 need, per distinct query size, an [`AspInstance`] (with its
+//! edge table, which snaps the probed anchors) and a [`Contributions`]
+//! table: the engine aggregator's for ASRS slots, a count aggregator's for
+//! MaxRS slots.  Only the instance depends on the size.  Rectangle `i` is
+//! the `a × b` box whose top-right corner is object `i`'s location, but its
+//! contribution row is object `i`'s whatever the size: the factorisation
+//! `Contributions` applies within one query holds across sizes too.  So
+//! the persistent state ([`CarryProbes`], kept in the mutator state across
+//! publishes) holds one size-independent part, [`ObjectTables`] (the
+//! contribution tables and an index of the objects sorted by x), and one
+//! [`SizeContext`] per cached size.
+//!
+//! Both follow each batch in place, whatever its shape: appends, removals,
+//! TTL expiries or a mix.  Once per pass the [`DatasetDelta`] is derived by
+//! walking the predecessor and successor datasets in order (removals
+//! preserve order and appends land at the end, so the walk is exact).  The
+//! size-independent part is patched once per pass: the removed rows and
+//! index entries are dropped (renumbering the rest), the appended tail's
+//! are added.  A size's instance is patched the first time the pass probes
+//! that size ([`AspInstance::patch`]): its rectangles likewise, and its
+//! deduplicated edge table edited in place, each removed or appended edge a
+//! binary search, with the edge multiplicities telling whether a
+//! coordinate is still present ([`EdgeCounts`]).  Definition 7's accuracy
+//! follows incrementally, and the space is kept, since the bounding-box
+//! gate guarantees it did not move.  The result is bit-identical to a
+//! fresh build.  Only a context that does not reflect the predecessor (a
+//! size the previous pass did not probe), or whose edge table lacks an edge
+//! the batch removed, is rebuilt from scratch.  Debug builds assert every
+//! update against a fresh build; the unit tests below check the same in
+//! release builds.
+//!
+//! # Window candidates by location
+//!
+//! Each R3 window search runs over the rectangles that reach the window.
+//! Rectangle `i` spans `[fl(xᵢ − a), xᵢ]` horizontally, and `fl(x − a)` is
+//! monotone in `x`, so the rectangles whose x-extent meets a window `W`
+//! belong to the objects with `x ≥ W.min_x` and `fl(x − a) ≤ W.max_x`: one
+//! contiguous run of the x-sorted index, found by two binary searches (a
+//! seek over sorted keys, as in Leapfrog Triejoin).  The exact
+//! [`Rect::intersects`] filter narrows the run, and the survivors come back
+//! in ascending position order: element for element the list a scan of
+//! every rectangle returns ([`AspInstance::rects_intersecting`]).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_data::{AttrValue, Dataset, SpatialObject};
 use asrs_geo::{Point, Rect, RegionSize};
 
-use crate::asp::{AspInstance, Contributions, RectObject};
+use crate::asp::{insert_at, AspInstance, Contributions, EdgeCounts};
 use crate::best::BestSet;
-use crate::cache::CarryCandidate;
+use crate::cache::{CarryCandidate, QueryCache};
 use crate::discretize::Scratch;
 use crate::ds_search::DsSearch;
 use crate::engine::EngineCore;
@@ -138,8 +167,9 @@ const PROBE_BUDGET: usize = 32_768;
 /// other way around).
 const CUTOFF_SLACK: f64 = 1e-9;
 
-/// Ceiling on cached per-size probe contexts.  Distinct query sizes past
-/// the ceiling evict every context the current pass did not refresh.
+/// Ceiling on cached per-size probe contexts.  Each pass first checks it:
+/// past the ceiling, every context the *previous* pass did not refresh is
+/// evicted, and the pass then adds what its own entries probe.
 const MAX_CACHED_SIZES: usize = 16;
 
 /// Re-stamps every provably unaffected cache entry of `old`'s generation
@@ -149,8 +179,10 @@ const MAX_CACHED_SIZES: usize = 16;
 /// readers never observe a cold window for the pass's duration.
 ///
 /// `touched` holds the location of every object the batch appended or
-/// removed; `probes` are the persistent per-size probe contexts, brought
-/// up to `next` incrementally (see the module docs).
+/// removed; `probes` are the persistent probe contexts, brought up to
+/// `next` incrementally (see the module docs).  The pass's duration and
+/// the contexts it patched and rebuilt are recorded in the cache's
+/// counters.
 pub(crate) fn carry_forward(
     old: &EngineCore,
     next: &EngineCore,
@@ -160,19 +192,33 @@ pub(crate) fn carry_forward(
     let Some(cache) = next.cache.as_deref() else {
         return;
     };
+    let started = Instant::now();
+    let (patched, rebuilt) = restamp(cache, old, next, touched, probes);
+    cache.note_carry_pass(started.elapsed(), patched, rebuilt);
+}
+
+/// The pass itself; returns how many probe contexts it patched and how
+/// many it built from scratch.
+fn restamp(
+    cache: &QueryCache,
+    old: &EngineCore,
+    next: &EngineCore,
+    touched: &[Point],
+    probes: &mut CarryProbes,
+) -> (u64, u64) {
     // Canonical sharded cores only: the soundness argument is built on the
     // shard scatter's decomposition-independence guarantee.  A moved
     // bounding box changes the search space wholesale — reject the entire
     // batch.
     if next.shards.is_none() || touched.is_empty() {
-        return;
+        return (0, 0);
     }
     if !rects_bit_equal(old.dataset.bounding_box(), next.dataset.bounding_box()) {
-        return;
+        return (0, 0);
     }
     let candidates = cache.carry_candidates(old.generation);
     if candidates.is_empty() {
-        return;
+        return (0, 0);
     }
     let mut probes = PassProbes::new(probes, old, next);
     probes.prune();
@@ -193,6 +239,7 @@ pub(crate) fn carry_forward(
         let new_key = candidate.request.cache_key().stamped(next.generation);
         cache.carry(&candidate.key, new_key, old.generation);
     }
+    (probes.patched, probes.rebuilt)
 }
 
 /// The full per-entry predicate (R1 plus the per-slot checks).
@@ -276,14 +323,11 @@ fn slot_survives(
     }
     // R4: reported anchors must still be their own arrangement-cell
     // representatives under the successor's edge set.
-    let size = query.size;
-    {
-        let ctx = probes.context(next, size);
-        for result in results {
-            let snapped = ctx.asp.edges().snap(result.anchor);
-            if !points_bit_equal(snapped, result.anchor) {
-                return false;
-            }
+    let probe = probes.context(next, query.size, &next.aggregator);
+    for result in results {
+        let snapped = probe.asp.edges().snap(result.anchor);
+        if !points_bit_equal(snapped, result.anchor) {
+            return false;
         }
     }
     // R3: no candidate inside any influence window may reach the cutoff.
@@ -292,20 +336,19 @@ fn slot_survives(
     // cells in a single window, but the threshold search visits only what
     // Equation-1 pruning cannot exclude.
     let cutoff = d_max + d_max.abs() * CUTOFF_SLACK;
-    let ctx = probes.context(next, size);
     let solver = DsSearch::new(
         &next.aggregator,
         &next.config,
         0.0,
-        &ctx.asp,
-        &ctx.table,
+        probe.asp,
+        probe.table,
         query,
         None,
     );
     let mut scratch = solver.scratch();
     !touched
         .iter()
-        .any(|p| window_reaches(&solver, *p, cutoff, &mut scratch))
+        .any(|p| window_reaches(&solver, probe.locations, *p, cutoff, &mut scratch))
 }
 
 /// R2 + R3 + R4 for a MaxRS answer, through the MaxRS → ASRS reduction
@@ -333,14 +376,7 @@ fn maxrs_survives(
             return false;
         }
     }
-    // R4: the reported anchor is still its own cell representative.
-    {
-        let ctx = probes.context(next, size);
-        if !points_bit_equal(ctx.asp.edges().snap(result.anchor), result.anchor) {
-            return false;
-        }
-    }
-    // R3 via the same reduction the executor runs (`maxrs::reduction`):
+    // R3 runs the same reduction the executor runs (`maxrs::reduction`):
     // exact search, count aggregator over the request's selection, target
     // above the successor cardinality.
     let Ok((aggregator, query)) = crate::maxrs::reduction(&next.dataset, size, selection) else {
@@ -353,29 +389,34 @@ fn maxrs_survives(
     if !d_reported.is_finite() || d_reported < 1.0 {
         return false;
     }
+    // R4: the reported anchor is still its own cell representative.
+    let probe = probes.context(next, size, &aggregator);
+    if !points_bit_equal(probe.asp.edges().snap(result.anchor), result.anchor) {
+        return false;
+    }
     let cutoff = d_reported + d_reported * CUTOFF_SLACK;
-    let (ctx, table) = probes.count_context(next, size, selection, &aggregator);
     let solver = DsSearch::new(
         &aggregator,
         &next.config,
         0.0,
-        &ctx.asp,
-        table,
+        probe.asp,
+        probe.table,
         &query,
         None,
     );
     let mut scratch = solver.scratch();
     !touched
         .iter()
-        .any(|p| window_reaches(&solver, *p, cutoff, &mut scratch))
+        .any(|p| window_reaches(&solver, probe.locations, *p, cutoff, &mut scratch))
 }
 
 /// Whether some candidate anchored in the influence window of `touched`
 /// attains a distance at or below `cutoff` against the successor dataset,
 /// decided by `solver`, the kernel bound to the successor's probe context
-/// for the query, whose edge table canonicalises the probed anchors.  A
-/// window intersecting more than [`PROBE_BUDGET`] candidate rectangles
-/// counts as reaching it.
+/// for the query, whose edge table canonicalises the probed anchors.  The
+/// window's candidate rectangles come from `locations`, the successor's
+/// x-sorted object index.  A window reaching more than [`PROBE_BUDGET`]
+/// candidate rectangles counts as reaching the cutoff.
 ///
 /// Mirrors the cold path: exact search (δ = 0, like the scatter)
 /// and the same contributing-rectangle filter.  Window cells no rectangle
@@ -387,6 +428,7 @@ fn maxrs_survives(
 /// candidate at or below the cutoff displaces it.
 fn window_reaches(
     solver: &DsSearch<'_>,
+    locations: &LocationIndex,
     touched: Point,
     cutoff: f64,
     scratch: &mut Scratch,
@@ -395,16 +437,10 @@ fn window_reaches(
     if empty_distance <= cutoff {
         return true;
     }
-    let size = solver.query.size;
-    let window = Rect::new(
-        touched.x - size.width,
-        touched.y - size.height,
-        touched.x,
-        touched.y,
-    );
+    let window = influence_window(touched, solver.query.size);
     let candidates = solver
         .table
-        .contributing(solver.asp.rects_intersecting(&window));
+        .contributing(locations.reaching(solver.asp, &window));
     if candidates.len() > PROBE_BUDGET {
         return true;
     }
@@ -423,38 +459,193 @@ fn window_reaches(
             .is_none_or(|e| e.distance <= cutoff)
 }
 
-/// The persistent per-size probe contexts, owned by the mutator state and
-/// reused across publishes (see the module docs).  Building an
-/// [`AspInstance`] per size dominated the carry pass; every batch now
-/// updates each cached context incrementally.
-#[derive(Debug, Default)]
-pub(crate) struct CarryProbes {
-    sizes: HashMap<(u64, u64), SizeContext>,
-    /// Contexts built from scratch, so the tests can tell the incremental
-    /// path from the fallback.
-    #[cfg(test)]
-    fresh_builds: usize,
+/// The influence window `W(ρ)` of a touched location `ρ`: the anchors
+/// whose candidate region can hold an object at `ρ`.
+fn influence_window(touched: Point, size: RegionSize) -> Rect {
+    Rect::new(
+        touched.x - size.width,
+        touched.y - size.height,
+        touched.x,
+        touched.y,
+    )
 }
 
-/// One cached probe context: the ASP instance (with its edge table, which
-/// snaps the probed anchors) and its contribution table under the
-/// engine's aggregator for a query size, plus the edge multiset the
-/// incremental update maintains, tagged with the dataset generation and
-/// length they reflect.
-///
-/// `xs`/`ys` are the edge coordinates sorted by `total_cmp` with
-/// duplicates kept: the multiset the instance's deduplicated edge table
-/// comes from.  A fresh build sorts it once, together with the instance
-/// ([`AspInstance::with_contributions_and_edges`]); every later batch
-/// merges its removed and appended edges in one pass, and
-/// [`AspInstance::refresh`] derives table and accuracy from the merge
-/// without sorting again.
+/// The persistent probe contexts, owned by the mutator state and reused
+/// across publishes (see the module docs): the size-independent
+/// [`ObjectTables`] and one [`SizeContext`] per cached query size.
+/// Building them from scratch dominated the carry pass; every batch now
+/// patches them in place.  Nothing is built before the first pass.
+#[derive(Debug, Default)]
+pub(crate) struct CarryProbes {
+    objects: Option<ObjectTables>,
+    sizes: HashMap<(u64, u64), SizeContext>,
+}
+
+/// The size-independent part of the probe contexts, tagged with the
+/// dataset generation and length it reflects: one contribution table per
+/// aggregator a recent pass probed (the engine's, and the count
+/// aggregators of MaxRS reductions), and the objects' x-sorted location
+/// index.  Each is one copy shared by every size, patched once per pass.
+#[derive(Debug)]
+struct ObjectTables {
+    tables: Vec<AggregatorTable>,
+    locations: LocationIndex,
+    generation: u64,
+    len: usize,
+}
+
+/// The contribution table of one aggregator, and the generation of the
+/// last pass that probed it.
+#[derive(Debug)]
+struct AggregatorTable {
+    aggregator: CompositeAggregator,
+    table: Contributions,
+    used: u64,
+}
+
+impl ObjectTables {
+    /// The location index of `next`; tables are built when first probed.
+    fn fresh(next: &EngineCore) -> Self {
+        Self {
+            tables: Vec::new(),
+            locations: LocationIndex::of(&next.dataset),
+            generation: next.generation,
+            len: next.dataset.len(),
+        }
+    }
+
+    /// Brings the tables of the predecessor up to `next`.  Tables the
+    /// previous pass did not probe are dropped rather than patched.
+    fn apply(&mut self, next: &EngineCore, delta: &DatasetDelta) {
+        let previous = self.generation;
+        self.tables.retain(|t| t.used == previous);
+        for t in &mut self.tables {
+            t.table
+                .patch(&t.aggregator, &next.dataset, &delta.removed, delta.tail);
+        }
+        self.locations.apply(&next.dataset, delta);
+        self.generation = next.generation;
+        self.len = next.dataset.len();
+        #[cfg(debug_assertions)]
+        {
+            let diverged = self.diverges_from_fresh(next);
+            debug_assert!(
+                diverged.is_none(),
+                "incremental probe tables diverged from a fresh build in their {diverged:?}"
+            );
+        }
+    }
+
+    /// The first table that differs from a from-scratch build of `next`,
+    /// compared bit for bit, or `None` when all match.
+    #[cfg(any(debug_assertions, test))]
+    fn diverges_from_fresh(&self, next: &EngineCore) -> Option<&'static str> {
+        if !self.tables.iter().all(|t| {
+            t.table
+                .bits_eq(&Contributions::of(&next.dataset, &t.aggregator))
+        }) {
+            Some("contribution table")
+        } else if !self.locations.bits_eq(&LocationIndex::of(&next.dataset)) {
+            Some("location index")
+        } else if self.len != next.dataset.len() {
+            Some("length")
+        } else {
+            None
+        }
+    }
+}
+
+/// The objects sorted by x (by `total_cmp`, then by position), each with
+/// its dataset position: which rectangles reach a window is a range
+/// lookup over it (see the module docs).  It does not depend on the query
+/// size.
+#[derive(Debug)]
+struct LocationIndex {
+    by_x: Vec<(f64, u32)>,
+}
+
+fn x_order(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+impl LocationIndex {
+    fn of(dataset: &Dataset) -> Self {
+        let mut by_x: Vec<(f64, u32)> = dataset
+            .objects()
+            .enumerate()
+            .map(|(idx, o)| (o.location.x, idx as u32))
+            .collect();
+        by_x.sort_unstable_by(x_order);
+        Self { by_x }
+    }
+
+    /// Brings the index of the predecessor up to `next`: drops the
+    /// removed objects and renumbers the rest in one pass (a survivor's
+    /// position falls by the removals before it, which keeps the order),
+    /// then inserts the appended tail in one backward pass.
+    fn apply(&mut self, next: &Dataset, delta: &DatasetDelta) {
+        if !delta.removed.is_empty() {
+            self.by_x.retain_mut(
+                |(_, pos)| match delta.removed.binary_search(&(*pos as usize)) {
+                    Ok(_) => false,
+                    Err(before) => {
+                        *pos -= before as u32;
+                        true
+                    }
+                },
+            );
+        }
+        let mut added: Vec<(f64, u32)> = (delta.tail..next.len())
+            .map(|idx| (next.object(idx).location.x, idx as u32))
+            .collect();
+        added.sort_unstable_by(x_order);
+        let inserts: Vec<(usize, (f64, u32))> = added
+            .into_iter()
+            .map(|entry| {
+                let at = self.by_x.partition_point(|e| x_order(e, &entry).is_lt());
+                (at, entry)
+            })
+            .collect();
+        insert_at(&mut self.by_x, &inserts);
+    }
+
+    /// The positions of `asp`'s rectangles whose closed extent intersects
+    /// `window`, ascending: [`AspInstance::rects_intersecting`]'s list,
+    /// from the run of objects whose x-extent can meet the window.
+    fn reaching(&self, asp: &AspInstance, window: &Rect) -> Vec<u32> {
+        let width = asp.size().width;
+        let lo = self.by_x.partition_point(|&(x, _)| x < window.min_x);
+        let run = self.by_x[lo..].partition_point(|&(x, _)| x - width <= window.max_x);
+        let rects = asp.rects();
+        let mut hits: Vec<u32> = self.by_x[lo..lo + run]
+            .iter()
+            .map(|&(_, pos)| pos)
+            .filter(|&pos| rects[pos as usize].rect.intersects(window))
+            .collect();
+        hits.sort_unstable();
+        hits
+    }
+
+    #[cfg(any(debug_assertions, test))]
+    fn bits_eq(&self, other: &Self) -> bool {
+        self.by_x.len() == other.by_x.len()
+            && self
+                .by_x
+                .iter()
+                .zip(&other.by_x)
+                .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1 == b.1)
+    }
+}
+
+/// One cached per-size probe context: the ASP instance of a query size
+/// (whose edge table snaps the probed anchors) and the [`EdgeCounts`] that
+/// let [`AspInstance::patch`] edit that table in place, tagged with the
+/// dataset generation and length they reflect.  The contribution tables
+/// are not per size: every context reads the shared [`ObjectTables`].
 #[derive(Debug)]
 struct SizeContext {
     asp: AspInstance,
-    table: Contributions,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
+    edges: EdgeCounts,
     generation: u64,
     len: usize,
 }
@@ -495,17 +686,25 @@ impl DatasetDelta {
     }
 }
 
-/// One carry pass's view of the probe cache: the predecessor the cached
+/// One carry pass's view of the probe contexts: the predecessor the cached
 /// contexts may reflect, the dataset delta that brings them up to the
-/// successor, and the MaxRS count tables built so far.
+/// successor, and how many contexts the pass patched and rebuilt.
 struct PassProbes<'a> {
-    cache: &'a mut CarryProbes,
+    objects: &'a mut ObjectTables,
+    sizes: &'a mut HashMap<(u64, u64), SizeContext>,
     old_generation: u64,
     old_len: usize,
     delta: DatasetDelta,
-    /// The successor's contribution table under each MaxRS selection's
-    /// count aggregator, built once per pass per distinct selection.
-    count_tables: Vec<(Selection, Contributions)>,
+    patched: u64,
+    rebuilt: u64,
+}
+
+/// What one slot's R3 and R4 read: the instance of the slot's size, the
+/// contribution table of the slot's aggregator, and the location index.
+struct Probe<'p> {
+    asp: &'p AspInstance,
+    table: &'p Contributions,
+    locations: &'p LocationIndex,
 }
 
 fn size_key(size: RegionSize) -> (u64, u64) {
@@ -513,13 +712,27 @@ fn size_key(size: RegionSize) -> (u64, u64) {
 }
 
 impl<'a> PassProbes<'a> {
+    /// Derives the pass's delta and brings the size-independent tables up
+    /// to `next`: patched when they reflect `old`, built otherwise.
     fn new(cache: &'a mut CarryProbes, old: &EngineCore, next: &EngineCore) -> Self {
+        let delta = DatasetDelta::between(&old.dataset, &next.dataset);
+        let objects = match cache.objects.take() {
+            Some(mut objects)
+                if objects.generation == old.generation && objects.len == old.dataset.len() =>
+            {
+                objects.apply(next, &delta);
+                objects
+            }
+            _ => ObjectTables::fresh(next),
+        };
         Self {
-            cache,
+            objects: cache.objects.insert(objects),
+            sizes: &mut cache.sizes,
             old_generation: old.generation,
             old_len: old.dataset.len(),
-            delta: DatasetDelta::between(&old.dataset, &next.dataset),
-            count_tables: Vec::new(),
+            delta,
+            patched: 0,
+            rebuilt: 0,
         }
     }
 
@@ -527,131 +740,106 @@ impl<'a> PassProbes<'a> {
     /// cache outgrows its ceiling: anything not refreshed by the previous
     /// pass is stale.
     fn prune(&mut self) {
-        if self.cache.sizes.len() > MAX_CACHED_SIZES {
+        if self.sizes.len() > MAX_CACHED_SIZES {
             let keep = self.old_generation;
-            self.cache.sizes.retain(|_, ctx| ctx.generation == keep);
+            self.sizes.retain(|_, ctx| ctx.generation == keep);
         }
     }
 
-    /// The probe context for `size` against the successor core: reused
-    /// when this pass already refreshed it, updated with the pass's delta
-    /// when it reflects the predecessor, rebuilt from scratch otherwise.
-    fn context(&mut self, next: &EngineCore, size: RegionSize) -> &SizeContext {
+    /// The probe context for `size` against the successor core, with the
+    /// successor's table under `aggregator` (the engine's, or a MaxRS
+    /// reduction's count aggregator).  A table is built on the first pass
+    /// that probes its aggregator and patched by the passes after it.
+    fn context(
+        &mut self,
+        next: &EngineCore,
+        size: RegionSize,
+        aggregator: &CompositeAggregator,
+    ) -> Probe<'_> {
+        let tables = &mut self.objects.tables;
+        let at = match tables.iter().position(|t| t.aggregator == *aggregator) {
+            Some(at) => at,
+            None => {
+                tables.push(AggregatorTable {
+                    aggregator: aggregator.clone(),
+                    table: Contributions::of(&next.dataset, aggregator),
+                    used: next.generation,
+                });
+                tables.len() - 1
+            }
+        };
+        tables[at].used = next.generation;
+        self.refresh(next, size);
+        Probe {
+            asp: &self.sizes[&size_key(size)].asp,
+            table: &self.objects.tables[at].table,
+            locations: &self.objects.locations,
+        }
+    }
+
+    /// Brings the context for `size` up to `next`: kept when this pass
+    /// already did, patched with the pass's delta when it reflects the
+    /// predecessor, built from scratch otherwise or when the patch finds
+    /// the context inconsistent.
+    fn refresh(&mut self, next: &EngineCore, size: RegionSize) {
         use std::collections::hash_map::Entry;
-        match self.cache.sizes.entry(size_key(size)) {
+        match self.sizes.entry(size_key(size)) {
             Entry::Occupied(occupied) => {
                 let ctx = occupied.into_mut();
                 if ctx.generation == next.generation {
                     // Already refreshed for this publish by another entry.
-                } else if ctx.generation == self.old_generation && ctx.len == self.old_len {
-                    ctx.apply(next, size, &self.delta);
-                } else {
-                    #[cfg(test)]
-                    {
-                        self.cache.fresh_builds += 1;
-                    }
-                    *ctx = SizeContext::fresh(next, size);
+                    return;
                 }
-                ctx
+                let current = ctx.generation == self.old_generation && ctx.len == self.old_len;
+                if current && ctx.apply(next, &self.delta) {
+                    self.patched += 1;
+                } else {
+                    *ctx = SizeContext::fresh(next, size);
+                    self.rebuilt += 1;
+                }
             }
             Entry::Vacant(vacant) => {
-                #[cfg(test)]
-                {
-                    self.cache.fresh_builds += 1;
-                }
-                vacant.insert(SizeContext::fresh(next, size))
+                vacant.insert(SizeContext::fresh(next, size));
+                self.rebuilt += 1;
             }
         }
-    }
-
-    /// The context for `size` together with the successor's contribution
-    /// table under `aggregator`, the count aggregator of `selection`'s
-    /// MaxRS reduction; the table is built on first use in this pass.
-    fn count_context(
-        &mut self,
-        next: &EngineCore,
-        size: RegionSize,
-        selection: &Selection,
-        aggregator: &CompositeAggregator,
-    ) -> (&SizeContext, &Contributions) {
-        let at = match self.count_tables.iter().position(|(s, _)| s == selection) {
-            Some(at) => at,
-            None => {
-                let table = Contributions::of(&next.dataset, aggregator);
-                self.count_tables.push((selection.clone(), table));
-                self.count_tables.len() - 1
-            }
-        };
-        self.context(next, size);
-        (&self.cache.sizes[&size_key(size)], &self.count_tables[at].1)
     }
 }
 
 impl SizeContext {
     /// Builds the context from scratch, mirroring the executor's instance
     /// construction exactly (`Executor::run`), so snapped representatives
-    /// agree bit-for-bit; the edge multiset comes from the instance's own
-    /// sort.
+    /// agree bit-for-bit.
     fn fresh(next: &EngineCore, size: RegionSize) -> Self {
-        let (asp, table, xs, ys) =
-            AspInstance::with_contributions_and_edges(&next.dataset, &next.aggregator, size);
+        let (asp, edges) = AspInstance::with_edge_counts(&next.dataset, size);
         Self {
             asp,
-            table,
-            xs,
-            ys,
+            edges,
             generation: next.generation,
             len: next.dataset.len(),
         }
     }
 
-    /// Brings a context of the predecessor up to `next`: drop the removed
-    /// rectangles (renumbering the rest) with their contribution rows,
-    /// push the appended tail's rectangles and rows, merge the edge
-    /// coordinates in one pass per axis, and re-derive space, edge table
-    /// and accuracy with the same folds a fresh build uses — bit-identical
-    /// output without a sort.
-    fn apply(&mut self, next: &EngineCore, size: RegionSize, delta: &DatasetDelta) {
-        let added = next.dataset.len() - delta.tail;
-        let mut gone_xs = Vec::with_capacity(delta.removed.len() * 2);
-        let mut gone_ys = Vec::with_capacity(delta.removed.len() * 2);
-        for &idx in &delta.removed {
-            let rect = self.asp.rects()[idx].rect;
-            gone_xs.extend([rect.min_x, rect.max_x]);
-            gone_ys.extend([rect.min_y, rect.max_y]);
+    /// Brings a context of the predecessor up to `next` in place (see
+    /// [`AspInstance::patch`]).  Returns `false` when the context turned
+    /// out inconsistent with the predecessor; it must then be rebuilt.
+    fn apply(&mut self, next: &EngineCore, delta: &DatasetDelta) -> bool {
+        let appended =
+            (delta.tail..next.dataset.len()).map(|idx| next.dataset.object(idx).location);
+        if !self.asp.patch(&mut self.edges, &delta.removed, appended) {
+            return false;
         }
-        self.asp.remove_rects(&delta.removed);
-        self.table.remove_rows(&delta.removed);
-        let mut new_xs = Vec::with_capacity(added * 2);
-        let mut new_ys = Vec::with_capacity(added * 2);
-        for idx in delta.tail..next.dataset.len() {
-            let object = next.dataset.object(idx);
-            self.table.push(&next.aggregator, object);
-            let rect = Rect::from_top_right(object.location, size);
-            new_xs.extend([rect.min_x, rect.max_x]);
-            new_ys.extend([rect.min_y, rect.max_y]);
-            self.asp.push_rect(RectObject {
-                rect,
-                object_idx: idx as u32,
-            });
-        }
-        merge_sorted(&mut self.xs, gone_xs, new_xs);
-        merge_sorted(&mut self.ys, gone_ys, new_ys);
-        self.asp.refresh(&self.xs, &self.ys);
         self.generation = next.generation;
         self.len = next.dataset.len();
         #[cfg(debug_assertions)]
-        self.assert_matches_fresh(next, size);
-    }
-
-    /// The debug-build proof of every incremental update.
-    #[cfg(debug_assertions)]
-    fn assert_matches_fresh(&self, next: &EngineCore, size: RegionSize) {
-        let diverged = self.diverges_from_fresh(next, size);
-        debug_assert!(
-            diverged.is_none(),
-            "incremental probe context diverged from a fresh build in its {diverged:?}"
-        );
+        {
+            let diverged = self.diverges_from_fresh(next, self.asp.size());
+            debug_assert!(
+                diverged.is_none(),
+                "incremental probe context diverged from a fresh build in its {diverged:?}"
+            );
+        }
+        true
     }
 
     /// The first field in which this context differs from a from-scratch
@@ -661,19 +849,18 @@ impl SizeContext {
     #[cfg(any(debug_assertions, test))]
     fn diverges_from_fresh(&self, next: &EngineCore, size: RegionSize) -> Option<&'static str> {
         let fresh = Self::fresh(next, size);
-        let bits = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        let accuracy_bits = |asp: &AspInstance| {
+            let a = asp.accuracy();
+            (a.dx.to_bits(), a.dy.to_bits())
         };
         if self.asp.rects() != fresh.asp.rects() {
             Some("rectangles")
         } else if !rects_bit_equal(self.asp.space(), fresh.asp.space()) {
             Some("space")
-        } else if self.asp.accuracy() != fresh.asp.accuracy() {
+        } else if accuracy_bits(&self.asp) != accuracy_bits(&fresh.asp) {
             Some("accuracy")
-        } else if !self.table.bits_eq(&fresh.table) {
-            Some("contribution table")
-        } else if !bits(&self.xs, &fresh.xs) || !bits(&self.ys, &fresh.ys) {
-            Some("edge arrays")
+        } else if !self.edges.bits_eq(&fresh.edges) {
+            Some("edge counts")
         } else if !self
             .asp
             .edges()
@@ -686,33 +873,6 @@ impl SizeContext {
             None
         }
     }
-}
-
-/// Rewrites the `total_cmp`-sorted multiset `values` as
-/// `values − gone + added` in one merge pass.  Every value of `gone` must
-/// occur in `values`.  `total_cmp` equality is bit equality, so the result
-/// is exactly the sorted edge array a fresh build produces.
-fn merge_sorted(values: &mut Vec<f64>, mut gone: Vec<f64>, mut added: Vec<f64>) {
-    if gone.is_empty() && added.is_empty() {
-        return;
-    }
-    gone.sort_by(f64::total_cmp);
-    added.sort_by(f64::total_cmp);
-    let mut merged = Vec::with_capacity(values.len() + added.len() - gone.len());
-    let mut gone = gone.into_iter().peekable();
-    let mut added = added.into_iter().peekable();
-    for &value in values.iter() {
-        if gone.next_if(|g| g.total_cmp(&value).is_eq()).is_some() {
-            continue;
-        }
-        while let Some(a) = added.next_if(|a| a.total_cmp(&value).is_lt()) {
-            merged.push(a);
-        }
-        merged.push(value);
-    }
-    debug_assert!(gone.next().is_none(), "removed an edge that was not there");
-    merged.extend(added);
-    *values = merged;
 }
 
 /// Bit equality of two objects: the same id, location bits and attribute
@@ -800,25 +960,55 @@ mod tests {
             .collect()
     }
 
-    /// Updates contexts of `old` to `next` through a carry pass's probe
-    /// view and checks each against a fresh build, field by field; none
-    /// may take the fresh-build path.  Returns the pass's delta.
-    fn follow(old: &EngineCore, next: &EngineCore) -> DatasetDelta {
-        assert_ne!(old.generation, next.generation);
-        let mut cache = CarryProbes::default();
-        for size in sizes(old) {
+    /// Fresh probe contexts of `core` for `sizes`, as a previous pass
+    /// would have left them.
+    fn probes_of(core: &EngineCore, sizes: &[RegionSize]) -> CarryProbes {
+        let mut cache = CarryProbes {
+            objects: Some(ObjectTables::fresh(core)),
+            ..CarryProbes::default()
+        };
+        for &size in sizes {
             cache
                 .sizes
-                .insert(size_key(size), SizeContext::fresh(old, size));
+                .insert(size_key(size), SizeContext::fresh(core, size));
         }
-        let mut probes = PassProbes::new(&mut cache, old, next);
-        for size in sizes(next) {
-            let ctx = probes.context(next, size);
+        cache
+    }
+
+    /// Brings `cache` from `old` to `next` through a carry pass's probe
+    /// view, probing `sizes`, and checks every context and the shared
+    /// tables against a fresh build, bit for bit.  Returns the pass's
+    /// delta and how many contexts it patched and rebuilt.
+    fn pass(
+        cache: &mut CarryProbes,
+        old: &EngineCore,
+        next: &EngineCore,
+        sizes: &[RegionSize],
+    ) -> (DatasetDelta, u64, u64) {
+        assert_ne!(old.generation, next.generation);
+        let mut probes = PassProbes::new(cache, old, next);
+        // A MaxRS slot's count table rides along.
+        let (count, _) = crate::maxrs::reduction(&next.dataset, sizes[0], &Selection::All).unwrap();
+        probes.context(next, sizes[0], &count);
+        for &size in sizes {
+            probes.context(next, size, &next.aggregator);
+            let ctx = &probes.sizes[&size_key(size)];
             assert_eq!(ctx.generation, next.generation);
             assert_eq!(ctx.diverges_from_fresh(next, size), None, "size {size:?}");
         }
-        let delta = probes.delta;
-        assert_eq!(cache.fresh_builds, 0, "a context was rebuilt from scratch");
+        assert_eq!(probes.objects.diverges_from_fresh(next), None);
+        (probes.delta, probes.patched, probes.rebuilt)
+    }
+
+    /// Updates fresh contexts of `old` to `next` and checks each against a
+    /// fresh build, field by field; none may take the fresh-build path.
+    /// Returns the pass's delta.
+    fn follow(old: &EngineCore, next: &EngineCore) -> DatasetDelta {
+        let sizes = sizes(old);
+        let mut cache = probes_of(old, &sizes);
+        let (delta, patched, rebuilt) = pass(&mut cache, old, next, &sizes);
+        assert_eq!(rebuilt, 0, "a context was rebuilt from scratch");
+        assert_eq!(patched, sizes.len() as u64);
         delta
     }
 
@@ -920,13 +1110,7 @@ mod tests {
     /// distance against an unseeded branch-and-bound over the window.
     fn window_min(solver: &DsSearch<'_>, touched: Point) -> f64 {
         let (_, empty_distance) = solver.empty_candidate();
-        let size = solver.query.size;
-        let window = Rect::new(
-            touched.x - size.width,
-            touched.y - size.height,
-            touched.x,
-            touched.y,
-        );
+        let window = influence_window(touched, solver.query.size);
         let candidates = solver
             .table
             .contributing(solver.asp.rects_intersecting(&window));
@@ -953,6 +1137,7 @@ mod tests {
         let dim = core.aggregator.feature_dim();
         let size = RegionSize::new(bbox.width() * 0.12, bbox.height() * 0.1);
         let (asp, table) = AspInstance::with_contributions(&core.dataset, &core.aggregator, size);
+        let locations = LocationIndex::of(&core.dataset);
         // A dense target no window reaches easily, and the all-zero target
         // the empty covering matches exactly.
         let targets = [vec![3.0; dim], vec![0.0; dim]];
@@ -977,7 +1162,7 @@ mod tests {
                 );
                 let min = window_min(&solver, touched);
                 let reaches = |cutoff: f64, scratch: &mut Scratch| {
-                    window_reaches(&solver, touched, cutoff, scratch)
+                    window_reaches(&solver, &locations, touched, cutoff, scratch)
                 };
                 assert!(!reaches(min.next_down(), &mut scratch), "below {min}");
                 assert!(reaches(min, &mut scratch), "at {min}");
@@ -990,5 +1175,276 @@ mod tests {
             }
         }
         assert!(searched > 0 && shortcut > 0, "{searched} / {shortcut}");
+    }
+
+    /// A uniform engine whose coordinates are multiples of 1/8, so the
+    /// tests' sizes (multiples of 1/8 too) put some `x − w` exactly on
+    /// another object's x.
+    fn grid_engine(n: usize, seed: u64) -> AsrsEngine {
+        let ds = UniformGenerator::default()
+            .with_quantum(0.125)
+            .generate(n, seed);
+        let agg = CompositeAggregator::builder(ds.schema())
+            .distribution("category", Selection::All)
+            .build()
+            .unwrap();
+        AsrsEngine::builder(ds, agg).shards(2).build().unwrap()
+    }
+
+    /// Every window the lookup test probes: the influence window of every
+    /// object, and windows whose corners sit on rectangle corners.
+    fn probe_windows(dataset: &Dataset, size: RegionSize) -> Vec<Rect> {
+        let (w, h) = (size.width, size.height);
+        dataset
+            .objects()
+            .flat_map(|o| {
+                let Point { x, y } = o.location;
+                [
+                    Point::new(x, y),
+                    Point::new(x - w, y - h),
+                    Point::new(x + w, y + h),
+                    Point::new(x - w, y + h),
+                ]
+            })
+            .map(|p| influence_window(p, size))
+            .collect()
+    }
+
+    fn assert_lookups_match(locations: &LocationIndex, dataset: &Dataset, size: RegionSize) {
+        let asp = AspInstance::build(dataset, size);
+        let mut nonempty = 0;
+        for window in probe_windows(dataset, size) {
+            let expected = asp.rects_intersecting(&window);
+            assert_eq!(
+                locations.reaching(&asp, &window),
+                expected,
+                "{window:?} at {size:?}"
+            );
+            nonempty += usize::from(!expected.is_empty());
+        }
+        assert!(nonempty > 0);
+    }
+
+    #[test]
+    fn the_location_index_finds_what_the_rectangle_scan_finds() {
+        let sizes = [
+            RegionSize::new(6.25, 4.5),
+            RegionSize::new(0.3, 0.7),
+            RegionSize::new(17.0, 9.875),
+        ];
+        for seed in [1, 2, 3] {
+            let engine = grid_engine(300, seed);
+            let old = engine.core();
+            // Some object's `x − w` is exactly another object's x.
+            let xs: Vec<u64> = old
+                .dataset
+                .objects()
+                .map(|o| o.location.x.to_bits())
+                .collect();
+            assert!(old
+                .dataset
+                .objects()
+                .any(|o| xs.contains(&(o.location.x - sizes[0].width).to_bits())));
+            let mut locations = LocationIndex::of(&old.dataset);
+            for size in sizes {
+                assert_lookups_match(&locations, &old.dataset, size);
+            }
+            // A removal batch shifts positions; appends (one at an
+            // existing x) extend the tail.
+            let mut twin = interior(&old, 2_000_000 + seed, 0.5, 0.5);
+            twin.location.x = old.dataset.object(30).location.x;
+            let batch = [
+                Mutation::Remove {
+                    id: old.dataset.object(3).id,
+                },
+                Mutation::Remove {
+                    id: old.dataset.object(150).id,
+                },
+                Mutation::Append { object: twin },
+                Mutation::Remove {
+                    id: old.dataset.object(151).id,
+                },
+            ];
+            engine.apply_mutations(&batch).unwrap();
+            let next = engine.core();
+            let delta = DatasetDelta::between(&old.dataset, &next.dataset);
+            assert_eq!(delta.removed, vec![3, 150, 151]);
+            locations.apply(&next.dataset, &delta);
+            assert!(locations.bits_eq(&LocationIndex::of(&next.dataset)));
+            for size in sizes {
+                assert_lookups_match(&locations, &next.dataset, size);
+            }
+        }
+    }
+
+    #[test]
+    fn an_inconsistent_context_is_rebuilt_not_patched() {
+        let engine = engine(400, 3);
+        let old = engine.core();
+        let sizes = sizes(&old);
+        let mut cache = probes_of(&old, &sizes);
+        // Corrupt one context: its edge table loses an edge of the object
+        // the batch removes, as if an earlier patch had dropped it.
+        let ctx = cache.sizes.get_mut(&size_key(sizes[1])).unwrap();
+        let edge = ctx.asp.rects()[57].rect.min_x;
+        ctx.edges.forget_x_edge(&mut ctx.asp, edge);
+        engine.remove(old.dataset.object(57).id).unwrap();
+        let next = engine.core();
+        let (_, patched, rebuilt) = pass(&mut cache, &old, &next, &sizes);
+        assert_eq!((patched, rebuilt), (2, 1));
+    }
+
+    /// A seeded splitmix64 stream for the write sequence below.
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A fraction in `[0.1, 0.9)`: an interior position.
+        fn interior(&mut self) -> f64 {
+            0.1 + 0.8 * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// One seeded batch of the property test below: a solo append, a batch
+    /// of 16, a removal, or a mix.  Removals spare the objects on the
+    /// bounding box (the carry pass's gate) and the test's own objects.
+    fn seeded_batch(core: &EngineCore, step: u64, rng: &mut Seeded) -> Vec<Mutation> {
+        let appends = |n: u64, rng: &mut Seeded| -> Vec<Mutation> {
+            (0..n)
+                .map(|k| {
+                    let (fx, fy) = (rng.interior(), rng.interior());
+                    Mutation::Append {
+                        object: interior(core, 5_000_000 + step * 100 + k, fx, fy),
+                    }
+                })
+                .collect()
+        };
+        let bbox = core.dataset.bounding_box().unwrap();
+        let removals = |n: usize, rng: &mut Seeded| -> Vec<Mutation> {
+            let mut ids = Vec::new();
+            while ids.len() < n {
+                let o = core.dataset.object(rng.below(core.dataset.len()));
+                let Point { x, y } = o.location;
+                let inside = x > bbox.min_x && x < bbox.max_x && y > bbox.min_y && y < bbox.max_y;
+                if inside && o.id < 9_000_000 && !ids.contains(&o.id) {
+                    ids.push(o.id);
+                }
+            }
+            ids.into_iter().map(|id| Mutation::Remove { id }).collect()
+        };
+        match step % 4 {
+            0 => appends(1, rng),
+            1 => appends(16, rng),
+            2 => removals(1 + step as usize % 3, rng),
+            _ => {
+                let mut batch = appends(3, rng);
+                batch.extend(removals(2, rng));
+                batch
+            }
+        }
+    }
+
+    #[test]
+    fn contexts_follow_a_seeded_write_sequence_bit_identically() {
+        let engine = engine(500, 17);
+        let core = engine.core();
+        let bbox = core.dataset.bounding_box().unwrap();
+        let sizes = sizes(&core);
+        let w = sizes[0].width;
+        let mut cache = probes_of(&core, &sizes);
+        let mut rng = Seeded(23);
+        let min_x_gap = |cache: &CarryProbes| cache.sizes[&size_key(sizes[0])].asp.accuracy().dx;
+        let (mut passes, mut patched, mut rebuilt) = (0, 0, 0);
+        let mut step_through = |cache: &mut CarryProbes, old: &EngineCore| {
+            let next = engine.core();
+            assert!(rects_bit_equal(
+                old.dataset.bounding_box(),
+                next.dataset.bounding_box()
+            ));
+            let (_, p, r) = pass(cache, old, &next, &sizes);
+            passes += 1;
+            patched += p;
+            rebuilt += r;
+        };
+        for step in 0..60u64 {
+            let old = engine.core();
+            let batch = match step {
+                // An append whose `x − w` lands on an existing edge: another
+                // object's x.
+                7 => {
+                    let mut object = interior(&old, 9_000_001, 0.4, 0.6);
+                    object.location.x = old
+                        .dataset
+                        .objects()
+                        .map(|o| o.location.x + w)
+                        .find(|&x| {
+                            x < bbox.max_x
+                                && old
+                                    .dataset
+                                    .objects()
+                                    .any(|o| o.location.x.to_bits() == (x - w).to_bits())
+                        })
+                        .unwrap();
+                    vec![Mutation::Append { object }]
+                }
+                // Two objects at the same x.
+                13 => {
+                    let first = interior(&old, 9_000_002, 0.3, 0.2);
+                    let mut second = interior(&old, 9_000_003, 0.3, 0.8);
+                    second.location.x = first.location.x;
+                    vec![
+                        Mutation::Append { object: first },
+                        Mutation::Append { object: second },
+                    ]
+                }
+                // The unique minimum edge gap: an object whose right edge
+                // sits a hair right of another object's left edge ...
+                21 => {
+                    let anchor = interior(&old, 9_000_004, 0.55, 0.35);
+                    let mut close = interior(&old, 9_000_005, 0.2, 0.75);
+                    close.location.x = anchor.location.x - w + 1e-9;
+                    vec![
+                        Mutation::Append { object: anchor },
+                        Mutation::Append { object: close },
+                    ]
+                }
+                // ... which this removal deletes.
+                22 => vec![Mutation::Remove { id: 9_000_005 }],
+                // One of the two objects at one x leaves.
+                30 => vec![Mutation::Remove { id: 9_000_002 }],
+                // A TTL expiry: the append, then the sweep on its own.
+                _ if step % 9 == 5 => {
+                    let expiring = interior(&old, 8_000_000 + step, 0.66, 0.44);
+                    engine.append_with_ttl(expiring, Duration::ZERO).unwrap();
+                    step_through(&mut cache, &old);
+                    let old = engine.core();
+                    assert_eq!(engine.sweep_expired().unwrap().len(), 1);
+                    step_through(&mut cache, &old);
+                    continue;
+                }
+                _ => seeded_batch(&old, step, &mut rng),
+            };
+            engine.apply_mutations(&batch).unwrap();
+            step_through(&mut cache, &old);
+            match step {
+                21 => assert!(min_x_gap(&cache) < 1e-8),
+                22 => assert!(min_x_gap(&cache) > 1e-8),
+                _ => {}
+            }
+        }
+        assert_eq!(rebuilt, 0, "a context was rebuilt from scratch");
+        assert_eq!(patched, passes * sizes.len() as u64);
+        assert!(passes > 60);
     }
 }

@@ -185,7 +185,7 @@ pub mod sync;
 
 pub use audit::{AuditFinding, AuditReport};
 pub use budget::Budget;
-pub use cache::{CacheStats, QueryCache};
+pub use cache::{CacheStats, QueryCache, CARRY_PASS_BUCKET_BOUNDS_US};
 pub use config::SearchConfig;
 pub use engine::{AsrsEngine, DurabilitySink, EngineBuilder, EngineState};
 pub use error::{AsrsError, ConfigError};
@@ -201,4 +201,4 @@ pub use planner::{
 pub use query::{AsrsQuery, QueryError};
 pub use request::{Backend, QueryOutcome, QueryRequest, QueryResponse, RequestKey};
 pub use result::SearchResult;
-pub use stats::SearchStats;
+pub use stats::{LatencyHistogram, SearchStats};

@@ -1,7 +1,57 @@
 //! Search statistics (instrumentation).
 
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// A lock-free fixed-bucket latency histogram: one bucket per inclusive
+/// upper bound (microseconds) plus a trailing overflow bucket, with the
+/// count and the sum of the recorded values for deriving a mean.  It
+/// publishes no other data, so every counter is `Relaxed`.
+#[derive(Debug)]
+pub struct LatencyHistogram {
+    bounds: &'static [u64],
+    buckets: Box<[AtomicU64]>,
+    count: AtomicU64,
+    total_us: AtomicU64,
+}
+
+impl LatencyHistogram {
+    /// An empty histogram over the ascending `bounds`.
+    pub fn new(bounds: &'static [u64]) -> Self {
+        Self {
+            bounds,
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            count: AtomicU64::new(0),
+            total_us: AtomicU64::new(0),
+        }
+    }
+
+    /// Records one observation of `micros` microseconds.
+    pub fn record(&self, micros: u64) {
+        let slot = self
+            .bounds
+            .iter()
+            .position(|&bound| micros <= bound)
+            .unwrap_or(self.bounds.len());
+        self.buckets[slot].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.total_us.fetch_add(micros, Ordering::Relaxed);
+    }
+
+    /// `(count, total_us, buckets)`, with one bucket count per bound plus
+    /// the overflow bucket.
+    pub fn snapshot(&self) -> (u64, u64, Vec<u64>) {
+        (
+            self.count.load(Ordering::Relaxed),
+            self.total_us.load(Ordering::Relaxed),
+            self.buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+        )
+    }
+}
 
 /// Counters collected during a search.
 ///

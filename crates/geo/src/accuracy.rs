@@ -51,21 +51,25 @@ impl Accuracy {
     /// `xs` and `ys` are the multisets of x and y coordinates of rectangle
     /// edges (both edges per rectangle).
     pub fn from_edge_coordinates(xs: &[f64], ys: &[f64], floor: Accuracy) -> Self {
-        Self::from_gaps(min_positive_gap(xs), min_positive_gap(ys), floor)
+        Self::from_min_gaps(min_positive_gap(xs), min_positive_gap(ys), floor)
     }
 
     /// [`Accuracy::from_edge_coordinates`] over edge coordinates already in
     /// ascending order (duplicates allowed): one linear scan per axis
     /// instead of a sort, with the same result bit for bit.
     pub fn from_sorted_edge_coordinates(xs: &[f64], ys: &[f64], floor: Accuracy) -> Self {
-        Self::from_gaps(
+        Self::from_min_gaps(
             min_positive_gap_sorted(xs),
             min_positive_gap_sorted(ys),
             floor,
         )
     }
 
-    fn from_gaps(dx: Option<f64>, dy: Option<f64>, floor: Accuracy) -> Self {
+    /// The estimate from each axis's smallest positive edge gap (`None`
+    /// when an axis has fewer than two distinct finite edges), floored at
+    /// `floor`: what [`Accuracy::from_edge_coordinates`] reports for edges
+    /// with those gaps.
+    pub fn from_min_gaps(dx: Option<f64>, dy: Option<f64>, floor: Accuracy) -> Self {
         let dx = dx.unwrap_or(floor.dx).max(floor.dx.min(f64::MAX));
         let dy = dy.unwrap_or(floor.dy).max(floor.dy.min(f64::MAX));
         // Never report an accuracy below the floor: coordinates closer than
@@ -89,7 +93,7 @@ pub fn min_positive_gap(values: &[f64]) -> Option<f64> {
 /// [`min_positive_gap`] over values in ascending order (by `total_cmp` or
 /// `partial_cmp`; duplicates allowed): the smallest positive difference
 /// between neighbouring finite values, in one linear scan.
-fn min_positive_gap_sorted(sorted: &[f64]) -> Option<f64> {
+pub fn min_positive_gap_sorted(sorted: &[f64]) -> Option<f64> {
     let mut finite = sorted.iter().copied().filter(|v| v.is_finite());
     let mut prev = finite.next()?;
     let mut best: Option<f64> = None;

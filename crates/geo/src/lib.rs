@@ -29,7 +29,7 @@ mod point;
 mod rect;
 mod size;
 
-pub use accuracy::{min_positive_gap, Accuracy};
+pub use accuracy::{min_positive_gap, min_positive_gap_sorted, Accuracy};
 pub use grid::{CellIdx, CellRange, GridEdges, GridSpec};
 pub use point::Point;
 pub use rect::Rect;

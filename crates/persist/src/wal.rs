@@ -39,12 +39,12 @@ use crate::fsck::{Damage, FsckCategory};
 use crate::le_u32;
 use crate::snapshot::sync_dir;
 use asrs_core::sync::Mutex;
+use asrs_core::LatencyHistogram;
 use asrs_data::columnar::{self, Reader};
 use asrs_data::Mutation;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// File name of the write-ahead log inside a persistence directory.
@@ -268,28 +268,6 @@ pub const FSYNC_BUCKET_BOUNDS_US: [u64; 10] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
 ];
 
-/// Lock-free fsync-latency counters: one bucket per
-/// [`FSYNC_BUCKET_BOUNDS_US`] bound plus an overflow bucket, with total
-/// count and accumulated microseconds for deriving a mean.
-#[derive(Debug, Default)]
-struct FsyncLatency {
-    buckets: [AtomicU64; FSYNC_BUCKET_BOUNDS_US.len() + 1],
-    count: AtomicU64,
-    total_us: AtomicU64,
-}
-
-impl FsyncLatency {
-    fn record(&self, micros: u64) {
-        let slot = FSYNC_BUCKET_BOUNDS_US
-            .iter()
-            .position(|&bound| micros <= bound)
-            .unwrap_or(FSYNC_BUCKET_BOUNDS_US.len());
-        self.buckets[slot].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_us.fetch_add(micros, Ordering::Relaxed);
-    }
-}
-
 /// An append-only, fsync'd mutation log.
 ///
 /// All methods take `&self`; appends serialise on an internal mutex, which
@@ -298,7 +276,8 @@ impl FsyncLatency {
 pub struct Wal {
     path: PathBuf,
     inner: Mutex<WalInner>,
-    fsync_latency: FsyncLatency,
+    /// Latencies of the durable appends, over [`FSYNC_BUCKET_BOUNDS_US`].
+    fsync_latency: LatencyHistogram,
 }
 
 impl Wal {
@@ -352,7 +331,7 @@ impl Wal {
                 entries: scan.entries.len() as u64,
                 bytes: len as u64,
             }),
-            fsync_latency: FsyncLatency::default(),
+            fsync_latency: LatencyHistogram::new(&FSYNC_BUCKET_BOUNDS_US),
         };
         Ok((
             wal,
@@ -473,15 +452,7 @@ impl Wal {
     /// `write + fsync` critical section (solo or batch — group commit
     /// amortisation shows up as fewer, not faster, fsyncs).
     pub fn fsync_latency(&self) -> (u64, u64, Vec<u64>) {
-        (
-            self.fsync_latency.count.load(Ordering::Relaxed),
-            self.fsync_latency.total_us.load(Ordering::Relaxed),
-            self.fsync_latency
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        )
+        self.fsync_latency.snapshot()
     }
 
     /// Current file size in bytes (header included).

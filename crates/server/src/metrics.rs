@@ -2,7 +2,9 @@
 //! [`SearchStats`] of every executed query, snapshotted by `GET /metrics`.
 
 use asrs_core::sync::Mutex;
-use asrs_core::{CacheStats, MutationReceipt, MutationStats, SearchStats};
+use asrs_core::{
+    CacheStats, MutationReceipt, MutationStats, SearchStats, CARRY_PASS_BUCKET_BOUNDS_US,
+};
 use asrs_persist::{PersistStats, FSYNC_BUCKET_BOUNDS_US};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,6 +169,12 @@ impl ServerMetrics {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone();
+        let carry_pass_latency_us = cache.as_ref().map(|c| HistogramSnapshot {
+            bounds: CARRY_PASS_BUCKET_BOUNDS_US.to_vec(),
+            counts: c.carry_pass_latency_us.clone(),
+            count: c.carry_passes,
+            sum: c.carry_pass_total_us,
+        });
         let cache = cache.map(|c| {
             search.cache_hits = c.hits;
             search.cache_misses = c.misses;
@@ -179,6 +187,8 @@ impl ServerMetrics {
                 coalesced_waits: c.coalesced_waits,
                 carried_forward: c.carried_forward,
                 carry_proof_failures: c.carry_proof_failures,
+                carry_contexts_patched: c.carry_contexts_patched,
+                carry_contexts_rebuilt: c.carry_contexts_rebuilt,
             }
         });
         let shards = shard_requests.map(|requests| ShardsSnapshot {
@@ -217,6 +227,7 @@ impl ServerMetrics {
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             commit_batch_sizes,
             fsync_latency_us,
+            carry_pass_latency_us,
             cache,
             shards,
             mutations,
@@ -283,6 +294,11 @@ pub struct CacheSnapshot {
     pub carried_forward: u64,
     /// Carry-forward attempts rejected by the byte-identity proof path.
     pub carry_proof_failures: u64,
+    /// Per-size probe contexts the carry passes patched in place.
+    pub carry_contexts_patched: u64,
+    /// Per-size probe contexts the carry passes built from scratch (first
+    /// probes of a size, contexts a pass left behind, inconsistent ones).
+    pub carry_contexts_rebuilt: u64,
 }
 
 /// A fixed-bucket histogram as served by `/metrics`: `counts[i]` holds the
@@ -339,6 +355,10 @@ pub struct MetricsSnapshot {
     /// Histogram of WAL `write + fsync` critical-section latencies in
     /// microseconds (absent without a persistence directory).
     pub fsync_latency_us: Option<HistogramSnapshot>,
+    /// Histogram of carry-pass latencies in microseconds, one observation
+    /// per published generation: the write stage that re-stamps the cache
+    /// entries a batch provably left unchanged (absent without a cache).
+    pub carry_pass_latency_us: Option<HistogramSnapshot>,
     /// Engine query-result cache counters (absent without a cache).
     pub cache: Option<CacheSnapshot>,
     /// Per-shard request counters (absent on single-engine deployments).

@@ -226,6 +226,51 @@ fn mutation_endpoints_append_remove_sweep_and_report_generations() {
     server.shutdown();
 }
 
+/// A write to a warm cache shows up in the carry-pass metrics: every
+/// published generation is one pass in the latency histogram, the first
+/// probe of a query size builds its context and the next write patches it.
+#[test]
+fn carry_pass_metrics_follow_writes_to_a_warm_cache() {
+    let engine = builder(64).shards(2).build().unwrap();
+    let server = start(&engine);
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let request = QueryRequest::similar(sample_query(2));
+    let body = serde::json::to_string(&request);
+    let template = engine.dataset().object(0).clone();
+    for id in [100_000, 100_001] {
+        // Warm the current generation, then write outside its answer.
+        let (status, answer) = client.request("POST", "/query", &body).unwrap();
+        assert_eq!(status, 200, "{answer}");
+        let answer: QueryResponse = serde::json::from_str(&answer).unwrap();
+        let region = match answer.outcome {
+            asrs_core::QueryOutcome::Best(best) => best.region,
+            other => panic!("unexpected outcome {other:?}"),
+        };
+        let location = [(25.0, 25.0), (75.0, 75.0), (25.0, 75.0)]
+            .map(|(x, y)| asrs_geo::Point::new(x, y))
+            .into_iter()
+            .find(|p| !region.contains_point(p))
+            .unwrap();
+        let object = asrs_data::SpatialObject::new(id, location, template.values.clone());
+        let append = format!("{{\"object\":{}}}", serde::json::to_string(&object));
+        let (status, receipt) = client.request("POST", "/append", &append).unwrap();
+        assert_eq!(status, 200, "{receipt}");
+    }
+    let (status, body) = client.request("GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200);
+    assert!(body.contains("\"carry_pass_latency_us\":{"), "{body}");
+    let metrics = server.metrics();
+    let passes = metrics.carry_pass_latency_us.expect("a cached engine");
+    assert_eq!(passes.count, 2);
+    assert_eq!(passes.counts.iter().sum::<u64>(), 2);
+    assert_eq!(passes.counts.len(), passes.bounds.len() + 1);
+    let cache = metrics.cache.expect("a cached engine");
+    assert_eq!(cache.carry_contexts_rebuilt, 1, "{body}");
+    assert_eq!(cache.carry_contexts_patched, 1, "{body}");
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn admission_ceiling_maps_to_http_429() {
     let ds = UniformGenerator::default().generate(400, 78);
