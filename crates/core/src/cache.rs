@@ -239,6 +239,25 @@ pub struct CacheStats {
     /// first probe of a size, a context the previous pass left behind, or
     /// one found inconsistent while patching.
     pub carry_contexts_rebuilt: u64,
+    /// Influence windows the carry passes' R3 test settled without a
+    /// search: the window's Equation-1 bound exceeded the cutoff, or the
+    /// empty covering already reached it.
+    pub carry_windows_bounded: u64,
+    /// Influence windows the bound did not settle: R3 ran the
+    /// branch-and-bound over them, or refused them as too dense.  With
+    /// `carry_windows_bounded` it sums to every window R3 examined.
+    pub carry_windows_searched: u64,
+}
+
+/// What one carry pass counted, besides its duration: the per-size probe
+/// contexts it patched and rebuilt, and how R3 settled the influence
+/// windows it examined.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct CarryPassCounts {
+    pub(crate) contexts_patched: u64,
+    pub(crate) contexts_rebuilt: u64,
+    pub(crate) windows_bounded: u64,
+    pub(crate) windows_searched: u64,
 }
 
 /// Upper bounds (microseconds, inclusive) of the carry-pass latency
@@ -283,6 +302,8 @@ pub struct QueryCache {
     carry_pass_latency: LatencyHistogram,
     carry_contexts_patched: AtomicU64,
     carry_contexts_rebuilt: AtomicU64,
+    carry_windows_bounded: AtomicU64,
+    carry_windows_searched: AtomicU64,
 }
 
 impl QueryCache {
@@ -307,6 +328,8 @@ impl QueryCache {
             carry_pass_latency: LatencyHistogram::new(&CARRY_PASS_BUCKET_BOUNDS_US),
             carry_contexts_patched: AtomicU64::new(0),
             carry_contexts_rebuilt: AtomicU64::new(0),
+            carry_windows_bounded: AtomicU64::new(0),
+            carry_windows_searched: AtomicU64::new(0),
         }
     }
 
@@ -524,16 +547,20 @@ impl QueryCache {
         self.carry_proof_failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one carry pass: its duration and the per-size probe
-    /// contexts it patched and rebuilt.  Passes run under the engine's
-    /// mutation mutex, so the counters need no lock of their own.
-    pub(crate) fn note_carry_pass(&self, elapsed: Duration, patched: u64, rebuilt: u64) {
+    /// Records one carry pass: its duration and what it counted.  Passes
+    /// run under the engine's mutation mutex, so the counters need no lock
+    /// of their own.
+    pub(crate) fn note_carry_pass(&self, elapsed: Duration, counts: CarryPassCounts) {
         self.carry_pass_latency
             .record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-        self.carry_contexts_patched
-            .fetch_add(patched, Ordering::Relaxed);
-        self.carry_contexts_rebuilt
-            .fetch_add(rebuilt, Ordering::Relaxed);
+        for (counter, n) in [
+            (&self.carry_contexts_patched, counts.contexts_patched),
+            (&self.carry_contexts_rebuilt, counts.contexts_rebuilt),
+            (&self.carry_windows_bounded, counts.windows_bounded),
+            (&self.carry_windows_searched, counts.windows_searched),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// The generation stamp and carry provenance of every stored key, for
@@ -581,6 +608,8 @@ impl QueryCache {
             carry_pass_latency_us,
             carry_contexts_patched: self.carry_contexts_patched.load(Ordering::Relaxed),
             carry_contexts_rebuilt: self.carry_contexts_rebuilt.load(Ordering::Relaxed),
+            carry_windows_bounded: self.carry_windows_bounded.load(Ordering::Relaxed),
+            carry_windows_searched: self.carry_windows_searched.load(Ordering::Relaxed),
         }
     }
 }

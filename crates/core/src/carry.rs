@@ -40,6 +40,14 @@
 //!   rejected.  The search only needs the decision, not the window's
 //!   exact minimum: it is seeded with a candidate just above the cutoff,
 //!   so every sub-space whose bound exceeds the cutoff is pruned at once.
+//!   The window itself is the first such sub-space: before a grid is laid,
+//!   the window's own Equation-1 bound ([`DsSearch::space_bound`], base the
+//!   candidate rectangles containing the closed window, upper set all of
+//!   them) is compared with the seed, and a window it exceeds cannot reach
+//!   — the kernel would prune it whole.  Appends land anywhere, so most
+//!   windows are sparse and settled by this bound alone.  The candidate
+//!   budget is checked after it: a window the bound settles is never
+//!   refused for being dense.
 //!   A small relative tolerance widens the rejection band so an epsilon
 //!   disagreement between evaluation orders can only reject.
 //! - **R4 (anchor stability)** — every reported anchor snaps to itself
@@ -120,28 +128,34 @@
 //!
 //! # Window candidates by location
 //!
-//! Each R3 window search runs over the rectangles that reach the window.
-//! Rectangle `i` spans `[fl(xᵢ − a), xᵢ]` horizontally, and `fl(x − a)` is
-//! monotone in `x`, so the rectangles whose x-extent meets a window `W`
-//! belong to the objects with `x ≥ W.min_x` and `fl(x − a) ≤ W.max_x`: one
-//! contiguous run of the x-sorted index, found by two binary searches (a
-//! seek over sorted keys, as in Leapfrog Triejoin).  The exact
-//! [`Rect::intersects`] filter narrows the run, and the survivors come back
-//! in ascending position order: element for element the list a scan of
-//! every rectangle returns ([`AspInstance::rects_intersecting`]).
+//! Each R3 window runs over the rectangles that reach the window: its
+//! bound sums them, and its search, when the bound does not settle it,
+//! discretises them.  Rectangle `i` spans `[fl(xᵢ − a), xᵢ] × [fl(yᵢ − b),
+//! yᵢ]`, and `fl(x − a)` is monotone in `x`, so the rectangles whose
+//! x-extent meets a window `W` belong to the objects with `x ≥ W.min_x` and
+//! `fl(x − a) ≤ W.max_x`: one contiguous run of the x-sorted index, found
+//! by two binary searches (a seek over sorted keys, as in Leapfrog
+//! Triejoin).  The index keeps each object's y beside its x, so the run is
+//! narrowed by `y ≥ W.min_y` and `fl(y − b) ≤ W.max_y` without reading a
+//! rectangle; together the four tests are exactly [`Rect::intersects`].
+//! The survivors come back in ascending position order: element for
+//! element the list a scan of every rectangle returns
+//! ([`AspInstance::rects_intersecting`]).  The order per window is the
+//! empty-covering test, this lookup, the bound, the candidate budget, and
+//! only then the search.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use asrs_aggregator::{CompositeAggregator, Selection};
+use asrs_aggregator::{CompositeAggregator, FeatureVector, Selection};
 use asrs_data::{AttrValue, Dataset, SpatialObject};
 use asrs_geo::{Point, Rect, RegionSize};
 
 use crate::asp::{insert_at, AspInstance, Contributions, EdgeCounts};
 use crate::best::BestSet;
-use crate::cache::{CarryCandidate, QueryCache};
+use crate::cache::{CarryCandidate, CarryPassCounts, QueryCache};
 use crate::discretize::Scratch;
 use crate::ds_search::DsSearch;
 use crate::engine::EngineCore;
@@ -181,8 +195,8 @@ const MAX_CACHED_SIZES: usize = 16;
 /// `touched` holds the location of every object the batch appended or
 /// removed; `probes` are the persistent probe contexts, brought up to
 /// `next` incrementally (see the module docs).  The pass's duration and
-/// the contexts it patched and rebuilt are recorded in the cache's
-/// counters.
+/// what it counted (the contexts it patched and rebuilt, and how R3
+/// settled its windows) are recorded in the cache's counters.
 pub(crate) fn carry_forward(
     old: &EngineCore,
     next: &EngineCore,
@@ -193,32 +207,32 @@ pub(crate) fn carry_forward(
         return;
     };
     let started = Instant::now();
-    let (patched, rebuilt) = restamp(cache, old, next, touched, probes);
-    cache.note_carry_pass(started.elapsed(), patched, rebuilt);
+    let counts = restamp(cache, old, next, touched, probes);
+    cache.note_carry_pass(started.elapsed(), counts);
 }
 
 /// The pass itself; returns how many probe contexts it patched and how
-/// many it built from scratch.
+/// many it built from scratch, and how R3 settled the windows it examined.
 fn restamp(
     cache: &QueryCache,
     old: &EngineCore,
     next: &EngineCore,
     touched: &[Point],
     probes: &mut CarryProbes,
-) -> (u64, u64) {
+) -> CarryPassCounts {
     // Canonical sharded cores only: the soundness argument is built on the
     // shard scatter's decomposition-independence guarantee.  A moved
     // bounding box changes the search space wholesale — reject the entire
     // batch.
     if next.shards.is_none() || touched.is_empty() {
-        return (0, 0);
+        return CarryPassCounts::default();
     }
     if !rects_bit_equal(old.dataset.bounding_box(), next.dataset.bounding_box()) {
-        return (0, 0);
+        return CarryPassCounts::default();
     }
     let candidates = cache.carry_candidates(old.generation);
     if candidates.is_empty() {
-        return (0, 0);
+        return CarryPassCounts::default();
     }
     let mut probes = PassProbes::new(probes, old, next);
     probes.prune();
@@ -239,7 +253,7 @@ fn restamp(
         let new_key = candidate.request.cache_key().stamped(next.generation);
         cache.carry(&candidate.key, new_key, old.generation);
     }
-    (probes.patched, probes.rebuilt)
+    probes.counts
 }
 
 /// The full per-entry predicate (R1 plus the per-slot checks).
@@ -345,10 +359,9 @@ fn slot_survives(
         query,
         None,
     );
-    let mut scratch = solver.scratch();
-    !touched
-        .iter()
-        .any(|p| window_reaches(&solver, probe.locations, *p, cutoff, &mut scratch))
+    let (clear, windows) = no_window_reaches(&solver, probe.locations, touched, cutoff);
+    probes.count_windows(windows);
+    clear
 }
 
 /// R2 + R3 + R4 for a MaxRS answer, through the MaxRS → ASRS reduction
@@ -404,10 +417,52 @@ fn maxrs_survives(
         &query,
         None,
     );
+    let (clear, windows) = no_window_reaches(&solver, probe.locations, touched, cutoff);
+    probes.count_windows(windows);
+    clear
+}
+
+/// R3 over every touched location of one slot: whether no influence
+/// window reaches `cutoff` (see [`window_reaches`]), stopping at the first
+/// that does, and how the windows it examined were settled.
+fn no_window_reaches(
+    solver: &DsSearch<'_>,
+    locations: &LocationIndex,
+    touched: &[Point],
+    cutoff: f64,
+) -> (bool, WindowCounts) {
     let mut scratch = solver.scratch();
-    !touched
-        .iter()
-        .any(|p| window_reaches(&solver, probe.locations, *p, cutoff, &mut scratch))
+    let mut counts = WindowCounts::default();
+    for p in touched {
+        let verdict = window_reaches(solver, locations, *p, cutoff, &mut scratch);
+        if verdict.searched {
+            counts.searched += 1;
+        } else {
+            counts.bounded += 1;
+        }
+        if verdict.reaches {
+            return (false, counts);
+        }
+    }
+    (true, counts)
+}
+
+/// How many influence windows R3 settled without a search (by the empty
+/// covering or the Equation-1 bound) and how many it did not.
+#[derive(Debug, Default, Clone, Copy)]
+struct WindowCounts {
+    bounded: u64,
+    searched: u64,
+}
+
+/// How R3 settled one influence window.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    /// Some candidate anchored in the window reaches the cutoff.
+    reaches: bool,
+    /// The window's Equation-1 bound did not settle it: the
+    /// branch-and-bound ran, or [`PROBE_BUDGET`] refused the window.
+    searched: bool,
 }
 
 /// Whether some candidate anchored in the influence window of `touched`
@@ -415,35 +470,70 @@ fn maxrs_survives(
 /// decided by `solver`, the kernel bound to the successor's probe context
 /// for the query, whose edge table canonicalises the probed anchors.  The
 /// window's candidate rectangles come from `locations`, the successor's
-/// x-sorted object index.  A window reaching more than [`PROBE_BUDGET`]
-/// candidate rectangles counts as reaching the cutoff.
+/// object index.
 ///
-/// Mirrors the cold path: exact search (δ = 0, like the scatter)
-/// and the same contributing-rectangle filter.  Window cells no rectangle
-/// reaches are real candidates too (a removal can strip a window down to
-/// empty covering), so the empty-covering distance is tested first and
-/// answers without a search when it reaches the cutoff.  Otherwise the
-/// search starts from a seed at the next float above the cutoff: pruning
-/// then discards every sub-space whose bound exceeds the seed, and any
-/// candidate at or below the cutoff displaces it.
+/// Mirrors the cold path: exact search (δ = 0, like the scatter) and the
+/// same contributing-rectangle filter.  The cheap tests run first, each
+/// settling the window when it can:
+///
+/// 1. Window cells no rectangle reaches are real candidates too (a removal
+///    can strip a window down to empty covering), so the empty-covering
+///    distance is tested first and reaches when it is at or below the
+///    cutoff.
+/// 2. The lookup finds the window's candidate rectangles.
+/// 3. The window's own Equation-1 bound ([`DsSearch::space_bound`]): when
+///    it exceeds the seed below, the kernel would prune the whole window,
+///    so no candidate in it reaches the cutoff and no grid is built.
+/// 4. A window reaching more than [`PROBE_BUDGET`] candidate rectangles
+///    counts as reaching the cutoff.  It comes after the bound, so a window
+///    the bound settles is never refused for being dense.
+/// 5. Otherwise [`window_search`] runs the branch-and-bound.
 fn window_reaches(
     solver: &DsSearch<'_>,
     locations: &LocationIndex,
     touched: Point,
     cutoff: f64,
     scratch: &mut Scratch,
-) -> bool {
+) -> Verdict {
     let (empty_rep, empty_distance) = solver.empty_candidate();
     if empty_distance <= cutoff {
-        return true;
+        return Verdict {
+            reaches: true,
+            searched: false,
+        };
     }
     let window = influence_window(touched, solver.query.size);
     let candidates = solver
         .table
         .contributing(locations.reaching(solver.asp, &window));
-    if candidates.len() > PROBE_BUDGET {
-        return true;
+    if solver.space_bound(&window, &candidates, scratch) > cutoff.next_up() {
+        return Verdict {
+            reaches: false,
+            searched: false,
+        };
     }
+    let reaches = candidates.len() > PROBE_BUDGET
+        || window_search(solver, window, candidates, cutoff, empty_rep, scratch);
+    Verdict {
+        reaches,
+        searched: true,
+    }
+}
+
+/// The branch-and-bound over `window`, whose contributing rectangles are
+/// `candidates`: whether some candidate anchored in it attains a distance
+/// at or below `cutoff`.  The search starts from a seed at the next float
+/// above the cutoff (`empty_rep`, the empty covering's representation, at
+/// the window's corner): pruning then discards every sub-space whose bound
+/// exceeds the seed, and any candidate at or below the cutoff displaces it.
+fn window_search(
+    solver: &DsSearch<'_>,
+    window: Rect,
+    candidates: Vec<u32>,
+    cutoff: f64,
+    empty_rep: FeatureVector,
+    scratch: &mut Scratch,
+) -> bool {
     let mut best = BestSet::new(1, Arc::clone(solver.asp.edges()));
     best.offer(
         cutoff.next_up(),
@@ -556,24 +646,41 @@ impl ObjectTables {
 }
 
 /// The objects sorted by x (by `total_cmp`, then by position), each with
-/// its dataset position: which rectangles reach a window is a range
-/// lookup over it (see the module docs).  It does not depend on the query
-/// size.
+/// its y and its dataset position: which rectangles reach a window is a
+/// range lookup over it (see the module docs).  It does not depend on the
+/// query size.
 #[derive(Debug)]
 struct LocationIndex {
-    by_x: Vec<(f64, u32)>,
+    by_x: Vec<Located>,
 }
 
-fn x_order(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+/// One entry of the [`LocationIndex`]: an object's location and position.
+#[derive(Debug, Clone, Copy)]
+struct Located {
+    x: f64,
+    y: f64,
+    pos: u32,
+}
+
+impl Located {
+    fn of(dataset: &Dataset, pos: usize) -> Self {
+        let Point { x, y } = dataset.object(pos).location;
+        Self {
+            x,
+            y,
+            pos: pos as u32,
+        }
+    }
+}
+
+fn x_order(a: &Located, b: &Located) -> Ordering {
+    a.x.total_cmp(&b.x).then(a.pos.cmp(&b.pos))
 }
 
 impl LocationIndex {
     fn of(dataset: &Dataset) -> Self {
-        let mut by_x: Vec<(f64, u32)> = dataset
-            .objects()
-            .enumerate()
-            .map(|(idx, o)| (o.location.x, idx as u32))
+        let mut by_x: Vec<Located> = (0..dataset.len())
+            .map(|pos| Located::of(dataset, pos))
             .collect();
         by_x.sort_unstable_by(x_order);
         Self { by_x }
@@ -585,21 +692,20 @@ impl LocationIndex {
     /// then inserts the appended tail in one backward pass.
     fn apply(&mut self, next: &Dataset, delta: &DatasetDelta) {
         if !delta.removed.is_empty() {
-            self.by_x.retain_mut(
-                |(_, pos)| match delta.removed.binary_search(&(*pos as usize)) {
+            self.by_x
+                .retain_mut(|e| match delta.removed.binary_search(&(e.pos as usize)) {
                     Ok(_) => false,
                     Err(before) => {
-                        *pos -= before as u32;
+                        e.pos -= before as u32;
                         true
                     }
-                },
-            );
+                });
         }
-        let mut added: Vec<(f64, u32)> = (delta.tail..next.len())
-            .map(|idx| (next.object(idx).location.x, idx as u32))
+        let mut added: Vec<Located> = (delta.tail..next.len())
+            .map(|pos| Located::of(next, pos))
             .collect();
         added.sort_unstable_by(x_order);
-        let inserts: Vec<(usize, (f64, u32))> = added
+        let inserts: Vec<(usize, Located)> = added
             .into_iter()
             .map(|entry| {
                 let at = self.by_x.partition_point(|e| x_order(e, &entry).is_lt());
@@ -610,17 +716,19 @@ impl LocationIndex {
     }
 
     /// The positions of `asp`'s rectangles whose closed extent intersects
-    /// `window`, ascending: [`AspInstance::rects_intersecting`]'s list,
-    /// from the run of objects whose x-extent can meet the window.
+    /// `window`, ascending: [`AspInstance::rects_intersecting`]'s list.
+    /// Rectangle `i` is `[fl(xᵢ − a), xᵢ] × [fl(yᵢ − b), yᵢ]`, so the
+    /// index's x and y decide [`Rect::intersects`] exactly: the x-run
+    /// bounds its x half, the y test on each entry its y half, and no
+    /// rectangle is read.
     fn reaching(&self, asp: &AspInstance, window: &Rect) -> Vec<u32> {
-        let width = asp.size().width;
-        let lo = self.by_x.partition_point(|&(x, _)| x < window.min_x);
-        let run = self.by_x[lo..].partition_point(|&(x, _)| x - width <= window.max_x);
-        let rects = asp.rects();
+        let RegionSize { width, height } = asp.size();
+        let lo = self.by_x.partition_point(|e| e.x < window.min_x);
+        let run = self.by_x[lo..].partition_point(|e| e.x - width <= window.max_x);
         let mut hits: Vec<u32> = self.by_x[lo..lo + run]
             .iter()
-            .map(|&(_, pos)| pos)
-            .filter(|&pos| rects[pos as usize].rect.intersects(window))
+            .filter(|e| e.y >= window.min_y && e.y - height <= window.max_y)
+            .map(|e| e.pos)
             .collect();
         hits.sort_unstable();
         hits
@@ -629,11 +737,9 @@ impl LocationIndex {
     #[cfg(any(debug_assertions, test))]
     fn bits_eq(&self, other: &Self) -> bool {
         self.by_x.len() == other.by_x.len()
-            && self
-                .by_x
-                .iter()
-                .zip(&other.by_x)
-                .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1 == b.1)
+            && self.by_x.iter().zip(&other.by_x).all(|(a, b)| {
+                a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits() && a.pos == b.pos
+            })
     }
 }
 
@@ -688,15 +794,15 @@ impl DatasetDelta {
 
 /// One carry pass's view of the probe contexts: the predecessor the cached
 /// contexts may reflect, the dataset delta that brings them up to the
-/// successor, and how many contexts the pass patched and rebuilt.
+/// successor, and what the pass counted: the contexts it patched and
+/// rebuilt, and how R3 settled its windows.
 struct PassProbes<'a> {
     objects: &'a mut ObjectTables,
     sizes: &'a mut HashMap<(u64, u64), SizeContext>,
     old_generation: u64,
     old_len: usize,
     delta: DatasetDelta,
-    patched: u64,
-    rebuilt: u64,
+    counts: CarryPassCounts,
 }
 
 /// What one slot's R3 and R4 read: the instance of the slot's size, the
@@ -731,8 +837,7 @@ impl<'a> PassProbes<'a> {
             old_generation: old.generation,
             old_len: old.dataset.len(),
             delta,
-            patched: 0,
-            rebuilt: 0,
+            counts: CarryPassCounts::default(),
         }
     }
 
@@ -792,17 +897,23 @@ impl<'a> PassProbes<'a> {
                 }
                 let current = ctx.generation == self.old_generation && ctx.len == self.old_len;
                 if current && ctx.apply(next, &self.delta) {
-                    self.patched += 1;
+                    self.counts.contexts_patched += 1;
                 } else {
                     *ctx = SizeContext::fresh(next, size);
-                    self.rebuilt += 1;
+                    self.counts.contexts_rebuilt += 1;
                 }
             }
             Entry::Vacant(vacant) => {
                 vacant.insert(SizeContext::fresh(next, size));
-                self.rebuilt += 1;
+                self.counts.contexts_rebuilt += 1;
             }
         }
+    }
+
+    /// Adds one slot's R3 windows to the pass's counts.
+    fn count_windows(&mut self, windows: WindowCounts) {
+        self.counts.windows_bounded += windows.bounded;
+        self.counts.windows_searched += windows.searched;
     }
 }
 
@@ -997,7 +1108,12 @@ mod tests {
             assert_eq!(ctx.diverges_from_fresh(next, size), None, "size {size:?}");
         }
         assert_eq!(probes.objects.diverges_from_fresh(next), None);
-        (probes.delta, probes.patched, probes.rebuilt)
+        let counts = probes.counts;
+        (
+            probes.delta,
+            counts.contexts_patched,
+            counts.contexts_rebuilt,
+        )
     }
 
     /// Updates fresh contexts of `old` to `next` and checks each against a
@@ -1162,7 +1278,7 @@ mod tests {
                 );
                 let min = window_min(&solver, touched);
                 let reaches = |cutoff: f64, scratch: &mut Scratch| {
-                    window_reaches(&solver, &locations, touched, cutoff, scratch)
+                    window_reaches(&solver, &locations, touched, cutoff, scratch).reaches
                 };
                 assert!(!reaches(min.next_down(), &mut scratch), "below {min}");
                 assert!(reaches(min, &mut scratch), "at {min}");
@@ -1175,6 +1291,121 @@ mod tests {
             }
         }
         assert!(searched > 0 && shortcut > 0, "{searched} / {shortcut}");
+    }
+
+    /// R3 for one window without the Equation-1 gate: the empty-covering
+    /// test, the lookup, the candidate budget and the search.
+    fn search_only(
+        solver: &DsSearch<'_>,
+        locations: &LocationIndex,
+        touched: Point,
+        cutoff: f64,
+        scratch: &mut Scratch,
+    ) -> bool {
+        let (empty_rep, empty_distance) = solver.empty_candidate();
+        if empty_distance <= cutoff {
+            return true;
+        }
+        let window = influence_window(touched, solver.query.size);
+        let candidates = solver
+            .table
+            .contributing(locations.reaching(solver.asp, &window));
+        candidates.len() > PROBE_BUDGET
+            || window_search(solver, window, candidates, cutoff, empty_rep, scratch)
+    }
+
+    /// Gate-then-search against search-only over seeded windows of
+    /// `dataset`, at the cutoffs around each window's exact minimum and at
+    /// the instance's best distance (what a cached answer's cutoff is).
+    /// Returns how many decisions the bound settled and how many searched.
+    fn gate_agrees_with_search(
+        dataset: &Dataset,
+        aggregator: &CompositeAggregator,
+        query: &AsrsQuery,
+        seed: u64,
+    ) -> (u64, u64) {
+        let config = crate::SearchConfig::default();
+        let (asp, table) = AspInstance::with_contributions(dataset, aggregator, query.size);
+        let locations = LocationIndex::of(dataset);
+        let solver = DsSearch::new(aggregator, &config, 0.0, &asp, &table, query, None);
+        let mut scratch = solver.scratch();
+        let best = crate::executor::Executor::new(
+            dataset,
+            aggregator,
+            &config,
+            crate::executor::Slabs::Whole,
+        )
+        .best(query, 0.0, None)
+        .unwrap()
+        .distance;
+        let bbox = dataset.bounding_box().unwrap();
+        let mut rng = Seeded(seed);
+        let (mut bounded, mut searched) = (0, 0);
+        for _ in 0..40 {
+            let touched = Point::new(
+                bbox.min_x + bbox.width() * rng.interior(),
+                bbox.min_y + bbox.height() * rng.interior(),
+            );
+            let min = window_min(&solver, touched);
+            for cutoff in [min.next_down(), min, min.next_up(), best] {
+                let verdict = window_reaches(&solver, &locations, touched, cutoff, &mut scratch);
+                let expected = search_only(&solver, &locations, touched, cutoff, &mut scratch);
+                assert_eq!(
+                    verdict.reaches, expected,
+                    "cutoff {cutoff} (window min {min}) at {touched:?}"
+                );
+                if verdict.searched {
+                    searched += 1;
+                } else if !verdict.reaches {
+                    bounded += 1;
+                }
+            }
+        }
+        (bounded, searched)
+    }
+
+    #[test]
+    fn the_window_bound_decides_like_the_search_it_skips() {
+        // The engine's distribution aggregator.
+        let uniform = UniformGenerator::default().generate(300, 29);
+        let bbox = uniform.bounding_box().unwrap();
+        let size = RegionSize::new(bbox.width() * 0.12, bbox.height() * 0.1);
+        let distribution = CompositeAggregator::builder(uniform.schema())
+            .distribution("category", Selection::All)
+            .build()
+            .unwrap();
+        let dim = distribution.feature_dim();
+        let query = AsrsQuery::new(
+            size,
+            FeatureVector::new(vec![3.0; dim]),
+            Weights::uniform(dim),
+        );
+        // A float sum: ratings are fractional, so the compensated sums of
+        // the bound and of the probes are what keep them comparable.
+        let pois = asrs_data::gen::PoiSynGenerator::compact(5).generate(300, 31);
+        let float_sum = CompositeAggregator::builder(pois.schema())
+            .sum("rating", Selection::All)
+            .build()
+            .unwrap();
+        let poi_size = RegionSize::new(120.0, 90.0);
+        let rating = AsrsQuery::new(
+            poi_size,
+            FeatureVector::new(vec![23.7]),
+            Weights::uniform(1),
+        );
+        // The MaxRS count reduction.
+        let (count, maxrs) = crate::maxrs::reduction(&uniform, size, &Selection::All).unwrap();
+        for (case, dataset, aggregator, query) in [
+            ("distribution", &uniform, &distribution, &query),
+            ("float sum", &pois, &float_sum, &rating),
+            ("maxrs", &uniform, &count, &maxrs),
+        ] {
+            let (bounded, searched) = gate_agrees_with_search(dataset, aggregator, query, 37);
+            assert!(
+                bounded > 0 && searched > 0,
+                "{case}: {bounded} / {searched}"
+            );
+        }
     }
 
     /// A uniform engine whose coordinates are multiples of 1/8, so the

@@ -196,14 +196,12 @@ pub(crate) struct Scratch {
     pub edges: GridEdges,
     /// Feature vector of the cell or probe under evaluation.
     pub features: Vec<f64>,
-    /// Equation-1 feature bounds of the dirty cell or resolve strip under
-    /// evaluation.
-    pub lo: Vec<f64>,
-    /// See [`Scratch::lo`].
-    pub hi: Vec<f64>,
+    /// The sums and feature bounds of the Equation-1 bound under
+    /// evaluation: a dirty cell's, a resolve strip's or a whole space's.
+    pub bound: BoundSums,
     /// Candidate list of each cell under exact resolution.
     pub lists: Vec<Vec<u32>>,
-    /// Rectangles crossing the resolved cell.
+    /// Rectangles crossing the resolved cell or bounded space.
     pub partial: Vec<u32>,
     /// Crossing rectangles covering the current probe column.
     pub active: Vec<u32>,
@@ -211,14 +209,30 @@ pub(crate) struct Scratch {
     pub xs: Vec<f64>,
     /// Window cuts of the current strip.
     pub ys: Vec<f64>,
-    /// Contributions shared by every probe of the resolved cell.
-    pub base: StatsAccumulator,
-    /// Statistics of [`Scratch::base`].
-    pub base_stats: Vec<f64>,
     /// Contributions of the current probe.
     pub probe: StatsAccumulator,
     /// Statistics of the current probe.
     pub probe_stats: Vec<f64>,
+}
+
+/// The buffers of one Equation-1 bound over compensated sums
+/// ([`DsSearch::bound_with`](crate::ds_search::DsSearch)): the rectangles
+/// every covering under the bound holds, those plus the ones it may hold,
+/// and the feature bounds between the two.
+pub(crate) struct BoundSums {
+    /// Contributions every covering holds; exact resolution also starts
+    /// each probe of a cell from them.
+    pub base: StatsAccumulator,
+    /// Statistics of [`BoundSums::base`].
+    pub base_stats: Vec<f64>,
+    /// [`BoundSums::base`] plus every contribution a covering may hold.
+    pub upper: StatsAccumulator,
+    /// Statistics of [`BoundSums::upper`].
+    pub upper_stats: Vec<f64>,
+    /// Lower feature bounds.
+    pub lo: Vec<f64>,
+    /// Upper feature bounds.
+    pub hi: Vec<f64>,
 }
 
 impl Scratch {
@@ -231,15 +245,19 @@ impl Scratch {
             arrays: DiffArrays::new(ncols, nrows, dims),
             edges: GridEdges::new(GridSpec::new(unit, ncols, nrows)),
             features: vec![0.0; features],
-            lo: vec![0.0; features],
-            hi: vec![0.0; features],
+            bound: BoundSums {
+                base: StatsAccumulator::new(dims),
+                base_stats: vec![0.0; dims],
+                upper: StatsAccumulator::new(dims),
+                upper_stats: vec![0.0; dims],
+                lo: vec![0.0; features],
+                hi: vec![0.0; features],
+            },
             lists: Vec::new(),
             partial: Vec::new(),
             active: Vec::new(),
             xs: Vec::new(),
             ys: Vec::new(),
-            base: StatsAccumulator::new(dims),
-            base_stats: vec![0.0; dims],
             probe: StatsAccumulator::new(dims),
             probe_stats: vec![0.0; dims],
         }
@@ -276,8 +294,7 @@ pub(crate) fn discretize(
         arrays,
         edges,
         features,
-        lo,
-        hi,
+        bound: BoundSums { lo, hi, .. },
         ..
     } = scratch;
     let (ncols, nrows, dims) = (arrays.cols, arrays.rows, arrays.dims);

@@ -4,7 +4,7 @@ use crate::asp::{AspInstance, Contributions};
 use crate::best::BestSet;
 use crate::budget::Budget;
 use crate::config::SearchConfig;
-use crate::discretize::{discretize, DirtyCell, Scratch};
+use crate::discretize::{discretize, BoundSums, DirtyCell, Scratch};
 use crate::drop_condition::satisfies_drop_condition;
 use crate::error::AsrsError;
 use crate::query::AsrsQuery;
@@ -338,17 +338,14 @@ impl<'a> DsSearch<'a> {
         let Scratch {
             edges,
             features,
+            bound,
             lists,
             partial,
             active,
             xs,
             ys,
-            base,
-            base_stats,
             probe,
             probe_stats,
-            lo,
-            hi,
             ..
         } = scratch;
         if lists.len() < cells.len() {
@@ -397,27 +394,20 @@ impl<'a> DsSearch<'a> {
             let rect = edges.cell_rect(cell.col, cell.row);
             // Split the cell's candidates into rectangles fully covering it
             // (their contribution is shared by every probe) and rectangles
-            // merely crossing it (checked per strip).
-            base.reset();
-            partial.clear();
+            // merely crossing it, whose x-edges cut the cell into strips.
+            self.split_base(&rect, list, bound, partial);
             xs.clear();
             xs.extend([rect.min_x, rect.max_x]);
-            for &idx in list {
+            for &idx in partial.iter() {
                 let r = &rects[idx as usize].rect;
-                if r.contains_rect(&rect) {
-                    base.add_slice(table.row(idx));
-                } else {
-                    partial.push(idx);
-                    for x in [r.min_x, r.max_x] {
-                        if x > rect.min_x && x < rect.max_x {
-                            xs.push(x);
-                        }
+                for x in [r.min_x, r.max_x] {
+                    if x > rect.min_x && x < rect.max_x {
+                        xs.push(x);
                     }
                 }
             }
             xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
             xs.dedup();
-            base.finish_into(base_stats);
             for wx in xs.windows(2) {
                 let px = (wx[0] + wx[1]) / 2.0;
                 active.clear();
@@ -430,15 +420,7 @@ impl<'a> DsSearch<'a> {
                 // over `(base, base + Σ active)` bounds all of them.  The
                 // raw cutoff, not the (1+δ)-relaxed one: a skipped strip
                 // holds no candidate the set would accept.
-                probe.clone_from_accumulator(base);
-                for &idx in active.iter() {
-                    probe.add_slice(table.row(idx));
-                }
-                probe.finish_into(probe_stats);
-                self.aggregator
-                    .feature_bounds_into(base_stats, probe_stats, lo, hi);
-                let lb = distance_lower_bound(&query.target, lo, hi, &query.weights, query.metric);
-                if lb > best.cutoff() {
+                if self.bound_with(bound, active) > best.cutoff() {
                     continue;
                 }
                 // Only the active rectangles change the covering along the
@@ -458,7 +440,7 @@ impl<'a> DsSearch<'a> {
                 for wy in ys.windows(2) {
                     let py = (wy[0] + wy[1]) / 2.0;
                     stats.fallback_points += 1;
-                    probe.clone_from_accumulator(base);
+                    probe.clone_from_accumulator(&bound.base);
                     for &idx in active.iter() {
                         let r = &rects[idx as usize].rect;
                         if py > r.min_y && py < r.max_y {
@@ -486,6 +468,72 @@ impl<'a> DsSearch<'a> {
             }
         }
         Ok(())
+    }
+
+    /// The Equation-1 bound of `space` taken as one cell, over its
+    /// contributing `candidates`: no candidate anchored inside `space`
+    /// has a smaller distance.  The base is the candidates whose rectangle
+    /// contains the closed space, the upper set all of them, so a space
+    /// whose bound exceeds the cutoff is one [`DsSearch::search_space`]
+    /// would prune, decided before a grid is laid over it.
+    pub(crate) fn space_bound(
+        &self,
+        space: &Rect,
+        candidates: &[u32],
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let Scratch { bound, partial, .. } = scratch;
+        self.split_base(space, candidates, bound, partial);
+        self.bound_with(bound, partial)
+    }
+
+    /// Splits `candidates` against `rect`, keeping their order: the rows
+    /// of those whose rectangle contains `rect` (closed) are summed into
+    /// `sums.base` and finished into `sums.base_stats`, the others are
+    /// listed in `partial`.
+    fn split_base(
+        &self,
+        rect: &Rect,
+        candidates: &[u32],
+        sums: &mut BoundSums,
+        partial: &mut Vec<u32>,
+    ) {
+        let rects = self.asp.rects();
+        sums.base.reset();
+        partial.clear();
+        for &idx in candidates {
+            if rects[idx as usize].rect.contains_rect(rect) {
+                sums.base.add_slice(self.table.row(idx));
+            } else {
+                partial.push(idx);
+            }
+        }
+        sums.base.finish_into(&mut sums.base_stats);
+    }
+
+    /// Equation 1 over compensated sums: the lower bound on the distance
+    /// of every covering that holds all of `sums.base` and any subset of
+    /// `optional`.  The upper sum is the base plus each optional row in
+    /// order; both feed [`CompositeAggregator::feature_bounds_into`], and
+    /// the feature bounds give the distance bound.
+    fn bound_with(&self, sums: &mut BoundSums, optional: &[u32]) -> f64 {
+        let BoundSums {
+            base,
+            base_stats,
+            upper,
+            upper_stats,
+            lo,
+            hi,
+        } = sums;
+        upper.clone_from_accumulator(base);
+        for &idx in optional {
+            upper.add_slice(self.table.row(idx));
+        }
+        upper.finish_into(upper_stats);
+        self.aggregator
+            .feature_bounds_into(base_stats, upper_stats, lo, hi);
+        let query = self.query;
+        distance_lower_bound(&query.target, lo, hi, &query.weights, query.metric)
     }
 }
 

@@ -189,6 +189,8 @@ impl ServerMetrics {
                 carry_proof_failures: c.carry_proof_failures,
                 carry_contexts_patched: c.carry_contexts_patched,
                 carry_contexts_rebuilt: c.carry_contexts_rebuilt,
+                carry_windows_bounded: c.carry_windows_bounded,
+                carry_windows_searched: c.carry_windows_searched,
             }
         });
         let shards = shard_requests.map(|requests| ShardsSnapshot {
@@ -299,6 +301,12 @@ pub struct CacheSnapshot {
     /// Per-size probe contexts the carry passes built from scratch (first
     /// probes of a size, contexts a pass left behind, inconsistent ones).
     pub carry_contexts_rebuilt: u64,
+    /// Influence windows the carry passes' R3 test settled without a
+    /// search (by the window's Equation-1 bound or the empty covering).
+    pub carry_windows_bounded: u64,
+    /// Influence windows R3 searched (or refused as too dense); with
+    /// `carry_windows_bounded` it sums to every window R3 examined.
+    pub carry_windows_searched: u64,
 }
 
 /// A fixed-bucket histogram as served by `/metrics`: `counts[i]` holds the

@@ -228,7 +228,9 @@ fn mutation_endpoints_append_remove_sweep_and_report_generations() {
 
 /// A write to a warm cache shows up in the carry-pass metrics: every
 /// published generation is one pass in the latency histogram, the first
-/// probe of a query size builds its context and the next write patches it.
+/// probe of a query size builds its context and the next write patches it,
+/// and each pass's R3 test settles the one window it examines, by the
+/// window's bound or by a search.
 #[test]
 fn carry_pass_metrics_follow_writes_to_a_warm_cache() {
     let engine = builder(64).shards(2).build().unwrap();
@@ -267,6 +269,14 @@ fn carry_pass_metrics_follow_writes_to_a_warm_cache() {
     let cache = metrics.cache.expect("a cached engine");
     assert_eq!(cache.carry_contexts_rebuilt, 1, "{body}");
     assert_eq!(cache.carry_contexts_patched, 1, "{body}");
+    // One cached slot and one touched point per pass: two windows.
+    assert_eq!(
+        cache.carry_windows_bounded + cache.carry_windows_searched,
+        2,
+        "{body}"
+    );
+    assert!(body.contains("\"carry_windows_bounded\":"), "{body}");
+    assert!(body.contains("\"carry_windows_searched\":"), "{body}");
     drop(client);
     server.shutdown();
 }
