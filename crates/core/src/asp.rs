@@ -9,7 +9,7 @@
 
 use asrs_aggregator::CompositeAggregator;
 use asrs_data::{Dataset, SpatialObject};
-use asrs_geo::{min_positive_gap_sorted, Accuracy, Point, Rect, RegionSize};
+use asrs_geo::{Accuracy, Point, Rect, RegionSize};
 use std::sync::Arc;
 
 /// A rectangle object of the reduced ASP instance: the geometric rectangle
@@ -41,7 +41,9 @@ impl RectObject {
 /// built once, with the instance, and everything else reads it: the
 /// accuracy estimate (Definition 7) is a linear gap scan over it, every
 /// search's result set snaps anchors with it, and the naive oracle probes
-/// its intervals.
+/// its intervals.  The carry pass's window-local instances hold only a
+/// window's rectangles, and take the part of the whole dataset's table
+/// that the window reads.
 #[derive(Debug, Clone)]
 pub struct AspInstance {
     rects: Vec<RectObject>,
@@ -57,6 +59,13 @@ const ACCURACY_FLOOR: f64 = 1e-12;
 
 fn floor() -> Accuracy {
     Accuracy::new(ACCURACY_FLOOR, ACCURACY_FLOOR)
+}
+
+/// Definition 7's accuracy from each axis's smallest positive gap between
+/// distinct edge coordinates, floored at [`ACCURACY_FLOOR`]: what an
+/// instance with those edge gaps reports.
+pub(crate) fn accuracy_from_min_gaps(dx: Option<f64>, dy: Option<f64>) -> Accuracy {
+    Accuracy::from_min_gaps(dx, dy, floor())
 }
 
 /// The edge coordinates of `rects` per axis, both edges per rectangle,
@@ -96,18 +105,6 @@ impl AspInstance {
         (Self::from_rects(rects, size), table)
     }
 
-    /// [`AspInstance::build`] plus the [`EdgeCounts`] that let
-    /// [`AspInstance::patch`] edit the instance in place afterwards: the
-    /// carry pass's fresh build.
-    pub(crate) fn with_edge_counts(dataset: &Dataset, size: RegionSize) -> (Self, EdgeCounts) {
-        let rects = Self::rects_visiting(dataset, size, |_| {});
-        let (xs, ys) = edge_multiset(&rects);
-        let (xs, x) = AxisCounts::counting(xs);
-        let (ys, y) = AxisCounts::counting(ys);
-        let instance = Self::assemble(rects, size, EdgeSnapper { xs, ys });
-        (instance, EdgeCounts { x, y })
-    }
-
     fn rects_visiting(
         dataset: &Dataset,
         size: RegionSize,
@@ -141,56 +138,23 @@ impl AspInstance {
         }
     }
 
-    /// Brings the instance of a dataset up to its successor in place: drops
-    /// the rectangles at `removed` (ascending positions) and renumbers the
-    /// rest, appends one rectangle per `appended` location, and edits the
-    /// edge table and the accuracy through `counts`.  Removal preserves
-    /// dataset order and appends land at the end, so the result is what
-    /// [`AspInstance::build`] constructs from the successor, bit for bit,
-    /// in time proportional to the batch plus the shifted tails.  The
-    /// space is left as it is: the caller guarantees that the successor's
-    /// bounding box, and so the space, did not move.
-    ///
-    /// Returns `false`, leaving the instance unusable, when a removed edge
-    /// is not in the table or a removed `-0.0` leaves the sign of its
-    /// table entry undecided; the caller then builds the instance afresh.
-    #[must_use]
-    pub(crate) fn patch(
-        &mut self,
-        counts: &mut EdgeCounts,
-        removed: &[usize],
-        appended: impl IntoIterator<Item = Point>,
-    ) -> bool {
-        let (mut gone_xs, mut gone_ys) = (Vec::new(), Vec::new());
-        for &idx in removed {
-            let rect = self.rects[idx].rect;
-            gone_xs.extend([rect.min_x, rect.max_x]);
-            gone_ys.extend([rect.min_y, rect.max_y]);
-        }
-        remove_at(&mut self.rects, removed);
-        if let Some(&first) = removed.first() {
-            for (idx, r) in self.rects.iter_mut().enumerate().skip(first) {
-                r.object_idx = idx as u32;
-            }
-        }
-        let (mut new_xs, mut new_ys) = (Vec::new(), Vec::new());
-        for location in appended {
-            let rect = Rect::from_top_right(location, self.size);
-            new_xs.extend([rect.min_x, rect.max_x]);
-            new_ys.extend([rect.min_y, rect.max_y]);
-            self.rects.push(RectObject {
-                rect,
-                object_idx: self.rects.len() as u32,
-            });
-        }
-        let edges = Arc::make_mut(&mut self.edges);
-        if !counts.x.patch(&mut edges.xs, gone_xs, new_xs)
-            || !counts.y.patch(&mut edges.ys, gone_ys, new_ys)
-        {
-            return false;
-        }
-        self.accuracy = Accuracy::from_min_gaps(counts.x.min_gap, counts.y.min_gap, floor());
-        true
+    /// An instance over some of a dataset's rectangles: the carry pass's
+    /// window-local instances.  `rects` keep their objects' positions in
+    /// `object_idx`.  The edge table starts empty and the accuracy at the
+    /// floor; [`AspInstance::set_edges`] supplies both before a search.
+    pub(crate) fn of_rects(rects: Vec<RectObject>, size: RegionSize) -> Self {
+        Self::assemble(
+            rects,
+            size,
+            EdgeSnapper::from_sorted_edges(Vec::new(), Vec::new()),
+        )
+    }
+
+    /// Replaces the edge table and the accuracy: a window-local instance
+    /// takes both from the whole dataset's (see [`AspInstance::of_rects`]).
+    pub(crate) fn set_edges(&mut self, edges: EdgeSnapper, accuracy: Accuracy) {
+        self.edges = Arc::new(edges);
+        self.accuracy = accuracy;
     }
 
     /// The rectangle objects.
@@ -293,6 +257,21 @@ impl Contributions {
         for idx in tail..dataset.len() {
             self.push(aggregator, dataset.object(idx));
         }
+    }
+
+    /// The rows at `positions`, in that order: a window-local instance's
+    /// table, whose row `k` is the `k`-th position's.
+    pub(crate) fn gather(&self, positions: impl ExactSizeIterator<Item = u32>) -> Self {
+        let mut table = Self {
+            dims: self.dims,
+            rows: Vec::with_capacity(positions.len() * self.dims),
+            contributes: Vec::with_capacity(positions.len()),
+        };
+        for pos in positions {
+            table.rows.extend_from_slice(self.row(pos));
+            table.contributes.push(self.contributes[pos as usize]);
+        }
+        table
     }
 
     /// The table of every object of `dataset`, in dataset order.
@@ -416,16 +395,6 @@ impl EdgeSnapper {
         Accuracy::from_sorted_edge_coordinates(&self.xs, &self.ys, floor())
     }
 
-    /// Bitwise equality of the edge arrays: the check that an
-    /// incrementally maintained snapper matches a fresh build.
-    #[cfg(any(debug_assertions, test))]
-    pub(crate) fn bits_eq(&self, other: &Self) -> bool {
-        let eq = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        eq(&self.xs, &other.xs) && eq(&self.ys, &other.ys)
-    }
-
     /// The canonical representative of the arrangement cell containing `p`.
     pub(crate) fn snap(&self, p: Point) -> Point {
         Point::new(
@@ -524,163 +493,9 @@ impl EdgeSnapper {
     }
 }
 
-/// What the carry pass keeps beside an instance to edit its edge table in
-/// place ([`AspInstance::patch`]): per axis, each table coordinate's
-/// multiplicity in the edge multiset, and Definition 7's minimum positive
-/// gap before the floor.
-#[derive(Debug, Clone)]
-pub(crate) struct EdgeCounts {
-    x: AxisCounts,
-    y: AxisCounts,
-}
-
-impl EdgeCounts {
-    /// Equality with `other`, the gaps compared bit for bit: the check
-    /// that maintained counts match a fresh build's.
-    #[cfg(any(debug_assertions, test))]
-    pub(crate) fn bits_eq(&self, other: &Self) -> bool {
-        let eq = |a: &AxisCounts, b: &AxisCounts| {
-            a.counts == b.counts && a.min_gap.map(f64::to_bits) == b.min_gap.map(f64::to_bits)
-        };
-        eq(&self.x, &other.x) && eq(&self.y, &other.y)
-    }
-
-    /// Forgets the x edge `x` of `instance` entirely, multiplicity and
-    /// all: a corrupted context for the tests of the rebuild path.
-    #[cfg(test)]
-    pub(crate) fn forget_x_edge(&mut self, instance: &mut AspInstance, x: f64) {
-        let edges = Arc::make_mut(&mut instance.edges);
-        let at = edges.xs.partition_point(|e| *e < x);
-        assert_eq!(edges.xs[at], x, "no such edge");
-        edges.xs.remove(at);
-        self.x.counts.remove(at);
-    }
-}
-
-/// One axis of [`EdgeCounts`]: `counts[i]` is how many edges of the
-/// multiset equal entry `i` of the deduplicated table, and `min_gap` the
-/// smallest positive gap between neighbouring finite entries.
-#[derive(Debug, Clone)]
-struct AxisCounts {
-    counts: Vec<u32>,
-    min_gap: Option<f64>,
-}
-
-impl AxisCounts {
-    /// Deduplicates the sorted multiset `values` in place, exactly like
-    /// [`EdgeSnapper::from_sorted_edges`], counting each entry's
-    /// multiplicity.
-    fn counting(mut values: Vec<f64>) -> (Vec<f64>, Self) {
-        let mut counts: Vec<u32> = Vec::new();
-        let mut kept = 0;
-        for at in 0..values.len() {
-            if kept > 0 && values[kept - 1] == values[at] {
-                counts[kept - 1] += 1;
-            } else {
-                values[kept] = values[at];
-                counts.push(1);
-                kept += 1;
-            }
-        }
-        values.truncate(kept);
-        let min_gap = min_positive_gap_sorted(&values);
-        (values, Self { counts, min_gap })
-    }
-
-    /// Edits the deduplicated table `values` to the multiset minus `gone`
-    /// plus `added`, in place: each edge is a binary search, and only a
-    /// coordinate whose multiplicity reaches zero (or a new one) shifts
-    /// the table, in one forward pass for the removals and one backward
-    /// pass for the insertions.  The minimum gap follows incrementally: a
-    /// new coordinate can only shrink it, so only its two new gaps are
-    /// compared, and the table is rescanned only when a vanished
-    /// coordinate bordered a minimal gap.
-    ///
-    /// `values` keeps [`EdgeSnapper::from_sorted_edges`]' representatives:
-    /// the first of each run of equal coordinates in `total_cmp` order, so
-    /// `-0.0` stands for a run of zeros that holds one.  Returns `false`,
-    /// leaving the axis unusable, when a removed edge is not in the
-    /// multiset, or when a removed `-0.0` leaves other zeros behind whose
-    /// signs the counts do not record.
-    fn patch(&mut self, values: &mut Vec<f64>, mut gone: Vec<f64>, mut added: Vec<f64>) -> bool {
-        gone.sort_by(f64::total_cmp);
-        added.sort_by(f64::total_cmp);
-        let mut vanished = Vec::new();
-        for edge in gone {
-            let at = values.partition_point(|e| *e < edge);
-            if at == values.len() || values[at] != edge || self.counts[at] == 0 {
-                return false;
-            }
-            // The last edge of a run is its entry, bit for bit; a `-0.0`
-            // leaving a longer run leaves zeros of unrecorded signs.
-            let last = self.counts[at] == 1;
-            if (last && values[at].to_bits() != edge.to_bits()) || (!last && is_negative_zero(edge))
-            {
-                return false;
-            }
-            self.counts[at] -= 1;
-            if self.counts[at] == 0 {
-                vanished.push(at);
-            }
-        }
-        let rescan = self.min_gap.is_some_and(|min| {
-            vanished.iter().any(|&at| {
-                let before = at.checked_sub(1).and_then(|i| gap(values, i));
-                before == Some(min) || gap(values, at) == Some(min)
-            })
-        });
-        remove_at(values, &vanished);
-        remove_at(&mut self.counts, &vanished);
-        let mut inserts: Vec<(usize, f64)> = Vec::new();
-        let mut inserted_counts: Vec<(usize, u32)> = Vec::new();
-        for edge in added {
-            let at = values.partition_point(|e| *e < edge);
-            if at < values.len() && values[at] == edge {
-                self.counts[at] += 1;
-                if is_negative_zero(edge) {
-                    values[at] = edge;
-                }
-            } else if inserts.last().is_some_and(|&(_, v)| v == edge) {
-                if let Some((_, count)) = inserted_counts.last_mut() {
-                    *count += 1;
-                }
-            } else {
-                inserts.push((at, edge));
-                inserted_counts.push((at, 1));
-            }
-        }
-        insert_at(values, &inserts);
-        insert_at(&mut self.counts, &inserted_counts);
-        if rescan {
-            self.min_gap = min_positive_gap_sorted(values);
-        } else {
-            // The k-th insertion landed k places after its position.
-            for (k, &(at, _)) in inserts.iter().enumerate() {
-                let at = at + k;
-                let before = at.checked_sub(1).and_then(|i| gap(values, i));
-                for g in [before, gap(values, at)].into_iter().flatten() {
-                    self.min_gap = Some(self.min_gap.map_or(g, |min| min.min(g)));
-                }
-            }
-        }
-        true
-    }
-}
-
-/// The gap between table entries `at` and `at + 1` when both exist and
-/// are finite: the neighbours Definition 7's scan compares.
-fn gap(values: &[f64], at: usize) -> Option<f64> {
-    let (a, b) = (*values.get(at)?, *values.get(at + 1)?);
-    (a.is_finite() && b.is_finite()).then_some(b - a)
-}
-
-fn is_negative_zero(v: f64) -> bool {
-    v == 0.0 && v.is_sign_negative()
-}
-
 /// Drops the elements at `positions` (ascending, distinct), moving each
 /// element after the first of them once.
-fn remove_at<T: Copy>(values: &mut Vec<T>, positions: &[usize]) {
+pub(crate) fn remove_at<T: Copy>(values: &mut Vec<T>, positions: &[usize]) {
     let Some(&first) = positions.first() else {
         return;
     };
@@ -875,87 +690,6 @@ mod tests {
         remove_at(&mut values, &[]);
         insert_at(&mut values, &[]);
         assert_eq!(values.len(), 10);
-    }
-
-    /// Patches the instance and counts of `old` to `next` (which removed
-    /// the objects at `removed` and appended `next[tail..]`), comparing
-    /// with a fresh build of `next` bit for bit.
-    fn patched_matches_fresh(
-        old: &Dataset,
-        next: &Dataset,
-        removed: &[usize],
-        tail: usize,
-    ) -> bool {
-        let size = RegionSize::new(1.0, 1.0);
-        let (mut asp, mut counts) = AspInstance::with_edge_counts(old, size);
-        let appended = (tail..next.len()).map(|idx| next.object(idx).location);
-        if !asp.patch(&mut counts, removed, appended) {
-            return false;
-        }
-        let (fresh, fresh_counts) = AspInstance::with_edge_counts(next, size);
-        assert_eq!(asp.rects(), fresh.rects());
-        assert!(asp.edges().bits_eq(fresh.edges()));
-        assert!(asp.edges().bits_eq(AspInstance::build(next, size).edges()));
-        assert!(counts.bits_eq(&fresh_counts));
-        assert_eq!(asp.accuracy().dx.to_bits(), fresh.accuracy().dx.to_bits());
-        assert_eq!(asp.accuracy().dy.to_bits(), fresh.accuracy().dy.to_bits());
-        true
-    }
-
-    fn at_xs(xs: &[f64]) -> Dataset {
-        let mut b = DatasetBuilder::new(Schema::empty());
-        for &x in xs {
-            b.push(x, 10.0 + x * 0.5, vec![]);
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn patching_keeps_the_sign_of_a_zero_edge_or_refuses() {
-        // With width 1, objects at x = 1 put a +0.0 left edge in the
-        // table and objects at x = -0.0 a -0.0 right edge; the table
-        // keeps one zero, -0.0 whenever the run holds one.
-        let base = [3.0, 1.0, -0.0, 1.0, 7.5];
-        let old = at_xs(&base);
-        // A +0.0 leaves; the -0.0 entry stays.
-        assert!(patched_matches_fresh(
-            &old,
-            &at_xs(&[3.0, -0.0, 1.0, 7.5]),
-            &[1],
-            4
-        ));
-        // The -0.0 leaves the last zeros: its entry turns back to +0.0.
-        assert!(patched_matches_fresh(
-            &at_xs(&[3.0, -0.0, 7.5]),
-            &at_xs(&[3.0, 7.5]),
-            &[1],
-            2
-        ));
-        // A -0.0 joins a run of +0.0 zeros and becomes its entry.
-        assert!(patched_matches_fresh(
-            &at_xs(&[3.0, 1.0]),
-            &at_xs(&[3.0, 1.0, -0.0]),
-            &[],
-            2
-        ));
-        // The -0.0 leaves a run that keeps +0.0 zeros: the counts cannot
-        // tell the entry's new sign, so the patch refuses.
-        assert!(!patched_matches_fresh(
-            &old,
-            &at_xs(&[3.0, 1.0, 1.0, 7.5]),
-            &[2],
-            4
-        ));
-    }
-
-    #[test]
-    fn patching_refuses_an_edge_the_table_lacks() {
-        let ds = dataset();
-        let size = RegionSize::new(2.0, 1.0);
-        let (mut asp, mut counts) = AspInstance::with_edge_counts(&ds, size);
-        let edge = asp.rects()[1].rect.min_x;
-        counts.forget_x_edge(&mut asp, edge);
-        assert!(!asp.patch(&mut counts, &[1], []));
     }
 
     #[test]

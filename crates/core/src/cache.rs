@@ -233,12 +233,6 @@ pub struct CacheStats {
     /// [`CARRY_PASS_BUCKET_BOUNDS_US`] bound plus a trailing overflow
     /// bucket.
     pub carry_pass_latency_us: Vec<u64>,
-    /// Per-size probe contexts the carry passes patched in place.
-    pub carry_contexts_patched: u64,
-    /// Per-size probe contexts the carry passes built from scratch: the
-    /// first probe of a size, a context the previous pass left behind, or
-    /// one found inconsistent while patching.
-    pub carry_contexts_rebuilt: u64,
     /// Influence windows the carry passes' R3 test settled without a
     /// search: the window's Equation-1 bound exceeded the cutoff, or the
     /// empty covering already reached it.
@@ -247,17 +241,20 @@ pub struct CacheStats {
     /// branch-and-bound over them, or refused them as too dense.  With
     /// `carry_windows_bounded` it sums to every window R3 examined.
     pub carry_windows_searched: u64,
+    /// Definition-7 accuracy scans the carry passes ran: one merge scan of
+    /// the sorted coordinates per query size whose windows a pass searched,
+    /// at that size's first searched window.  At most one per searched
+    /// window, and usually far fewer.
+    pub carry_accuracy_scans: u64,
 }
 
-/// What one carry pass counted, besides its duration: the per-size probe
-/// contexts it patched and rebuilt, and how R3 settled the influence
-/// windows it examined.
+/// What one carry pass counted, besides its duration: how R3 settled the
+/// influence windows it examined, and the accuracy scans it ran.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct CarryPassCounts {
-    pub(crate) contexts_patched: u64,
-    pub(crate) contexts_rebuilt: u64,
     pub(crate) windows_bounded: u64,
     pub(crate) windows_searched: u64,
+    pub(crate) accuracy_scans: u64,
 }
 
 /// Upper bounds (microseconds, inclusive) of the carry-pass latency
@@ -300,10 +297,9 @@ pub struct QueryCache {
     carried_forward: AtomicU64,
     carry_proof_failures: AtomicU64,
     carry_pass_latency: LatencyHistogram,
-    carry_contexts_patched: AtomicU64,
-    carry_contexts_rebuilt: AtomicU64,
     carry_windows_bounded: AtomicU64,
     carry_windows_searched: AtomicU64,
+    carry_accuracy_scans: AtomicU64,
 }
 
 impl QueryCache {
@@ -326,10 +322,9 @@ impl QueryCache {
             carried_forward: AtomicU64::new(0),
             carry_proof_failures: AtomicU64::new(0),
             carry_pass_latency: LatencyHistogram::new(&CARRY_PASS_BUCKET_BOUNDS_US),
-            carry_contexts_patched: AtomicU64::new(0),
-            carry_contexts_rebuilt: AtomicU64::new(0),
             carry_windows_bounded: AtomicU64::new(0),
             carry_windows_searched: AtomicU64::new(0),
+            carry_accuracy_scans: AtomicU64::new(0),
         }
     }
 
@@ -554,10 +549,9 @@ impl QueryCache {
         self.carry_pass_latency
             .record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
         for (counter, n) in [
-            (&self.carry_contexts_patched, counts.contexts_patched),
-            (&self.carry_contexts_rebuilt, counts.contexts_rebuilt),
             (&self.carry_windows_bounded, counts.windows_bounded),
             (&self.carry_windows_searched, counts.windows_searched),
+            (&self.carry_accuracy_scans, counts.accuracy_scans),
         ] {
             counter.fetch_add(n, Ordering::Relaxed);
         }
@@ -606,10 +600,9 @@ impl QueryCache {
             carry_passes,
             carry_pass_total_us,
             carry_pass_latency_us,
-            carry_contexts_patched: self.carry_contexts_patched.load(Ordering::Relaxed),
-            carry_contexts_rebuilt: self.carry_contexts_rebuilt.load(Ordering::Relaxed),
             carry_windows_bounded: self.carry_windows_bounded.load(Ordering::Relaxed),
             carry_windows_searched: self.carry_windows_searched.load(Ordering::Relaxed),
+            carry_accuracy_scans: self.carry_accuracy_scans.load(Ordering::Relaxed),
         }
     }
 }

@@ -93,38 +93,54 @@
 //! skips the carry), and the release-mode churn-parity suite
 //! (`tests/mutation_parity.rs`) performs the same comparison end-to-end.
 //!
-//! # Probe-context reuse
+//! # Shared tables and per-size views
 //!
-//! R3 and R4 need, per distinct query size, an [`AspInstance`] (with its
-//! edge table, which snaps the probed anchors) and a [`Contributions`]
-//! table: the engine aggregator's for ASRS slots, a count aggregator's for
-//! MaxRS slots.  Only the instance depends on the size.  Rectangle `i` is
-//! the `a × b` box whose top-right corner is object `i`'s location, but its
-//! contribution row is object `i`'s whatever the size: the factorisation
-//! `Contributions` applies within one query holds across sizes too.  So
-//! the persistent state ([`CarryProbes`], kept in the mutator state across
-//! publishes) holds one size-independent part, [`ObjectTables`] (the
-//! contribution tables and an index of the objects sorted by x), and one
-//! [`SizeContext`] per cached size.
+//! R3 and R4 read, per distinct query size, the edge table of the size's
+//! ASP instance (which snaps the probed anchors), and around each touched
+//! location the candidate rectangles and their [`Contributions`] rows: the
+//! engine aggregator's rows for ASRS slots, a count aggregator's for MaxRS
+//! slots.  None of it needs an instance per size.  Rectangle `i` is the
+//! `a × b` box whose top-right corner is object `i`'s location, so the
+//! x-edges of size `a` are `{xᵢ} ∪ {fl(xᵢ − a)}`, and both halves are views
+//! of one x-sorted coordinate array because `fl(x − a)` is monotone in `x`;
+//! likewise in y.  A contribution row is object `i`'s whatever the size.
+//! So, as FDB factorises a join, each object's data is stored once and
+//! each size's view is derived from it.
 //!
-//! Both follow each batch in place, whatever its shape: appends, removals,
-//! TTL expiries or a mix.  Once per pass the [`DatasetDelta`] is derived by
-//! walking the predecessor and successor datasets in order (removals
-//! preserve order and appends land at the end, so the walk is exact).  The
-//! size-independent part is patched once per pass: the removed rows and
-//! index entries are dropped (renumbering the rest), the appended tail's
-//! are added.  A size's instance is patched the first time the pass probes
-//! that size ([`AspInstance::patch`]): its rectangles likewise, and its
-//! deduplicated edge table edited in place, each removed or appended edge a
-//! binary search, with the edge multiplicities telling whether a
-//! coordinate is still present ([`EdgeCounts`]).  Definition 7's accuracy
-//! follows incrementally, and the space is kept, since the bounding-box
-//! gate guarantees it did not move.  The result is bit-identical to a
-//! fresh build.  Only a context that does not reflect the predecessor (a
-//! size the previous pass did not probe), or whose edge table lacks an edge
-//! the batch removed, is rebuilt from scratch.  Debug builds assert every
-//! update against a fresh build; the unit tests below check the same in
-//! release builds.
+//! The persistent state ([`CarryProbes`], kept in the mutator state across
+//! publishes) is size-independent: [`ObjectTables`] holds one contribution
+//! table per aggregator a recent pass probed, and the [`LocationIndex`]:
+//! the objects sorted by x, each with its y and position, beside every y
+//! sorted on its own.  They follow each batch in place, whatever its
+//! shape: appends, removals, TTL expiries or a mix.  Once per pass the
+//! [`DatasetDelta`] is derived by walking the predecessor and successor
+//! datasets in order (removals preserve order and appends land at the
+//! end, so the walk is exact), and the tables are patched once: the
+//! removed rows and entries are dropped (renumbering the rest), the
+//! appended tail's are added.  Nothing is kept per size, so a write costs
+//! the same whatever sizes the cache holds.
+//!
+//! A size's edge table is a view ([`SizeView::edges_within`]): over a
+//! range, each axis takes the entries of `{v} ∪ {fl(v − a)}` inside it and
+//! the nearest entry beyond each side, by binary searches, and builds an
+//! ordinary [`EdgeSnapper`] from them, so deduplication and the
+//! representative of a run of equal coordinates (`-0.0` for a run of zeros
+//! that holds one) are the full table's.  Every snap and representative
+//! inside the range reads only an edge's neighbours, so it equals the full
+//! table's bit for bit.  R4 snaps each reported anchor with the view over
+//! the anchor itself.  R3 runs each influence window on a window-local
+//! instance ([`AspInstance::of_rects`]): the window's candidate
+//! rectangles, built from the located x and y, and their rows in the same
+//! order; when the window's bound does not settle it, the instance also
+//! takes the view over the window as its edge table and the size's
+//! Definition-7 accuracy.  That accuracy is one merge scan of the two
+//! sorted halves per axis ([`SizeView::accuracy`]), run the first time a
+//! pass searches a window of the size and kept for the rest of the pass.
+//! The kernel thus sees the rectangles, rows, order, edges and accuracy
+//! the full instance would give it, and decides each window as it would
+//! there.  Debug builds assert the patched tables against a fresh build;
+//! the unit tests below check the tables and the views against fresh
+//! instances in release builds too.
 //!
 //! # Window candidates by location
 //!
@@ -141,8 +157,8 @@
 //! The survivors come back in ascending position order: element for
 //! element the list a scan of every rectangle returns
 //! ([`AspInstance::rects_intersecting`]).  The order per window is the
-//! empty-covering test, this lookup, the bound, the candidate budget, and
-//! only then the search.
+//! empty-covering test (once per slot), this lookup, the bound, the
+//! candidate budget, and only then the search.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -151,13 +167,17 @@ use std::time::Instant;
 
 use asrs_aggregator::{CompositeAggregator, FeatureVector, Selection};
 use asrs_data::{AttrValue, Dataset, SpatialObject};
-use asrs_geo::{Point, Rect, RegionSize};
+use asrs_geo::{min_positive_gap_sorted, Accuracy, Point, Rect, RegionSize};
 
-use crate::asp::{insert_at, AspInstance, Contributions, EdgeCounts};
+use crate::asp::{
+    accuracy_from_min_gaps, insert_at, remove_at, AspInstance, Contributions, EdgeSnapper,
+    RectObject,
+};
 use crate::best::BestSet;
 use crate::cache::{CarryCandidate, CarryPassCounts, QueryCache};
-use crate::discretize::Scratch;
-use crate::ds_search::DsSearch;
+use crate::config::SearchConfig;
+use crate::discretize::{BoundSums, Scratch};
+use crate::ds_search::{empty_candidate, DsSearch};
 use crate::engine::EngineCore;
 use crate::maxrs::MaxRsResult;
 use crate::query::AsrsQuery;
@@ -181,11 +201,6 @@ const PROBE_BUDGET: usize = 32_768;
 /// other way around).
 const CUTOFF_SLACK: f64 = 1e-9;
 
-/// Ceiling on cached per-size probe contexts.  Each pass first checks it:
-/// past the ceiling, every context the *previous* pass did not refresh is
-/// evicted, and the pass then adds what its own entries probe.
-const MAX_CACHED_SIZES: usize = 16;
-
 /// Re-stamps every provably unaffected cache entry of `old`'s generation
 /// to `next`'s generation.  Called from the publish path with the mutation
 /// mutex held, after the WAL accepted the batch (nothing can abort the
@@ -193,10 +208,10 @@ const MAX_CACHED_SIZES: usize = 16;
 /// readers never observe a cold window for the pass's duration.
 ///
 /// `touched` holds the location of every object the batch appended or
-/// removed; `probes` are the persistent probe contexts, brought up to
-/// `next` incrementally (see the module docs).  The pass's duration and
-/// what it counted (the contexts it patched and rebuilt, and how R3
-/// settled its windows) are recorded in the cache's counters.
+/// removed; `probes` are the persistent probe tables, brought up to `next`
+/// incrementally (see the module docs).  The pass's duration and what it
+/// counted (how R3 settled its windows, and the accuracy scans it ran) are
+/// recorded in the cache's counters.
 pub(crate) fn carry_forward(
     old: &EngineCore,
     next: &EngineCore,
@@ -211,8 +226,8 @@ pub(crate) fn carry_forward(
     cache.note_carry_pass(started.elapsed(), counts);
 }
 
-/// The pass itself; returns how many probe contexts it patched and how
-/// many it built from scratch, and how R3 settled the windows it examined.
+/// The pass itself; returns how R3 settled the windows it examined and how
+/// many accuracy scans it ran.
 fn restamp(
     cache: &QueryCache,
     old: &EngineCore,
@@ -235,7 +250,6 @@ fn restamp(
         return CarryPassCounts::default();
     }
     let mut probes = PassProbes::new(probes, old, next);
-    probes.prune();
     for candidate in candidates {
         if !entry_survives(next, &candidate, touched, &mut probes) {
             continue;
@@ -337,12 +351,9 @@ fn slot_survives(
     }
     // R4: reported anchors must still be their own arrangement-cell
     // representatives under the successor's edge set.
-    let probe = probes.context(next, query.size, &next.aggregator);
-    for result in results {
-        let snapped = probe.asp.edges().snap(result.anchor);
-        if !points_bit_equal(snapped, result.anchor) {
-            return false;
-        }
+    let view = probes.view(query.size);
+    if !results.iter().all(|r| view.snaps_to_itself(r.anchor)) {
+        return false;
     }
     // R3: no candidate inside any influence window may reach the cutoff.
     // Each window runs the engine's own pruned branch-and-bound instead of
@@ -350,18 +361,7 @@ fn slot_survives(
     // cells in a single window, but the threshold search visits only what
     // Equation-1 pruning cannot exclude.
     let cutoff = d_max + d_max.abs() * CUTOFF_SLACK;
-    let solver = DsSearch::new(
-        &next.aggregator,
-        &next.config,
-        0.0,
-        probe.asp,
-        probe.table,
-        query,
-        None,
-    );
-    let (clear, windows) = no_window_reaches(&solver, probe.locations, touched, cutoff);
-    probes.count_windows(windows);
-    clear
+    probes.no_window_reaches(next, &next.aggregator, query, touched, cutoff)
 }
 
 /// R2 + R3 + R4 for a MaxRS answer, through the MaxRS → ASRS reduction
@@ -403,56 +403,11 @@ fn maxrs_survives(
         return false;
     }
     // R4: the reported anchor is still its own cell representative.
-    let probe = probes.context(next, size, &aggregator);
-    if !points_bit_equal(probe.asp.edges().snap(result.anchor), result.anchor) {
+    if !probes.view(size).snaps_to_itself(result.anchor) {
         return false;
     }
     let cutoff = d_reported + d_reported * CUTOFF_SLACK;
-    let solver = DsSearch::new(
-        &aggregator,
-        &next.config,
-        0.0,
-        probe.asp,
-        probe.table,
-        &query,
-        None,
-    );
-    let (clear, windows) = no_window_reaches(&solver, probe.locations, touched, cutoff);
-    probes.count_windows(windows);
-    clear
-}
-
-/// R3 over every touched location of one slot: whether no influence
-/// window reaches `cutoff` (see [`window_reaches`]), stopping at the first
-/// that does, and how the windows it examined were settled.
-fn no_window_reaches(
-    solver: &DsSearch<'_>,
-    locations: &LocationIndex,
-    touched: &[Point],
-    cutoff: f64,
-) -> (bool, WindowCounts) {
-    let mut scratch = solver.scratch();
-    let mut counts = WindowCounts::default();
-    for p in touched {
-        let verdict = window_reaches(solver, locations, *p, cutoff, &mut scratch);
-        if verdict.searched {
-            counts.searched += 1;
-        } else {
-            counts.bounded += 1;
-        }
-        if verdict.reaches {
-            return (false, counts);
-        }
-    }
-    (true, counts)
-}
-
-/// How many influence windows R3 settled without a search (by the empty
-/// covering or the Equation-1 bound) and how many it did not.
-#[derive(Debug, Default, Clone, Copy)]
-struct WindowCounts {
-    bounded: u64,
-    searched: u64,
+    probes.no_window_reaches(next, &aggregator, &query, touched, cutoff)
 }
 
 /// How R3 settled one influence window.
@@ -465,57 +420,130 @@ struct Verdict {
     searched: bool,
 }
 
+/// What R3 reads for one slot: the kernel's settings and query, the view
+/// of the query size, and the contribution table of the slot's aggregator.
+struct SlotProbe<'p> {
+    aggregator: &'p CompositeAggregator,
+    config: &'p SearchConfig,
+    query: &'p AsrsQuery,
+    view: SizeView<'p>,
+    table: &'p Contributions,
+}
+
+impl SlotProbe<'_> {
+    /// The window-local instance of `window`: the contributing rectangles
+    /// that reach it, in position order, and their rows in the same order.
+    /// The edge table is left empty (see [`window_reaches`]).
+    fn window_instance(&self, window: &Rect) -> (AspInstance, Contributions) {
+        let size = self.query.size;
+        let mut hits = self.view.locations.reaching(size, window);
+        hits.retain(|e| self.table.contributes(e.pos));
+        let rects = hits
+            .iter()
+            .map(|e| RectObject {
+                rect: Rect::from_top_right(Point::new(e.x, e.y), size),
+                object_idx: e.pos,
+            })
+            .collect();
+        let rows = self.table.gather(hits.iter().map(|e| e.pos));
+        (AspInstance::of_rects(rects, size), rows)
+    }
+
+    /// The kernel bound to `asp`, whose rows are `table`.
+    fn solver<'s>(&'s self, asp: &'s AspInstance, table: &'s Contributions) -> DsSearch<'s> {
+        DsSearch::new(
+            self.aggregator,
+            self.config,
+            0.0,
+            asp,
+            table,
+            self.query,
+            None,
+        )
+    }
+}
+
+/// The kernel buffers of one aggregator's R3 windows in a pass: the
+/// bound's, allocated at the first window, and the grid's, allocated at
+/// the first window the bound does not settle.
+struct WindowBuffers {
+    bound: BoundSums,
+    partial: Vec<u32>,
+    grid: Option<Scratch>,
+}
+
+impl WindowBuffers {
+    fn new(aggregator: &CompositeAggregator) -> Self {
+        Self {
+            bound: BoundSums::new(aggregator),
+            partial: Vec::new(),
+            grid: None,
+        }
+    }
+}
+
 /// Whether some candidate anchored in the influence window of `touched`
 /// attains a distance at or below `cutoff` against the successor dataset,
-/// decided by `solver`, the kernel bound to the successor's probe context
-/// for the query, whose edge table canonicalises the probed anchors.  The
-/// window's candidate rectangles come from `locations`, the successor's
-/// object index.
+/// decided by the kernel on the window-local instance of `probe`.  The
+/// slot's caller has already tested the empty covering, whose
+/// representation is `empty_rep`; `accuracy` is the size's Definition-7
+/// accuracy, computed here when the first search needs it.
 ///
 /// Mirrors the cold path: exact search (δ = 0, like the scatter) and the
 /// same contributing-rectangle filter.  The cheap tests run first, each
 /// settling the window when it can:
 ///
-/// 1. Window cells no rectangle reaches are real candidates too (a removal
-///    can strip a window down to empty covering), so the empty-covering
-///    distance is tested first and reaches when it is at or below the
-///    cutoff.
-/// 2. The lookup finds the window's candidate rectangles.
-/// 3. The window's own Equation-1 bound ([`DsSearch::space_bound`]): when
+/// 1. The lookup finds the window's candidate rectangles and their rows.
+/// 2. The window's own Equation-1 bound ([`DsSearch::space_bound`]): when
 ///    it exceeds the seed below, the kernel would prune the whole window,
 ///    so no candidate in it reaches the cutoff and no grid is built.
-/// 4. A window reaching more than [`PROBE_BUDGET`] candidate rectangles
+/// 3. A window reaching more than [`PROBE_BUDGET`] candidate rectangles
 ///    counts as reaching the cutoff.  It comes after the bound, so a window
 ///    the bound settles is never refused for being dense.
-/// 5. Otherwise [`window_search`] runs the branch-and-bound.
+/// 4. Otherwise the instance takes the view over the window as its edge
+///    table, and [`window_search`] runs the branch-and-bound.
 fn window_reaches(
-    solver: &DsSearch<'_>,
-    locations: &LocationIndex,
+    probe: &SlotProbe<'_>,
     touched: Point,
     cutoff: f64,
-    scratch: &mut Scratch,
+    empty_rep: &FeatureVector,
+    buffers: &mut WindowBuffers,
+    accuracy: &mut Option<Accuracy>,
 ) -> Verdict {
-    let (empty_rep, empty_distance) = solver.empty_candidate();
-    if empty_distance <= cutoff {
-        return Verdict {
-            reaches: true,
-            searched: false,
-        };
-    }
-    let window = influence_window(touched, solver.query.size);
-    let candidates = solver
-        .table
-        .contributing(locations.reaching(solver.asp, &window));
-    if solver.space_bound(&window, &candidates, scratch) > cutoff.next_up() {
+    let window = influence_window(touched, probe.query.size);
+    let (mut asp, table) = probe.window_instance(&window);
+    let candidates = asp.all_rect_indices();
+    let bound = probe.solver(&asp, &table).space_bound(
+        &window,
+        &candidates,
+        &mut buffers.bound,
+        &mut buffers.partial,
+    );
+    if bound > cutoff.next_up() {
         return Verdict {
             reaches: false,
             searched: false,
         };
     }
-    let reaches = candidates.len() > PROBE_BUDGET
-        || window_search(solver, window, candidates, cutoff, empty_rep, scratch);
+    if candidates.len() > PROBE_BUDGET {
+        return Verdict {
+            reaches: true,
+            searched: true,
+        };
+    }
+    let accuracy = *accuracy.get_or_insert_with(|| probe.view.accuracy());
+    asp.set_edges(probe.view.edges_within(&window), accuracy);
+    let solver = probe.solver(&asp, &table);
+    let scratch = buffers.grid.get_or_insert_with(|| solver.scratch());
     Verdict {
-        reaches,
+        reaches: window_search(
+            &solver,
+            window,
+            candidates,
+            cutoff,
+            empty_rep.clone(),
+            scratch,
+        ),
         searched: true,
     }
 }
@@ -560,22 +588,19 @@ fn influence_window(touched: Point, size: RegionSize) -> Rect {
     )
 }
 
-/// The persistent probe contexts, owned by the mutator state and reused
-/// across publishes (see the module docs): the size-independent
-/// [`ObjectTables`] and one [`SizeContext`] per cached query size.
-/// Building them from scratch dominated the carry pass; every batch now
-/// patches them in place.  Nothing is built before the first pass.
+/// The persistent probe tables, owned by the mutator state and reused
+/// across publishes (see the module docs).  Every batch patches them in
+/// place; nothing is built before the first pass.
 #[derive(Debug, Default)]
 pub(crate) struct CarryProbes {
     objects: Option<ObjectTables>,
-    sizes: HashMap<(u64, u64), SizeContext>,
 }
 
-/// The size-independent part of the probe contexts, tagged with the
-/// dataset generation and length it reflects: one contribution table per
-/// aggregator a recent pass probed (the engine's, and the count
-/// aggregators of MaxRS reductions), and the objects' x-sorted location
-/// index.  Each is one copy shared by every size, patched once per pass.
+/// The size-independent probe tables, tagged with the dataset generation
+/// and length they reflect: one contribution table per aggregator a recent
+/// pass probed (the engine's, and the count aggregators of MaxRS
+/// reductions), and the objects' location index.  Each is one copy shared
+/// by every size, patched once per pass.
 #[derive(Debug)]
 struct ObjectTables {
     tables: Vec<AggregatorTable>,
@@ -604,16 +629,25 @@ impl ObjectTables {
         }
     }
 
+    /// Whether the tables reflect `core`.
+    fn reflect(&self, core: &EngineCore) -> bool {
+        self.generation == core.generation && self.len == core.dataset.len()
+    }
+
     /// Brings the tables of the predecessor up to `next`.  Tables the
     /// previous pass did not probe are dropped rather than patched.
-    fn apply(&mut self, next: &EngineCore, delta: &DatasetDelta) {
+    /// Returns `false` when the location index turned out not to reflect
+    /// the predecessor; the tables must then be built afresh.
+    fn apply(&mut self, next: &EngineCore, delta: &DatasetDelta) -> bool {
         let previous = self.generation;
         self.tables.retain(|t| t.used == previous);
         for t in &mut self.tables {
             t.table
                 .patch(&t.aggregator, &next.dataset, &delta.removed, delta.tail);
         }
-        self.locations.apply(&next.dataset, delta);
+        if !self.locations.apply(&next.dataset, delta) {
+            return false;
+        }
         self.generation = next.generation;
         self.len = next.dataset.len();
         #[cfg(debug_assertions)]
@@ -624,6 +658,7 @@ impl ObjectTables {
                 "incremental probe tables diverged from a fresh build in their {diverged:?}"
             );
         }
+        true
     }
 
     /// The first table that differs from a from-scratch build of `next`,
@@ -646,12 +681,14 @@ impl ObjectTables {
 }
 
 /// The objects sorted by x (by `total_cmp`, then by position), each with
-/// its y and its dataset position: which rectangles reach a window is a
-/// range lookup over it (see the module docs).  It does not depend on the
-/// query size.
+/// its y and its dataset position, and every object's y sorted on its own
+/// (by `total_cmp`).  Which rectangles reach a window is a range lookup
+/// over the first, and every size's edge table is a view of the two (see
+/// the module docs).  Neither depends on the query size.
 #[derive(Debug)]
 struct LocationIndex {
     by_x: Vec<Located>,
+    by_y: Vec<f64>,
 }
 
 /// One entry of the [`LocationIndex`]: an object's location and position.
@@ -683,27 +720,46 @@ impl LocationIndex {
             .map(|pos| Located::of(dataset, pos))
             .collect();
         by_x.sort_unstable_by(x_order);
-        Self { by_x }
+        let mut by_y: Vec<f64> = by_x.iter().map(|e| e.y).collect();
+        by_y.sort_unstable_by(f64::total_cmp);
+        Self { by_x, by_y }
     }
 
     /// Brings the index of the predecessor up to `next`: drops the
     /// removed objects and renumbers the rest in one pass (a survivor's
     /// position falls by the removals before it, which keeps the order),
-    /// then inserts the appended tail in one backward pass.
-    fn apply(&mut self, next: &Dataset, delta: &DatasetDelta) {
+    /// drops the removed objects' y in another, then inserts the appended
+    /// tail in one backward pass per array.  Returns `false` when a removed
+    /// y is missing from the y array, which then did not reflect the
+    /// predecessor.
+    fn apply(&mut self, next: &Dataset, delta: &DatasetDelta) -> bool {
+        let mut gone_ys = Vec::with_capacity(delta.removed.len());
         if !delta.removed.is_empty() {
             self.by_x
                 .retain_mut(|e| match delta.removed.binary_search(&(e.pos as usize)) {
-                    Ok(_) => false,
+                    Ok(_) => {
+                        gone_ys.push(e.y);
+                        false
+                    }
                     Err(before) => {
                         e.pos -= before as u32;
                         true
                     }
                 });
         }
+        if !remove_values(&mut self.by_y, gone_ys) {
+            return false;
+        }
         let mut added: Vec<Located> = (delta.tail..next.len())
             .map(|pos| Located::of(next, pos))
             .collect();
+        let mut new_ys: Vec<f64> = added.iter().map(|e| e.y).collect();
+        new_ys.sort_unstable_by(f64::total_cmp);
+        let inserts: Vec<(usize, f64)> = new_ys
+            .into_iter()
+            .map(|y| (self.by_y.partition_point(|v| v.total_cmp(&y).is_lt()), y))
+            .collect();
+        insert_at(&mut self.by_y, &inserts);
         added.sort_unstable_by(x_order);
         let inserts: Vec<(usize, Located)> = added
             .into_iter()
@@ -713,24 +769,25 @@ impl LocationIndex {
             })
             .collect();
         insert_at(&mut self.by_x, &inserts);
+        true
     }
 
-    /// The positions of `asp`'s rectangles whose closed extent intersects
-    /// `window`, ascending: [`AspInstance::rects_intersecting`]'s list.
-    /// Rectangle `i` is `[fl(xᵢ − a), xᵢ] × [fl(yᵢ − b), yᵢ]`, so the
-    /// index's x and y decide [`Rect::intersects`] exactly: the x-run
-    /// bounds its x half, the y test on each entry its y half, and no
-    /// rectangle is read.
-    fn reaching(&self, asp: &AspInstance, window: &Rect) -> Vec<u32> {
-        let RegionSize { width, height } = asp.size();
+    /// The entries of the objects whose rectangle of `size` intersects
+    /// `window` (closed extents), in ascending position order:
+    /// [`AspInstance::rects_intersecting`]'s list.  Rectangle `i` is
+    /// `[fl(xᵢ − a), xᵢ] × [fl(yᵢ − b), yᵢ]`, so the index's x and y decide
+    /// [`Rect::intersects`] exactly: the x-run bounds its x half, the y
+    /// test on each entry its y half, and no rectangle is built.
+    fn reaching(&self, size: RegionSize, window: &Rect) -> Vec<Located> {
+        let RegionSize { width, height } = size;
         let lo = self.by_x.partition_point(|e| e.x < window.min_x);
         let run = self.by_x[lo..].partition_point(|e| e.x - width <= window.max_x);
-        let mut hits: Vec<u32> = self.by_x[lo..lo + run]
+        let mut hits: Vec<Located> = self.by_x[lo..lo + run]
             .iter()
             .filter(|e| e.y >= window.min_y && e.y - height <= window.max_y)
-            .map(|e| e.pos)
+            .copied()
             .collect();
-        hits.sort_unstable();
+        hits.sort_unstable_by_key(|e| e.pos);
         hits
     }
 
@@ -740,20 +797,144 @@ impl LocationIndex {
             && self.by_x.iter().zip(&other.by_x).all(|(a, b)| {
                 a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits() && a.pos == b.pos
             })
+            && self.by_y.len() == other.by_y.len()
+            && self
+                .by_y
+                .iter()
+                .zip(&other.by_y)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
-/// One cached per-size probe context: the ASP instance of a query size
-/// (whose edge table snaps the probed anchors) and the [`EdgeCounts`] that
-/// let [`AspInstance::patch`] edit that table in place, tagged with the
-/// dataset generation and length they reflect.  The contribution tables
-/// are not per size: every context reads the shared [`ObjectTables`].
-#[derive(Debug)]
-struct SizeContext {
-    asp: AspInstance,
-    edges: EdgeCounts,
-    generation: u64,
-    len: usize,
+/// Drops one entry bit-equal to each of `gone` from `sorted` (ascending by
+/// `total_cmp`), moving each later entry once.  Returns `false`, leaving
+/// `sorted` as it was, when some value of `gone` is not there.
+fn remove_values(sorted: &mut Vec<f64>, mut gone: Vec<f64>) -> bool {
+    gone.sort_unstable_by(f64::total_cmp);
+    let mut positions: Vec<usize> = Vec::with_capacity(gone.len());
+    for (k, &v) in gone.iter().enumerate() {
+        // The copies of one value leave consecutive entries of its run.
+        let at = match positions.last() {
+            Some(&prev) if gone[k - 1].to_bits() == v.to_bits() => prev + 1,
+            _ => sorted.partition_point(|e| e.total_cmp(&v).is_lt()),
+        };
+        if sorted.get(at).map(|e| e.to_bits()) != Some(v.to_bits()) {
+            return false;
+        }
+        positions.push(at);
+    }
+    remove_at(sorted, &positions);
+    true
+}
+
+/// One query size's view of a [`LocationIndex`]: the size's edge table
+/// over a range and its Definition-7 accuracy, derived from the
+/// size-independent arrays (see the module docs).
+#[derive(Clone, Copy)]
+struct SizeView<'a> {
+    locations: &'a LocationIndex,
+    size: RegionSize,
+}
+
+impl SizeView<'_> {
+    /// Whether `anchor` is its own representative under the size's edge
+    /// table (R4): the view over the anchor's own degenerate range snaps
+    /// it as the full table does.
+    fn snaps_to_itself(&self, anchor: Point) -> bool {
+        let at = Rect::new(anchor.x, anchor.y, anchor.x, anchor.y);
+        points_bit_equal(self.edges_within(&at).snap(anchor), anchor)
+    }
+
+    /// The size's edge table over `range`: per axis, the edges inside the
+    /// closed range and every copy of the nearest edge beyond each side,
+    /// deduplicated by [`EdgeSnapper::from_sorted_edges`] like the full
+    /// table.  Snaps of points and representatives of ranges between those
+    /// two nearest edges equal the full table's, bit for bit.
+    fn edges_within(&self, range: &Rect) -> EdgeSnapper {
+        let LocationIndex { by_x, by_y } = self.locations;
+        let RegionSize { width, height } = self.size;
+        EdgeSnapper::from_sorted_edges(
+            axis_edges(by_x, |e| e.x, width, range.min_x, range.max_x),
+            axis_edges(by_y, |&y| y, height, range.min_y, range.max_y),
+        )
+    }
+
+    /// Definition 7's accuracy of the size: per axis, the smallest
+    /// positive gap in the ascending merge of the two halves `{v}` and
+    /// `{fl(v − w)}`, in one scan; bit for bit the full table's.
+    fn accuracy(&self) -> Accuracy {
+        let LocationIndex { by_x, by_y } = self.locations;
+        let RegionSize { width, height } = self.size;
+        accuracy_from_min_gaps(
+            min_positive_gap_sorted(merged(by_x, by_x, |e| e.x, width)),
+            min_positive_gap_sorted(merged(by_y, by_y, |&y| y, height)),
+        )
+    }
+}
+
+/// The edges `{v} ∪ {fl(v − shift)}` of one axis, `v` ranging over the
+/// coordinates of `sorted` (ascending by `total_cmp`), that lie in `[lo,
+/// hi]` or equal the nearest edge below `lo` or above `hi`; sorted by
+/// `total_cmp`.  `fl(v − shift)` is monotone in `v`, so each half is one
+/// run of `sorted`.
+fn axis_edges<T>(
+    sorted: &[T],
+    coord: impl Fn(&T) -> f64 + Copy,
+    shift: f64,
+    lo: f64,
+    hi: f64,
+) -> Vec<f64> {
+    let shifted = |t: &T| coord(t) - shift;
+    let (a0, a1) = run(sorted, coord, lo, hi);
+    let (b0, b1) = run(sorted, shifted, lo, hi);
+    let below = [
+        a0.checked_sub(1).map(|i| coord(&sorted[i])),
+        b0.checked_sub(1).map(|i| shifted(&sorted[i])),
+    ];
+    let above = [sorted.get(a1).map(coord), sorted.get(b1).map(shifted)];
+    let lo = below.into_iter().flatten().reduce(f64::max).unwrap_or(lo);
+    let hi = above.into_iter().flatten().reduce(f64::min).unwrap_or(hi);
+    let (a0, a1) = run(sorted, coord, lo, hi);
+    let (b0, b1) = run(sorted, shifted, lo, hi);
+    let mut edges = Vec::with_capacity(a1 - a0 + b1 - b0);
+    edges.extend(merged(&sorted[a0..a1], &sorted[b0..b1], coord, shift));
+    edges
+}
+
+/// The run of `sorted` whose keys lie in `[lo, hi]`, for keys ascending
+/// along `sorted`.
+fn run<T>(sorted: &[T], key: impl Fn(&T) -> f64, lo: f64, hi: f64) -> (usize, usize) {
+    (
+        sorted.partition_point(|t| key(t) < lo),
+        sorted.partition_point(|t| key(t) <= hi),
+    )
+}
+
+/// The coordinates of `plain` and the shifted coordinates `fl(v − shift)`
+/// of `shifted`, both ascending by `total_cmp`, merged in that order.  The
+/// runs are compared with `<`, which agrees with `total_cmp` here: of two
+/// equal values the plain one comes first, and a shifted zero is `+0.0`
+/// (sizes are positive).  An exhausted run reads as `+∞` (locations are
+/// finite).
+fn merged<'s, T>(
+    plain: &'s [T],
+    shifted: &'s [T],
+    coord: impl Fn(&T) -> f64 + 's,
+    shift: f64,
+) -> impl Iterator<Item = f64> + 's {
+    let (mut i, mut j) = (0, 0);
+    (0..plain.len() + shifted.len()).map(move |_| {
+        let a = plain.get(i).map_or(f64::INFINITY, &coord);
+        let b = shifted.get(j).map_or(f64::INFINITY, |t| coord(t) - shift);
+        let take_b = b < a;
+        i += usize::from(!take_b);
+        j += usize::from(take_b);
+        if take_b {
+            b
+        } else {
+            a
+        }
+    })
 }
 
 /// How a batch turned the predecessor dataset into the successor: the
@@ -792,25 +973,18 @@ impl DatasetDelta {
     }
 }
 
-/// One carry pass's view of the probe contexts: the predecessor the cached
-/// contexts may reflect, the dataset delta that brings them up to the
-/// successor, and what the pass counted: the contexts it patched and
-/// rebuilt, and how R3 settled its windows.
+/// One carry pass's view of the probe tables, brought up to the successor,
+/// and what the pass keeps only while it runs: the accuracy of each size
+/// it searched a window of, the kernel buffers of each aggregator, and
+/// what it counted.
 struct PassProbes<'a> {
     objects: &'a mut ObjectTables,
-    sizes: &'a mut HashMap<(u64, u64), SizeContext>,
-    old_generation: u64,
-    old_len: usize,
-    delta: DatasetDelta,
+    /// Definition 7's accuracy per size, by [`size_key`].
+    accuracies: HashMap<(u64, u64), Accuracy>,
+    /// The R3 buffers of each aggregator, by its index in
+    /// [`ObjectTables::tables`].
+    buffers: Vec<Option<WindowBuffers>>,
     counts: CarryPassCounts,
-}
-
-/// What one slot's R3 and R4 read: the instance of the slot's size, the
-/// contribution table of the slot's aggregator, and the location index.
-struct Probe<'p> {
-    asp: &'p AspInstance,
-    table: &'p Contributions,
-    locations: &'p LocationIndex,
 }
 
 fn size_key(size: RegionSize) -> (u64, u64) {
@@ -821,46 +995,36 @@ impl<'a> PassProbes<'a> {
     /// Derives the pass's delta and brings the size-independent tables up
     /// to `next`: patched when they reflect `old`, built otherwise.
     fn new(cache: &'a mut CarryProbes, old: &EngineCore, next: &EngineCore) -> Self {
-        let delta = DatasetDelta::between(&old.dataset, &next.dataset);
-        let objects = match cache.objects.take() {
-            Some(mut objects)
-                if objects.generation == old.generation && objects.len == old.dataset.len() =>
-            {
-                objects.apply(next, &delta);
-                objects
-            }
-            _ => ObjectTables::fresh(next),
-        };
+        let objects = cache
+            .objects
+            .take()
+            .filter(|objects| objects.reflect(old))
+            .and_then(|mut objects| {
+                let delta = DatasetDelta::between(&old.dataset, &next.dataset);
+                objects.apply(next, &delta).then_some(objects)
+            })
+            .unwrap_or_else(|| ObjectTables::fresh(next));
         Self {
             objects: cache.objects.insert(objects),
-            sizes: &mut cache.sizes,
-            old_generation: old.generation,
-            old_len: old.dataset.len(),
-            delta,
+            accuracies: HashMap::new(),
+            buffers: Vec::new(),
             counts: CarryPassCounts::default(),
         }
     }
 
-    /// Evicts contexts for sizes the workload stopped querying once the
-    /// cache outgrows its ceiling: anything not refreshed by the previous
-    /// pass is stale.
-    fn prune(&mut self) {
-        if self.sizes.len() > MAX_CACHED_SIZES {
-            let keep = self.old_generation;
-            self.sizes.retain(|_, ctx| ctx.generation == keep);
+    /// The successor's view of `size`.
+    fn view(&self, size: RegionSize) -> SizeView<'_> {
+        SizeView {
+            locations: &self.objects.locations,
+            size,
         }
     }
 
-    /// The probe context for `size` against the successor core, with the
-    /// successor's table under `aggregator` (the engine's, or a MaxRS
-    /// reduction's count aggregator).  A table is built on the first pass
-    /// that probes its aggregator and patched by the passes after it.
-    fn context(
-        &mut self,
-        next: &EngineCore,
-        size: RegionSize,
-        aggregator: &CompositeAggregator,
-    ) -> Probe<'_> {
+    /// The index of the successor's contribution table under `aggregator`
+    /// (the engine's, or a MaxRS reduction's count aggregator).  A table
+    /// is built on the first pass that probes its aggregator and patched by
+    /// the passes after it.
+    fn table_of(&mut self, next: &EngineCore, aggregator: &CompositeAggregator) -> usize {
         let tables = &mut self.objects.tables;
         let at = match tables.iter().position(|t| t.aggregator == *aggregator) {
             Some(at) => at,
@@ -874,115 +1038,68 @@ impl<'a> PassProbes<'a> {
             }
         };
         tables[at].used = next.generation;
-        self.refresh(next, size);
-        Probe {
-            asp: &self.sizes[&size_key(size)].asp,
-            table: &self.objects.tables[at].table,
-            locations: &self.objects.locations,
-        }
+        at
     }
 
-    /// Brings the context for `size` up to `next`: kept when this pass
-    /// already did, patched with the pass's delta when it reflects the
-    /// predecessor, built from scratch otherwise or when the patch finds
-    /// the context inconsistent.
-    fn refresh(&mut self, next: &EngineCore, size: RegionSize) {
-        use std::collections::hash_map::Entry;
-        match self.sizes.entry(size_key(size)) {
-            Entry::Occupied(occupied) => {
-                let ctx = occupied.into_mut();
-                if ctx.generation == next.generation {
-                    // Already refreshed for this publish by another entry.
-                    return;
-                }
-                let current = ctx.generation == self.old_generation && ctx.len == self.old_len;
-                if current && ctx.apply(next, &self.delta) {
-                    self.counts.contexts_patched += 1;
-                } else {
-                    *ctx = SizeContext::fresh(next, size);
-                    self.counts.contexts_rebuilt += 1;
-                }
-            }
-            Entry::Vacant(vacant) => {
-                vacant.insert(SizeContext::fresh(next, size));
-                self.counts.contexts_rebuilt += 1;
-            }
-        }
-    }
-
-    /// Adds one slot's R3 windows to the pass's counts.
-    fn count_windows(&mut self, windows: WindowCounts) {
-        self.counts.windows_bounded += windows.bounded;
-        self.counts.windows_searched += windows.searched;
-    }
-}
-
-impl SizeContext {
-    /// Builds the context from scratch, mirroring the executor's instance
-    /// construction exactly (`Executor::run`), so snapped representatives
-    /// agree bit-for-bit.
-    fn fresh(next: &EngineCore, size: RegionSize) -> Self {
-        let (asp, edges) = AspInstance::with_edge_counts(&next.dataset, size);
-        Self {
-            asp,
-            edges,
-            generation: next.generation,
-            len: next.dataset.len(),
-        }
-    }
-
-    /// Brings a context of the predecessor up to `next` in place (see
-    /// [`AspInstance::patch`]).  Returns `false` when the context turned
-    /// out inconsistent with the predecessor; it must then be rebuilt.
-    fn apply(&mut self, next: &EngineCore, delta: &DatasetDelta) -> bool {
-        let appended =
-            (delta.tail..next.dataset.len()).map(|idx| next.dataset.object(idx).location);
-        if !self.asp.patch(&mut self.edges, &delta.removed, appended) {
+    /// R3 over every touched location of one slot: whether no influence
+    /// window reaches `cutoff` (see [`window_reaches`]), stopping at the
+    /// first that does.  The empty covering is the same in every window,
+    /// so it is tested once, and reaches like the slot's first window.
+    fn no_window_reaches(
+        &mut self,
+        next: &EngineCore,
+        aggregator: &CompositeAggregator,
+        query: &AsrsQuery,
+        touched: &[Point],
+        cutoff: f64,
+    ) -> bool {
+        let at = self.table_of(next, aggregator);
+        let (empty_rep, empty_distance) = empty_candidate(aggregator, query);
+        if empty_distance <= cutoff {
+            self.counts.windows_bounded += 1;
             return false;
         }
-        self.generation = next.generation;
-        self.len = next.dataset.len();
-        #[cfg(debug_assertions)]
-        {
-            let diverged = self.diverges_from_fresh(next, self.asp.size());
-            debug_assert!(
-                diverged.is_none(),
-                "incremental probe context diverged from a fresh build in its {diverged:?}"
-            );
+        if self.buffers.len() <= at {
+            self.buffers.resize_with(at + 1, || None);
         }
-        true
-    }
-
-    /// The first field in which this context differs from a from-scratch
-    /// build of `next`, compared bit for bit, or `None` when it matches;
-    /// the edge table is compared with the executor's own construction.  The
-    /// release-mode unit tests check it like the debug assertion.
-    #[cfg(any(debug_assertions, test))]
-    fn diverges_from_fresh(&self, next: &EngineCore, size: RegionSize) -> Option<&'static str> {
-        let fresh = Self::fresh(next, size);
-        let accuracy_bits = |asp: &AspInstance| {
-            let a = asp.accuracy();
-            (a.dx.to_bits(), a.dy.to_bits())
+        let Self {
+            objects,
+            accuracies,
+            buffers,
+            counts,
+        } = self;
+        let buffers = buffers[at].get_or_insert_with(|| WindowBuffers::new(aggregator));
+        let probe = SlotProbe {
+            aggregator,
+            config: &next.config,
+            query,
+            view: SizeView {
+                locations: &objects.locations,
+                size: query.size,
+            },
+            table: &objects.tables[at].table,
         };
-        if self.asp.rects() != fresh.asp.rects() {
-            Some("rectangles")
-        } else if !rects_bit_equal(self.asp.space(), fresh.asp.space()) {
-            Some("space")
-        } else if accuracy_bits(&self.asp) != accuracy_bits(&fresh.asp) {
-            Some("accuracy")
-        } else if !self.edges.bits_eq(&fresh.edges) {
-            Some("edge counts")
-        } else if !self
-            .asp
-            .edges()
-            .bits_eq(AspInstance::build(&next.dataset, size).edges())
-        {
-            Some("edge table")
-        } else if self.len != fresh.len {
-            Some("length")
-        } else {
-            None
+        let key = size_key(query.size);
+        let mut accuracy = accuracies.get(&key).copied();
+        let mut clear = true;
+        for &p in touched {
+            let verdict = window_reaches(&probe, p, cutoff, &empty_rep, buffers, &mut accuracy);
+            if verdict.searched {
+                counts.windows_searched += 1;
+            } else {
+                counts.windows_bounded += 1;
+            }
+            if verdict.reaches {
+                clear = false;
+                break;
+            }
         }
+        if let Some(accuracy) = accuracy {
+            if accuracies.insert(key, accuracy).is_none() {
+                counts.accuracy_scans += 1;
+            }
+        }
+        clear
     }
 }
 
@@ -1038,7 +1155,7 @@ mod tests {
     use crate::AsrsEngine;
     use asrs_aggregator::{FeatureVector, Weights};
     use asrs_data::gen::UniformGenerator;
-    use asrs_data::Mutation;
+    use asrs_data::{DatasetBuilder, Mutation, Schema};
     use std::time::Duration;
 
     fn engine(n: usize, seed: u64) -> AsrsEngine {
@@ -1071,61 +1188,194 @@ mod tests {
             .collect()
     }
 
-    /// Fresh probe contexts of `core` for `sizes`, as a previous pass
-    /// would have left them.
-    fn probes_of(core: &EngineCore, sizes: &[RegionSize]) -> CarryProbes {
-        let mut cache = CarryProbes {
-            objects: Some(ObjectTables::fresh(core)),
-            ..CarryProbes::default()
-        };
-        for &size in sizes {
-            cache
-                .sizes
-                .insert(size_key(size), SizeContext::fresh(core, size));
+    /// The count aggregator of the MaxRS reduction at `size`.
+    fn count_aggregator(core: &EngineCore, size: RegionSize) -> CompositeAggregator {
+        crate::maxrs::reduction(&core.dataset, size, &Selection::All)
+            .unwrap()
+            .0
+    }
+
+    /// Fresh probe tables of `core`, as a previous pass that probed the
+    /// engine's aggregator and the count aggregator at `size` would have
+    /// left them.
+    fn probes_of(core: &EngineCore, size: RegionSize) -> CarryProbes {
+        let mut objects = ObjectTables::fresh(core);
+        for aggregator in [(*core.aggregator).clone(), count_aggregator(core, size)] {
+            objects.tables.push(AggregatorTable {
+                table: Contributions::of(&core.dataset, &aggregator),
+                aggregator,
+                used: core.generation,
+            });
         }
-        cache
+        CarryProbes {
+            objects: Some(objects),
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// At most `limit` elements of `items`, spread evenly.
+    fn sample<T: Copy>(items: &[T], limit: usize) -> Vec<T> {
+        let step = items.len().div_ceil(limit.max(1)).max(1);
+        items.iter().step_by(step).copied().collect()
+    }
+
+    /// Probe coordinates along one axis of a full edge table: every edge,
+    /// every midpoint between neighbours, and points beyond both ends.
+    fn axis_probes(edges: &[f64]) -> Vec<f64> {
+        let mut probes = edges.to_vec();
+        probes.extend(edges.windows(2).map(|w| (w[0] + w[1]) / 2.0));
+        if let (Some(&first), Some(&last)) = (edges.first(), edges.last()) {
+            probes.extend([first - 3.0, first - 0.5, last + 0.5, last + 3.0]);
+        }
+        probes
+    }
+
+    /// Every window the lookup and view tests probe: the influence window
+    /// of every object, and windows whose corners sit on rectangle corners.
+    fn probe_windows(dataset: &Dataset, size: RegionSize) -> Vec<Rect> {
+        let (w, h) = (size.width, size.height);
+        dataset
+            .objects()
+            .flat_map(|o| {
+                let Point { x, y } = o.location;
+                [
+                    Point::new(x, y),
+                    Point::new(x - w, y - h),
+                    Point::new(x + w, y + h),
+                    Point::new(x - w, y + h),
+                ]
+            })
+            .map(|p| influence_window(p, size))
+            .collect()
+    }
+
+    /// Cuts of `[lo, hi]` for sub-ranges: both ends, the middle, and the
+    /// first and last full-table edges inside the range.
+    fn cuts(edges: &[f64], lo: f64, hi: f64) -> Vec<f64> {
+        let inside: Vec<f64> = edges
+            .iter()
+            .copied()
+            .filter(|&e| e > lo && e < hi)
+            .collect();
+        let mut cuts = vec![lo, (lo + hi) / 2.0, hi];
+        cuts.extend(inside.first());
+        cuts.extend(inside.last());
+        cuts.sort_by(f64::total_cmp);
+        cuts
+    }
+
+    /// Checks the view of `size` over `locations` against a fresh instance
+    /// of `dataset`, bit for bit: Definition 7's accuracy; snaps through the
+    /// view over each probe's own degenerate range at edges, midpoints and
+    /// beyond both ends; and over each probed window, the first
+    /// representative and the representative lists of its sub-ranges.  At
+    /// most `limit` probes and windows are checked.
+    fn assert_view_matches_fresh(
+        locations: &LocationIndex,
+        dataset: &Dataset,
+        size: RegionSize,
+        limit: usize,
+    ) {
+        let fresh = AspInstance::build(dataset, size);
+        let global = fresh.edges();
+        let view = SizeView { locations, size };
+        let (accuracy, expected) = (view.accuracy(), fresh.accuracy());
+        assert_eq!(
+            (accuracy.dx.to_bits(), accuracy.dy.to_bits()),
+            (expected.dx.to_bits(), expected.dy.to_bits()),
+            "accuracy at {size:?}"
+        );
+        let (xs, ys) = (axis_probes(global.xs()), axis_probes(global.ys()));
+        let points = (0..xs.len().max(ys.len()))
+            .map(|i| Point::new(xs[i % xs.len()], ys[i % ys.len()]))
+            .collect::<Vec<_>>();
+        for p in sample(&points, limit) {
+            let snapped = view.edges_within(&Rect::new(p.x, p.y, p.x, p.y)).snap(p);
+            assert!(
+                points_bit_equal(snapped, global.snap(p)),
+                "{p:?} at {size:?}"
+            );
+            assert_eq!(view.snaps_to_itself(p), points_bit_equal(global.snap(p), p));
+        }
+        for window in sample(&probe_windows(dataset, size), limit) {
+            let local = view.edges_within(&window);
+            // The view is a run of the full table, bit for bit.
+            for (part, full) in [(local.xs(), global.xs()), (local.ys(), global.ys())] {
+                let at = full.partition_point(|e| *e < part[0]);
+                assert_eq!(bits(part), bits(&full[at..at + part.len()]), "{window:?}");
+            }
+            let x_ranges = ranges(&cuts(global.xs(), window.min_x, window.max_x));
+            let y_ranges = ranges(&cuts(global.ys(), window.min_y, window.max_y));
+            for &(x0, x1) in &x_ranges {
+                assert_eq!(
+                    bits(&local.x_reps_within(x0, x1)),
+                    bits(&global.x_reps_within(x0, x1)),
+                    "x ({x0}, {x1}) in {window:?}"
+                );
+            }
+            for (i, &(y0, y1)) in y_ranges.iter().enumerate() {
+                assert_eq!(
+                    bits(&local.y_reps_within(y0, y1)),
+                    bits(&global.y_reps_within(y0, y1)),
+                    "y ({y0}, {y1}) in {window:?}"
+                );
+                for &(x0, x1) in [
+                    x_ranges[i % x_ranges.len()],
+                    x_ranges[x_ranges.len() - 1 - i % x_ranges.len()],
+                ]
+                .iter()
+                {
+                    let region = Rect::new(x0, y0, x1, y1);
+                    assert!(
+                        points_bit_equal(
+                            local.first_rep_within(&region),
+                            global.first_rep_within(&region)
+                        ),
+                        "{region:?} in {window:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every range `(a, b)`, `a ≤ b`, between two of the ascending `cuts`.
+    fn ranges(cuts: &[f64]) -> Vec<(f64, f64)> {
+        cuts.iter()
+            .enumerate()
+            .flat_map(|(i, &a)| cuts[i..].iter().map(move |&b| (a, b)))
+            .collect()
     }
 
     /// Brings `cache` from `old` to `next` through a carry pass's probe
-    /// view, probing `sizes`, and checks every context and the shared
-    /// tables against a fresh build, bit for bit.  Returns the pass's
-    /// delta and how many contexts it patched and rebuilt.
-    fn pass(
-        cache: &mut CarryProbes,
-        old: &EngineCore,
-        next: &EngineCore,
-        sizes: &[RegionSize],
-    ) -> (DatasetDelta, u64, u64) {
+    /// view, probing the engine's table and a MaxRS count table, and checks
+    /// that the pass patched the shared tables rather than rebuilding them,
+    /// that they match a fresh build, and every size's view against a fresh
+    /// instance, bit for bit.
+    fn pass(cache: &mut CarryProbes, old: &EngineCore, next: &EngineCore, sizes: &[RegionSize]) {
         assert_ne!(old.generation, next.generation);
         let mut probes = PassProbes::new(cache, old, next);
-        // A MaxRS slot's count table rides along.
-        let (count, _) = crate::maxrs::reduction(&next.dataset, sizes[0], &Selection::All).unwrap();
-        probes.context(next, sizes[0], &count);
-        for &size in sizes {
-            probes.context(next, size, &next.aggregator);
-            let ctx = &probes.sizes[&size_key(size)];
-            assert_eq!(ctx.generation, next.generation);
-            assert_eq!(ctx.diverges_from_fresh(next, size), None, "size {size:?}");
-        }
+        // A rebuild starts with no tables; a patch keeps both.
+        assert_eq!(probes.objects.tables.len(), 2, "the tables were rebuilt");
+        probes.table_of(next, &count_aggregator(next, sizes[0]));
+        probes.table_of(next, &next.aggregator);
+        assert_eq!(probes.objects.tables.len(), 2);
+        assert!(probes.objects.reflect(next));
         assert_eq!(probes.objects.diverges_from_fresh(next), None);
-        let counts = probes.counts;
-        (
-            probes.delta,
-            counts.contexts_patched,
-            counts.contexts_rebuilt,
-        )
+        for &size in sizes {
+            assert_view_matches_fresh(&probes.objects.locations, &next.dataset, size, 60);
+        }
     }
 
-    /// Updates fresh contexts of `old` to `next` and checks each against a
-    /// fresh build, field by field; none may take the fresh-build path.
-    /// Returns the pass's delta.
+    /// Updates fresh tables of `old` to `next` and checks them and the
+    /// views against fresh builds.  Returns the pass's delta.
     fn follow(old: &EngineCore, next: &EngineCore) -> DatasetDelta {
         let sizes = sizes(old);
-        let mut cache = probes_of(old, &sizes);
-        let (delta, patched, rebuilt) = pass(&mut cache, old, next, &sizes);
-        assert_eq!(rebuilt, 0, "a context was rebuilt from scratch");
-        assert_eq!(patched, sizes.len() as u64);
-        delta
+        let mut cache = probes_of(old, sizes[0]);
+        pass(&mut cache, old, next, &sizes);
+        DatasetDelta::between(&old.dataset, &next.dataset)
     }
 
     #[test]
@@ -1222,8 +1472,109 @@ mod tests {
         assert_eq!(delta.tail, 399);
     }
 
-    /// The exact windowMin the threshold test replaces: the empty-covering
-    /// distance against an unseeded branch-and-bound over the window.
+    #[test]
+    fn an_index_missing_a_removed_y_is_rebuilt_not_patched() {
+        let engine = engine(400, 3);
+        let old = engine.core();
+        let sizes = sizes(&old);
+        let mut cache = probes_of(&old, sizes[0]);
+        // Corrupt the y array: it loses the y of the object the batch
+        // removes, as if an earlier patch had dropped it.
+        let y = old.dataset.object(57).location.y;
+        let locations = &mut cache.objects.as_mut().unwrap().locations;
+        let at = locations
+            .by_y
+            .iter()
+            .position(|v| v.to_bits() == y.to_bits());
+        locations.by_y.remove(at.unwrap());
+        engine.remove(old.dataset.object(57).id).unwrap();
+        let next = engine.core();
+        let probes = PassProbes::new(&mut cache, &old, &next);
+        assert!(probes.objects.tables.is_empty(), "the tables were patched");
+        assert_eq!(probes.objects.diverges_from_fresh(&next), None);
+    }
+
+    /// A seeded dataset on a 1/8 grid around the origin, with objects at
+    /// both signed zeros on both axes.
+    fn signed_zero_dataset(seed: u64) -> Dataset {
+        let mut rng = Seeded(seed);
+        let mut b = DatasetBuilder::new(Schema::empty());
+        for _ in 0..200 {
+            let x = (rng.below(81) as f64 - 40.0) / 8.0;
+            let y = (rng.below(81) as f64 - 40.0) / 8.0;
+            b.push(x, y, vec![]);
+        }
+        for (x, y) in [
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (-0.0, -0.0),
+            (1.25, -0.0),
+            (-0.0, 0.5),
+        ] {
+            b.push(x, y, vec![]);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn size_views_match_a_fresh_instance_bit_for_bit() {
+        let sizes = [
+            RegionSize::new(1.25, 0.5),
+            RegionSize::new(0.375, 2.0),
+            RegionSize::new(3.0, 0.125),
+        ];
+        for seed in [1, 2, 3] {
+            let old = signed_zero_dataset(seed);
+            let xs: Vec<u64> = old.objects().map(|o| o.location.x.to_bits()).collect();
+            for size in sizes {
+                // Some `fl(x − w)` is exactly another object's x ...
+                assert!(old
+                    .objects()
+                    .any(|o| xs.contains(&(o.location.x - size.width).to_bits())));
+                // ... and the full table keeps `-0.0` for its zeros.
+                let fresh = AspInstance::build(&old, size);
+                assert!(bits(fresh.edges().xs()).contains(&(-0.0f64).to_bits()));
+                assert!(!bits(fresh.edges().xs()).contains(&0.0f64.to_bits()));
+            }
+            let mut locations = LocationIndex::of(&old);
+            for size in sizes {
+                assert_view_matches_fresh(&locations, &old, size, usize::MAX);
+            }
+            // Remove every `-0.0` x and two `-0.0` ys, keep a `+0.0` x, and
+            // append a `-0.0` y and another `+0.0` x.
+            let removed: Vec<usize> = old
+                .objects()
+                .enumerate()
+                .filter(|(_, o)| {
+                    let Point { x, y } = o.location;
+                    (x == 0.0 && x.is_sign_negative()) || (y == 0.0 && y.is_sign_negative())
+                })
+                .map(|(pos, _)| pos)
+                .chain([7])
+                .collect();
+            let objects: Vec<SpatialObject> =
+                old.objects()
+                    .enumerate()
+                    .filter(|(pos, _)| !removed.contains(pos))
+                    .map(|(_, o)| o.clone())
+                    .chain([(2.5, -0.0), (0.0, 3.0)].map(|(x, y)| {
+                        SpatialObject::new(10_000 + seed, Point::new(x, y), Vec::new())
+                    }))
+                    .collect();
+            let next = Dataset::new_unchecked(Schema::empty(), objects);
+            let delta = DatasetDelta::between(&old, &next);
+            assert!(delta.removed.len() >= 5);
+            assert!(locations.apply(&next, &delta));
+            assert!(locations.bits_eq(&LocationIndex::of(&next)));
+            for size in sizes {
+                assert_view_matches_fresh(&locations, &next, size, usize::MAX);
+            }
+        }
+    }
+
+    /// The exact windowMin the threshold test replaces, on a fresh instance
+    /// of the whole dataset: the empty-covering distance against an
+    /// unseeded branch-and-bound over the window.
     fn window_min(solver: &DsSearch<'_>, touched: Point) -> f64 {
         let (_, empty_distance) = solver.empty_candidate();
         let window = influence_window(touched, solver.query.size);
@@ -1243,6 +1594,24 @@ mod tests {
         best.into_entries()
             .first()
             .map_or(empty_distance, |e| e.distance.min(empty_distance))
+    }
+
+    /// R3 for one window as a slot runs it: the empty covering, then
+    /// [`window_reaches`] on the window-local instance.
+    fn r3(
+        probe: &SlotProbe<'_>,
+        touched: Point,
+        cutoff: f64,
+        buffers: &mut WindowBuffers,
+    ) -> Verdict {
+        let (empty_rep, empty_distance) = empty_candidate(probe.aggregator, probe.query);
+        if empty_distance <= cutoff {
+            return Verdict {
+                reaches: true,
+                searched: false,
+            };
+        }
+        window_reaches(probe, touched, cutoff, &empty_rep, buffers, &mut None)
     }
 
     #[test]
@@ -1269,7 +1638,17 @@ mod tests {
                 &query,
                 None,
             );
-            let mut scratch = solver.scratch();
+            let probe = SlotProbe {
+                aggregator: &core.aggregator,
+                config: &core.config,
+                query: &query,
+                view: SizeView {
+                    locations: &locations,
+                    size,
+                },
+                table: &table,
+            };
+            let mut buffers = WindowBuffers::new(&core.aggregator);
             let (_, empty_distance) = solver.empty_candidate();
             for i in 0..40 {
                 let touched = Point::new(
@@ -1277,12 +1656,10 @@ mod tests {
                     bbox.min_y + bbox.height() * ((i * 13 % 40) as f64 + 0.5) / 40.0,
                 );
                 let min = window_min(&solver, touched);
-                let reaches = |cutoff: f64, scratch: &mut Scratch| {
-                    window_reaches(&solver, &locations, touched, cutoff, scratch).reaches
-                };
-                assert!(!reaches(min.next_down(), &mut scratch), "below {min}");
-                assert!(reaches(min, &mut scratch), "at {min}");
-                assert!(reaches(min.next_up(), &mut scratch), "above {min}");
+                let mut reaches = |cutoff: f64| r3(&probe, touched, cutoff, &mut buffers).reaches;
+                assert!(!reaches(min.next_down()), "below {min}");
+                assert!(reaches(min), "at {min}");
+                assert!(reaches(min.next_up()), "above {min}");
                 if min < empty_distance {
                     searched += 1;
                 } else {
@@ -1293,15 +1670,10 @@ mod tests {
         assert!(searched > 0 && shortcut > 0, "{searched} / {shortcut}");
     }
 
-    /// R3 for one window without the Equation-1 gate: the empty-covering
-    /// test, the lookup, the candidate budget and the search.
-    fn search_only(
-        solver: &DsSearch<'_>,
-        locations: &LocationIndex,
-        touched: Point,
-        cutoff: f64,
-        scratch: &mut Scratch,
-    ) -> bool {
+    /// R3 for one window without the Equation-1 gate, on a fresh instance
+    /// of the whole dataset: the empty-covering test, the candidates, the
+    /// candidate budget and the search.
+    fn search_only(solver: &DsSearch<'_>, touched: Point, cutoff: f64) -> bool {
         let (empty_rep, empty_distance) = solver.empty_candidate();
         if empty_distance <= cutoff {
             return true;
@@ -1309,15 +1681,23 @@ mod tests {
         let window = influence_window(touched, solver.query.size);
         let candidates = solver
             .table
-            .contributing(locations.reaching(solver.asp, &window));
+            .contributing(solver.asp.rects_intersecting(&window));
         candidates.len() > PROBE_BUDGET
-            || window_search(solver, window, candidates, cutoff, empty_rep, scratch)
+            || window_search(
+                solver,
+                window,
+                candidates,
+                cutoff,
+                empty_rep,
+                &mut solver.scratch(),
+            )
     }
 
-    /// Gate-then-search against search-only over seeded windows of
-    /// `dataset`, at the cutoffs around each window's exact minimum and at
-    /// the instance's best distance (what a cached answer's cutoff is).
-    /// Returns how many decisions the bound settled and how many searched.
+    /// Gate-then-search on window-local instances against search-only on a
+    /// fresh instance of the whole `dataset`, over seeded windows, at the
+    /// cutoffs around each window's exact minimum and at the instance's
+    /// best distance (what a cached answer's cutoff is).  Returns how many
+    /// decisions the bound settled and how many searched.
     fn gate_agrees_with_search(
         dataset: &Dataset,
         aggregator: &CompositeAggregator,
@@ -1328,7 +1708,17 @@ mod tests {
         let (asp, table) = AspInstance::with_contributions(dataset, aggregator, query.size);
         let locations = LocationIndex::of(dataset);
         let solver = DsSearch::new(aggregator, &config, 0.0, &asp, &table, query, None);
-        let mut scratch = solver.scratch();
+        let probe = SlotProbe {
+            aggregator,
+            config: &config,
+            query,
+            view: SizeView {
+                locations: &locations,
+                size: query.size,
+            },
+            table: &table,
+        };
+        let mut buffers = WindowBuffers::new(aggregator);
         let best = crate::executor::Executor::new(
             dataset,
             aggregator,
@@ -1348,8 +1738,8 @@ mod tests {
             );
             let min = window_min(&solver, touched);
             for cutoff in [min.next_down(), min, min.next_up(), best] {
-                let verdict = window_reaches(&solver, &locations, touched, cutoff, &mut scratch);
-                let expected = search_only(&solver, &locations, touched, cutoff, &mut scratch);
+                let verdict = r3(&probe, touched, cutoff, &mut buffers);
+                let expected = search_only(&solver, touched, cutoff);
                 assert_eq!(
                     verdict.reaches, expected,
                     "cutoff {cutoff} (window min {min}) at {touched:?}"
@@ -1408,6 +1798,52 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_pass_scans_each_size_accuracy_once_and_keeps_its_bits() {
+        let engine = engine(400, 19);
+        let old = engine.core();
+        let sizes = sizes(&old);
+        let mut cache = probes_of(&old, sizes[0]);
+        engine
+            .append(interior(&old, 1_000_005, 0.47, 0.52))
+            .unwrap();
+        let next = engine.core();
+        let mut probes = PassProbes::new(&mut cache, &old, &next);
+        let dim = next.aggregator.feature_dim();
+        let touched: Vec<Point> = next.dataset.objects().map(|o| o.location).collect();
+        for &size in &sizes {
+            // The best distance of the size as the cutoff: the windows
+            // around the answer are searched, and one of them reaches.
+            let query = AsrsQuery::new(
+                size,
+                FeatureVector::new(vec![3.0; dim]),
+                Weights::uniform(dim),
+            );
+            let best = next.execute(&QueryRequest::similar(query.clone())).unwrap();
+            let QueryOutcome::Best(best) = best.outcome else {
+                panic!("a similar request answers one region");
+            };
+            for _ in 0..2 {
+                let searched = probes.counts.windows_searched;
+                assert!(!probes.no_window_reaches(
+                    &next,
+                    &next.aggregator,
+                    &query,
+                    &touched,
+                    best.distance
+                ));
+                assert!(probes.counts.windows_searched > searched);
+            }
+            let fresh = AspInstance::build(&next.dataset, size).accuracy();
+            let kept = probes.accuracies[&size_key(size)];
+            assert_eq!(
+                (kept.dx.to_bits(), kept.dy.to_bits()),
+                (fresh.dx.to_bits(), fresh.dy.to_bits())
+            );
+        }
+        assert_eq!(probes.counts.accuracy_scans, sizes.len() as u64);
+    }
+
     /// A uniform engine whose coordinates are multiples of 1/8, so the
     /// tests' sizes (multiples of 1/8 too) put some `x − w` exactly on
     /// another object's x.
@@ -1422,35 +1858,17 @@ mod tests {
         AsrsEngine::builder(ds, agg).shards(2).build().unwrap()
     }
 
-    /// Every window the lookup test probes: the influence window of every
-    /// object, and windows whose corners sit on rectangle corners.
-    fn probe_windows(dataset: &Dataset, size: RegionSize) -> Vec<Rect> {
-        let (w, h) = (size.width, size.height);
-        dataset
-            .objects()
-            .flat_map(|o| {
-                let Point { x, y } = o.location;
-                [
-                    Point::new(x, y),
-                    Point::new(x - w, y - h),
-                    Point::new(x + w, y + h),
-                    Point::new(x - w, y + h),
-                ]
-            })
-            .map(|p| influence_window(p, size))
-            .collect()
-    }
-
     fn assert_lookups_match(locations: &LocationIndex, dataset: &Dataset, size: RegionSize) {
         let asp = AspInstance::build(dataset, size);
         let mut nonempty = 0;
         for window in probe_windows(dataset, size) {
             let expected = asp.rects_intersecting(&window);
-            assert_eq!(
-                locations.reaching(&asp, &window),
-                expected,
-                "{window:?} at {size:?}"
-            );
+            let found: Vec<u32> = locations
+                .reaching(size, &window)
+                .iter()
+                .map(|e| e.pos)
+                .collect();
+            assert_eq!(found, expected, "{window:?} at {size:?}");
             nonempty += usize::from(!expected.is_empty());
         }
         assert!(nonempty > 0);
@@ -1500,29 +1918,12 @@ mod tests {
             let next = engine.core();
             let delta = DatasetDelta::between(&old.dataset, &next.dataset);
             assert_eq!(delta.removed, vec![3, 150, 151]);
-            locations.apply(&next.dataset, &delta);
+            assert!(locations.apply(&next.dataset, &delta));
             assert!(locations.bits_eq(&LocationIndex::of(&next.dataset)));
             for size in sizes {
                 assert_lookups_match(&locations, &next.dataset, size);
             }
         }
-    }
-
-    #[test]
-    fn an_inconsistent_context_is_rebuilt_not_patched() {
-        let engine = engine(400, 3);
-        let old = engine.core();
-        let sizes = sizes(&old);
-        let mut cache = probes_of(&old, &sizes);
-        // Corrupt one context: its edge table loses an edge of the object
-        // the batch removes, as if an earlier patch had dropped it.
-        let ctx = cache.sizes.get_mut(&size_key(sizes[1])).unwrap();
-        let edge = ctx.asp.rects()[57].rect.min_x;
-        ctx.edges.forget_x_edge(&mut ctx.asp, edge);
-        engine.remove(old.dataset.object(57).id).unwrap();
-        let next = engine.core();
-        let (_, patched, rebuilt) = pass(&mut cache, &old, &next, &sizes);
-        assert_eq!((patched, rebuilt), (2, 1));
     }
 
     /// A seeded splitmix64 stream for the write sequence below.
@@ -1593,20 +1994,24 @@ mod tests {
         let bbox = core.dataset.bounding_box().unwrap();
         let sizes = sizes(&core);
         let w = sizes[0].width;
-        let mut cache = probes_of(&core, &sizes);
+        let mut cache = probes_of(&core, sizes[0]);
         let mut rng = Seeded(23);
-        let min_x_gap = |cache: &CarryProbes| cache.sizes[&size_key(sizes[0])].asp.accuracy().dx;
-        let (mut passes, mut patched, mut rebuilt) = (0, 0, 0);
+        let min_x_gap = |cache: &CarryProbes| {
+            let view = SizeView {
+                locations: &cache.objects.as_ref().unwrap().locations,
+                size: sizes[0],
+            };
+            view.accuracy().dx
+        };
+        let mut passes = 0;
         let mut step_through = |cache: &mut CarryProbes, old: &EngineCore| {
             let next = engine.core();
             assert!(rects_bit_equal(
                 old.dataset.bounding_box(),
                 next.dataset.bounding_box()
             ));
-            let (_, p, r) = pass(cache, old, &next, &sizes);
+            pass(cache, old, &next, &sizes);
             passes += 1;
-            patched += p;
-            rebuilt += r;
         };
         for step in 0..60u64 {
             let old = engine.core();
@@ -1674,8 +2079,6 @@ mod tests {
                 _ => {}
             }
         }
-        assert_eq!(rebuilt, 0, "a context was rebuilt from scratch");
-        assert_eq!(patched, passes * sizes.len() as u64);
         assert!(passes > 60);
     }
 }

@@ -235,6 +235,22 @@ pub(crate) struct BoundSums {
     pub hi: Vec<f64>,
 }
 
+impl BoundSums {
+    /// Buffers for bounds under `aggregator`.
+    pub(crate) fn new(aggregator: &CompositeAggregator) -> Self {
+        let dims = aggregator.stats_dim();
+        let features = aggregator.feature_dim();
+        Self {
+            base: StatsAccumulator::new(dims),
+            base_stats: vec![0.0; dims],
+            upper: StatsAccumulator::new(dims),
+            upper_stats: vec![0.0; dims],
+            lo: vec![0.0; features],
+            hi: vec![0.0; features],
+        }
+    }
+}
+
 impl Scratch {
     /// Buffers for `ncols × nrows` grids under `aggregator`.
     pub(crate) fn new(aggregator: &CompositeAggregator, ncols: usize, nrows: usize) -> Self {
@@ -245,14 +261,7 @@ impl Scratch {
             arrays: DiffArrays::new(ncols, nrows, dims),
             edges: GridEdges::new(GridSpec::new(unit, ncols, nrows)),
             features: vec![0.0; features],
-            bound: BoundSums {
-                base: StatsAccumulator::new(dims),
-                base_stats: vec![0.0; dims],
-                upper: StatsAccumulator::new(dims),
-                upper_stats: vec![0.0; dims],
-                lo: vec![0.0; features],
-                hi: vec![0.0; features],
-            },
+            bound: BoundSums::new(aggregator),
             lists: Vec::new(),
             partial: Vec::new(),
             active: Vec::new(),

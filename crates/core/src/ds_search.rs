@@ -159,13 +159,7 @@ impl<'a> DsSearch<'a> {
     /// The representation and distance of a candidate covering nothing —
     /// what every point outside all rectangles evaluates to.
     pub(crate) fn empty_candidate(&self) -> (FeatureVector, f64) {
-        let zero_stats = vec![0.0; self.aggregator.stats_dim()];
-        let representation = self.aggregator.stats_to_features(&zero_stats);
-        let query = self.query;
-        let distance =
-            self.aggregator
-                .distance(&representation, &query.target, &query.weights, query.metric);
-        (representation, distance)
+        empty_candidate(self.aggregator, self.query)
     }
 
     /// Offers the candidate corresponding to an empty region placed outside
@@ -476,15 +470,16 @@ impl<'a> DsSearch<'a> {
     /// contains the closed space, the upper set all of them, so a space
     /// whose bound exceeds the cutoff is one [`DsSearch::search_space`]
     /// would prune, decided before a grid is laid over it.
+    /// `sums` and `partial` are the bound's buffers, as in [`Scratch`].
     pub(crate) fn space_bound(
         &self,
         space: &Rect,
         candidates: &[u32],
-        scratch: &mut Scratch,
+        sums: &mut BoundSums,
+        partial: &mut Vec<u32>,
     ) -> f64 {
-        let Scratch { bound, partial, .. } = scratch;
-        self.split_base(space, candidates, bound, partial);
-        self.bound_with(bound, partial)
+        self.split_base(space, candidates, sums, partial);
+        self.bound_with(sums, partial)
     }
 
     /// Splits `candidates` against `rect`, keeping their order: the rows
@@ -535,6 +530,20 @@ impl<'a> DsSearch<'a> {
         let query = self.query;
         distance_lower_bound(&query.target, lo, hi, &query.weights, query.metric)
     }
+}
+
+/// The representation and distance of a candidate covering nothing under
+/// `aggregator` for `query` — what every point outside all rectangles
+/// evaluates to.
+pub(crate) fn empty_candidate(
+    aggregator: &CompositeAggregator,
+    query: &AsrsQuery,
+) -> (FeatureVector, f64) {
+    let zero_stats = vec![0.0; aggregator.stats_dim()];
+    let representation = aggregator.stats_to_features(&zero_stats);
+    let distance =
+        aggregator.distance(&representation, &query.target, &query.weights, query.metric);
+    (representation, distance)
 }
 
 /// The half-open range of grid cells along one axis whose open interval

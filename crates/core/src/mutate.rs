@@ -175,9 +175,9 @@ pub(crate) struct MutationState {
     ttl_token: u64,
     incremental_updates: u64,
     index_rebuilds: u64,
-    /// Per-size probe contexts the carry-forward pass reuses across
-    /// publishes (see [`carry`](crate::carry)); mutator-guarded like the
-    /// rest of this state.
+    /// The size-independent probe tables the carry-forward pass patches
+    /// and reuses across publishes (see [`carry`](crate::carry));
+    /// mutator-guarded like the rest of this state.
     carry_probes: crate::carry::CarryProbes,
 }
 
@@ -211,6 +211,16 @@ pub(crate) enum BatchOp {
     /// expiries into the batch directly; this variant carries *replayed*
     /// expiries (WAL recovery), which skip the TTL bookkeeping.
     Expire { id: u64 },
+}
+
+impl BatchOp {
+    /// The id of the object the op appends or removes.
+    fn id(&self) -> u64 {
+        match self {
+            BatchOp::Append { object, .. } => object.id,
+            BatchOp::Remove { id } | BatchOp::Expire { id } => *id,
+        }
+    }
 }
 
 /// A group of mutations committed atomically under one queue ticket:
@@ -386,10 +396,7 @@ pub(crate) fn commit(
     let referenced: HashSet<u64> = drained
         .iter()
         .flat_map(|group| group.ops.iter())
-        .map(|op| match op {
-            BatchOp::Append { object, .. } => object.id,
-            BatchOp::Remove { id } | BatchOp::Expire { id } => *id,
-        })
+        .map(BatchOp::id)
         .collect();
     let popped = pop_due_expiries(&mut state, &referenced);
     let expiries = popped.iter().map(|e| e.id).collect();
@@ -560,11 +567,12 @@ impl CounterDraft {
 }
 
 /// The evolving id set a batch is validated against.  Multi-op batches
-/// materialize every live id once up front and replay their edits on the
-/// set; the solo variant — one op in the whole batch, the uncontended
-/// common case — delegates membership straight to
-/// [`Dataset::contains_id`] and skips the O(n) scan plus the n-sized
-/// allocation.  Solo edits deliberately record nothing: with a single op
+/// materialize, in one scan of the dataset, which of the ids they
+/// reference are live, and replay their edits on that set: validation
+/// only ever asks about the ids the batch references.  The solo variant —
+/// one op in the whole batch, the uncontended common case — delegates
+/// membership straight to [`Dataset::contains_id`] and skips the O(n)
+/// scan and the set.  Solo edits deliberately record nothing: with a single op
 /// there is no later membership query (nor an earlier-op rollback) that
 /// could observe them.
 enum LiveIds<'a> {
@@ -593,6 +601,20 @@ impl LiveIds<'_> {
             LiveIds::Set(set) => set.remove(&id),
         }
     }
+}
+
+/// The ids among `ids` that `dataset` holds, found in one scan of the
+/// dataset: a binary search of the sorted `ids` per object, where hashing
+/// every live id would cost a set insertion per object.
+fn live_among(dataset: &Dataset, ids: impl Iterator<Item = u64>) -> HashSet<u64> {
+    let mut wanted: Vec<u64> = ids.collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+    dataset
+        .objects()
+        .map(|o| o.id)
+        .filter(|id| wanted.binary_search(id).is_ok())
+        .collect()
 }
 
 /// Everything a successfully applied batch produced, pending the
@@ -643,10 +665,15 @@ fn publish(
 
     // Validation pass: replay the batch against the current id set so a
     // group is accepted or rejected in full before anything applies.
-    // Only a genuine multi-op batch pays for materializing the id set.
+    // Only a genuine multi-op batch pays for materializing the live set of
+    // the ids it references.
     let total_ops = expiries.len() + groups.iter().map(|g| g.ops.len()).sum::<usize>();
     let mut live = if total_ops > 1 {
-        LiveIds::Set(core.dataset.objects().map(|o| o.id).collect())
+        let ops = groups.iter().flat_map(|g| g.ops.iter().map(BatchOp::id));
+        LiveIds::Set(live_among(
+            &core.dataset,
+            expiries.iter().copied().chain(ops),
+        ))
     } else {
         LiveIds::Solo(core.dataset.as_ref())
     };
@@ -1088,6 +1115,86 @@ mod tests {
                 Ok(())
             }
         }
+    }
+
+    /// What validating `batch` against every live id decides: the first
+    /// op, in order, that appends a live id or removes one that is not.
+    fn full_set_verdict(dataset: &Dataset, batch: &[Mutation]) -> Result<(), AsrsError> {
+        let mut live: HashSet<u64> = dataset.objects().map(|o| o.id).collect();
+        for m in batch {
+            match m {
+                Mutation::Append { object } if !live.insert(object.id) => {
+                    return Err(AsrsError::DuplicateObjectId { id: object.id });
+                }
+                Mutation::Remove { id } | Mutation::Expire { id } if !live.remove(id) => {
+                    return Err(AsrsError::UnknownObjectId { id: *id });
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Multi-op batches validate against the live ids they reference
+    /// only; each verdict must be the one validation against every live
+    /// id gives, and a rejected batch must leave the dataset as it was.
+    #[test]
+    fn referenced_id_validation_decides_like_the_full_live_set() {
+        let (engine, template) = test_engine(60);
+        let core = engine.core();
+        let (kept, other) = (core.dataset.object(10).id, core.dataset.object(20).id);
+        let mut moved = core.dataset.object(10).clone();
+        moved.location = core.dataset.object(30).location;
+        let batches = [
+            // A remove then a re-append of one id: accepted.
+            vec![
+                Mutation::Remove { id: kept },
+                Mutation::Append { object: moved },
+            ],
+            // A duplicate append: one fresh id twice, then a live id.
+            vec![
+                Mutation::Append {
+                    object: fresh(&template, 7_000),
+                },
+                Mutation::Append {
+                    object: fresh(&template, 7_000),
+                },
+            ],
+            vec![
+                Mutation::Append {
+                    object: fresh(&template, 7_001),
+                },
+                Mutation::Append {
+                    object: fresh(&template, other),
+                },
+            ],
+            // An unknown remove, and a live id removed twice.
+            vec![
+                Mutation::Remove { id: other },
+                Mutation::Remove { id: 9_999_999 },
+            ],
+            vec![
+                Mutation::Remove { id: other },
+                Mutation::Expire { id: other },
+            ],
+        ];
+        let mut accepted = 0;
+        for batch in batches {
+            let before = engine.core();
+            let expected = full_set_verdict(&before.dataset, &batch);
+            let verdict = engine.apply_mutations(&batch).map(|_| ());
+            assert_eq!(format!("{verdict:?}"), format!("{expected:?}"), "{batch:?}");
+            let after = engine.core();
+            if verdict.is_ok() {
+                accepted += 1;
+                assert_eq!(after.generation, before.generation + 1);
+            } else {
+                assert_eq!(after.generation, before.generation);
+                assert_eq!(after.dataset.len(), before.dataset.len());
+            }
+        }
+        assert_eq!(accepted, 1);
+        assert!(engine.core().dataset.contains_id(kept));
     }
 
     /// A batch coalescing `append(id, ttl)` before `remove(id)` must

@@ -59,8 +59,8 @@ impl Accuracy {
     /// instead of a sort, with the same result bit for bit.
     pub fn from_sorted_edge_coordinates(xs: &[f64], ys: &[f64], floor: Accuracy) -> Self {
         Self::from_min_gaps(
-            min_positive_gap_sorted(xs),
-            min_positive_gap_sorted(ys),
+            min_positive_gap_sorted(xs.iter().copied()),
+            min_positive_gap_sorted(ys.iter().copied()),
             floor,
         )
     }
@@ -87,14 +87,16 @@ impl Accuracy {
 pub fn min_positive_gap(values: &[f64]) -> Option<f64> {
     let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
     sorted.sort_by(f64::total_cmp);
-    min_positive_gap_sorted(&sorted)
+    min_positive_gap_sorted(sorted)
 }
 
-/// [`min_positive_gap`] over values in ascending order (by `total_cmp` or
-/// `partial_cmp`; duplicates allowed): the smallest positive difference
-/// between neighbouring finite values, in one linear scan.
-pub fn min_positive_gap_sorted(sorted: &[f64]) -> Option<f64> {
-    let mut finite = sorted.iter().copied().filter(|v| v.is_finite());
+/// [`min_positive_gap`] over values that arrive in ascending order (by
+/// `total_cmp` or `partial_cmp`; duplicates allowed): the smallest
+/// positive difference between neighbouring finite values, in one linear
+/// scan.  The values may come from a slice or from a merge of several
+/// sorted sequences; duplicates leave the result unchanged.
+pub fn min_positive_gap_sorted(sorted: impl IntoIterator<Item = f64>) -> Option<f64> {
+    let mut finite = sorted.into_iter().filter(|v| v.is_finite());
     let mut prev = finite.next()?;
     let mut best: Option<f64> = None;
     for v in finite {
@@ -135,12 +137,13 @@ mod tests {
         let vals = [5.0, -0.0, 1.0, 3.0, 0.0, 3.5, 1.0, 1e-300, f64::INFINITY];
         let mut sorted = vals.to_vec();
         sorted.sort_by(f64::total_cmp);
-        assert_eq!(min_positive_gap_sorted(&sorted), min_positive_gap(&vals));
-        assert_eq!(min_positive_gap_sorted(&sorted), Some(1e-300));
+        let scan = |values: &[f64]| min_positive_gap_sorted(values.iter().copied());
+        assert_eq!(scan(&sorted), min_positive_gap(&vals));
+        assert_eq!(scan(&sorted), Some(1e-300));
         sorted.dedup();
-        assert_eq!(min_positive_gap_sorted(&sorted), Some(1e-300));
-        assert_eq!(min_positive_gap_sorted(&[2.0, 2.0]), None);
-        assert_eq!(min_positive_gap_sorted(&[]), None);
+        assert_eq!(scan(&sorted), Some(1e-300));
+        assert_eq!(scan(&[2.0, 2.0]), None);
+        assert_eq!(scan(&[]), None);
     }
 
     #[test]

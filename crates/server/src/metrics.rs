@@ -187,10 +187,9 @@ impl ServerMetrics {
                 coalesced_waits: c.coalesced_waits,
                 carried_forward: c.carried_forward,
                 carry_proof_failures: c.carry_proof_failures,
-                carry_contexts_patched: c.carry_contexts_patched,
-                carry_contexts_rebuilt: c.carry_contexts_rebuilt,
                 carry_windows_bounded: c.carry_windows_bounded,
                 carry_windows_searched: c.carry_windows_searched,
+                carry_accuracy_scans: c.carry_accuracy_scans,
             }
         });
         let shards = shard_requests.map(|requests| ShardsSnapshot {
@@ -296,17 +295,16 @@ pub struct CacheSnapshot {
     pub carried_forward: u64,
     /// Carry-forward attempts rejected by the byte-identity proof path.
     pub carry_proof_failures: u64,
-    /// Per-size probe contexts the carry passes patched in place.
-    pub carry_contexts_patched: u64,
-    /// Per-size probe contexts the carry passes built from scratch (first
-    /// probes of a size, contexts a pass left behind, inconsistent ones).
-    pub carry_contexts_rebuilt: u64,
     /// Influence windows the carry passes' R3 test settled without a
     /// search (by the window's Equation-1 bound or the empty covering).
     pub carry_windows_bounded: u64,
     /// Influence windows R3 searched (or refused as too dense); with
     /// `carry_windows_bounded` it sums to every window R3 examined.
     pub carry_windows_searched: u64,
+    /// Accuracy scans the carry passes ran: at most one per query size
+    /// and pass, at the size's first searched window, so it stays at or
+    /// below `carry_windows_searched`.
+    pub carry_accuracy_scans: u64,
 }
 
 /// A fixed-bucket histogram as served by `/metrics`: `counts[i]` holds the

@@ -227,10 +227,9 @@ fn mutation_endpoints_append_remove_sweep_and_report_generations() {
 }
 
 /// A write to a warm cache shows up in the carry-pass metrics: every
-/// published generation is one pass in the latency histogram, the first
-/// probe of a query size builds its context and the next write patches it,
-/// and each pass's R3 test settles the one window it examines, by the
-/// window's bound or by a search.
+/// published generation is one pass in the latency histogram, each pass's
+/// R3 test settles the one window it examines, by the window's bound or by
+/// a search, and a pass scans the size's accuracy only when it searches.
 #[test]
 fn carry_pass_metrics_follow_writes_to_a_warm_cache() {
     let engine = builder(64).shards(2).build().unwrap();
@@ -267,8 +266,13 @@ fn carry_pass_metrics_follow_writes_to_a_warm_cache() {
     assert_eq!(passes.counts.iter().sum::<u64>(), 2);
     assert_eq!(passes.counts.len(), passes.bounds.len() + 1);
     let cache = metrics.cache.expect("a cached engine");
-    assert_eq!(cache.carry_contexts_rebuilt, 1, "{body}");
-    assert_eq!(cache.carry_contexts_patched, 1, "{body}");
+    // One size: a pass that searched its window scanned the size's
+    // accuracy once, and a pass the bound settled scanned nothing.
+    assert_eq!(
+        cache.carry_accuracy_scans, cache.carry_windows_searched,
+        "{body}"
+    );
+    assert!(body.contains("\"carry_accuracy_scans\":"), "{body}");
     // One cached slot and one touched point per pass: two windows.
     assert_eq!(
         cache.carry_windows_bounded + cache.carry_windows_searched,
