@@ -3,7 +3,8 @@
 //! The engine's correctness rests on structural invariants that normal
 //! operation only exercises indirectly: the grid index's suffix tables
 //! must be the deterministic sweep of its base table, an incrementally
-//! maintained index must be bit-identical to a fresh build, shard object
+//! maintained index must be bit-identical to a fresh build — the grid
+//! index and the location index a publish patches alike — shard object
 //! counts must agree with routing, planner statistics must
 //! describe the dataset they were captured from, and every cache key's
 //! generation stamp must refer to a generation that exists.  A violation
@@ -19,6 +20,7 @@
 //! [`AsrsEngine::audit`](crate::AsrsEngine::audit), and a serving
 //! engine exposes the report as `GET /audit`.
 
+use crate::asp::LocationIndex;
 use crate::engine::{EngineCore, EngineShared};
 use crate::grid_index::GridIndex;
 use asrs_data::Dataset;
@@ -90,6 +92,9 @@ impl Auditor {
 ///   dataset — the whole index equals a fresh
 ///   [`GridIndex::build`] bitwise (the incremental-maintenance
 ///   guarantee).
+/// * **location index** (when a search, carry pass or publish built it) —
+///   it equals a fresh [`LocationIndex::of`] the dataset bitwise (the
+///   guarantee a publish's patch must keep).
 /// * **shards** (when sharded) — the per-shard object counts sum to the
 ///   dataset size, and each count equals the number of objects routing
 ///   sends to that shard.
@@ -117,6 +122,13 @@ pub(crate) fn audit_core(core: &EngineCore) -> AuditReport {
     audit_statistics(&mut audit, core);
     if let Some(index) = core.index.as_deref() {
         audit_index(&mut audit, index, core);
+    }
+    if let Some(index) = core.locations.get() {
+        audit.check(
+            "location-index",
+            index.bits_eq(&LocationIndex::of(&core.dataset)),
+            || "the location index differs from a fresh build of the dataset".to_string(),
+        );
     }
     if let Some(set) = &core.shards {
         audit_shards(&mut audit, core, set);
@@ -409,6 +421,20 @@ mod tests {
                 .findings
                 .iter()
                 .any(|f| f.check == "index-suffix-table"),
+            "{:?}",
+            report.findings
+        );
+    }
+
+    #[test]
+    fn a_corrupted_location_index_is_detected() {
+        let engine = engine(150, 2, false, 8);
+        let core = engine.core();
+        let missing = crate::asp::tests::index_missing_y(&core.dataset, 9);
+        crate::asp::tests::set_index(&core.locations, missing);
+        let report = engine.audit();
+        assert!(
+            report.findings.iter().any(|f| f.check == "location-index"),
             "{:?}",
             report.findings
         );

@@ -238,10 +238,7 @@ mod tests {
     /// A set over an instance without edges, where snapping is the
     /// identity.
     fn unsnapped(capacity: usize) -> BestSet {
-        BestSet::new(
-            capacity,
-            Arc::new(EdgeSnapper::from_sorted_edges(Vec::new(), Vec::new())),
-        )
+        BestSet::new(capacity, Arc::new(crate::asp::tests::unsnapped()))
     }
 
     fn offer(set: &mut BestSet, d: f64, x: f64) {

@@ -41,7 +41,7 @@
 //!   exact minimum: it is seeded with a candidate just above the cutoff,
 //!   so every sub-space whose bound exceeds the cutoff is pruned at once.
 //!   The window itself is the first such sub-space: before a grid is laid,
-//!   the window's own Equation-1 bound ([`DsSearch::space_bound`], base the
+//!   the window's own Equation-1 bound ([`Bounds::space_bound`], base the
 //!   candidate rectangles containing the closed window, upper set all of
 //!   them) is compared with the seed, and a window it exceeds cannot reach
 //!   — the kernel would prune it whole.  Appends land anywhere, so most
@@ -93,91 +93,48 @@
 //! skips the carry), and the release-mode churn-parity suite
 //! (`tests/mutation_parity.rs`) performs the same comparison end-to-end.
 //!
-//! # Shared tables and per-size views
+//! # Views of the generation's location index
 //!
-//! R3 and R4 read, per distinct query size, the edge table of the size's
-//! ASP instance (which snaps the probed anchors), and around each touched
-//! location the candidate rectangles and their [`Contributions`] rows: the
-//! engine aggregator's rows for ASRS slots, a count aggregator's for MaxRS
-//! slots.  None of it needs an instance per size.  Rectangle `i` is the
-//! `a × b` box whose top-right corner is object `i`'s location, so the
-//! x-edges of size `a` are `{xᵢ} ∪ {fl(xᵢ − a)}`, and both halves are views
-//! of one x-sorted coordinate array because `fl(x − a)` is monotone in `x`;
-//! likewise in y.  A contribution row is object `i`'s whatever the size.
-//! So, as FDB factorises a join, each object's data is stored once and
-//! each size's view is derived from it.
+//! R3 and R4 read, per distinct query size, the edge table that snaps the
+//! probed anchors, and around each touched location the candidate
+//! rectangles and their [`Contributions`] rows: the engine aggregator's for
+//! ASRS slots, a count aggregator's for MaxRS slots.  The edges, the
+//! accuracy and the rectangles reaching a window are [`SizeView`]s of the
+//! successor generation's location index (see the [`asp`](crate::asp)
+//! module), which the publish patched or the pass builds.  A row is object
+//! `i`'s whatever the size, so the persistent state ([`CarryProbes`], kept
+//! in the mutator state) is one contribution table per aggregator a recent
+//! pass probed, patched once per batch — appends, removals, TTL expiries or
+//! a mix — by the batch's [`DatasetDelta`]: nothing is kept per size.
 //!
-//! The persistent state ([`CarryProbes`], kept in the mutator state across
-//! publishes) is size-independent: [`ObjectTables`] holds one contribution
-//! table per aggregator a recent pass probed, and the [`LocationIndex`]:
-//! the objects sorted by x, each with its y and position, beside every y
-//! sorted on its own.  They follow each batch in place, whatever its
-//! shape: appends, removals, TTL expiries or a mix.  Once per pass the
-//! [`DatasetDelta`] is derived by walking the predecessor and successor
-//! datasets in order (removals preserve order and appends land at the
-//! end, so the walk is exact), and the tables are patched once: the
-//! removed rows and entries are dropped (renumbering the rest), the
-//! appended tail's are added.  Nothing is kept per size, so a write costs
-//! the same whatever sizes the cache holds.
-//!
-//! A size's edge table is a view ([`SizeView::edges_within`]): over a
-//! range, each axis takes the entries of `{v} ∪ {fl(v − a)}` inside it and
-//! the nearest entry beyond each side, by binary searches, and builds an
-//! ordinary [`EdgeSnapper`] from them, so deduplication and the
-//! representative of a run of equal coordinates (`-0.0` for a run of zeros
-//! that holds one) are the full table's.  Every snap and representative
-//! inside the range reads only an edge's neighbours, so it equals the full
-//! table's bit for bit.  R4 snaps each reported anchor with the view over
-//! the anchor itself.  R3 runs each influence window on a window-local
-//! instance ([`AspInstance::of_rects`]): the window's candidate
-//! rectangles, built from the located x and y, and their rows in the same
-//! order; when the window's bound does not settle it, the instance also
-//! takes the view over the window as its edge table and the size's
-//! Definition-7 accuracy.  That accuracy is one merge scan of the two
-//! sorted halves per axis ([`SizeView::accuracy`]), run the first time a
-//! pass searches a window of the size and kept for the rest of the pass.
-//! The kernel thus sees the rectangles, rows, order, edges and accuracy
-//! the full instance would give it, and decides each window as it would
-//! there.  Debug builds assert the patched tables against a fresh build;
-//! the unit tests below check the tables and the views against fresh
-//! instances in release builds too.
-//!
-//! # Window candidates by location
-//!
-//! Each R3 window runs over the rectangles that reach the window: its
-//! bound sums them, and its search, when the bound does not settle it,
-//! discretises them.  Rectangle `i` spans `[fl(xᵢ − a), xᵢ] × [fl(yᵢ − b),
-//! yᵢ]`, and `fl(x − a)` is monotone in `x`, so the rectangles whose
-//! x-extent meets a window `W` belong to the objects with `x ≥ W.min_x` and
-//! `fl(x − a) ≤ W.max_x`: one contiguous run of the x-sorted index, found
-//! by two binary searches (a seek over sorted keys, as in Leapfrog
-//! Triejoin).  The index keeps each object's y beside its x, so the run is
-//! narrowed by `y ≥ W.min_y` and `fl(y − b) ≤ W.max_y` without reading a
-//! rectangle; together the four tests are exactly [`Rect::intersects`].
-//! The survivors come back in ascending position order: element for
-//! element the list a scan of every rectangle returns
-//! ([`AspInstance::rects_intersecting`]).  The order per window is the
-//! empty-covering test (once per slot), this lookup, the bound, the
-//! candidate budget, and only then the search.
+//! R4 snaps each reported anchor with the view over the anchor itself.  R3
+//! takes each window's contributing rectangles ([`SizeView::reaching`], in
+//! position order, as a scan of every rectangle lists them) and their rows;
+//! per window come the empty-covering test (once per slot), this lookup,
+//! the bound, the candidate budget, and only then the search.  Only a
+//! searched window gets an instance ([`AspInstance::new`]), with the view
+//! over the window as its edge table and the size's Definition-7 accuracy,
+//! scanned at the pass's first searched window of the size.  The kernel
+//! thus sees the rectangles, rows, order, edges and accuracy the full
+//! instance would give it, and decides each window as it would there.
+//! Debug builds assert the patched tables against a fresh build, the
+//! engine audit checks the index, and the unit tests check both, and the
+//! views, in release builds too.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use asrs_aggregator::{CompositeAggregator, FeatureVector, Selection};
-use asrs_data::{AttrValue, Dataset, SpatialObject};
-use asrs_geo::{min_positive_gap_sorted, Accuracy, Point, Rect, RegionSize};
+use asrs_data::Dataset;
+use asrs_geo::{Accuracy, Point, Rect, RegionSize};
 
-use crate::asp::{
-    accuracy_from_min_gaps, insert_at, remove_at, AspInstance, Contributions, EdgeSnapper,
-    RectObject,
-};
+use crate::asp::{AspInstance, Contributions, DatasetDelta, LocationIndex, RectObject, SizeView};
 use crate::best::BestSet;
 use crate::cache::{CarryCandidate, CarryPassCounts, QueryCache};
 use crate::config::SearchConfig;
 use crate::discretize::{BoundSums, Scratch};
-use crate::ds_search::{empty_candidate, DsSearch};
+use crate::ds_search::{empty_candidate, Bounds, DsSearch};
 use crate::engine::EngineCore;
 use crate::maxrs::MaxRsResult;
 use crate::query::AsrsQuery;
@@ -208,21 +165,23 @@ const CUTOFF_SLACK: f64 = 1e-9;
 /// readers never observe a cold window for the pass's duration.
 ///
 /// `touched` holds the location of every object the batch appended or
-/// removed; `probes` are the persistent probe tables, brought up to `next`
-/// incrementally (see the module docs).  The pass's duration and what it
+/// removed; `probes` are the persistent contribution tables, brought up to
+/// `next` by the batch's `delta` when the publish derived one (see the
+/// module docs).  The pass's duration and what it
 /// counted (how R3 settled its windows, and the accuracy scans it ran) are
 /// recorded in the cache's counters.
 pub(crate) fn carry_forward(
     old: &EngineCore,
     next: &EngineCore,
     touched: &[Point],
+    delta: Option<&DatasetDelta>,
     probes: &mut CarryProbes,
 ) {
     let Some(cache) = next.cache.as_deref() else {
         return;
     };
     let started = Instant::now();
-    let counts = restamp(cache, old, next, touched, probes);
+    let counts = restamp(cache, old, next, touched, delta, probes);
     cache.note_carry_pass(started.elapsed(), counts);
 }
 
@@ -233,6 +192,7 @@ fn restamp(
     old: &EngineCore,
     next: &EngineCore,
     touched: &[Point],
+    delta: Option<&DatasetDelta>,
     probes: &mut CarryProbes,
 ) -> CarryPassCounts {
     // Canonical sharded cores only: the soundness argument is built on the
@@ -249,7 +209,7 @@ fn restamp(
     if candidates.is_empty() {
         return CarryPassCounts::default();
     }
-    let mut probes = PassProbes::new(probes, old, next);
+    let mut probes = PassProbes::new(probes, old, next, delta);
     for candidate in candidates {
         if !entry_survives(next, &candidate, touched, &mut probes) {
             continue;
@@ -351,7 +311,7 @@ fn slot_survives(
     }
     // R4: reported anchors must still be their own arrangement-cell
     // representatives under the successor's edge set.
-    let view = probes.view(query.size);
+    let view = probes.locations.view(query.size);
     if !results.iter().all(|r| view.snaps_to_itself(r.anchor)) {
         return false;
     }
@@ -403,7 +363,7 @@ fn maxrs_survives(
         return false;
     }
     // R4: the reported anchor is still its own cell representative.
-    if !probes.view(size).snaps_to_itself(result.anchor) {
+    if !probes.locations.view(size).snaps_to_itself(result.anchor) {
         return false;
     }
     let cutoff = d_reported + d_reported * CUTOFF_SLACK;
@@ -421,32 +381,34 @@ struct Verdict {
 }
 
 /// What R3 reads for one slot: the kernel's settings and query, the view
-/// of the query size, and the contribution table of the slot's aggregator.
+/// of the query size over the successor's objects, and the contribution
+/// table of the slot's aggregator.
 struct SlotProbe<'p> {
     aggregator: &'p CompositeAggregator,
     config: &'p SearchConfig,
     query: &'p AsrsQuery,
     view: SizeView<'p>,
+    dataset: &'p Dataset,
     table: &'p Contributions,
 }
 
 impl SlotProbe<'_> {
-    /// The window-local instance of `window`: the contributing rectangles
-    /// that reach it, in position order, and their rows in the same order.
-    /// The edge table is left empty (see [`window_reaches`]).
-    fn window_instance(&self, window: &Rect) -> (AspInstance, Contributions) {
-        let size = self.query.size;
-        let mut hits = self.view.locations.reaching(size, window);
-        hits.retain(|e| self.table.contributes(e.pos));
+    /// The contributing rectangles that reach `window`, in position order,
+    /// and their rows in the same order.
+    fn window_candidates(&self, window: &Rect) -> (Vec<RectObject>, Contributions) {
+        let mut hits = self.view.reaching(window);
+        hits.retain(|&pos| self.table.contributes(pos));
         let rects = hits
             .iter()
-            .map(|e| RectObject {
-                rect: Rect::from_top_right(Point::new(e.x, e.y), size),
-                object_idx: e.pos,
+            .map(|&pos| RectObject {
+                rect: Rect::from_top_right(
+                    self.dataset.object(pos as usize).location,
+                    self.query.size,
+                ),
+                object_idx: pos,
             })
             .collect();
-        let rows = self.table.gather(hits.iter().map(|e| e.pos));
-        (AspInstance::of_rects(rects, size), rows)
+        (rects, self.table.gather(hits.into_iter()))
     }
 
     /// The kernel bound to `asp`, whose rows are `table`.
@@ -484,24 +446,24 @@ impl WindowBuffers {
 
 /// Whether some candidate anchored in the influence window of `touched`
 /// attains a distance at or below `cutoff` against the successor dataset,
-/// decided by the kernel on the window-local instance of `probe`.  The
-/// slot's caller has already tested the empty covering, whose
-/// representation is `empty_rep`; `accuracy` is the size's Definition-7
-/// accuracy, computed here when the first search needs it.
+/// decided by the kernel over the window's candidates.  The slot's caller
+/// has already tested the empty covering, whose representation is
+/// `empty_rep`; `accuracy` is the size's Definition-7 accuracy, computed
+/// here when the first search needs it.
 ///
 /// Mirrors the cold path: exact search (δ = 0, like the scatter) and the
 /// same contributing-rectangle filter.  The cheap tests run first, each
 /// settling the window when it can:
 ///
 /// 1. The lookup finds the window's candidate rectangles and their rows.
-/// 2. The window's own Equation-1 bound ([`DsSearch::space_bound`]): when
+/// 2. The window's own Equation-1 bound ([`Bounds::space_bound`]): when
 ///    it exceeds the seed below, the kernel would prune the whole window,
-///    so no candidate in it reaches the cutoff and no grid is built.
+///    so no candidate in it reaches the cutoff and no instance is built.
 /// 3. A window reaching more than [`PROBE_BUDGET`] candidate rectangles
 ///    counts as reaching the cutoff.  It comes after the bound, so a window
 ///    the bound settles is never refused for being dense.
-/// 4. Otherwise the instance takes the view over the window as its edge
-///    table, and [`window_search`] runs the branch-and-bound.
+/// 4. Otherwise the window-local instance takes the view over the window
+///    as its edge table, and [`window_search`] runs the branch-and-bound.
 fn window_reaches(
     probe: &SlotProbe<'_>,
     touched: Point,
@@ -510,10 +472,17 @@ fn window_reaches(
     buffers: &mut WindowBuffers,
     accuracy: &mut Option<Accuracy>,
 ) -> Verdict {
-    let window = influence_window(touched, probe.query.size);
-    let (mut asp, table) = probe.window_instance(&window);
-    let candidates = asp.all_rect_indices();
-    let bound = probe.solver(&asp, &table).space_bound(
+    let size = probe.query.size;
+    let window = influence_window(touched, size);
+    let (rects, table) = probe.window_candidates(&window);
+    let candidates: Vec<u32> = (0..rects.len() as u32).collect();
+    let bounds = Bounds {
+        aggregator: probe.aggregator,
+        query: probe.query,
+        rects: &rects,
+        table: &table,
+    };
+    let bound = bounds.space_bound(
         &window,
         &candidates,
         &mut buffers.bound,
@@ -532,7 +501,7 @@ fn window_reaches(
         };
     }
     let accuracy = *accuracy.get_or_insert_with(|| probe.view.accuracy());
-    asp.set_edges(probe.view.edges_within(&window), accuracy);
+    let asp = AspInstance::new(rects, size, probe.view.edges_within(&window), accuracy);
     let solver = probe.solver(&asp, &table);
     let scratch = buffers.grid.get_or_insert_with(|| solver.scratch());
     Verdict {
@@ -589,24 +558,15 @@ fn influence_window(touched: Point, size: RegionSize) -> Rect {
 }
 
 /// The persistent probe tables, owned by the mutator state and reused
-/// across publishes (see the module docs).  Every batch patches them in
-/// place; nothing is built before the first pass.
+/// across publishes (see the module docs): one contribution table per
+/// aggregator a recent pass probed (the engine's, and the count
+/// aggregators of MaxRS reductions), each shared by every size and patched
+/// once per pass, and the generation they reflect.  Nothing is built
+/// before the first pass.
 #[derive(Debug, Default)]
 pub(crate) struct CarryProbes {
-    objects: Option<ObjectTables>,
-}
-
-/// The size-independent probe tables, tagged with the dataset generation
-/// and length they reflect: one contribution table per aggregator a recent
-/// pass probed (the engine's, and the count aggregators of MaxRS
-/// reductions), and the objects' location index.  Each is one copy shared
-/// by every size, patched once per pass.
-#[derive(Debug)]
-struct ObjectTables {
     tables: Vec<AggregatorTable>,
-    locations: LocationIndex,
     generation: u64,
-    len: usize,
 }
 
 /// The contribution table of one aggregator, and the generation of the
@@ -618,371 +578,51 @@ struct AggregatorTable {
     used: u64,
 }
 
-impl ObjectTables {
-    /// The location index of `next`; tables are built when first probed.
-    fn fresh(next: &EngineCore) -> Self {
-        Self {
-            tables: Vec::new(),
-            locations: LocationIndex::of(&next.dataset),
-            generation: next.generation,
-            len: next.dataset.len(),
-        }
-    }
-
-    /// Whether the tables reflect `core`.
-    fn reflect(&self, core: &EngineCore) -> bool {
-        self.generation == core.generation && self.len == core.dataset.len()
-    }
-
-    /// Brings the tables of the predecessor up to `next`.  Tables the
-    /// previous pass did not probe are dropped rather than patched.
-    /// Returns `false` when the location index turned out not to reflect
-    /// the predecessor; the tables must then be built afresh.
-    fn apply(&mut self, next: &EngineCore, delta: &DatasetDelta) -> bool {
+impl CarryProbes {
+    /// Brings the tables up to `next`: patched by `delta` when they
+    /// reflect `old`, dropped (and built again when probed) otherwise.
+    /// Tables the previous pass did not probe are dropped rather than
+    /// patched.
+    fn follow(&mut self, old: &EngineCore, next: &EngineCore, delta: Option<&DatasetDelta>) {
         let previous = self.generation;
-        self.tables.retain(|t| t.used == previous);
-        for t in &mut self.tables {
-            t.table
-                .patch(&t.aggregator, &next.dataset, &delta.removed, delta.tail);
-        }
-        if !self.locations.apply(&next.dataset, delta) {
-            return false;
+        match delta {
+            Some(delta) if previous == old.generation => {
+                self.tables.retain(|t| t.used == previous);
+                for t in &mut self.tables {
+                    t.table
+                        .patch(&t.aggregator, &next.dataset, &delta.removed, delta.tail);
+                }
+            }
+            _ => self.tables.clear(),
         }
         self.generation = next.generation;
-        self.len = next.dataset.len();
-        #[cfg(debug_assertions)]
-        {
-            let diverged = self.diverges_from_fresh(next);
-            debug_assert!(
-                diverged.is_none(),
-                "incremental probe tables diverged from a fresh build in their {diverged:?}"
-            );
-        }
-        true
+        debug_assert!(
+            self.match_fresh(next),
+            "incremental contribution tables diverged from a fresh build"
+        );
     }
 
-    /// The first table that differs from a from-scratch build of `next`,
-    /// compared bit for bit, or `None` when all match.
-    #[cfg(any(debug_assertions, test))]
-    fn diverges_from_fresh(&self, next: &EngineCore) -> Option<&'static str> {
-        if !self.tables.iter().all(|t| {
+    /// Whether every table equals a from-scratch build of `next`, bit for
+    /// bit.
+    fn match_fresh(&self, next: &EngineCore) -> bool {
+        self.tables.iter().all(|t| {
             t.table
                 .bits_eq(&Contributions::of(&next.dataset, &t.aggregator))
-        }) {
-            Some("contribution table")
-        } else if !self.locations.bits_eq(&LocationIndex::of(&next.dataset)) {
-            Some("location index")
-        } else if self.len != next.dataset.len() {
-            Some("length")
-        } else {
-            None
-        }
-    }
-}
-
-/// The objects sorted by x (by `total_cmp`, then by position), each with
-/// its y and its dataset position, and every object's y sorted on its own
-/// (by `total_cmp`).  Which rectangles reach a window is a range lookup
-/// over the first, and every size's edge table is a view of the two (see
-/// the module docs).  Neither depends on the query size.
-#[derive(Debug)]
-struct LocationIndex {
-    by_x: Vec<Located>,
-    by_y: Vec<f64>,
-}
-
-/// One entry of the [`LocationIndex`]: an object's location and position.
-#[derive(Debug, Clone, Copy)]
-struct Located {
-    x: f64,
-    y: f64,
-    pos: u32,
-}
-
-impl Located {
-    fn of(dataset: &Dataset, pos: usize) -> Self {
-        let Point { x, y } = dataset.object(pos).location;
-        Self {
-            x,
-            y,
-            pos: pos as u32,
-        }
-    }
-}
-
-fn x_order(a: &Located, b: &Located) -> Ordering {
-    a.x.total_cmp(&b.x).then(a.pos.cmp(&b.pos))
-}
-
-impl LocationIndex {
-    fn of(dataset: &Dataset) -> Self {
-        let mut by_x: Vec<Located> = (0..dataset.len())
-            .map(|pos| Located::of(dataset, pos))
-            .collect();
-        by_x.sort_unstable_by(x_order);
-        let mut by_y: Vec<f64> = by_x.iter().map(|e| e.y).collect();
-        by_y.sort_unstable_by(f64::total_cmp);
-        Self { by_x, by_y }
-    }
-
-    /// Brings the index of the predecessor up to `next`: drops the
-    /// removed objects and renumbers the rest in one pass (a survivor's
-    /// position falls by the removals before it, which keeps the order),
-    /// drops the removed objects' y in another, then inserts the appended
-    /// tail in one backward pass per array.  Returns `false` when a removed
-    /// y is missing from the y array, which then did not reflect the
-    /// predecessor.
-    fn apply(&mut self, next: &Dataset, delta: &DatasetDelta) -> bool {
-        let mut gone_ys = Vec::with_capacity(delta.removed.len());
-        if !delta.removed.is_empty() {
-            self.by_x
-                .retain_mut(|e| match delta.removed.binary_search(&(e.pos as usize)) {
-                    Ok(_) => {
-                        gone_ys.push(e.y);
-                        false
-                    }
-                    Err(before) => {
-                        e.pos -= before as u32;
-                        true
-                    }
-                });
-        }
-        if !remove_values(&mut self.by_y, gone_ys) {
-            return false;
-        }
-        let mut added: Vec<Located> = (delta.tail..next.len())
-            .map(|pos| Located::of(next, pos))
-            .collect();
-        let mut new_ys: Vec<f64> = added.iter().map(|e| e.y).collect();
-        new_ys.sort_unstable_by(f64::total_cmp);
-        let inserts: Vec<(usize, f64)> = new_ys
-            .into_iter()
-            .map(|y| (self.by_y.partition_point(|v| v.total_cmp(&y).is_lt()), y))
-            .collect();
-        insert_at(&mut self.by_y, &inserts);
-        added.sort_unstable_by(x_order);
-        let inserts: Vec<(usize, Located)> = added
-            .into_iter()
-            .map(|entry| {
-                let at = self.by_x.partition_point(|e| x_order(e, &entry).is_lt());
-                (at, entry)
-            })
-            .collect();
-        insert_at(&mut self.by_x, &inserts);
-        true
-    }
-
-    /// The entries of the objects whose rectangle of `size` intersects
-    /// `window` (closed extents), in ascending position order:
-    /// [`AspInstance::rects_intersecting`]'s list.  Rectangle `i` is
-    /// `[fl(xᵢ − a), xᵢ] × [fl(yᵢ − b), yᵢ]`, so the index's x and y decide
-    /// [`Rect::intersects`] exactly: the x-run bounds its x half, the y
-    /// test on each entry its y half, and no rectangle is built.
-    fn reaching(&self, size: RegionSize, window: &Rect) -> Vec<Located> {
-        let RegionSize { width, height } = size;
-        let lo = self.by_x.partition_point(|e| e.x < window.min_x);
-        let run = self.by_x[lo..].partition_point(|e| e.x - width <= window.max_x);
-        let mut hits: Vec<Located> = self.by_x[lo..lo + run]
-            .iter()
-            .filter(|e| e.y >= window.min_y && e.y - height <= window.max_y)
-            .copied()
-            .collect();
-        hits.sort_unstable_by_key(|e| e.pos);
-        hits
-    }
-
-    #[cfg(any(debug_assertions, test))]
-    fn bits_eq(&self, other: &Self) -> bool {
-        self.by_x.len() == other.by_x.len()
-            && self.by_x.iter().zip(&other.by_x).all(|(a, b)| {
-                a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits() && a.pos == b.pos
-            })
-            && self.by_y.len() == other.by_y.len()
-            && self
-                .by_y
-                .iter()
-                .zip(&other.by_y)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-}
-
-/// Drops one entry bit-equal to each of `gone` from `sorted` (ascending by
-/// `total_cmp`), moving each later entry once.  Returns `false`, leaving
-/// `sorted` as it was, when some value of `gone` is not there.
-fn remove_values(sorted: &mut Vec<f64>, mut gone: Vec<f64>) -> bool {
-    gone.sort_unstable_by(f64::total_cmp);
-    let mut positions: Vec<usize> = Vec::with_capacity(gone.len());
-    for (k, &v) in gone.iter().enumerate() {
-        // The copies of one value leave consecutive entries of its run.
-        let at = match positions.last() {
-            Some(&prev) if gone[k - 1].to_bits() == v.to_bits() => prev + 1,
-            _ => sorted.partition_point(|e| e.total_cmp(&v).is_lt()),
-        };
-        if sorted.get(at).map(|e| e.to_bits()) != Some(v.to_bits()) {
-            return false;
-        }
-        positions.push(at);
-    }
-    remove_at(sorted, &positions);
-    true
-}
-
-/// One query size's view of a [`LocationIndex`]: the size's edge table
-/// over a range and its Definition-7 accuracy, derived from the
-/// size-independent arrays (see the module docs).
-#[derive(Clone, Copy)]
-struct SizeView<'a> {
-    locations: &'a LocationIndex,
-    size: RegionSize,
-}
-
-impl SizeView<'_> {
-    /// Whether `anchor` is its own representative under the size's edge
-    /// table (R4): the view over the anchor's own degenerate range snaps
-    /// it as the full table does.
-    fn snaps_to_itself(&self, anchor: Point) -> bool {
-        let at = Rect::new(anchor.x, anchor.y, anchor.x, anchor.y);
-        points_bit_equal(self.edges_within(&at).snap(anchor), anchor)
-    }
-
-    /// The size's edge table over `range`: per axis, the edges inside the
-    /// closed range and every copy of the nearest edge beyond each side,
-    /// deduplicated by [`EdgeSnapper::from_sorted_edges`] like the full
-    /// table.  Snaps of points and representatives of ranges between those
-    /// two nearest edges equal the full table's, bit for bit.
-    fn edges_within(&self, range: &Rect) -> EdgeSnapper {
-        let LocationIndex { by_x, by_y } = self.locations;
-        let RegionSize { width, height } = self.size;
-        EdgeSnapper::from_sorted_edges(
-            axis_edges(by_x, |e| e.x, width, range.min_x, range.max_x),
-            axis_edges(by_y, |&y| y, height, range.min_y, range.max_y),
-        )
-    }
-
-    /// Definition 7's accuracy of the size: per axis, the smallest
-    /// positive gap in the ascending merge of the two halves `{v}` and
-    /// `{fl(v − w)}`, in one scan; bit for bit the full table's.
-    fn accuracy(&self) -> Accuracy {
-        let LocationIndex { by_x, by_y } = self.locations;
-        let RegionSize { width, height } = self.size;
-        accuracy_from_min_gaps(
-            min_positive_gap_sorted(merged(by_x, by_x, |e| e.x, width)),
-            min_positive_gap_sorted(merged(by_y, by_y, |&y| y, height)),
-        )
-    }
-}
-
-/// The edges `{v} ∪ {fl(v − shift)}` of one axis, `v` ranging over the
-/// coordinates of `sorted` (ascending by `total_cmp`), that lie in `[lo,
-/// hi]` or equal the nearest edge below `lo` or above `hi`; sorted by
-/// `total_cmp`.  `fl(v − shift)` is monotone in `v`, so each half is one
-/// run of `sorted`.
-fn axis_edges<T>(
-    sorted: &[T],
-    coord: impl Fn(&T) -> f64 + Copy,
-    shift: f64,
-    lo: f64,
-    hi: f64,
-) -> Vec<f64> {
-    let shifted = |t: &T| coord(t) - shift;
-    let (a0, a1) = run(sorted, coord, lo, hi);
-    let (b0, b1) = run(sorted, shifted, lo, hi);
-    let below = [
-        a0.checked_sub(1).map(|i| coord(&sorted[i])),
-        b0.checked_sub(1).map(|i| shifted(&sorted[i])),
-    ];
-    let above = [sorted.get(a1).map(coord), sorted.get(b1).map(shifted)];
-    let lo = below.into_iter().flatten().reduce(f64::max).unwrap_or(lo);
-    let hi = above.into_iter().flatten().reduce(f64::min).unwrap_or(hi);
-    let (a0, a1) = run(sorted, coord, lo, hi);
-    let (b0, b1) = run(sorted, shifted, lo, hi);
-    let mut edges = Vec::with_capacity(a1 - a0 + b1 - b0);
-    edges.extend(merged(&sorted[a0..a1], &sorted[b0..b1], coord, shift));
-    edges
-}
-
-/// The run of `sorted` whose keys lie in `[lo, hi]`, for keys ascending
-/// along `sorted`.
-fn run<T>(sorted: &[T], key: impl Fn(&T) -> f64, lo: f64, hi: f64) -> (usize, usize) {
-    (
-        sorted.partition_point(|t| key(t) < lo),
-        sorted.partition_point(|t| key(t) <= hi),
-    )
-}
-
-/// The coordinates of `plain` and the shifted coordinates `fl(v − shift)`
-/// of `shifted`, both ascending by `total_cmp`, merged in that order.  The
-/// runs are compared with `<`, which agrees with `total_cmp` here: of two
-/// equal values the plain one comes first, and a shifted zero is `+0.0`
-/// (sizes are positive).  An exhausted run reads as `+∞` (locations are
-/// finite).
-fn merged<'s, T>(
-    plain: &'s [T],
-    shifted: &'s [T],
-    coord: impl Fn(&T) -> f64 + 's,
-    shift: f64,
-) -> impl Iterator<Item = f64> + 's {
-    let (mut i, mut j) = (0, 0);
-    (0..plain.len() + shifted.len()).map(move |_| {
-        let a = plain.get(i).map_or(f64::INFINITY, &coord);
-        let b = shifted.get(j).map_or(f64::INFINITY, |t| coord(t) - shift);
-        let take_b = b < a;
-        i += usize::from(!take_b);
-        j += usize::from(take_b);
-        if take_b {
-            b
-        } else {
-            a
-        }
-    })
-}
-
-/// How a batch turned the predecessor dataset into the successor: the
-/// predecessor positions it removed, and where the appended tail starts
-/// in the successor.  Removals preserve dataset order and appends land at
-/// the end, so the successor is the predecessor minus `removed`, followed
-/// by `next[tail..]`.
-#[derive(Debug, PartialEq)]
-struct DatasetDelta {
-    /// Predecessor positions of the removed objects, ascending.
-    removed: Vec<usize>,
-    /// Successor position of the first appended object.
-    tail: usize,
-}
-
-impl DatasetDelta {
-    /// Walks `old` in order against a cursor over `next`: an old object is
-    /// kept when the object at the cursor is bit-identical to it, removed
-    /// otherwise; what follows the cursor is the appended tail.  Whatever
-    /// the batch, the kept objects equal `next[..tail]` by construction,
-    /// so the delta always reproduces `next` exactly.
-    fn between(old: &Dataset, next: &Dataset) -> Self {
-        let mut rest = next.objects();
-        let mut cursor = rest.next();
-        let mut tail = 0;
-        let mut removed = Vec::new();
-        for (idx, object) in old.objects().enumerate() {
-            if cursor.is_some_and(|at| objects_bit_equal(object, at)) {
-                cursor = rest.next();
-                tail += 1;
-            } else {
-                removed.push(idx);
-            }
-        }
-        Self { removed, tail }
+        })
     }
 }
 
 /// One carry pass's view of the probe tables, brought up to the successor,
-/// and what the pass keeps only while it runs: the accuracy of each size
-/// it searched a window of, the kernel buffers of each aggregator, and
-/// what it counted.
+/// and of the successor's location index; and what the pass keeps only
+/// while it runs: the accuracy of each size it searched a window of, the
+/// kernel buffers of each aggregator, and what it counted.
 struct PassProbes<'a> {
-    objects: &'a mut ObjectTables,
+    probes: &'a mut CarryProbes,
+    locations: &'a LocationIndex,
     /// Definition 7's accuracy per size, by [`size_key`].
     accuracies: HashMap<(u64, u64), Accuracy>,
     /// The R3 buffers of each aggregator, by its index in
-    /// [`ObjectTables::tables`].
+    /// [`CarryProbes::tables`].
     buffers: Vec<Option<WindowBuffers>>,
     counts: CarryPassCounts,
 }
@@ -992,31 +632,22 @@ fn size_key(size: RegionSize) -> (u64, u64) {
 }
 
 impl<'a> PassProbes<'a> {
-    /// Derives the pass's delta and brings the size-independent tables up
-    /// to `next`: patched when they reflect `old`, built otherwise.
-    fn new(cache: &'a mut CarryProbes, old: &EngineCore, next: &EngineCore) -> Self {
-        let objects = cache
-            .objects
-            .take()
-            .filter(|objects| objects.reflect(old))
-            .and_then(|mut objects| {
-                let delta = DatasetDelta::between(&old.dataset, &next.dataset);
-                objects.apply(next, &delta).then_some(objects)
-            })
-            .unwrap_or_else(|| ObjectTables::fresh(next));
+    /// Brings the contribution tables up to `next` (see
+    /// [`CarryProbes::follow`]) and takes `next`'s location index, built
+    /// here when no search or publish has.
+    fn new(
+        probes: &'a mut CarryProbes,
+        old: &EngineCore,
+        next: &'a EngineCore,
+        delta: Option<&DatasetDelta>,
+    ) -> Self {
+        probes.follow(old, next, delta);
         Self {
-            objects: cache.objects.insert(objects),
+            probes,
+            locations: next.locations.of(&next.dataset),
             accuracies: HashMap::new(),
             buffers: Vec::new(),
             counts: CarryPassCounts::default(),
-        }
-    }
-
-    /// The successor's view of `size`.
-    fn view(&self, size: RegionSize) -> SizeView<'_> {
-        SizeView {
-            locations: &self.objects.locations,
-            size,
         }
     }
 
@@ -1025,7 +656,7 @@ impl<'a> PassProbes<'a> {
     /// is built on the first pass that probes its aggregator and patched by
     /// the passes after it.
     fn table_of(&mut self, next: &EngineCore, aggregator: &CompositeAggregator) -> usize {
-        let tables = &mut self.objects.tables;
+        let tables = &mut self.probes.tables;
         let at = match tables.iter().position(|t| t.aggregator == *aggregator) {
             Some(at) => at,
             None => {
@@ -1063,7 +694,8 @@ impl<'a> PassProbes<'a> {
             self.buffers.resize_with(at + 1, || None);
         }
         let Self {
-            objects,
+            probes,
+            locations,
             accuracies,
             buffers,
             counts,
@@ -1073,11 +705,9 @@ impl<'a> PassProbes<'a> {
             aggregator,
             config: &next.config,
             query,
-            view: SizeView {
-                locations: &objects.locations,
-                size: query.size,
-            },
-            table: &objects.tables[at].table,
+            view: locations.view(query.size),
+            dataset: &next.dataset,
+            table: &probes.tables[at].table,
         };
         let key = size_key(query.size);
         let mut accuracy = accuracies.get(&key).copied();
@@ -1103,20 +733,6 @@ impl<'a> PassProbes<'a> {
     }
 }
 
-/// Bit equality of two objects: the same id, location bits and attribute
-/// values (numeric ones compared by bits).
-fn objects_bit_equal(a: &SpatialObject, b: &SpatialObject) -> bool {
-    std::ptr::eq(a, b)
-        || (a.id == b.id
-            && points_bit_equal(a.location, b.location)
-            && a.values.len() == b.values.len()
-            && a.values.iter().zip(&b.values).all(|pair| match pair {
-                (AttrValue::Cat(x), AttrValue::Cat(y)) => x == y,
-                (AttrValue::Num(x), AttrValue::Num(y)) => x.to_bits() == y.to_bits(),
-                _ => false,
-            }))
-}
-
 fn rects_bit_equal(a: Option<Rect>, b: Option<Rect>) -> bool {
     match (a, b) {
         (None, None) => true,
@@ -1128,10 +744,6 @@ fn rects_bit_equal(a: Option<Rect>, b: Option<Rect>) -> bool {
         }
         _ => false,
     }
-}
-
-fn points_bit_equal(a: Point, b: Point) -> bool {
-    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
 /// The debug-build proof: a carried entry must serve exactly what a cold
@@ -1152,10 +764,14 @@ fn byte_identical_recompute(next: &EngineCore, candidate: &CarryCandidate) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asp::tests::{
+        assert_view_matches_fresh, index_missing_y, rects_intersecting, set_index, sorted_table,
+        Seeded,
+    };
     use crate::AsrsEngine;
     use asrs_aggregator::{FeatureVector, Weights};
     use asrs_data::gen::UniformGenerator;
-    use asrs_data::{DatasetBuilder, Mutation, Schema};
+    use asrs_data::{Mutation, SpatialObject};
     use std::time::Duration;
 
     fn engine(n: usize, seed: u64) -> AsrsEngine {
@@ -1197,195 +813,67 @@ mod tests {
 
     /// Fresh probe tables of `core`, as a previous pass that probed the
     /// engine's aggregator and the count aggregator at `size` would have
-    /// left them.
+    /// left them, with `core`'s location index built as that pass (or a
+    /// search) would have built it.
     fn probes_of(core: &EngineCore, size: RegionSize) -> CarryProbes {
-        let mut objects = ObjectTables::fresh(core);
-        for aggregator in [(*core.aggregator).clone(), count_aggregator(core, size)] {
-            objects.tables.push(AggregatorTable {
+        core.locations.of(&core.dataset);
+        let tables = [(*core.aggregator).clone(), count_aggregator(core, size)]
+            .into_iter()
+            .map(|aggregator| AggregatorTable {
                 table: Contributions::of(&core.dataset, &aggregator),
                 aggregator,
                 used: core.generation,
-            });
-        }
-        CarryProbes {
-            objects: Some(objects),
-        }
-    }
-
-    fn bits(values: &[f64]) -> Vec<u64> {
-        values.iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// At most `limit` elements of `items`, spread evenly.
-    fn sample<T: Copy>(items: &[T], limit: usize) -> Vec<T> {
-        let step = items.len().div_ceil(limit.max(1)).max(1);
-        items.iter().step_by(step).copied().collect()
-    }
-
-    /// Probe coordinates along one axis of a full edge table: every edge,
-    /// every midpoint between neighbours, and points beyond both ends.
-    fn axis_probes(edges: &[f64]) -> Vec<f64> {
-        let mut probes = edges.to_vec();
-        probes.extend(edges.windows(2).map(|w| (w[0] + w[1]) / 2.0));
-        if let (Some(&first), Some(&last)) = (edges.first(), edges.last()) {
-            probes.extend([first - 3.0, first - 0.5, last + 0.5, last + 3.0]);
-        }
-        probes
-    }
-
-    /// Every window the lookup and view tests probe: the influence window
-    /// of every object, and windows whose corners sit on rectangle corners.
-    fn probe_windows(dataset: &Dataset, size: RegionSize) -> Vec<Rect> {
-        let (w, h) = (size.width, size.height);
-        dataset
-            .objects()
-            .flat_map(|o| {
-                let Point { x, y } = o.location;
-                [
-                    Point::new(x, y),
-                    Point::new(x - w, y - h),
-                    Point::new(x + w, y + h),
-                    Point::new(x - w, y + h),
-                ]
             })
-            .map(|p| influence_window(p, size))
-            .collect()
-    }
-
-    /// Cuts of `[lo, hi]` for sub-ranges: both ends, the middle, and the
-    /// first and last full-table edges inside the range.
-    fn cuts(edges: &[f64], lo: f64, hi: f64) -> Vec<f64> {
-        let inside: Vec<f64> = edges
-            .iter()
-            .copied()
-            .filter(|&e| e > lo && e < hi)
             .collect();
-        let mut cuts = vec![lo, (lo + hi) / 2.0, hi];
-        cuts.extend(inside.first());
-        cuts.extend(inside.last());
-        cuts.sort_by(f64::total_cmp);
-        cuts
-    }
-
-    /// Checks the view of `size` over `locations` against a fresh instance
-    /// of `dataset`, bit for bit: Definition 7's accuracy; snaps through the
-    /// view over each probe's own degenerate range at edges, midpoints and
-    /// beyond both ends; and over each probed window, the first
-    /// representative and the representative lists of its sub-ranges.  At
-    /// most `limit` probes and windows are checked.
-    fn assert_view_matches_fresh(
-        locations: &LocationIndex,
-        dataset: &Dataset,
-        size: RegionSize,
-        limit: usize,
-    ) {
-        let fresh = AspInstance::build(dataset, size);
-        let global = fresh.edges();
-        let view = SizeView { locations, size };
-        let (accuracy, expected) = (view.accuracy(), fresh.accuracy());
-        assert_eq!(
-            (accuracy.dx.to_bits(), accuracy.dy.to_bits()),
-            (expected.dx.to_bits(), expected.dy.to_bits()),
-            "accuracy at {size:?}"
-        );
-        let (xs, ys) = (axis_probes(global.xs()), axis_probes(global.ys()));
-        let points = (0..xs.len().max(ys.len()))
-            .map(|i| Point::new(xs[i % xs.len()], ys[i % ys.len()]))
-            .collect::<Vec<_>>();
-        for p in sample(&points, limit) {
-            let snapped = view.edges_within(&Rect::new(p.x, p.y, p.x, p.y)).snap(p);
-            assert!(
-                points_bit_equal(snapped, global.snap(p)),
-                "{p:?} at {size:?}"
-            );
-            assert_eq!(view.snaps_to_itself(p), points_bit_equal(global.snap(p), p));
+        CarryProbes {
+            tables,
+            generation: core.generation,
         }
-        for window in sample(&probe_windows(dataset, size), limit) {
-            let local = view.edges_within(&window);
-            // The view is a run of the full table, bit for bit.
-            for (part, full) in [(local.xs(), global.xs()), (local.ys(), global.ys())] {
-                let at = full.partition_point(|e| *e < part[0]);
-                assert_eq!(bits(part), bits(&full[at..at + part.len()]), "{window:?}");
-            }
-            let x_ranges = ranges(&cuts(global.xs(), window.min_x, window.max_x));
-            let y_ranges = ranges(&cuts(global.ys(), window.min_y, window.max_y));
-            for &(x0, x1) in &x_ranges {
-                assert_eq!(
-                    bits(&local.x_reps_within(x0, x1)),
-                    bits(&global.x_reps_within(x0, x1)),
-                    "x ({x0}, {x1}) in {window:?}"
-                );
-            }
-            for (i, &(y0, y1)) in y_ranges.iter().enumerate() {
-                assert_eq!(
-                    bits(&local.y_reps_within(y0, y1)),
-                    bits(&global.y_reps_within(y0, y1)),
-                    "y ({y0}, {y1}) in {window:?}"
-                );
-                for &(x0, x1) in [
-                    x_ranges[i % x_ranges.len()],
-                    x_ranges[x_ranges.len() - 1 - i % x_ranges.len()],
-                ]
-                .iter()
-                {
-                    let region = Rect::new(x0, y0, x1, y1);
-                    assert!(
-                        points_bit_equal(
-                            local.first_rep_within(&region),
-                            global.first_rep_within(&region)
-                        ),
-                        "{region:?} in {window:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Every range `(a, b)`, `a ≤ b`, between two of the ascending `cuts`.
-    fn ranges(cuts: &[f64]) -> Vec<(f64, f64)> {
-        cuts.iter()
-            .enumerate()
-            .flat_map(|(i, &a)| cuts[i..].iter().map(move |&b| (a, b)))
-            .collect()
     }
 
     /// Brings `cache` from `old` to `next` through a carry pass's probe
     /// view, probing the engine's table and a MaxRS count table, and checks
-    /// that the pass patched the shared tables rather than rebuilding them,
-    /// that they match a fresh build, and every size's view against a fresh
-    /// instance, bit for bit.
+    /// that the publish patched the location index and the pass the
+    /// contribution tables rather than rebuilding them, that both match
+    /// fresh builds, and every size's view a sort of every edge, bit for
+    /// bit.
     fn pass(cache: &mut CarryProbes, old: &EngineCore, next: &EngineCore, sizes: &[RegionSize]) {
         assert_ne!(old.generation, next.generation);
-        let mut probes = PassProbes::new(cache, old, next);
+        let patched = next.locations.get().expect("the publish patched the index");
+        assert!(patched.bits_eq(&LocationIndex::of(&next.dataset)));
+        let delta = DatasetDelta::between(&old.dataset, &next.dataset);
+        let mut probes = PassProbes::new(cache, old, next, Some(&delta));
         // A rebuild starts with no tables; a patch keeps both.
-        assert_eq!(probes.objects.tables.len(), 2, "the tables were rebuilt");
+        assert_eq!(probes.probes.tables.len(), 2, "the tables were rebuilt");
         probes.table_of(next, &count_aggregator(next, sizes[0]));
         probes.table_of(next, &next.aggregator);
-        assert_eq!(probes.objects.tables.len(), 2);
-        assert!(probes.objects.reflect(next));
-        assert_eq!(probes.objects.diverges_from_fresh(next), None);
+        assert_eq!(probes.probes.tables.len(), 2);
+        assert_eq!(probes.probes.generation, next.generation);
+        assert!(probes.probes.match_fresh(next));
         for &size in sizes {
-            assert_view_matches_fresh(&probes.objects.locations, &next.dataset, size, 60);
+            assert_view_matches_fresh(probes.locations, &next.dataset, size, 60);
         }
     }
 
-    /// Updates fresh tables of `old` to `next` and checks them and the
-    /// views against fresh builds.  Returns the pass's delta.
-    fn follow(old: &EngineCore, next: &EngineCore) -> DatasetDelta {
-        let sizes = sizes(old);
-        let mut cache = probes_of(old, sizes[0]);
-        pass(&mut cache, old, next, &sizes);
+    /// Runs `write` on `engine`, with the tables and location index of the
+    /// core before it built, and checks them after it against fresh builds.
+    /// Returns the write's delta.
+    fn follow(engine: &AsrsEngine, write: impl FnOnce(&EngineCore)) -> DatasetDelta {
+        let old = engine.core();
+        let sizes = sizes(&old);
+        let mut cache = probes_of(&old, sizes[0]);
+        write(&old);
+        let next = engine.core();
+        pass(&mut cache, &old, &next, &sizes);
         DatasetDelta::between(&old.dataset, &next.dataset)
     }
 
     #[test]
     fn a_solo_removal_updates_contexts_bit_identically() {
         let engine = engine(400, 3);
-        let old = engine.core();
-        let id = old.dataset.object(57).id;
-        engine.remove(id).unwrap();
-        let next = engine.core();
-        let delta = follow(&old, &next);
+        let delta = follow(&engine, |old| {
+            engine.remove(old.dataset.object(57).id).unwrap();
+        });
         assert_eq!(
             delta,
             DatasetDelta {
@@ -1402,30 +890,27 @@ mod tests {
         // A sweep that expires the tail object.
         let expiring = interior(&core, 1_000_001, 0.41, 0.37);
         engine.append_with_ttl(expiring, Duration::ZERO).unwrap();
-        let old = engine.core();
-        assert_eq!(engine.sweep_expired().unwrap().len(), 1);
-        let next = engine.core();
-        let delta = follow(&old, &next);
+        let delta = follow(&engine, |_| {
+            assert_eq!(engine.sweep_expired().unwrap().len(), 1);
+        });
         assert_eq!(delta.removed, vec![400]);
         assert_eq!(delta.tail, 400);
         // An expiry piggybacked on an application append.
         let expiring = interior(&core, 1_000_002, 0.62, 0.55);
         engine.append_with_ttl(expiring, Duration::ZERO).unwrap();
-        let old = engine.core();
-        let receipt = engine
-            .append(interior(&core, 1_000_003, 0.18, 0.83))
-            .unwrap();
-        assert_eq!(receipt.batch, 2, "the due expiry must ride along");
-        let next = engine.core();
-        let delta = follow(&old, &next);
+        let delta = follow(&engine, |_| {
+            let receipt = engine
+                .append(interior(&core, 1_000_003, 0.18, 0.83))
+                .unwrap();
+            assert_eq!(receipt.batch, 2, "the due expiry must ride along");
+        });
         assert_eq!(delta.removed, vec![400]);
         assert_eq!(delta.tail, 400);
         // A replayed expiry record of an interior object.
-        let old = engine.core();
-        let id = old.dataset.object(90).id;
-        engine.apply_mutations(&[Mutation::Expire { id }]).unwrap();
-        let next = engine.core();
-        let delta = follow(&old, &next);
+        let delta = follow(&engine, |old| {
+            let id = old.dataset.object(90).id;
+            engine.apply_mutations(&[Mutation::Expire { id }]).unwrap();
+        });
         assert_eq!(delta.removed, vec![90]);
         assert_eq!(delta.tail, 400);
     }
@@ -1433,24 +918,23 @@ mod tests {
     #[test]
     fn a_mixed_batch_updates_contexts_bit_identically() {
         let engine = engine(400, 7);
-        let old = engine.core();
-        let batch = [
-            Mutation::Remove {
-                id: old.dataset.object(12).id,
-            },
-            Mutation::Append {
-                object: interior(&old, 1_000_003, 0.3, 0.7),
-            },
-            Mutation::Remove {
-                id: old.dataset.object(250).id,
-            },
-            Mutation::Append {
-                object: interior(&old, 1_000_004, 0.8, 0.2),
-            },
-        ];
-        engine.apply_mutations(&batch).unwrap();
-        let next = engine.core();
-        let delta = follow(&old, &next);
+        let delta = follow(&engine, |old| {
+            let batch = [
+                Mutation::Remove {
+                    id: old.dataset.object(12).id,
+                },
+                Mutation::Append {
+                    object: interior(old, 1_000_003, 0.3, 0.7),
+                },
+                Mutation::Remove {
+                    id: old.dataset.object(250).id,
+                },
+                Mutation::Append {
+                    object: interior(old, 1_000_004, 0.8, 0.2),
+                },
+            ];
+            engine.apply_mutations(&batch).unwrap();
+        });
         assert_eq!(delta.removed, vec![12, 250]);
         assert_eq!(delta.tail, 398);
     }
@@ -1458,16 +942,15 @@ mod tests {
     #[test]
     fn removing_and_re_appending_one_id_updates_contexts_bit_identically() {
         let engine = engine(400, 11);
-        let old = engine.core();
-        let mut moved = old.dataset.object(140).clone();
-        moved.location = interior(&old, moved.id, 0.55, 0.45).location;
-        let batch = [
-            Mutation::Remove { id: moved.id },
-            Mutation::Append { object: moved },
-        ];
-        engine.apply_mutations(&batch).unwrap();
-        let next = engine.core();
-        let delta = follow(&old, &next);
+        let delta = follow(&engine, |old| {
+            let mut moved = old.dataset.object(140).clone();
+            moved.location = interior(old, moved.id, 0.55, 0.45).location;
+            let batch = [
+                Mutation::Remove { id: moved.id },
+                Mutation::Append { object: moved },
+            ];
+            engine.apply_mutations(&batch).unwrap();
+        });
         assert_eq!(delta.removed, vec![140]);
         assert_eq!(delta.tail, 399);
     }
@@ -1477,99 +960,19 @@ mod tests {
         let engine = engine(400, 3);
         let old = engine.core();
         let sizes = sizes(&old);
-        let mut cache = probes_of(&old, sizes[0]);
-        // Corrupt the y array: it loses the y of the object the batch
+        // The generation's y array lacks the y of the object the batch
         // removes, as if an earlier patch had dropped it.
-        let y = old.dataset.object(57).location.y;
-        let locations = &mut cache.objects.as_mut().unwrap().locations;
-        let at = locations
-            .by_y
-            .iter()
-            .position(|v| v.to_bits() == y.to_bits());
-        locations.by_y.remove(at.unwrap());
+        set_index(&old.locations, index_missing_y(&old.dataset, 57));
+        let mut cache = probes_of(&old, sizes[0]);
         engine.remove(old.dataset.object(57).id).unwrap();
         let next = engine.core();
-        let probes = PassProbes::new(&mut cache, &old, &next);
-        assert!(probes.objects.tables.is_empty(), "the tables were patched");
-        assert_eq!(probes.objects.diverges_from_fresh(&next), None);
-    }
-
-    /// A seeded dataset on a 1/8 grid around the origin, with objects at
-    /// both signed zeros on both axes.
-    fn signed_zero_dataset(seed: u64) -> Dataset {
-        let mut rng = Seeded(seed);
-        let mut b = DatasetBuilder::new(Schema::empty());
-        for _ in 0..200 {
-            let x = (rng.below(81) as f64 - 40.0) / 8.0;
-            let y = (rng.below(81) as f64 - 40.0) / 8.0;
-            b.push(x, y, vec![]);
-        }
-        for (x, y) in [
-            (-0.0, 0.0),
-            (0.0, -0.0),
-            (-0.0, -0.0),
-            (1.25, -0.0),
-            (-0.0, 0.5),
-        ] {
-            b.push(x, y, vec![]);
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn size_views_match_a_fresh_instance_bit_for_bit() {
-        let sizes = [
-            RegionSize::new(1.25, 0.5),
-            RegionSize::new(0.375, 2.0),
-            RegionSize::new(3.0, 0.125),
-        ];
-        for seed in [1, 2, 3] {
-            let old = signed_zero_dataset(seed);
-            let xs: Vec<u64> = old.objects().map(|o| o.location.x.to_bits()).collect();
-            for size in sizes {
-                // Some `fl(x − w)` is exactly another object's x ...
-                assert!(old
-                    .objects()
-                    .any(|o| xs.contains(&(o.location.x - size.width).to_bits())));
-                // ... and the full table keeps `-0.0` for its zeros.
-                let fresh = AspInstance::build(&old, size);
-                assert!(bits(fresh.edges().xs()).contains(&(-0.0f64).to_bits()));
-                assert!(!bits(fresh.edges().xs()).contains(&0.0f64.to_bits()));
-            }
-            let mut locations = LocationIndex::of(&old);
-            for size in sizes {
-                assert_view_matches_fresh(&locations, &old, size, usize::MAX);
-            }
-            // Remove every `-0.0` x and two `-0.0` ys, keep a `+0.0` x, and
-            // append a `-0.0` y and another `+0.0` x.
-            let removed: Vec<usize> = old
-                .objects()
-                .enumerate()
-                .filter(|(_, o)| {
-                    let Point { x, y } = o.location;
-                    (x == 0.0 && x.is_sign_negative()) || (y == 0.0 && y.is_sign_negative())
-                })
-                .map(|(pos, _)| pos)
-                .chain([7])
-                .collect();
-            let objects: Vec<SpatialObject> =
-                old.objects()
-                    .enumerate()
-                    .filter(|(pos, _)| !removed.contains(pos))
-                    .map(|(_, o)| o.clone())
-                    .chain([(2.5, -0.0), (0.0, 3.0)].map(|(x, y)| {
-                        SpatialObject::new(10_000 + seed, Point::new(x, y), Vec::new())
-                    }))
-                    .collect();
-            let next = Dataset::new_unchecked(Schema::empty(), objects);
-            let delta = DatasetDelta::between(&old, &next);
-            assert!(delta.removed.len() >= 5);
-            assert!(locations.apply(&next, &delta));
-            assert!(locations.bits_eq(&LocationIndex::of(&next)));
-            for size in sizes {
-                assert_view_matches_fresh(&locations, &next, size, usize::MAX);
-            }
-        }
+        assert!(next.locations.get().is_none(), "the index was patched");
+        let delta = DatasetDelta::between(&old.dataset, &next.dataset);
+        let probes = PassProbes::new(&mut cache, &old, &next, Some(&delta));
+        assert!(probes.locations.bits_eq(&LocationIndex::of(&next.dataset)));
+        // The contribution tables do not depend on the index.
+        assert_eq!(probes.probes.tables.len(), 2);
+        assert!(probes.probes.match_fresh(&next));
     }
 
     /// The exact windowMin the threshold test replaces, on a fresh instance
@@ -1580,7 +983,7 @@ mod tests {
         let window = influence_window(touched, solver.query.size);
         let candidates = solver
             .table
-            .contributing(solver.asp.rects_intersecting(&window));
+            .contributing(rects_intersecting(solver.asp, &window));
         let mut best = BestSet::new(1, Arc::clone(solver.asp.edges()));
         solver
             .search_space(
@@ -1621,7 +1024,8 @@ mod tests {
         let bbox = core.dataset.bounding_box().unwrap();
         let dim = core.aggregator.feature_dim();
         let size = RegionSize::new(bbox.width() * 0.12, bbox.height() * 0.1);
-        let (asp, table) = AspInstance::with_contributions(&core.dataset, &core.aggregator, size);
+        let asp = AspInstance::build(&core.dataset, size);
+        let table = Contributions::of(&core.dataset, &core.aggregator);
         let locations = LocationIndex::of(&core.dataset);
         // A dense target no window reaches easily, and the all-zero target
         // the empty covering matches exactly.
@@ -1642,10 +1046,8 @@ mod tests {
                 aggregator: &core.aggregator,
                 config: &core.config,
                 query: &query,
-                view: SizeView {
-                    locations: &locations,
-                    size,
-                },
+                view: locations.view(size),
+                dataset: &core.dataset,
                 table: &table,
             };
             let mut buffers = WindowBuffers::new(&core.aggregator);
@@ -1681,7 +1083,7 @@ mod tests {
         let window = influence_window(touched, solver.query.size);
         let candidates = solver
             .table
-            .contributing(solver.asp.rects_intersecting(&window));
+            .contributing(rects_intersecting(solver.asp, &window));
         candidates.len() > PROBE_BUDGET
             || window_search(
                 solver,
@@ -1705,22 +1107,22 @@ mod tests {
         seed: u64,
     ) -> (u64, u64) {
         let config = crate::SearchConfig::default();
-        let (asp, table) = AspInstance::with_contributions(dataset, aggregator, query.size);
+        let asp = AspInstance::build(dataset, query.size);
+        let table = Contributions::of(dataset, aggregator);
         let locations = LocationIndex::of(dataset);
         let solver = DsSearch::new(aggregator, &config, 0.0, &asp, &table, query, None);
         let probe = SlotProbe {
             aggregator,
             config: &config,
             query,
-            view: SizeView {
-                locations: &locations,
-                size: query.size,
-            },
+            view: locations.view(query.size),
+            dataset,
             table: &table,
         };
         let mut buffers = WindowBuffers::new(aggregator);
         let best = crate::executor::Executor::new(
             dataset,
+            &Default::default(),
             aggregator,
             &config,
             crate::executor::Slabs::Whole,
@@ -1808,7 +1210,8 @@ mod tests {
             .append(interior(&old, 1_000_005, 0.47, 0.52))
             .unwrap();
         let next = engine.core();
-        let mut probes = PassProbes::new(&mut cache, &old, &next);
+        let delta = DatasetDelta::between(&old.dataset, &next.dataset);
+        let mut probes = PassProbes::new(&mut cache, &old, &next, Some(&delta));
         let dim = next.aggregator.feature_dim();
         let touched: Vec<Point> = next.dataset.objects().map(|o| o.location).collect();
         for &size in &sizes {
@@ -1834,7 +1237,7 @@ mod tests {
                 ));
                 assert!(probes.counts.windows_searched > searched);
             }
-            let fresh = AspInstance::build(&next.dataset, size).accuracy();
+            let (_, fresh) = sorted_table(&next.dataset, size);
             let kept = probes.accuracies[&size_key(size)];
             assert_eq!(
                 (kept.dx.to_bits(), kept.dy.to_bits()),
@@ -1842,110 +1245,6 @@ mod tests {
             );
         }
         assert_eq!(probes.counts.accuracy_scans, sizes.len() as u64);
-    }
-
-    /// A uniform engine whose coordinates are multiples of 1/8, so the
-    /// tests' sizes (multiples of 1/8 too) put some `x − w` exactly on
-    /// another object's x.
-    fn grid_engine(n: usize, seed: u64) -> AsrsEngine {
-        let ds = UniformGenerator::default()
-            .with_quantum(0.125)
-            .generate(n, seed);
-        let agg = CompositeAggregator::builder(ds.schema())
-            .distribution("category", Selection::All)
-            .build()
-            .unwrap();
-        AsrsEngine::builder(ds, agg).shards(2).build().unwrap()
-    }
-
-    fn assert_lookups_match(locations: &LocationIndex, dataset: &Dataset, size: RegionSize) {
-        let asp = AspInstance::build(dataset, size);
-        let mut nonempty = 0;
-        for window in probe_windows(dataset, size) {
-            let expected = asp.rects_intersecting(&window);
-            let found: Vec<u32> = locations
-                .reaching(size, &window)
-                .iter()
-                .map(|e| e.pos)
-                .collect();
-            assert_eq!(found, expected, "{window:?} at {size:?}");
-            nonempty += usize::from(!expected.is_empty());
-        }
-        assert!(nonempty > 0);
-    }
-
-    #[test]
-    fn the_location_index_finds_what_the_rectangle_scan_finds() {
-        let sizes = [
-            RegionSize::new(6.25, 4.5),
-            RegionSize::new(0.3, 0.7),
-            RegionSize::new(17.0, 9.875),
-        ];
-        for seed in [1, 2, 3] {
-            let engine = grid_engine(300, seed);
-            let old = engine.core();
-            // Some object's `x − w` is exactly another object's x.
-            let xs: Vec<u64> = old
-                .dataset
-                .objects()
-                .map(|o| o.location.x.to_bits())
-                .collect();
-            assert!(old
-                .dataset
-                .objects()
-                .any(|o| xs.contains(&(o.location.x - sizes[0].width).to_bits())));
-            let mut locations = LocationIndex::of(&old.dataset);
-            for size in sizes {
-                assert_lookups_match(&locations, &old.dataset, size);
-            }
-            // A removal batch shifts positions; appends (one at an
-            // existing x) extend the tail.
-            let mut twin = interior(&old, 2_000_000 + seed, 0.5, 0.5);
-            twin.location.x = old.dataset.object(30).location.x;
-            let batch = [
-                Mutation::Remove {
-                    id: old.dataset.object(3).id,
-                },
-                Mutation::Remove {
-                    id: old.dataset.object(150).id,
-                },
-                Mutation::Append { object: twin },
-                Mutation::Remove {
-                    id: old.dataset.object(151).id,
-                },
-            ];
-            engine.apply_mutations(&batch).unwrap();
-            let next = engine.core();
-            let delta = DatasetDelta::between(&old.dataset, &next.dataset);
-            assert_eq!(delta.removed, vec![3, 150, 151]);
-            assert!(locations.apply(&next.dataset, &delta));
-            assert!(locations.bits_eq(&LocationIndex::of(&next.dataset)));
-            for size in sizes {
-                assert_lookups_match(&locations, &next.dataset, size);
-            }
-        }
-    }
-
-    /// A seeded splitmix64 stream for the write sequence below.
-    struct Seeded(u64);
-
-    impl Seeded {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        /// A fraction in `[0.1, 0.9)`: an interior position.
-        fn interior(&mut self) -> f64 {
-            0.1 + 0.8 * (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
     }
 
     /// One seeded batch of the property test below: a solo append, a batch
@@ -1996,12 +1295,9 @@ mod tests {
         let w = sizes[0].width;
         let mut cache = probes_of(&core, sizes[0]);
         let mut rng = Seeded(23);
-        let min_x_gap = |cache: &CarryProbes| {
-            let view = SizeView {
-                locations: &cache.objects.as_ref().unwrap().locations,
-                size: sizes[0],
-            };
-            view.accuracy().dx
+        let min_x_gap = || {
+            let core = engine.core();
+            core.locations.get().unwrap().view(sizes[0]).accuracy().dx
         };
         let mut passes = 0;
         let mut step_through = |cache: &mut CarryProbes, old: &EngineCore| {
@@ -2074,8 +1370,8 @@ mod tests {
             engine.apply_mutations(&batch).unwrap();
             step_through(&mut cache, &old);
             match step {
-                21 => assert!(min_x_gap(&cache) < 1e-8),
-                22 => assert!(min_x_gap(&cache) > 1e-8),
+                21 => assert!(min_x_gap() < 1e-8),
+                22 => assert!(min_x_gap() > 1e-8),
                 _ => {}
             }
         }

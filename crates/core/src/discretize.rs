@@ -463,7 +463,10 @@ mod tests {
             FeatureVector::new(vec![1.0, 1.0]),
             Weights::uniform(2),
         );
-        let (asp, table) = AspInstance::with_contributions(&ds, &agg, query.size);
+        let (asp, table) = (
+            AspInstance::build(&ds, query.size),
+            Contributions::of(&ds, &agg),
+        );
         Fixture {
             ds,
             agg,

@@ -1,6 +1,6 @@
 //! The DS-Search algorithm (Algorithm 1, Sections 4.2–4.6).
 
-use crate::asp::{AspInstance, Contributions};
+use crate::asp::{AspInstance, Contributions, RectObject};
 use crate::best::BestSet;
 use crate::budget::Budget;
 use crate::config::SearchConfig;
@@ -327,7 +327,7 @@ impl<'a> DsSearch<'a> {
         debug_assert!(cells
             .windows(2)
             .all(|w| (w[0].row, w[0].col) < (w[1].row, w[1].col)));
-        let (table, query) = (self.table, self.query);
+        let (table, query, bounds) = (self.table, self.query, self.bounds());
         let rects = self.asp.rects();
         let Scratch {
             edges,
@@ -389,7 +389,7 @@ impl<'a> DsSearch<'a> {
             // Split the cell's candidates into rectangles fully covering it
             // (their contribution is shared by every probe) and rectangles
             // merely crossing it, whose x-edges cut the cell into strips.
-            self.split_base(&rect, list, bound, partial);
+            bounds.split_base(&rect, list, bound, partial);
             xs.clear();
             xs.extend([rect.min_x, rect.max_x]);
             for &idx in partial.iter() {
@@ -414,7 +414,7 @@ impl<'a> DsSearch<'a> {
                 // over `(base, base + Σ active)` bounds all of them.  The
                 // raw cutoff, not the (1+δ)-relaxed one: a skipped strip
                 // holds no candidate the set would accept.
-                if self.bound_with(bound, active) > best.cutoff() {
+                if bounds.bound_with(bound, active) > best.cutoff() {
                     continue;
                 }
                 // Only the active rectangles change the covering along the
@@ -464,6 +464,31 @@ impl<'a> DsSearch<'a> {
         Ok(())
     }
 
+    /// What Equation 1 reads of this solver.
+    fn bounds(&self) -> Bounds<'a> {
+        Bounds {
+            aggregator: self.aggregator,
+            query: self.query,
+            rects: self.asp.rects(),
+            table: self.table,
+        }
+    }
+}
+
+/// What the Equation-1 bound reads: the aggregator and query, and the
+/// rectangles and statistics rows of the candidates it sums.  The kernel
+/// bounds its cells and strips over its instance's; the carry pass bounds
+/// an influence window over the window's candidates before it builds an
+/// instance of them.
+#[derive(Clone, Copy)]
+pub(crate) struct Bounds<'a> {
+    pub(crate) aggregator: &'a CompositeAggregator,
+    pub(crate) query: &'a AsrsQuery,
+    pub(crate) rects: &'a [RectObject],
+    pub(crate) table: &'a Contributions,
+}
+
+impl Bounds<'_> {
     /// The Equation-1 bound of `space` taken as one cell, over its
     /// contributing `candidates`: no candidate anchored inside `space`
     /// has a smaller distance.  The base is the candidates whose rectangle
@@ -493,7 +518,7 @@ impl<'a> DsSearch<'a> {
         sums: &mut BoundSums,
         partial: &mut Vec<u32>,
     ) {
-        let rects = self.asp.rects();
+        let rects = self.rects;
         sums.base.reset();
         partial.clear();
         for &idx in candidates {
@@ -579,7 +604,7 @@ mod tests {
         query: &AsrsQuery,
         k: usize,
     ) -> Result<Vec<SearchResult>, AsrsError> {
-        Executor::new(ds, agg, &config, Slabs::Whole).run(query, k, 0.0, None)
+        Executor::new(ds, &Default::default(), agg, &config, Slabs::Whole).run(query, k, 0.0, None)
     }
 
     /// The best region by DS-Search over the whole space.
@@ -600,7 +625,7 @@ mod tests {
         query: &AsrsQuery,
         delta: f64,
     ) -> Result<SearchResult, AsrsError> {
-        Executor::new(ds, agg, &config, Slabs::Whole).best(query, delta, None)
+        Executor::new(ds, &Default::default(), agg, &config, Slabs::Whole).best(query, delta, None)
     }
 
     fn fig2_dataset() -> Dataset {
@@ -934,7 +959,10 @@ mod tests {
         for seed in 1..=6 {
             for max_rs in [true, false] {
                 let (ds, agg, query) = clustered(seed, max_rs);
-                let (asp, table) = AspInstance::with_contributions(&ds, &agg, query.size);
+                let (asp, table) = (
+                    AspInstance::build(&ds, query.size),
+                    Contributions::of(&ds, &agg),
+                );
                 let solver = DsSearch::new(&agg, &config, 0.0, &asp, &table, &query, None);
                 let candidates = table.contributing(asp.all_rect_indices());
                 for k in [1, 4] {

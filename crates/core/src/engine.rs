@@ -44,6 +44,7 @@
 //! assert!(response.best().unwrap().distance <= 1e-9);
 //! ```
 
+use crate::asp::LazyLocations;
 use crate::budget::Budget;
 use crate::cache::{CacheStats, QueryCache};
 use crate::config::SearchConfig;
@@ -320,6 +321,7 @@ impl EngineBuilder {
             statistics,
             cache,
             shards,
+            locations: LazyLocations::default(),
         }))
     }
 
@@ -432,6 +434,11 @@ pub(crate) struct EngineCore {
     /// Shard table of a sharded engine (see [`EngineBuilder::shards`] and
     /// the internal `shard` module); `None` on single engines.
     pub(crate) shards: Option<ShardSet>,
+    /// The dataset's location index, which every cold search and carry
+    /// pass takes its ASP instances' edges, accuracy and rectangle lookups
+    /// from: built by the first that needs it, or inherited from the
+    /// predecessor through a publish (see the `asp` module).
+    pub(crate) locations: LazyLocations,
 }
 
 /// The shared state behind every clone of an [`AsrsEngine`]: the current
@@ -632,6 +639,7 @@ impl EngineCore {
         };
         Ok(Executor::new(
             &self.dataset,
+            &self.locations,
             &self.aggregator,
             &self.config,
             slabs,
@@ -1735,5 +1743,69 @@ mod tests {
             .sum();
         assert_eq!(response.stats.spaces_processed, singles);
         assert!(matches!(response.outcome, QueryOutcome::Batch(ref r) if r.len() == 3));
+    }
+
+    /// Whether the current generation holds a location index, and if so
+    /// whether it equals a fresh build of its dataset.
+    fn located(engine: &AsrsEngine) -> Option<bool> {
+        let core = engine.core();
+        core.locations
+            .get()
+            .map(|index| index.bits_eq(&crate::asp::LocationIndex::of(&core.dataset)))
+    }
+
+    #[test]
+    fn the_location_index_is_built_by_the_first_miss_and_patched_by_each_publish() {
+        let (ds, agg) = setup(300, 21);
+        let engine = AsrsEngine::builder(ds.clone(), agg.clone())
+            .cache_capacity(16)
+            .build()
+            .unwrap();
+        assert_eq!(located(&engine), None, "a build materialises no index");
+        let restored = AsrsEngine::builder(ds.clone(), agg)
+            .build_restored(engine.export_state())
+            .unwrap();
+        assert_eq!(located(&restored), None, "a restore materialises no index");
+        // A publish before any miss leaves the successor lazy.
+        engine.append(object_at(&ds, 90_000, 30.0, 40.0)).unwrap();
+        assert_eq!(located(&engine), None);
+        // The first miss builds it ...
+        similar(&engine, &query()).unwrap();
+        assert_eq!(located(&engine), Some(true));
+        // ... and each publish after it hands the successor the index
+        // patched by the batch: a solo append,
+        engine.append(object_at(&ds, 90_001, 60.0, 20.0)).unwrap();
+        assert_eq!(located(&engine), Some(true));
+        // a removal,
+        engine.remove(engine.dataset().object(17).id).unwrap();
+        assert_eq!(located(&engine), Some(true));
+        // a TTL expiry (and the append that armed it),
+        engine
+            .append_with_ttl(object_at(&ds, 90_002, 50.0, 50.0), Duration::ZERO)
+            .unwrap();
+        assert_eq!(located(&engine), Some(true));
+        assert_eq!(engine.sweep_expired().unwrap().len(), 1);
+        assert_eq!(located(&engine), Some(true));
+        // and a mixed batch of 16.
+        let dataset = engine.dataset();
+        let mixed: Vec<Mutation> = (0..16u64)
+            .map(|k| match k % 4 {
+                0 => Mutation::Remove {
+                    id: dataset.object(40 + 7 * k as usize).id,
+                },
+                _ => Mutation::Append {
+                    object: object_at(
+                        &ds,
+                        91_000 + k,
+                        5.0 * k as f64 + 10.0,
+                        85.0 - 5.0 * k as f64,
+                    ),
+                },
+            })
+            .collect();
+        let generation = engine.core().generation;
+        engine.apply_mutations(&mixed).unwrap();
+        assert_eq!(engine.core().generation, generation + 1);
+        assert_eq!(located(&engine), Some(true));
     }
 }

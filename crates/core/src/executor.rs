@@ -3,8 +3,10 @@
 //! DS-Search (Algorithm 1) and GI-DS (Algorithm 2) are one discretize–split
 //! kernel, [`DsSearch`], run over different sets of sub-spaces; the shard
 //! scatter is a third such set.  The executor validates a request, builds
-//! its ASP instance and contribution table once, seeds the empty region and
-//! runs the kernel over the sub-spaces its [`Slabs`] plan names:
+//! its ASP instance and contribution table once — the instance's edge
+//! table, accuracy and slab lookups come from a view of the generation's
+//! location index (see the `asp` module) — seeds the empty region and runs
+//! the kernel over the sub-spaces its [`Slabs`] plan names:
 //!
 //! * [`Slabs::Whole`] — the whole ASP space, one slab (DS-Search, and MaxRS
 //!   on an unsharded engine);
@@ -22,7 +24,7 @@
 //! and MaxRS requests (the count reduction of the `maxrs` module) all run
 //! through [`Executor::run`].
 
-use crate::asp::AspInstance;
+use crate::asp::{AspInstance, LazyLocations};
 use crate::best::BestSet;
 use crate::budget::Budget;
 use crate::config::SearchConfig;
@@ -54,25 +56,29 @@ pub(crate) enum Slabs<'a> {
     Arrangement,
 }
 
-/// One request's executor: the instance's data, the discretisation grid
-/// and the slab plan.
+/// One request's executor: the instance's data and its location index,
+/// the discretisation grid and the slab plan.
 pub(crate) struct Executor<'a> {
     dataset: &'a Dataset,
+    locations: &'a LazyLocations,
     aggregator: &'a CompositeAggregator,
     config: &'a SearchConfig,
     slabs: Slabs<'a>,
 }
 
 impl<'a> Executor<'a> {
-    /// An executor over `slabs`.
+    /// An executor over `slabs`; `locations` is `dataset`'s index, built
+    /// by the first search that needs it.
     pub(crate) fn new(
         dataset: &'a Dataset,
+        locations: &'a LazyLocations,
         aggregator: &'a CompositeAggregator,
         config: &'a SearchConfig,
         slabs: Slabs<'a>,
     ) -> Self {
         Self {
             dataset,
+            locations,
             aggregator,
             config,
             slabs,
@@ -91,7 +97,8 @@ impl<'a> Executor<'a> {
     /// [`AsrsError::Query`] when the query does not match the aggregator,
     /// [`AsrsError::InvalidTopK`] when `k` is zero, and
     /// [`AsrsError::DeadlineExceeded`] once `budget` is spent (it is polled
-    /// at every opened index cell and every sub-space the kernel pops).
+    /// before and after the instance build, at every opened index cell and
+    /// at every sub-space the kernel pops).
     pub(crate) fn run(
         &self,
         query: &AsrsQuery,
@@ -111,8 +118,13 @@ impl<'a> Executor<'a> {
                 .search_top_k_within(query, k, budget);
         }
         let started = Instant::now();
-        let (asp, table) =
-            AspInstance::with_contributions(self.dataset, self.aggregator, query.size);
+        let view = self.locations.of(self.dataset).view(query.size);
+        let (asp, table) = AspInstance::with_contributions(self.dataset, self.aggregator, view);
+        // The build (a generation's first search builds the location index
+        // too) can outlast a small budget before the kernel's first poll.
+        if let Some(b) = budget {
+            b.check()?;
+        }
         let mut stats = SearchStats {
             rectangles: asp.rects().len() as u64,
             ..SearchStats::default()
@@ -141,9 +153,11 @@ impl<'a> Executor<'a> {
                 }
             }
             Slabs::IndexCells(index) => {
-                crate::gi_ds::search_index_cells(&solver, index, &mut best, &mut stats)?
+                crate::gi_ds::search_index_cells(&solver, view, index, &mut best, &mut stats)?
             }
-            Slabs::Shards(shards) => crate::shard::scatter(&solver, shards, &mut best, &mut stats)?,
+            Slabs::Shards(shards) => {
+                crate::shard::scatter(&solver, view, shards, &mut best, &mut stats)?
+            }
             // Answered by the oracle above.
             Slabs::Arrangement => {}
         }
@@ -205,6 +219,8 @@ impl<'a> Executor<'a> {
         for query in queries {
             query.validate(self.aggregator)?;
         }
+        // Built once before the workers start, rather than by each of them.
+        self.locations.of(self.dataset);
         let workers = match self.slabs {
             Slabs::Shards(_) => 1,
             _ => std::thread::available_parallelism().map_or(1, |n| n.get()),

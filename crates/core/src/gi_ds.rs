@@ -10,7 +10,7 @@
 //! [`Slabs::IndexCells`](crate::executor::Slabs) plan of the engine's
 //! executor.
 
-use crate::asp::{AspInstance, Contributions};
+use crate::asp::{AspInstance, Contributions, SizeView};
 use crate::best::BestSet;
 use crate::ds_search::DsSearch;
 use crate::error::AsrsError;
@@ -47,12 +47,14 @@ impl Ord for CellEntry {
 }
 
 /// Runs `solver` over the index's slabs into `best`: the margins outside
-/// the index grid unconditionally, then the index cells best-first by
-/// their lower bound until no cell can improve the result (or improve it
-/// by more than the (1+δ) factor).  The budget is polled at every opened
-/// index cell as well as inside the kernel.
+/// the index grid (whose rectangles `view` finds) unconditionally, then
+/// the index cells best-first by their lower bound until no cell can
+/// improve the result (or improve it by more than the (1+δ) factor).  The
+/// budget is polled at every opened index cell as well as inside the
+/// kernel.
 pub(crate) fn search_index_cells(
     solver: &DsSearch<'_>,
+    view: SizeView<'_>,
     index: &GridIndex,
     best: &mut BestSet,
     stats: &mut SearchStats,
@@ -72,7 +74,7 @@ pub(crate) fn search_index_cells(
     //    unconditionally; the margin is at most one query width tall or
     //    wide, so this is cheap.
     for margin in margin_spaces(&space, spec.space()) {
-        let candidates = table.contributing(asp.rects_intersecting(&margin));
+        let candidates = table.contributing(view.reaching(&margin));
         solver.search_space(margin, candidates, best, stats, &mut scratch)?;
     }
 
@@ -218,7 +220,14 @@ mod tests {
         slabs: Slabs<'_>,
         query: &AsrsQuery,
     ) -> Result<SearchResult, AsrsError> {
-        Executor::new(ds, agg, &SearchConfig::default(), slabs).best(query, delta, None)
+        Executor::new(
+            ds,
+            &Default::default(),
+            agg,
+            &SearchConfig::default(),
+            slabs,
+        )
+        .best(query, delta, None)
     }
 
     #[test]

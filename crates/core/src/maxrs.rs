@@ -100,8 +100,14 @@ mod tests {
             .count(Selection::All)
             .build()
             .unwrap();
-        Executor::new(ds, &count, &SearchConfig::default(), Slabs::Whole)
-            .max_rs(size, &selection, None)
+        Executor::new(
+            ds,
+            &Default::default(),
+            &count,
+            &SearchConfig::default(),
+            Slabs::Whole,
+        )
+        .max_rs(size, &selection, None)
     }
 
     #[test]

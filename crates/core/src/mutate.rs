@@ -71,6 +71,7 @@
 //! space no stale entry can inhabit, and superseded entries age out
 //! through LRU eviction.
 
+use crate::asp::DatasetDelta;
 use crate::engine::{EngineCore, EngineShared, IndexUpkeep};
 use crate::error::AsrsError;
 use crate::grid_index::GridIndex;
@@ -175,9 +176,9 @@ pub(crate) struct MutationState {
     ttl_token: u64,
     incremental_updates: u64,
     index_rebuilds: u64,
-    /// The size-independent probe tables the carry-forward pass patches
-    /// and reuses across publishes (see [`carry`](crate::carry));
-    /// mutator-guarded like the rest of this state.
+    /// The contribution tables the carry-forward pass patches and reuses
+    /// across publishes (see [`carry`](crate::carry)); mutator-guarded
+    /// like the rest of this state.
     carry_probes: crate::carry::CarryProbes,
 }
 
@@ -632,6 +633,10 @@ struct AssembledBatch {
     /// influence-window inputs of the cache carry-forward pass
     /// (see [`carry`](crate::carry)).
     touched: Vec<Point>,
+    /// How the batch turned the predecessor's dataset into the
+    /// successor's, derived when the predecessor's location index was
+    /// built: it patches that index and the carry's contribution tables.
+    delta: Option<DatasetDelta>,
 }
 
 /// What a published (or failed) batch hands back: the sweep expiries' own
@@ -772,7 +777,13 @@ fn publish(
     // moved; that is an ordinary cold miss, never a stale hit.  The
     // mutation mutex is held throughout, so two publishes cannot re-stamp
     // one generation's entries concurrently.
-    crate::carry::carry_forward(&core, &next, &assembled.touched, &mut state.carry_probes);
+    crate::carry::carry_forward(
+        &core,
+        &next,
+        &assembled.touched,
+        assembled.delta.as_ref(),
+        &mut state.carry_probes,
+    );
     shared.swap(Arc::clone(&next));
     for logged in &assembled.logged {
         match logged {
@@ -951,6 +962,9 @@ fn assemble(
         shards.as_ref(),
     )?;
 
+    // The successor inherits the predecessor's location index, patched by
+    // the batch, when a search or carry pass built it.
+    let (locations, delta) = core.locations.successor(&core.dataset, &dataset);
     let next = EngineCore {
         generation,
         dataset: Arc::new(dataset),
@@ -962,6 +976,7 @@ fn assemble(
         statistics,
         cache: core.cache.clone(),
         shards,
+        locations,
     };
     // Debug builds audit every assembled successor before it publishes:
     // the whole mutation-parity and persistence-recovery suites therefore
@@ -983,6 +998,7 @@ fn assemble(
         ttl_events,
         counters,
         touched,
+        delta,
     })
 }
 

@@ -178,9 +178,15 @@ mod tests {
                 Weights::uniform(4),
             );
             let naive = NaiveSearch::new(&ds, &agg).search(&query).unwrap();
-            let ds_result = Executor::new(&ds, &agg, &SearchConfig::default(), Slabs::Whole)
-                .best(&query, 0.0, None)
-                .unwrap();
+            let ds_result = Executor::new(
+                &ds,
+                &Default::default(),
+                &agg,
+                &SearchConfig::default(),
+                Slabs::Whole,
+            )
+            .best(&query, 0.0, None)
+            .unwrap();
             assert!(
                 (naive.distance - ds_result.distance).abs() < 1e-9,
                 "seed {seed}: naive {} vs DS {}",

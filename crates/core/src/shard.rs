@@ -59,7 +59,7 @@
 //! shard-count-invariant.  The unsharded engine prunes them against the
 //! (1+δ) band.
 
-use crate::asp::AspInstance;
+use crate::asp::{AspInstance, SizeView};
 use crate::best::BestSet;
 use crate::ds_search::DsSearch;
 use crate::error::AsrsError;
@@ -170,8 +170,9 @@ fn slab_for(region: &Rect, asp: &AspInstance) -> Option<Rect> {
 }
 
 /// Scatters one search over the anchor slabs of `shards` and gathers the
-/// answers into `best` (see the module documentation for the guarantees).
-/// `best` holds the empty-region seed.
+/// answers into `best` (see the module documentation for the guarantees);
+/// `view` finds the rectangles that reach each slab.  `best` holds the
+/// empty-region seed.
 ///
 /// Runs shard tasks on up to `available_parallelism` threads; with a
 /// single worker the tasks share `best`, so the cutoff found in an early
@@ -180,6 +181,7 @@ fn slab_for(region: &Rect, asp: &AspInstance) -> Option<Rect> {
 /// the final cutoff, whatever the cutoff trajectory.
 pub(crate) fn scatter(
     solver: &DsSearch<'_>,
+    view: SizeView<'_>,
     shards: &ShardSet,
     best: &mut BestSet,
     stats: &mut SearchStats,
@@ -201,7 +203,7 @@ pub(crate) fn scatter(
         let Some(slab) = slab_for(region, asp) else {
             continue;
         };
-        let candidates = table.contributing(asp.rects_intersecting(&slab));
+        let candidates = table.contributing(view.reaching(&slab));
         if candidates.is_empty() {
             if empty_distance <= best.cutoff() {
                 best.offer_region(empty_distance, &slab, empty_rep.clone());

@@ -54,17 +54,6 @@ impl Accuracy {
         Self::from_min_gaps(min_positive_gap(xs), min_positive_gap(ys), floor)
     }
 
-    /// [`Accuracy::from_edge_coordinates`] over edge coordinates already in
-    /// ascending order (duplicates allowed): one linear scan per axis
-    /// instead of a sort, with the same result bit for bit.
-    pub fn from_sorted_edge_coordinates(xs: &[f64], ys: &[f64], floor: Accuracy) -> Self {
-        Self::from_min_gaps(
-            min_positive_gap_sorted(xs.iter().copied()),
-            min_positive_gap_sorted(ys.iter().copied()),
-            floor,
-        )
-    }
-
     /// The estimate from each axis's smallest positive edge gap (`None`
     /// when an axis has fewer than two distinct finite edges), floored at
     /// `floor`: what [`Accuracy::from_edge_coordinates`] reports for edges
