@@ -364,7 +364,7 @@ mod tests {
         for (shards, index, cache) in [
             (0, false, 0),
             (0, true, 16),
-            (1, true, 16),
+            (2, true, 16),
             (3, true, 0),
             (4, false, 8),
         ] {

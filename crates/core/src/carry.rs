@@ -66,23 +66,23 @@
 //! interval, so a competitor ordered after a reported anchor stays after
 //! it unless the reported anchor's own interval split — which R4 rejects.
 //!
-//! Batch-level gates: only sharded cores carry — the byte-identity
-//! guarantee the predicate leans on is stated and tested for the shard
-//! scatter; bounding-box movement rejects the whole batch (the search
-//! space itself moved).  Top-k responses carry only when
-//! the ranking is full (`len == k`), since a short ranking can be extended
-//! by a candidate *worse* than every reported distance.  MaxRS responses
+//! The predicate is a property of the instance, not of how a plan splits
+//! it: every exact plan gives the same outcome, so every engine with a
+//! cache carries, sharded or not.  Batch-level gate: bounding-box movement
+//! rejects the whole batch (the search space itself moved).  Top-k
+//! responses carry only when the ranking is full (`len == k`), since a
+//! short ranking can be extended by a candidate *worse* than every
+//! reported distance.  MaxRS responses
 //! carry through their ASRS reduction (count aggregator, target above the
 //! cardinality): the reduction shifts every candidate's distance by the
 //! same amount when the cardinality changes, so order is preserved and the
 //! same R2–R4 obligations apply with the cutoff `target − count`.
-//! Approximate responses carry exactly like similar-region ones, because
-//! a sharded core answers them with the exact scatter (δ is validated,
-//! then forced to zero): the stored response is what `Similar` would
-//! compute, so R1–R4 apply verbatim.  The approximate arm checks the
-//! sharded gate itself, so it cannot become unsound if unsharded cores,
-//! whose (1+δ) pruning lets candidates far from the cutoff steer the
-//! answer, ever carry.
+//! Approximate responses carry exactly like similar-region ones where the
+//! successor's executor [answers them exactly](crate::executor::Executor::answers_exactly)
+//! (the shard scatter and the oracle): the stored response is what
+//! `Similar` would compute, so R1–R4 apply verbatim.  Elsewhere (1+δ)
+//! pruning lets candidates far from the cutoff steer the answer, and the
+//! entry is rejected.
 //!
 //! Residual risk — an exact f64 distance tie at `d_max` whose tie-break
 //! winner migrates between arrangement cells outside every window — is
@@ -195,13 +195,11 @@ fn restamp(
     delta: Option<&DatasetDelta>,
     probes: &mut CarryProbes,
 ) -> CarryPassCounts {
-    // Canonical sharded cores only: the soundness argument is built on the
-    // shard scatter's decomposition-independence guarantee.  A moved
-    // bounding box changes the search space wholesale — reject the entire
-    // batch.
-    if next.shards.is_none() || touched.is_empty() {
+    if touched.is_empty() {
         return CarryPassCounts::default();
     }
+    // A moved bounding box changes the search space wholesale — reject the
+    // entire batch.
     if !rects_bit_equal(old.dataset.bounding_box(), next.dataset.bounding_box()) {
         return CarryPassCounts::default();
     }
@@ -251,12 +249,10 @@ fn entry_survives(
             slot_survives(next, query, std::slice::from_ref(result), touched, probes)
         }
         (QueryRequest::Approximate { query, .. }, QueryOutcome::Best(result)) => {
-            // Sound only where the executor answers it exactly: a sharded
-            // core forces δ to zero, so the stored response is the
-            // similar-region answer.  Unsharded backends prune against the
-            // (1+δ) band, where candidates far from the cutoff can steer
-            // the reported answer.
-            next.shards.is_some()
+            // Sound only where the executor answers it exactly, so the
+            // stored response is the similar-region answer; (1+δ) pruning
+            // lets candidates far from the cutoff steer the reported one.
+            next.executor(&plan).is_ok_and(|e| e.answers_exactly())
                 && slot_survives(next, query, std::slice::from_ref(result), touched, probes)
         }
         (QueryRequest::TopK { query, k }, QueryOutcome::Ranked(ranked)) => {

@@ -130,7 +130,7 @@ pub struct EngineBuilder {
     index: IndexSpec,
     planner: Planner,
     cache_capacity: usize,
-    shards: usize,
+    shards: Option<usize>,
 }
 
 impl EngineBuilder {
@@ -142,7 +142,7 @@ impl EngineBuilder {
             index: IndexSpec::None,
             planner: Planner::default(),
             cache_capacity: 0,
-            shards: 0,
+            shards: None,
         }
     }
 
@@ -167,13 +167,12 @@ impl EngineBuilder {
     /// The regions are fixed for the engine's lifetime: every point of the
     /// plane routes to exactly one of them, so mutations never re-partition.
     ///
-    /// `0` (the default) disables sharding entirely — the classic
-    /// single-core engine.  Note that `shards(1)` is *not* the same as
-    /// `0`: it runs the shard scatter with a single shard, which is the
-    /// parity baseline the other counts are byte-compared against; only
-    /// sharded engines carry cache entries across mutations.
+    /// `0` (the default) and `1` build the unsharded engine, whose
+    /// [`AsrsEngine::shard_count`] is `0`: one shard would be the whole
+    /// plane.  Sharded or not, an engine with a cache carries the entries a
+    /// mutation provably leaves unchanged to the next generation.
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
+        self.shards = (n > 1).then_some(n);
         self
     }
 
@@ -247,7 +246,7 @@ impl EngineBuilder {
             // A sharded engine builds no index (see `IndexUpkeep::Virtual`);
             // its virtual statistics refuse exactly the inputs a build
             // would.
-            IndexSpec::Build { cols, rows } if self.shards > 0 => {
+            IndexSpec::Build { cols, rows } if self.shards.is_some() => {
                 IndexStatistics::virtual_for(&self.dataset, cols, rows)?;
                 None
             }
@@ -270,7 +269,7 @@ impl EngineBuilder {
     fn upkeep(&self) -> IndexUpkeep {
         match &self.index {
             IndexSpec::None => IndexUpkeep::None,
-            IndexSpec::Build { cols, rows } if self.shards > 0 => IndexUpkeep::Virtual {
+            IndexSpec::Build { cols, rows } if self.shards.is_some() => IndexUpkeep::Virtual {
                 cols: *cols,
                 rows: *rows,
             },
@@ -306,7 +305,7 @@ impl EngineBuilder {
         index: Option<Arc<GridIndex>>,
         upkeep: IndexUpkeep,
     ) -> Result<AsrsEngine, AsrsError> {
-        let shards = (self.shards > 0).then(|| ShardSet::build(&dataset, self.shards));
+        let shards = self.shards.map(|n| ShardSet::build(&dataset, n));
         let statistics = capture_statistics(&dataset, index.as_deref(), upkeep, shards.as_ref())?;
         let cache =
             (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
@@ -625,8 +624,9 @@ impl EngineCore {
     /// grid.  The naive oracle runs whenever the plan names it, pinned or
     /// planned, so the reported backend is the one that ran.  Otherwise a
     /// sharded core scatters over its anchor slabs whatever backend the
-    /// plan reports, and answers exactly (δ included in that guarantee).
-    fn executor(&self, plan: &ExecutionPlan) -> Result<Executor<'_>, AsrsError> {
+    /// plan reports.  The carry asks the executor this picks whether it
+    /// [answers approximate requests exactly](Executor::answers_exactly).
+    pub(crate) fn executor(&self, plan: &ExecutionPlan) -> Result<Executor<'_>, AsrsError> {
         let slabs = match (&self.shards, plan.backend) {
             (_, Backend::Naive) => Slabs::Arrangement,
             (Some(shards), _) => Slabs::Shards(shards),
@@ -861,8 +861,8 @@ impl AsrsEngine {
         crate::audit::audit_shared(&self.shared)
     }
 
-    /// Number of shards of a sharded engine, `0` for a single engine (see
-    /// [`EngineBuilder::shards`]).
+    /// Number of shards of a sharded engine, `0` for the unsharded one
+    /// (see [`EngineBuilder::shards`]).
     pub fn shard_count(&self) -> usize {
         self.core().shards.as_ref().map_or(0, |s| s.len())
     }
@@ -1403,10 +1403,15 @@ mod tests {
         assert_eq!(before, warm);
         assert_eq!(engine.cache_stats().unwrap().hits, 1);
 
-        // Mutate: the very point the optimum sat on may change; whatever
-        // the answer now is, it must come from generation 1, not from the
-        // generation-0 cache entry.
-        engine.append(object_at(&ds, 9000, 17.0, 16.0)).unwrap();
+        // Mutate inside the reported region: the answer may change, so the
+        // carry must not keep the generation-0 entry, and whatever the
+        // answer now is, it must come from generation 1.
+        let region = before.best().unwrap().region;
+        let (x, y) = (
+            (region.min_x + region.max_x) / 2.0,
+            (region.min_y + region.max_y) / 2.0,
+        );
+        engine.append(object_at(&ds, 9000, x, y)).unwrap();
         let after = engine.submit(&req).unwrap();
         let rebuilt = AsrsEngine::builder((*engine.dataset()).clone(), agg)
             .build_index(16, 16)
@@ -1418,6 +1423,7 @@ mod tests {
             "a post-mutation submission must reflect the new generation"
         );
         let stats = engine.cache_stats().unwrap();
+        assert_eq!(stats.carried_forward, 0, "{stats:?}");
         assert_eq!(
             stats.hits, 1,
             "the post-mutation submission must not hit the stale entry"

@@ -85,12 +85,17 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Whether approximate requests are answered exactly (δ = 0): the oracle
+    /// has no δ, and the scatter forces it to zero because relaxed pruning
+    /// is trajectory-dependent (see the `shard` module).  The carry reads it.
+    pub(crate) fn answers_exactly(&self) -> bool {
+        matches!(self.slabs, Slabs::Shards(_) | Slabs::Arrangement)
+    }
+
     /// The `k` best candidate regions with pairwise distinct anchors, best
     /// first; fewer when the instance has fewer distinct candidates.
-    /// Pruning is relaxed for the (1+`delta`)-approximate problem, except
-    /// on a shard scatter, which answers exactly: relaxed pruning is
-    /// trajectory-dependent, so δ is forced to zero there (see the `shard`
-    /// module).
+    /// Pruning is relaxed for the (1+`delta`)-approximate problem unless
+    /// the executor [answers exactly](Executor::answers_exactly).
     ///
     /// # Errors
     ///
@@ -129,10 +134,7 @@ impl<'a> Executor<'a> {
             rectangles: asp.rects().len() as u64,
             ..SearchStats::default()
         };
-        let delta = match self.slabs {
-            Slabs::Shards(_) => 0.0,
-            _ => delta,
-        };
+        let delta = if self.answers_exactly() { 0.0 } else { delta };
         let solver = DsSearch::new(
             self.aggregator,
             self.config,

@@ -98,7 +98,8 @@
 //! The end-to-end guarantee, enforced by
 //! `tests/mutation_parity.rs`: after any mutation sequence, responses are
 //! **byte-identical** to those of a fresh engine rebuilt from the
-//! equivalent final dataset, for shard counts {1, 2, 4}, cache enabled.
+//! equivalent final dataset, unsharded and at 2 and 4 shards, cache
+//! enabled.
 //!
 //! # The engine facade
 //!

@@ -52,9 +52,9 @@
 //! maintenance a sequence of solo mutations would run, so batching never
 //! changes answers.  `tests/mutation_parity.rs` enforces the consequence
 //! end-to-end: query responses from a mutated engine are byte-identical to
-//! a fresh engine rebuilt from the equivalent final dataset, for shard
-//! counts {1, 2, 4}, cache enabled — batched and sequential application
-//! alike.
+//! a fresh engine rebuilt from the equivalent final dataset, unsharded
+//! and at 2 and 4 shards, cache enabled — batched and sequential
+//! application alike.
 //!
 //! Sharded engines keep no per-shard state beyond an object count per
 //! region: a mutation routes the object's location to the one region that

@@ -23,7 +23,7 @@ pub struct EngineStatistics {
     /// Statistics of the attached grid index, if any.  For a sharded
     /// engine this describes the *reference* (whole-dataset) index
     /// geometry, deliberately independent of the shard count so identical
-    /// requests plan identically on `shards(1)` and `shards(k)`.
+    /// requests plan identically for every shard count.
     pub index: Option<IndexStatistics>,
     /// Shard fan-out of a sharded engine (`None` on single engines).
     /// Descriptive only: the backend decision never reads it, again so

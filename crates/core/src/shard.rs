@@ -3,10 +3,10 @@
 //!
 //! # Topology
 //!
-//! [`EngineBuilder::shards(n)`](crate::EngineBuilder::shards) partitions
-//! the plane around the dataset (longest-axis recursive splits at
-//! object-count medians, outer edges unbounded, see
-//! [`SpatialPartition`]) into `n` disjoint regions.  A shard is nothing
+//! [`EngineBuilder::shards(n)`](crate::EngineBuilder::shards), `n ≥ 2`,
+//! partitions the plane around the dataset (longest-axis recursive splits
+//! at object-count medians, outer edges unbounded, see [`SpatialPartition`])
+//! into `n` disjoint regions (`n ≤ 1` is unsharded).  A shard is nothing
 //! more than its region, the number of objects the region owns, and a
 //! serving counter: there is no per-shard dataset or index.  A request is
 //! *scattered*: each shard searches the anchor slab induced by its region
@@ -57,7 +57,8 @@
 //! relaxes pruning, and relaxed pruning is trajectory-dependent);
 //! exact answers trivially satisfy the (1+δ) guarantee and stay
 //! shard-count-invariant.  The unsharded engine prunes them against the
-//! (1+δ) band.
+//! (1+δ) band.  The cache carry reads the same rule
+//! ([`Executor::answers_exactly`](crate::executor::Executor::answers_exactly)).
 
 use crate::asp::{AspInstance, SizeView};
 use crate::best::BestSet;

@@ -1,7 +1,7 @@
 //! Sharded scatter-gather serving in five steps.
 //!
-//! Builds the same engine twice — single-shard baseline and 4-way sharded
-//! — submits an identical mixed workload to both, and shows the parity
+//! Builds the same engine twice — unsharded baseline and 4-way sharded —
+//! submits an identical mixed workload to both, and shows the parity
 //! guarantee: stripped responses are byte-identical, while the statistics
 //! report the actual scatter fan-out.
 //!
@@ -19,9 +19,8 @@ fn main() {
         .build()
         .expect("schema has day_of_week");
 
-    // 2. The parity baseline: the shard scatter with ONE shard.
+    // 2. The parity baseline: the unsharded engine.
     let baseline = AsrsEngine::builder(dataset.clone(), aggregator.clone())
-        .shards(1)
         .build_index(24, 24)
         .build()
         .expect("baseline builds");

@@ -4,7 +4,7 @@
 //! interleaving of appends, removals, TTL expiries and queries, the
 //! engine's responses are **byte-identical** to those of a fresh engine
 //! built from the equivalent final dataset — for the unsharded engine and
-//! for shard counts {1, 2, 4}, with the query-result cache enabled on the
+//! for shard counts {2, 4}, with the query-result cache enabled on the
 //! mutated engine (generation-stamped keys make stale hits structurally
 //! impossible, so warm submissions must replay the *current* generation's
 //! answer, never a superseded one).
@@ -18,9 +18,10 @@
 
 use asrs_suite::prelude::*;
 
-/// Shard configurations under test: the classic single engine plus the
-/// scatter-gather engine at 1, 2 and 4 shards.
-const SHARD_CONFIGS: [usize; 4] = [0, 1, 2, 4];
+/// Shard configurations under test: the unsharded engine plus the
+/// scatter-gather engine at 2 and 4 shards (`shards(1)` builds the
+/// unsharded engine).
+const SHARD_CONFIGS: [usize; 3] = [0, 2, 4];
 
 /// A tiny seeded LCG so the interleavings sweep deterministically without
 /// depending on the vendored rand API.
@@ -207,7 +208,7 @@ fn apply_random_mutation(
 /// The tentpole assertion: after every checkpoint of a seeded
 /// append/remove/expire interleaving, the mutated engine (cache enabled)
 /// answers byte-identically to a fresh engine rebuilt from the equivalent
-/// final dataset — for the unsharded engine and shard counts {1, 2, 4} —
+/// final dataset — for the unsharded engine and shard counts {2, 4} —
 /// and warm resubmissions replay the current generation, never a stale
 /// one.
 #[test]
@@ -764,7 +765,6 @@ fn draining_and_refilling_the_dataset_keeps_parity() {
 /// exact comparison the debug proof path performs.
 #[test]
 fn churn_carried_hits_are_byte_identical_to_cold_recompute() {
-    let mut total_carried = 0u64;
     for (name, (ds, agg)) in [
         ("categorical", categorical_workload(400, 71)),
         ("float-sum", float_sum_workload(260, 72)),
@@ -809,18 +809,15 @@ fn churn_carried_hits_are_byte_identical_to_cold_recompute() {
                 "{name}, shards {shards}: the carry predicate accepted an \
                  entry the byte-identity proof rejected: {stats:?}"
             );
-            if shards == 0 {
-                // Carry-forward is gated to canonical sharded cores.
-                assert_eq!(stats.carried_forward, 0, "{name}: {stats:?}");
-            }
-            total_carried += stats.carried_forward;
+            // Every engine with a cache carries, sharded or not.
+            assert!(
+                stats.carried_forward > 0,
+                "{name}, shards {shards}: the churn interleaving never \
+                 exercised a carry — the run proves nothing about carried \
+                 hits: {stats:?}"
+            );
         }
     }
-    assert!(
-        total_carried > 0,
-        "the churn interleavings never exercised a carry — the suite \
-         proves nothing about carried hits"
-    );
 }
 
 /// A stampede of identical cold queries coalesces onto one in-flight
@@ -1039,18 +1036,22 @@ fn approximate_request(bbox: Rect, dim: usize) -> QueryRequest {
 }
 
 /// The approximate arm of the carry predicate: a sharded engine answers
-/// an approximate request with the exact scatter, so its cached entry
-/// carries across a distant interior append exactly like a similar-region
-/// entry, and the carried hit serves bytes identical to a cold rebuild's
-/// answer.
+/// an approximate request with the exact scatter, and the naive oracle has
+/// no δ, so on those executors the cached entry carries across a distant
+/// interior append exactly like a similar-region entry (an unsharded
+/// engine pinned to the oracle included), and the carried hit serves bytes
+/// identical to a cold rebuild's answer.
 #[test]
 fn an_approximate_entry_carries_across_a_distant_append() {
-    for shards in [1, 2, 4] {
+    for (shards, pin) in [(2, None), (4, None), (0, Some(Backend::Naive))] {
         let (ds, agg) = categorical_workload(500, 91);
         let bbox = ds.bounding_box().unwrap();
         let template = ds.objects().next().unwrap().clone();
         let engine = build_engine(ds, agg.clone(), shards, 16);
-        let request = approximate_request(bbox, agg.feature_dim());
+        let mut request = approximate_request(bbox, agg.feature_dim());
+        if let Some(backend) = pin {
+            request = request.with_backend(backend);
+        }
         let region = engine.submit(&request).unwrap().best().unwrap().region;
         let p = Point::new(
             bbox.min_x + bbox.width() * 0.02,
@@ -1088,11 +1089,11 @@ fn an_approximate_entry_carries_across_a_distant_append() {
 
 /// The approximate arm's negative space: an append inside the reported
 /// region rejects the carry on every shard count, and an unsharded
-/// engine, whose backends prune against the (1+δ) band, never carries an
-/// approximate entry at all.
+/// engine, whose planned backends prune against the (1+δ) band, never
+/// carries a planned approximate entry at all.
 #[test]
 fn approximate_entries_reject_interior_appends_and_never_carry_unsharded() {
-    for shards in [0, 1, 2, 4] {
+    for shards in [0, 2, 4] {
         let (ds, agg) = categorical_workload(500, 91);
         let bbox = ds.bounding_box().unwrap();
         let template = ds.objects().next().unwrap().clone();

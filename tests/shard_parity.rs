@@ -1,12 +1,13 @@
 //! Differential parity harness for the sharded scatter-gather engine.
 //!
-//! The shard scatter promises: for every `QueryRequest`, the response of
-//! `shards(k)` is byte-identical to the response of the single-shard
-//! baseline `shards(1)` — outcomes, anchors, distances, representations,
-//! counts and the reported backend all included.  The unsharded engine
-//! (`shards(0)`) runs the same kernel and answers the same bytes, except
-//! for approximate requests, which it prunes against the (1+δ) band.  Execution statistics are
-//! exempt (they describe the decomposition that actually ran), which is
+//! The shard scatter promises: for every exact `QueryRequest`, the
+//! response of `shards(k)` is byte-identical to the response of the
+//! unsharded engine (`shards(0)`, which `shards(1)` also builds) —
+//! outcomes, anchors, distances, representations, counts and the reported
+//! backend all included.  Approximate requests are the exception: the
+//! scatter answers them exactly, and the same bytes for every shard count,
+//! while the unsharded engine prunes them against the (1+δ) band.
+//! Execution statistics are exempt (they describe the decomposition that actually ran), which is
 //! exactly what [`QueryResponse::stats_stripped`] encodes; the harness
 //! serializes stripped responses and compares raw bytes.
 //!
@@ -129,11 +130,12 @@ fn canonical_bytes(response: &QueryResponse) -> String {
     serde::json::to_string(&response.stats_stripped())
 }
 
-/// The tentpole assertion: byte-identical stripped responses between
-/// `shards(1)` and every other count, unsharded included, over the whole
-/// request surface.
+/// The tentpole assertion: byte-identical stripped responses between the
+/// unsharded engine and every shard count over the whole exact request
+/// surface; approximate responses are byte-identical across shard counts
+/// and the unsharded engine's lie within their (1+δ) band.
 #[test]
-fn sharded_responses_are_byte_identical_to_the_single_shard_baseline() {
+fn sharded_responses_are_byte_identical_to_the_unsharded_engine() {
     let workloads = [
         uniform_workload(240, 7),
         uniform_workload(150, 41),
@@ -141,36 +143,43 @@ fn sharded_responses_are_byte_identical_to_the_single_shard_baseline() {
     ];
     for (w, (ds, agg)) in workloads.iter().enumerate() {
         for with_index in [false, true] {
-            let baseline = sharded_engine(ds, agg, 1, with_index);
+            let unsharded = sharded_engine(ds, agg, 0, with_index);
             let requests = request_pool(ds, agg, 1000 + w as u64);
-            let expected: Vec<String> = requests
+            let baseline: Vec<QueryResponse> = requests
                 .iter()
-                .map(|r| canonical_bytes(&baseline.submit(r).unwrap()))
+                .map(|r| unsharded.submit(r).unwrap())
                 .collect();
-            for k in std::iter::once(0).chain(SHARD_COUNTS) {
+            // The first shard count's approximate answers: the exact bytes
+            // every other count must repeat.
+            let mut scattered: Vec<Option<String>> = vec![None; requests.len()];
+            for k in SHARD_COUNTS {
                 let sharded = sharded_engine(ds, agg, k, with_index);
                 assert_eq!(sharded.shard_count(), k);
-                for (request, expected) in requests.iter().zip(&expected) {
+                for (i, request) in requests.iter().enumerate() {
                     let response = sharded.submit(request).unwrap_or_else(|e| {
                         panic!("workload {w} shards {k} index {with_index}: {e}")
                     });
-                    if let (0, QueryRequest::Approximate { delta, .. }) = (k, request.operation()) {
-                        // The unsharded engine prunes approximate requests
-                        // against the (1+δ) band; the scatter answers them
-                        // exactly.
-                        let exact: QueryResponse = serde::json::from_str(expected).unwrap();
-                        let (got, exact) = (response.best().unwrap(), exact.best().unwrap());
-                        assert!(
-                            got.distance <= (1.0 + delta) * exact.distance + 1e-9,
-                            "workload {w}, index {with_index}: {} beyond (1+{delta})·{}",
-                            got.distance,
-                            exact.distance
-                        );
-                        continue;
-                    }
                     let got = canonical_bytes(&response);
+                    let expected = match request.operation() {
+                        QueryRequest::Approximate { delta, .. } => {
+                            // The unsharded engine prunes approximate
+                            // requests against the (1+δ) band; the scatter
+                            // answers them exactly.
+                            let (approx, exact) =
+                                (baseline[i].best().unwrap(), response.best().unwrap());
+                            assert!(
+                                approx.distance <= (1.0 + delta) * exact.distance + 1e-9,
+                                "workload {w}, shards {k}, index {with_index}: {} beyond \
+                                 (1+{delta})·{}",
+                                approx.distance,
+                                exact.distance
+                            );
+                            scattered[i].get_or_insert_with(|| got.clone()).clone()
+                        }
+                        _ => canonical_bytes(&baseline[i]),
+                    };
                     assert_eq!(
-                        &got,
+                        got,
                         expected,
                         "workload {w}, shards {k}, index {with_index}, \
                          request {:?} diverged",
@@ -274,7 +283,6 @@ fn degenerate_datasets_keep_parity() {
             .distribution("category", Selection::All)
             .build()
             .unwrap();
-        let baseline = sharded_engine(&ds, &agg, 1, false);
         let unsharded = sharded_engine(&ds, &agg, 0, false);
         let requests = request_pool(&ds, &agg, 5);
         let similar = QueryRequest::similar(AsrsQuery::new(
@@ -310,8 +318,10 @@ fn degenerate_datasets_keep_parity() {
                 ),
                 "shards {k}"
             );
+            // The planner sends these datasets to the oracle, which has no
+            // δ, so the approximate request compares by bytes too.
             for request in &requests {
-                let a = canonical_bytes(&baseline.submit(request).unwrap());
+                let a = canonical_bytes(&unsharded.submit(request).unwrap());
                 let b = canonical_bytes(&sharded.submit(request).unwrap());
                 assert_eq!(a, b, "shards {k}, {}", request.operation_name());
             }
@@ -333,8 +343,8 @@ fn degenerate_datasets_keep_parity() {
     // Pinned to the scatter, as the planner sends an empty dataset to the
     // naive oracle.
     let request = QueryRequest::similar(query).with_backend(Backend::DsSearch);
-    let baseline = sharded_engine(&empty, &agg, 1, false);
-    let a = baseline.submit(&request).unwrap();
+    let unsharded = sharded_engine(&empty, &agg, 0, false);
+    let a = unsharded.submit(&request).unwrap();
     assert_eq!(a.best().unwrap().distance, 2.0);
     for &k in &SHARD_COUNTS {
         let sharded = sharded_engine(&empty, &agg, k, false);
@@ -353,8 +363,8 @@ fn degenerate_datasets_keep_parity() {
 /// aggregators make this easy to hit: with contributing objects confined
 /// to one corner and a zero target (optimum distance 0 everywhere empty),
 /// shards whose slab holds no contributing rectangle must still offer
-/// their empty-covering candidates or `shards(k)` diverges from
-/// `shards(1)`.
+/// their empty-covering candidates or `shards(k)` diverges from the
+/// unsharded engine, which has no slabs.
 #[test]
 fn rect_free_slabs_still_offer_their_empty_covering_candidates() {
     let schema = Schema::new(vec![AttributeDef::new(
@@ -397,8 +407,8 @@ fn rect_free_slabs_still_offer_their_empty_covering_candidates() {
         FeatureVector::new(vec![0.0]),
         Weights::uniform(1),
     ));
-    let baseline = sharded_engine(&ds, &agg, 1, false);
-    let expected = canonical_bytes(&baseline.submit(&request).unwrap());
+    let unsharded = sharded_engine(&ds, &agg, 0, false);
+    let expected = canonical_bytes(&unsharded.submit(&request).unwrap());
     for &k in &[2usize, 3, 4, 7] {
         let sharded = sharded_engine(&ds, &agg, k, false);
         let response = sharded.submit(&request).unwrap();
@@ -433,7 +443,7 @@ fn error_behaviour_is_shard_count_invariant() {
         FeatureVector::new(vec![1.2, 0.4, 2.3, 0.9]),
         Weights::uniform(4),
     );
-    for k in [0, 1, 2, 4, 7] {
+    for k in [0, 2, 4, 7] {
         // A forced GI-DS needs an index, sharded or not.
         let index_less = sharded_engine(&ds, &agg, k, false);
         assert_eq!(
@@ -497,6 +507,13 @@ fn error_behaviour_is_shard_count_invariant() {
             .submit(&QueryRequest::similar(good.clone()).with_backend(Backend::GiDs))
             .is_ok());
     }
+    // One shard would be the whole plane: `shards(1)` builds the unsharded
+    // engine, with no shard table and no fan-out to explain.
+    let one = sharded_engine(&ds, &agg, 1, true);
+    assert_eq!(one.shard_count(), 0);
+    assert_eq!(one.shard_regions(), None);
+    let plan = one.plan(&QueryRequest::similar(good)).unwrap();
+    assert!(!plan.explain().contains("fan-out"), "{}", plan.explain());
 }
 
 /// Cache keys are derived from the request alone, so a response cached by
@@ -513,7 +530,7 @@ fn cache_keys_and_hits_are_shard_count_independent() {
     // The canonical fingerprint is a pure function of the request.
     assert_eq!(request.cache_key(), request.cache_key());
     let mut engines: Vec<AsrsEngine> = Vec::new();
-    for k in [1usize, 3] {
+    for k in [0usize, 3] {
         let engine = AsrsEngine::builder(ds.clone(), agg.clone())
             .shards(k)
             .build_index(16, 16)
