@@ -16,12 +16,12 @@
 //! location is stored once, in the `LocationIndex` of an engine
 //! generation (`LazyLocations`), and every size's data is a `SizeView`
 //! of it: the edge table (one merge of the two runs per axis, deduplicated:
-//! bit for bit what a sort of every edge gives, `-0.0` included), Definition
-//! 7's accuracy (one scan of the same merge), and the rectangles reaching an
-//! area (a run of the x-sorted index found by two binary searches, as in
-//! Leapfrog Triejoin, filtered by the y kept beside each x).  Every instance
-//! — a cold search's, the naive oracle's, the baselines' and the carry
-//! pass's window-local ones — takes its edges and accuracy from a view.
+//! bit for bit what a sort of every edge gives, `-0.0` included) and the
+//! rectangles reaching an area (a run of the x-sorted index found by two
+//! binary searches, as in Leapfrog Triejoin, filtered by the y kept beside
+//! each x).  Every instance — a cold search's, the naive oracle's, the
+//! baselines' and the carry pass's window-local ones — takes its edges from
+//! a view and derives Definition 7's accuracy from those edges.
 
 use asrs_aggregator::CompositeAggregator;
 use asrs_data::{AttrValue, Dataset, SpatialObject};
@@ -54,13 +54,14 @@ impl RectObject {
 /// edge table.
 ///
 /// The edge table (every rectangle edge coordinate per axis, sorted and
-/// deduplicated) and the accuracy (Definition 7) come from a `SizeView`
-/// of the dataset's location index (see the module docs).  Every search's
-/// result set snaps anchors with the table, and the naive oracle probes its
-/// intervals.  A whole-dataset instance holds every rectangle in position
-/// order and the whole table; the carry pass's window-local instances hold
-/// a window's rectangles, in position order too, and the part of the table
-/// the window reads.
+/// deduplicated) comes from a `SizeView` of the dataset's location index
+/// (see the module docs), and the accuracy (Definition 7) is its smallest
+/// positive gap per axis.  Every search's result set snaps anchors with the
+/// table, and the naive oracle probes its intervals.  A whole-dataset
+/// instance holds every rectangle in position order and the whole table;
+/// the carry pass's window-local instances hold a window's rectangles, in
+/// position order too, and the part of the table the window reads, whose
+/// accuracy is at least the whole table's.
 #[derive(Debug, Clone)]
 pub struct AspInstance {
     rects: Vec<RectObject>,
@@ -124,21 +125,19 @@ impl AspInstance {
 
     /// The instance over every rectangle, with the whole edge table.
     fn whole(rects: Vec<RectObject>, view: SizeView<'_>) -> Self {
-        Self::new(rects, view.size, view.edges(), view.accuracy())
+        Self::new(rects, view.size, view.edges())
     }
 
     /// The instance over `rects` (rectangles of `size`, in position order,
     /// each keeping its object's position in `object_idx`), whose edge
-    /// table and accuracy a [`SizeView`] of `size` gave.
-    pub(crate) fn new(
-        rects: Vec<RectObject>,
-        size: RegionSize,
-        edges: EdgeSnapper,
-        accuracy: Accuracy,
-    ) -> Self {
+    /// table a [`SizeView`] of `size` gave.  Definition 7's accuracy is the
+    /// table's smallest positive gap per axis, floored at
+    /// [`ACCURACY_FLOOR`]: deduplication drops only the zero gaps.
+    pub(crate) fn new(rects: Vec<RectObject>, size: RegionSize, edges: EdgeSnapper) -> Self {
+        let gap = |edges: &[f64]| min_positive_gap_sorted(edges.iter().copied());
         Self {
             space: Rect::mbr_of(rects.iter().map(|r| r.rect)),
-            accuracy,
+            accuracy: Accuracy::from_min_gaps(gap(edges.xs()), gap(edges.ys()), floor()),
             edges: Arc::new(edges),
             rects,
             size,
@@ -221,42 +220,17 @@ impl Contributions {
         }
     }
 
-    /// Brings the table of a dataset up to its successor: drops the rows at
-    /// `removed` (ascending positions) and appends the rows of
-    /// `dataset[tail..]`, the successor's appended objects.
-    pub(crate) fn patch(
-        &mut self,
-        aggregator: &CompositeAggregator,
+    /// The rows of the objects of `dataset` at `positions`, in that order:
+    /// a window-local instance's table, whose row `k` is the `k`-th
+    /// position's, bit for bit the row a whole-dataset table holds there.
+    pub(crate) fn at(
         dataset: &Dataset,
-        removed: &[usize],
-        tail: usize,
-    ) {
-        self.remove_rows(removed);
-        for idx in tail..dataset.len() {
-            self.push(aggregator, dataset.object(idx));
-        }
-    }
-
-    /// The rows at `positions`, in that order: a window-local instance's
-    /// table, whose row `k` is the `k`-th position's.
-    pub(crate) fn gather(&self, positions: impl ExactSizeIterator<Item = u32>) -> Self {
-        let mut table = Self {
-            dims: self.dims,
-            rows: Vec::with_capacity(positions.len() * self.dims),
-            contributes: Vec::with_capacity(positions.len()),
-        };
-        for pos in positions {
-            table.rows.extend_from_slice(self.row(pos));
-            table.contributes.push(self.contributes[pos as usize]);
-        }
-        table
-    }
-
-    /// The table of every object of `dataset`, in dataset order.
-    pub(crate) fn of(dataset: &Dataset, aggregator: &CompositeAggregator) -> Self {
-        let mut table = Self::with_capacity(aggregator, dataset.len());
-        for o in dataset.objects() {
-            table.push(aggregator, o);
+        aggregator: &CompositeAggregator,
+        positions: &[u32],
+    ) -> Self {
+        let mut table = Self::with_capacity(aggregator, positions.len());
+        for &pos in positions {
+            table.push(aggregator, dataset.object(pos as usize));
         }
         table
     }
@@ -267,41 +241,6 @@ impl Contributions {
         self.rows.resize(start + self.dims, 0.0);
         aggregator.accumulate_object(object, &mut self.rows[start..]);
         self.contributes.push(aggregator.contributes(object));
-    }
-
-    /// Drops the rows at `removed` (ascending positions), keeping the rest
-    /// in order: the table of the dataset those objects left.
-    fn remove_rows(&mut self, removed: &[usize]) {
-        let Some(&first) = removed.first() else {
-            return;
-        };
-        let dims = self.dims;
-        let mut gone = removed.iter().copied().peekable();
-        let mut kept = first;
-        for row in first..self.contributes.len() {
-            if gone.next_if_eq(&row).is_some() {
-                continue;
-            }
-            self.rows
-                .copy_within(row * dims..(row + 1) * dims, kept * dims);
-            self.contributes[kept] = self.contributes[row];
-            kept += 1;
-        }
-        self.rows.truncate(kept * dims);
-        self.contributes.truncate(kept);
-    }
-
-    /// Bitwise equality of the rows and flags: the check that an
-    /// incrementally maintained table matches a fresh build.
-    pub(crate) fn bits_eq(&self, other: &Self) -> bool {
-        self.dims == other.dims
-            && self.contributes == other.contributes
-            && self.rows.len() == other.rows.len()
-            && self
-                .rows
-                .iter()
-                .zip(&other.rows)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     /// The statistics row of rectangle `rect`.
@@ -604,21 +543,19 @@ impl LazyLocations {
         self.0.get()
     }
 
-    /// The successor generation's cell, and the batch's delta from `old`
-    /// to `next` when this index is built: the index the delta patches into
-    /// `next`'s — left unbuilt if the patch finds the index did not reflect
-    /// `old` — or, when this one is unbuilt, an unbuilt cell and no delta.
-    pub(crate) fn successor(&self, old: &Dataset, next: &Dataset) -> (Self, Option<DatasetDelta>) {
+    /// The successor generation's cell: when this index is built, the
+    /// index patched by the batch's delta from `old` to `next` — left
+    /// unbuilt if the patch finds the index did not reflect `old` — and an
+    /// unbuilt cell otherwise.
+    pub(crate) fn successor(&self, old: &Dataset, next: &Dataset) -> Self {
         let Some(index) = self.0.get() else {
-            return (Self::default(), None);
+            return Self::default();
         };
-        let delta = DatasetDelta::between(old, next);
         let mut index = index.clone();
-        let cell = match index.apply(next, &delta) {
-            true => OnceLock::from(index),
-            false => OnceLock::new(),
-        };
-        (Self(cell), Some(delta))
+        match index.apply(next, &DatasetDelta::between(old, next)) {
+            true => Self(OnceLock::from(index)),
+            false => Self::default(),
+        }
     }
 }
 
@@ -643,8 +580,8 @@ fn remove_values(sorted: &mut Vec<f64>, mut gone: Vec<f64>) -> bool {
     true
 }
 
-/// One query size's view of a [`LocationIndex`]: the size's edge table,
-/// its Definition-7 accuracy and the rectangles that reach an area, all
+/// One query size's view of a [`LocationIndex`]: the size's edge table
+/// (whole or over a range) and the rectangles that reach an area, both
 /// derived from the size-independent arrays (see the module docs).
 #[derive(Clone, Copy)]
 pub(crate) struct SizeView<'a> {
@@ -698,20 +635,6 @@ impl SizeView<'_> {
         EdgeSnapper::from_sorted_edges(
             axis_edges(by_x, |e| e.x, width, range.min_x, range.max_x),
             axis_edges(by_y, |&y| y, height, range.min_y, range.max_y),
-        )
-    }
-
-    /// Definition 7's accuracy of the size — per axis, the smallest
-    /// positive gap between distinct edge coordinates, floored at
-    /// [`ACCURACY_FLOOR`] — in one scan of the ascending merge of the two
-    /// halves `{v}` and `{fl(v − w)}`.
-    pub(crate) fn accuracy(&self) -> Accuracy {
-        let LocationIndex { by_x, by_y } = self.locations;
-        let RegionSize { width, height } = self.size;
-        Accuracy::from_min_gaps(
-            min_positive_gap_sorted(merged(by_x, by_x, |e| e.x, width)),
-            min_positive_gap_sorted(merged(by_y, by_y, |&y| y, height)),
-            floor(),
         )
     }
 }
@@ -787,11 +710,11 @@ fn merged<'s, T>(
 /// the end, so the successor is the predecessor minus `removed`, followed
 /// by `next[tail..]`.
 #[derive(Debug, PartialEq)]
-pub(crate) struct DatasetDelta {
+struct DatasetDelta {
     /// Predecessor positions of the removed objects, ascending.
-    pub(crate) removed: Vec<usize>,
+    removed: Vec<usize>,
     /// Successor position of the first appended object.
-    pub(crate) tail: usize,
+    tail: usize,
 }
 
 impl DatasetDelta {
@@ -800,7 +723,7 @@ impl DatasetDelta {
     /// otherwise; what follows the cursor is the appended tail.  Whatever
     /// the batch, the kept objects equal `next[..tail]` by construction,
     /// so the delta always reproduces `next` exactly.
-    pub(crate) fn between(old: &Dataset, next: &Dataset) -> Self {
+    fn between(old: &Dataset, next: &Dataset) -> Self {
         let mut rest = next.objects();
         let mut cursor = rest.next();
         let mut tail = 0;
@@ -874,8 +797,18 @@ fn insert_at<T: Copy>(values: &mut Vec<T>, inserts: &[(usize, T)]) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use asrs_data::gen::UniformGenerator;
-    use asrs_data::{DatasetBuilder, Schema};
+    use asrs_aggregator::Selection;
+    use asrs_data::gen::{PoiSynGenerator, UniformGenerator};
+    use asrs_data::{DatasetBuilder, Mutation, Schema};
+    use std::time::Duration;
+
+    impl Contributions {
+        /// The table of every object of `dataset`, in dataset order.
+        pub(crate) fn of(dataset: &Dataset, aggregator: &CompositeAggregator) -> Self {
+            let every: Vec<u32> = (0..dataset.len() as u32).collect();
+            Self::at(dataset, aggregator, &every)
+        }
+    }
 
     fn dataset() -> Dataset {
         let mut b = DatasetBuilder::new(Schema::empty());
@@ -953,10 +886,13 @@ pub(crate) mod tests {
 
     #[test]
     fn the_edge_table_gives_the_sorting_estimate() {
-        // The linear scan over the deduplicated table reports the same
-        // accuracy, bit for bit, as Definition 7's estimate over the raw
-        // edge multiset.
-        let ds = asrs_data::gen::UniformGenerator::default().generate(500, 3);
+        // The scan over the deduplicated table reports the same accuracy,
+        // bit for bit, as Definition 7's estimate over the raw edge
+        // multiset: of every edge for the whole instance, and of the edges
+        // inside the table's extent for a window-local one, whose
+        // accuracy is never below the whole instance's.
+        let ds = UniformGenerator::default().generate(500, 3);
+        let locations = LocationIndex::of(&ds);
         for size in [RegionSize::new(3.0, 0.5), RegionSize::new(0.1, 7.25)] {
             let asp = AspInstance::build(&ds, size);
             let xs: Vec<f64> = asp
@@ -969,10 +905,86 @@ pub(crate) mod tests {
                 .iter()
                 .flat_map(|r| [r.rect.min_y, r.rect.max_y])
                 .collect();
-            let floor = Accuracy::new(ACCURACY_FLOOR, ACCURACY_FLOOR);
-            let expected = Accuracy::from_edge_coordinates(&xs, &ys, floor);
+            let expected = Accuracy::from_edge_coordinates(&xs, &ys, floor());
             assert_eq!(asp.accuracy().dx.to_bits(), expected.dx.to_bits());
             assert_eq!(asp.accuracy().dy.to_bits(), expected.dy.to_bits());
+            let view = locations.view(size);
+            let mut wider = 0;
+            for window in sample(&probe_windows(&ds, size), 200) {
+                let local = AspInstance::new(Vec::new(), size, view.edges_within(&window));
+                let within = |raw: &[f64], table: &[f64]| -> Vec<f64> {
+                    let (lo, hi) = (table[0], table[table.len() - 1]);
+                    raw.iter()
+                        .copied()
+                        .filter(|&v| lo <= v && v <= hi)
+                        .collect()
+                };
+                let edges = local.edges();
+                let expected = Accuracy::from_edge_coordinates(
+                    &within(&xs, edges.xs()),
+                    &within(&ys, edges.ys()),
+                    floor(),
+                );
+                let accuracy = local.accuracy();
+                assert_eq!(accuracy.dx.to_bits(), expected.dx.to_bits(), "{window:?}");
+                assert_eq!(accuracy.dy.to_bits(), expected.dy.to_bits(), "{window:?}");
+                assert!(accuracy.dx >= asp.accuracy().dx && accuracy.dy >= asp.accuracy().dy);
+                wider += usize::from(accuracy.dx > asp.accuracy().dx);
+            }
+            assert!(
+                wider > 0,
+                "no window's accuracy exceeds the size's at {size:?}"
+            );
+        }
+    }
+
+    /// Bitwise equality of two tables' rows and flags.
+    fn tables_bit_equal(a: &Contributions, b: &Contributions) -> bool {
+        a.dims == b.dims && a.contributes == b.contributes && bits(&a.rows) == bits(&b.rows)
+    }
+
+    #[test]
+    fn rows_at_positions_are_the_whole_table_s_rows() {
+        let uniform = UniformGenerator::default().generate(300, 41);
+        let pois = PoiSynGenerator::compact(5).generate(300, 43);
+        let distribution = CompositeAggregator::builder(uniform.schema())
+            .distribution("category", Selection::All)
+            .build()
+            .unwrap();
+        let float_sum = CompositeAggregator::builder(pois.schema())
+            .sum("rating", Selection::All)
+            .build()
+            .unwrap();
+        let size = RegionSize::new(5.0, 5.0);
+        let selective = Selection::cat_equals(0, 1);
+        let (count, _) = crate::maxrs::reduction(&uniform, size, &selective).unwrap();
+        for (case, dataset, aggregator) in [
+            ("distribution", &uniform, &distribution),
+            ("float sum", &pois, &float_sum),
+            ("selective count", &uniform, &count),
+        ] {
+            let locations = LocationIndex::of(dataset);
+            let (_, whole) =
+                AspInstance::with_contributions(dataset, aggregator, locations.view(size));
+            let every: Vec<u32> = (0..dataset.len() as u32).collect();
+            let at = Contributions::at(dataset, aggregator, &every);
+            assert!(tables_bit_equal(&at, &whole), "{case}");
+            // A scattered subset, in position order: row k is the k-th
+            // position's row of the whole table.
+            let some: Vec<u32> = every.iter().copied().filter(|p| p % 7 < 3).collect();
+            let at = Contributions::at(dataset, aggregator, &some);
+            let gathered = Contributions {
+                dims: whole.dims,
+                rows: some.iter().flat_map(|&p| whole.row(p).to_vec()).collect(),
+                contributes: some.iter().map(|&p| whole.contributes(p)).collect(),
+            };
+            assert!(tables_bit_equal(&at, &gathered), "{case}");
+            if case == "selective count" {
+                let accepted = (0..some.len() as u32)
+                    .filter(|&k| at.contributes(k))
+                    .count();
+                assert!(accepted > 0 && accepted < some.len(), "{case}: {accepted}");
+            }
         }
     }
 
@@ -1177,7 +1189,7 @@ pub(crate) mod tests {
         let (global, expected) = sorted_table(dataset, size);
         let global = &global;
         let view = locations.view(size);
-        let accuracy = view.accuracy();
+        let accuracy = AspInstance::new(Vec::new(), size, view.edges()).accuracy();
         assert_eq!(
             (accuracy.dx.to_bits(), accuracy.dy.to_bits()),
             (expected.dx.to_bits(), expected.dy.to_bits()),
@@ -1394,5 +1406,100 @@ pub(crate) mod tests {
                 assert_lookups_match(&locations, &next, size);
             }
         }
+    }
+
+    /// An object with a fresh `id` inside the extent of `dataset`.
+    fn interior(dataset: &Dataset, id: u64, fx: f64, fy: f64) -> SpatialObject {
+        let bbox = dataset.bounding_box().unwrap();
+        let mut object = dataset.object(0).clone();
+        object.id = id;
+        object.location = Point::new(
+            bbox.min_x + bbox.width() * fx,
+            bbox.min_y + bbox.height() * fy,
+        );
+        object
+    }
+
+    /// Runs `write` on `engine` with the generation's location index
+    /// built, checks that the publish handed the successor the index
+    /// patched into a fresh build ([`LazyLocations::successor`]), and
+    /// returns the batch's delta.
+    fn publish_delta(engine: &crate::AsrsEngine, write: impl FnOnce(&Dataset)) -> DatasetDelta {
+        let old = engine.core();
+        old.locations.of(&old.dataset);
+        write(&old.dataset);
+        let next = engine.core();
+        let patched = next.locations.get().expect("the publish patched the index");
+        assert!(patched.bits_eq(&LocationIndex::of(&next.dataset)));
+        DatasetDelta::between(&old.dataset, &next.dataset)
+    }
+
+    #[test]
+    fn each_kind_of_write_gives_the_successor_its_delta() {
+        let ds = UniformGenerator::default().generate(400, 3);
+        let aggregator = CompositeAggregator::builder(ds.schema())
+            .distribution("category", Selection::All)
+            .build()
+            .unwrap();
+        let engine = crate::AsrsEngine::builder(ds.clone(), aggregator)
+            .build()
+            .unwrap();
+        let delta = |removed: Vec<usize>, tail: usize| DatasetDelta { removed, tail };
+        // A solo removal.
+        let solo = publish_delta(&engine, |old| {
+            engine.remove(old.object(57).id).unwrap();
+        });
+        assert_eq!(solo, delta(vec![57], 399));
+        // A sweep that expires the tail object.
+        let expiring = interior(&ds, 1_000_001, 0.41, 0.37);
+        engine.append_with_ttl(expiring, Duration::ZERO).unwrap();
+        let swept = publish_delta(&engine, |_| {
+            assert_eq!(engine.sweep_expired().unwrap().len(), 1);
+        });
+        assert_eq!(swept, delta(vec![399], 399));
+        // An expiry piggybacked on an application append.
+        let expiring = interior(&ds, 1_000_002, 0.62, 0.55);
+        engine.append_with_ttl(expiring, Duration::ZERO).unwrap();
+        let piggybacked = publish_delta(&engine, |_| {
+            let receipt = engine.append(interior(&ds, 1_000_003, 0.18, 0.83)).unwrap();
+            assert_eq!(receipt.batch, 2, "the due expiry must ride along");
+        });
+        assert_eq!(piggybacked, delta(vec![399], 399));
+        // A replayed expiry record of an interior object.
+        let replayed = publish_delta(&engine, |old| {
+            let id = old.object(90).id;
+            engine.apply_mutations(&[Mutation::Expire { id }]).unwrap();
+        });
+        assert_eq!(replayed, delta(vec![90], 399));
+        // A mixed batch.
+        let mixed = publish_delta(&engine, |old| {
+            let batch = [
+                Mutation::Remove {
+                    id: old.object(12).id,
+                },
+                Mutation::Append {
+                    object: interior(&ds, 1_000_004, 0.3, 0.7),
+                },
+                Mutation::Remove {
+                    id: old.object(250).id,
+                },
+                Mutation::Append {
+                    object: interior(&ds, 1_000_005, 0.8, 0.2),
+                },
+            ];
+            engine.apply_mutations(&batch).unwrap();
+        });
+        assert_eq!(mixed, delta(vec![12, 250], 397));
+        // Removing one id and appending it again, moved.
+        let moved = publish_delta(&engine, |old| {
+            let mut moved = old.object(140).clone();
+            moved.location = interior(&ds, moved.id, 0.55, 0.45).location;
+            let batch = [
+                Mutation::Remove { id: moved.id },
+                Mutation::Append { object: moved },
+            ];
+            engine.apply_mutations(&batch).unwrap();
+        });
+        assert_eq!(moved, delta(vec![140], 398));
     }
 }

@@ -241,20 +241,14 @@ pub struct CacheStats {
     /// branch-and-bound over them, or refused them as too dense.  With
     /// `carry_windows_bounded` it sums to every window R3 examined.
     pub carry_windows_searched: u64,
-    /// Definition-7 accuracy scans the carry passes ran: one merge scan of
-    /// the sorted coordinates per query size whose windows a pass searched,
-    /// at that size's first searched window.  At most one per searched
-    /// window, and usually far fewer.
-    pub carry_accuracy_scans: u64,
 }
 
 /// What one carry pass counted, besides its duration: how R3 settled the
-/// influence windows it examined, and the accuracy scans it ran.
+/// influence windows it examined.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct CarryPassCounts {
     pub(crate) windows_bounded: u64,
     pub(crate) windows_searched: u64,
-    pub(crate) accuracy_scans: u64,
 }
 
 /// Upper bounds (microseconds, inclusive) of the carry-pass latency
@@ -299,7 +293,6 @@ pub struct QueryCache {
     carry_pass_latency: LatencyHistogram,
     carry_windows_bounded: AtomicU64,
     carry_windows_searched: AtomicU64,
-    carry_accuracy_scans: AtomicU64,
 }
 
 impl QueryCache {
@@ -324,7 +317,6 @@ impl QueryCache {
             carry_pass_latency: LatencyHistogram::new(&CARRY_PASS_BUCKET_BOUNDS_US),
             carry_windows_bounded: AtomicU64::new(0),
             carry_windows_searched: AtomicU64::new(0),
-            carry_accuracy_scans: AtomicU64::new(0),
         }
     }
 
@@ -551,7 +543,6 @@ impl QueryCache {
         for (counter, n) in [
             (&self.carry_windows_bounded, counts.windows_bounded),
             (&self.carry_windows_searched, counts.windows_searched),
-            (&self.carry_accuracy_scans, counts.accuracy_scans),
         ] {
             counter.fetch_add(n, Ordering::Relaxed);
         }
@@ -602,7 +593,6 @@ impl QueryCache {
             carry_pass_latency_us,
             carry_windows_bounded: self.carry_windows_bounded.load(Ordering::Relaxed),
             carry_windows_searched: self.carry_windows_searched.load(Ordering::Relaxed),
-            carry_accuracy_scans: self.carry_accuracy_scans.load(Ordering::Relaxed),
         }
     }
 }

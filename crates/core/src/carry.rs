@@ -98,14 +98,13 @@
 //! R3 and R4 read, per distinct query size, the edge table that snaps the
 //! probed anchors, and around each touched location the candidate
 //! rectangles and their [`Contributions`] rows: the engine aggregator's for
-//! ASRS slots, a count aggregator's for MaxRS slots.  The edges, the
-//! accuracy and the rectangles reaching a window are [`SizeView`]s of the
-//! successor generation's location index (see the [`asp`](crate::asp)
-//! module), which the publish patched or the pass builds.  A row is object
-//! `i`'s whatever the size, so the persistent state ([`CarryProbes`], kept
-//! in the mutator state) is one contribution table per aggregator a recent
-//! pass probed, patched once per batch — appends, removals, TTL expiries or
-//! a mix — by the batch's [`DatasetDelta`]: nothing is kept per size.
+//! ASRS slots, a count aggregator's for MaxRS slots.  The edges and the
+//! rectangles reaching a window are [`SizeView`]s of the successor
+//! generation's location index (see the [`asp`](crate::asp) module), which
+//! the publish patched or the pass builds.  A row is a pure function of its
+//! object and the aggregator, so each window's rows are computed from its
+//! objects where R3 reads them: the pass keeps nothing across publishes,
+//! and nothing per size.
 //!
 //! R4 snaps each reported anchor with the view over the anchor itself.  R3
 //! takes each window's contributing rectangles ([`SizeView::reaching`], in
@@ -113,23 +112,22 @@
 //! per window come the empty-covering test (once per slot), this lookup,
 //! the bound, the candidate budget, and only then the search.  Only a
 //! searched window gets an instance ([`AspInstance::new`]), with the view
-//! over the window as its edge table and the size's Definition-7 accuracy,
-//! scanned at the pass's first searched window of the size.  The kernel
-//! thus sees the rectangles, rows, order, edges and accuracy the full
-//! instance would give it, and decides each window as it would there.
-//! Debug builds assert the patched tables against a fresh build, the
-//! engine audit checks the index, and the unit tests check both, and the
+//! over the window as its edge table and that table's Definition-7
+//! accuracy.  The kernel thus sees the rectangles, rows, order and edges
+//! the full instance would give it.  The window's accuracy is at least the
+//! whole table's, which moves only where the search stops splitting: a
+//! dropped space is resolved exactly, so the decision is the same.  The
+//! engine audit checks the index, and the unit tests check it and the
 //! views, in release builds too.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use asrs_aggregator::{CompositeAggregator, FeatureVector, Selection};
 use asrs_data::Dataset;
-use asrs_geo::{Accuracy, Point, Rect, RegionSize};
+use asrs_geo::{Point, Rect, RegionSize};
 
-use crate::asp::{AspInstance, Contributions, DatasetDelta, LocationIndex, RectObject, SizeView};
+use crate::asp::{AspInstance, Contributions, LocationIndex, RectObject, SizeView};
 use crate::best::BestSet;
 use crate::cache::{CarryCandidate, CarryPassCounts, QueryCache};
 use crate::config::SearchConfig;
@@ -165,35 +163,24 @@ const CUTOFF_SLACK: f64 = 1e-9;
 /// readers never observe a cold window for the pass's duration.
 ///
 /// `touched` holds the location of every object the batch appended or
-/// removed; `probes` are the persistent contribution tables, brought up to
-/// `next` by the batch's `delta` when the publish derived one (see the
-/// module docs).  The pass's duration and what it
-/// counted (how R3 settled its windows, and the accuracy scans it ran) are
-/// recorded in the cache's counters.
-pub(crate) fn carry_forward(
-    old: &EngineCore,
-    next: &EngineCore,
-    touched: &[Point],
-    delta: Option<&DatasetDelta>,
-    probes: &mut CarryProbes,
-) {
+/// removed.  The pass reads only the two generations: it keeps no state
+/// between publishes (see the module docs).  Its duration and how R3
+/// settled its windows are recorded in the cache's counters.
+pub(crate) fn carry_forward(old: &EngineCore, next: &EngineCore, touched: &[Point]) {
     let Some(cache) = next.cache.as_deref() else {
         return;
     };
     let started = Instant::now();
-    let counts = restamp(cache, old, next, touched, delta, probes);
+    let counts = restamp(cache, old, next, touched);
     cache.note_carry_pass(started.elapsed(), counts);
 }
 
-/// The pass itself; returns how R3 settled the windows it examined and how
-/// many accuracy scans it ran.
+/// The pass itself; returns how R3 settled the windows it examined.
 fn restamp(
     cache: &QueryCache,
     old: &EngineCore,
     next: &EngineCore,
     touched: &[Point],
-    delta: Option<&DatasetDelta>,
-    probes: &mut CarryProbes,
 ) -> CarryPassCounts {
     if touched.is_empty() {
         return CarryPassCounts::default();
@@ -207,7 +194,7 @@ fn restamp(
     if candidates.is_empty() {
         return CarryPassCounts::default();
     }
-    let mut probes = PassProbes::new(probes, old, next, delta);
+    let mut probes = PassProbes::new(next);
     for candidate in candidates {
         if !entry_survives(next, &candidate, touched, &mut probes) {
             continue;
@@ -376,24 +363,27 @@ struct Verdict {
     searched: bool,
 }
 
-/// What R3 reads for one slot: the kernel's settings and query, the view
-/// of the query size over the successor's objects, and the contribution
-/// table of the slot's aggregator.
+/// What R3 reads for one slot: the slot's aggregator, the kernel's
+/// settings and query, and the view of the query size over the successor's
+/// objects.
 struct SlotProbe<'p> {
     aggregator: &'p CompositeAggregator,
     config: &'p SearchConfig,
     query: &'p AsrsQuery,
     view: SizeView<'p>,
     dataset: &'p Dataset,
-    table: &'p Contributions,
 }
 
 impl SlotProbe<'_> {
     /// The contributing rectangles that reach `window`, in position order,
-    /// and their rows in the same order.
+    /// and their rows in the same order, computed from their objects.
     fn window_candidates(&self, window: &Rect) -> (Vec<RectObject>, Contributions) {
         let mut hits = self.view.reaching(window);
-        hits.retain(|&pos| self.table.contributes(pos));
+        hits.retain(|&pos| {
+            self.aggregator
+                .contributes(self.dataset.object(pos as usize))
+        });
+        let table = Contributions::at(self.dataset, self.aggregator, &hits);
         let rects = hits
             .iter()
             .map(|&pos| RectObject {
@@ -404,7 +394,7 @@ impl SlotProbe<'_> {
                 object_idx: pos,
             })
             .collect();
-        (rects, self.table.gather(hits.into_iter()))
+        (rects, table)
     }
 
     /// The kernel bound to `asp`, whose rows are `table`.
@@ -421,9 +411,9 @@ impl SlotProbe<'_> {
     }
 }
 
-/// The kernel buffers of one aggregator's R3 windows in a pass: the
-/// bound's, allocated at the first window, and the grid's, allocated at
-/// the first window the bound does not settle.
+/// The kernel buffers of one slot's R3 windows: the bound's, allocated
+/// with the slot, and the grid's, allocated at the first window the bound
+/// does not settle.
 struct WindowBuffers {
     bound: BoundSums,
     partial: Vec<u32>,
@@ -444,8 +434,7 @@ impl WindowBuffers {
 /// attains a distance at or below `cutoff` against the successor dataset,
 /// decided by the kernel over the window's candidates.  The slot's caller
 /// has already tested the empty covering, whose representation is
-/// `empty_rep`; `accuracy` is the size's Definition-7 accuracy, computed
-/// here when the first search needs it.
+/// `empty_rep`.
 ///
 /// Mirrors the cold path: exact search (δ = 0, like the scatter) and the
 /// same contributing-rectangle filter.  The cheap tests run first, each
@@ -459,14 +448,14 @@ impl WindowBuffers {
 ///    counts as reaching the cutoff.  It comes after the bound, so a window
 ///    the bound settles is never refused for being dense.
 /// 4. Otherwise the window-local instance takes the view over the window
-///    as its edge table, and [`window_search`] runs the branch-and-bound.
+///    as its edge table, and with it that table's Definition-7 accuracy,
+///    and [`window_search`] runs the branch-and-bound.
 fn window_reaches(
     probe: &SlotProbe<'_>,
     touched: Point,
     cutoff: f64,
     empty_rep: &FeatureVector,
     buffers: &mut WindowBuffers,
-    accuracy: &mut Option<Accuracy>,
 ) -> Verdict {
     let size = probe.query.size;
     let window = influence_window(touched, size);
@@ -496,8 +485,7 @@ fn window_reaches(
             searched: true,
         };
     }
-    let accuracy = *accuracy.get_or_insert_with(|| probe.view.accuracy());
-    let asp = AspInstance::new(rects, size, probe.view.edges_within(&window), accuracy);
+    let asp = AspInstance::new(rects, size, probe.view.edges_within(&window));
     let solver = probe.solver(&asp, &table);
     let scratch = buffers.grid.get_or_insert_with(|| solver.scratch());
     Verdict {
@@ -553,119 +541,21 @@ fn influence_window(touched: Point, size: RegionSize) -> Rect {
     )
 }
 
-/// The persistent probe tables, owned by the mutator state and reused
-/// across publishes (see the module docs): one contribution table per
-/// aggregator a recent pass probed (the engine's, and the count
-/// aggregators of MaxRS reductions), each shared by every size and patched
-/// once per pass, and the generation they reflect.  Nothing is built
-/// before the first pass.
-#[derive(Debug, Default)]
-pub(crate) struct CarryProbes {
-    tables: Vec<AggregatorTable>,
-    generation: u64,
-}
-
-/// The contribution table of one aggregator, and the generation of the
-/// last pass that probed it.
-#[derive(Debug)]
-struct AggregatorTable {
-    aggregator: CompositeAggregator,
-    table: Contributions,
-    used: u64,
-}
-
-impl CarryProbes {
-    /// Brings the tables up to `next`: patched by `delta` when they
-    /// reflect `old`, dropped (and built again when probed) otherwise.
-    /// Tables the previous pass did not probe are dropped rather than
-    /// patched.
-    fn follow(&mut self, old: &EngineCore, next: &EngineCore, delta: Option<&DatasetDelta>) {
-        let previous = self.generation;
-        match delta {
-            Some(delta) if previous == old.generation => {
-                self.tables.retain(|t| t.used == previous);
-                for t in &mut self.tables {
-                    t.table
-                        .patch(&t.aggregator, &next.dataset, &delta.removed, delta.tail);
-                }
-            }
-            _ => self.tables.clear(),
-        }
-        self.generation = next.generation;
-        debug_assert!(
-            self.match_fresh(next),
-            "incremental contribution tables diverged from a fresh build"
-        );
-    }
-
-    /// Whether every table equals a from-scratch build of `next`, bit for
-    /// bit.
-    fn match_fresh(&self, next: &EngineCore) -> bool {
-        self.tables.iter().all(|t| {
-            t.table
-                .bits_eq(&Contributions::of(&next.dataset, &t.aggregator))
-        })
-    }
-}
-
-/// One carry pass's view of the probe tables, brought up to the successor,
-/// and of the successor's location index; and what the pass keeps only
-/// while it runs: the accuracy of each size it searched a window of, the
-/// kernel buffers of each aggregator, and what it counted.
+/// One carry pass's view of the successor's location index, and what the
+/// pass counted.
 struct PassProbes<'a> {
-    probes: &'a mut CarryProbes,
     locations: &'a LocationIndex,
-    /// Definition 7's accuracy per size, by [`size_key`].
-    accuracies: HashMap<(u64, u64), Accuracy>,
-    /// The R3 buffers of each aggregator, by its index in
-    /// [`CarryProbes::tables`].
-    buffers: Vec<Option<WindowBuffers>>,
     counts: CarryPassCounts,
 }
 
-fn size_key(size: RegionSize) -> (u64, u64) {
-    (size.width.to_bits(), size.height.to_bits())
-}
-
 impl<'a> PassProbes<'a> {
-    /// Brings the contribution tables up to `next` (see
-    /// [`CarryProbes::follow`]) and takes `next`'s location index, built
-    /// here when no search or publish has.
-    fn new(
-        probes: &'a mut CarryProbes,
-        old: &EngineCore,
-        next: &'a EngineCore,
-        delta: Option<&DatasetDelta>,
-    ) -> Self {
-        probes.follow(old, next, delta);
+    /// Takes `next`'s location index, built here when no search or
+    /// publish has.
+    fn new(next: &'a EngineCore) -> Self {
         Self {
-            probes,
             locations: next.locations.of(&next.dataset),
-            accuracies: HashMap::new(),
-            buffers: Vec::new(),
             counts: CarryPassCounts::default(),
         }
-    }
-
-    /// The index of the successor's contribution table under `aggregator`
-    /// (the engine's, or a MaxRS reduction's count aggregator).  A table
-    /// is built on the first pass that probes its aggregator and patched by
-    /// the passes after it.
-    fn table_of(&mut self, next: &EngineCore, aggregator: &CompositeAggregator) -> usize {
-        let tables = &mut self.probes.tables;
-        let at = match tables.iter().position(|t| t.aggregator == *aggregator) {
-            Some(at) => at,
-            None => {
-                tables.push(AggregatorTable {
-                    aggregator: aggregator.clone(),
-                    table: Contributions::of(&next.dataset, aggregator),
-                    used: next.generation,
-                });
-                tables.len() - 1
-            }
-        };
-        tables[at].used = next.generation;
-        at
     }
 
     /// R3 over every touched location of one slot: whether no influence
@@ -680,52 +570,31 @@ impl<'a> PassProbes<'a> {
         touched: &[Point],
         cutoff: f64,
     ) -> bool {
-        let at = self.table_of(next, aggregator);
         let (empty_rep, empty_distance) = empty_candidate(aggregator, query);
         if empty_distance <= cutoff {
             self.counts.windows_bounded += 1;
             return false;
         }
-        if self.buffers.len() <= at {
-            self.buffers.resize_with(at + 1, || None);
-        }
-        let Self {
-            probes,
-            locations,
-            accuracies,
-            buffers,
-            counts,
-        } = self;
-        let buffers = buffers[at].get_or_insert_with(|| WindowBuffers::new(aggregator));
         let probe = SlotProbe {
             aggregator,
             config: &next.config,
             query,
-            view: locations.view(query.size),
+            view: self.locations.view(query.size),
             dataset: &next.dataset,
-            table: &probes.tables[at].table,
         };
-        let key = size_key(query.size);
-        let mut accuracy = accuracies.get(&key).copied();
-        let mut clear = true;
+        let mut buffers = WindowBuffers::new(aggregator);
         for &p in touched {
-            let verdict = window_reaches(&probe, p, cutoff, &empty_rep, buffers, &mut accuracy);
+            let verdict = window_reaches(&probe, p, cutoff, &empty_rep, &mut buffers);
             if verdict.searched {
-                counts.windows_searched += 1;
+                self.counts.windows_searched += 1;
             } else {
-                counts.windows_bounded += 1;
+                self.counts.windows_bounded += 1;
             }
             if verdict.reaches {
-                clear = false;
-                break;
+                return false;
             }
         }
-        if let Some(accuracy) = accuracy {
-            if accuracies.insert(key, accuracy).is_none() {
-                counts.accuracy_scans += 1;
-            }
-        }
-        clear
+        true
     }
 }
 
@@ -761,8 +630,7 @@ fn byte_identical_recompute(next: &EngineCore, candidate: &CarryCandidate) -> bo
 mod tests {
     use super::*;
     use crate::asp::tests::{
-        assert_view_matches_fresh, index_missing_y, rects_intersecting, set_index, sorted_table,
-        Seeded,
+        assert_view_matches_fresh, index_missing_y, rects_intersecting, set_index, Seeded,
     };
     use crate::AsrsEngine;
     use asrs_aggregator::{FeatureVector, Weights};
@@ -800,83 +668,37 @@ mod tests {
             .collect()
     }
 
-    /// The count aggregator of the MaxRS reduction at `size`.
-    fn count_aggregator(core: &EngineCore, size: RegionSize) -> CompositeAggregator {
-        crate::maxrs::reduction(&core.dataset, size, &Selection::All)
-            .unwrap()
-            .0
-    }
-
-    /// Fresh probe tables of `core`, as a previous pass that probed the
-    /// engine's aggregator and the count aggregator at `size` would have
-    /// left them, with `core`'s location index built as that pass (or a
-    /// search) would have built it.
-    fn probes_of(core: &EngineCore, size: RegionSize) -> CarryProbes {
-        core.locations.of(&core.dataset);
-        let tables = [(*core.aggregator).clone(), count_aggregator(core, size)]
-            .into_iter()
-            .map(|aggregator| AggregatorTable {
-                table: Contributions::of(&core.dataset, &aggregator),
-                aggregator,
-                used: core.generation,
-            })
-            .collect();
-        CarryProbes {
-            tables,
-            generation: core.generation,
-        }
-    }
-
-    /// Brings `cache` from `old` to `next` through a carry pass's probe
-    /// view, probing the engine's table and a MaxRS count table, and checks
-    /// that the publish patched the location index and the pass the
-    /// contribution tables rather than rebuilding them, that both match
-    /// fresh builds, and every size's view a sort of every edge, bit for
-    /// bit.
-    fn pass(cache: &mut CarryProbes, old: &EngineCore, next: &EngineCore, sizes: &[RegionSize]) {
+    /// Brings a carry pass from `old` to `next` and checks that the publish
+    /// patched the location index rather than rebuilding it, that the
+    /// pass's index matches a fresh build, and every size's view a sort of
+    /// every edge, bit for bit.
+    fn pass(old: &EngineCore, next: &EngineCore, sizes: &[RegionSize]) {
         assert_ne!(old.generation, next.generation);
         let patched = next.locations.get().expect("the publish patched the index");
         assert!(patched.bits_eq(&LocationIndex::of(&next.dataset)));
-        let delta = DatasetDelta::between(&old.dataset, &next.dataset);
-        let mut probes = PassProbes::new(cache, old, next, Some(&delta));
-        // A rebuild starts with no tables; a patch keeps both.
-        assert_eq!(probes.probes.tables.len(), 2, "the tables were rebuilt");
-        probes.table_of(next, &count_aggregator(next, sizes[0]));
-        probes.table_of(next, &next.aggregator);
-        assert_eq!(probes.probes.tables.len(), 2);
-        assert_eq!(probes.probes.generation, next.generation);
-        assert!(probes.probes.match_fresh(next));
+        let probes = PassProbes::new(next);
+        assert!(std::ptr::eq(probes.locations, patched));
         for &size in sizes {
             assert_view_matches_fresh(probes.locations, &next.dataset, size, 60);
         }
     }
 
-    /// Runs `write` on `engine`, with the tables and location index of the
-    /// core before it built, and checks them after it against fresh builds.
-    /// Returns the write's delta.
-    fn follow(engine: &AsrsEngine, write: impl FnOnce(&EngineCore)) -> DatasetDelta {
+    /// Runs `write` on `engine`, with the location index of the core
+    /// before it built, and checks the pass after it against fresh builds.
+    fn follow(engine: &AsrsEngine, write: impl FnOnce(&EngineCore)) {
         let old = engine.core();
         let sizes = sizes(&old);
-        let mut cache = probes_of(&old, sizes[0]);
+        old.locations.of(&old.dataset);
         write(&old);
-        let next = engine.core();
-        pass(&mut cache, &old, &next, &sizes);
-        DatasetDelta::between(&old.dataset, &next.dataset)
+        pass(&old, &engine.core(), &sizes);
     }
 
     #[test]
     fn a_solo_removal_updates_contexts_bit_identically() {
         let engine = engine(400, 3);
-        let delta = follow(&engine, |old| {
+        follow(&engine, |old| {
             engine.remove(old.dataset.object(57).id).unwrap();
         });
-        assert_eq!(
-            delta,
-            DatasetDelta {
-                removed: vec![57],
-                tail: 399
-            }
-        );
     }
 
     #[test]
@@ -886,35 +708,29 @@ mod tests {
         // A sweep that expires the tail object.
         let expiring = interior(&core, 1_000_001, 0.41, 0.37);
         engine.append_with_ttl(expiring, Duration::ZERO).unwrap();
-        let delta = follow(&engine, |_| {
+        follow(&engine, |_| {
             assert_eq!(engine.sweep_expired().unwrap().len(), 1);
         });
-        assert_eq!(delta.removed, vec![400]);
-        assert_eq!(delta.tail, 400);
         // An expiry piggybacked on an application append.
         let expiring = interior(&core, 1_000_002, 0.62, 0.55);
         engine.append_with_ttl(expiring, Duration::ZERO).unwrap();
-        let delta = follow(&engine, |_| {
+        follow(&engine, |_| {
             let receipt = engine
                 .append(interior(&core, 1_000_003, 0.18, 0.83))
                 .unwrap();
             assert_eq!(receipt.batch, 2, "the due expiry must ride along");
         });
-        assert_eq!(delta.removed, vec![400]);
-        assert_eq!(delta.tail, 400);
         // A replayed expiry record of an interior object.
-        let delta = follow(&engine, |old| {
+        follow(&engine, |old| {
             let id = old.dataset.object(90).id;
             engine.apply_mutations(&[Mutation::Expire { id }]).unwrap();
         });
-        assert_eq!(delta.removed, vec![90]);
-        assert_eq!(delta.tail, 400);
     }
 
     #[test]
     fn a_mixed_batch_updates_contexts_bit_identically() {
         let engine = engine(400, 7);
-        let delta = follow(&engine, |old| {
+        follow(&engine, |old| {
             let batch = [
                 Mutation::Remove {
                     id: old.dataset.object(12).id,
@@ -931,14 +747,12 @@ mod tests {
             ];
             engine.apply_mutations(&batch).unwrap();
         });
-        assert_eq!(delta.removed, vec![12, 250]);
-        assert_eq!(delta.tail, 398);
     }
 
     #[test]
     fn removing_and_re_appending_one_id_updates_contexts_bit_identically() {
         let engine = engine(400, 11);
-        let delta = follow(&engine, |old| {
+        follow(&engine, |old| {
             let mut moved = old.dataset.object(140).clone();
             moved.location = interior(old, moved.id, 0.55, 0.45).location;
             let batch = [
@@ -947,28 +761,20 @@ mod tests {
             ];
             engine.apply_mutations(&batch).unwrap();
         });
-        assert_eq!(delta.removed, vec![140]);
-        assert_eq!(delta.tail, 399);
     }
 
     #[test]
     fn an_index_missing_a_removed_y_is_rebuilt_not_patched() {
         let engine = engine(400, 3);
         let old = engine.core();
-        let sizes = sizes(&old);
         // The generation's y array lacks the y of the object the batch
         // removes, as if an earlier patch had dropped it.
         set_index(&old.locations, index_missing_y(&old.dataset, 57));
-        let mut cache = probes_of(&old, sizes[0]);
         engine.remove(old.dataset.object(57).id).unwrap();
         let next = engine.core();
         assert!(next.locations.get().is_none(), "the index was patched");
-        let delta = DatasetDelta::between(&old.dataset, &next.dataset);
-        let probes = PassProbes::new(&mut cache, &old, &next, Some(&delta));
+        let probes = PassProbes::new(&next);
         assert!(probes.locations.bits_eq(&LocationIndex::of(&next.dataset)));
-        // The contribution tables do not depend on the index.
-        assert_eq!(probes.probes.tables.len(), 2);
-        assert!(probes.probes.match_fresh(&next));
     }
 
     /// The exact windowMin the threshold test replaces, on a fresh instance
@@ -1010,7 +816,7 @@ mod tests {
                 searched: false,
             };
         }
-        window_reaches(probe, touched, cutoff, &empty_rep, buffers, &mut None)
+        window_reaches(probe, touched, cutoff, &empty_rep, buffers)
     }
 
     #[test]
@@ -1044,7 +850,6 @@ mod tests {
                 query: &query,
                 view: locations.view(size),
                 dataset: &core.dataset,
-                table: &table,
             };
             let mut buffers = WindowBuffers::new(&core.aggregator);
             let (_, empty_distance) = solver.empty_candidate();
@@ -1091,15 +896,30 @@ mod tests {
             )
     }
 
+    /// 40 seeded points in the interior of `area`.
+    fn touched_points(area: Rect, seed: u64) -> Vec<Point> {
+        let mut rng = Seeded(seed);
+        (0..40)
+            .map(|_| {
+                Point::new(
+                    area.min_x + area.width() * rng.interior(),
+                    area.min_y + area.height() * rng.interior(),
+                )
+            })
+            .collect()
+    }
+
     /// Gate-then-search on window-local instances against search-only on a
-    /// fresh instance of the whole `dataset`, over seeded windows, at the
-    /// cutoffs around each window's exact minimum and at the instance's
-    /// best distance (what a cached answer's cutoff is).  Returns how many
-    /// decisions the bound settled and how many searched.
+    /// fresh instance of the whole `dataset`, over the windows of seeded
+    /// points in `area`, at the cutoffs around each window's exact minimum
+    /// and at the instance's best distance (what a cached answer's cutoff
+    /// is).  Returns how many decisions the bound settled and how many
+    /// searched.
     fn gate_agrees_with_search(
         dataset: &Dataset,
         aggregator: &CompositeAggregator,
         query: &AsrsQuery,
+        area: Rect,
         seed: u64,
     ) -> (u64, u64) {
         let config = crate::SearchConfig::default();
@@ -1113,7 +933,6 @@ mod tests {
             query,
             view: locations.view(query.size),
             dataset,
-            table: &table,
         };
         let mut buffers = WindowBuffers::new(aggregator);
         let best = crate::executor::Executor::new(
@@ -1126,14 +945,8 @@ mod tests {
         .best(query, 0.0, None)
         .unwrap()
         .distance;
-        let bbox = dataset.bounding_box().unwrap();
-        let mut rng = Seeded(seed);
         let (mut bounded, mut searched) = (0, 0);
-        for _ in 0..40 {
-            let touched = Point::new(
-                bbox.min_x + bbox.width() * rng.interior(),
-                bbox.min_y + bbox.height() * rng.interior(),
-            );
+        for touched in touched_points(area, seed) {
             let min = window_min(&solver, touched);
             for cutoff in [min.next_down(), min, min.next_up(), best] {
                 let verdict = r3(&probe, touched, cutoff, &mut buffers);
@@ -1183,64 +996,44 @@ mod tests {
         );
         // The MaxRS count reduction.
         let (count, maxrs) = crate::maxrs::reduction(&uniform, size, &Selection::All).unwrap();
+        // Two edges 1e-9 apart, far to the right of every probed window:
+        // the size's accuracy is orders of magnitude below each window's.
+        let far = bbox.max_x + 3.0 * size.width;
+        let mut objects: Vec<_> = uniform.objects().cloned().collect();
+        for (k, x) in [far, far + 1e-9].into_iter().enumerate() {
+            let mut object = uniform.object(k).clone();
+            object.id = 1_000_000 + k as u64;
+            object.location = Point::new(x, bbox.center().y);
+            objects.push(object);
+        }
+        let gapped = Dataset::new_unchecked(uniform.schema().clone(), objects);
+        let whole = AspInstance::build(&gapped, size).accuracy();
+        assert!(whole.dx < 1e-8, "{whole:?}");
+        let locations = LocationIndex::of(&gapped);
+        for touched in touched_points(bbox, 37) {
+            let edges = locations
+                .view(size)
+                .edges_within(&influence_window(touched, size));
+            let local = AspInstance::new(Vec::new(), size, edges).accuracy();
+            assert!(local.dx > 1e3 * whole.dx, "{local:?} at {touched:?}");
+        }
         for (case, dataset, aggregator, query) in [
             ("distribution", &uniform, &distribution, &query),
             ("float sum", &pois, &float_sum, &rating),
             ("maxrs", &uniform, &count, &maxrs),
+            ("far gap", &gapped, &distribution, &query),
         ] {
-            let (bounded, searched) = gate_agrees_with_search(dataset, aggregator, query, 37);
+            let area = if case == "far gap" {
+                bbox
+            } else {
+                dataset.bounding_box().unwrap()
+            };
+            let (bounded, searched) = gate_agrees_with_search(dataset, aggregator, query, area, 37);
             assert!(
                 bounded > 0 && searched > 0,
                 "{case}: {bounded} / {searched}"
             );
         }
-    }
-
-    #[test]
-    fn a_pass_scans_each_size_accuracy_once_and_keeps_its_bits() {
-        let engine = engine(400, 19);
-        let old = engine.core();
-        let sizes = sizes(&old);
-        let mut cache = probes_of(&old, sizes[0]);
-        engine
-            .append(interior(&old, 1_000_005, 0.47, 0.52))
-            .unwrap();
-        let next = engine.core();
-        let delta = DatasetDelta::between(&old.dataset, &next.dataset);
-        let mut probes = PassProbes::new(&mut cache, &old, &next, Some(&delta));
-        let dim = next.aggregator.feature_dim();
-        let touched: Vec<Point> = next.dataset.objects().map(|o| o.location).collect();
-        for &size in &sizes {
-            // The best distance of the size as the cutoff: the windows
-            // around the answer are searched, and one of them reaches.
-            let query = AsrsQuery::new(
-                size,
-                FeatureVector::new(vec![3.0; dim]),
-                Weights::uniform(dim),
-            );
-            let best = next.execute(&QueryRequest::similar(query.clone())).unwrap();
-            let QueryOutcome::Best(best) = best.outcome else {
-                panic!("a similar request answers one region");
-            };
-            for _ in 0..2 {
-                let searched = probes.counts.windows_searched;
-                assert!(!probes.no_window_reaches(
-                    &next,
-                    &next.aggregator,
-                    &query,
-                    &touched,
-                    best.distance
-                ));
-                assert!(probes.counts.windows_searched > searched);
-            }
-            let (_, fresh) = sorted_table(&next.dataset, size);
-            let kept = probes.accuracies[&size_key(size)];
-            assert_eq!(
-                (kept.dx.to_bits(), kept.dy.to_bits()),
-                (fresh.dx.to_bits(), fresh.dy.to_bits())
-            );
-        }
-        assert_eq!(probes.counts.accuracy_scans, sizes.len() as u64);
     }
 
     /// One seeded batch of the property test below: a solo append, a batch
@@ -1289,20 +1082,25 @@ mod tests {
         let bbox = core.dataset.bounding_box().unwrap();
         let sizes = sizes(&core);
         let w = sizes[0].width;
-        let mut cache = probes_of(&core, sizes[0]);
+        core.locations.of(&core.dataset);
         let mut rng = Seeded(23);
+        // Definition 7's x accuracy of the whole instance over the patched
+        // index.
         let min_x_gap = || {
             let core = engine.core();
-            core.locations.get().unwrap().view(sizes[0]).accuracy().dx
+            let view = core.locations.get().unwrap().view(sizes[0]);
+            AspInstance::new(Vec::new(), sizes[0], view.edges())
+                .accuracy()
+                .dx
         };
         let mut passes = 0;
-        let mut step_through = |cache: &mut CarryProbes, old: &EngineCore| {
+        let mut step_through = |old: &EngineCore| {
             let next = engine.core();
             assert!(rects_bit_equal(
                 old.dataset.bounding_box(),
                 next.dataset.bounding_box()
             ));
-            pass(cache, old, &next, &sizes);
+            pass(old, &next, &sizes);
             passes += 1;
         };
         for step in 0..60u64 {
@@ -1355,16 +1153,16 @@ mod tests {
                 _ if step % 9 == 5 => {
                     let expiring = interior(&old, 8_000_000 + step, 0.66, 0.44);
                     engine.append_with_ttl(expiring, Duration::ZERO).unwrap();
-                    step_through(&mut cache, &old);
+                    step_through(&old);
                     let old = engine.core();
                     assert_eq!(engine.sweep_expired().unwrap().len(), 1);
-                    step_through(&mut cache, &old);
+                    step_through(&old);
                     continue;
                 }
                 _ => seeded_batch(&old, step, &mut rng),
             };
             engine.apply_mutations(&batch).unwrap();
-            step_through(&mut cache, &old);
+            step_through(&old);
             match step {
                 21 => assert!(min_x_gap() < 1e-8),
                 22 => assert!(min_x_gap() > 1e-8),

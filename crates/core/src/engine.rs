@@ -434,8 +434,8 @@ pub(crate) struct EngineCore {
     /// the internal `shard` module); `None` on single engines.
     pub(crate) shards: Option<ShardSet>,
     /// The dataset's location index, which every cold search and carry
-    /// pass takes its ASP instances' edges, accuracy and rectangle lookups
-    /// from: built by the first that needs it, or inherited from the
+    /// pass takes its ASP instances' edges and rectangle lookups from:
+    /// built by the first that needs it, or inherited from the
     /// predecessor through a publish (see the `asp` module).
     pub(crate) locations: LazyLocations,
 }

@@ -4,9 +4,10 @@
 //! kernel, [`DsSearch`], run over different sets of sub-spaces; the shard
 //! scatter is a third such set.  The executor validates a request, builds
 //! its ASP instance and contribution table once — the instance's edge
-//! table, accuracy and slab lookups come from a view of the generation's
-//! location index (see the `asp` module) — seeds the empty region and runs
-//! the kernel over the sub-spaces its [`Slabs`] plan names:
+//! table and slab lookups come from a view of the generation's location
+//! index, its accuracy from that table (see the `asp` module) — seeds the
+//! empty region and runs the kernel over the sub-spaces its [`Slabs`] plan
+//! names:
 //!
 //! * [`Slabs::Whole`] — the whole ASP space, one slab (DS-Search, and MaxRS
 //!   on an unsharded engine);

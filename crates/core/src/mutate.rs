@@ -71,7 +71,6 @@
 //! space no stale entry can inhabit, and superseded entries age out
 //! through LRU eviction.
 
-use crate::asp::DatasetDelta;
 use crate::engine::{EngineCore, EngineShared, IndexUpkeep};
 use crate::error::AsrsError;
 use crate::grid_index::GridIndex;
@@ -176,10 +175,6 @@ pub(crate) struct MutationState {
     ttl_token: u64,
     incremental_updates: u64,
     index_rebuilds: u64,
-    /// The contribution tables the carry-forward pass patches and reuses
-    /// across publishes (see [`carry`](crate::carry)); mutator-guarded
-    /// like the rest of this state.
-    carry_probes: crate::carry::CarryProbes,
 }
 
 impl MutationState {
@@ -193,7 +188,6 @@ impl MutationState {
             ttl_token: 0,
             incremental_updates: 0,
             index_rebuilds: 0,
-            carry_probes: crate::carry::CarryProbes::default(),
         }
     }
 }
@@ -630,13 +624,9 @@ struct AssembledBatch {
     /// [`MutationState`] only after the WAL accepts the batch.
     counters: CounterDraft,
     /// Location of every object the batch appended or removed — the
-    /// influence-window inputs of the cache carry-forward pass
-    /// (see [`carry`](crate::carry)).
+    /// influence-window inputs of the cache carry-forward pass (see
+    /// [`carry`](crate::carry)), which reads nothing else of the batch.
     touched: Vec<Point>,
-    /// How the batch turned the predecessor's dataset into the
-    /// successor's, derived when the predecessor's location index was
-    /// built: it patches that index and the carry's contribution tables.
-    delta: Option<DatasetDelta>,
 }
 
 /// What a published (or failed) batch hands back: the sweep expiries' own
@@ -777,13 +767,7 @@ fn publish(
     // moved; that is an ordinary cold miss, never a stale hit.  The
     // mutation mutex is held throughout, so two publishes cannot re-stamp
     // one generation's entries concurrently.
-    crate::carry::carry_forward(
-        &core,
-        &next,
-        &assembled.touched,
-        assembled.delta.as_ref(),
-        &mut state.carry_probes,
-    );
+    crate::carry::carry_forward(&core, &next, &assembled.touched);
     shared.swap(Arc::clone(&next));
     for logged in &assembled.logged {
         match logged {
@@ -964,7 +948,7 @@ fn assemble(
 
     // The successor inherits the predecessor's location index, patched by
     // the batch, when a search or carry pass built it.
-    let (locations, delta) = core.locations.successor(&core.dataset, &dataset);
+    let locations = core.locations.successor(&core.dataset, &dataset);
     let next = EngineCore {
         generation,
         dataset: Arc::new(dataset),
@@ -998,7 +982,6 @@ fn assemble(
         ttl_events,
         counters,
         touched,
-        delta,
     })
 }
 

@@ -189,7 +189,6 @@ impl ServerMetrics {
                 carry_proof_failures: c.carry_proof_failures,
                 carry_windows_bounded: c.carry_windows_bounded,
                 carry_windows_searched: c.carry_windows_searched,
-                carry_accuracy_scans: c.carry_accuracy_scans,
             }
         });
         let shards = shard_requests.map(|requests| ShardsSnapshot {
@@ -301,10 +300,6 @@ pub struct CacheSnapshot {
     /// Influence windows R3 searched (or refused as too dense); with
     /// `carry_windows_bounded` it sums to every window R3 examined.
     pub carry_windows_searched: u64,
-    /// Accuracy scans the carry passes ran: at most one per query size
-    /// and pass, at the size's first searched window, so it stays at or
-    /// below `carry_windows_searched`.
-    pub carry_accuracy_scans: u64,
 }
 
 /// A fixed-bucket histogram as served by `/metrics`: `counts[i]` holds the
