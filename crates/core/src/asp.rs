@@ -341,39 +341,35 @@ impl EdgeSnapper {
 
     /// The first `(y, x)` representative of the arrangement cells meeting
     /// `region`: the heads of [`EdgeSnapper::x_reps_within`] and
-    /// [`EdgeSnapper::y_reps_within`], without the lists.
+    /// [`EdgeSnapper::y_reps_within`].
     pub(crate) fn first_rep_within(&self, region: &Rect) -> Point {
+        // Every range yields at least one representative, so the NaN is
+        // never read.
         Point::new(
-            Self::first_rep(&self.xs, region.min_x, region.max_x),
-            Self::first_rep(&self.ys, region.min_y, region.max_y),
+            Self::axis_reps(&self.xs, region.min_x, region.max_x)
+                .next()
+                .unwrap_or(f64::NAN),
+            Self::axis_reps(&self.ys, region.min_y, region.max_y)
+                .next()
+                .unwrap_or(f64::NAN),
         )
-    }
-
-    /// The first element of [`EdgeSnapper::axis_reps`]: the representative
-    /// of the fragment between `lo` and the first edge above it (or `hi`).
-    fn first_rep(edges: &[f64], lo: f64, hi: f64) -> f64 {
-        if hi <= lo {
-            return Self::snap_axis(edges, (lo + hi) / 2.0);
-        }
-        let a = edges.partition_point(|e| *e <= lo);
-        let end = edges.get(a).map_or(hi, |&e| e.min(hi));
-        Self::snap_axis(edges, (lo + end) / 2.0)
     }
 
     /// Canonical representatives of every arrangement x-interval meeting
     /// the open range `(lo, hi)`, ascending (see [`EdgeSnapper::axis_reps`]).
-    pub(crate) fn x_reps_within(&self, lo: f64, hi: f64) -> Vec<f64> {
+    pub(crate) fn x_reps_within(&self, lo: f64, hi: f64) -> impl Iterator<Item = f64> + '_ {
         Self::axis_reps(&self.xs, lo, hi)
     }
 
     /// Canonical representatives of every arrangement y-interval meeting
     /// the open range `(lo, hi)`, ascending.
-    pub(crate) fn y_reps_within(&self, lo: f64, hi: f64) -> Vec<f64> {
+    pub(crate) fn y_reps_within(&self, lo: f64, hi: f64) -> impl Iterator<Item = f64> + '_ {
         Self::axis_reps(&self.ys, lo, hi)
     }
 
     /// Canonical representatives of the edge intervals intersecting the
-    /// open range `(lo, hi)`.
+    /// open range `(lo, hi)`, ascending and distinct, computed as they are
+    /// read.
     ///
     /// A search evaluates whole uniform-covering *windows* at one probe
     /// point, but a window generically spans several arrangement intervals
@@ -382,23 +378,29 @@ impl EdgeSnapper {
     /// candidates; enumerating each interval's representative is what lets
     /// a window evaluation offer all of them, keeping the candidate set
     /// identical across decompositions.
-    fn axis_reps(edges: &[f64], lo: f64, hi: f64) -> Vec<f64> {
-        if hi <= lo {
-            return vec![Self::snap_axis(edges, (lo + hi) / 2.0)];
-        }
-        let a = edges.partition_point(|e| *e <= lo);
-        let b = edges.partition_point(|e| *e < hi);
-        let mut reps = Vec::with_capacity(b - a + 1);
-        let mut prev = lo;
-        for &edge in &edges[a..b] {
-            reps.push(Self::snap_axis(edges, (prev + edge) / 2.0));
-            prev = edge;
-        }
-        reps.push(Self::snap_axis(edges, (prev + hi) / 2.0));
-        // Fragments of one interval (a range boundary inside the interval)
-        // snap to the same representative.
-        reps.dedup();
-        reps
+    fn axis_reps(edges: &[f64], lo: f64, hi: f64) -> impl Iterator<Item = f64> + '_ {
+        let inner = if hi <= lo {
+            &edges[..0]
+        } else {
+            let a = edges.partition_point(|e| *e <= lo);
+            let b = edges.partition_point(|e| *e < hi);
+            &edges[a..b]
+        };
+        let (mut prev, mut last) = (lo, None);
+        inner
+            .iter()
+            .copied()
+            .chain(std::iter::once(hi))
+            .filter_map(move |end| {
+                let rep = Self::snap_axis(edges, (prev + end) / 2.0);
+                prev = end;
+                // Fragments of one interval (a range boundary inside the
+                // interval) snap to the same representative.
+                (last != Some(rep)).then(|| {
+                    last = Some(rep);
+                    rep
+                })
+            })
     }
 }
 
@@ -1029,8 +1031,8 @@ pub(crate) mod tests {
         ] {
             let region = Rect::new(lo, lo / 3.0, hi, hi / 3.0);
             let first = Point::new(
-                snapper.x_reps_within(lo, hi)[0],
-                snapper.y_reps_within(lo / 3.0, hi / 3.0)[0],
+                snapper.x_reps_within(lo, hi).next().unwrap(),
+                snapper.y_reps_within(lo / 3.0, hi / 3.0).next().unwrap(),
             );
             assert_eq!(snapper.first_rep_within(&region), first, "({lo}, {hi})");
         }
@@ -1064,7 +1066,14 @@ pub(crate) mod tests {
 
     /// A table without edges, where snapping is the identity.
     pub(crate) fn unsnapped() -> EdgeSnapper {
-        EdgeSnapper::from_sorted_edges(Vec::new(), Vec::new())
+        snapper_of(Vec::new(), Vec::new())
+    }
+
+    /// The table of the edge coordinates `xs` and `ys`, in any order.
+    pub(crate) fn snapper_of(mut xs: Vec<f64>, mut ys: Vec<f64>) -> EdgeSnapper {
+        xs.sort_by(f64::total_cmp);
+        ys.sort_by(f64::total_cmp);
+        EdgeSnapper::from_sorted_edges(xs, ys)
     }
 
     /// Stores `index` as the generation's index in `cell`, if it holds
@@ -1221,15 +1230,15 @@ pub(crate) mod tests {
             let y_ranges = ranges(&cuts(global.ys(), window.min_y, window.max_y));
             for &(x0, x1) in &x_ranges {
                 assert_eq!(
-                    bits(&local.x_reps_within(x0, x1)),
-                    bits(&global.x_reps_within(x0, x1)),
+                    bits(&local.x_reps_within(x0, x1).collect::<Vec<_>>()),
+                    bits(&global.x_reps_within(x0, x1).collect::<Vec<_>>()),
                     "x ({x0}, {x1}) in {window:?}"
                 );
             }
             for (i, &(y0, y1)) in y_ranges.iter().enumerate() {
                 assert_eq!(
-                    bits(&local.y_reps_within(y0, y1)),
-                    bits(&global.y_reps_within(y0, y1)),
+                    bits(&local.y_reps_within(y0, y1).collect::<Vec<_>>()),
+                    bits(&global.y_reps_within(y0, y1).collect::<Vec<_>>()),
                     "y ({y0}, {y1}) in {window:?}"
                 );
                 for &(x0, x1) in [

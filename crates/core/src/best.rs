@@ -135,13 +135,16 @@ impl BestSet {
     /// fragments) whose covering — hence distance and representation — is
     /// constant, but which generically span several *global* arrangement
     /// cells: distinct, equally good candidates.  Every arrangement cell
-    /// inside the region is offered, so the retained candidates do not
-    /// depend on how the space was carved into windows.  A full set first
-    /// tests the region's minimal representative — all share `distance`
-    /// and the order is `(distance, y, x)`, so it is the window's first
-    /// `(y, x)` representative, one binary search per axis — and skips the
-    /// region when even that cannot improve the set, before any list is
-    /// built.
+    /// inside the region is a candidate, so the retained candidates do not
+    /// depend on how the space was carved into windows.  They all share
+    /// `distance` and the order is `(distance, y, x)`, so their
+    /// representatives arrive in `(y, x)` order and only the first
+    /// `capacity` can be retained: once they are offered, the set is full
+    /// and its worst entry precedes every later one.  So only those are
+    /// offered, read lazily from the first `capacity` representatives of
+    /// each axis, and a full set first tests the region's minimal
+    /// representative and skips the region when even that cannot improve
+    /// the set.
     pub fn offer_region(&mut self, distance: f64, region: &Rect, representation: FeatureVector) {
         if !distance.is_finite() {
             self.non_finite_rejected += 1;
@@ -156,12 +159,19 @@ impl BestSet {
                 return;
             }
         }
-        let xs = self.snapper.x_reps_within(region.min_x, region.max_x);
-        let ys = self.snapper.y_reps_within(region.min_y, region.max_y);
-        for &y in &ys {
-            for &x in &xs {
-                self.offer_at(distance, Point::new(x, y), representation.clone());
-            }
+        let xs: Vec<f64> = self
+            .snapper
+            .x_reps_within(region.min_x, region.max_x)
+            .take(self.capacity)
+            .collect();
+        let anchors: Vec<Point> = self
+            .snapper
+            .y_reps_within(region.min_y, region.max_y)
+            .flat_map(|y| xs.iter().map(move |&x| Point::new(x, y)))
+            .take(self.capacity)
+            .collect();
+        for anchor in anchors {
+            self.offer_at(distance, anchor, representation.clone());
         }
     }
 
@@ -234,6 +244,7 @@ pub(crate) fn best_to_results(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asp::tests::{snapper_of, Seeded};
 
     /// A set over an instance without edges, where snapping is the
     /// identity.
@@ -367,5 +378,42 @@ mod tests {
         // The retained set is the 3 smallest under (distance, y, x):
         // 0.5, 1.0, then the tie at 2.0 won by the smaller x.
         assert_eq!(reference.unwrap(), vec![(0.5, 7.0), (1.0, 9.0), (2.0, 1.0)]);
+    }
+
+    #[test]
+    fn a_region_offers_what_its_full_enumeration_would_retain() {
+        // Over random edge tables, prior entries, regions and capacities
+        // 1–4, offering a region's first `capacity` representatives leaves
+        // the same entries as offering every (x, y) pair of them.
+        let mut rng = Seeded(29);
+        let coordinate = |rng: &mut Seeded| rng.below(48) as f64 / 4.0 - 1.0;
+        for case in 0..3000 {
+            let edges = |rng: &mut Seeded| -> Vec<f64> {
+                (0..rng.below(12)).map(|_| coordinate(rng)).collect()
+            };
+            let (xs, ys) = (edges(&mut rng), edges(&mut rng));
+            let snapper = Arc::new(snapper_of(xs, ys));
+            let capacity = 1 + rng.below(4);
+            let mut set = BestSet::new(capacity, Arc::clone(&snapper));
+            for _ in 0..rng.below(6) {
+                let d = rng.below(3) as f64;
+                let anchor = Point::new(coordinate(&mut rng), coordinate(&mut rng));
+                set.offer(d, anchor, FeatureVector::new(vec![d]));
+            }
+            let (x0, x1) = (coordinate(&mut rng), coordinate(&mut rng));
+            let (y0, y1) = (coordinate(&mut rng), coordinate(&mut rng));
+            let region = Rect::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1));
+            let d = rng.below(3) as f64;
+            let representation = FeatureVector::new(vec![d, 1.0]);
+            let mut full = set.clone();
+            let xs: Vec<f64> = snapper.x_reps_within(region.min_x, region.max_x).collect();
+            for y in snapper.y_reps_within(region.min_y, region.max_y) {
+                for &x in &xs {
+                    full.offer_at(d, Point::new(x, y), representation.clone());
+                }
+            }
+            set.offer_region(d, &region, representation);
+            assert_eq!(set.into_entries(), full.into_entries(), "case {case}");
+        }
     }
 }

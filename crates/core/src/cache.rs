@@ -1,10 +1,10 @@
 //! The engine-level query-result cache.
 //!
-//! A serving engine sees the same [`QueryRequest`](crate::QueryRequest)s
+//! A serving engine sees the same [`QueryRequest`]s
 //! over and over — popular example regions, dashboard refreshes, retries —
 //! and every search is deterministic, so recomputing an identical request
 //! is pure waste.  [`QueryCache`] memoises successful
-//! [`QueryResponse`](crate::QueryResponse)s keyed by the request's
+//! [`QueryResponse`]s keyed by the request's
 //! canonical fingerprint ([`RequestKey`]), which collapses representation
 //! differences (`-0.0` vs `+0.0`) but never conflates genuinely different
 //! requests.

@@ -80,6 +80,19 @@ const RESOLVE_CROSSING_THRESHOLD: u32 = 24;
 /// at depth 51.
 /// * The heap is also cut off at `d_opt / (1 + δ)`, which specialises to
 ///   the paper's `d_opt` cutoff for the exact setting `δ = 0`.
+/// * Before the first grid, the root space is bounded as one cell: the
+///   Equation-1 bound over its own candidates, with the rectangles that
+///   contain the whole space as the base ([`Bounds::space_bound`]).  A
+///   root whose bound exceeds the raw cutoff (not the one divided by
+///   `1 + δ`, as for the resolve strips) is settled without a grid and
+///   counted in [`SearchStats::spaces_bounded`].  Every candidate anchored
+///   in it is at least that far and the cutoff only falls, so its grid
+///   could neither offer a candidate nor retain a dirty cell: this changes
+///   cost, not answers.  It costs `O(m · d)` against the grid's
+///   `O(n_col · n_row · d)`, and it is what keeps GI-DS from laying a full
+///   grid over every index cell its Definition-9 bound opens: that bound
+///   is built from whole index cells, the root bound from the cell's own
+///   rectangles.
 ///
 /// Dirty cells crossed by at most [`RESOLVE_CROSSING_THRESHOLD`]
 /// rectangles are resolved the same exact way on the spot.  The
@@ -102,6 +115,10 @@ pub(crate) struct DsSearch<'a> {
     pub(crate) query: &'a AsrsQuery,
     /// Polled at every popped sub-space and resolved cell.
     pub(crate) budget: Option<&'a Budget>,
+    /// Whether a root space is bounded before its first grid; tests clear
+    /// it to measure the work the bound saves.
+    #[cfg(test)]
+    bound_roots: bool,
 }
 
 struct HeapEntry {
@@ -153,6 +170,8 @@ impl<'a> DsSearch<'a> {
             table,
             query,
             budget,
+            #[cfg(test)]
+            bound_roots: true,
         }
     }
 
@@ -186,6 +205,11 @@ impl<'a> DsSearch<'a> {
     /// contributing rectangles are `candidates`, updating `best` and
     /// `stats` in place; `scratch` is the calling thread's buffer set.  An
     /// expired budget aborts the loop with [`AsrsError::DeadlineExceeded`].
+    ///
+    /// A space whose own Equation-1 bound ([`Bounds::space_bound`])
+    /// exceeds `best`'s raw cutoff is settled before any grid is laid over
+    /// it and counted in [`SearchStats::spaces_bounded`]: every candidate
+    /// anchored in it is at least that far, and the cutoff only falls.
     pub(crate) fn search_space(
         &self,
         space: Rect,
@@ -196,6 +220,18 @@ impl<'a> DsSearch<'a> {
     ) -> Result<(), AsrsError> {
         let asp = self.asp;
         let prune_factor = self.prune_factor;
+        let bound = self.bounds().space_bound(
+            &space,
+            &candidates,
+            &mut scratch.bound,
+            &mut scratch.partial,
+        );
+        #[cfg(test)]
+        let bound = if self.bound_roots { bound } else { f64::MIN };
+        if bound > best.cutoff() {
+            stats.spaces_bounded += 1;
+            return Ok(());
+        }
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         heap.push(HeapEntry {
             lb: 0.0,
@@ -586,13 +622,14 @@ fn interior_span(edges: &[f64], lo: f64, hi: f64) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::executor::{Executor, Slabs};
+    use crate::grid_index::GridIndex;
     use crate::result::SearchResult;
     use asrs_aggregator::{
         CompositeAggregator, FeatureVector, Selection, StatsAccumulator, Weights,
     };
     use asrs_data::gen::UniformGenerator;
     use asrs_data::{AttrValue, AttributeDef, AttributeKind, Dataset, DatasetBuilder, Schema};
-    use asrs_geo::{GridEdges, RegionSize};
+    use asrs_geo::{CellRange, GridEdges, GridSpec, RegionSize};
     use std::sync::Arc;
 
     /// The `k` best regions by DS-Search over the whole space, as the
@@ -1008,6 +1045,154 @@ mod tests {
         }
         // 8910 of 63364 when this was written.
         assert!(resolved * 2 < flat, "{resolved} of {flat}");
+    }
+
+    /// The paper's Tweet F1 (weekend-only day-of-week distribution) or
+    /// POISyn F2 (sum of visits, average rating) instance of `n` objects,
+    /// with a query of `units` × `q`, `q` a thousandth of the padded
+    /// extent per axis (Section 7.1).
+    fn paper_instance(
+        poisyn: bool,
+        n: usize,
+        units: f64,
+    ) -> (Dataset, CompositeAggregator, AsrsQuery) {
+        use asrs_data::gen::{PoiSynGenerator, TweetGenerator};
+        let ds = if poisyn {
+            PoiSynGenerator::compact(24).generate(n, 42)
+        } else {
+            TweetGenerator::compact(24).generate(n, 42)
+        };
+        let bbox = ds.padded_bounding_box(1.0).unwrap();
+        let size = RegionSize::new(bbox.width() / 1000.0, bbox.height() / 1000.0).scaled(units);
+        let expected = n as f64 * (units * units / 1_000_000.0) * 30.0;
+        let builder = CompositeAggregator::builder(ds.schema());
+        let (agg, query) = if poisyn {
+            let vmax = (expected * 250.0).max(500.0);
+            let agg = builder
+                .sum("visits", Selection::All)
+                .average("rating", Selection::All)
+                .build()
+                .unwrap();
+            let target = FeatureVector::new(vec![vmax, 10.0]);
+            (
+                agg,
+                AsrsQuery::new(size, target, Weights::new(vec![1.0 / vmax, 0.1])),
+            )
+        } else {
+            let t = (expected / 2.0).max(5.0);
+            let agg = builder
+                .distribution("day_of_week", Selection::All)
+                .build()
+                .unwrap();
+            let target = FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, t, t]);
+            let weights = Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]);
+            (agg, AsrsQuery::new(size, target, weights))
+        };
+        (ds, agg, query)
+    }
+
+    #[test]
+    fn a_root_its_own_bound_settles_holds_nothing_a_grid_would_find() {
+        // Tiles of the ASP space searched in row-major order, as a slab
+        // plan hands the kernel its roots.  Every tile whose Equation-1
+        // bound exceeds the cutoff at its turn is discretized anyway, from
+        // a copy of the result set: the grid must prune every dirty cell
+        // and leave the set as it was.  The kernel then settles that tile,
+        // and only that tile, without a grid.
+        let config = SearchConfig::default();
+        let mut settled = 0;
+        for poisyn in [false, true] {
+            for units in [8.0, 24.0] {
+                let (ds, agg, query) = paper_instance(poisyn, 2000, units);
+                let locations = crate::asp::LocationIndex::of(&ds);
+                let view = locations.view(query.size);
+                let (asp, table) = AspInstance::with_contributions(&ds, &agg, view);
+                let tiles = GridSpec::new(asp.space().unwrap(), 16, 16);
+                for (delta, k) in [(0.0, 1), (0.25, 1), (0.0, 3)] {
+                    let solver = DsSearch::new(&agg, &config, delta, &asp, &table, &query, None);
+                    let mut best = BestSet::new(k, Arc::clone(asp.edges()));
+                    solver.seed_empty_region(&mut best);
+                    let (mut scratch, mut stats) = (solver.scratch(), SearchStats::new());
+                    for cell in CellRange::new(0, 16, 0, 16).iter() {
+                        let tile = tiles.cell_rect(cell.col, cell.row);
+                        let candidates = table.contributing(view.reaching(&tile));
+                        let bound = solver.bounds().space_bound(
+                            &tile,
+                            &candidates,
+                            &mut scratch.bound,
+                            &mut scratch.partial,
+                        );
+                        let bounded = bound > best.cutoff();
+                        let case = format!("poisyn {poisyn} {units}q δ {delta} k {k} {tile:?}");
+                        if bounded {
+                            settled += 1;
+                            let mut probe = best.clone();
+                            let outcome = discretize(
+                                &tile,
+                                &asp,
+                                &table,
+                                &candidates,
+                                &agg,
+                                &query,
+                                &mut probe,
+                                solver.prune_factor,
+                                &mut scratch,
+                            );
+                            assert!(outcome.retained_dirty.is_empty(), "{case}");
+                            assert_eq!(probe.into_entries(), best.clone().into_entries(), "{case}");
+                        }
+                        let before = stats.clone();
+                        solver
+                            .search_space(tile, candidates, &mut best, &mut stats, &mut scratch)
+                            .unwrap();
+                        let grids = stats.spaces_processed - before.spaces_processed;
+                        assert_eq!(
+                            stats.spaces_bounded - before.spaces_bounded,
+                            bounded as u64,
+                            "{case}"
+                        );
+                        assert!(!bounded || grids == 0, "{case}");
+                    }
+                }
+            }
+        }
+        assert!(settled > 0);
+    }
+
+    #[test]
+    fn gi_ds_bounds_index_cells_and_saves_a_grid_for_each() {
+        // GI-DS over a 32 × 32 index with the root bound and without it:
+        // the same answer from the same index cells, and at least one
+        // discretised space fewer for each root the bound settled.
+        let config = SearchConfig::default();
+        for poisyn in [false, true] {
+            let (ds, agg, query) = paper_instance(poisyn, 3000, 16.0);
+            let index = GridIndex::build(&ds, &agg, 32, 32).unwrap();
+            let locations = crate::asp::LocationIndex::of(&ds);
+            let view = locations.view(query.size);
+            let (asp, table) = AspInstance::with_contributions(&ds, &agg, view);
+            let run = |bound_roots: bool| {
+                let mut solver = DsSearch::new(&agg, &config, 0.0, &asp, &table, &query, None);
+                solver.bound_roots = bound_roots;
+                let mut best = BestSet::new(1, Arc::clone(asp.edges()));
+                solver.seed_empty_region(&mut best);
+                let mut stats = SearchStats::new();
+                crate::gi_ds::search_index_cells(&solver, view, &index, &mut best, &mut stats)
+                    .unwrap();
+                (best.into_entries(), stats)
+            };
+            let (answer, with) = run(true);
+            let (unbounded_answer, without) = run(false);
+            assert_eq!(answer, unbounded_answer, "poisyn {poisyn}");
+            assert!(with.spaces_bounded > 0, "poisyn {poisyn}: {with:?}");
+            assert_eq!(without.spaces_bounded, 0);
+            assert_eq!(with.index_cells_searched, without.index_cells_searched);
+            assert!(
+                with.spaces_processed + with.spaces_bounded <= without.spaces_processed,
+                "poisyn {poisyn}: {with:?} against {without:?}"
+            );
+            assert!(with.cells_examined < without.cells_examined);
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl EngineBuilder {
     }
 
     /// Attaches a query-result cache retaining up to `capacity` responses
-    /// (see [`QueryCache`](crate::QueryCache)); `0` (the default) disables
+    /// (see [`QueryCache`]); `0` (the default) disables
     /// caching.
     ///
     /// With a cache, [`AsrsEngine::submit`] memoises successful responses

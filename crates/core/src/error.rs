@@ -3,7 +3,7 @@
 //! Every fallible public operation in `asrs-core` — configuration
 //! building, index construction, engine assembly and all `search*` paths —
 //! reports failures through [`AsrsError`].  The per-layer error types
-//! ([`QueryError`](crate::QueryError), [`ConfigError`]) convert into it via
+//! ([`QueryError`], [`ConfigError`]) convert into it via
 //! `From`, so `?` composes across layers.
 
 use crate::query::QueryError;

@@ -9,6 +9,15 @@
 //! the best distance found so far — the
 //! [`Slabs::IndexCells`](crate::executor::Slabs) plan of the engine's
 //! executor.
+//!
+//! The Definition-9 bound that orders the cells is built from whole index
+//! cells, so a query narrower than a few index cells opens many cells that
+//! hold no candidate near the cutoff.  The kernel bounds each opened cell
+//! again over its own bucketed rectangles before it lays a grid over it
+//! (see [`DsSearch`]), so such a cell costs one Equation-1 bound, not a
+//! discretisation.  It still counts as searched in
+//! [`SearchStats::index_cells_searched`], so Table 1's ratio keeps its
+//! meaning; [`SearchStats::spaces_bounded`] counts the roots settled.
 
 use crate::asp::{AspInstance, Contributions, SizeView};
 use crate::best::BestSet;

@@ -4,8 +4,8 @@
 //! # The epoch-swap model
 //!
 //! Every clone of an [`AsrsEngine`](crate::AsrsEngine) shares one
-//! [`EngineShared`](crate::engine::EngineShared): the current generation's
-//! immutable [`EngineCore`](crate::engine::EngineCore) behind a read lock,
+//! [`EngineShared`]: the current generation's
+//! immutable [`EngineCore`] behind a read lock,
 //! plus the mutation state behind a mutex.  A query snapshots the current
 //! core (one `Arc` clone) and runs on it to completion; a mutation takes
 //! the mutation mutex, assembles a complete successor core off to the

@@ -331,7 +331,7 @@ pub struct Planner {
     /// Admission ceiling on the chosen backend's cost estimate, in the
     /// abstract rectangle-visit units of [`CostEstimate`]; a request whose
     /// estimate exceeds it is rejected with
-    /// [`AsrsError::CostCeilingExceeded`](crate::AsrsError::CostCeilingExceeded)
+    /// [`AsrsError::CostCeilingExceeded`]
     /// *before* execution (the serving layer answers HTTP 429).  `None`
     /// (the default) admits everything — backpressure alone bounds load.
     /// See [`EngineBuilder::cost_ceiling`](crate::EngineBuilder::cost_ceiling).

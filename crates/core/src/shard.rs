@@ -47,7 +47,7 @@
 //! sub-space, so the gathered outcome is byte-identical for every shard
 //! count and to the unsharded engine's (statistics excepted — counters
 //! necessarily describe the actual decomposition; see
-//! [`QueryResponse::stats_stripped`]).  The guarantee
+//! [`QueryResponse::stats_stripped`](crate::QueryResponse::stats_stripped)).  The guarantee
 //! is bit-exact for aggregates computed in exact arithmetic (counts and
 //! distributions — the paper's primary composite aggregators); aggregates
 //! summing floating-point attribute values are equal up to summation

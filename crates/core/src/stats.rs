@@ -63,6 +63,11 @@ pub struct SearchStats {
     /// Number of sub-spaces popped from the heap and discretised
     /// (invocations of Function `Discretize`).
     pub spaces_processed: u64,
+    /// Number of root sub-spaces (an index cell or margin, a shard slab,
+    /// the whole space, a carry window) settled by their own Equation-1
+    /// bound before any grid was laid over them; none of them counts in
+    /// [`SearchStats::spaces_processed`].
+    pub spaces_bounded: u64,
     /// Number of grid cells examined across all discretisations.
     pub cells_examined: u64,
     /// Number of clean cells evaluated.
@@ -134,6 +139,7 @@ impl SearchStats {
     /// Merges another statistics record into this one (durations add).
     pub fn merge(&mut self, other: &SearchStats) {
         self.spaces_processed += other.spaces_processed;
+        self.spaces_bounded += other.spaces_bounded;
         self.cells_examined += other.cells_examined;
         self.clean_cells += other.clean_cells;
         self.dirty_cells += other.dirty_cells;
@@ -177,18 +183,21 @@ mod tests {
     fn merge_adds_counters() {
         let mut a = SearchStats {
             spaces_processed: 2,
+            spaces_bounded: 4,
             clean_cells: 10,
             elapsed: Duration::from_millis(5),
             ..Default::default()
         };
         let b = SearchStats {
             spaces_processed: 3,
+            spaces_bounded: 1,
             clean_cells: 7,
             elapsed: Duration::from_millis(10),
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.spaces_processed, 5);
+        assert_eq!(a.spaces_bounded, 5);
         assert_eq!(a.clean_cells, 17);
         assert_eq!(a.elapsed, Duration::from_millis(15));
     }
