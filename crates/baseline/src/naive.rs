@@ -11,7 +11,7 @@
 //! tests of DS-Search, GI-DS and the sweep-line baseline.
 
 use asrs_aggregator::CompositeAggregator;
-use asrs_core::{AsrsError, AsrsQuery, NaiveSearch};
+use asrs_core::{AsrsError, AsrsQuery, NaiveSearch, SearchStats};
 use asrs_data::Dataset;
 use asrs_geo::{Point, Rect};
 
@@ -40,12 +40,16 @@ pub fn naive_best_region(
     aggregator: &CompositeAggregator,
     query: &AsrsQuery,
 ) -> Result<NaiveAnswer, AsrsError> {
-    let result = NaiveSearch::new(dataset, aggregator).search(query)?;
+    let mut stats = SearchStats::new();
+    let ranked = NaiveSearch::new(dataset, aggregator).search(query, 1, None, &mut stats)?;
+    let best = ranked.first().ok_or_else(|| AsrsError::Internal {
+        message: "the oracle retained no candidate: every distance was non-finite".to_string(),
+    })?;
     Ok(NaiveAnswer {
-        anchor: result.anchor,
-        region: result.region,
-        distance: result.distance,
-        probes: result.stats.fallback_points as usize,
+        anchor: best.anchor,
+        region: best.region,
+        distance: best.distance,
+        probes: stats.fallback_points as usize,
     })
 }
 

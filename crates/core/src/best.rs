@@ -2,7 +2,7 @@
 //!
 //! DS-Search's pseudo-code tracks a single best-so-far candidate `d_opt`.
 //! [`BestSet`] generalises that to the *k* best candidates with pairwise
-//! distinct anchors, which is what `search_top_k` needs: with capacity 1 it
+//! distinct anchors, which is what a top-k request needs: with capacity 1 it
 //! behaves exactly like the scalar tracker (its [`BestSet::cutoff`] is the
 //! current best distance), with capacity k the cutoff is the k-th best
 //! distance, which keeps every pruning rule of the paper sound — a
@@ -219,12 +219,12 @@ impl BestSet {
     }
 }
 
-/// Converts a finished [`BestSet`] into search results, best first.  The
-/// search statistics describe the whole run, so each result carries a copy.
+/// Converts a finished [`BestSet`] into search results, best first, and
+/// counts the candidates it rejected into the run's `stats`.
 pub(crate) fn best_to_results(
     best: BestSet,
     size: RegionSize,
-    mut stats: SearchStats,
+    stats: &mut SearchStats,
 ) -> Vec<SearchResult> {
     stats.non_finite_candidates += best.non_finite_rejected();
     best.into_entries()
@@ -235,7 +235,6 @@ pub(crate) fn best_to_results(
                 Rect::from_bottom_left(e.anchor, size),
                 e.distance,
                 e.representation,
-                stats.clone(),
             )
         })
         .collect()
@@ -340,9 +339,10 @@ mod tests {
         let mut set = unsnapped(1);
         offer(&mut set, f64::NAN, 1.0);
         offer(&mut set, 2.0, 2.0);
-        let results = best_to_results(set, RegionSize::new(1.0, 1.0), SearchStats::new());
+        let mut stats = SearchStats::new();
+        let results = best_to_results(set, RegionSize::new(1.0, 1.0), &mut stats);
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].stats.non_finite_candidates, 1);
+        assert_eq!(stats.non_finite_candidates, 1);
     }
 
     #[test]

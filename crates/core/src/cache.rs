@@ -16,7 +16,6 @@
 //! computation produced, statistics included — so cached and uncached
 //! answers are indistinguishable on the wire.  Hit/miss counters are kept
 //! engine-wide and surfaced through [`CacheStats`] (and from there into
-//! [`SearchStats::cache_hits`](crate::SearchStats::cache_hits) on
 //! aggregate snapshots such as a serving `/metrics` endpoint).
 //!
 //! # Single-flight miss coalescing
@@ -624,7 +623,6 @@ mod tests {
                 Rect::new(0.0, 0.0, 1.0, 1.0),
                 d,
                 FeatureVector::new(vec![d]),
-                SearchStats::new(),
             )),
             stats: SearchStats::new(),
         }

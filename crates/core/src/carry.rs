@@ -942,7 +942,7 @@ mod tests {
             &config,
             crate::executor::Slabs::Whole,
         )
-        .best(query, 0.0, None)
+        .best(query, 0.0, None, &mut SearchStats::new())
         .unwrap()
         .distance;
         let (mut bounded, mut searched) = (0, 0);

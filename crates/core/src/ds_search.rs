@@ -641,7 +641,13 @@ mod tests {
         query: &AsrsQuery,
         k: usize,
     ) -> Result<Vec<SearchResult>, AsrsError> {
-        Executor::new(ds, &Default::default(), agg, &config, Slabs::Whole).run(query, k, 0.0, None)
+        Executor::new(ds, &Default::default(), agg, &config, Slabs::Whole).run(
+            query,
+            k,
+            0.0,
+            None,
+            &mut SearchStats::new(),
+        )
     }
 
     /// The best region by DS-Search over the whole space.
@@ -654,6 +660,26 @@ mod tests {
         approximate(ds, agg, config, query, 0.0)
     }
 
+    /// The best region by DS-Search over the whole space and the run's
+    /// statistics.
+    fn search_with_stats(
+        ds: &Dataset,
+        agg: &CompositeAggregator,
+        query: &AsrsQuery,
+    ) -> (SearchResult, SearchStats) {
+        let mut stats = SearchStats::new();
+        let result = Executor::new(
+            ds,
+            &Default::default(),
+            agg,
+            &SearchConfig::default(),
+            Slabs::Whole,
+        )
+        .best(query, 0.0, None, &mut stats)
+        .unwrap();
+        (result, stats)
+    }
+
     /// The best region for the (1+`delta`)-approximate problem.
     fn approximate(
         ds: &Dataset,
@@ -662,7 +688,12 @@ mod tests {
         query: &AsrsQuery,
         delta: f64,
     ) -> Result<SearchResult, AsrsError> {
-        Executor::new(ds, &Default::default(), agg, &config, Slabs::Whole).best(query, delta, None)
+        Executor::new(ds, &Default::default(), agg, &config, Slabs::Whole).best(
+            query,
+            delta,
+            None,
+            &mut SearchStats::new(),
+        )
     }
 
     fn fig2_dataset() -> Dataset {
@@ -694,13 +725,13 @@ mod tests {
             FeatureVector::new(vec![1.0, 1.0]),
             Weights::uniform(2),
         );
-        let result = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
+        let (result, stats) = search_with_stats(&ds, &agg, &query);
         assert!(result.distance.abs() < 1e-9, "distance {}", result.distance);
         assert_eq!(result.representation.as_slice(), &[1.0, 1.0]);
         // The returned region really contains one red and one blue object.
         let rep = agg.aggregate_region(&ds, &result.region);
         assert_eq!(rep.as_slice(), &[1.0, 1.0]);
-        assert!(result.stats.spaces_processed >= 1);
+        assert!(stats.spaces_processed >= 1);
     }
 
     #[test]
@@ -735,9 +766,9 @@ mod tests {
             FeatureVector::new(vec![3.0]),
             Weights::uniform(1),
         );
-        let result = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
+        let (result, stats) = search_with_stats(&ds, &agg, &query);
         assert_eq!(result.distance, 3.0);
-        assert_eq!(result.stats.rectangles, 0);
+        assert_eq!(stats.rectangles, 0);
     }
 
     #[test]
@@ -1207,8 +1238,7 @@ mod tests {
             FeatureVector::new(vec![2.0, 2.0, 2.0, 2.0]),
             Weights::uniform(4),
         );
-        let result = search(&ds, &agg, SearchConfig::default(), &query).unwrap();
-        let s = &result.stats;
+        let (_, s) = search_with_stats(&ds, &agg, &query);
         assert_eq!(s.rectangles, 150);
         assert!(s.spaces_processed >= 1);
         assert!(s.cells_examined >= 900);

@@ -56,6 +56,7 @@ use crate::planner::{EngineStatistics, ExecutionPlan, IndexStatistics, Planner};
 use crate::query::AsrsQuery;
 use crate::request::{Backend, QueryOutcome, QueryRequest, QueryResponse};
 use crate::shard::ShardSet;
+use crate::stats::SearchStats;
 use crate::sync::{Mutex, RwLock};
 use asrs_aggregator::{CompositeAggregator, Selection};
 use asrs_data::{Dataset, Mutation, SpatialObject};
@@ -589,35 +590,40 @@ impl EngineCore {
             .budget_ms
             .map(|ms| Budget::new(Duration::from_millis(ms)));
         let executor = self.executor(&plan)?;
+        let mut stats = SearchStats::new();
         let outcome = match request.operation() {
             QueryRequest::Similar { query } => {
-                QueryOutcome::Best(executor.best(query, 0.0, budget)?)
+                QueryOutcome::Best(executor.best(query, 0.0, budget, &mut stats)?)
             }
             QueryRequest::Approximate { query, delta } => {
                 let delta = crate::config::check_delta(*delta)?;
-                QueryOutcome::Best(executor.best(query, delta, budget)?)
+                QueryOutcome::Best(executor.best(query, delta, budget, &mut stats)?)
             }
             QueryRequest::TopK { query, k } => {
-                QueryOutcome::Ranked(executor.run(query, *k, 0.0, budget)?)
+                QueryOutcome::Ranked(executor.run(query, *k, 0.0, budget, &mut stats)?)
             }
             QueryRequest::Batch { queries } => QueryOutcome::Batch(
                 executor
-                    .batch(queries, budget)?
+                    .batch(queries, budget, &mut stats)?
                     .into_iter()
                     .collect::<Result<_, _>>()?,
             ),
             QueryRequest::MaxRs { size } => {
-                QueryOutcome::MaxRs(executor.max_rs(*size, &Selection::All, budget)?)
+                QueryOutcome::MaxRs(executor.max_rs(*size, &Selection::All, budget, &mut stats)?)
             }
             QueryRequest::MaxRsSelective { size, selection } => {
-                QueryOutcome::MaxRs(executor.max_rs(*size, selection, budget)?)
+                QueryOutcome::MaxRs(executor.max_rs(*size, selection, budget, &mut stats)?)
             }
             QueryRequest::Configured { .. } => {
                 // lint:allow(operation() strips every Configured envelope before dispatch; this arm is statically dead)
                 unreachable!("operation() peels Configured envelopes")
             }
         };
-        Ok(QueryResponse::from_outcome(plan.backend, outcome))
+        Ok(QueryResponse {
+            backend: plan.backend,
+            outcome,
+            stats,
+        })
     }
 
     /// The executor for `plan`'s backend over the engine's discretisation
@@ -903,7 +909,7 @@ impl AsrsEngine {
 
     /// Plans and executes a declarative [`QueryRequest`] — the engine's
     /// one query entry point.  The response bundles the results, the backend
-    /// the planner chose and the merged [`SearchStats`](crate::SearchStats).
+    /// the planner chose and the run's [`SearchStats`].
     ///
     /// The request runs against the generation current at submission; a
     /// concurrent mutation neither blocks it nor changes its answer.
@@ -1251,7 +1257,7 @@ mod tests {
                 .core()
                 .executor(&plan)
                 .unwrap()
-                .batch(&queries, None)
+                .batch(&queries, None, &mut SearchStats::new())
                 .unwrap();
             assert_eq!(results.len(), queries.len());
             for (i, result) in results.iter().enumerate() {
@@ -1735,20 +1741,37 @@ mod tests {
         assert!(engine.submit(&QueryRequest::similar(query())).is_ok());
     }
 
+    /// A batch's statistics are the merge, in input order, of the runs its
+    /// queries make alone, wall clock aside.
     #[test]
     fn batch_response_merges_stats() {
         let (ds, agg) = setup(200, 33);
-        let engine = AsrsEngine::builder(ds, agg).build().unwrap();
-        let queries = vec![query(), query(), query()];
-        let response = engine
-            .submit(&QueryRequest::batch(queries.clone()))
+        let engine = AsrsEngine::builder(ds, agg)
+            .build_index(16, 16)
+            .build()
             .unwrap();
-        let singles: u64 = queries
+        assert!(engine.cache_stats().is_none());
+        let queries: Vec<AsrsQuery> = [8.0, 12.0, 16.0]
             .iter()
-            .map(|q| similar(&engine, q).unwrap().stats.spaces_processed)
-            .sum();
-        assert_eq!(response.stats.spaces_processed, singles);
-        assert!(matches!(response.outcome, QueryOutcome::Batch(ref r) if r.len() == 3));
+            .map(|&w| AsrsQuery {
+                size: RegionSize::new(w, 10.0),
+                ..query()
+            })
+            .collect();
+        for backend in [Backend::DsSearch, Backend::GiDs] {
+            let mut merged = SearchStats::new();
+            for q in &queries {
+                let single = QueryRequest::similar(q.clone()).with_backend(backend);
+                merged.merge(&engine.submit(&single).unwrap().stats);
+            }
+            let batch = QueryRequest::batch(queries.clone()).with_backend(backend);
+            let response = engine.submit(&batch).unwrap();
+            assert!(matches!(response.outcome, QueryOutcome::Batch(ref r) if r.len() == 3));
+            let mut stats = response.stats;
+            assert!(stats.spaces_processed > 0, "{backend}");
+            stats.elapsed = merged.elapsed;
+            assert_eq!(stats, merged, "{backend}");
+        }
     }
 
     /// Whether the current generation holds a location index, and if so

@@ -96,7 +96,8 @@ impl<'a> Executor<'a> {
     /// The `k` best candidate regions with pairwise distinct anchors, best
     /// first; fewer when the instance has fewer distinct candidates.
     /// Pruning is relaxed for the (1+`delta`)-approximate problem unless
-    /// the executor [answers exactly](Executor::answers_exactly).
+    /// the executor [answers exactly](Executor::answers_exactly).  The
+    /// run's counters are added to `stats`.
     ///
     /// # Errors
     ///
@@ -111,17 +112,17 @@ impl<'a> Executor<'a> {
         k: usize,
         delta: f64,
         budget: Option<Budget>,
+        stats: &mut SearchStats,
     ) -> Result<Vec<SearchResult>, AsrsError> {
+        if let Slabs::Arrangement = self.slabs {
+            return NaiveSearch::new(self.dataset, self.aggregator).search(query, k, budget, stats);
+        }
         query.validate(self.aggregator)?;
         if k == 0 {
             return Err(AsrsError::InvalidTopK);
         }
         if let Some(b) = budget {
             b.check()?;
-        }
-        if let Slabs::Arrangement = self.slabs {
-            return NaiveSearch::new(self.dataset, self.aggregator)
-                .search_top_k_within(query, k, budget);
         }
         let started = Instant::now();
         let view = self.locations.of(self.dataset).view(query.size);
@@ -131,10 +132,7 @@ impl<'a> Executor<'a> {
         if let Some(b) = budget {
             b.check()?;
         }
-        let mut stats = SearchStats {
-            rectangles: asp.rects().len() as u64,
-            ..SearchStats::default()
-        };
+        stats.rectangles += asp.rects().len() as u64;
         let delta = if self.answers_exactly() { 0.0 } else { delta };
         let solver = DsSearch::new(
             self.aggregator,
@@ -152,19 +150,19 @@ impl<'a> Executor<'a> {
                 if let Some(space) = asp.space() {
                     let candidates = table.contributing(asp.all_rect_indices());
                     let mut scratch = solver.scratch();
-                    solver.search_space(space, candidates, &mut best, &mut stats, &mut scratch)?;
+                    solver.search_space(space, candidates, &mut best, stats, &mut scratch)?;
                 }
             }
             Slabs::IndexCells(index) => {
-                crate::gi_ds::search_index_cells(&solver, view, index, &mut best, &mut stats)?
+                crate::gi_ds::search_index_cells(&solver, view, index, &mut best, stats)?
             }
             Slabs::Shards(shards) => {
-                crate::shard::scatter(&solver, view, shards, &mut best, &mut stats)?
+                crate::shard::scatter(&solver, view, shards, &mut best, stats)?
             }
             // Answered by the oracle above.
             Slabs::Arrangement => {}
         }
-        stats.elapsed = started.elapsed();
+        stats.elapsed += started.elapsed();
         Ok(crate::best::best_to_results(best, query.size, stats))
     }
 
@@ -174,8 +172,9 @@ impl<'a> Executor<'a> {
         query: &AsrsQuery,
         delta: f64,
         budget: Option<Budget>,
+        stats: &mut SearchStats,
     ) -> Result<SearchResult, AsrsError> {
-        self.run(query, 1, delta, budget)?
+        self.run(query, 1, delta, budget, stats)?
             .into_iter()
             .next()
             .ok_or_else(crate::best::no_finite_candidate)
@@ -190,6 +189,7 @@ impl<'a> Executor<'a> {
         size: RegionSize,
         selection: &Selection,
         budget: Option<Budget>,
+        stats: &mut SearchStats,
     ) -> Result<MaxRsResult, AsrsError> {
         let (aggregator, query) = crate::maxrs::reduction(self.dataset, size, selection)?;
         let reduced = Executor {
@@ -197,12 +197,13 @@ impl<'a> Executor<'a> {
             ..*self
         };
         Ok(crate::maxrs::result_from_search(
-            reduced.best(&query, 0.0, budget)?,
+            reduced.best(&query, 0.0, budget, stats)?,
         ))
     }
 
     /// Answers every query of a batch exactly, one `Result` per query in
-    /// input order.
+    /// input order; `stats` gains the [`SearchStats::merge`] of the
+    /// answered queries' runs, in input order.
     ///
     /// Validation is all-or-nothing: a malformed query fails the whole
     /// batch (the outer `Result`) before any search runs.  The queries then
@@ -218,6 +219,7 @@ impl<'a> Executor<'a> {
         &self,
         queries: &[AsrsQuery],
         budget: Option<Budget>,
+        stats: &mut SearchStats,
     ) -> Result<Vec<Result<SearchResult, AsrsError>>, AsrsError> {
         for query in queries {
             query.validate(self.aggregator)?;
@@ -228,12 +230,14 @@ impl<'a> Executor<'a> {
             Slabs::Shards(_) => 1,
             _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
-        Ok(parallel_map(queries.len(), workers, |i| {
+        let runs = parallel_map(queries.len(), workers, |i| {
             let query = &queries[i];
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 #[cfg(test)]
                 test_hooks::maybe_panic(query);
-                self.best(query, 0.0, budget)
+                let mut run = SearchStats::new();
+                self.best(query, 0.0, budget, &mut run)
+                    .map(|result| (result, run))
             }))
             .unwrap_or_else(|payload| {
                 Err(AsrsError::Internal {
@@ -243,7 +247,14 @@ impl<'a> Executor<'a> {
                     ),
                 })
             })
-        }))
+        });
+        for (_, run) in runs.iter().flatten() {
+            stats.merge(run);
+        }
+        Ok(runs
+            .into_iter()
+            .map(|answer| answer.map(|(result, _)| result))
+            .collect())
     }
 }
 

@@ -71,7 +71,7 @@ pub(crate) fn search_index_cells(
     let (asp, table, query, aggregator) =
         (solver.asp, solver.table, solver.query, solver.aggregator);
     let spec = index.spec();
-    stats.index_cells_total = spec.num_cells() as u64;
+    stats.index_cells_total += spec.num_cells() as u64;
     let Some(space) = asp.space() else {
         return Ok(());
     };
@@ -228,15 +228,18 @@ mod tests {
         delta: f64,
         slabs: Slabs<'_>,
         query: &AsrsQuery,
-    ) -> Result<SearchResult, AsrsError> {
-        Executor::new(
+    ) -> (SearchResult, SearchStats) {
+        let mut stats = SearchStats::new();
+        let result = Executor::new(
             ds,
             &Default::default(),
             agg,
             &SearchConfig::default(),
             slabs,
         )
-        .best(query, delta, None)
+        .best(query, delta, None, &mut stats)
+        .unwrap();
+        (result, stats)
     }
 
     #[test]
@@ -269,8 +272,8 @@ mod tests {
             FeatureVector::new(vec![4.0, 2.0, 1.0, 3.0]),
             Weights::uniform(4),
         );
-        let plain = search(&ds, &agg, 0.0, Slabs::Whole, &query).unwrap();
-        let indexed = search(&ds, &agg, 0.0, Slabs::IndexCells(&index), &query).unwrap();
+        let (plain, _) = search(&ds, &agg, 0.0, Slabs::Whole, &query);
+        let (indexed, _) = search(&ds, &agg, 0.0, Slabs::IndexCells(&index), &query);
         assert!(
             (plain.distance - indexed.distance).abs() < 1e-9,
             "DS {} vs GI-DS {}",
@@ -293,14 +296,14 @@ mod tests {
             FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, 40.0, 40.0]),
             Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]),
         );
-        let result = search(&ds, &agg, 0.0, Slabs::IndexCells(&index), &query).unwrap();
-        let ratio = result.stats.index_search_ratio().unwrap();
+        let (_, stats) = search(&ds, &agg, 0.0, Slabs::IndexCells(&index), &query);
+        let ratio = stats.index_search_ratio().unwrap();
         assert!(
             ratio < 0.6,
             "expected pruning, searched {:.0}%",
             ratio * 100.0
         );
-        assert!(result.stats.index_cells_total >= 1024);
+        assert!(stats.index_cells_total >= 1024);
     }
 
     #[test]
@@ -317,9 +320,9 @@ mod tests {
             Weights::uniform(4),
         );
         let slabs = Slabs::IndexCells(&index);
-        let exact = search(&ds, &agg, 0.0, slabs, &query).unwrap();
+        let (exact, exact_stats) = search(&ds, &agg, 0.0, slabs, &query);
         for delta in [0.1, 0.2, 0.4] {
-            let approx = search(&ds, &agg, delta, slabs, &query).unwrap();
+            let (approx, approx_stats) = search(&ds, &agg, delta, slabs, &query);
             assert!(
                 approx.distance <= (1.0 + delta) * exact.distance + 1e-9,
                 "δ={delta}: {} vs optimal {}",
@@ -327,7 +330,7 @@ mod tests {
                 exact.distance
             );
             assert!(
-                approx.stats.index_cells_searched <= exact.stats.index_cells_searched,
+                approx_stats.index_cells_searched <= exact_stats.index_cells_searched,
                 "approximation must not search more cells"
             );
         }
@@ -343,7 +346,7 @@ mod tests {
         let index = GridIndex::build(&ds, &agg, 16, 16).unwrap();
         let example = Rect::new(5.0, 60.0, 30.0, 80.0);
         let query = AsrsQuery::from_example_region(&ds, &agg, &example).unwrap();
-        let result = search(&ds, &agg, 0.0, Slabs::IndexCells(&index), &query).unwrap();
+        let (result, _) = search(&ds, &agg, 0.0, Slabs::IndexCells(&index), &query);
         let rep = agg.aggregate_region(&ds, &result.region);
         let d = agg.distance(&rep, &query.target, &query.weights, query.metric);
         assert!((d - result.distance).abs() < 1e-9);

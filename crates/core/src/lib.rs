@@ -41,7 +41,7 @@
 //! dataset/index statistics with a documented cost model (its
 //! [`ExecutionPlan::explain`] says why), and
 //! [`AsrsEngine::submit`] executes the plan into a [`QueryResponse`]
-//! bundling results, the chosen [`Backend`] and the merged
+//! bundling results, the chosen [`Backend`] and the run's
 //! [`SearchStats`].  Requests can carry a wall-clock [`Budget`]
 //! ([`QueryRequest::with_budget_ms`]) that aborts long discretize/split
 //! recursions with [`AsrsError::DeadlineExceeded`], and a backend override

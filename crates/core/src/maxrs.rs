@@ -12,7 +12,6 @@
 use crate::error::AsrsError;
 use crate::query::AsrsQuery;
 use crate::result::SearchResult;
-use crate::stats::SearchStats;
 use asrs_aggregator::{
     AggregatorKind, AggregatorSpec, CompositeAggregator, FeatureVector, Selection, Weights,
 };
@@ -29,8 +28,6 @@ pub struct MaxRsResult {
     pub anchor: Point,
     /// Number of objects strictly inside the region.
     pub count: usize,
-    /// Search instrumentation.
-    pub stats: SearchStats,
 }
 
 /// The MaxRS → ASRS reduction: a count aggregator over the objects
@@ -72,12 +69,10 @@ pub(crate) fn reduction(
 
 /// Converts the reduced problem's answer back into a [`MaxRsResult`].
 pub(crate) fn result_from_search(result: SearchResult) -> MaxRsResult {
-    let count = result.representation[0].round() as usize;
     MaxRsResult {
         region: result.region,
         anchor: result.anchor,
-        count,
-        stats: result.stats,
+        count: result.representation[0].round() as usize,
     }
 }
 
@@ -107,7 +102,7 @@ mod tests {
             &SearchConfig::default(),
             Slabs::Whole,
         )
-        .max_rs(size, &selection, None)
+        .max_rs(size, &selection, None, &mut Default::default())
     }
 
     #[test]

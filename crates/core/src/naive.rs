@@ -45,72 +45,32 @@ impl<'a> NaiveSearch<'a> {
         }
     }
 
-    /// Solves the ASRS problem exactly by exhaustive enumeration.
+    /// The `k` best candidate regions with pairwise distinct anchors, best
+    /// first, found by exhaustive enumeration; the run's counters are added
+    /// to `stats`.  The enumeration polls `budget` once per probe column.
     ///
     /// # Errors
     ///
-    /// [`AsrsError::Query`] when the query does not match the aggregator.
-    pub fn search(&self, query: &AsrsQuery) -> Result<SearchResult, AsrsError> {
-        self.search_within(query, None)
-    }
-
-    /// Like [`NaiveSearch::search`], with an optional wall-clock budget:
-    /// the probe enumeration polls the budget once per probe column and
-    /// aborts with [`AsrsError::DeadlineExceeded`] once spent.
-    pub fn search_within(
-        &self,
-        query: &AsrsQuery,
-        budget: Option<Budget>,
-    ) -> Result<SearchResult, AsrsError> {
-        self.run(query, 1, budget)?
-            .into_iter()
-            .next()
-            .ok_or_else(crate::best::no_finite_candidate)
-    }
-
-    /// Returns the `k` best candidate regions with pairwise distinct
-    /// anchors, best first.
-    ///
-    /// # Errors
-    ///
-    /// [`AsrsError::InvalidTopK`] when `k` is zero, plus the same errors as
-    /// [`NaiveSearch::search`].
-    pub fn search_top_k(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        self.search_top_k_within(query, k, None)
-    }
-
-    /// Like [`NaiveSearch::search_top_k`], with an optional wall-clock
-    /// budget (see [`NaiveSearch::search_within`]).
-    pub fn search_top_k_within(
+    /// [`AsrsError::Query`] when the query does not match the aggregator,
+    /// [`AsrsError::InvalidTopK`] when `k` is zero, and
+    /// [`AsrsError::DeadlineExceeded`] once `budget` is spent.
+    pub fn search(
         &self,
         query: &AsrsQuery,
         k: usize,
         budget: Option<Budget>,
+        stats: &mut SearchStats,
     ) -> Result<Vec<SearchResult>, AsrsError> {
+        query.validate(self.aggregator)?;
         if k == 0 {
             return Err(AsrsError::InvalidTopK);
         }
-        self.run(query, k, budget)
-    }
-
-    fn run(
-        &self,
-        query: &AsrsQuery,
-        k: usize,
-        budget: Option<Budget>,
-    ) -> Result<Vec<SearchResult>, AsrsError> {
-        query.validate(self.aggregator)?;
         if let Some(b) = budget {
             b.check()?;
         }
         let started = Instant::now();
-        let mut stats = SearchStats::new();
         let asp = AspInstance::build(self.dataset, query.size);
-        stats.rectangles = asp.rects().len() as u64;
+        stats.rectangles += asp.rects().len() as u64;
 
         // Probe coordinates: the midpoints of consecutive distinct edges,
         // i.e. one point per arrangement cell inside the instance's space,
@@ -150,7 +110,7 @@ impl<'a> NaiveSearch<'a> {
             }
         }
 
-        stats.elapsed = started.elapsed();
+        stats.elapsed += started.elapsed();
         Ok(crate::best::best_to_results(best, query.size, stats))
     }
 }
@@ -177,7 +137,10 @@ mod tests {
                 FeatureVector::new(vec![2.0, 1.0, 0.0, 1.0]),
                 Weights::uniform(4),
             );
-            let naive = NaiveSearch::new(&ds, &agg).search(&query).unwrap();
+            let mut stats = SearchStats::new();
+            let naive = NaiveSearch::new(&ds, &agg)
+                .search(&query, 1, None, &mut stats)
+                .unwrap();
             let ds_result = Executor::new(
                 &ds,
                 &Default::default(),
@@ -185,15 +148,15 @@ mod tests {
                 &SearchConfig::default(),
                 Slabs::Whole,
             )
-            .best(&query, 0.0, None)
+            .best(&query, 0.0, None, &mut SearchStats::new())
             .unwrap();
             assert!(
-                (naive.distance - ds_result.distance).abs() < 1e-9,
+                (naive[0].distance - ds_result.distance).abs() < 1e-9,
                 "seed {seed}: naive {} vs DS {}",
-                naive.distance,
+                naive[0].distance,
                 ds_result.distance
             );
-            assert!(naive.stats.fallback_points > 0);
+            assert!(stats.fallback_points > 0);
         }
     }
 
@@ -209,8 +172,10 @@ mod tests {
             FeatureVector::new(vec![2.0]),
             Weights::uniform(1),
         );
-        let result = NaiveSearch::new(&ds, &agg).search(&query).unwrap();
-        assert_eq!(result.distance, 2.0);
+        let result = NaiveSearch::new(&ds, &agg)
+            .search(&query, 1, None, &mut SearchStats::new())
+            .unwrap();
+        assert_eq!(result[0].distance, 2.0);
     }
 
     #[test]
@@ -225,7 +190,9 @@ mod tests {
             FeatureVector::new(vec![1.0, 1.0, 1.0, 1.0]),
             Weights::uniform(4),
         );
-        let top = NaiveSearch::new(&ds, &agg).search_top_k(&query, 4).unwrap();
+        let top = NaiveSearch::new(&ds, &agg)
+            .search(&query, 4, None, &mut SearchStats::new())
+            .unwrap();
         assert!(!top.is_empty());
         for pair in top.windows(2) {
             assert!(pair[0].distance <= pair[1].distance);
@@ -245,9 +212,19 @@ mod tests {
             FeatureVector::new(vec![1.0]),
             Weights::uniform(1),
         );
+        let naive = NaiveSearch::new(&ds, &agg);
         assert!(matches!(
-            NaiveSearch::new(&ds, &agg).search(&bad),
+            naive.search(&bad, 1, None, &mut SearchStats::new()),
             Err(AsrsError::Query(_))
+        ));
+        let good = AsrsQuery::new(
+            RegionSize::new(1.0, 1.0),
+            FeatureVector::new(vec![1.0, 0.0, 0.0, 0.0]),
+            Weights::uniform(4),
+        );
+        assert!(matches!(
+            naive.search(&good, 0, None, &mut SearchStats::new()),
+            Err(AsrsError::InvalidTopK)
         ));
     }
 }

@@ -409,46 +409,21 @@ pub enum QueryOutcome {
 }
 
 /// The engine's answer to a [`QueryRequest`]: the results, the backend the
-/// planner chose, and the merged search statistics.
+/// planner chose, and the statistics of the run that found them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryResponse {
     /// The backend that executed the request.
     pub backend: Backend,
     /// The results.
     pub outcome: QueryOutcome,
-    /// Statistics of the execution.  For batch requests this is the
-    /// [`SearchStats::merge`] of every per-query run; for the other
-    /// operations it equals the single run's statistics.
+    /// Statistics of the execution, the one record of the response: the
+    /// single run's for best, ranked and MaxRS outcomes, the
+    /// [`SearchStats::merge`] of every query's run, in input order, for a
+    /// batch.
     pub stats: SearchStats,
 }
 
 impl QueryResponse {
-    /// Assembles a response, deriving the statistics from the outcome: the
-    /// single run's stats for best/ranked/MaxRS outcomes, the
-    /// [`SearchStats::merge`] of every per-query run for a batch.
-    pub(crate) fn from_outcome(backend: Backend, outcome: QueryOutcome) -> Self {
-        let stats = match &outcome {
-            QueryOutcome::Best(r) => r.stats.clone(),
-            // Every top-k entry carries the statistics of the one run that
-            // produced the ranking, so report them once rather than
-            // merging k copies of the same counters.
-            QueryOutcome::Ranked(rs) => rs.first().map(|r| r.stats.clone()).unwrap_or_default(),
-            QueryOutcome::Batch(rs) => {
-                let mut stats = SearchStats::new();
-                for r in rs {
-                    stats.merge(&r.stats);
-                }
-                stats
-            }
-            QueryOutcome::MaxRs(r) => r.stats.clone(),
-        };
-        Self {
-            backend,
-            outcome,
-            stats,
-        }
-    }
-
     /// The best region of the response: the single result for
     /// similar/approximate, the top-ranked result for top-k, and `None`
     /// for batch (which has no global ranking) and MaxRS responses.
@@ -477,8 +452,8 @@ impl QueryResponse {
         }
     }
 
-    /// A copy of the response with every [`SearchStats`] record (top-level
-    /// and per-result) reset to its default.
+    /// A copy of the response with its [`SearchStats`] reset to the
+    /// default.
     ///
     /// This is the comparison form of the sharded-engine parity guarantee:
     /// outcomes — regions, anchors, distances, representations, counts and
@@ -488,18 +463,10 @@ impl QueryResponse {
     /// different wall clocks).  Differential tests serialize
     /// `stats_stripped()` responses and compare the bytes.
     pub fn stats_stripped(&self) -> QueryResponse {
-        let mut stripped = self.clone();
-        stripped.stats = SearchStats::default();
-        match &mut stripped.outcome {
-            QueryOutcome::Best(r) => r.stats = SearchStats::default(),
-            QueryOutcome::Ranked(rs) | QueryOutcome::Batch(rs) => {
-                for r in rs {
-                    r.stats = SearchStats::default();
-                }
-            }
-            QueryOutcome::MaxRs(r) => r.stats = SearchStats::default(),
+        QueryResponse {
+            stats: SearchStats::default(),
+            ..self.clone()
         }
-        stripped
     }
 }
 

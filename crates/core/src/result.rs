@@ -1,11 +1,12 @@
 //! Search results.
 
-use crate::SearchStats;
 use asrs_aggregator::FeatureVector;
 use asrs_geo::{Point, Rect};
 use serde::{Deserialize, Serialize};
 
-/// The answer to an ASRS query.
+/// The answer to an ASRS query: one region.  The statistics of the run
+/// that found it describe the search, not the region, so the
+/// [`QueryResponse`](crate::QueryResponse) carries them once.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchResult {
     /// The most similar region of size `a × b` found by the search.
@@ -18,27 +19,17 @@ pub struct SearchResult {
     pub distance: f64,
     /// The aggregate representation of the returned region.
     pub representation: FeatureVector,
-    /// Instrumentation collected during the search.
-    pub stats: SearchStats,
 }
 
 impl SearchResult {
-    /// Creates a result.  Used by the built-in search algorithms and by
-    /// the baselines that adapt their native answer types to the engine's
-    /// result shape.
-    pub fn new(
-        anchor: Point,
-        region: Rect,
-        distance: f64,
-        representation: FeatureVector,
-        stats: SearchStats,
-    ) -> Self {
+    /// Creates a result: the engine's executor builds one per region it
+    /// reports.
+    pub fn new(anchor: Point, region: Rect, distance: f64, representation: FeatureVector) -> Self {
         Self {
             region,
             anchor,
             distance,
             representation,
-            stats,
         }
     }
 }
@@ -54,7 +45,6 @@ mod tests {
             Rect::new(1.0, 2.0, 3.0, 4.0),
             0.5,
             FeatureVector::new(vec![1.0]),
-            SearchStats::default(),
         );
         assert_eq!(r.anchor, Point::new(1.0, 2.0));
         assert_eq!(r.region.bottom_left(), r.anchor);

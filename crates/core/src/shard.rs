@@ -213,8 +213,8 @@ pub(crate) fn scatter(
         }
         tasks.push((i, slab, candidates));
     }
-    stats.shards_touched = tasks.len() as u64;
-    stats.shards_pruned = (shards.len() - tasks.len()) as u64;
+    stats.shards_touched += tasks.len() as u64;
+    stats.shards_pruned += (shards.len() - tasks.len()) as u64;
     for (i, _, _) in &tasks {
         shards.requests[*i].fetch_add(1, Ordering::Relaxed);
     }

@@ -57,7 +57,8 @@ impl LatencyHistogram {
 ///
 /// These feed the paper's Table 1 (fraction of grid-index cells searched)
 /// and make the pruning behaviour of DS-Search observable in tests and
-/// benchmark reports.
+/// benchmark reports.  They describe a run, not a region: a
+/// [`QueryResponse`](crate::QueryResponse) carries one record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct SearchStats {
     /// Number of sub-spaces popped from the heap and discretised
@@ -102,13 +103,6 @@ pub struct SearchStats {
     /// aggregator produced NaN/∞).  Always zero for well-behaved
     /// aggregators.
     pub non_finite_candidates: u64,
-    /// Query-result cache hits.  Zero on per-response statistics (a cached
-    /// response is byte-identical to the original computation, counters
-    /// included); populated on engine-level aggregate snapshots such as the
-    /// serving `/metrics` endpoint.
-    pub cache_hits: u64,
-    /// Query-result cache misses (see [`SearchStats::cache_hits`]).
-    pub cache_misses: u64,
     /// Shards that executed part of this search (sharded engines only;
     /// zero on single-engine runs).
     pub shards_touched: u64,
@@ -152,8 +146,6 @@ impl SearchStats {
         self.index_cells_total += other.index_cells_total;
         self.index_cells_searched += other.index_cells_searched;
         self.non_finite_candidates += other.non_finite_candidates;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.shards_touched += other.shards_touched;
         self.shards_pruned += other.shards_pruned;
         self.elapsed += other.elapsed;

@@ -150,9 +150,7 @@ impl ServerMetrics {
     }
 
     /// A point-in-time snapshot.  `cache` carries the engine's query-result
-    /// cache counters when one is attached; they are also surfaced in
-    /// `search.cache_hits` / `search.cache_misses`, keeping the whole
-    /// search-side story in one [`SearchStats`] value.  `shard_requests`
+    /// cache counters when one is attached.  `shard_requests`
     /// carries the engine's per-shard scattered-execution counts when the
     /// engine is sharded; `mutations` the generational engine's mutation
     /// counters (generation number included).
@@ -164,7 +162,7 @@ impl ServerMetrics {
         sweeper: Option<SweeperSnapshot>,
         persistence: Option<PersistStats>,
     ) -> MetricsSnapshot {
-        let mut search = self
+        let search = self
             .search
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -175,21 +173,17 @@ impl ServerMetrics {
             count: c.carry_passes,
             sum: c.carry_pass_total_us,
         });
-        let cache = cache.map(|c| {
-            search.cache_hits = c.hits;
-            search.cache_misses = c.misses;
-            CacheSnapshot {
-                hit_rate: c.hit_rate(),
-                hits: c.hits,
-                misses: c.misses,
-                entries: c.entries as u64,
-                capacity: c.capacity as u64,
-                coalesced_waits: c.coalesced_waits,
-                carried_forward: c.carried_forward,
-                carry_proof_failures: c.carry_proof_failures,
-                carry_windows_bounded: c.carry_windows_bounded,
-                carry_windows_searched: c.carry_windows_searched,
-            }
+        let cache = cache.map(|c| CacheSnapshot {
+            hit_rate: c.hit_rate(),
+            hits: c.hits,
+            misses: c.misses,
+            entries: c.entries as u64,
+            capacity: c.capacity as u64,
+            coalesced_waits: c.coalesced_waits,
+            carried_forward: c.carried_forward,
+            carry_proof_failures: c.carry_proof_failures,
+            carry_windows_bounded: c.carry_windows_bounded,
+            carry_windows_searched: c.carry_windows_searched,
         });
         let shards = shard_requests.map(|requests| ShardsSnapshot {
             shard_count: requests.len() as u64,
@@ -373,7 +367,8 @@ pub struct MetricsSnapshot {
     /// appends/removals/expiries, incremental index updates vs rebuilds,
     /// pending TTLs.
     pub mutations: MutationStats,
-    /// Merged statistics of every successful query; `cache_hits` /
-    /// `cache_misses` mirror the cache counters above.
+    /// The [`SearchStats::merge`] of every served response's statistics,
+    /// cache hits included: a hit repeats the counters of the computation
+    /// it came from.
     pub search: SearchStats,
 }

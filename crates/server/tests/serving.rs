@@ -418,9 +418,6 @@ fn concurrent_serving_is_byte_identical_to_sequential_submit() {
         cache.hits
     );
     assert!(cache.hit_rate > 0.0);
-    // The hit/miss counters also surface through SearchStats.
-    assert_eq!(metrics.search.cache_hits, cache.hits);
-    assert_eq!(metrics.search.cache_misses, cache.misses);
     server.shutdown();
 }
 

@@ -98,8 +98,8 @@ fn larger_delta_never_searches_more_index_cells() {
         } else {
             QueryRequest::approximate(query.clone(), delta)
         };
-        let result = pinned(&engine, request, Backend::GiDs);
-        searched.push(result.stats.index_cells_searched);
+        let response = engine.submit(&request.with_backend(Backend::GiDs)).unwrap();
+        searched.push(response.stats.index_cells_searched);
     }
     for w in searched.windows(2) {
         assert!(

@@ -14,19 +14,20 @@ fn ds_search(ds: &Dataset, agg: &CompositeAggregator, query: &AsrsQuery) -> Sear
 }
 
 /// The best region for `query` by GI-DS over `index`, through an engine
-/// over `ds`.
+/// over `ds`, and the statistics of the run.
 fn gi_ds(
     ds: &Dataset,
     agg: &CompositeAggregator,
     index: GridIndex,
     query: &AsrsQuery,
-) -> SearchResult {
+) -> (SearchResult, SearchStats) {
     let engine = AsrsEngine::builder(ds.clone(), agg.clone())
         .index(index)
         .build()
         .unwrap();
     let request = QueryRequest::similar(query.clone()).with_backend(Backend::GiDs);
-    engine.submit(&request).unwrap().best().unwrap().clone()
+    let response = engine.submit(&request).unwrap();
+    (response.best().unwrap().clone(), response.stats)
 }
 
 /// The MaxRS answer to `request`, through an engine over `ds`.
@@ -86,7 +87,7 @@ fn indexed_and_plain_search_agree_on_the_city() {
     let query = AsrsQuery::from_example_region(ds, &agg, &orchard).unwrap();
     let plain = ds_search(ds, &agg, &query);
     let index = GridIndex::build(ds, &agg, 64, 64).unwrap();
-    let indexed = gi_ds(ds, &agg, index, &query);
+    let (indexed, _) = gi_ds(ds, &agg, index, &query);
     assert!((plain.distance - indexed.distance).abs() < 1e-9);
 }
 
@@ -105,13 +106,13 @@ fn search_scales_through_the_full_pipeline() {
         FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, 60.0, 60.0]),
         Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]),
     );
-    let result = gi_ds(&ds, &agg, index, &query);
+    let (result, stats) = gi_ds(&ds, &agg, index, &query);
     let rep = agg.aggregate_region(&ds, &result.region);
     let recomputed = agg.distance(&rep, &query.target, &query.weights, query.metric);
     assert!((recomputed - result.distance).abs() < 1e-6);
-    assert!(result.stats.index_cells_total == 64 * 64);
-    assert!(result.stats.index_cells_searched <= result.stats.index_cells_total);
-    assert!(result.stats.rectangles == 20_000);
+    assert!(stats.index_cells_total == 64 * 64);
+    assert!(stats.index_cells_searched <= stats.index_cells_total);
+    assert!(stats.rectangles == 20_000);
 }
 
 /// Randomised end-to-end equivalence: DS-Search equals the exhaustive

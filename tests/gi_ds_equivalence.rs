@@ -13,19 +13,20 @@ fn ds_search(ds: &Dataset, agg: &CompositeAggregator, query: &AsrsQuery) -> Sear
 }
 
 /// The best region for `query` by GI-DS over `index`, through an engine
-/// over `ds`.
+/// over `ds`, and the statistics of the run.
 fn gi_ds(
     ds: &Dataset,
     agg: &CompositeAggregator,
     index: GridIndex,
     query: &AsrsQuery,
-) -> SearchResult {
+) -> (SearchResult, SearchStats) {
     let engine = AsrsEngine::builder(ds.clone(), agg.clone())
         .index(index)
         .build()
         .unwrap();
     let request = QueryRequest::similar(query.clone()).with_backend(Backend::GiDs);
-    engine.submit(&request).unwrap().best().unwrap().clone()
+    let response = engine.submit(&request).unwrap();
+    (response.best().unwrap().clone(), response.stats)
 }
 
 #[test]
@@ -43,7 +44,7 @@ fn gi_ds_equals_ds_search_across_granularities() {
     let reference = ds_search(&ds, &agg, &query);
     for granularity in [16, 32, 64] {
         let index = GridIndex::build(&ds, &agg, granularity, granularity).unwrap();
-        let result = gi_ds(&ds, &agg, index, &query);
+        let (result, _) = gi_ds(&ds, &agg, index, &query);
         assert!(
             (result.distance - reference.distance).abs() < 1e-9,
             "granularity {granularity}: GI-DS {} vs DS {}",
@@ -67,7 +68,7 @@ fn gi_ds_equals_the_naive_oracle_on_small_instances() {
             FeatureVector::new(vec![2.0, 2.0, 0.0, 1.0]),
             Weights::uniform(4),
         );
-        let gi = gi_ds(&ds, &agg, index, &query);
+        let (gi, _) = gi_ds(&ds, &agg, index, &query);
         let oracle = naive::naive_best_region(&ds, &agg, &query).unwrap();
         assert!(
             (gi.distance - oracle.distance).abs() < 1e-9,
@@ -95,8 +96,8 @@ fn finer_index_granularity_searches_a_smaller_fraction_of_cells() {
     let mut ratios = Vec::new();
     for granularity in [16, 32, 64] {
         let index = GridIndex::build(&ds, &agg, granularity, granularity).unwrap();
-        let result = gi_ds(&ds, &agg, index, &query);
-        ratios.push(result.stats.index_search_ratio().unwrap());
+        let (_, stats) = gi_ds(&ds, &agg, index, &query);
+        ratios.push(stats.index_search_ratio().unwrap());
     }
     assert!(
         ratios[2] <= ratios[0] + 1e-9,
@@ -141,7 +142,7 @@ fn gi_ds_handles_numeric_aggregators() {
         Weights::new(vec![1.0 / 20_000.0, 0.1]),
     );
     let reference = ds_search(&ds, &agg, &query);
-    let indexed = gi_ds(&ds, &agg, index, &query);
+    let (indexed, _) = gi_ds(&ds, &agg, index, &query);
     assert!(
         (reference.distance - indexed.distance).abs() < 1e-6,
         "GI-DS {} vs DS {}",

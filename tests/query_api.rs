@@ -53,6 +53,35 @@ fn approximate_requests_respect_the_guarantee() {
     ));
 }
 
+/// A response carries one statistics record whatever its operation: the
+/// regions of a best, ranked, batch or MaxRS outcome carry none.
+#[test]
+fn every_response_serialises_one_stats_record() {
+    let (ds, agg) = workload(300, 5);
+    let engine = AsrsEngine::builder(ds, agg)
+        .build_index(16, 16)
+        .build()
+        .unwrap();
+    let requests = [
+        QueryRequest::similar(sample_query(1)),
+        QueryRequest::top_k(sample_query(2), 3),
+        QueryRequest::batch(vec![sample_query(1), sample_query(3)]),
+        QueryRequest::max_rs(RegionSize::new(10.0, 10.0)),
+    ];
+    for request in &requests {
+        let response = engine.submit(request).unwrap();
+        let json = serde::json::to_string(&response);
+        assert_eq!(
+            json.matches("\"stats\"").count(),
+            1,
+            "{}: {json}",
+            request.operation_name()
+        );
+    }
+    let top3 = engine.submit(&requests[1]).unwrap();
+    assert_eq!(top3.results().len(), 3);
+}
+
 /// Acceptance criterion: two requests plan differently on the same engine
 /// and `plan.explain()` names the chosen backend both times.
 #[test]
