@@ -339,7 +339,10 @@ fn fig12_table2(scale: f64) {
     }
 }
 
-/// Figure 13: MaxRS — DS-Search adaptation vs Optimal Enclosure.
+/// Figure 13: MaxRS — the count reduction on DS-Search and on GI-DS vs
+/// Optimal Enclosure.  One count engine with a 128 × 128 index serves
+/// both pinned backends; GI-DS ranks its cells by a count summary laid on
+/// that grid per request.
 fn fig13(scale: f64) {
     let count_engine = |dataset: &asrs_data::Dataset| {
         let aggregator = asrs_aggregator::CompositeAggregator::builder(dataset.schema())
@@ -347,8 +350,32 @@ fn fig13(scale: f64) {
             .build()
             .expect("count works on every schema");
         AsrsEngine::builder(dataset.clone(), aggregator)
+            .build_index(128, 128)
             .build()
             .expect("valid configuration")
+    };
+    // One row: the time of each pinned backend (the better of two runs, so
+    // neither pays the generation's first location-index build) and of OE,
+    // all agreeing.
+    let row = |label: String, engine: &AsrsEngine, dataset: &asrs_data::Dataset, size| {
+        let mut cells = vec![label];
+        let mut counts = Vec::new();
+        for backend in [Backend::DsSearch, Backend::GiDs] {
+            let request = QueryRequest::max_rs(size).with_backend(backend);
+            let mut best = std::time::Duration::MAX;
+            for _ in 0..2 {
+                let started = Instant::now();
+                let response = engine.submit(&request).unwrap();
+                best = best.min(started.elapsed());
+                counts.push(response.max_rs().expect("max-rs outcome").count);
+            }
+            cells.push(format_duration(best));
+        }
+        let started = Instant::now();
+        let oe = OptimalEnclosure::new(dataset, size).search().unwrap();
+        cells.push(format_duration(started.elapsed()));
+        assert_eq!(counts, [oe.count; 4], "every MaxRS solver must agree");
+        cells
     };
     let n = scaled(100_000, scale);
     let dataset = asrs_bench::tweet_dataset(n, 17);
@@ -356,47 +383,27 @@ fn fig13(scale: f64) {
     let unit = unit_query_size(&dataset);
     let mut size_table = Table::new(
         &format!("Figure 13a: MaxRS runtime vs query rectangle size (n={n})"),
-        &["query size", "DS-Search", "OE"],
+        &["query size", "DS-Search", "GI-DS", "OE"],
     );
     for k in [1.0, 10.0, 20.0, 30.0] {
-        let size = unit.scaled(k);
-        let started = Instant::now();
-        let ds = engine.submit(&QueryRequest::max_rs(size)).unwrap();
-        let ds_time = started.elapsed();
-        let started = Instant::now();
-        let oe = OptimalEnclosure::new(&dataset, size).search().unwrap();
-        let oe_time = started.elapsed();
-        let ds_count = ds.max_rs().expect("max-rs outcome").count;
-        assert_eq!(ds_count, oe.count, "both MaxRS solvers must agree");
-        size_table.row(vec![
+        size_table.row(row(
             format!("{}q", k as u64),
-            format_duration(ds_time),
-            format_duration(oe_time),
-        ]);
+            &engine,
+            &dataset,
+            unit.scaled(k),
+        ));
     }
     size_table.print();
 
     let mut scale_table = Table::new(
         "Figure 13b: MaxRS runtime vs number of objects (query size 10q)",
-        &["objects", "DS-Search", "OE"],
+        &["objects", "DS-Search", "GI-DS", "OE"],
     );
     for base_n in [25_000usize, 50_000, 100_000, 200_000] {
         let n = scaled(base_n, scale);
         let dataset = asrs_bench::tweet_dataset(n, 29);
-        let engine = count_engine(&dataset);
         let size = unit_query_size(&dataset).scaled(10.0);
-        let started = Instant::now();
-        let ds = engine.submit(&QueryRequest::max_rs(size)).unwrap();
-        let ds_time = started.elapsed();
-        let started = Instant::now();
-        let oe = OptimalEnclosure::new(&dataset, size).search().unwrap();
-        let oe_time = started.elapsed();
-        assert_eq!(ds.max_rs().expect("max-rs outcome").count, oe.count);
-        scale_table.row(vec![
-            n.to_string(),
-            format_duration(ds_time),
-            format_duration(oe_time),
-        ]);
+        scale_table.row(row(n.to_string(), &count_engine(&dataset), &dataset, size));
     }
     scale_table.print();
 }

@@ -44,7 +44,9 @@
 //!   the window's own Equation-1 bound ([`Bounds::space_bound`], base the
 //!   candidate rectangles containing the closed window, upper set all of
 //!   them) is compared with the seed, and a window it exceeds cannot reach
-//!   — the kernel would prune it whole.  Appends land anywhere, so most
+//!   — the kernel would prune it whole.  A window it does not settle is
+//!   handed to the kernel with that bound ([`DsSearch::search_bounded`]),
+//!   so it is computed once.  Appends land anywhere, so most
 //!   windows are sparse and settled by this bound alone.  The candidate
 //!   budget is checked after it: a window the bound settles is never
 //!   refused for being dense.
@@ -449,7 +451,7 @@ impl WindowBuffers {
 ///    the bound settles is never refused for being dense.
 /// 4. Otherwise the window-local instance takes the view over the window
 ///    as its edge table, and with it that table's Definition-7 accuracy,
-///    and [`window_search`] runs the branch-and-bound.
+///    and [`window_search`] runs the branch-and-bound from the bound of 2.
 fn window_reaches(
     probe: &SlotProbe<'_>,
     touched: Point,
@@ -492,6 +494,7 @@ fn window_reaches(
         reaches: window_search(
             &solver,
             window,
+            bound,
             candidates,
             cutoff,
             empty_rep.clone(),
@@ -502,14 +505,15 @@ fn window_reaches(
 }
 
 /// The branch-and-bound over `window`, whose contributing rectangles are
-/// `candidates`: whether some candidate anchored in it attains a distance
-/// at or below `cutoff`.  The search starts from a seed at the next float
+/// `candidates` and whose Equation-1 bound over them is `bound`: whether
+/// some candidate anchored in it attains a distance at or below `cutoff`.  The search starts from a seed at the next float
 /// above the cutoff (`empty_rep`, the empty covering's representation, at
 /// the window's corner): pruning then discards every sub-space whose bound
 /// exceeds the seed, and any candidate at or below the cutoff displaces it.
 fn window_search(
     solver: &DsSearch<'_>,
     window: Rect,
+    bound: f64,
     candidates: Vec<u32>,
     cutoff: f64,
     empty_rep: FeatureVector,
@@ -522,7 +526,7 @@ fn window_search(
         empty_rep,
     );
     let mut stats = SearchStats::new();
-    let searched = solver.search_space(window, candidates, &mut best, &mut stats, scratch);
+    let searched = solver.search_bounded(window, bound, candidates, &mut best, &mut stats, scratch);
     searched.is_err()
         || best
             .into_entries()
@@ -885,14 +889,17 @@ mod tests {
         let candidates = solver
             .table
             .contributing(rects_intersecting(solver.asp, &window));
+        let mut scratch = solver.scratch();
+        let bound = solver.root_bound(&window, &candidates, &mut scratch);
         candidates.len() > PROBE_BUDGET
             || window_search(
                 solver,
                 window,
+                bound,
                 candidates,
                 cutoff,
                 empty_rep,
-                &mut solver.scratch(),
+                &mut scratch,
             )
     }
 

@@ -115,8 +115,8 @@ pub(crate) struct DsSearch<'a> {
     pub(crate) query: &'a AsrsQuery,
     /// Polled at every popped sub-space and resolved cell.
     pub(crate) budget: Option<&'a Budget>,
-    /// Whether a root space is bounded before its first grid; tests clear
-    /// it to measure the work the bound saves.
+    /// Whether [`DsSearch::root_bound`] bounds a root space before its
+    /// first grid; tests clear it to measure the work the bound saves.
     #[cfg(test)]
     bound_roots: bool,
 }
@@ -201,15 +201,28 @@ impl<'a> DsSearch<'a> {
         Scratch::new(self.aggregator, self.config.ncols, self.config.nrows)
     }
 
+    /// The Equation-1 bound of the root `space`, whose contributing
+    /// rectangles are `candidates` ([`Bounds::space_bound`]), in
+    /// `scratch`'s bound buffers.
+    pub(crate) fn root_bound(
+        &self,
+        space: &Rect,
+        candidates: &[u32],
+        scratch: &mut Scratch,
+    ) -> f64 {
+        #[cfg(test)]
+        if !self.bound_roots {
+            return f64::MIN;
+        }
+        self.bounds()
+            .space_bound(space, candidates, &mut scratch.bound, &mut scratch.partial)
+    }
+
     /// Runs the discretize–split loop of Algorithm 1 over `space`, whose
     /// contributing rectangles are `candidates`, updating `best` and
     /// `stats` in place; `scratch` is the calling thread's buffer set.  An
     /// expired budget aborts the loop with [`AsrsError::DeadlineExceeded`].
-    ///
-    /// A space whose own Equation-1 bound ([`Bounds::space_bound`])
-    /// exceeds `best`'s raw cutoff is settled before any grid is laid over
-    /// it and counted in [`SearchStats::spaces_bounded`]: every candidate
-    /// anchored in it is at least that far, and the cutoff only falls.
+    /// The root's bound is computed here; see [`DsSearch::search_bounded`].
     pub(crate) fn search_space(
         &self,
         space: Rect,
@@ -218,20 +231,33 @@ impl<'a> DsSearch<'a> {
         stats: &mut SearchStats,
         scratch: &mut Scratch,
     ) -> Result<(), AsrsError> {
+        let bound = self.root_bound(&space, &candidates, scratch);
+        self.search_bounded(space, bound, candidates, best, stats, scratch)
+    }
+
+    /// [`DsSearch::search_space`] for a root whose bound the caller already
+    /// holds: `bound` is `space`'s [`DsSearch::root_bound`] over
+    /// `candidates`.  A space whose bound exceeds `best`'s raw cutoff is
+    /// settled before any grid is laid over it and counted in
+    /// [`SearchStats::spaces_bounded`]: every candidate anchored in it is
+    /// at least that far, and the cutoff only falls.
+    pub(crate) fn search_bounded(
+        &self,
+        space: Rect,
+        bound: f64,
+        candidates: Vec<u32>,
+        best: &mut BestSet,
+        stats: &mut SearchStats,
+        scratch: &mut Scratch,
+    ) -> Result<(), AsrsError> {
         let asp = self.asp;
         let prune_factor = self.prune_factor;
-        let bound = self.bounds().space_bound(
-            &space,
-            &candidates,
-            &mut scratch.bound,
-            &mut scratch.partial,
-        );
-        #[cfg(test)]
-        let bound = if self.bound_roots { bound } else { f64::MIN };
         if bound > best.cutoff() {
             stats.spaces_bounded += 1;
             return Ok(());
         }
+        #[cfg(test)]
+        test_hooks::record_root(space);
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         heap.push(HeapEntry {
             lb: 0.0,
@@ -616,6 +642,29 @@ fn interior_span(edges: &[f64], lo: f64, hi: f64) -> (usize, usize) {
     let start = edges[1..].partition_point(|e| *e <= lo);
     let end = edges[..n].partition_point(|e| *e < hi);
     (start, end)
+}
+
+#[cfg(test)]
+pub(crate) mod test_hooks {
+    //! A per-thread log of the root spaces the kernel laid a grid over, so
+    //! a test can tell which roots a plan discretised.  Thread-local, so
+    //! parallel tests cannot interfere.
+
+    use asrs_geo::Rect;
+    use std::cell::RefCell;
+
+    thread_local! {
+        static ROOTS: RefCell<Vec<Rect>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(crate) fn record_root(space: Rect) {
+        ROOTS.with(|roots| roots.borrow_mut().push(space));
+    }
+
+    /// The roots this thread discretised since the last call.
+    pub(crate) fn take_roots() -> Vec<Rect> {
+        ROOTS.with(|roots| std::mem::take(&mut *roots.borrow_mut()))
+    }
 }
 
 #[cfg(test)]

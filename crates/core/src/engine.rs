@@ -602,12 +602,9 @@ impl EngineCore {
             QueryRequest::TopK { query, k } => {
                 QueryOutcome::Ranked(executor.run(query, *k, 0.0, budget, &mut stats)?)
             }
-            QueryRequest::Batch { queries } => QueryOutcome::Batch(
-                executor
-                    .batch(queries, budget, &mut stats)?
-                    .into_iter()
-                    .collect::<Result<_, _>>()?,
-            ),
+            QueryRequest::Batch { queries } => {
+                QueryOutcome::Batch(executor.batch(queries, budget, &mut stats)?)
+            }
             QueryRequest::MaxRs { size } => {
                 QueryOutcome::MaxRs(executor.max_rs(*size, &Selection::All, budget, &mut stats)?)
             }
@@ -1229,10 +1226,10 @@ mod tests {
     #[test]
     fn a_panicking_batch_slot_reports_internal_instead_of_aborting() {
         // Regression test: a worker panic used to propagate through
-        // `handle.join().expect(..)` and abort the whole process, and one
-        // failing query used to discard every sibling result.  The contract
-        // holds on every engine: the planner's GI-DS on an unsharded one,
-        // the shard scatter on a sharded one.
+        // `handle.join().expect(..)` and abort the whole process.  Now it
+        // fails the batch with the panicking slot's error, on every engine:
+        // the planner's GI-DS on an unsharded one, the shard scatter on a
+        // sharded one.
         let (ds, agg) = setup(200, 5);
         let mut queries: Vec<AsrsQuery> = (1..=4)
             .map(|i| {
@@ -1251,27 +1248,27 @@ mod tests {
                 .shards(shards)
                 .build()
                 .unwrap();
-            // The per-slot contract of the batch executor behind `submit`.
+            // The batch executor behind `submit` reports the slot's panic.
             let plan = engine.plan(&QueryRequest::batch(queries.clone())).unwrap();
-            let results = engine
-                .core()
-                .executor(&plan)
-                .unwrap()
+            let core = engine.core();
+            let executor = core.executor(&plan).unwrap();
+            let error = executor
                 .batch(&queries, None, &mut SearchStats::new())
+                .unwrap_err();
+            assert!(
+                matches!(&error, AsrsError::Internal { message } if message.contains("injected batch panic")),
+                "shards {shards}: {error:?}"
+            );
+            // The worker pool survives: the healthy queries answer as
+            // singles do.
+            let healthy: Vec<AsrsQuery> = [0, 1, 3].map(|i| queries[i].clone()).to_vec();
+            let results = executor
+                .batch(&healthy, None, &mut SearchStats::new())
                 .unwrap();
-            assert_eq!(results.len(), queries.len());
-            for (i, result) in results.iter().enumerate() {
-                if i == 2 {
-                    assert!(
-                        matches!(result, Err(AsrsError::Internal { .. })),
-                        "shards {shards}, slot {i}: {result:?}"
-                    );
-                } else {
-                    let ok = result.as_ref().expect("healthy sibling slots survive");
-                    let single = similar(&engine, &queries[i]).unwrap();
-                    assert_eq!(ok.anchor, single.anchor, "shards {shards}, slot {i}");
-                    assert_eq!(ok.distance, single.distance, "shards {shards}, slot {i}");
-                }
+            for (result, query) in results.iter().zip(&healthy) {
+                let single = similar(&engine, query).unwrap();
+                assert_eq!(result.anchor, single.anchor, "shards {shards}");
+                assert_eq!(result.distance, single.distance, "shards {shards}");
             }
             // `submit` surfaces the error as a value, never as a crash.
             assert!(matches!(

@@ -91,7 +91,7 @@ pub enum AsrsError {
         /// Statistics dimensions the engine's aggregator produces.
         aggregator_dims: usize,
     },
-    /// `search_top_k` was asked for zero results.
+    /// A top-k request asked for zero results.
     InvalidTopK,
     /// A MaxRS region size is non-positive or non-finite.
     InvalidRegionSize {
@@ -105,14 +105,6 @@ pub enum AsrsError {
     DeadlineExceeded {
         /// The allowance the request started with.
         budget: Duration,
-    },
-    /// A backend was forced for an operation it cannot execute (e.g. GI-DS
-    /// for MaxRS, which always runs on the DS-Search adaptation).
-    BackendUnsupported {
-        /// Name of the forced backend.
-        backend: &'static str,
-        /// Name of the operation it cannot run.
-        operation: &'static str,
     },
     /// An appended object does not conform to the dataset schema.
     Schema(SchemaError),
@@ -188,15 +180,12 @@ impl fmt::Display for AsrsError {
                 f,
                 "grid index stores {index_dims}-dimensional statistics, aggregator produces {aggregator_dims}"
             ),
-            AsrsError::InvalidTopK => write!(f, "search_top_k requires k >= 1"),
+            AsrsError::InvalidTopK => write!(f, "k must be at least 1 for a top-k request"),
             AsrsError::InvalidRegionSize { width, height } => {
                 write!(f, "region size must be positive and finite, got {width} x {height}")
             }
             AsrsError::DeadlineExceeded { budget } => {
                 write!(f, "query exceeded its execution budget of {budget:?}")
-            }
-            AsrsError::BackendUnsupported { backend, operation } => {
-                write!(f, "backend {backend} cannot execute {operation} requests")
             }
             AsrsError::Schema(e) => write!(f, "object violates the dataset schema: {e}"),
             AsrsError::NonFiniteLocation { id, x, y } => {
@@ -273,7 +262,7 @@ mod tests {
             }
         )
         .contains("3"));
-        assert!(format!("{}", AsrsError::InvalidTopK).contains("k >= 1"));
+        assert!(format!("{}", AsrsError::InvalidTopK).contains("k must be at least 1"));
         assert!(format!(
             "{}",
             AsrsError::DeadlineExceeded {
@@ -281,14 +270,6 @@ mod tests {
             }
         )
         .contains("budget"));
-        assert!(format!(
-            "{}",
-            AsrsError::BackendUnsupported {
-                backend: "gi-ds",
-                operation: "max-rs"
-            }
-        )
-        .contains("gi-ds"));
     }
 
     #[test]

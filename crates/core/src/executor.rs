@@ -9,11 +9,10 @@
 //! empty region and runs the kernel over the sub-spaces its [`Slabs`] plan
 //! names:
 //!
-//! * [`Slabs::Whole`] — the whole ASP space, one slab (DS-Search, and MaxRS
-//!   on an unsharded engine);
-//! * [`Slabs::IndexCells`] — the index margins, then the index cells
-//!   best-first by their Section 5.3 bound until none can improve the
-//!   result (GI-DS, see the `gi_ds` module);
+//! * [`Slabs::Whole`] — the whole ASP space, one slab (DS-Search);
+//! * [`Slabs::IndexCells`] — the index cells and the index margins
+//!   best-first by their bounds until none can improve the result (GI-DS,
+//!   see the `gi_ds` module);
 //! * [`Slabs::Shards`] — the shards' anchor slabs (see the `shard`
 //!   module).
 //!
@@ -49,7 +48,7 @@ use std::time::Instant;
 pub(crate) enum Slabs<'a> {
     /// The whole ASP space as one slab.
     Whole,
-    /// The margins outside the index grid, then its cells best-first.
+    /// The index grid's cells and its margins, best-first.
     IndexCells(&'a GridIndex),
     /// The shards' anchor slabs.
     Shards(&'a ShardSet),
@@ -184,6 +183,12 @@ impl<'a> Executor<'a> {
     /// `selection`: the count reduction (see the `maxrs` module) run
     /// through this executor's slabs.  MaxRS promises the true maximum, so
     /// the search always runs exact.
+    ///
+    /// GI-DS ranks index cells by statistics of the reduction's count
+    /// aggregator, which the engine's index does not hold, so over
+    /// [`Slabs::IndexCells`] the reduction runs over a count summary built
+    /// here on the same grid ([`GridIndex::build`] at the index's
+    /// granularity, `O(n)`; it lives for this request only).
     pub(crate) fn max_rs(
         &self,
         size: RegionSize,
@@ -192,8 +197,16 @@ impl<'a> Executor<'a> {
         stats: &mut SearchStats,
     ) -> Result<MaxRsResult, AsrsError> {
         let (aggregator, query) = crate::maxrs::reduction(self.dataset, size, selection)?;
+        let summary = match self.slabs {
+            Slabs::IndexCells(index) => {
+                let (cols, rows) = index.granularity();
+                Some(GridIndex::build(self.dataset, &aggregator, cols, rows)?)
+            }
+            _ => None,
+        };
         let reduced = Executor {
             aggregator: &aggregator,
+            slabs: summary.as_ref().map_or(self.slabs, Slabs::IndexCells),
             ..*self
         };
         Ok(crate::maxrs::result_from_search(
@@ -201,26 +214,27 @@ impl<'a> Executor<'a> {
         ))
     }
 
-    /// Answers every query of a batch exactly, one `Result` per query in
-    /// input order; `stats` gains the [`SearchStats::merge`] of the
-    /// answered queries' runs, in input order.
+    /// Answers every query of a batch exactly, in input order; `stats`
+    /// gains the [`SearchStats::merge`] of the queries' runs, in input
+    /// order.
     ///
-    /// Validation is all-or-nothing: a malformed query fails the whole
-    /// batch (the outer `Result`) before any search runs.  The queries then
-    /// run on up to one worker per available core — one worker for a shard
-    /// scatter, which already fans out across the slabs.  Each query owns a
-    /// fixed result slot and is solved by exactly one worker running the
-    /// deterministic search, so results keep input order and tie-breaks
-    /// whatever the thread schedule.  A panic inside a search is caught at
-    /// the slot boundary and recorded as [`AsrsError::Internal`] for that
-    /// query only: a serving engine must outlive a single pathological
-    /// query, so a panic never aborts the process or poisons sibling slots.
+    /// The batch is all-or-nothing: a malformed query fails it before any
+    /// search runs, and otherwise the error of the first failing query, in
+    /// input order, is the batch's.  The queries run on up to one worker
+    /// per available core — one worker for a shard scatter, which already
+    /// fans out across the slabs.  Each query owns a fixed result slot and
+    /// is solved by exactly one worker running the deterministic search,
+    /// so results keep input order and tie-breaks whatever the thread
+    /// schedule.  A panic inside a search is caught at the slot boundary
+    /// and becomes that query's [`AsrsError::Internal`]: a serving engine
+    /// must outlive a single pathological query, so a panic never aborts
+    /// the process.
     pub(crate) fn batch(
         &self,
         queries: &[AsrsQuery],
         budget: Option<Budget>,
         stats: &mut SearchStats,
-    ) -> Result<Vec<Result<SearchResult, AsrsError>>, AsrsError> {
+    ) -> Result<Vec<SearchResult>, AsrsError> {
         for query in queries {
             query.validate(self.aggregator)?;
         }
@@ -248,13 +262,13 @@ impl<'a> Executor<'a> {
                 })
             })
         });
-        for (_, run) in runs.iter().flatten() {
-            stats.merge(run);
+        let mut results = Vec::with_capacity(runs.len());
+        for answer in runs {
+            let (result, run) = answer?;
+            stats.merge(&run);
+            results.push(result);
         }
-        Ok(runs
-            .into_iter()
-            .map(|answer| answer.map(|(result, _)| result))
-            .collect())
+        Ok(results)
     }
 }
 

@@ -8,7 +8,15 @@
 //! searched best-first with DS-Search until the remaining cells cannot beat
 //! the best distance found so far — the
 //! [`Slabs::IndexCells`](crate::executor::Slabs) plan of the engine's
-//! executor.
+//! executor.  The margins the ASP reduction adds left of and below the
+//! index grid take their turn in the same order, keyed by their own
+//! Equation-1 bound, so a margin that cannot beat the cutoff is never
+//! searched.
+//!
+//! The bound works for any aggregator, MaxRS's count reduction included:
+//! the executor answers a MaxRS request on an indexed engine over a count
+//! summary laid on the engine index's grid (see
+//! [`Executor::max_rs`](crate::executor::Executor::max_rs)).
 //!
 //! The Definition-9 bound that orders the cells is built from whole index
 //! cells, so a query narrower than a few index cells opens many cells that
@@ -29,38 +37,49 @@ use asrs_geo::{CellRange, GridEdges, GridSpec, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-struct CellEntry {
-    lb: f64,
-    col: usize,
-    row: usize,
+/// A root space in GI-DS's best-first order: an index cell, or a margin
+/// outside the index grid with its contributing rectangles.
+enum Root {
+    Cell { col: usize, row: usize },
+    Margin { space: Rect, candidates: Vec<u32> },
 }
 
-impl PartialEq for CellEntry {
+/// A root keyed by its lower bound: the Definition-9 bound of a cell, the
+/// Equation-1 bound of a margin.
+struct RootEntry {
+    lb: f64,
+    root: Root,
+}
+
+impl PartialEq for RootEntry {
     fn eq(&self, other: &Self) -> bool {
         self.lb == other.lb
     }
 }
 
-impl Eq for CellEntry {}
+impl Eq for RootEntry {}
 
-impl PartialOrd for CellEntry {
+impl PartialOrd for RootEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for CellEntry {
+impl Ord for RootEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         other.lb.partial_cmp(&self.lb).unwrap_or(Ordering::Equal)
     }
 }
 
-/// Runs `solver` over the index's slabs into `best`: the margins outside
-/// the index grid (whose rectangles `view` finds) unconditionally, then
-/// the index cells best-first by their lower bound until no cell can
-/// improve the result (or improve it by more than the (1+δ) factor).  The
-/// budget is polled at every opened index cell as well as inside the
-/// kernel.
+/// Runs `solver` over the index's slabs into `best`: the index cells, keyed
+/// by their Definition-9 bound, and the margins outside the index grid
+/// (whose rectangles `view` finds), keyed by their own Equation-1 bound
+/// ([`DsSearch::root_bound`]), searched best-first in one order until no
+/// root can improve the result (or improve it by more than the (1+δ)
+/// factor).  A margin is handed to the kernel with the bound it was ranked
+/// by, and one never reached is settled by it and counted in
+/// [`SearchStats::spaces_bounded`].  The budget is polled at every opened
+/// root as well as inside the kernel.
 pub(crate) fn search_index_cells(
     solver: &DsSearch<'_>,
     view: SizeView<'_>,
@@ -76,19 +95,27 @@ pub(crate) fn search_index_cells(
         return Ok(());
     };
     let mut scratch = solver.scratch();
+    let mut heap: BinaryHeap<RootEntry> = BinaryHeap::new();
 
     // 1. Candidate regions whose bottom-left corner lies outside the
     //    indexed area (the margin left of / below the dataset's bounding
-    //    box introduced by the ASP reduction) are searched
-    //    unconditionally; the margin is at most one query width tall or
-    //    wide, so this is cheap.
+    //    box introduced by the ASP reduction) are ranked by the margin's
+    //    own Equation-1 bound over the rectangles reaching it.
+    let mut margins_left = 0u64;
     for margin in margin_spaces(&space, spec.space()) {
         let candidates = table.contributing(view.reaching(&margin));
-        solver.search_space(margin, candidates, best, stats, &mut scratch)?;
+        let lb = solver.root_bound(&margin, &candidates, &mut scratch);
+        heap.push(RootEntry {
+            lb,
+            root: Root::Margin {
+                space: margin,
+                candidates,
+            },
+        });
+        margins_left += 1;
     }
 
     // 2. Rank index cells by their lower bound.
-    let mut heap: BinaryHeap<CellEntry> = BinaryHeap::new();
     let eps_x = 1e-9 * (spec.cell_width() + query.size.width);
     let eps_y = 1e-9 * (spec.cell_height() + query.size.height);
     for row in 0..spec.rows() {
@@ -126,13 +153,16 @@ pub(crate) fn search_index_cells(
                 &query.weights,
                 query.metric,
             );
-            heap.push(CellEntry { lb, col, row });
+            heap.push(RootEntry {
+                lb,
+                root: Root::Cell { col, row },
+            });
         }
     }
 
-    // 3. Search cells best-first until no cell can improve the result.
-    //    The candidates of every index cell are bucketed in one pass when
-    //    the first cell opens.
+    // 3. Search roots best-first until none can improve the result.  The
+    //    candidates of every index cell are bucketed in one pass when the
+    //    first cell opens.
     let mut buckets: Option<Vec<Vec<u32>>> = None;
     while let Some(entry) = heap.pop() {
         if let Some(b) = solver.budget {
@@ -141,12 +171,27 @@ pub(crate) fn search_index_cells(
         if entry.lb > best.cutoff() / solver.prune_factor {
             break;
         }
-        stats.index_cells_searched += 1;
-        let cell_space = spec.cell_rect(entry.col, entry.row);
-        let bucketed = buckets.get_or_insert_with(|| bucket_by_index_cell(asp, table, spec));
-        let candidates = bucketed[spec.linear_index(entry.col, entry.row)].clone();
-        solver.search_space(cell_space, candidates, best, stats, &mut scratch)?;
+        match entry.root {
+            Root::Margin { space, candidates } => {
+                margins_left -= 1;
+                solver.search_bounded(space, entry.lb, candidates, best, stats, &mut scratch)?;
+            }
+            Root::Cell { col, row } => {
+                stats.index_cells_searched += 1;
+                let bucketed =
+                    buckets.get_or_insert_with(|| bucket_by_index_cell(asp, table, spec));
+                let candidates = bucketed[spec.linear_index(col, row)].clone();
+                solver.search_space(
+                    spec.cell_rect(col, row),
+                    candidates,
+                    best,
+                    stats,
+                    &mut scratch,
+                )?;
+            }
+        }
     }
+    stats.spaces_bounded += margins_left;
     Ok(())
 }
 
@@ -279,6 +324,65 @@ mod tests {
             "DS {} vs GI-DS {}",
             plain.distance,
             indexed.distance
+        );
+    }
+
+    #[test]
+    fn a_margin_beyond_the_final_cutoff_is_never_discretised() {
+        let ds = TweetGenerator::compact(8).generate(2000, 3);
+        let agg = CompositeAggregator::builder(ds.schema())
+            .distribution("day_of_week", Selection::All)
+            .build()
+            .unwrap();
+        let index = GridIndex::build(&ds, &agg, 32, 32).unwrap();
+        let query = AsrsQuery::new(
+            RegionSize::new(60.0, 60.0),
+            FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, 40.0, 40.0]),
+            Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]),
+        );
+        let config = SearchConfig::default();
+        let locations = crate::asp::LocationIndex::of(&ds);
+        let view = locations.view(query.size);
+        let (asp, table) = AspInstance::with_contributions(&ds, &agg, view);
+        let solver = DsSearch::new(&agg, &config, 0.0, &asp, &table, &query, None);
+        let mut scratch = solver.scratch();
+        let margins: Vec<(Rect, f64)> = margin_spaces(&asp.space().unwrap(), index.spec().space())
+            .into_iter()
+            .map(|m| {
+                let candidates = table.contributing(view.reaching(&m));
+                (m, solver.root_bound(&m, &candidates, &mut scratch))
+            })
+            .collect();
+
+        crate::ds_search::test_hooks::take_roots();
+        let mut best = BestSet::new(1, std::sync::Arc::clone(asp.edges()));
+        solver.seed_empty_region(&mut best);
+        let mut stats = SearchStats::new();
+        search_index_cells(&solver, view, &index, &mut best, &mut stats).unwrap();
+        let discretised = crate::ds_search::test_hooks::take_roots();
+        let answer = best.into_entries()[0].clone();
+
+        // Searched before every cell, as the empty region's seed left the
+        // cutoff, these margins would have been discretised; in best-first
+        // order the cutoff has fallen below their bound by their turn.
+        let (_, seed) = solver.empty_candidate();
+        let beyond: Vec<&(Rect, f64)> = margins
+            .iter()
+            .filter(|(_, bound)| *bound > answer.distance && *bound <= seed)
+            .collect();
+        assert!(
+            !beyond.is_empty(),
+            "{margins:?} against {}",
+            answer.distance
+        );
+        for (margin, _) in beyond {
+            assert!(!discretised.contains(margin), "{margin:?} was discretised");
+        }
+        assert!(stats.spaces_bounded >= 1);
+        let (plain, _) = search(&ds, &agg, 0.0, Slabs::Whole, &query);
+        assert_eq!(
+            (answer.distance, answer.anchor),
+            (plain.distance, plain.anchor)
         );
     }
 

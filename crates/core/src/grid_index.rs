@@ -89,25 +89,7 @@ pub struct GridIndex {
     /// holds the statistics of all objects located in cells
     /// `[i.., j..)`; the last row/column is identically zero.
     suffix: Vec<f64>,
-    /// Per-cell membership, in dataset order within each cell: who is in
-    /// the cell and what they contributed to its statistics.  Lets
-    /// [`GridIndex::update_remove`] re-derive the affected cell from its
-    /// own members (`O(cell)`) instead of rescanning the whole dataset
-    /// (`O(n)`).  `None` on an index restored from a persisted base table
-    /// — the table alone cannot say who contributed what — in which case
-    /// the first removal materialises the lists with one dataset pass.
-    members: Option<Vec<Vec<CellMember>>>,
     objects_indexed: usize,
-}
-
-/// One object's entry in its cell's membership list: its id and the
-/// statistics vector it contributed (the exact bits
-/// [`GridIndex::build`] folded in, so re-summing a cell from its members
-/// in list order reproduces the rebuild's additions bit-for-bit).
-#[derive(Debug, Clone)]
-struct CellMember {
-    id: u64,
-    contribution: Vec<f64>,
 }
 
 impl GridIndex {
@@ -127,34 +109,47 @@ impl GridIndex {
         let spec = index_grid(dataset, cols, rows)?;
         let dims = aggregator.stats_dim();
         let width = cols + 1;
-        let mut base = vec![0.0; width * (rows + 1) * dims];
-        let mut members: Vec<Vec<CellMember>> = vec![Vec::new(); width * (rows + 1)];
-        let mut contrib = vec![0.0; dims];
-        // Per-cell accumulation, in dataset order (the order incremental
-        // maintenance reproduces — see the type-level documentation).
-        for o in dataset.objects() {
-            let cell = spec.clamped_cell_of_point(&o.location);
-            contrib.iter_mut().for_each(|v| *v = 0.0);
-            aggregator.accumulate_object(o, &mut contrib);
-            let at = (cell.row * width + cell.col) * dims;
-            for (k, v) in contrib.iter().enumerate() {
-                base[at + k] += v;
-            }
-            members[cell.row * width + cell.col].push(CellMember {
-                id: o.id,
-                contribution: contrib.clone(),
-            });
-        }
         let mut index = Self {
             spec,
             stats_dim: dims,
-            suffix: vec![0.0; base.len()],
-            base,
-            members: Some(members),
+            suffix: vec![0.0; width * (rows + 1) * dims],
+            base: vec![0.0; width * (rows + 1) * dims],
             objects_indexed: dataset.len(),
         };
+        // Per-cell accumulation, in dataset order (the order incremental
+        // maintenance reproduces — see the type-level documentation).
+        let mut contrib = vec![0.0; dims];
+        for o in dataset.objects() {
+            index.add_to_cell(index.slot_of(o), o, aggregator, &mut contrib);
+        }
         index.recompute_suffix();
         Ok(index)
+    }
+
+    /// The row-major slot of the cell `object` is located in.
+    fn slot_of(&self, object: &SpatialObject) -> usize {
+        let cell = self.spec.clamped_cell_of_point(&object.location);
+        cell.row * (self.spec.cols() + 1) + cell.col
+    }
+
+    /// Adds `object`'s statistics to the per-cell table at `slot`;
+    /// `contrib` is a `stats_dim`-long buffer.
+    fn add_to_cell(
+        &mut self,
+        slot: usize,
+        object: &SpatialObject,
+        aggregator: &CompositeAggregator,
+        contrib: &mut [f64],
+    ) {
+        contrib.iter_mut().for_each(|v| *v = 0.0);
+        aggregator.accumulate_object(object, contrib);
+        let at = slot * self.stats_dim;
+        for (cell, v) in self.base[at..at + self.stats_dim]
+            .iter_mut()
+            .zip(contrib.iter())
+        {
+            *cell += v;
+        }
     }
 
     /// Refreshes the suffix tables from the per-cell table: suffix sums
@@ -202,22 +197,8 @@ impl GridIndex {
     /// — independent of the dataset size.
     pub fn update_append(&mut self, object: &SpatialObject, aggregator: &CompositeAggregator) {
         debug_assert_eq!(aggregator.stats_dim(), self.stats_dim);
-        let cell = self.spec.clamped_cell_of_point(&object.location);
-        let width = self.spec.cols() + 1;
         let mut contrib = vec![0.0; self.stats_dim];
-        aggregator.accumulate_object(object, &mut contrib);
-        let at = (cell.row * width + cell.col) * self.stats_dim;
-        for (k, v) in contrib.iter().enumerate() {
-            self.base[at + k] += v;
-        }
-        if let Some(members) = &mut self.members {
-            // Appends land at the dataset tail, so pushing keeps each
-            // cell's list in dataset order.
-            members[cell.row * width + cell.col].push(CellMember {
-                id: object.id,
-                contribution: contrib,
-            });
-        }
+        self.add_to_cell(self.slot_of(object), object, aggregator, &mut contrib);
         self.objects_indexed += 1;
         self.recompute_suffix();
     }
@@ -226,14 +207,13 @@ impl GridIndex {
     ///
     /// `removed` is the object that was taken out and `dataset` the
     /// dataset *after* the removal; the removed object's cell is
-    /// re-accumulated from the surviving members' stored contributions in
-    /// dataset order (exactly the additions a rebuild would run —
-    /// floating-point subtraction cannot undo an addition bit-exactly, so
-    /// the cell is re-derived rather than decremented).  The grid geometry
-    /// must still match ([`GridIndex::space_matches`]).  Cost: `O(cell)`
-    /// via the membership lists plus the suffix sweep; an index restored
-    /// from a persisted base table pays one `O(n)` pass on its first
-    /// removal to materialise the lists.
+    /// re-accumulated from the surviving objects located in it, in one
+    /// pass over `dataset` in dataset order (exactly the additions a
+    /// rebuild would run — floating-point subtraction cannot undo an
+    /// addition bit-exactly, so the cell is re-derived rather than
+    /// decremented).  The grid geometry must still match
+    /// ([`GridIndex::space_matches`]).  Cost: `O(n)` location tests, the
+    /// statistics of the cell's survivors, and the suffix sweep.
     pub fn update_remove(
         &mut self,
         removed: &SpatialObject,
@@ -241,42 +221,15 @@ impl GridIndex {
         aggregator: &CompositeAggregator,
     ) {
         debug_assert_eq!(aggregator.stats_dim(), self.stats_dim);
-        let cell = self.spec.clamped_cell_of_point(&removed.location);
-        let width = self.spec.cols() + 1;
-        let slot = cell.row * width + cell.col;
-        let members = match &mut self.members {
-            Some(members) => {
-                // Dropping the removed member keeps the survivors in
-                // dataset order (dataset removals shift, never reorder).
-                members[slot].retain(|m| m.id != removed.id);
-                members
-            }
-            None => {
-                // Restored index: one dataset pass rebuilds every cell's
-                // list.  `dataset` is post-removal, so the fresh lists
-                // already exclude the removed object.
-                let mut fresh: Vec<Vec<CellMember>> =
-                    vec![Vec::new(); width * (self.spec.rows() + 1)];
-                let mut contrib = vec![0.0; self.stats_dim];
-                for o in dataset.objects() {
-                    let c = self.spec.clamped_cell_of_point(&o.location);
-                    contrib.iter_mut().for_each(|v| *v = 0.0);
-                    aggregator.accumulate_object(o, &mut contrib);
-                    fresh[c.row * width + c.col].push(CellMember {
-                        id: o.id,
-                        contribution: contrib.clone(),
-                    });
-                }
-                self.members.insert(fresh)
-            }
-        };
+        let slot = self.slot_of(removed);
         let at = slot * self.stats_dim;
         self.base[at..at + self.stats_dim]
             .iter_mut()
             .for_each(|v| *v = 0.0);
-        for member in &members[slot] {
-            for (k, v) in member.contribution.iter().enumerate() {
-                self.base[at + k] += v;
+        let mut contrib = vec![0.0; self.stats_dim];
+        for o in dataset.objects() {
+            if self.slot_of(o) == slot {
+                self.add_to_cell(slot, o, aggregator, &mut contrib);
             }
         }
         self.objects_indexed = self.objects_indexed.saturating_sub(1);
@@ -328,9 +281,6 @@ impl GridIndex {
             stats_dim,
             suffix: vec![0.0; base.len()],
             base,
-            // The base table cannot say which object contributed what;
-            // the first removal materialises the lists from the dataset.
-            members: None,
             objects_indexed,
         };
         index.recompute_suffix();
@@ -372,21 +322,7 @@ impl GridIndex {
     /// Approximate memory footprint of the index in bytes (the paper's
     /// Table 1 "index size" column).
     pub fn memory_bytes(&self) -> usize {
-        let member_bytes = self.members.as_ref().map_or(0, |members| {
-            members
-                .iter()
-                .map(|cell| {
-                    cell.len() * std::mem::size_of::<CellMember>()
-                        + cell
-                            .iter()
-                            .map(|m| m.contribution.len() * std::mem::size_of::<f64>())
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
-                + members.len() * std::mem::size_of::<Vec<CellMember>>()
-        });
         (self.suffix.len() + self.base.len()) * std::mem::size_of::<f64>()
-            + member_bytes
             + std::mem::size_of::<Self>()
     }
 

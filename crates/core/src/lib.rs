@@ -25,8 +25,9 @@
 //!    whose lower bound can still beat the best known distance.
 //! 4. The same machinery answers the (1+δ)-approximate problem (Section 6)
 //!    per request, via [`QueryRequest::approximate`].
-//! 5. MaxRS ([`QueryRequest::max_rs`]) is answered by DS-Search through
-//!    its count reduction (Section 7.5).
+//! 5. MaxRS ([`QueryRequest::max_rs`]) is answered through its count
+//!    reduction (Section 7.5), planned like any other request: GI-DS on an
+//!    indexed engine, DS-Search without an index.
 //!
 //! DS-Search and GI-DS are one discretize–split kernel run over different
 //! sub-spaces — the whole space, or the index cells best-first — and the

@@ -1,4 +1,4 @@
-//! The MaxRS adaptation of DS-Search (Section 7.5).
+//! The MaxRS adaptation (Section 7.5).
 //!
 //! The MaxRS problem asks for the `a × b` region enclosing the maximum
 //! number of objects.  It is a special case of ASRS: with a count
@@ -7,7 +7,9 @@
 //! the Equation-1 lower bound of a dirty cell becomes `target − upper
 //! count`, so DS-Search's best-first order processes the cells with the
 //! largest count upper bound first — exactly the adaptation described in
-//! the paper.
+//! the paper.  GI-DS's Definition-9 bound becomes `target − upper count`
+//! of an index cell's bounding region in the same way, so the reduction
+//! runs on every backend; the planner routes it like any other request.
 
 use crate::error::AsrsError;
 use crate::query::AsrsQuery;

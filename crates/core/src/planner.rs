@@ -107,14 +107,14 @@ impl IndexStatistics {
     }
 }
 
-/// Why a plan chose its backend.
+/// Why a plan chose its backend.  Every operation, MaxRS included, is
+/// planned by the same rules (see [`Planner`]), so every reason applies to
+/// every operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanReason {
     /// The request forced the backend via
     /// [`QueryRequest::with_backend`].
     ForcedByRequest,
-    /// MaxRS always executes the DS-Search adaptation.
-    MaxRsAdaptation,
     /// The dataset is small enough that the exhaustive oracle is cheapest.
     TinyDataset,
     /// No grid index is attached, so GI-DS is unavailable.
@@ -131,7 +131,6 @@ impl fmt::Display for PlanReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let text = match self {
             PlanReason::ForcedByRequest => "backend forced by the request",
-            PlanReason::MaxRsAdaptation => "MaxRS always runs on the DS-Search adaptation",
             PlanReason::TinyDataset => "dataset is tiny; the exhaustive oracle is cheapest",
             PlanReason::NoIndex => "no grid index attached; DS-Search is the only pruning backend",
             PlanReason::QuerySpansExtent => {
@@ -306,14 +305,15 @@ const SPAN_THRESHOLD: f64 = 0.5;
 ///
 /// 1. a backend forced by the request
 ///    ([`QueryRequest::with_backend`]) always wins;
-/// 2. MaxRS variants always run the DS-Search adaptation (it is the only
-///    MaxRS implementation);
-/// 3. datasets with at most 16 objects (`NAIVE_MAX_OBJECTS`) run the
+/// 2. datasets with at most 16 objects (`NAIVE_MAX_OBJECTS`) run the
 ///    naive oracle (`(n + 1)²` probes beat building any search structure);
-/// 4. without an index only DS-Search remains;
-/// 5. with an index, a query whose cell-expanded span covers at least
+/// 3. without an index only DS-Search remains;
+/// 4. with an index, a query whose cell-expanded span covers at least
 ///    half (`SPAN_THRESHOLD`) of the extent on *both* axes runs
 ///    DS-Search; anything smaller runs GI-DS.
+///
+/// MaxRS requests follow the same rules: they are the count reduction of
+/// ASRS (Section 7.5), and every backend answers it.
 ///
 /// # Assumptions
 ///
@@ -344,36 +344,16 @@ impl Planner {
     ///
     /// # Errors
     ///
-    /// * [`AsrsError::IndexRequired`] when GI-DS is forced without an
-    ///   index,
-    /// * [`AsrsError::BackendUnsupported`] when a non-DS backend is forced
-    ///   for a MaxRS variant.
+    /// [`AsrsError::IndexRequired`] when GI-DS is forced without an index.
     pub fn plan(
         &self,
         stats: &EngineStatistics,
         request: &QueryRequest,
     ) -> Result<ExecutionPlan, AsrsError> {
-        let operation = request.operation_name();
-        let is_max_rs = matches!(
-            request.operation(),
-            QueryRequest::MaxRs { .. } | QueryRequest::MaxRsSelective { .. }
-        );
         let span_ratio = self.span_ratio(stats, request.planning_size());
         let estimates = self.estimate(stats, span_ratio);
         let forced = request.forced_backend();
-        let (backend, reason) = if is_max_rs {
-            // MaxRS has exactly one implementation; a request forcing a
-            // non-DS backend is a contradiction rather than a preference.
-            match forced {
-                Some(Backend::DsSearch) | None => (Backend::DsSearch, PlanReason::MaxRsAdaptation),
-                Some(other) => {
-                    return Err(AsrsError::BackendUnsupported {
-                        backend: other.name(),
-                        operation,
-                    })
-                }
-            }
-        } else if let Some(backend) = forced {
+        let (backend, reason) = if let Some(backend) = forced {
             if backend == Backend::GiDs && stats.index.is_none() {
                 return Err(AsrsError::IndexRequired { backend: "gi-ds" });
             }
@@ -399,7 +379,7 @@ impl Planner {
         Ok(ExecutionPlan {
             backend,
             reason,
-            operation,
+            operation: request.operation_name(),
             estimates,
             span_ratio,
             budget_ms: request.budget_ms(),
@@ -537,23 +517,37 @@ mod tests {
     }
 
     #[test]
-    fn max_rs_always_plans_the_adaptation() {
-        let req = QueryRequest::max_rs(RegionSize::new(5.0, 5.0));
-        let plan = Planner::default().plan(&stats(500, true), &req).unwrap();
-        assert_eq!(plan.backend, Backend::DsSearch);
-        assert_eq!(plan.reason, PlanReason::MaxRsAdaptation);
+    fn max_rs_follows_the_span_rule() {
+        let small = QueryRequest::max_rs(RegionSize::new(4.0, 4.0));
+        let plan = Planner::default().plan(&stats(500, true), &small).unwrap();
+        assert_eq!(plan.backend, Backend::GiDs);
+        assert_eq!(plan.reason, PlanReason::IndexPrunes);
+        assert_eq!(plan.operation, "max-rs");
 
-        // A request-level force of an incompatible backend is a
-        // contradiction.
-        let forced = req.with_backend(Backend::GiDs);
+        let spanning = QueryRequest::max_rs_selective(
+            RegionSize::new(70.0, 70.0),
+            asrs_aggregator::Selection::All,
+        );
+        let plan = Planner::default()
+            .plan(&stats(500, true), &spanning)
+            .unwrap();
+        assert_eq!(plan.backend, Backend::DsSearch);
+        assert_eq!(plan.reason, PlanReason::QuerySpansExtent);
+
+        let plan = Planner::default().plan(&stats(500, false), &small).unwrap();
+        assert_eq!(plan.backend, Backend::DsSearch);
+        assert_eq!(plan.reason, PlanReason::NoIndex);
+
+        // A pinned backend is honoured, and GI-DS still needs an index.
+        let pinned = small.clone().with_backend(Backend::DsSearch);
+        let plan = Planner::default().plan(&stats(500, true), &pinned).unwrap();
+        assert_eq!(plan.backend, Backend::DsSearch);
+        assert_eq!(plan.reason, PlanReason::ForcedByRequest);
         assert_eq!(
             Planner::default()
-                .plan(&stats(500, true), &forced)
+                .plan(&stats(500, false), &small.with_backend(Backend::GiDs))
                 .unwrap_err(),
-            AsrsError::BackendUnsupported {
-                backend: "gi-ds",
-                operation: "max-rs"
-            }
+            AsrsError::IndexRequired { backend: "gi-ds" }
         );
     }
 

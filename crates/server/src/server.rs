@@ -736,7 +736,6 @@ pub fn status_for(error: &AsrsError) -> (u16, &'static str) {
         AsrsError::IndexMismatch { .. } => (400, "index-mismatch"),
         AsrsError::InvalidTopK => (400, "invalid-top-k"),
         AsrsError::InvalidRegionSize { .. } => (400, "invalid-region-size"),
-        AsrsError::BackendUnsupported { .. } => (400, "backend-unsupported"),
     }
 }
 

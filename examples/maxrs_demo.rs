@@ -1,5 +1,5 @@
-//! MaxRS via DS-Search vs the Optimal Enclosure sweep line (Section 7.5),
-//! driven through the engine's declarative `submit` API.
+//! MaxRS via the ASRS count reduction vs the Optimal Enclosure sweep line
+//! (Section 7.5), driven through the engine's declarative `submit` API.
 //!
 //! Run with `cargo run --example maxrs_demo --release`.
 
@@ -12,12 +12,14 @@ fn main() {
     let size = RegionSize::new(20.0, 20.0);
 
     // MaxRS is a counting problem, so the engine only needs a count
-    // aggregator; the planner routes MaxRS to the DS-Search adaptation.
+    // aggregator.  The planner routes MaxRS like any request: with an index
+    // and a small region, to GI-DS.
     let aggregator = CompositeAggregator::builder(dataset.schema())
         .count(Selection::All)
         .build()
         .expect("count works on every schema");
     let engine = AsrsEngine::builder(dataset.clone(), aggregator)
+        .build_index(64, 64)
         .build()
         .expect("valid configuration");
 
@@ -26,8 +28,8 @@ fn main() {
 
     let started = Instant::now();
     let response = engine.submit(&request).expect("valid request");
-    let ds_time = started.elapsed();
-    let ds_result = response.max_rs().expect("max-rs outcome").clone();
+    let asrs_time = started.elapsed();
+    let asrs_result = response.max_rs().expect("max-rs outcome").clone();
 
     // The O(n log n) Optimal Enclosure baseline.
     let started = Instant::now();
@@ -35,10 +37,12 @@ fn main() {
     let oe_time = started.elapsed();
 
     println!(
-        "\nDS-Search (MaxRS): {} objects in {}",
-        ds_result.count, ds_result.region
+        "\n{} (MaxRS): {} objects in {}",
+        response.backend.name(),
+        asrs_result.count,
+        asrs_result.region
     );
-    println!("                   {:?}", ds_time);
+    println!("                   {:?}", asrs_time);
     println!(
         "Optimal Enclosure: {} objects in {}",
         oe_result.count, oe_result.region
@@ -46,7 +50,7 @@ fn main() {
     println!("                   {:?}", oe_time);
 
     assert_eq!(
-        ds_result.count, oe_result.count,
+        asrs_result.count, oe_result.count,
         "both algorithms are exact"
     );
     println!("\nboth algorithms agree on the maximum count ✓");

@@ -1,6 +1,7 @@
 //! The MaxRS adaptation (Section 7.5): DS-Search adapted to MaxRS must
 //! agree with the Optimal Enclosure sweep-line algorithm and with the
-//! exhaustive oracle.
+//! exhaustive oracle, and on an indexed engine GI-DS — planned or pinned —
+//! must answer byte-identically to DS-Search and the oracle.
 
 use asrs_suite::prelude::*;
 
@@ -112,4 +113,60 @@ fn maxrs_via_generic_asrs_query_matches_dedicated_wrapper() {
     let generic = ds_search(&ds, &agg, &query);
     let generic_count = generic.representation[0].round() as usize;
     assert_eq!(wrapper.count, generic_count);
+}
+
+/// The objects of `ds` that `selection` accepts, as a dataset of their own.
+fn selected(ds: &Dataset, selection: &Selection) -> Dataset {
+    let objects = ds.objects().filter(|o| selection.accepts(o)).cloned();
+    Dataset::new_unchecked(ds.schema().clone(), objects.collect())
+}
+
+#[test]
+fn every_plan_answers_max_rs_byte_identically_on_an_indexed_engine() {
+    // Tweet and POISyn analogues, each with an all-objects and a selective
+    // MaxRS; sizes in units of q, a thousandth of the padded extent per
+    // axis (Section 7.1).  Small datasets keep the oracle affordable.
+    let tweet = TweetGenerator::compact(6).generate(240, 8);
+    let poisyn = PoiSynGenerator::compact(6).generate(240, 8);
+    let cases = [
+        (tweet, Selection::cat_in(0, vec![5, 6])),
+        (poisyn, Selection::num_range(1, 7.0, 10.0)),
+    ];
+    for (ds, selection) in cases {
+        let count = CompositeAggregator::builder(ds.schema())
+            .count(Selection::All)
+            .build()
+            .unwrap();
+        let engine = AsrsEngine::builder(ds.clone(), count)
+            .build_index(16, 16)
+            .build()
+            .unwrap();
+        let bbox = ds.padded_bounding_box(1.0).unwrap();
+        let unit = RegionSize::new(bbox.width() / 1000.0, bbox.height() / 1000.0);
+        for k in [1.0, 3.0, 10.0, 30.0] {
+            let size = unit.scaled(k);
+            for selection in [Selection::All, selection.clone()] {
+                let request = QueryRequest::max_rs_selective(size, selection.clone());
+                let planned = engine.submit(&request).unwrap();
+                assert_eq!(planned.backend, Backend::GiDs, "{k}q: the span rule");
+                let expected = serde::json::to_string(&planned.outcome);
+                for backend in [Backend::GiDs, Backend::DsSearch, Backend::Naive] {
+                    let pinned = engine
+                        .submit(&request.clone().with_backend(backend))
+                        .unwrap();
+                    assert_eq!(pinned.backend, backend);
+                    assert_eq!(
+                        serde::json::to_string(&pinned.outcome),
+                        expected,
+                        "{k}q, {selection:?}: {backend:?} against the planned GI-DS"
+                    );
+                }
+                let answer = planned.max_rs().unwrap();
+                let oe = OptimalEnclosure::new(&selected(&ds, &selection), size)
+                    .search()
+                    .unwrap();
+                assert_eq!(answer.count, oe.count, "{k}q, {selection:?}: OE");
+            }
+        }
+    }
 }
