@@ -21,7 +21,7 @@
 
 use asrs_baseline::{OptimalEnclosure, SweepBase};
 use asrs_bench::{format_duration, unit_query_size, Table, Workload};
-use asrs_core::{AsrsEngine, Backend, GridIndex, QueryRequest, SearchConfig};
+use asrs_core::{AsrsEngine, Backend, QueryRequest, SearchConfig};
 use std::time::Instant;
 
 struct Options {
@@ -215,19 +215,17 @@ fn fig11_table1(scale: f64) {
         let engines: Vec<(usize, AsrsEngine)> = [64usize, 128, 256]
             .iter()
             .map(|&g| {
-                let index =
-                    GridIndex::build(&dataset, &aggregator, g, g).expect("non-empty dataset");
                 let engine = AsrsEngine::builder(dataset.clone(), aggregator.clone())
-                    .index(index)
+                    .build_index(g, g)
                     .build()
-                    .expect("matching index");
+                    .expect("non-empty dataset");
                 (g, engine)
             })
             .collect();
         let mut ratios: Vec<Vec<String>> = engines
             .iter()
             .map(|(g, engine)| {
-                let index = engine.index().expect("index attached");
+                let index = engine.index().expect("index built");
                 vec![
                     format!("{g}x{g}"),
                     String::new(),

@@ -5,8 +5,7 @@
 //! must be the deterministic sweep of its base table, an incrementally
 //! maintained index must be bit-identical to a fresh build — the grid
 //! index and the location index a publish patches alike — shard object
-//! counts must agree with routing, planner statistics must
-//! describe the dataset they were captured from, and every cache key's
+//! counts must agree with routing, and every cache key's
 //! generation stamp must refer to a generation that exists.  A violation
 //! of any of these would surface — much later — as a wrong answer or a
 //! byte-parity test failure with no pointer back to the corrupting step.
@@ -81,17 +80,15 @@ impl Auditor {
 ///
 /// * **dataset** — the cached bounding box equals a fresh fold over the
 ///   objects, bitwise.
-/// * **statistics** — the planner statistics equal a fresh recapture by
-///   the same code path the builder and the mutation publisher run
-///   (object count, extent, index statistics — virtual for a sharded
-///   engine that requested an index — and shard fan-out).
-/// * **index** (when attached) — the statistics
-///   dimensionality matches the aggregator, the object count matches the
-///   dataset, the suffix table equals the deterministic sweep of the base
-///   table bitwise, and — while the grid geometry still matches the
-///   dataset — the whole index equals a fresh
-///   [`GridIndex::build`] bitwise (the incremental-maintenance
-///   guarantee).
+/// * **index** (when held) — the statistics dimensionality matches the
+///   aggregator, the object count matches the dataset, the suffix table
+///   equals the deterministic sweep of the base table bitwise, and the
+///   whole index, grid geometry included, equals a fresh
+///   [`GridIndex::build`] over the dataset bitwise (the
+///   incremental-maintenance guarantee).  The planner statistics need no
+///   check of their own: they are derived from the dataset, the
+///   granularity and the shards whenever the planner reads them, and the
+///   index checks tie the held index to that same grid.
 /// * **location index** (when a search, carry pass or publish built it) —
 ///   it equals a fresh [`LocationIndex::of`] the dataset bitwise (the
 ///   guarantee a publish's patch must keep).
@@ -119,7 +116,6 @@ pub(crate) fn audit_core(core: &EngineCore) -> AuditReport {
     };
 
     audit_dataset(&mut audit, &core.dataset);
-    audit_statistics(&mut audit, core);
     if let Some(index) = core.index.as_deref() {
         audit_index(&mut audit, index, core);
     }
@@ -218,29 +214,6 @@ fn rect_options_bit_equal(a: Option<&Rect>, b: Option<&Rect>) -> bool {
     }
 }
 
-/// Recaptures the planner statistics by the same code path the builders
-/// and the mutation publisher run, and compares them with the stored ones.
-fn audit_statistics(audit: &mut Auditor, core: &EngineCore) {
-    match crate::engine::capture_statistics(
-        &core.dataset,
-        core.index.as_deref(),
-        core.upkeep,
-        core.shards.as_ref(),
-    ) {
-        Ok(expected) => {
-            audit.check("statistics-recapture", expected == core.statistics, || {
-                format!(
-                    "stored statistics {:?} != recaptured {:?}",
-                    core.statistics, expected
-                )
-            });
-        }
-        Err(err) => audit.check("statistics-recapture", false, || {
-            format!("statistics failed to recapture: {err}")
-        }),
-    }
-}
-
 /// Audits the core's grid index against the dataset it summarises.
 fn audit_index(audit: &mut Auditor, index: &GridIndex, core: &EngineCore) {
     let dataset = core.dataset.as_ref();
@@ -287,25 +260,24 @@ fn audit_index(audit: &mut Auditor, index: &GridIndex, core: &EngineCore) {
         }),
     }
 
-    // While the grid geometry still matches the dataset, the maintained
-    // index must equal a fresh build bitwise (the incremental-maintenance
-    // guarantee; a geometry move obliges the *next* mutation to rebuild,
-    // so a mismatched geometry is not itself a violation).
-    if index.space_matches(dataset) {
-        let (cols, rows) = index.granularity();
-        match GridIndex::build(dataset, &core.aggregator, cols, rows) {
-            Ok(fresh) => {
-                audit.check(
-                    "index-rebuild-identity",
-                    tables_bit_equal(index.base_table(), fresh.base_table())
-                        && tables_bit_equal(index.suffix_table(), fresh.suffix_table()),
-                    || "maintained index diverges bitwise from a fresh build".to_string(),
-                );
-            }
-            Err(err) => audit.check("index-rebuild-identity", false, || {
-                format!("fresh index build failed during audit: {err}")
-            }),
+    // The maintained index must equal a fresh build over the dataset
+    // bitwise, geometry included: the engine holds an index only at the
+    // grid its dataset lays (a mutation that moves the geometry rebuilds),
+    // which is also the grid the planner statistics are derived from.
+    let (cols, rows) = index.granularity();
+    match GridIndex::build(dataset, &core.aggregator, cols, rows) {
+        Ok(fresh) => {
+            audit.check(
+                "index-rebuild-identity",
+                index.spec() == fresh.spec()
+                    && tables_bit_equal(index.base_table(), fresh.base_table())
+                    && tables_bit_equal(index.suffix_table(), fresh.suffix_table()),
+                || "maintained index diverges bitwise from a fresh build".to_string(),
+            );
         }
+        Err(err) => audit.check("index-rebuild-identity", false, || {
+            format!("fresh index build failed during audit: {err}")
+        }),
     }
 }
 
@@ -339,9 +311,10 @@ fn audit_shards(audit: &mut Auditor, core: &EngineCore, set: &crate::shard::Shar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::AsrsEngine;
+    use crate::engine::{AsrsEngine, EngineState};
     use asrs_aggregator::{CompositeAggregator, Selection};
     use asrs_data::gen::UniformGenerator;
+    use std::sync::Arc;
 
     fn engine(n: usize, shards: usize, index: bool, cache: usize) -> AsrsEngine {
         let ds = UniformGenerator::default().generate(n, 7);
@@ -361,12 +334,15 @@ mod tests {
 
     #[test]
     fn fresh_engines_audit_clean_in_every_configuration() {
-        for (shards, index, cache) in [
-            (0, false, 0),
-            (0, true, 16),
-            (2, true, 16),
-            (3, true, 0),
-            (4, false, 8),
+        // The checks that run: the dataset's one, the index's four (only
+        // an unsharded engine holds one), two for shards and two for a
+        // cache.
+        for (shards, index, cache, checks) in [
+            (0, false, 0, 1),
+            (0, true, 16, 7),
+            (2, true, 16, 5),
+            (3, true, 0, 3),
+            (4, false, 8, 5),
         ] {
             let engine = engine(250, shards, index, cache);
             let report = engine.audit();
@@ -375,7 +351,10 @@ mod tests {
                 "shards={shards} index={index} cache={cache}: {:?}",
                 report.findings
             );
-            assert!(report.checks_run >= 2);
+            assert_eq!(
+                report.checks_run, checks,
+                "shards={shards} index={index} cache={cache}"
+            );
             assert_eq!(report.generation, 0);
         }
     }
@@ -403,18 +382,33 @@ mod tests {
         assert_eq!(report.generation, 11);
     }
 
+    /// An 8×8 engine restored from `dataset` and a persisted `index`: the
+    /// one way a caller hands the engine an index it did not build.
+    fn restored(dataset: Dataset, agg: CompositeAggregator, index: GridIndex) -> AsrsEngine {
+        AsrsEngine::builder(dataset.clone(), agg)
+            .build_index(8, 8)
+            .build_restored(EngineState {
+                generation: 0,
+                dataset: Arc::new(dataset),
+                index: Some(Arc::new(index)),
+            })
+            .unwrap()
+    }
+
+    fn category_aggregator(ds: &Dataset) -> CompositeAggregator {
+        CompositeAggregator::builder(ds.schema())
+            .distribution("category", Selection::All)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn a_corrupted_suffix_table_is_detected() {
         let ds = UniformGenerator::default().generate(150, 3);
-        let agg = CompositeAggregator::builder(ds.schema())
-            .distribution("category", Selection::All)
-            .build()
-            .unwrap();
-        let index = GridIndex::build(&ds, &agg, 8, 8).unwrap();
-        let mut broken = index.clone();
+        let agg = category_aggregator(&ds);
+        let mut broken = GridIndex::build(&ds, &agg, 8, 8).unwrap();
         broken.corrupt_suffix_for_test(0, 1.0);
-        let engine = AsrsEngine::builder(ds, agg).index(broken).build().unwrap();
-        let report = engine.audit();
+        let report = restored(ds, agg, broken).audit();
         assert!(!report.is_clean());
         assert!(
             report
@@ -424,6 +418,19 @@ mod tests {
             "{:?}",
             report.findings
         );
+    }
+
+    #[test]
+    fn an_index_over_another_dataset_is_detected() {
+        // Same size, same granularity, another dataset: every check but
+        // the rebuild identity passes.
+        let ds = UniformGenerator::default().generate(150, 3);
+        let other = UniformGenerator::default().generate(150, 4);
+        let agg = category_aggregator(&ds);
+        let foreign = GridIndex::build(&other, &agg, 8, 8).unwrap();
+        let report = restored(ds, agg, foreign).audit();
+        let checks: Vec<&str> = report.findings.iter().map(|f| f.check).collect();
+        assert_eq!(checks, ["index-rebuild-identity"], "{:?}", report.findings);
     }
 
     #[test]
@@ -443,22 +450,16 @@ mod tests {
     #[test]
     fn a_stale_object_count_is_detected() {
         let ds = UniformGenerator::default().generate(150, 3);
-        let agg = CompositeAggregator::builder(ds.schema())
-            .distribution("category", Selection::All)
-            .build()
-            .unwrap();
+        let agg = category_aggregator(&ds);
+        let built = GridIndex::build(&ds, &agg, 8, 8).unwrap();
         let index = GridIndex::from_base_table(
-            GridIndex::build(&ds, &agg, 8, 8).unwrap().spec().clone(),
+            built.spec().clone(),
             agg.stats_dim(),
             ds.len() + 5,
-            GridIndex::build(&ds, &agg, 8, 8)
-                .unwrap()
-                .base_table()
-                .to_vec(),
+            built.base_table().to_vec(),
         )
         .unwrap();
-        let engine = AsrsEngine::builder(ds, agg).index(index).build().unwrap();
-        let report = engine.audit();
+        let report = restored(ds, agg, index).audit();
         assert!(report
             .findings
             .iter()

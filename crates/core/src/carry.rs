@@ -196,9 +196,9 @@ fn restamp(
     if candidates.is_empty() {
         return CarryPassCounts::default();
     }
-    let mut probes = PassProbes::new(next);
+    let mut probes = PassProbes::new(next, touched);
     for candidate in candidates {
-        if !entry_survives(next, &candidate, touched, &mut probes) {
+        if !probes.entry_survives(&candidate) {
             continue;
         }
         // Debug builds prove every accepted carry by recomputation before
@@ -217,142 +217,133 @@ fn restamp(
     probes.counts
 }
 
-/// The full per-entry predicate (R1 plus the per-slot checks).
-fn entry_survives(
-    next: &EngineCore,
-    candidate: &CarryCandidate,
-    touched: &[Point],
-    probes: &mut PassProbes<'_>,
-) -> bool {
-    // R1: the successor planner must still choose the stored backend and
-    // admit the plan — otherwise a cold run would answer (or fail)
-    // differently.
-    let Ok(plan) = next.plan(&candidate.request) else {
-        return false;
-    };
-    if plan.backend != candidate.response.backend || plan.admit().is_err() {
-        return false;
+impl PassProbes<'_> {
+    /// The full per-entry predicate (R1 plus the per-slot checks).
+    fn entry_survives(&mut self, candidate: &CarryCandidate) -> bool {
+        let next = self.next;
+        // R1: the successor planner must still choose the stored backend
+        // and admit the plan — otherwise a cold run would answer (or fail)
+        // differently.
+        let Ok(plan) = next.plan(&candidate.request) else {
+            return false;
+        };
+        if plan.backend != candidate.response.backend || plan.admit().is_err() {
+            return false;
+        }
+        let aggregator = &next.aggregator;
+        match (candidate.request.operation(), &candidate.response.outcome) {
+            (QueryRequest::Similar { query }, QueryOutcome::Best(result)) => {
+                self.slot_survives(aggregator, query, std::slice::from_ref(result))
+            }
+            (QueryRequest::Approximate { query, .. }, QueryOutcome::Best(result)) => {
+                // Sound only where the executor answers it exactly, so the
+                // stored response is the similar-region answer; (1+δ)
+                // pruning lets candidates far from the cutoff steer the
+                // reported one.
+                next.executor(&plan).is_ok_and(|e| e.answers_exactly())
+                    && self.slot_survives(aggregator, query, std::slice::from_ref(result))
+            }
+            (QueryRequest::TopK { query, k }, QueryOutcome::Ranked(ranked)) => {
+                // A short ranking (fewer candidates than requested) can be
+                // *extended* by a new candidate worse than every reported
+                // distance, which no cutoff probe would catch.
+                ranked.len() == *k && self.slot_survives(aggregator, query, ranked)
+            }
+            (QueryRequest::Batch { queries }, QueryOutcome::Batch(results)) => {
+                queries.len() == results.len()
+                    && queries.iter().zip(results).all(|(query, result)| {
+                        self.slot_survives(aggregator, query, std::slice::from_ref(result))
+                    })
+            }
+            (QueryRequest::MaxRs { size }, QueryOutcome::MaxRs(result)) => {
+                self.maxrs_survives(*size, &Selection::All, result)
+            }
+            (QueryRequest::MaxRsSelective { size, selection }, QueryOutcome::MaxRs(result)) => {
+                self.maxrs_survives(*size, selection, result)
+            }
+            // Mismatched shapes: never sound to serve.
+            _ => false,
+        }
     }
-    match (candidate.request.operation(), &candidate.response.outcome) {
-        (QueryRequest::Similar { query }, QueryOutcome::Best(result)) => {
-            slot_survives(next, query, std::slice::from_ref(result), touched, probes)
-        }
-        (QueryRequest::Approximate { query, .. }, QueryOutcome::Best(result)) => {
-            // Sound only where the executor answers it exactly, so the
-            // stored response is the similar-region answer; (1+δ) pruning
-            // lets candidates far from the cutoff steer the reported one.
-            next.executor(&plan).is_ok_and(|e| e.answers_exactly())
-                && slot_survives(next, query, std::slice::from_ref(result), touched, probes)
-        }
-        (QueryRequest::TopK { query, k }, QueryOutcome::Ranked(ranked)) => {
-            // A short ranking (fewer candidates than requested) can be
-            // *extended* by a new candidate worse than every reported
-            // distance, which no cutoff probe would catch.
-            ranked.len() == *k && slot_survives(next, query, ranked, touched, probes)
-        }
-        (QueryRequest::Batch { queries }, QueryOutcome::Batch(results)) => {
-            queries.len() == results.len()
-                && queries.iter().zip(results).all(|(query, result)| {
-                    slot_survives(next, query, std::slice::from_ref(result), touched, probes)
-                })
-        }
-        (QueryRequest::MaxRs { size }, QueryOutcome::MaxRs(result)) => {
-            maxrs_survives(next, *size, &Selection::All, result, touched, probes)
-        }
-        (QueryRequest::MaxRsSelective { size, selection }, QueryOutcome::MaxRs(result)) => {
-            maxrs_survives(next, *size, selection, result, touched, probes)
-        }
-        // Mismatched shapes: never sound to serve.
-        _ => false,
-    }
-}
 
-/// R2 + R3 + R4 for one query/result-set slot.  `results` is the slot's
-/// reported set, best first; the cutoff is the worst reported distance.
-fn slot_survives(
-    next: &EngineCore,
-    query: &AsrsQuery,
-    results: &[SearchResult],
-    touched: &[Point],
-    probes: &mut PassProbes<'_>,
-) -> bool {
-    let Some(d_max) = results.last().map(|r| r.distance) else {
-        return false;
-    };
-    // A non-finite cutoff poisons every comparison below (NaN compares
-    // false, so probes could never reject).
-    if !d_max.is_finite() {
-        return false;
-    }
-    // R2: every reported region must be untouched — closed containment, a
-    // conservative superset of the open influence-window membership test —
-    // so reported representations and distances are still exact.
-    for result in results {
-        for p in touched {
-            if result.region.contains_point(p) {
+    /// R2 + R3 + R4 for one query/result-set slot searched with
+    /// `aggregator`.  `results` is the slot's reported set, best first;
+    /// the cutoff is the worst reported distance.
+    fn slot_survives(
+        &mut self,
+        aggregator: &CompositeAggregator,
+        query: &AsrsQuery,
+        results: &[SearchResult],
+    ) -> bool {
+        let Some(d_max) = results.last().map(|r| r.distance) else {
+            return false;
+        };
+        // A non-finite cutoff poisons every comparison below (NaN compares
+        // false, so probes could never reject).
+        if !d_max.is_finite() {
+            return false;
+        }
+        // R2: every reported region must be untouched — closed
+        // containment, a conservative superset of the open influence-window
+        // membership test — so reported representations and distances are
+        // still exact.
+        for result in results {
+            if self.touched.iter().any(|p| result.region.contains_point(p)) {
                 return false;
             }
         }
-    }
-    // R4: reported anchors must still be their own arrangement-cell
-    // representatives under the successor's edge set.
-    let view = probes.locations.view(query.size);
-    if !results.iter().all(|r| view.snaps_to_itself(r.anchor)) {
-        return false;
-    }
-    // R3: no candidate inside any influence window may reach the cutoff.
-    // Each window runs the engine's own pruned branch-and-bound instead of
-    // enumerating arrangement cells — a dense instance puts 10^5..10^6
-    // cells in a single window, but the threshold search visits only what
-    // Equation-1 pruning cannot exclude.
-    let cutoff = d_max + d_max.abs() * CUTOFF_SLACK;
-    probes.no_window_reaches(next, &next.aggregator, query, touched, cutoff)
-}
-
-/// R2 + R3 + R4 for a MaxRS answer, through the MaxRS → ASRS reduction
-/// (count aggregator, target one above the successor cardinality).
-///
-/// The reduction's target moves with the cardinality, shifting *every*
-/// candidate's distance by the same amount — order, ties and tie-breaks
-/// are preserved exactly — so the stored `(region, anchor, count)` answer
-/// is reproduced byte-for-byte by a successor search iff no influence
-/// window holds a candidate reaching the reported count: no window may
-/// reach the reported distance `target − count`.  Counts and targets are
-/// integers below 2^53, so the comparison is exact and the slack only
-/// widens rejection.
-fn maxrs_survives(
-    next: &EngineCore,
-    size: RegionSize,
-    selection: &Selection,
-    result: &MaxRsResult,
-    touched: &[Point],
-    probes: &mut PassProbes<'_>,
-) -> bool {
-    // R2: the reported region's strict count is untouched.
-    for p in touched {
-        if result.region.contains_point(p) {
+        // R4: reported anchors must still be their own arrangement-cell
+        // representatives under the successor's edge set.
+        let view = self.locations.view(query.size);
+        if !results.iter().all(|r| view.snaps_to_itself(r.anchor)) {
             return false;
         }
+        // R3: no candidate inside any influence window may reach the
+        // cutoff.  Each window runs the engine's own pruned
+        // branch-and-bound instead of enumerating arrangement cells — a
+        // dense instance puts 10^5..10^6 cells in a single window, but the
+        // threshold search visits only what Equation-1 pruning cannot
+        // exclude.
+        let cutoff = d_max + d_max.abs() * CUTOFF_SLACK;
+        self.no_window_reaches(aggregator, query, cutoff)
     }
-    // R3 runs the same reduction the executor runs (`maxrs::reduction`):
-    // exact search, count aggregator over the request's selection, target
-    // above the successor cardinality.
-    let Ok((aggregator, query)) = crate::maxrs::reduction(&next.dataset, size, selection) else {
-        return false;
-    };
-    let d_reported = (next.dataset.len() as f64 + 1.0) - result.count as f64;
-    // R2 keeps every counted object alive, so the reported count cannot
-    // exceed the successor cardinality; anything else is a stored answer
-    // this predicate does not understand.
-    if !d_reported.is_finite() || d_reported < 1.0 {
-        return false;
+
+    /// R2 + R3 + R4 for a MaxRS answer, through the MaxRS → ASRS reduction
+    /// (count aggregator, target one above the successor cardinality).
+    ///
+    /// The reduction's target moves with the cardinality, shifting *every*
+    /// candidate's distance by the same amount — order, ties and
+    /// tie-breaks are preserved exactly — so the stored `(region, anchor,
+    /// count)` answer is reproduced byte-for-byte by a successor search iff
+    /// the reduction's slot, with the reported distance `target − count`,
+    /// survives [`PassProbes::slot_survives`].  Counts and targets are
+    /// integers below 2^53, so the comparison is exact and the slack only
+    /// widens rejection.
+    fn maxrs_survives(
+        &mut self,
+        size: RegionSize,
+        selection: &Selection,
+        result: &MaxRsResult,
+    ) -> bool {
+        // The same reduction the executor runs (`maxrs::reduction`): exact
+        // search, count aggregator over the request's selection, target
+        // above the successor cardinality.
+        let dataset = &self.next.dataset;
+        let Ok((aggregator, query)) = crate::maxrs::reduction(dataset, size, selection) else {
+            return false;
+        };
+        let d_reported = (dataset.len() as f64 + 1.0) - result.count as f64;
+        // R2 keeps every counted object alive, so the reported count
+        // cannot exceed the successor cardinality; anything else is a
+        // stored answer this predicate does not understand.
+        if d_reported < 1.0 {
+            return false;
+        }
+        // The slot check reads the region, the anchor and the distance.
+        let empty = FeatureVector::new(Vec::new());
+        let reported = SearchResult::new(result.anchor, result.region, d_reported, empty);
+        self.slot_survives(&aggregator, &query, std::slice::from_ref(&reported))
     }
-    // R4: the reported anchor is still its own cell representative.
-    if !probes.locations.view(size).snaps_to_itself(result.anchor) {
-        return false;
-    }
-    let cutoff = d_reported + d_reported * CUTOFF_SLACK;
-    probes.no_window_reaches(next, &aggregator, &query, touched, cutoff)
 }
 
 /// How R3 settled one influence window.
@@ -545,9 +536,11 @@ fn influence_window(touched: Point, size: RegionSize) -> Rect {
     )
 }
 
-/// One carry pass's view of the successor's location index, and what the
-/// pass counted.
+/// One carry pass: the successor core, the locations the batch touched,
+/// the view of the successor's location index, and what the pass counted.
 struct PassProbes<'a> {
+    next: &'a EngineCore,
+    touched: &'a [Point],
     locations: &'a LocationIndex,
     counts: CarryPassCounts,
 }
@@ -555,8 +548,10 @@ struct PassProbes<'a> {
 impl<'a> PassProbes<'a> {
     /// Takes `next`'s location index, built here when no search or
     /// publish has.
-    fn new(next: &'a EngineCore) -> Self {
+    fn new(next: &'a EngineCore, touched: &'a [Point]) -> Self {
         Self {
+            next,
+            touched,
             locations: next.locations.of(&next.dataset),
             counts: CarryPassCounts::default(),
         }
@@ -568,12 +563,11 @@ impl<'a> PassProbes<'a> {
     /// so it is tested once, and reaches like the slot's first window.
     fn no_window_reaches(
         &mut self,
-        next: &EngineCore,
         aggregator: &CompositeAggregator,
         query: &AsrsQuery,
-        touched: &[Point],
         cutoff: f64,
     ) -> bool {
+        let next = self.next;
         let (empty_rep, empty_distance) = empty_candidate(aggregator, query);
         if empty_distance <= cutoff {
             self.counts.windows_bounded += 1;
@@ -587,7 +581,7 @@ impl<'a> PassProbes<'a> {
             dataset: &next.dataset,
         };
         let mut buffers = WindowBuffers::new(aggregator);
-        for &p in touched {
+        for &p in self.touched {
             let verdict = window_reaches(&probe, p, cutoff, &empty_rep, &mut buffers);
             if verdict.searched {
                 self.counts.windows_searched += 1;
@@ -680,7 +674,7 @@ mod tests {
         assert_ne!(old.generation, next.generation);
         let patched = next.locations.get().expect("the publish patched the index");
         assert!(patched.bits_eq(&LocationIndex::of(&next.dataset)));
-        let probes = PassProbes::new(next);
+        let probes = PassProbes::new(next, &[]);
         assert!(std::ptr::eq(probes.locations, patched));
         for &size in sizes {
             assert_view_matches_fresh(probes.locations, &next.dataset, size, 60);
@@ -777,7 +771,7 @@ mod tests {
         engine.remove(old.dataset.object(57).id).unwrap();
         let next = engine.core();
         assert!(next.locations.get().is_none(), "the index was patched");
-        let probes = PassProbes::new(&next);
+        let probes = PassProbes::new(&next, &[]);
         assert!(probes.locations.bits_eq(&LocationIndex::of(&next.dataset)));
     }
 

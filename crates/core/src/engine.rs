@@ -6,10 +6,12 @@
 //! oracle):
 //!
 //! * an [`EngineBuilder`] owns the dataset and aggregator, optionally
-//!   builds or attaches a [`GridIndex`], and validates everything once,
+//!   builds a [`GridIndex`] at a granularity, and validates everything
+//!   once,
 //! * requests are declarative [`QueryRequest`] values; the engine's
-//!   [`Planner`] picks the backend per request from dataset/index
-//!   statistics (a request-level [`QueryRequest::with_backend`] override
+//!   [`Planner`] picks the backend per request from statistics that are
+//!   a function of the dataset, the index granularity and the shards (a
+//!   request-level [`QueryRequest::with_backend`] override
 //!   pins it), and [`AsrsEngine::submit`] executes the plan into a
 //!   [`QueryResponse`],
 //! * the engine is a cheap `Clone + Send + Sync` value over its
@@ -52,7 +54,7 @@ use crate::error::AsrsError;
 use crate::executor::{Executor, Slabs};
 use crate::grid_index::GridIndex;
 use crate::mutate::{MutationReceipt, MutationState, MutationStats};
-use crate::planner::{EngineStatistics, ExecutionPlan, IndexStatistics, Planner};
+use crate::planner::{EngineStatistics, ExecutionPlan, Planner};
 use crate::query::AsrsQuery;
 use crate::request::{Backend, QueryOutcome, QueryRequest, QueryResponse};
 use crate::shard::ShardSet;
@@ -64,63 +66,6 @@ use asrs_geo::Rect;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// How the builder should obtain a grid index.
-#[derive(Debug)]
-enum IndexSpec {
-    None,
-    Build { cols: usize, rows: usize },
-    Attach(GridIndex),
-}
-
-/// How a built engine maintains its index under mutation — recorded at
-/// build time so every generation knows what to refresh and at which
-/// granularity (see the [`mutate`](crate::mutate) module).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IndexUpkeep {
-    /// No index to maintain.
-    None,
-    /// One whole-dataset index on the engine core: unsharded engines, and
-    /// sharded engines serving statistics from an attached index.
-    PerEngine {
-        /// Rebuild granularity: columns.
-        cols: usize,
-        /// Rebuild granularity: rows.
-        rows: usize,
-    },
-    /// No index at all: a sharded engine that requested an index build
-    /// plans from the statistics a `cols × rows` whole-dataset index
-    /// *would* have ([`IndexStatistics::virtual_for`]), recaptured per
-    /// generation.  The scatter searches the full instance and never reads
-    /// an index, so building one would change no answer.
-    Virtual {
-        /// Virtual granularity: columns.
-        cols: usize,
-        /// Virtual granularity: rows.
-        rows: usize,
-    },
-}
-
-/// The planner statistics of a core over `dataset` — the one capture path
-/// the builders, the mutation publisher and the auditor share, so mutated,
-/// restored and fresh engines plan identically.
-pub(crate) fn capture_statistics(
-    dataset: &Dataset,
-    index: Option<&GridIndex>,
-    upkeep: IndexUpkeep,
-    shards: Option<&ShardSet>,
-) -> Result<EngineStatistics, AsrsError> {
-    let mut statistics = EngineStatistics::capture(dataset, index);
-    if let IndexUpkeep::Virtual { cols, rows } = upkeep {
-        statistics.index = if dataset.is_empty() {
-            None
-        } else {
-            Some(IndexStatistics::virtual_for(dataset, cols, rows)?)
-        };
-    }
-    statistics.shards = shards.map(ShardSet::fan_out);
-    Ok(statistics)
-}
-
 /// Builder for [`AsrsEngine`].  All validation happens in
 /// [`EngineBuilder::build`]; none of the setters can panic.
 #[derive(Debug)]
@@ -128,7 +73,9 @@ pub struct EngineBuilder {
     dataset: Arc<Dataset>,
     aggregator: CompositeAggregator,
     config: SearchConfig,
-    index: IndexSpec,
+    /// Index granularity `(cols, rows)` set by
+    /// [`EngineBuilder::build_index`].
+    granularity: Option<(usize, usize)>,
     planner: Planner,
     cache_capacity: usize,
     shards: Option<usize>,
@@ -140,7 +87,7 @@ impl EngineBuilder {
             dataset: Arc::new(dataset),
             aggregator,
             config: SearchConfig::default(),
-            index: IndexSpec::None,
+            granularity: None,
             planner: Planner::default(),
             cache_capacity: 0,
             shards: None,
@@ -151,10 +98,12 @@ impl EngineBuilder {
     /// into `n` disjoint regions (longest-axis recursive splits at
     /// object-count medians, outer edges unbounded, see
     /// [`SpatialPartition`](asrs_data::SpatialPartition)).  A shard is its
-    /// region and the count of objects it owns — there is no per-shard
-    /// dataset or index; with [`EngineBuilder::build_index`] the planner
-    /// reads the statistics a whole-dataset index would have, and no index
-    /// is built.  Requests are scattered across the shards' anchor slabs of
+    /// region and the count of objects it owns.  A sharded engine holds no
+    /// index, per shard or whole, since the scatter never reads one; as for
+    /// every engine, its planner statistics are a function of the dataset,
+    /// the [`EngineBuilder::build_index`] granularity and the shards
+    /// ([`EngineStatistics::of`]), so it plans as the unsharded engine
+    /// does.  Requests are scattered across the shards' anchor slabs of
     /// the full instance and gathered with the engine's deterministic
     /// tie-break; the gathered outcome is byte-identical for every shard
     /// count and to the unsharded engine's, statistics excepted (the
@@ -209,22 +158,17 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds a `cols × rows` grid index over the dataset during
-    /// [`EngineBuilder::build`].
+    /// Gives the engine a `cols × rows` grid index: an unsharded engine
+    /// builds it during [`EngineBuilder::build`] and maintains it through
+    /// every mutation, and every engine's planner reads the statistics of
+    /// the grid it lays ([`EngineStatistics::of`]).
     pub fn build_index(mut self, cols: usize, rows: usize) -> Self {
-        self.index = IndexSpec::Build { cols, rows };
+        self.granularity = Some((cols, rows));
         self
     }
 
-    /// Attaches a pre-built grid index.  Its statistics layout must match
-    /// the engine's aggregator (checked in [`EngineBuilder::build`]).
-    pub fn index(mut self, index: GridIndex) -> Self {
-        self.index = IndexSpec::Attach(index);
-        self
-    }
-
-    /// Validates the configuration, builds or checks the index, and
-    /// assembles the engine.
+    /// Validates the configuration, builds the index, and assembles the
+    /// engine.
     ///
     /// # Errors
     ///
@@ -232,82 +176,51 @@ impl EngineBuilder {
     ///   granularity,
     /// * [`AsrsError::EmptyDataset`] when an index was requested for an
     ///   empty dataset,
-    /// * [`AsrsError::IndexMismatch`] when an attached index was built for
-    ///   an aggregator with a different statistics layout,
     /// * [`AsrsError::NonFiniteLocation`] when a seed object's location is
     ///   NaN or infinite.
-    pub fn build(mut self) -> Result<AsrsEngine, AsrsError> {
+    pub fn build(self) -> Result<AsrsEngine, AsrsError> {
+        self.validate(&self.dataset)?;
+        if self.granularity.is_some() && self.dataset.is_empty() {
+            return Err(AsrsError::EmptyDataset);
+        }
+        let dataset = Arc::clone(&self.dataset);
+        self.assemble(0, dataset, None)
+    }
+
+    /// The checks [`EngineBuilder::build`] and
+    /// [`EngineBuilder::build_restored`] share: the discretisation grid,
+    /// the locations of `dataset` and the index granularity.
+    fn validate(&self, dataset: &Dataset) -> Result<(), AsrsError> {
         self.config.validate()?;
-        for object in self.dataset.objects() {
+        for object in dataset.objects() {
             crate::mutate::check_location(object)?;
         }
-        let upkeep = self.upkeep();
-        let index = match std::mem::replace(&mut self.index, IndexSpec::None) {
-            IndexSpec::None => None,
-            // A sharded engine builds no index (see `IndexUpkeep::Virtual`);
-            // its virtual statistics refuse exactly the inputs a build
-            // would.
-            IndexSpec::Build { cols, rows } if self.shards.is_some() => {
-                IndexStatistics::virtual_for(&self.dataset, cols, rows)?;
-                None
-            }
-            IndexSpec::Build { cols, rows } => Some(GridIndex::build(
-                &self.dataset,
-                &self.aggregator,
-                cols,
-                rows,
-            )?),
-            IndexSpec::Attach(index) => {
-                self.check_stats_dim(&index)?;
-                Some(index)
-            }
-        };
-        let dataset = Arc::clone(&self.dataset);
-        self.assemble(0, dataset, index.map(Arc::new), upkeep)
-    }
-
-    /// The index upkeep the builder's settings ask for.
-    fn upkeep(&self) -> IndexUpkeep {
-        match &self.index {
-            IndexSpec::None => IndexUpkeep::None,
-            IndexSpec::Build { cols, rows } if self.shards.is_some() => IndexUpkeep::Virtual {
-                cols: *cols,
-                rows: *rows,
-            },
-            IndexSpec::Build { cols, rows } => IndexUpkeep::PerEngine {
-                cols: *cols,
-                rows: *rows,
-            },
-            IndexSpec::Attach(index) => {
-                let (cols, rows) = index.granularity();
-                IndexUpkeep::PerEngine { cols, rows }
-            }
+        match self.granularity {
+            Some((cols, rows)) => crate::grid_index::check_granularity(cols, rows),
+            None => Ok(()),
         }
     }
 
-    fn check_stats_dim(&self, index: &GridIndex) -> Result<(), AsrsError> {
-        if index.stats_dim() != self.aggregator.stats_dim() {
-            return Err(AsrsError::IndexMismatch {
-                index_dims: index.stats_dim(),
-                aggregator_dims: self.aggregator.stats_dim(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Assembles generation `generation` over `dataset` and its (built,
-    /// attached or restored) `index`: partitions a sharded engine,
-    /// captures the planner statistics and attaches the cache.  Shared by
+    /// Assembles generation `generation` over `dataset`: partitions a
+    /// sharded engine, takes `index` (restored) or builds one where the
+    /// engine holds an index, and attaches the cache.  Shared by
     /// [`EngineBuilder::build`] and [`EngineBuilder::build_restored`].
     fn assemble(
         self,
         generation: u64,
         dataset: Arc<Dataset>,
         index: Option<Arc<GridIndex>>,
-        upkeep: IndexUpkeep,
     ) -> Result<AsrsEngine, AsrsError> {
         let shards = self.shards.map(|n| ShardSet::build(&dataset, n));
-        let statistics = capture_statistics(&dataset, index.as_deref(), upkeep, shards.as_ref())?;
+        // The one index rule: a core holds an index exactly when it has a
+        // granularity, is unsharded and is non-empty.
+        let index = match self.granularity {
+            Some((cols, rows)) if shards.is_none() && !dataset.is_empty() => Some(match index {
+                Some(index) => index,
+                None => Arc::new(GridIndex::build(&dataset, &self.aggregator, cols, rows)?),
+            }),
+            _ => None,
+        };
         let cache =
             (self.cache_capacity > 0).then(|| Arc::new(QueryCache::new(self.cache_capacity)));
         Ok(AsrsEngine::from_core(EngineCore {
@@ -316,9 +229,8 @@ impl EngineBuilder {
             aggregator: Arc::new(self.aggregator),
             config: self.config,
             index,
-            upkeep,
+            granularity: self.granularity,
             planner: self.planner,
-            statistics,
             cache,
             shards,
             locations: LazyLocations::default(),
@@ -334,40 +246,32 @@ impl EngineBuilder {
     /// `state`.  The restored engine is byte-identical in responses to the
     /// engine the state was exported from: the dataset keeps its object
     /// order, the index table is carried over verbatim (or, for an image
-    /// without one, built at the builder's granularity), and planner
-    /// statistics are recaptured by the code path
-    /// [`EngineBuilder::build`] and the mutation publisher run.  A sharded
-    /// builder partitions the restored dataset afresh — shard layout never
-    /// affects answers, so the image may come from any shard count.
+    /// without one, built at the builder's granularity), and the planner
+    /// statistics, a function of the dataset, the granularity and the
+    /// shards, are the same.  A sharded builder partitions the restored
+    /// dataset afresh and holds no index — shard layout never affects
+    /// answers, so the image may come from any shard count.
     ///
     /// # Errors
     ///
     /// [`AsrsError::Persistence`] when `state` does not fit the builder's
-    /// settings (an index-granularity mismatch, an index whose statistics
-    /// layout disagrees with the aggregator, an attached-index builder),
-    /// plus the validation errors of [`EngineBuilder::build`] —
+    /// settings (an index-granularity mismatch, or an index the builder
+    /// does not ask for); [`AsrsError::IndexMismatch`] when the persisted
+    /// index was built for an aggregator with a different statistics
+    /// layout; plus the validation errors of [`EngineBuilder::build`] —
     /// [`AsrsError::NonFiniteLocation`] included, for an image written
     /// before appends refused such locations.
     pub fn build_restored(self, state: EngineState) -> Result<AsrsEngine, AsrsError> {
-        self.config.validate()?;
-        for object in state.dataset.objects() {
-            crate::mutate::check_location(object)?;
-        }
-        let build_granularity = match self.index {
-            IndexSpec::None => None,
-            IndexSpec::Build { cols, rows } => Some((cols, rows)),
-            IndexSpec::Attach(_) => {
-                return Err(AsrsError::Persistence {
-                    message: "cannot restore into a builder with an attached index; \
-                              use build_index(cols, rows) matching the persisted granularity"
-                        .to_string(),
-                })
-            }
-        };
+        self.validate(&state.dataset)?;
         if let Some(index) = state.index.as_deref() {
-            self.check_stats_dim(index)?;
+            if index.stats_dim() != self.aggregator.stats_dim() {
+                return Err(AsrsError::IndexMismatch {
+                    index_dims: index.stats_dim(),
+                    aggregator_dims: self.aggregator.stats_dim(),
+                });
+            }
             let (cols, rows) = index.granularity();
-            match build_granularity {
+            match self.granularity {
                 Some(granularity) if granularity == (cols, rows) => {}
                 Some((want_cols, want_rows)) => {
                     return Err(AsrsError::Persistence {
@@ -384,30 +288,14 @@ impl EngineBuilder {
                 }
             }
         }
-        // Upkeep follows the builder's request, exactly as a mutated
-        // engine keeps its granularity even while the index is dropped on
-        // an emptied dataset; a sharded engine keeps no index at all, so
-        // an unsharded builder indexes a sharded engine's image itself.
-        let upkeep = self.upkeep();
-        let index = match (upkeep, state.index) {
-            (IndexUpkeep::Virtual { .. }, _) => None,
-            (IndexUpkeep::PerEngine { cols, rows }, None) if !state.dataset.is_empty() => {
-                Some(Arc::new(GridIndex::build(
-                    &state.dataset,
-                    &self.aggregator,
-                    cols,
-                    rows,
-                )?))
-            }
-            (_, index) => index,
-        };
-        self.assemble(state.generation, state.dataset, index, upkeep)
+        self.assemble(state.generation, state.dataset, state.index)
     }
 }
 
-/// One immutable *generation* of an engine: dataset, aggregator, index,
-/// configuration, planner and the statistics the planner decides from,
-/// stamped with the generation number that produced it.
+/// One immutable *generation* of an engine: dataset, aggregator, index and
+/// its granularity, configuration and planner, stamped with the generation
+/// number that produced it.  The statistics the planner decides from are
+/// derived from the generation when it plans ([`EngineCore::statistics`]).
 ///
 /// Queries run against whichever generation they snapshot at submission
 /// ([`EngineShared::load`]); mutations assemble a successor core and swap
@@ -425,11 +313,14 @@ pub(crate) struct EngineCore {
     pub(crate) dataset: Arc<Dataset>,
     pub(crate) aggregator: Arc<CompositeAggregator>,
     pub(crate) config: SearchConfig,
+    /// The grid index, held exactly when [`EngineCore::granularity`] is
+    /// set, the core is unsharded and the dataset is non-empty.
     pub(crate) index: Option<Arc<GridIndex>>,
-    /// What index maintenance this engine owes under mutation.
-    pub(crate) upkeep: IndexUpkeep,
+    /// The index granularity `(cols, rows)` the builder asked for, kept by
+    /// every generation: mutations build and maintain the index at it, and
+    /// the planner statistics read its grid.
+    pub(crate) granularity: Option<(usize, usize)>,
     pub(crate) planner: Planner,
-    pub(crate) statistics: EngineStatistics,
     pub(crate) cache: Option<Arc<QueryCache>>,
     /// Shard table of a sharded engine (see [`EngineBuilder::shards`] and
     /// the internal `shard` module); `None` on single engines.
@@ -532,9 +423,9 @@ pub trait DurabilitySink: Send + Sync + std::fmt::Debug {
 /// immutable core — an `Arc` snapshot, so exporting never stalls queries
 /// or mutations — and [`EngineBuilder::build_restored`] turns it back
 /// into an engine.  The round trip preserves response bytes: the dataset
-/// keeps its object order, the index is carried table-for-table, planner
-/// statistics are recaptured by the exact code path the original build
-/// ran, and the restored engine resumes at [`EngineState::generation`] so
+/// keeps its object order, the index is carried table-for-table, the
+/// planner statistics follow from the dataset as they did for the
+/// original, and the restored engine resumes at [`EngineState::generation`] so
 /// generation-stamped cache keys and WAL records stay aligned.  The image
 /// holds no shard layout: a sharded engine partitions the dataset again
 /// when it is restored.
@@ -549,8 +440,19 @@ pub struct EngineState {
 }
 
 impl EngineCore {
+    /// The planner statistics of this generation: a function of its
+    /// dataset, granularity and shard fan-out ([`EngineStatistics::of`]),
+    /// derived in `O(shards)`.
+    pub(crate) fn statistics(&self) -> EngineStatistics {
+        EngineStatistics::of(
+            &self.dataset,
+            self.granularity,
+            self.shards.as_ref().map(ShardSet::fan_out),
+        )
+    }
+
     pub(crate) fn plan(&self, request: &QueryRequest) -> Result<ExecutionPlan, AsrsError> {
-        self.planner.plan(&self.statistics, request)
+        self.planner.plan(&self.statistics(), request)
     }
 
     /// Plans and executes `request`, consulting the query-result cache
@@ -754,10 +656,12 @@ impl AsrsEngine {
         self.core().index.clone()
     }
 
-    /// The current generation's dataset/index statistics (refreshed on
-    /// every mutation, so the planner always decides from live numbers).
+    /// The current generation's planner statistics: a function of its
+    /// dataset, the index granularity and the shards
+    /// ([`EngineStatistics::of`]), so the planner always decides from live
+    /// numbers.
     pub fn statistics(&self) -> EngineStatistics {
-        self.core().statistics.clone()
+        self.core().statistics()
     }
 
     /// Appends `object` to the dataset, producing a new generation.  See
@@ -850,8 +754,8 @@ impl AsrsEngine {
 
     /// Runs the deep invariant audit over the current generation: index
     /// suffix-table and rebuild identity, dataset bounding box, shard
-    /// partition cover/disjointness/ownership, generation monotonicity,
-    /// planner-statistics recapture and cache-key generation stamps (see
+    /// partition cover/disjointness/ownership, generation monotonicity
+    /// and cache-key generation stamps (see
     /// the [`AuditReport`](crate::AuditReport) for the outcome shape).
     ///
     /// Mutations are paused while the audit reads (queries are not), and
@@ -1034,16 +938,21 @@ mod tests {
     #[test]
     fn mismatched_index_is_rejected() {
         let (ds, agg) = setup(80, 3);
-        // An index built for a different aggregator (count: 1 stats dim,
-        // distribution over 4 categories: 4 stats dims).
+        // A persisted index built for a different aggregator (count: 1
+        // stats dim, distribution over 4 categories: 4 stats dims).
         let other = CompositeAggregator::builder(ds.schema())
             .count(Selection::All)
             .build()
             .unwrap();
         let foreign = GridIndex::build(&ds, &other, 8, 8).unwrap();
+        let state = EngineState {
+            generation: 0,
+            dataset: Arc::new(ds.clone()),
+            index: Some(Arc::new(foreign)),
+        };
         let err = AsrsEngine::builder(ds, agg)
-            .index(foreign)
-            .build()
+            .build_index(8, 8)
+            .build_restored(state)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1649,10 +1558,10 @@ mod tests {
     }
 
     #[test]
-    fn virtual_index_statistics_match_the_built_index() {
-        // A sharded engine plans from the statistics of the index it does
-        // not build; they must be the built index's, generation after
-        // generation, for the planner to choose alike.
+    fn sharded_and_unsharded_engines_report_equal_statistics() {
+        // Only the unsharded engine holds an index, but both plan from the
+        // statistics of the grid its dataset lays, generation after
+        // generation; only the fan-out tells them apart.
         let (ds, agg) = setup(120, 59);
         let engines: Vec<AsrsEngine> = [0, 2]
             .into_iter()
@@ -1665,10 +1574,20 @@ mod tests {
             })
             .collect();
         let same = |when: &str| {
-            let built = engines[0].statistics().index;
-            assert!(built.is_some() && engines[0].index().is_some(), "{when}");
+            let unsharded = engines[0].statistics();
+            let sharded = engines[1].statistics();
+            assert!(
+                unsharded.index.is_some() && engines[0].index().is_some(),
+                "{when}"
+            );
             assert!(engines[1].index().is_none(), "{when}");
-            assert_eq!(engines[1].statistics().index, built, "{when}");
+            assert_eq!(unsharded.shards, None, "{when}");
+            assert_eq!(sharded.shards.map(|f| f.shards), Some(2), "{when}");
+            let fan_out_aside = EngineStatistics {
+                shards: None,
+                ..sharded
+            };
+            assert_eq!(fan_out_aside, unsharded, "{when}");
         };
         same("fresh");
 

@@ -78,13 +78,15 @@ pub enum AsrsError {
     /// (e.g. building a grid index).
     EmptyDataset,
     /// A backend that requires a grid index was requested, but the engine
-    /// has none attached.
+    /// has no index granularity (or no objects to index).
     IndexRequired {
         /// Name of the backend that needed the index.
         backend: &'static str,
     },
-    /// An attached grid index was built for a different aggregator: its
-    /// statistics vectors have the wrong dimensionality.
+    /// A persisted grid index handed to
+    /// [`EngineBuilder::build_restored`](crate::EngineBuilder::build_restored)
+    /// was built for a different aggregator: its statistics vectors have
+    /// the wrong dimensionality.
     IndexMismatch {
         /// Statistics dimensions stored per index cell.
         index_dims: usize,
@@ -171,7 +173,7 @@ impl fmt::Display for AsrsError {
             AsrsError::Config(e) => write!(f, "invalid configuration: {e}"),
             AsrsError::EmptyDataset => write!(f, "operation requires a non-empty dataset"),
             AsrsError::IndexRequired { backend } => {
-                write!(f, "backend {backend} requires a grid index, but none is attached")
+                write!(f, "backend {backend} requires a grid index, but the engine has none")
             }
             AsrsError::IndexMismatch {
                 index_dims,

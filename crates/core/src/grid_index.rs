@@ -21,7 +21,7 @@ use asrs_geo::{GridSpec, Rect};
 /// bounding box padded by half its larger extent on a degenerate axis (1.0
 /// for a single point), split into equal cells.  The one geometry rule
 /// [`GridIndex::build`], [`GridIndex::space_matches`] and the planner's
-/// virtual index statistics share.
+/// index statistics share.
 ///
 /// Degenerate (collinear) axes are padded *relative* to the dataset extent
 /// so the grid stays dense with real cells: an absolute pad turned
@@ -39,11 +39,17 @@ pub(crate) fn index_grid(
     cols: usize,
     rows: usize,
 ) -> Result<GridSpec, AsrsError> {
+    check_granularity(cols, rows)?;
+    let space = index_space(dataset).ok_or(AsrsError::EmptyDataset)?;
+    Ok(GridSpec::new(space, cols, rows))
+}
+
+/// Refuses a granularity no index can be laid at: a zero side.
+pub(crate) fn check_granularity(cols: usize, rows: usize) -> Result<(), AsrsError> {
     if cols == 0 || rows == 0 {
         return Err(ConfigError::InvalidIndexGranularity { cols, rows }.into());
     }
-    let space = index_space(dataset).ok_or(AsrsError::EmptyDataset)?;
-    Ok(GridSpec::new(space, cols, rows))
+    Ok(())
 }
 
 /// The area an index over `dataset` covers (see [`index_grid`]); `None`

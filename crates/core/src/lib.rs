@@ -49,6 +49,12 @@
 //! ([`QueryRequest::with_backend`]) for callers who know better than the
 //! cost model.
 //!
+//! For every engine the planner statistics are a function of the dataset,
+//! the index granularity ([`EngineBuilder::build_index`]) and the shards
+//! ([`EngineStatistics::of`]): each generation derives them when it plans.
+//! An unsharded engine with a granularity holds the [`GridIndex`] of that
+//! grid; a sharded one holds none.
+//!
 //! [`AsrsEngine`] is a cheap `Clone + Send + Sync` value over its
 //! [`std::sync::Arc`]-shared state, so many threads can submit (and
 //! mutate) through clones concurrently; [`EngineHandle`] is another name

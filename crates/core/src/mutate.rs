@@ -45,8 +45,9 @@
 //! [`GridIndex::update_append`](crate::GridIndex::update_append) /
 //! [`GridIndex::update_remove`](crate::GridIndex::update_remove), rebuilt
 //! only where they must be: the padded grid geometry moved, or the
-//! dataset gained its first object), and planner statistics recaptured per
-//! generation.  An incrementally maintained index *is* a fresh build, so
+//! dataset gained its first object), and planner statistics that each
+//! generation derives from its dataset, index granularity and shards.  An
+//! incrementally maintained index *is* a fresh build, so
 //! no number of accumulated deltas calls for a rebuild.  A coalesced batch
 //! applies its ops *in serialization order* through the exact per-delta
 //! maintenance a sequence of solo mutations would run, so batching never
@@ -71,7 +72,7 @@
 //! space no stale entry can inhabit, and superseded entries age out
 //! through LRU eviction.
 
-use crate::engine::{EngineCore, EngineShared, IndexUpkeep};
+use crate::engine::{EngineCore, EngineShared};
 use crate::error::AsrsError;
 use crate::grid_index::GridIndex;
 use crate::shard::ShardSet;
@@ -645,7 +646,7 @@ type BatchOutcome = (
 /// expiry.  Each group is validated in full against the evolving id set
 /// before the dataset is touched; an invalid group fails alone — its
 /// batch-mates still commit.  A failure *after* validation (index rebuild,
-/// statistics capture, WAL write) aborts the whole batch: nothing
+/// WAL write) aborts the whole batch: nothing
 /// publishes and every participant sees that error.
 ///
 /// Returns the expiries' own outcome plus one `(ticket, outcome)` pair per
@@ -853,8 +854,7 @@ fn fail_batch(verdicts: Vec<(u64, Result<(), AsrsError>)>, error: AsrsError) -> 
 /// Applies the validated plan to a single successor core: one dataset
 /// clone, per-op index maintenance and shard counting in serialization
 /// order (exactly what a sequence of solo mutations would run, so batched
-/// and sequential application are bit-identical), then one statistics
-/// capture and one core assembly.
+/// and sequential application are bit-identical), then one core assembly.
 fn assemble(
     core: &Arc<EngineCore>,
     state: &MutationState,
@@ -937,15 +937,6 @@ fn assemble(
         ));
     }
 
-    // Statistics are recaptured per generation by the builders' own
-    // capture path, so mutated and rebuilt engines plan identically.
-    let statistics = crate::engine::capture_statistics(
-        &dataset,
-        index.as_deref(),
-        core.upkeep,
-        shards.as_ref(),
-    )?;
-
     // The successor inherits the predecessor's location index, patched by
     // the batch, when a search or carry pass built it.
     let locations = core.locations.successor(&core.dataset, &dataset);
@@ -955,9 +946,8 @@ fn assemble(
         aggregator: Arc::clone(&core.aggregator),
         config: core.config.clone(),
         index,
-        upkeep: core.upkeep,
+        granularity: core.granularity,
         planner: core.planner.clone(),
-        statistics,
         cache: core.cache.clone(),
         shards,
         locations,
@@ -1018,54 +1008,55 @@ fn fold_delta(
             Delta::Remove(object) => set.remove(&object.location),
         }
     }
-    let IndexUpkeep::PerEngine { cols, rows } = core.upkeep else {
+    // The index rule the builder applies: only an unsharded core with a
+    // granularity holds an index.
+    let Some((cols, rows)) = core.granularity.filter(|_| core.shards.is_none()) else {
         return Ok(IndexMaintenance::NotIndexed);
     };
-    let (next, how) = maintain_index(
-        index.as_deref(),
+    maintain_index(
+        index,
         dataset,
         &core.aggregator,
         cols,
         rows,
         delta,
         counters,
-    )?;
-    *index = next.map(Arc::new);
-    Ok(how)
+    )
 }
 
-/// Maintains the engine's grid index under `delta`: incremental while the
-/// grid geometry still matches, a full rebuild where it must be — the
-/// geometry moved, or there was no index to update.  Both paths produce
-/// bit-identical indexes (see [`GridIndex`]).
+/// Maintains the batch's working grid index under `delta`: incremental
+/// while the grid geometry still matches, a full rebuild where it must be
+/// — the geometry moved, or there was no index to update.  Both paths
+/// produce bit-identical indexes (see [`GridIndex`]).  The working index
+/// is copied from the predecessor's by the batch's first incremental
+/// update only ([`Arc::make_mut`]); later ops edit the batch's own copy.
 fn maintain_index(
-    current: Option<&GridIndex>,
+    index: &mut Option<Arc<GridIndex>>,
     dataset: &Dataset,
     aggregator: &CompositeAggregator,
     cols: usize,
     rows: usize,
     delta: Delta<'_>,
     counters: &mut CounterDraft,
-) -> Result<(Option<GridIndex>, IndexMaintenance), AsrsError> {
+) -> Result<IndexMaintenance, AsrsError> {
     if dataset.is_empty() {
         // Nothing left to index; a fresh builder over the empty dataset
         // would refuse to build one too.
-        return Ok((None, IndexMaintenance::Dropped));
+        *index = None;
+        return Ok(IndexMaintenance::Dropped);
     }
-    if let Some(idx) = current {
-        if idx.space_matches(dataset) {
-            let mut next = idx.clone();
-            match delta {
-                Delta::Append(object) => next.update_append(object, aggregator),
-                Delta::Remove(object) => next.update_remove(object, dataset, aggregator),
-            }
-            counters.incremental_updates += 1;
-            return Ok((Some(next), IndexMaintenance::Incremental));
+    if let Some(current) = index.as_mut().filter(|idx| idx.space_matches(dataset)) {
+        let next = Arc::make_mut(current);
+        match delta {
+            Delta::Append(object) => next.update_append(object, aggregator),
+            Delta::Remove(object) => next.update_remove(object, dataset, aggregator),
         }
+        counters.incremental_updates += 1;
+        return Ok(IndexMaintenance::Incremental);
     }
-    let next = GridIndex::build(dataset, aggregator, cols, rows)?;
+    *index = Some(Arc::new(GridIndex::build(dataset, aggregator, cols, rows)?));
     counters.index_rebuilds += 1;
-    Ok((Some(next), IndexMaintenance::Rebuilt))
+    Ok(IndexMaintenance::Rebuilt)
 }
 
 #[cfg(test)]

@@ -4,26 +4,27 @@
 //! the module's public face.
 
 use crate::error::AsrsError;
-use crate::grid_index::GridIndex;
+use crate::grid_index::index_grid;
 use crate::request::{Backend, QueryRequest};
 use asrs_data::Dataset;
-use asrs_geo::{GridSpec, Rect, RegionSize};
+use asrs_geo::{Rect, RegionSize};
 use serde::Serialize;
 use std::fmt;
 
 /// Dataset and index statistics the planner decides from.
 ///
-/// Captured once when the engine is built; cheap to copy around.
+/// For every engine, sharded or not, built, restored or mutated, they are
+/// a function of the dataset, the index granularity and the shard fan-out
+/// ([`EngineStatistics::of`]); cheap to derive and to copy around.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineStatistics {
     /// Number of objects in the dataset.
     pub object_count: usize,
     /// Bounding box of the dataset (`None` when empty).
     pub extent: Option<Rect>,
-    /// Statistics of the attached grid index, if any.  For a sharded
-    /// engine this describes the *reference* (whole-dataset) index
-    /// geometry, deliberately independent of the shard count so identical
-    /// requests plan identically for every shard count.
+    /// Statistics of the whole-dataset grid index at the engine's
+    /// granularity, if it has one.  The same for every shard count, so
+    /// identical requests plan identically for every shard count.
     pub index: Option<IndexStatistics>,
     /// Shard fan-out of a sharded engine (`None` on single engines).
     /// Descriptive only: the backend decision never reads it, again so
@@ -62,47 +63,36 @@ pub struct IndexStatistics {
 }
 
 impl EngineStatistics {
-    /// Gathers statistics from a dataset and optional index.
-    pub fn capture(dataset: &Dataset, index: Option<&GridIndex>) -> Self {
+    /// The statistics of an engine over `dataset` with index granularity
+    /// `granularity` and shard fan-out `shards`.  The index statistics are
+    /// those of the grid [`GridIndex::build`](crate::GridIndex::build)
+    /// lays over `dataset` at that granularity, which is the grid of the
+    /// index an unsharded engine holds; a sharded engine holds none (its
+    /// scatter never reads one) and plans from the same grid.  `O(1)`: the
+    /// dataset caches its bounding box.
+    ///
+    /// There are no index statistics without a granularity, over an empty
+    /// dataset, or at a granularity with a zero side (which the engine
+    /// builder refuses).
+    pub fn of(
+        dataset: &Dataset,
+        granularity: Option<(usize, usize)>,
+        shards: Option<ShardFanOut>,
+    ) -> Self {
         Self {
             object_count: dataset.len(),
             extent: dataset.bounding_box(),
-            index: index.map(|idx| IndexStatistics::of_grid(idx.spec(), idx.objects_indexed())),
-            shards: None,
-        }
-    }
-}
-
-impl IndexStatistics {
-    /// The statistics a `cols × rows` [`GridIndex`] over `dataset` *would*
-    /// have, computed without building it.
-    ///
-    /// Used by sharded engines: a sharded engine that requested an index
-    /// builds none (the scatter never reads one), but its planner must
-    /// still decide from whole-dataset index geometry so the chosen
-    /// backend is identical for every shard count.  The grid is the one
-    /// [`GridIndex::build`] lays, read by the formulas
-    /// [`EngineStatistics::capture`] applies to a built index.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`GridIndex::build`]: a zero granularity, or an
-    /// empty dataset.
-    pub fn virtual_for(dataset: &Dataset, cols: usize, rows: usize) -> Result<Self, AsrsError> {
-        let spec = crate::grid_index::index_grid(dataset, cols, rows)?;
-        Ok(Self::of_grid(&spec, dataset.len()))
-    }
-
-    /// The statistics of an index laid out as `spec` over `objects`
-    /// objects.
-    fn of_grid(spec: &GridSpec, objects: usize) -> Self {
-        let (cols, rows) = (spec.cols(), spec.rows());
-        Self {
-            cols,
-            rows,
-            cell_width: spec.cell_width(),
-            cell_height: spec.cell_height(),
-            avg_objects_per_cell: objects as f64 / (cols * rows).max(1) as f64,
+            index: granularity.and_then(|(cols, rows)| {
+                let spec = index_grid(dataset, cols, rows).ok()?;
+                Some(IndexStatistics {
+                    cols,
+                    rows,
+                    cell_width: spec.cell_width(),
+                    cell_height: spec.cell_height(),
+                    avg_objects_per_cell: dataset.len() as f64 / (cols * rows) as f64,
+                })
+            }),
+            shards,
         }
     }
 }
@@ -117,7 +107,8 @@ pub enum PlanReason {
     ForcedByRequest,
     /// The dataset is small enough that the exhaustive oracle is cheapest.
     TinyDataset,
-    /// No grid index is attached, so GI-DS is unavailable.
+    /// The engine has no index statistics (no granularity, or an empty
+    /// dataset), so GI-DS is unavailable.
     NoIndex,
     /// The query spans most of the indexed extent; index cells cannot be
     /// pruned, so the per-cell overhead of GI-DS does not pay off.
@@ -132,7 +123,7 @@ impl fmt::Display for PlanReason {
         let text = match self {
             PlanReason::ForcedByRequest => "backend forced by the request",
             PlanReason::TinyDataset => "dataset is tiny; the exhaustive oracle is cheapest",
-            PlanReason::NoIndex => "no grid index attached; DS-Search is the only pruning backend",
+            PlanReason::NoIndex => "no grid index; DS-Search is the only pruning backend",
             PlanReason::QuerySpansExtent => {
                 "query spans most of the indexed extent; index cells cannot be pruned"
             }
@@ -146,7 +137,7 @@ impl fmt::Display for PlanReason {
 
 /// Estimated work per backend, in abstract rectangle-visit units.
 ///
-/// `gi_ds` is `None` when no index is attached.  The numbers justify a
+/// `gi_ds` is `None` without index statistics.  The numbers justify a
 /// plan in [`ExecutionPlan::explain`]; the decision itself is rule-based
 /// (see [`Planner`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -284,8 +275,8 @@ const SPAN_THRESHOLD: f64 = 0.5;
 ///
 /// # Cost-model inputs
 ///
-/// The model reads three statistics, all captured in [`EngineStatistics`]
-/// when the engine is built:
+/// The model reads three statistics, all in [`EngineStatistics`], which
+/// each generation derives from its dataset, index granularity and shards:
 ///
 /// * **object count** `n` — every object contributes one ASP rectangle,
 ///   so `n` bounds the work of a discretisation round and `n²` the probe

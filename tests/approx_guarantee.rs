@@ -10,10 +10,11 @@ fn pinned(engine: &AsrsEngine, request: QueryRequest, backend: Backend) -> Searc
     response.best().unwrap().clone()
 }
 
-fn engine(ds: Dataset, agg: CompositeAggregator, index: Option<GridIndex>) -> AsrsEngine {
+/// An engine over `ds`, with a `g × g` index when `granularity` is `Some(g)`.
+fn engine(ds: Dataset, agg: CompositeAggregator, granularity: Option<usize>) -> AsrsEngine {
     let builder = AsrsEngine::builder(ds, agg);
-    match index {
-        Some(index) => builder.index(index),
+    match granularity {
+        Some(g) => builder.build_index(g, g),
         None => builder,
     }
     .build()
@@ -65,8 +66,7 @@ fn approximation_guarantee_holds_for_gi_ds() {
         .distribution("day_of_week", Selection::All)
         .build()
         .unwrap();
-    let index = GridIndex::build(&ds, &agg, 48, 48).unwrap();
-    let engine = engine(ds, agg, Some(index));
+    let engine = engine(ds, agg, Some(48));
     let query = f1_query(RegionSize::new(45.0, 45.0));
     let exact = pinned(&engine, QueryRequest::similar(query.clone()), Backend::GiDs);
     for delta in [0.1, 0.2, 0.3, 0.4] {
@@ -88,8 +88,7 @@ fn larger_delta_never_searches_more_index_cells() {
         .distribution("day_of_week", Selection::All)
         .build()
         .unwrap();
-    let index = GridIndex::build(&ds, &agg, 40, 40).unwrap();
-    let engine = engine(ds, agg, Some(index));
+    let engine = engine(ds, agg, Some(40));
     let query = f1_query(RegionSize::new(55.0, 55.0));
     let mut searched = Vec::new();
     for delta in [0.0, 0.1, 0.2, 0.4] {
@@ -119,8 +118,7 @@ fn quality_ratio_matches_table_2_shape() {
         .distribution("day_of_week", Selection::All)
         .build()
         .unwrap();
-    let index = GridIndex::build(&ds, &agg, 48, 48).unwrap();
-    let engine = engine(ds, agg, Some(index));
+    let engine = engine(ds, agg, Some(48));
     let query = f1_query(RegionSize::new(80.0, 80.0));
     let exact = pinned(&engine, QueryRequest::similar(query.clone()), Backend::GiDs);
     assert!(

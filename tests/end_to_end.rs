@@ -13,16 +13,17 @@ fn ds_search(ds: &Dataset, agg: &CompositeAggregator, query: &AsrsQuery) -> Sear
     engine.submit(&request).unwrap().best().unwrap().clone()
 }
 
-/// The best region for `query` by GI-DS over `index`, through an engine
-/// over `ds`, and the statistics of the run.
+/// The best region for `query` by GI-DS over a `granularity ×
+/// granularity` index, through an engine over `ds`, and the statistics of
+/// the run.
 fn gi_ds(
     ds: &Dataset,
     agg: &CompositeAggregator,
-    index: GridIndex,
+    granularity: usize,
     query: &AsrsQuery,
 ) -> (SearchResult, SearchStats) {
     let engine = AsrsEngine::builder(ds.clone(), agg.clone())
-        .index(index)
+        .build_index(granularity, granularity)
         .build()
         .unwrap();
     let request = QueryRequest::similar(query.clone()).with_backend(Backend::GiDs);
@@ -86,8 +87,7 @@ fn indexed_and_plain_search_agree_on_the_city() {
     let orchard = city.district("Orchard").unwrap().rect;
     let query = AsrsQuery::from_example_region(ds, &agg, &orchard).unwrap();
     let plain = ds_search(ds, &agg, &query);
-    let index = GridIndex::build(ds, &agg, 64, 64).unwrap();
-    let (indexed, _) = gi_ds(ds, &agg, index, &query);
+    let (indexed, _) = gi_ds(ds, &agg, 64, &query);
     assert!((plain.distance - indexed.distance).abs() < 1e-9);
 }
 
@@ -100,13 +100,12 @@ fn search_scales_through_the_full_pipeline() {
         .distribution("day_of_week", Selection::All)
         .build()
         .unwrap();
-    let index = GridIndex::build(&ds, &agg, 64, 64).unwrap();
     let query = AsrsQuery::new(
         RegionSize::new(40.0, 40.0),
         FeatureVector::new(vec![0.0, 0.0, 0.0, 0.0, 0.0, 60.0, 60.0]),
         Weights::new(vec![0.2, 0.2, 0.2, 0.2, 0.2, 0.5, 0.5]),
     );
-    let (result, stats) = gi_ds(&ds, &agg, index, &query);
+    let (result, stats) = gi_ds(&ds, &agg, 64, &query);
     let rep = agg.aggregate_region(&ds, &result.region);
     let recomputed = agg.distance(&rep, &query.target, &query.weights, query.metric);
     assert!((recomputed - result.distance).abs() < 1e-6);

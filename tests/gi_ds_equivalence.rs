@@ -12,16 +12,17 @@ fn ds_search(ds: &Dataset, agg: &CompositeAggregator, query: &AsrsQuery) -> Sear
     engine.submit(&request).unwrap().best().unwrap().clone()
 }
 
-/// The best region for `query` by GI-DS over `index`, through an engine
-/// over `ds`, and the statistics of the run.
+/// The best region for `query` by GI-DS over a `granularity ×
+/// granularity` index, through an engine over `ds`, and the statistics of
+/// the run.
 fn gi_ds(
     ds: &Dataset,
     agg: &CompositeAggregator,
-    index: GridIndex,
+    granularity: usize,
     query: &AsrsQuery,
 ) -> (SearchResult, SearchStats) {
     let engine = AsrsEngine::builder(ds.clone(), agg.clone())
-        .index(index)
+        .build_index(granularity, granularity)
         .build()
         .unwrap();
     let request = QueryRequest::similar(query.clone()).with_backend(Backend::GiDs);
@@ -43,8 +44,7 @@ fn gi_ds_equals_ds_search_across_granularities() {
     );
     let reference = ds_search(&ds, &agg, &query);
     for granularity in [16, 32, 64] {
-        let index = GridIndex::build(&ds, &agg, granularity, granularity).unwrap();
-        let (result, _) = gi_ds(&ds, &agg, index, &query);
+        let (result, _) = gi_ds(&ds, &agg, granularity, &query);
         assert!(
             (result.distance - reference.distance).abs() < 1e-9,
             "granularity {granularity}: GI-DS {} vs DS {}",
@@ -62,13 +62,12 @@ fn gi_ds_equals_the_naive_oracle_on_small_instances() {
             .distribution("category", Selection::All)
             .build()
             .unwrap();
-        let index = GridIndex::build(&ds, &agg, 20, 20).unwrap();
         let query = AsrsQuery::new(
             RegionSize::new(14.0, 11.0),
             FeatureVector::new(vec![2.0, 2.0, 0.0, 1.0]),
             Weights::uniform(4),
         );
-        let (gi, _) = gi_ds(&ds, &agg, index, &query);
+        let (gi, _) = gi_ds(&ds, &agg, 20, &query);
         let oracle = naive::naive_best_region(&ds, &agg, &query).unwrap();
         assert!(
             (gi.distance - oracle.distance).abs() < 1e-9,
@@ -95,8 +94,7 @@ fn finer_index_granularity_searches_a_smaller_fraction_of_cells() {
     );
     let mut ratios = Vec::new();
     for granularity in [16, 32, 64] {
-        let index = GridIndex::build(&ds, &agg, granularity, granularity).unwrap();
-        let (_, stats) = gi_ds(&ds, &agg, index, &query);
+        let (_, stats) = gi_ds(&ds, &agg, granularity, &query);
         ratios.push(stats.index_search_ratio().unwrap());
     }
     assert!(
@@ -135,14 +133,13 @@ fn gi_ds_handles_numeric_aggregators() {
         .average("rating", Selection::All)
         .build()
         .unwrap();
-    let index = GridIndex::build(&ds, &agg, 32, 32).unwrap();
     let query = AsrsQuery::new(
         RegionSize::new(120.0, 120.0),
         FeatureVector::new(vec![20_000.0, 10.0]),
         Weights::new(vec![1.0 / 20_000.0, 0.1]),
     );
     let reference = ds_search(&ds, &agg, &query);
-    let (indexed, _) = gi_ds(&ds, &agg, index, &query);
+    let (indexed, _) = gi_ds(&ds, &agg, 32, &query);
     assert!(
         (reference.distance - indexed.distance).abs() < 1e-6,
         "GI-DS {} vs DS {}",
